@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .report import Report
+from .report import Report, diff_tables
 
 
 @dataclass(frozen=True)
@@ -223,30 +223,9 @@ def bhom_eq(f: BFrameHom, g: BFrameHom) -> tuple[list[tuple], int, int]:
 
     Returns (mismatch witnesses, skipped entries, compared entries).
     """
-    mismatches: list[tuple] = []
-    skipped = 0
-    checked = 0
-    levels = set(f.H) | set(g.H)
-    for n in sorted(levels):
-        fm, gm = f.H.get(n, {}), g.H.get(n, {})
-        for x in sorted(set(fm) | set(gm)):
-            if x in fm and x in gm:
-                checked += 1
-                if fm[x] != gm[x]:
-                    mismatches.append(("B", n, x, fm[x], gm[x]))
-            else:
-                skipped += 1
-    levels = set(f.Ht) | set(g.Ht)
-    for k in sorted(levels):
-        fm, gm = f.Ht.get(k, {}), g.Ht.get(k, {})
-        for x in sorted(set(fm) | set(gm)):
-            if x in fm and x in gm:
-                checked += 1
-                if fm[x] != gm[x]:
-                    mismatches.append(("Bt", k, x, fm[x], gm[x]))
-            else:
-                skipped += 1
-    return mismatches, skipped, checked
+    pairs = [(f.H.get(n, {}), g.H.get(n, {}), ("B", n)) for n in sorted(set(f.H) | set(g.H))]
+    pairs += [(f.Ht.get(k, {}), g.Ht.get(k, {}), ("Bt", k)) for k in sorted(set(f.Ht) | set(g.Ht))]
+    return diff_tables(pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from .core import (
     join_ids,
     slice_category,
     stratify,
+    triangle_id,
     validate_fincat,
     validate_functor,
 )
@@ -326,6 +327,7 @@ def slice_cesystem(a: CESystem, gamma: str) -> CESystem:
         return join_ids("slb", h, f, g)
 
     arrows: dict[str, Arrow] = {}
+    triple: dict[str, tuple[str, str, str]] = {}
     identity: dict[str, str] = {}
     compose: dict[tuple[str, str], str] = {}
     partial = a.base.partial or a.fam.partial
@@ -340,6 +342,7 @@ def slice_cesystem(a: CESystem, gamma: str) -> CESystem:
                 if a.base.compose.get((gi, h)) == fi:
                     name = sl_arrow(h, f, g)
                     arrows[name] = Arrow(name, f, g)
+                    triple[name] = (h, f, g)
     for f in base_objs:
         try:
             ident = a.base.id_of(a.fam.dom(f))
@@ -349,16 +352,6 @@ def slice_cesystem(a: CESystem, gamma: str) -> CESystem:
         name = sl_arrow(ident, f, f)
         if name in arrows:
             identity[f] = name
-    triple: dict[str, tuple[str, str, str]] = {}
-    for f in base_objs:
-        for g in base_objs:
-            try:
-                fi, gi = a.I(f), a.I(g)
-            except Truncated:
-                continue
-            for h in a.base.hom(a.base.dom(fi), a.base.dom(gi)):
-                if a.base.compose.get((gi, h)) == fi:
-                    triple[sl_arrow(h, f, g)] = (h, f, g)
     for n1, (h1, f1, g1) in triple.items():
         for n2, (h2, f2, g2) in triple.items():
             if f2 != g1:
@@ -390,8 +383,6 @@ def slice_cesystem(a: CESystem, gamma: str) -> CESystem:
         if name in arrows:
             ifun[t] = name
     pb: dict[tuple[str, str], tuple[str, str]] = {}
-    from .core import triangle_id
-
     for name, (h, f, g) in triple.items():
         # families over g in the slice are triangles (P, g.P, g)
         for t, (P, fP, gP) in fam_sl.triangle.items():

@@ -12,10 +12,10 @@ import argparse
 import os
 import sys
 
-from .bsys import BSystem, build_finset_bsystem, validate_bsystem
-from .cesys import CESystem, build_finset_cesystem, validate_cesystem
-from .core import Stratification, stratify
-from .csys import CSystem, validate_csystem
+from .bsys import build_finset_bsystem, validate_bsystem
+from .cesys import build_finset_cesystem, validate_cesystem
+from .core import Stratification, stratify, validate_units
+from .csys import validate_csystem
 from .esys import (
     ESystem,
     build_group_structure,
@@ -35,7 +35,6 @@ from .xlate import (
     ce_to_c,
     ce_to_e,
     compose_equivalence,
-    counit_cehom,
     e_to_b,
     e_to_ce,
     grand_roundtrip_iso,
@@ -237,6 +236,11 @@ def cmd_roundtrip(args) -> int:
         print(rep.format())
         return 0 if rep.ok else 1
     if kind == "csystem":
+        # the tables are copied both ways, so a broken category would pass
+        pre = Report()
+        pre.merge(validate_units(obj.cat), prefix="cat:")
+        if not pre.ok:
+            return _print_report(pre)
         a = c_to_ce(obj)
         c2 = ce_to_c(a)
         rep = Report()

@@ -17,8 +17,19 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 
-from .core import Arrow, FinCat, FunctorData, validate_fincat, validate_functor
-from .report import Report, Truncated
+from .core import (
+    Arrow,
+    FinCat,
+    FunctorData,
+    compose_functors,
+    identity_functor,
+    join_ids,
+    slice_mors,
+    split_ids,
+    validate_fincat,
+    validate_functor,
+)
+from .report import Report, Truncated, diff_tables
 
 SliceMor = tuple[str, str, str]  # (underlying arrow, source object, target object)
 
@@ -75,17 +86,6 @@ class EHom:
 
 def slice_objects(cat: FinCat, apex: str) -> list[str]:
     return cat.arrows_into(apex)
-
-
-def slice_mors(cat: FinCat, apex: str) -> list[SliceMor]:
-    out: list[SliceMor] = []
-    objs = slice_objects(cat, apex)
-    for f in objs:
-        for g in objs:
-            for h in cat.hom(cat.dom(f), cat.dom(g)):
-                if cat.compose.get((g, h)) == f:
-                    out.append((h, f, g))
-    return out
 
 
 def terminal_mor(cat: FinCat, u: str, apex: str) -> SliceMor:
@@ -169,38 +169,16 @@ def term_action_at(e: ESystem, F: SliceFunctorT, u: str) -> dict[str, str] | Non
 
 
 def sf_equal(f: SliceFunctorT, g: SliceFunctorT) -> tuple[list[tuple], int, int]:
-    """Compare two slice functors on the common defined domain."""
-    bad: list[tuple] = []
-    skipped = 0
-    checked = 0
-    for x in sorted(set(f.obj_map) | set(g.obj_map)):
-        if x in f.obj_map and x in g.obj_map:
-            checked += 1
-            if f.obj_map[x] != g.obj_map[x]:
-                bad.append(("obj", x, f.obj_map[x], g.obj_map[x]))
-        else:
-            skipped += 1
-    for m in sorted(set(f.mor_map) | set(g.mor_map)):
-        if m in f.mor_map and m in g.mor_map:
-            checked += 1
-            if f.mor_map[m] != g.mor_map[m]:
-                bad.append(("mor", m, f.mor_map[m], g.mor_map[m]))
-        else:
-            skipped += 1
-    keys = set(f.term_map) | set(g.term_map)
-    for m in sorted(keys):
-        ft, gt = f.term_map.get(m), g.term_map.get(m)
-        if ft is None or gt is None:
-            skipped += 1
-            continue
-        for t in sorted(set(ft) | set(gt)):
-            if t in ft and t in gt:
-                checked += 1
-                if ft[t] != gt[t]:
-                    bad.append(("term", m, t, ft[t], gt[t]))
-            else:
-                skipped += 1
-    return bad, skipped, checked
+    """Compare two slice functors on the common defined domain.
+
+    A term table present on one side only counts as one skipped entry.
+    """
+    shared = sorted(f.term_map.keys() & g.term_map.keys())
+    bad, skipped, checked = diff_tables(
+        [(f.obj_map, g.obj_map, ("obj",)), (f.mor_map, g.mor_map, ("mor",))]
+        + [(f.term_map[m], g.term_map[m], ("term", m)) for m in shared]
+    )
+    return bad, skipped + len(f.term_map.keys() ^ g.term_map.keys()), checked
 
 
 def validate_sfunctor(e: ESystem, F: SliceFunctorT, rep: Report, law: str) -> None:
@@ -682,8 +660,6 @@ def validate_ehom(h: EHom) -> Report:
 
 
 def identity_ehom(e: ESystem) -> EHom:
-    from .core import identity_functor
-
     return EHom(
         source=e,
         target=e,
@@ -693,8 +669,6 @@ def identity_ehom(e: ESystem) -> EHom:
 
 
 def compose_ehom(g: EHom, f: EHom) -> EHom:
-    from .core import compose_functors
-
     term_map: dict[str, dict[str, str]] = {}
     for a, tm in f.term_map.items():
         img = f.functor.arrow_map.get(a)
@@ -709,35 +683,14 @@ def compose_ehom(g: EHom, f: EHom) -> EHom:
 
 
 def ehom_equal(f: EHom, g: EHom) -> tuple[list[tuple], int, int]:
-    bad: list[tuple] = []
-    skipped = 0
-    checked = 0
-    for x in sorted(set(f.functor.object_map) | set(g.functor.object_map)):
-        a, b = f.functor.object_map.get(x), g.functor.object_map.get(x)
-        if a is None or b is None:
-            skipped += 1
-        else:
-            checked += 1
-            if a != b:
-                bad.append(("obj", x, a, b))
-    for x in sorted(set(f.functor.arrow_map) | set(g.functor.arrow_map)):
-        a, b = f.functor.arrow_map.get(x), g.functor.arrow_map.get(x)
-        if a is None or b is None:
-            skipped += 1
-        else:
-            checked += 1
-            if a != b:
-                bad.append(("arrow", x, a, b))
-    for a in sorted(set(f.term_map) | set(g.term_map)):
-        fm, gm = f.term_map.get(a, {}), g.term_map.get(a, {})
-        for t in sorted(set(fm) | set(gm)):
-            if t in fm and t in gm:
-                checked += 1
-                if fm[t] != gm[t]:
-                    bad.append(("term", a, t, fm[t], gm[t]))
-            else:
-                skipped += 1
-    return bad, skipped, checked
+    fo, go = f.functor, g.functor
+    return diff_tables(
+        [(fo.object_map, go.object_map, ("obj",)), (fo.arrow_map, go.arrow_map, ("arrow",))]
+        + [
+            (f.term_map.get(a, {}), g.term_map.get(a, {}), ("term", a))
+            for a in sorted(set(f.term_map) | set(g.term_map))
+        ]
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -823,6 +776,24 @@ def precompose(e: ESystem, A: str, B: str, f: str) -> SliceFunctorT:
     return compose_sf(e, sf, wab)
 
 
+def ih_arrow(A: str, B: str, t: str) -> str:
+    """The id of the internal morphism t in hom(A, B) = T(W_A(B))."""
+    return join_ids("ih", A, B, t)
+
+
+def ih_term(e: ESystem, name: str, A: str, B: str) -> str | None:
+    """The inverse of ih_arrow: decode the term t from the arrow id ``name``.
+
+    None unless ``name`` decodes to endpoints (A, B) and a term in
+    T(W_A(B)).
+    """
+    parts = split_ids(name, "|")
+    if len(parts) != 4 or parts[:3] != ["ih", A, B]:
+        return None
+    ts = hom_terms_of(e, A, B)
+    return parts[3] if ts is not None and parts[3] in ts else None
+
+
 def internal_hom_cat(e: ESystem, gamma: str) -> FinCat:
     """The strict category of internal morphisms over ``gamma``.
 
@@ -837,39 +808,25 @@ def internal_hom_cat(e: ESystem, gamma: str) -> FinCat:
     compose: dict[tuple[str, str], str] = {}
     partial = False
 
-    def hom_terms(A: str, B: str) -> frozenset[str] | None:
-        wa = e.weak.get(A)
-        if wa is None:
-            return None
-        pos = wa.obj_map.get(B)
-        if pos is None:
-            return None
-        return e.T(pos)
-
-    from .core import join_ids
-
-    def mk(A: str, B: str, t: str) -> str:
-        return join_ids("ih", A, B, t)
-
     for A in objs:
         for B in objs:
-            ts = hom_terms(A, B)
+            ts = hom_terms_of(e, A, B)
             if ts is None:
                 partial = True
                 continue
             for t in ts:
-                name = mk(A, B, t)
+                name = ih_arrow(A, B, t)
                 arrows[name] = Arrow(name, A, B)
     for A in objs:
         one = e.proj.get(A)
-        name = mk(A, A, one) if one is not None else None
+        name = ih_arrow(A, A, one) if one is not None else None
         if name is None or name not in arrows:
             partial = True
             continue
         identity[A] = name
     for A in objs:
         for B in objs:
-            ts1 = hom_terms(A, B)
+            ts1 = hom_terms_of(e, A, B)
             if ts1 is None:
                 continue
             for f in ts1:
@@ -879,7 +836,7 @@ def internal_hom_cat(e: ESystem, gamma: str) -> FinCat:
                     partial = True
                     continue
                 for C in objs:
-                    ts2 = hom_terms(B, C)
+                    ts2 = hom_terms_of(e, B, C)
                     if ts2 is None:
                         continue
                     wb = e.weak[B]
@@ -890,10 +847,10 @@ def internal_hom_cat(e: ESystem, gamma: str) -> FinCat:
                             partial = True
                             continue
                         gf = act[g]
-                        if mk(A, C, gf) not in arrows:
+                        if ih_arrow(A, C, gf) not in arrows:
                             partial = True
                             continue
-                        compose[(mk(B, C, g), mk(A, B, f))] = mk(A, C, gf)
+                        compose[(ih_arrow(B, C, g), ih_arrow(A, B, f))] = ih_arrow(A, C, gf)
     return FinCat(
         objects=frozenset(objs),
         arrows=arrows,

@@ -107,6 +107,31 @@ class Report:
         return self.format()
 
 
+def diff_maps(f: dict, g: dict, tag: tuple, bad: list[tuple]) -> tuple[int, int]:
+    """Compare two partial maps over the union of their keys.
+
+    A key in both maps is checked, and a mismatch appends the witness
+    ``tag + (key, f[key], g[key])`` to ``bad``, in sorted key order; a
+    key in only one map is skipped. Returns (skipped, checked).
+    """
+    if f == g:
+        return 0, len(f)
+    shared = f.keys() & g.keys()
+    bad.extend(tag + (k, f[k], g[k]) for k in sorted(k for k in shared if f[k] != g[k]))
+    return len(f) + len(g) - 2 * len(shared), len(shared)
+
+
+def diff_tables(pairs: list[tuple[dict, dict, tuple]]) -> tuple[list[tuple], int, int]:
+    """diff_maps over (f, g, tag) triples: (witnesses, skipped, checked)."""
+    bad: list[tuple] = []
+    skipped = checked = 0
+    for f, g, tag in pairs:
+        s, c = diff_maps(f, g, tag, bad)
+        skipped += s
+        checked += c
+    return bad, skipped, checked
+
+
 class Truncated(Exception):
     """A lookup fell off the represented truncation height.
 

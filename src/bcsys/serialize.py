@@ -405,4 +405,9 @@ def load_structure(text: str, expect_kind: str | None = None):
     loader = _LOADERS.get(kind)
     if loader is None:
         raise LoadError(f"unknown kind {kind!r}")
-    return kind, loader(doc["payload"])
+    try:
+        return kind, loader(doc["payload"])
+    except LoadError:
+        raise
+    except (KeyError, TypeError, IndexError, AttributeError, ValueError) as exc:
+        raise LoadError(f"malformed {kind} payload: {type(exc).__name__}: {exc}") from None

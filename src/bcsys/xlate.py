@@ -32,7 +32,9 @@ from .core import (
     FunctorData,
     RootedTree,
     Stratification,
+    compose_functors,
     free_cat_of_tree,
+    identity_functor,
     individual_arrow,
     join_ids,
     obj_id,
@@ -41,6 +43,8 @@ from .core import (
     parse_path_id,
     path_id,
     slice_category,
+    slice_mors,
+    split_ids,
     stratify,
     triangle_id,
     unpack_ids,
@@ -52,20 +56,20 @@ from .esys import (
     SliceFunctorT,
     TermCat,
     compose_ehom,
-    compose_sf,
     ehom_equal,
     identity_ehom,
+    ih_arrow,
+    ih_term,
+    internal_hom_cat,
     precompose,
     restrict_sf,
-    slice_mors,
-    slice_objects,
     term_action_at,
     term_extension,
     validate_ehom,
     validate_esystem,
     vertical_compose,
 )
-from .report import Report, Truncated
+from .report import Report, Truncated, diff_tables
 
 
 @dataclass
@@ -293,7 +297,6 @@ def _bhom_of_sfunctor(e: ESystem, sf: SliceFunctorT, src: BFrame, tgt: BFrame,
         for el in src.Bt[m]:
             Y, t = unpack_ids(el)
             u = _unique_arrow(cat, Y, z)
-            ftY = src.bd  # placeholder; boundary handled via frame tables
             ybar = None
             for a in cat.arrows_from(Y):
                 if lv.get(cat.cod(a)) == lv.get(Y, 0) - 1:
@@ -703,8 +706,6 @@ def casce_iso(a: CESystem) -> IsoWitness:
     comp_obj = {x: x for x in a.fam.objects}
     comp_ar: dict[str, str] = {}
     fact_ar: dict[str, str] = {}
-    from .core import split_ids
-
     for name in ahat.fam.arrows:
         gamma = ahat.fam.dom(name)
         k = int(split_ids(name, "|")[-1])
@@ -718,8 +719,6 @@ def casce_iso(a: CESystem) -> IsoWitness:
     for name in a.fam.arrows:
         drop = strat.of(a.fam.dom(name)) - strat.of(a.fam.cod(name))
         fact_ar[name] = proj_path(a.fam.dom(name), drop)
-    from .core import identity_functor
-
     comp_hom = CEHom(
         source=ahat,
         target=a,
@@ -868,14 +867,8 @@ def ce2e_of_cehom(h: CEHom, src_e: ESystem, tgt_e: ESystem) -> EHom:
 # E-systems -> CE-systems
 
 
-def ih_arrow(A: str, B: str, t: str) -> str:
-    return join_ids("ih", A, B, t)
-
-
 def e_to_ce(e: ESystem) -> CESystem:
     """Families are the slice at the terminal; contexts the internal morphisms."""
-    from .esys import internal_hom_cat
-
     root = e.cat.terminal
     if root is None:
         raise ValueError("e_to_ce needs a chosen terminal object")
@@ -900,25 +893,19 @@ def e_to_ce(e: ESystem) -> CESystem:
         if name in base.arrows:
             ifun[t] = name
     a = CESystem(fam=fam, base=base, ifun=ifun, root=fam.terminal)
+    over: dict[str, list[tuple[str, str]]] = {}  # families R over B, as (R, B.R)
+    for R, BR, B in sl.triangle.values():
+        over.setdefault(B, []).append((R, BR))
     for name, arr in base.arrows.items():
         A, B = arr.dom, arr.cod
-        wa = e.weak.get(A)
-        pos = wa.obj_map.get(B) if wa is not None else None
-        x = None
-        if pos is not None:
-            for t in e.T(pos):
-                if ih_arrow(A, B, t) == name:
-                    x = t
-                    break
+        x = ih_term(e, name, A, B)
         if x is None:
             continue
         try:
             star = precompose(e, A, B, x)
         except Truncated:
             continue
-        for (R, BR, Bg) in slice_mors(e.cat, root):
-            if Bg != B:
-                continue
+        for R, BR in over.get(B, []):
             # R is a family over B; pull it back along the internal x
             xR = star.obj_map.get(R)
             if xR is None:
@@ -1016,14 +1003,7 @@ def counit_cehom(a: CESystem) -> CEHom:
     for name, arr in ahat.base.arrows.items():
         fhat, ghat = arr.dom, arr.cod
         # the underlying section x, recovered from the hom-set encoding
-        x = None
-        wf = e.weak.get(fhat)
-        pos = wf.obj_map.get(ghat) if wf is not None else None
-        if pos is not None:
-            for cand in e.T(pos):
-                if ih_arrow(fhat, ghat, cand) == name:
-                    x = cand
-                    break
+        x = ih_term(e, name, fhat, ghat)
         if x is None:
             continue
         try:
@@ -1097,38 +1077,7 @@ def invert_ehom(h: EHom) -> tuple[EHom | None, Report]:
     )
 
 
-def invert_cehom(h: CEHom) -> tuple[CEHom | None, Report]:
-    rep = Report()
-    rep.law("invertible")
-
-    def invert_fd(fd: FunctorData, back_src: FinCat, back_tgt: FinCat, tag: str):
-        om, am = {}, {}
-        for x, y in fd.object_map.items():
-            om[y] = x
-        for x, y in fd.arrow_map.items():
-            if y in am:
-                rep.fail("invertible", (tag, y), "not injective on arrows")
-            am[y] = x
-        for y in back_src.objects:
-            rep.tick("invertible")
-            if y not in om:
-                rep.fail("invertible", (tag, y), "object not in the image")
-        for y in back_src.arrows:
-            rep.tick("invertible")
-            if y not in am:
-                rep.fail("invertible", (tag, y), "arrow not in the image")
-        return FunctorData(back_src, back_tgt, om, am)
-
-    fam_inv = invert_fd(h.fam_map, h.target.fam, h.source.fam, "fam")
-    base_inv = invert_fd(h.base_map, h.target.base, h.source.base, "base")
-    if not rep.ok:
-        return None, rep
-    return CEHom(source=h.target, target=h.source, fam_map=fam_inv, base_map=base_inv), rep
-
-
 def compose_cehom(g: CEHom, f: CEHom) -> CEHom:
-    from .core import compose_functors
-
     return CEHom(
         source=f.source,
         target=g.target,
@@ -1148,8 +1097,6 @@ def cehom_of_ehom(h: EHom, src_ce: CESystem, tgt_ce: CESystem) -> CEHom:
         if img is not None:
             obj_map[f] = img
     for t in src_ce.fam.arrows:
-        from .core import split_ids
-
         parts = split_ids(t, "|")
         hh, f, g = parts[0], parts[1], parts[2]
         ih_, fi, gi = (
@@ -1164,16 +1111,10 @@ def cehom_of_ehom(h: EHom, src_ce: CESystem, tgt_ce: CESystem) -> CEHom:
             fam_ar[t] = name
     for name, arr in src_ce.base.arrows.items():
         A, B = arr.dom, arr.cod
-        wf = e.weak.get(A)
-        pos = wf.obj_map.get(B) if wf is not None else None
-        x = None
-        if pos is not None:
-            for cand in e.T(pos):
-                if ih_arrow(A, B, cand) == name:
-                    x = cand
-                    break
+        x = ih_term(e, name, A, B)
         if x is None:
             continue
+        pos = e.weak[A].obj_map[B]
         Ai, Bi = h.functor.arrow_map.get(A), h.functor.arrow_map.get(B)
         posi = h.functor.arrow_map.get(pos)
         xi = h.term_map.get(pos, {}).get(x)
@@ -1191,26 +1132,14 @@ def cehom_of_ehom(h: EHom, src_ce: CESystem, tgt_ce: CESystem) -> CEHom:
 
 
 def cehom_equal(f: CEHom, g: CEHom) -> tuple[list[tuple], int, int]:
-    bad: list[tuple] = []
-    skipped = checked = 0
-    for tag, (fm, gm) in (
-        ("fam-obj", (f.fam_map.object_map, g.fam_map.object_map)),
-        ("fam-ar", (f.fam_map.arrow_map, g.fam_map.arrow_map)),
-        ("base-ar", (f.base_map.arrow_map, g.base_map.arrow_map)),
-    ):
-        for x in sorted(set(fm) | set(gm)):
-            if x in fm and x in gm:
-                checked += 1
-                if fm[x] != gm[x]:
-                    bad.append((tag, x, fm[x], gm[x]))
-            else:
-                skipped += 1
-    return bad, skipped, checked
+    return diff_tables([
+        (f.fam_map.object_map, g.fam_map.object_map, ("fam-obj",)),
+        (f.fam_map.arrow_map, g.fam_map.arrow_map, ("fam-ar",)),
+        (f.base_map.arrow_map, g.base_map.arrow_map, ("base-ar",)),
+    ])
 
 
 def identity_cehom(a: CESystem) -> CEHom:
-    from .core import identity_functor
-
     return CEHom(
         source=a,
         target=a,

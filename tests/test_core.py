@@ -15,6 +15,7 @@ from bcsys.core import (
     individual_arrow,
     slice_category,
     slice_levels,
+    slice_mors,
     stratify,
     tree_of_strat,
     validate_fincat,
@@ -167,6 +168,18 @@ def test_slice_of_chain_over_middle():
     sl = slice_category(cat, "n1@1")
     non_terminal = [o for o in sl.cat.objects if o != sl.cat.terminal]
     assert len(non_terminal) == 1
+
+
+def test_slice_skips_triangle_with_missing_composite():
+    related = {(x, x) for x in "XYT"} | {("X", "Y"), ("X", "T"), ("Y", "T")}
+    cat = thin_cat("XYT", related, terminal="T")
+    del cat.compose[("Y->T", "X->Y")]
+    sl = slice_category(cat, "T")
+    # the triangle over X->Y from X->T to Y->T needs the missing composite
+    assert sorted(h for h, _f, _g in sl.triangle.values()) == [
+        "T->T", "X->T", "X->X", "Y->T", "Y->Y"
+    ]
+    assert list(sl.triangle.values()) == slice_mors(cat, "T")
 
 
 def test_slice_nat_over_2():

@@ -1,7 +1,10 @@
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given
 
-from bcsys.core import validate_fincat
+from bcsys.core import join_ids, split_ids, validate_fincat
 from bcsys.esys import (
+    SliceFunctorT,
     build_group_structure,
     build_nat_esystem,
     check_pairing,
@@ -9,6 +12,8 @@ from bcsys.esys import (
     fn_term,
     hom_terms_of,
     identity_sf,
+    ih_arrow,
+    ih_term,
     internal_hom_cat,
     nat_arrow,
     precompose,
@@ -293,6 +298,42 @@ def test_internal_hom_to_slice_terminal_is_singleton():
             homs = hom_terms_of(e, A, ida)
             if homs is not None:
                 assert len(homs) == 1
+
+
+@given(*[st.text(alphabet="ab|\\@>", max_size=6)] * 3)
+def test_ih_arrow_decodes_with_split_ids(A, B, t):
+    assert split_ids(ih_arrow(A, B, t), "|") == ["ih", A, B, t]
+
+
+def test_ih_term_recovers_every_internal_hom_arrow():
+    e = build_nat_esystem(3)
+    ih = internal_hom_cat(e, "0")
+    assert ih.arrows
+    for name, arr in ih.arrows.items():
+        t = ih_term(e, name, arr.dom, arr.cod)
+        assert t in hom_terms_of(e, arr.dom, arr.cod)
+        assert ih_arrow(arr.dom, arr.cod, t) == name
+
+
+def test_ih_term_rejects_wrong_endpoints_and_foreign_terms():
+    e = build_nat_esystem(3)
+    A, B = nat_arrow(2, 0), nat_arrow(1, 0)
+    homs = hom_terms_of(e, A, B)
+    t = sorted(homs)[0]
+    assert ih_term(e, ih_arrow(A, B, t), A, B) == t
+    assert ih_term(e, ih_arrow(A, B, t), B, A) is None
+    assert ih_term(e, ih_arrow(A, B, t), A, nat_arrow(2, 0)) is None
+    assert ih_term(e, join_ids("other", A, B, t), A, B) is None
+    every_term = set().union(*e.tc.terms.values())
+    foreign = sorted(every_term - homs)[0]
+    assert ih_term(e, ih_arrow(A, B, foreign), A, B) is None
+
+
+def test_sf_equal_counts_one_sided_term_table_as_one_skip():
+    m, n = ("h", "f", "g"), ("h2", "f", "g")
+    f = SliceFunctorT("a", "b", term_map={m: {"s": "x", "t": "y"}, n: {"s": "x"}})
+    g = SliceFunctorT("a", "b", term_map={n: {"s": "z"}})
+    assert sf_equal(f, g) == ([("term", n, "s", "x", "z")], 1, 1)
 
 
 def test_one_object_internal_hom():

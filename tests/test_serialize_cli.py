@@ -164,3 +164,44 @@ def test_cli_translate_stdin_stdout(tmp_path, capsys, monkeypatch):
     printed = capsys.readouterr().out
     assert code == 0
     assert '"kind": "esystem"' in printed
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        *(lambda doc, k=key: doc["payload"].pop(k) for key in ("frame", "subst", "weak", "gen")),
+        lambda doc: doc.update(payload=list(doc["payload"].values())),
+    ],
+    ids=["drop-frame", "drop-subst", "drop-weak", "drop-gen", "list-payload"],
+)
+def test_cli_malformed_payload_is_input_error(tmp_path, capsys, mutate):
+    doc = json.loads(save_structure(build_finset_bsystem(2)))
+    mutate(doc)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert main(["check", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error: ")
+    assert "Traceback" not in err
+
+
+def _csystem_file(tmp_path, drop_identity: bool):
+    doc = json.loads(save_structure(ce_to_c(build_finset_cesystem(2))))
+    if drop_identity:
+        identity = doc["payload"]["cat"]["identity"]
+        del identity[sorted(identity)[0]]
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_cli_roundtrip_csystem(tmp_path, capsys):
+    assert main(["roundtrip", str(_csystem_file(tmp_path, drop_identity=False))]) == 0
+    assert capsys.readouterr().out == "PASS retraction (checked 1)\n"
+
+
+def test_cli_roundtrip_csystem_missing_identity_fails(tmp_path, capsys):
+    assert main(["roundtrip", str(_csystem_file(tmp_path, drop_identity=True))]) == 1
+    printed = capsys.readouterr().out
+    assert "FAIL cat:identity" in printed
+    assert "retraction" not in printed
