@@ -86,6 +86,12 @@ class FinCat:
     ``compose[(g, f)]`` is the composite g after f, for f: X -> Y and
     g: Y -> Z. The table is expected to be total on composable pairs;
     validate_fincat reports where it is not.
+
+    ``hom``, ``arrows_into`` and ``arrows_from`` read an index of sorted
+    arrow names built once, from ``arrows`` only, when the category is
+    made; ``arrows`` is not to be changed afterwards. Nothing derived
+    from ``compose`` is cached, so a composition table corrupted in place
+    is seen by every later lookup and check.
     """
 
     objects: frozenset[str]
@@ -97,6 +103,16 @@ class FinCat:
     # truncated system) may lack some composites or identities; validators
     # then skip instead of failing.
     partial: bool = False
+
+    def __post_init__(self) -> None:
+        self._hom: dict[tuple[str, str], list[str]] = {}
+        self._into: dict[str, list[str]] = {}
+        self._from: dict[str, list[str]] = {}
+        for a in sorted(self.arrows):
+            ar = self.arrows[a]
+            self._hom.setdefault((ar.dom, ar.cod), []).append(a)
+            self._into.setdefault(ar.cod, []).append(a)
+            self._from.setdefault(ar.dom, []).append(a)
 
     def dom(self, a: str) -> str:
         return self.arrows[a].dom
@@ -122,13 +138,13 @@ class FinCat:
             raise Truncated(f"compose({g!r},{f!r})") from None
 
     def hom(self, x: str, y: str) -> list[str]:
-        return sorted(a for a, ar in self.arrows.items() if ar.dom == x and ar.cod == y)
+        return list(self._hom.get((x, y), ()))
 
     def arrows_into(self, y: str) -> list[str]:
-        return sorted(a for a, ar in self.arrows.items() if ar.cod == y)
+        return list(self._into.get(y, ()))
 
     def arrows_from(self, x: str) -> list[str]:
-        return sorted(a for a, ar in self.arrows.items() if ar.dom == x)
+        return list(self._from.get(x, ()))
 
 
 @dataclass(frozen=True)

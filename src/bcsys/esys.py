@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from operator import eq
 
 from .core import (
     Arrow,
@@ -29,7 +30,7 @@ from .core import (
     validate_fincat,
     validate_functor,
 )
-from .report import Report, Truncated, diff_tables
+from .report import Report, Truncated, diff_maps, diff_tables
 
 SliceMor = tuple[str, str, str]  # (underlying arrow, source object, target object)
 
@@ -181,6 +182,129 @@ def sf_equal(f: SliceFunctorT, g: SliceFunctorT) -> tuple[list[tuple], int, int]
     return bad, skipped + len(f.term_map.keys() ^ g.term_map.keys()), checked
 
 
+_EMPTY: dict[str, str] = {}
+_ABSENT = object()
+
+# A term table of a composite, kept as the pair of tables it is read
+# through: t maps to t2[t1[t]]; a None t2 means the table is t1 itself.
+_TermPair = tuple[dict[str, str], "dict[str, str] | None"]
+
+
+def _pointwise_tables(
+    g: SliceFunctorT, f: SliceFunctorT | None
+) -> tuple[dict[str, str], dict[SliceMor, str], dict[SliceMor, _TermPair]]:
+    """The object map, morphism map and term tables of g∘f (of g alone
+    when f is None), with each term table left as the pair it is read
+    through. The keys and values are exactly compose_sf's."""
+    if f is None:
+        return g.obj_map, g.mor_map, {k: (tm, None) for k, tm in g.term_map.items()}
+    go, gm, gt = g.obj_map, g.mor_map, g.term_map
+    fo, ft = f.obj_map, f.term_map
+    obj = {x: go[y] for x, y in fo.items() if y in go}
+    mor: dict[SliceMor, str] = {}
+    terms: dict[SliceMor, _TermPair] = {}
+    for k, h1 in f.mor_map.items():
+        fa, fb = fo.get(k[1]), fo.get(k[2])
+        if fa is None or fb is None:
+            continue
+        key1 = (h1, fa, fb)
+        h2 = gm.get(key1)
+        if h2 is None:
+            continue
+        mor[k] = h2
+        terms[k] = (ft.get(k, _EMPTY), gt.get(key1, _EMPTY))
+    return obj, mor, terms
+
+
+def _term_tables_agree(t1: dict, t2: dict | None, s1: dict, s2: dict | None) -> tuple[int, int] | None:
+    """diff_maps's (skipped, checked) between the term tables read through
+    (t1, t2) and (s1, s2), or None if they differ at a shared key."""
+    # Fast path: both tables defined on the same keys. A lookup that
+    # fails falls through to the entry-by-entry count below.
+    try:
+        if t1.keys() == s1.keys():
+            left = t1.values() if t2 is None else map(t2.__getitem__, t1.values())
+            right = map(s1.__getitem__, t1)
+            if s2 is not None:
+                right = map(s2.__getitem__, right)
+            return (0, len(t1)) if all(map(eq, left, right)) else None
+    except KeyError:
+        pass
+    n_left = shared = 0
+    for t, u in t1.items():
+        if t2 is not None:
+            u = t2.get(u, _ABSENT)
+            if u is _ABSENT:
+                continue
+        n_left += 1
+        v = s1.get(t, _ABSENT)
+        if v is _ABSENT:
+            continue
+        if s2 is not None:
+            v = s2.get(v, _ABSENT)
+            if v is _ABSENT:
+                continue
+        shared += 1
+        if u != v:
+            return None
+    n_right = len(s1) if s2 is None else sum(1 for v in s1.values() if v in s2)
+    return n_left + n_right - 2 * shared, shared
+
+
+def composites_equal(
+    e: ESystem,
+    g1: SliceFunctorT,
+    f1: SliceFunctorT | None,
+    g2: SliceFunctorT,
+    f2: SliceFunctorT | None,
+) -> tuple[list[tuple], int, int]:
+    """sf_equal(g1∘f1, g2∘f2), without building the composites' term tables.
+
+    A None f1 or f2 makes that side g1 or g2 alone: a single functor,
+    such as W_{A.P} or an identity from identity_sf. The result is the
+    same (bad, skipped, checked) triple as sf_equal of the two sides
+    built with compose_sf.
+
+    Completeness: the object and morphism maps of each side are built by
+    the same filters compose_sf applies (an entry exists exactly when
+    every lookup along the way is defined), so diff_maps sees the same
+    keys and values and counts them the same way. compose_sf sets
+    ``term_map[k]`` exactly when it sets ``mor_map[k]``, to the table
+    t -> G(F(t)) over those t whose F-image has a G-image; each term
+    table is kept here as that pair of lookups. Two tables with the same
+    keys and every lookup defined share all their entries and are
+    compared in one pass. Otherwise the left side's entries are walked
+    once, looking up the right side's value at each key, and the right
+    side's defined entries are counted in one more pass; that gives
+    diff_maps's skipped and checked counts without the table. Term keys
+    on one side only are counted as sf_equal counts them, so a morphism
+    key on one side only counts twice: once in the morphism map and once
+    as a missing term table. At the first value that differs, both sides
+    are built with compose_sf and sf_equal makes the witnesses, so they
+    come in its sorted order.
+    """
+    lo, lm, lt = _pointwise_tables(g1, f1)
+    ro, rm, rt = _pointwise_tables(g2, f2)
+    differ: list[tuple] = []
+    s_obj, c_obj = diff_maps(lo, ro, (), differ)
+    s_mor, c_mor = diff_maps(lm, rm, (), differ)
+    if not differ:
+        shared = lt.keys() & rt.keys()
+        skipped = s_obj + s_mor + len(lt) + len(rt) - 2 * len(shared)
+        checked = c_obj + c_mor
+        for k in shared:
+            counts = _term_tables_agree(*lt[k], *rt[k])
+            if counts is None:
+                break
+            skipped += counts[0]
+            checked += counts[1]
+        else:
+            return [], skipped, checked
+    lhs = g1 if f1 is None else compose_sf(e, g1, f1)
+    rhs = g2 if f2 is None else compose_sf(e, g2, f2)
+    return sf_equal(lhs, rhs)
+
+
 def validate_sfunctor(e: ESystem, F: SliceFunctorT, rep: Report, law: str) -> None:
     """Functor-with-term-structure laws for one slice functor."""
     cat = e.cat
@@ -211,11 +335,12 @@ def validate_sfunctor(e: ESystem, F: SliceFunctorT, rep: Report, law: str) -> No
                 rep.fail(law, (a,), "identity not preserved")
         except Truncated:
             rep.skip(law)
-    mors = set(F.mor_map)
-    for (h1, a, b) in sorted(mors):
-        for (h2, b2, c) in sorted(mors):
-            if b2 != b:
-                continue
+    mors = sorted(F.mor_map)
+    by_source: dict[str, list[SliceMor]] = {}
+    for m in mors:
+        by_source.setdefault(m[1], []).append(m)
+    for (h1, a, b) in mors:
+        for (h2, _b, c) in by_source.get(b, ()):
             rep.tick(law)
             try:
                 hh = cat.comp(h2, h1)
@@ -247,22 +372,60 @@ def validate_sfunctor(e: ESystem, F: SliceFunctorT, rep: Report, law: str) -> No
 # ---------------------------------------------------------------------------
 # the slice-level homomorphism conditions
 
-def _ehom_part(e: ESystem, H: SliceFunctorT, part: str, rep: Report, law: str) -> None:
+
+class _Slices:
+    """Slice functors of one E-system, memoised for one validation call.
+
+    Holds identity_sf per apex, and restrict_sf(H, P) per P for the
+    functor H restricted most recently. validate_esystem makes
+    one and drops it when it returns, so nothing outlives the call and a
+    table changed between two calls is read afresh. Restrictions are
+    kept for one functor at a time, so the memo never holds more than
+    one functor's: validate_esystem checks all three parts of a functor
+    before the next, and only axiom 5's one restriction per arrow is
+    computed a second time.
+    """
+
+    def __init__(self, e: ESystem) -> None:
+        self.e = e
+        self._ids: dict[str, SliceFunctorT] = {}
+        self._restricted: SliceFunctorT | None = None
+        self._restrictions: dict[str, SliceFunctorT | None] = {}
+
+    def identity(self, apex: str) -> SliceFunctorT:
+        if apex not in self._ids:
+            self._ids[apex] = identity_sf(self.e, apex)
+        return self._ids[apex]
+
+    def restrict(self, H: SliceFunctorT, P: str) -> SliceFunctorT | None:
+        """restrict_sf(e, H, P), or None where it raises Truncated."""
+        if H is not self._restricted:
+            self._restricted, self._restrictions = H, {}
+        memo = self._restrictions
+        if P not in memo:
+            try:
+                memo[P] = restrict_sf(self.e, H, P)
+            except Truncated:
+                memo[P] = None
+        return memo[P]
+
+
+def _ehom_part(slices: _Slices, H: SliceFunctorT, part: str, rep: Report, law: str) -> None:
     """One of the pre-E-homomorphism conditions for a slice functor H.
 
     part "sub": H commutes with substitution on slices of its source.
     part "weak": H commutes with weakening.
     part "proj": H preserves identity terms.
     """
+    e = slices.e
     cat = e.cat
     delta = H.source_apex
     for P in slice_objects(cat, delta):
         if P not in H.obj_map:
             rep.skip(law)
             continue
-        try:
-            HP = restrict_sf(e, H, P)
-        except Truncated:
+        HP = slices.restrict(H, P)
+        if HP is None:
             rep.skip(law)
             continue
         for Q in slice_objects(cat, cat.dom(P)):
@@ -275,9 +438,8 @@ def _ehom_part(e: ESystem, H: SliceFunctorT, part: str, rep: Report, law: str) -
             if Qimg is None:
                 rep.skip(law)
                 continue
-            try:
-                HPQ = restrict_sf(e, H, PQ)
-            except Truncated:
+            HPQ = slices.restrict(H, PQ)
+            if HPQ is None:
                 rep.skip(law)
                 continue
             if part == "sub":
@@ -289,9 +451,7 @@ def _ehom_part(e: ESystem, H: SliceFunctorT, part: str, rep: Report, law: str) -
                     if Sy is None or Syi is None:
                         rep.skip(law)
                         continue
-                    lhs = compose_sf(e, HP, Sy)
-                    rhs = compose_sf(e, Syi, HPQ)
-                    bad, skipped, _ = sf_equal(lhs, rhs)
+                    bad, skipped, _ = composites_equal(e, HP, Sy, Syi, HPQ)
                     rep.skip(law, skipped)
                     for w in bad:
                         rep.fail(law, (P, Q, y) + w)
@@ -302,9 +462,7 @@ def _ehom_part(e: ESystem, H: SliceFunctorT, part: str, rep: Report, law: str) -
                 if WQ is None or Wi is None:
                     rep.skip(law)
                     continue
-                lhs = compose_sf(e, Wi, HP)
-                rhs = compose_sf(e, HPQ, WQ)
-                bad, skipped, _ = sf_equal(lhs, rhs)
+                bad, skipped, _ = composites_equal(e, Wi, HP, HPQ, WQ)
                 rep.skip(law, skipped)
                 for w in bad:
                     rep.fail(law, (P, Q) + w)
@@ -357,6 +515,7 @@ def validate_esystem(e: ESystem) -> Report:
     rep = Report()
     rep.merge(validate_fincat(e.cat), prefix="cat:")
     cat = e.cat
+    slices = _Slices(e)
     for law in E_LAWS:
         rep.law(law)
 
@@ -435,7 +594,7 @@ def validate_esystem(e: ESystem) -> Report:
         if wid is None:
             rep.skip("weak-functor")
             continue
-        bad, skipped, _ = sf_equal(wid, identity_sf(e, X))
+        bad, skipped, _ = sf_equal(wid, slices.identity(X))
         rep.skip("weak-functor", skipped)
         for w in bad:
             rep.fail("weak-functor", (X,) + w, "W_id != id")
@@ -448,20 +607,20 @@ def validate_esystem(e: ESystem) -> Report:
             if wa is None or wp is None or wap is None:
                 rep.skip("weak-functor")
                 continue
-            bad, skipped, _ = sf_equal(wap, compose_sf(e, wp, wa))
+            bad, skipped, _ = composites_equal(e, wap, None, wp, wa)
             rep.skip("weak-functor", skipped)
             for w in bad:
                 rep.fail("weak-functor", (A, P) + w, "W_{A.P} != W_P . W_A")
 
     # slice-level homomorphism laws
     for (A, x), sx in sorted(e.subst.items()):
-        _ehom_part(e, sx, "sub", rep, "subst-system")
-        _ehom_part(e, sx, "weak", rep, "e-axiom-1")
-        _ehom_part(e, sx, "proj", rep, "e-axiom-1")
+        _ehom_part(slices, sx, "sub", rep, "subst-system")
+        _ehom_part(slices, sx, "weak", rep, "e-axiom-1")
+        _ehom_part(slices, sx, "proj", rep, "e-axiom-1")
     for A, wa in sorted(e.weak.items()):
-        _ehom_part(e, wa, "weak", rep, "weak-system")
-        _ehom_part(e, wa, "proj", rep, "proj-system")
-        _ehom_part(e, wa, "sub", rep, "e-axiom-2")
+        _ehom_part(slices, wa, "weak", rep, "weak-system")
+        _ehom_part(slices, wa, "proj", rep, "proj-system")
+        _ehom_part(slices, wa, "sub", rep, "e-axiom-2")
 
     # axiom 3: S_x . W_A = id
     for (A, x), sx in sorted(e.subst.items()):
@@ -470,9 +629,7 @@ def validate_esystem(e: ESystem) -> Report:
         if wa is None:
             rep.skip("e-axiom-3")
             continue
-        bad, skipped, _ = sf_equal(
-            compose_sf(e, sx, wa), identity_sf(e, cat.cod(A))
-        )
+        bad, skipped, _ = composites_equal(e, sx, wa, slices.identity(cat.cod(A)), None)
         rep.skip("e-axiom-3", skipped)
         for w in bad:
             rep.fail("e-axiom-3", (A, x) + w)
@@ -506,14 +663,11 @@ def validate_esystem(e: ESystem) -> Report:
         if s1 is None:
             rep.skip("e-axiom-5")
             continue
-        try:
-            waa = restrict_sf(e, wa, A)
-        except Truncated:
+        waa = slices.restrict(wa, A)
+        if waa is None:
             rep.skip("e-axiom-5")
             continue
-        bad, skipped, _ = sf_equal(
-            compose_sf(e, s1, waa), identity_sf(e, cat.dom(A))
-        )
+        bad, skipped, _ = composites_equal(e, s1, waa, slices.identity(cat.dom(A)), None)
         rep.skip("e-axiom-5", skipped)
         for w in bad:
             rep.fail("e-axiom-5", (A,) + w)
@@ -623,9 +777,7 @@ def validate_ehom(h: EHom) -> Report:
                 if sx is None or sxi is None:
                     rep.skip("preserve-sub")
                     continue
-                bad, skipped, _ = sf_equal(
-                    compose_sf(src, hg, sx), compose_sf(src, sxi, ha)
-                )
+                bad, skipped, _ = composites_equal(src, hg, sx, sxi, ha)
                 rep.skip("preserve-sub", skipped)
                 for w in bad:
                     rep.fail("preserve-sub", (gamma, A, x) + w)
@@ -635,9 +787,7 @@ def validate_ehom(h: EHom) -> Report:
             if wa is None or wi is None:
                 rep.skip("preserve-weak")
             else:
-                bad, skipped, _ = sf_equal(
-                    compose_sf(src, ha, wa), compose_sf(src, wi, hg)
-                )
+                bad, skipped, _ = composites_equal(src, ha, wa, wi, hg)
                 rep.skip("preserve-weak", skipped)
                 for w in bad:
                     rep.fail("preserve-weak", (gamma, A) + w)

@@ -45,7 +45,10 @@ class Report:
         self.laws: dict[str, LawResult] = {}
 
     def law(self, name: str) -> LawResult:
-        return self.laws.setdefault(name, LawResult())
+        res = self.laws.get(name)
+        if res is None:
+            res = self.laws[name] = LawResult()
+        return res
 
     def tick(self, name: str, n: int = 1) -> None:
         self.law(name).checked += n

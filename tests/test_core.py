@@ -290,3 +290,82 @@ def test_slice_over_terminal_canonical_iso():
     assert validate_functor(bwd).ok
     assert functor_equal(compose_functors(bwd, fwd), identity_functor(cat))
     assert functor_equal(compose_functors(fwd, bwd), identity_functor(sl.cat))
+
+
+# ---------------------------------------------------------------------------
+# the arrow index against the sorted linear scans it replaced
+
+
+def _scan_hom(cat, x, y):
+    return sorted(a for a, ar in cat.arrows.items() if ar.dom == x and ar.cod == y)
+
+
+def _scan_into(cat, y):
+    return sorted(a for a, ar in cat.arrows.items() if ar.cod == y)
+
+
+def _scan_from(cat, x):
+    return sorted(a for a, ar in cat.arrows.items() if ar.dom == x)
+
+
+def _assert_index_matches_scans(cat):
+    objs = sorted(cat.objects | {ar.dom for ar in cat.arrows.values()} | {"not-an-object"})
+    for x in objs:
+        assert cat.arrows_into(x) == _scan_into(cat, x)
+        assert cat.arrows_from(x) == _scan_from(cat, x)
+        for y in objs:
+            assert cat.hom(x, y) == _scan_hom(cat, x, y)
+
+
+def _example_categories():
+    from bcsys.bsys import build_finset_bsystem
+    from bcsys.cesys import build_finset_cesystem
+    from bcsys.esys import build_group_structure, build_nat_esystem, internal_hom_cat, nat_poset_cat, s3_table
+    from bcsys.xlate import b_to_e
+
+    related = {(x, x) for x in "XYT"} | {("X", "Y"), ("X", "T"), ("Y", "T")}
+    ce = build_finset_cesystem(2)
+    yield "thin", thin_cat("XYT", related, terminal="T")
+    yield "nat-geq", nat_geq_cat(3)
+    yield "finsets-op", finsets_op_cat(2)
+    yield "free-chain", free_cat_of_tree(chain_tree(3))[0]
+    yield "nat-poset", nat_poset_cat(4)
+    yield "group-s3", build_group_structure(*s3_table()).cat
+    yield "b2e-finset-b", b_to_e(build_finset_bsystem(3)).cat
+    yield "slice", slice_category(finsets_op_cat(2), "1").cat
+    yield "internal-hom", internal_hom_cat(build_nat_esystem(3), "1")
+    yield "ce-base", ce.base
+    yield "ce-fam", ce.fam
+
+
+@pytest.mark.parametrize("name_cat", list(_example_categories()), ids=lambda nc: nc[0])
+def test_arrow_index_matches_scans_on_examples(name_cat):
+    _assert_index_matches_scans(name_cat[1])
+
+
+@settings(max_examples=100)
+@given(
+    st.dictionaries(
+        st.text(alphabet="abf|>", min_size=1, max_size=4),
+        st.tuples(st.sampled_from("XYZ"), st.sampled_from("XYZ")),
+        max_size=12,
+    )
+)
+def test_arrow_index_matches_scans_on_generated_categories(ends):
+    cat = FinCat(
+        objects=frozenset("XY"),
+        arrows={a: Arrow(a, d, c) for a, (d, c) in ends.items()},
+        identity={},
+        compose={},
+    )
+    _assert_index_matches_scans(cat)
+
+
+def test_arrow_index_returns_fresh_lists():
+    cat = nat_geq_cat(2)
+    for got in (cat.hom("2", "0"), cat.arrows_into("0"), cat.arrows_from("2")):
+        got.append("junk")
+        got.reverse()
+    cat.hom("9", "9").append("junk")
+    _assert_index_matches_scans(cat)
+    assert cat.hom("9", "9") == []

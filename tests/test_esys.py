@@ -1,14 +1,18 @@
 import hypothesis.strategies as st
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 
-from bcsys.core import join_ids, split_ids, validate_fincat
+from bcsys import esys
+from bcsys.bsys import build_finset_bsystem
+from bcsys.core import FunctorData, join_ids, parse_path_id, split_ids, unpack_ids, validate_fincat
 from bcsys.esys import (
+    EHom,
     SliceFunctorT,
     build_group_structure,
     build_nat_esystem,
     check_pairing,
     compose_sf,
+    composites_equal,
     fn_term,
     hom_terms_of,
     identity_sf,
@@ -23,10 +27,12 @@ from bcsys.esys import (
     sf_equal,
     subst_term,
     term_extension,
+    validate_ehom,
     validate_esystem,
     vertical_compose,
 )
 from bcsys.report import Truncated
+from bcsys.xlate import b_to_e
 
 
 def test_term_set_sizes():
@@ -516,3 +522,179 @@ def test_ehom_preserves_pairing_and_projections():
                         assert term_map[AP][w] == wi
                         checked += 1
     assert checked > 0
+
+
+# ---------------------------------------------------------------------------
+# composites_equal against the reference sf_equal(compose_sf(...), compose_sf(...))
+
+_OBJS = ("x", "y")
+_ARROWS = ("h", "k")
+_TERMS = ("s", "t")
+_MORS = [(h, a, b) for h in _ARROWS for a in _OBJS for b in _OBJS]
+_E = build_nat_esystem(1)  # compose_sf and composites_equal read no table of it
+
+
+def _reference(e, g1, f1, g2, f2):
+    lhs = g1 if f1 is None else compose_sf(e, g1, f1)
+    rhs = g2 if f2 is None else compose_sf(e, g2, f2)
+    return sf_equal(lhs, rhs)
+
+
+def _partial(keys, values):
+    """A map on some of ``keys``: each key is kept with probability 3/4."""
+    kept = st.sampled_from((True, True, True, False))
+    return st.fixed_dictionaries({k: st.tuples(kept, values) for k in keys}).map(
+        lambda d: {k: v for k, (keep, v) in d.items() if keep}
+    )
+
+
+@st.composite
+def _slice_functors(draw):
+    """Partial tables over tiny pools, so that lookups through a composite
+    often hit: missing objects, images that disagree, and term tables at
+    keys with no morphism image (one-sided term tables)."""
+    return SliceFunctorT(
+        "x",
+        "y",
+        obj_map=draw(_partial(_OBJS, st.sampled_from(_OBJS))),
+        mor_map=draw(_partial(_MORS, st.sampled_from(_ARROWS))),
+        term_map=draw(_partial(_MORS, _partial(_TERMS, st.sampled_from(_TERMS)))),
+    )
+
+
+@st.composite
+def _perturbed(draw, sf):
+    """A copy of ``sf`` with some entries dropped and maybe one value changed."""
+
+    def thin(d):
+        return {k: v for k, v in d.items() if draw(st.booleans())}
+
+    out = SliceFunctorT(
+        sf.source_apex,
+        sf.target_apex,
+        obj_map=thin(sf.obj_map),
+        mor_map=thin(sf.mor_map),
+        term_map={k: thin(tm) for k, tm in thin(sf.term_map).items()},
+    )
+    if out.term_map and draw(st.booleans()):
+        k = draw(st.sampled_from(sorted(out.term_map)))
+        out.term_map[k][draw(st.sampled_from(_TERMS))] = draw(st.sampled_from(_TERMS))
+    return out
+
+
+@st.composite
+def _composite_pairs(draw):
+    g1, f1 = draw(_slice_functors()), draw(_slice_functors())
+    shape = draw(st.sampled_from(["random", "near", "single", "identity"]))
+    if shape == "random":
+        g2 = draw(_slice_functors())
+        f2 = draw(st.one_of(st.none(), _slice_functors()))
+    elif shape == "near":
+        g2, f2 = draw(_perturbed(g1)), draw(_perturbed(f1))
+    elif shape == "single":
+        g2, f2 = draw(_perturbed(compose_sf(_E, g1, f1))), None
+    else:
+        ident = {o: o for o in _OBJS}
+        g2 = SliceFunctorT(
+            "x",
+            "x",
+            obj_map=ident,
+            mor_map={m: m[0] for m in _MORS},
+            term_map={m: {t: t for t in _TERMS} for m in _MORS},
+        )
+        g1, f1, f2 = draw(_perturbed(g2)), draw(_perturbed(g2)), None
+    if draw(st.booleans()):
+        return g2, f2, g1, f1
+    return g1, f1, g2, f2
+
+
+@settings(max_examples=150, deadline=None)
+@given(_composite_pairs())
+def test_composites_equal_matches_built_composites(sides):
+    assert composites_equal(_E, *sides) == _reference(_E, *sides)
+
+
+def test_composites_equal_counts_one_sided_morphism_twice():
+    f = SliceFunctorT("x", "x", obj_map={"x": "x"}, mor_map={("h", "x", "x"): "h"})
+    g = SliceFunctorT("x", "x", obj_map={"x": "x"}, mor_map={("h", "x", "x"): "h"})
+    empty = SliceFunctorT("x", "x", obj_map={"x": "x"})
+    # one skip for the morphism map, one for the term table it lacks
+    assert composites_equal(_E, g, f, empty, None) == ([], 2, 1)
+    assert composites_equal(_E, g, f, empty, None) == _reference(_E, g, f, empty, None)
+
+
+def _b2e_to_nat_hom(h: int) -> EHom:
+    """The isomorphism b_to_e(finset-b) -> nat-e at height h."""
+    e = b_to_e(build_finset_bsystem(h))
+    en = build_nat_esystem(h)
+    object_map = {f"{n}@{n}": str(n) for n in range(h + 1)}
+    arrow_map = {}
+    term_map = {}
+    for a in e.cat.arrows:
+        n, _x, k = parse_path_id(a)
+        arrow_map[a] = nat_arrow(n, n - k)
+        term_map[a] = {t: fn_term(tuple(int(c) for c in unpack_ids(t))) for t in e.T(a)}
+    return EHom(
+        source=e,
+        target=en,
+        functor=FunctorData(e.cat, en.cat, object_map, arrow_map),
+        term_map=term_map,
+    )
+
+
+@pytest.mark.parametrize(
+    "validate",
+    [
+        lambda: validate_esystem(build_nat_esystem(4)),
+        lambda: validate_esystem(build_group_structure(*s3_table())),
+        lambda: validate_esystem(b_to_e(build_finset_bsystem(4))),
+        lambda: validate_ehom(_b2e_to_nat_hom(3)),
+    ],
+    ids=["nat-e-h4", "group-s3", "b2e-finset-b-h4", "ehom-b2e-nat-h3"],
+)
+def test_composites_equal_matches_reference_at_every_site(validate, monkeypatch):
+    real = esys.composites_equal
+    shapes = set()
+    failing = 0
+
+    def checked(e, g1, f1, g2, f2):
+        nonlocal failing
+        got = real(e, g1, f1, g2, f2)
+        assert got == _reference(e, g1, f1, g2, f2)
+        shapes.add((f1 is None, f2 is None))
+        failing += bool(got[0])
+        return got
+
+    monkeypatch.setattr(esys, "composites_equal", checked)
+    rep = validate()
+    assert (False, False) in shapes
+    if "weak-functor" in rep.laws:  # validate_esystem: W_{A.P} and axioms 3, 5
+        assert shapes == {(False, False), (True, False), (False, True)}
+    assert (failing > 0) == ("e-axiom-3" in rep.failed_laws())
+
+
+def _corrupt_subst_term(e):
+    """Change one term image of a substitution functor to another term of
+    the same target set, so only composite-based laws can see it."""
+    for key, F in sorted(e.subst.items()):
+        for k in sorted(F.term_map):
+            img, tm = F.mor_map.get(k), F.term_map[k]
+            if img is not None and tm and len(e.T(img)) > 1:
+                t = sorted(tm)[0]
+                tm[t] = sorted(e.T(img) - {tm[t]})[0]
+                return
+    raise AssertionError("no term image to corrupt")
+
+
+def test_validation_memo_does_not_outlive_the_call():
+    e = build_nat_esystem(4)
+    assert validate_esystem(e).ok
+    _corrupt_subst_term(e)
+    again = validate_esystem(e)
+    fresh = build_nat_esystem(4)
+    _corrupt_subst_term(fresh)
+    expected = validate_esystem(fresh)
+    assert not again.ok
+    assert "subst-system" in again.failed_laws()
+    assert again.format() == expected.format()
+    assert [v.witness for v in again.violations()] == [v.witness for v in expected.violations()]
