@@ -41,9 +41,27 @@ def check_pullback_square(
     law: str,
     witness: tuple,
 ) -> None:
-    """Commutation and universality of one candidate square, brute force.
+    """Commutation and universality of one candidate square.
 
     top: P -> X, left: P -> Y, right: X -> Z, bottom: Y -> Z.
+
+    Every cone (u, v) from every object Z0 is checked: u in hom(Z0, X)
+    and v in hom(Z0, Y) with right∘u = bottom∘v, in the order (Z0, u, v)
+    sorted, and it must have exactly one mediator w in hom(Z0, P) with
+    top∘w = u and left∘w = v. A pair whose right∘u or bottom∘v is
+    missing is skipped. A cone is counted as checked, then skipped, when
+    some w has no top∘w, or when some w has top∘w = u and no left∘w.
+    These are exactly the cones for which a search over w that tests
+    top∘w = u first, and left∘w = v only if that holds, meets a missing
+    composite; such a search stops there, so which cones it skips does
+    not depend on the order of w.
+
+    The three hom-sets are read once per Z0. Grouping the v by bottom∘v
+    pairs each u with exactly the v of its cones, in sorted order. One
+    pass over hom(Z0, P) counts the w with both composites present by
+    (top∘w, left∘w). Outside the two skip cases every w has top∘w, and
+    every w with top∘w = u has left∘w, so the count under (u, v) is the
+    number of mediators of the cone (u, v); an absent key counts zero.
     """
     try:
         if cat.comp(right, top) != cat.comp(bottom, left):
@@ -52,32 +70,57 @@ def check_pullback_square(
     except Truncated:
         rep.skip(law)
         return
+    compose = cat.compose
     P = cat.dom(top)
     X, Y = cat.cod(top), cat.cod(left)
+    checked = skipped = 0
     for Z0 in sorted(cat.objects):
-        for u in cat.hom(Z0, X):
-            for v in cat.hom(Z0, Y):
-                try:
-                    if cat.comp(right, u) != cat.comp(bottom, v):
-                        continue
-                except Truncated:
-                    rep.skip(law)
-                    continue
-                rep.tick(law)
-                mediators = []
-                try:
-                    for w in cat.hom(Z0, P):
-                        if cat.comp(top, w) == u and cat.comp(left, w) == v:
-                            mediators.append(w)
-                except Truncated:
-                    rep.skip(law)
-                    continue
-                if len(mediators) != 1:
-                    rep.fail(
-                        law,
-                        witness + (Z0, u, v),
-                        f"{len(mediators)} mediating arrows",
-                    )
+        us = cat.hom(Z0, X)
+        vs = cat.hom(Z0, Y)
+        if not us or not vs:
+            continue
+        cones: dict[str, list[str]] = {}  # v grouped by bottom∘v
+        no_bottom = 0
+        for v in vs:
+            bv = compose.get((bottom, v))
+            if bv is None:
+                no_bottom += 1
+            else:
+                cones.setdefault(bv, []).append(v)
+        mediators: dict[tuple[str, str], int] = {}
+        unsure: set[str] = set()  # top∘w for the w that lack left∘w
+        every_top = True
+        for w in cat.hom(Z0, P) if cones else ():
+            tw = compose.get((top, w))
+            if tw is None:
+                every_top = False
+                break
+            lw = compose.get((left, w))
+            if lw is None:
+                unsure.add(tw)
+            else:
+                mediators[tw, lw] = mediators.get((tw, lw), 0) + 1
+        for u in us:
+            ru = compose.get((right, u))
+            if ru is None:
+                skipped += len(vs)
+                continue
+            skipped += no_bottom
+            cone_vs = cones.get(ru)
+            if not cone_vs:
+                continue
+            checked += len(cone_vs)
+            if not every_top or u in unsure:
+                skipped += len(cone_vs)
+                continue
+            for v in cone_vs:
+                n = mediators.get((u, v), 0)
+                if n != 1:
+                    rep.fail(law, witness + (Z0, u, v), f"{n} mediating arrows")
+    if checked:
+        rep.tick(law, checked)
+    if skipped:
+        rep.skip(law, skipped)
 
 
 def validate_csystem(c: CSystem) -> Report:

@@ -853,6 +853,14 @@ def term_extension(e: ESystem, A: str, P: str, x: str, u: str) -> str:
     Computed as S_u(S_x(1_{A.P})); raises Truncated when the identity
     term of A.P or an intermediate position is beyond the truncation.
     """
+    return _substitute_u(e, _substitute_x(e, A, P, x), u)
+
+
+def _substitute_x(e: ESystem, A: str, P: str, x: str) -> tuple[str, str | None, str | None]:
+    """The half of term_extension that does not depend on u.
+
+    Returns S_x(1_{A.P}), the slice position it sits on, and S_x(P).
+    """
     cat = e.cat
     AP = cat.comp(A, P)
     one = e.proj.get(AP)
@@ -869,9 +877,12 @@ def term_extension(e: ESystem, A: str, P: str, x: str, u: str) -> str:
     act1 = term_action_at(e, sxp, pos)
     if act1 is None or one not in act1:
         raise Truncated("S_x/P action on the identity term")
-    t1 = act1[one]
-    pos1 = sxp.obj_map.get(pos)
-    sxP = sx.obj_map.get(P)
+    return act1[one], sxp.obj_map.get(pos), sx.obj_map.get(P)
+
+
+def _substitute_u(e: ESystem, sx_one: tuple[str, str | None, str | None], u: str) -> str:
+    """S_u applied to the term _substitute_x returned."""
+    t1, pos1, sxP = sx_one
     su = e.subst.get((sxP, u)) if sxP is not None else None
     if su is None or pos1 is None:
         raise Truncated(f"S_{{{u!r}}}")
@@ -1077,15 +1088,14 @@ def check_pairing(e: ESystem) -> Report:
                 rep.tick("pairing-count")
                 total = 0
                 defined = True
-                pairs: list[tuple[str, str]] = []
+                rows: list[tuple[str, list[str]]] = []
                 for x in sorted(e.T(A)):
                     sx = e.subst.get((A, x))
                     xP = sx.obj_map.get(P) if sx is not None else None
                     if xP is None:
                         defined = False
                         break
-                    for u in sorted(e.T(xP)):
-                        pairs.append((x, u))
+                    rows.append((x, sorted(e.T(xP))))
                     total += len(e.T(xP))
                 if not defined:
                     rep.skip("pairing-count")
@@ -1097,12 +1107,16 @@ def check_pairing(e: ESystem) -> Report:
                         f"sum = {total}, |T(A.P)| = {len(e.T(AP))}",
                     )
                     continue
-                # the actual map, where the identity term exists
+                # the actual map, where the identity term exists; the
+                # x half of term_extension is computed once per x
                 rep.tick("pairing-bijective")
                 try:
                     image = {}
-                    for (x, u) in pairs:
-                        image[(x, u)] = term_extension(e, A, P, x, u)
+                    for x, us in rows:
+                        if us:
+                            sx_one = _substitute_x(e, A, P, x)
+                            for u in us:
+                                image[(x, u)] = _substitute_u(e, sx_one, u)
                 except Truncated:
                     rep.skip("pairing-bijective")
                     continue

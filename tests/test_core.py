@@ -41,6 +41,20 @@ def test_broken_composite_is_reported_with_pair():
     assert any(v.witness[:2] == (g, f) for v in rep.laws["compose-endpoints"].violations)
 
 
+def test_composite_of_unknown_arrow_is_reported():
+    cat = nat_geq_cat(2)
+    cat.compose[("ghost", "1->0")] = "1->0"
+    cat.compose[("1->0", "phantom")] = "1->0"
+    cat.compose[("2->1", "2->1")] = "2->1"  # known arrows, not composable
+    rep = validate_fincat(cat)
+    assert not rep.ok
+    assert [(v.witness, v.detail) for v in rep.laws["compose-total"].violations] == [
+        (("2->1", "2->1"), "composite of non-composable pair"),
+        (("1->0", "phantom"), "composite of unknown arrow"),
+        (("ghost", "1->0"), "composite of unknown arrow"),
+    ]
+
+
 def test_finsets_op_truncation_satisfies_category_laws():
     # composition by plain function composition; associativity checked
     # exhaustively over all triples by the validator

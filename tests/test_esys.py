@@ -145,6 +145,27 @@ def test_pairing_report_nat3():
     assert not rep.laws["terminal-terms"].violations
 
 
+@pytest.mark.parametrize(
+    "build",
+    [lambda: build_nat_esystem(6), lambda: b_to_e(build_finset_bsystem(5))],
+    ids=["nat-e h6", "b_to_e finset-b h5"],
+)
+def test_check_pairing_restricts_each_substitution_once(monkeypatch, build):
+    e = build()
+    want = check_pairing(e).format()
+    seen = []
+    real = esys.restrict_sf
+
+    def counted(e, F, P):
+        seen.append((id(F), P))
+        return real(e, F, P)
+
+    monkeypatch.setattr(esys, "restrict_sf", counted)
+    assert check_pairing(e).format() == want
+    assert seen
+    assert len(seen) == len(set(seen))
+
+
 def test_pair_of_projections_is_identity_term():
     e = build_nat_esystem(6)
     A, P = nat_arrow(1, 0), nat_arrow(2, 1)
