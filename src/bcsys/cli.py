@@ -14,7 +14,7 @@ import sys
 
 from .bsys import build_finset_bsystem, validate_bsystem
 from .cesys import build_finset_cesystem, validate_cesystem
-from .core import Stratification, stratify, validate_units
+from .core import FinCat, Stratification, stratify, validate_fincat, validate_units
 from .csys import validate_csystem
 from .esys import (
     ESystem,
@@ -24,7 +24,7 @@ from .esys import (
     s3_table,
     validate_esystem,
 )
-from .report import Report
+from .report import Report, Truncated
 from .serialize import LoadError, load_structure, save_structure
 from .syntax import SignatureError, build_syntactic_bframe, parse_signature
 from .xlate import (
@@ -158,8 +158,34 @@ def cmd_translate(args) -> int:
     except (LoadError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Truncated as exc:
+        return _translation_fell_off(kind, obj, exc)
     _write(args.output, save_structure(out))
     return 0
+
+
+def _categories(kind: str, obj) -> list[tuple[str, FinCat]]:
+    """The categories of a loaded structure, with their report prefixes."""
+    if kind in ("esystem", "csystem"):
+        return [("cat:", obj.cat)]
+    if kind == "cesystem":
+        return [("fam:", obj.fam), ("base:", obj.base)]
+    return []
+
+
+def _translation_fell_off(kind: str, obj, exc: Truncated) -> int:
+    """A translation needed a table entry the input lacks.
+
+    If a category of the input breaks a law, that is the defect: print
+    the report and exit 1. Otherwise name the missing entry and exit 2.
+    """
+    pre = Report()
+    for prefix, cat in _categories(kind, obj):
+        pre.merge(validate_fincat(cat), prefix=prefix)
+    if not pre.ok:
+        return _print_report(pre)
+    print(f"error: the translation needs {exc.what}, which the input does not define", file=sys.stderr)
+    return 2
 
 
 def _translate(kind: str, obj, to: str):

@@ -961,6 +961,26 @@ def internal_hom_cat(e: ESystem, gamma: str) -> FinCat:
     Objects are the arrows into gamma; hom(A, B) = T(W_A(B)); composition
     is precomposition. On truncated systems some hom sets or composites
     fall outside the height; the result is marked partial.
+
+    The composite g∘f of f in hom(A, B) and g in hom(B, C) is f*(g), the
+    action of f* = S_f ∘ (W_A/B) (see precompose) on the terms of
+    u = W_B(C). It is read from the tables of S_f and W_A/B without
+    building f*. Completeness: term_action_at(compose_sf(S_f, W_A/B), u)
+    is f*'s term table at k = (u, u, 1_{dom B}), and None when that
+    identity is missing. compose_sf sets that table exactly when
+    W_A/B.mor_map[k] = h1, fa = W_A/B.obj_map[u], fb =
+    W_A/B.obj_map[1_{dom B}] and S_f.mor_map[(h1, fa, fb)] are all
+    defined, and then it maps t to t2[t1[t]] over the t with t1[t] in t2,
+    where t1 = W_A/B.term_map.get(k, {}) and t2 = S_f.term_map.get((h1,
+    fa, fb), {}). Those are the lookups made here. Only the last two
+    depend on f, so the rest is read once per (A, B, C). W_A/B depends
+    only on (A, B), so it is restricted once, at the first f whose S_f
+    exists, since precompose looks up S_f before it restricts; an f
+    without S_f is partial, as when precompose raised. Restricting never
+    raises Truncated here: it does only where B is not in W_A.obj_map,
+    and then hom(A, B) is not represented. Each composite is looked up
+    in the names of its hom set, so it is kept exactly when its arrow
+    exists.
     """
     cat = e.cat
     objs = slice_objects(cat, gamma)
@@ -968,6 +988,9 @@ def internal_hom_cat(e: ESystem, gamma: str) -> FinCat:
     identity: dict[str, str] = {}
     compose: dict[tuple[str, str], str] = {}
     partial = False
+    # names[A, B][t] = ih_arrow(A, B, t) for t in T(W_A(B)); no entry
+    # where the hom set is not represented
+    names: dict[tuple[str, str], dict[str, str]] = {}
 
     for A in objs:
         for B in objs:
@@ -975,8 +998,8 @@ def internal_hom_cat(e: ESystem, gamma: str) -> FinCat:
             if ts is None:
                 partial = True
                 continue
-            for t in ts:
-                name = ih_arrow(A, B, t)
+            names[(A, B)] = row = {t: ih_arrow(A, B, t) for t in ts}
+            for name in row.values():
                 arrows[name] = Arrow(name, A, B)
     for A in objs:
         one = e.proj.get(A)
@@ -985,33 +1008,29 @@ def internal_hom_cat(e: ESystem, gamma: str) -> FinCat:
             partial = True
             continue
         identity[A] = name
-    for A in objs:
-        for B in objs:
-            ts1 = hom_terms_of(e, A, B)
-            if ts1 is None:
+    for (A, B), hom_ab in names.items():
+        Bp = e.weak[A].obj_map[B]
+        reads = None
+        for f, f_name in hom_ab.items():
+            sf = e.subst.get((Bp, f))
+            if sf is None:
+                partial = True
                 continue
-            for f in ts1:
-                try:
-                    fstar = precompose(e, A, B, f)
-                except Truncated:
-                    partial = True
+            if reads is None:
+                reads = _precompose_reads(e, A, B, objs, names)
+            for hom_bc, hom_ac, key1, t1 in reads:
+                h2 = sf.mor_map.get(key1) if key1 is not None else None
+                if h2 is None:
+                    if hom_bc:
+                        partial = True
                     continue
-                for C in objs:
-                    ts2 = hom_terms_of(e, B, C)
-                    if ts2 is None:
+                t2 = sf.term_map.get(key1, _EMPTY)
+                for g, g_name in hom_bc.items():
+                    gf_name = hom_ac.get(t2.get(t1.get(g, _ABSENT), _ABSENT))
+                    if gf_name is None:
+                        partial = True
                         continue
-                    wb = e.weak[B]
-                    posBC = wb.obj_map.get(C)
-                    for g in ts2:
-                        act = term_action_at(e, fstar, posBC) if posBC else None
-                        if act is None or g not in act:
-                            partial = True
-                            continue
-                        gf = act[g]
-                        if ih_arrow(A, C, gf) not in arrows:
-                            partial = True
-                            continue
-                        compose[(ih_arrow(B, C, g), ih_arrow(A, B, f))] = ih_arrow(A, C, gf)
+                    compose[(g_name, f_name)] = gf_name
     return FinCat(
         objects=frozenset(objs),
         arrows=arrows,
@@ -1020,6 +1039,42 @@ def internal_hom_cat(e: ESystem, gamma: str) -> FinCat:
         terminal=cat.id_of(gamma) if gamma in cat.identity else None,
         partial=partial,
     )
+
+
+def _precompose_reads(
+    e: ESystem,
+    A: str,
+    B: str,
+    objs: list[str],
+    names: dict[tuple[str, str], dict[str, str]],
+) -> list[tuple[dict[str, str], dict[str, str], SliceMor | None, dict[str, str]]]:
+    """What internal_hom_cat reads of W_A/B, for each C with hom(B, C)
+    represented: the names of hom(B, C) and of hom(A, C) (empty if not
+    represented), the key (h1, fa, fb) at which S_f is read, and W_A/B's
+    term table t1 at k = (u, u, 1_{dom B}) for u = W_B(C). The key is None
+    where f*'s term table at u is undefined whatever f is.
+    """
+    cat = e.cat
+    wab = restrict_sf(e, e.weak[A], B)
+    wb = e.weak.get(B)
+    one = cat.identity.get(cat.dom(B))
+    fb = wab.obj_map.get(one) if one is not None else None
+    reads = []
+    for C in objs:
+        hom_bc = names.get((B, C))
+        if hom_bc is None:
+            continue
+        u = wb.obj_map[C]
+        key1 = None
+        t1 = _EMPTY
+        if u and fb is not None:
+            k = (u, u, one)
+            h1, fa = wab.mor_map.get(k), wab.obj_map.get(u)
+            if h1 is not None and fa is not None:
+                key1 = (h1, fa, fb)
+                t1 = wab.term_map.get(k, _EMPTY)
+        reads.append((hom_bc, names.get((A, C), _EMPTY), key1, t1))
+    return reads
 
 
 def hom_terms_of(e: ESystem, A: str, B: str) -> frozenset[str] | None:
@@ -1037,6 +1092,14 @@ def vertical_compose(e: ESystem, A: str, B: str, f: str, P: str, Q: str, F: str)
     """f.F : A.P -> B.Q, the pairing <W_P(f), F> over an internal morphism f.
 
     f is in hom(A, B) = T(W_A(B)); F is in hom_f(P, Q) = T(W_P(f*(Q))).
+
+    (W_{A.P}/B)(Q) is read as W_{A.P}.mor_map[(Q, B∘Q, B)], without
+    restricting the whole functor. Completeness: restrict_sf(e, W, B)
+    raises Truncated exactly when B is not in W.obj_map, and sets
+    obj_map[Q] only for Q among the arrows into dom(B), where it copies
+    W.mor_map[(Q, B∘Q, B)] if B∘Q and that entry are defined. Those are
+    the cases checked here, so the same positions are found and the same
+    ones raise Truncated, with restrict_sf's message.
     """
     cat = e.cat
     wa, wp = e.weak.get(A), e.weak.get(P)
@@ -1057,8 +1120,11 @@ def vertical_compose(e: ESystem, A: str, B: str, f: str, P: str, Q: str, F: str)
     wap = e.weak.get(AP)
     if wap is None:
         raise Truncated("W_{A.P}")
-    wapB = restrict_sf(e, wap, B)
-    Pbar = wapB.obj_map.get(Q)
+    if B not in wap.obj_map:
+        raise Truncated(f"restrict: {B!r} not in obj_map")
+    q = cat.arrows.get(Q)
+    BQ = cat.compose.get((B, Q)) if q is not None and q.cod == cat.dom(B) else None
+    Pbar = wap.mor_map.get((Q, BQ, B)) if BQ is not None else None
     if Pbar is None:
         raise Truncated("(W_{A.P}/B)(Q)")
     return term_extension(e, Abar, Pbar, x, F)

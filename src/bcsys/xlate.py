@@ -61,7 +61,6 @@ from .esys import (
     ih_arrow,
     ih_term,
     internal_hom_cat,
-    precompose,
     restrict_sf,
     term_action_at,
     term_extension,
@@ -868,7 +867,15 @@ def ce2e_of_cehom(h: CEHom, src_e: ESystem, tgt_e: ESystem) -> EHom:
 
 
 def e_to_ce(e: ESystem) -> CESystem:
-    """Families are the slice at the terminal; contexts the internal morphisms."""
+    """Families are the slice at the terminal; contexts the internal morphisms.
+
+    The pullback of a family R over B along an internal morphism x in
+    hom(A, B) is f*(R) for f* = S_x ∘ (W_A/B), read as
+    S_x.obj_map[(W_A/B).obj_map[R]]: compose_sf sets exactly that entry
+    of f*'s object map. precompose raises Truncated only where S_x is
+    missing (restricting W_A at B cannot raise, since W_A(B) exists when
+    x names a base arrow), and those arrows get no pullbacks here either.
+    """
     root = e.cat.terminal
     if root is None:
         raise ValueError("e_to_ce needs a chosen terminal object")
@@ -896,18 +903,20 @@ def e_to_ce(e: ESystem) -> CESystem:
     over: dict[str, list[tuple[str, str]]] = {}  # families R over B, as (R, B.R)
     for R, BR, B in sl.triangle.values():
         over.setdefault(B, []).append((R, BR))
+    # f*(R) = S_x((W_A/B)(R)), read from the two tables; W_A/B is
+    # restricted once per (A, B), whose arrows come one after another
+    group = wab = None
     for name, arr in base.arrows.items():
         A, B = arr.dom, arr.cod
-        x = ih_term(e, name, A, B)
-        if x is None:
+        x = ih_term(e, name, A, B)  # never None: the base is named from e
+        sx = e.subst.get((e.weak[A].obj_map[B], x))
+        if sx is None:
             continue
-        try:
-            star = precompose(e, A, B, x)
-        except Truncated:
-            continue
+        if group != (A, B):
+            group, wab = (A, B), restrict_sf(e, e.weak[A], B)
         for R, BR in over.get(B, []):
             # R is a family over B; pull it back along the internal x
-            xR = star.obj_map.get(R)
+            xR = sx.obj_map.get(wab.obj_map.get(R))
             if xR is None:
                 continue
             AxR = e.cat.compose.get((A, xR))

@@ -1,16 +1,36 @@
-"""Brute-force references for the indexed law checks.
+"""Brute-force references for the indexed law checks and the translations.
 
-These are the straightforward loops that ``core.validate_fincat`` and
-``csys.check_pullback_square`` replace: every pair and triple of arrow
-names is tested for composability, and every candidate cone searches all
-of hom(Z, P) for mediators, with a missing composite raised as Truncated
-and caught as a skip. Tests compare the fast checks against them, report
-for report.
+The first two are the straightforward loops that ``core.validate_fincat``
+and ``csys.check_pullback_square`` replace: every pair and triple of
+arrow names is tested for composability, and every candidate cone
+searches all of hom(Z, P) for mediators, with a missing composite raised
+as Truncated and caught as a skip.
+
+The last three build the internal-hom category, the E-to-CE translation
+and the vertical composite the way ``esys.internal_hom_cat``,
+``xlate.e_to_ce`` and ``esys.vertical_compose`` used to: one whole
+precomposite f* = compose_sf(S_f, restrict_sf(W_A, B)) per internal
+morphism f, and one whole restriction W_{A.P}/B per vertical composite.
+``e_to_ce_reference`` calls the other two references.
+
+Tests compare the fast code against them, result for result.
 """
 
 from __future__ import annotations
 
-from bcsys.core import FinCat, validate_units
+from bcsys.cesys import CESystem
+from bcsys.core import Arrow, FinCat, slice_category, triangle_id, validate_units
+from bcsys.esys import (
+    ESystem,
+    hom_terms_of,
+    ih_arrow,
+    ih_term,
+    precompose,
+    restrict_sf,
+    slice_objects,
+    term_action_at,
+    term_extension,
+)
 from bcsys.report import Report, Truncated
 
 
@@ -114,3 +134,164 @@ def check_pullback_square_reference(
                         witness + (Z0, u, v),
                         f"{len(mediators)} mediating arrows",
                     )
+
+
+def internal_hom_cat_reference(e: ESystem, gamma: str) -> FinCat:
+    """The strict category of internal morphisms over ``gamma``.
+
+    Objects are the arrows into gamma; hom(A, B) = T(W_A(B)); composition
+    is precomposition. On truncated systems some hom sets or composites
+    fall outside the height; the result is marked partial.
+    """
+    cat = e.cat
+    objs = slice_objects(cat, gamma)
+    arrows: dict[str, Arrow] = {}
+    identity: dict[str, str] = {}
+    compose: dict[tuple[str, str], str] = {}
+    partial = False
+
+    for A in objs:
+        for B in objs:
+            ts = hom_terms_of(e, A, B)
+            if ts is None:
+                partial = True
+                continue
+            for t in ts:
+                name = ih_arrow(A, B, t)
+                arrows[name] = Arrow(name, A, B)
+    for A in objs:
+        one = e.proj.get(A)
+        name = ih_arrow(A, A, one) if one is not None else None
+        if name is None or name not in arrows:
+            partial = True
+            continue
+        identity[A] = name
+    for A in objs:
+        for B in objs:
+            ts1 = hom_terms_of(e, A, B)
+            if ts1 is None:
+                continue
+            for f in ts1:
+                try:
+                    fstar = precompose(e, A, B, f)
+                except Truncated:
+                    partial = True
+                    continue
+                for C in objs:
+                    ts2 = hom_terms_of(e, B, C)
+                    if ts2 is None:
+                        continue
+                    wb = e.weak[B]
+                    posBC = wb.obj_map.get(C)
+                    for g in ts2:
+                        act = term_action_at(e, fstar, posBC) if posBC else None
+                        if act is None or g not in act:
+                            partial = True
+                            continue
+                        gf = act[g]
+                        if ih_arrow(A, C, gf) not in arrows:
+                            partial = True
+                            continue
+                        compose[(ih_arrow(B, C, g), ih_arrow(A, B, f))] = ih_arrow(A, C, gf)
+    return FinCat(
+        objects=frozenset(objs),
+        arrows=arrows,
+        identity=identity,
+        compose=compose,
+        terminal=cat.id_of(gamma) if gamma in cat.identity else None,
+        partial=partial,
+    )
+
+
+def vertical_compose_reference(e: ESystem, A: str, B: str, f: str, P: str, Q: str, F: str) -> str:
+    """f.F : A.P -> B.Q, the pairing <W_P(f), F> over an internal morphism f.
+
+    f is in hom(A, B) = T(W_A(B)); F is in hom_f(P, Q) = T(W_P(f*(Q))).
+    """
+    cat = e.cat
+    wa, wp = e.weak.get(A), e.weak.get(P)
+    if wa is None or wp is None:
+        raise Truncated("weakening data")
+    WAB = wa.obj_map.get(B)
+    if WAB is None:
+        raise Truncated("W_A(B)")
+    act = term_action_at(e, wp, WAB)
+    if act is None or f not in act:
+        raise Truncated("W_P(f)")
+    x = act[f]  # in T(W_P(W_A(B))) = T(W_{A.P}(B))
+    Abar = wp.obj_map.get(WAB)
+    if Abar is None:
+        raise Truncated("W_P(W_A(B))")
+    # P-bar = (W_{A.P}/B)(Q): the slice position whose substitution by x is f*(Q)
+    AP = cat.comp(A, P)
+    wap = e.weak.get(AP)
+    if wap is None:
+        raise Truncated("W_{A.P}")
+    wapB = restrict_sf(e, wap, B)
+    Pbar = wapB.obj_map.get(Q)
+    if Pbar is None:
+        raise Truncated("(W_{A.P}/B)(Q)")
+    return term_extension(e, Abar, Pbar, x, F)
+
+
+def e_to_ce_reference(e: ESystem) -> CESystem:
+    """Families are the slice at the terminal; contexts the internal morphisms."""
+    root = e.cat.terminal
+    if root is None:
+        raise ValueError("e_to_ce needs a chosen terminal object")
+    sl = slice_category(e.cat, root)
+    fam = sl.cat
+    base = internal_hom_cat_reference(e, root)
+    ifun: dict[str, str] = {}
+    for t, (h, f, g) in sl.triangle.items():
+        # first projection: weaken the identity term of g by h
+        wg = e.weak.get(g)
+        wh = e.weak.get(h)
+        one = e.proj.get(g)
+        if wg is None or wh is None or one is None:
+            continue
+        u = wg.obj_map.get(g)
+        if u is None:
+            continue
+        act = term_action_at(e, wh, u)
+        if act is None or one not in act:
+            continue
+        name = ih_arrow(f, g, act[one])
+        if name in base.arrows:
+            ifun[t] = name
+    a = CESystem(fam=fam, base=base, ifun=ifun, root=fam.terminal)
+    over: dict[str, list[tuple[str, str]]] = {}  # families R over B, as (R, B.R)
+    for R, BR, B in sl.triangle.values():
+        over.setdefault(B, []).append((R, BR))
+    for name, arr in base.arrows.items():
+        A, B = arr.dom, arr.cod
+        x = ih_term(e, name, A, B)
+        if x is None:
+            continue
+        try:
+            star = precompose(e, A, B, x)
+        except Truncated:
+            continue
+        for R, BR in over.get(B, []):
+            # R is a family over B; pull it back along the internal x
+            xR = star.obj_map.get(R)
+            if xR is None:
+                continue
+            AxR = e.cat.compose.get((A, xR))
+            if AxR is None or AxR not in fam.objects:
+                continue
+            onexR = e.proj.get(xR)
+            if onexR is None:
+                continue
+            try:
+                pi2 = vertical_compose_reference(e, A, B, x, xR, R, onexR)
+            except Truncated:
+                continue
+            pi2name = ih_arrow(AxR, BR, pi2)
+            if pi2name not in base.arrows:
+                continue
+            pulled = triangle_id(xR, AxR, A)
+            if pulled not in fam.arrows:
+                continue
+            a.pb[(name, triangle_id(R, BR, B))] = (pulled, pi2name)
+    return a

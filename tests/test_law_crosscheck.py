@@ -203,7 +203,7 @@ def test_random_squares_reach_every_outcome():
     mediators, and skips of both kinds."""
     seen = set()
 
-    @settings(max_examples=300, deadline=None, database=None)
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
     @given(squares())
     def collect(square):
         rep = run_square(check_pullback_square_reference, *square)

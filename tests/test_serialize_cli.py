@@ -205,3 +205,41 @@ def test_cli_roundtrip_csystem_missing_identity_fails(tmp_path, capsys):
     printed = capsys.readouterr().out
     assert "FAIL cat:identity" in printed
     assert "retraction" not in printed
+
+
+def _drop_identity(cat: dict) -> None:
+    del cat["identity"]["1"]
+
+
+def _drop_composite(cat: dict) -> None:
+    cat["compose"] = [row for row in cat["compose"] if row[:2] != ["1>=1", "1>=1"]]
+
+
+@pytest.mark.parametrize("to", ["ce", "c"])
+@pytest.mark.parametrize(
+    "damage, partial, code, law",
+    [
+        (_drop_identity, False, 1, "FAIL cat:identity"),
+        (_drop_composite, False, 1, "FAIL cat:compose-total"),
+        (_drop_identity, True, 2, "identity('1')"),
+        (_drop_composite, True, 2, "compose('1>=1','1>=1')"),
+    ],
+    ids=["no-identity", "no-composite", "no-identity-partial", "no-composite-partial"],
+)
+def test_cli_translate_broken_category(tmp_path, capsys, to, damage, partial, code, law):
+    """A translation that needs a missing identity or composite reports the
+    broken category (exit 1) or, where the category is marked partial and
+    so passes, names the missing entry (exit 2); it writes no output."""
+    doc = json.loads(save_structure(build_nat_esystem(3)))
+    damage(doc["payload"]["cat"])
+    doc["payload"]["cat"]["partial"] = partial
+    path, out = tmp_path / "e.json", tmp_path / "out.json"
+    path.write_text(json.dumps(doc))
+    assert main(["translate", "--to", to, str(path), "-o", str(out)]) == code
+    printed = capsys.readouterr()
+    if code == 1:
+        assert law in printed.out and printed.err == ""
+    else:
+        assert printed.out == "" and printed.err.count("\n") == 1
+        assert printed.err.startswith("error: ") and law in printed.err
+    assert not out.exists()

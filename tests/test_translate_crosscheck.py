@@ -1,0 +1,326 @@
+"""The pointwise E-to-CE translation against the composite-building one.
+
+``esys.internal_hom_cat``, ``xlate.e_to_ce`` and ``esys.vertical_compose``
+read single entries of S_f, W_A/B and W_{A.P}; ``reference.py`` keeps the
+versions that build f* = S_f ∘ (W_A/B) and W_{A.P}/B whole. Each check
+here asserts the same tables (or the same exception type, and for
+Truncated the same missing entry) on the built examples and on
+E-systems with entries dropped or retargeted.
+"""
+
+import contextlib
+import copy
+import inspect
+import random
+import sys
+
+import hypothesis.strategies as st
+import pytest
+from hypothesis import given, settings
+
+from bcsys import esys, xlate
+from bcsys.bsys import build_finset_bsystem
+from bcsys.core import FinCat
+from bcsys.esys import build_nat_esystem, internal_hom_cat, vertical_compose
+from bcsys.report import Truncated
+from bcsys.serialize import save_structure
+from bcsys.xlate import b_to_e, e_to_ce
+
+from reference import e_to_ce_reference, internal_hom_cat_reference, vertical_compose_reference
+
+
+def fincat_tables(c: FinCat) -> tuple:
+    return (c.objects, c.arrows, c.identity, c.compose, c.partial, c.terminal)
+
+
+def cesystem_tables(a) -> tuple:
+    return (fincat_tables(a.fam), fincat_tables(a.base), a.ifun, a.pb, a.root)
+
+
+def outcome(fn, tables, *args):
+    """tables(fn(*args)), or the type of the exception fn raised, with
+    the entry it names if it is Truncated."""
+    try:
+        return tables(fn(*args))
+    except Truncated as exc:
+        return Truncated, exc.what
+    except Exception as exc:
+        return type(exc)
+
+
+@contextlib.contextmanager
+def checking_vertical_compose():
+    """Compare every vertical_compose call e_to_ce makes with the
+    reference; yields the list of calls' arguments."""
+    calls = []
+
+    def checked(*args):
+        calls.append(args)
+        assert outcome(vertical_compose, str, *args) == outcome(vertical_compose_reference, str, *args), args
+        return vertical_compose(*args)
+
+    xlate.vertical_compose = checked
+    try:
+        yield calls
+    finally:
+        xlate.vertical_compose = vertical_compose
+
+
+def assert_translations_match(e) -> list:
+    root = e.cat.terminal
+    assert outcome(internal_hom_cat, fincat_tables, e, root) == outcome(
+        internal_hom_cat_reference, fincat_tables, e, root
+    )
+    with checking_vertical_compose() as calls:
+        got = outcome(e_to_ce, cesystem_tables, e)
+    assert got == outcome(e_to_ce_reference, cesystem_tables, e)
+    return calls
+
+
+def built(kind: str, height: int):
+    return build_nat_esystem(height) if kind == "nat-e" else b_to_e(build_finset_bsystem(height))
+
+
+@pytest.mark.parametrize("height", range(7))
+@pytest.mark.parametrize("kind", ["nat-e", "finset-b"])
+def test_translations_match_reference_on_examples(kind, height):
+    calls = assert_translations_match(built(kind, height))
+    assert height < 2 or calls
+
+
+# ---------------------------------------------------------------------------
+# damaged E-systems
+
+BASES = {kind: built(kind, 3) for kind in ("nat-e", "finset-b")}
+
+DAMAGE = (
+    "weak",  # drop a weakening functor
+    "subst",  # drop a substitution functor
+    "proj",  # drop an identity term
+    "obj",  # drop an object-map entry of one functor
+    "mor",  # drop a morphism-map entry
+    "term",  # drop a whole term table
+    "term-entry",  # drop one term of a term table
+    "obj-diagonal",  # drop W_A(A), where the identity term 1_A sits
+    "obj-retarget",  # point an object-map entry at another arrow
+    "compose-retarget",  # point a composite at another arrow
+    "compose-stray",  # give any pair of arrows, composable or not, a composite
+)
+
+
+def damaged_system(choose, kind=None):
+    """A deep copy of nat-e or b_to_e(finset-b) at height 3 with one to
+    four entries dropped or retargeted; ``choose`` picks one element of
+    a sequence."""
+    e = copy.deepcopy(BASES[kind or choose(sorted(BASES))])
+    arrows = sorted(e.cat.arrows)
+    for _ in range(choose((1, 2, 3, 4))):
+        damage = choose(DAMAGE)
+        if damage in ("weak", "subst", "proj"):
+            table = getattr(e, damage)
+            if table:
+                del table[choose(sorted(table))]
+        elif damage == "obj-diagonal":
+            A = choose(arrows)
+            if A in e.weak:
+                e.weak[A].obj_map.pop(A, None)
+        elif damage == "compose-retarget":
+            e.cat.compose[choose(sorted(e.cat.compose))] = choose(arrows)
+        elif damage == "compose-stray":
+            e.cat.compose[(choose(arrows), choose(arrows))] = choose(arrows)
+        else:
+            functors = [e.weak[k] for k in sorted(e.weak)] + [e.subst[k] for k in sorted(e.subst)]
+            if not functors:
+                continue
+            F = choose(functors)
+            table = F.term_map if damage.startswith("term") else F.obj_map if damage.startswith("obj") else F.mor_map
+            if not table:
+                continue
+            k = choose(sorted(table))
+            if damage == "term-entry":
+                if table[k]:
+                    del table[k][choose(sorted(table[k]))]
+            elif damage == "obj-retarget":
+                table[k] = choose(arrows)
+            else:
+                del table[k]
+    return e
+
+
+def vertical_calls(e) -> list[tuple]:
+    """The arguments (A, B, f, P, Q, F) of every vertical_compose call
+    e_to_ce makes on e."""
+    with checking_vertical_compose() as calls:
+        e_to_ce(e)
+    return [args[1:] for args in calls]
+
+
+CALLS = {kind: vertical_calls(e) for kind, e in BASES.items()}
+
+
+def vertical_case(choose):
+    """A damaged system and arguments (A, B, f, P, Q, F) of
+    vertical_compose: those of a call e_to_ce makes on the undamaged
+    system, each replaced by an arrow or a term one time in eight. Then
+    one of W_P, W_{A.P}, or the entries W_A(B), W_P(W_A(B)) and
+    W_{A.P}(B), all of which vertical_compose reads, is dropped."""
+    kind = choose(sorted(BASES))
+    e = damaged_system(choose, kind)
+    cat = e.cat
+    pools = (sorted(cat.arrows), sorted(set().union(*e.tc.terms.values())))
+    args = [
+        choose(pools[i in (2, 5)]) if choose(range(8)) == 0 else value
+        for i, value in enumerate(choose(CALLS[kind]))
+    ]
+    drop_weak(e, *choose(weak_reads(e, *args)))
+    return e, tuple(args)
+
+
+def weak_reads(e, A, B, f, P, Q, F) -> list[tuple]:
+    """W_P and W_{A.P} as (arrow, None), and the entries W_A(B),
+    W_P(W_A(B)) and W_{A.P}(B) as (arrow, key): what vertical_compose
+    reads of the weakenings."""
+    AP = e.cat.compose.get((A, P))
+    WAB = e.weak[A].obj_map.get(B) if A in e.weak else None
+    return [(P, None), (AP, None), (A, B), (P, WAB), (AP, B)]
+
+
+def drop_weak(e, W, key) -> None:
+    """Drop W_W, or its object-map entry at key."""
+    if W in e.weak:
+        if key is None:
+            del e.weak[W]
+        else:
+            e.weak[W].obj_map.pop(key, None)
+
+
+def drawing(draw):
+    return lambda seq: draw(st.sampled_from(seq))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_translations_match_reference_on_damaged_systems(data):
+    assert_translations_match(damaged_system(drawing(data.draw)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_vertical_compose_matches_reference_on_drawn_arguments(data):
+    e, args = vertical_case(drawing(data.draw))
+    assert outcome(vertical_compose, str, e, *args) == outcome(vertical_compose_reference, str, e, *args)
+
+
+@pytest.mark.parametrize("kind", sorted(BASES))
+def test_vertical_compose_matches_reference_with_each_read_dropped(kind):
+    for args in CALLS[kind]:
+        for read in weak_reads(BASES[kind], *args):
+            e = copy.deepcopy(BASES[kind])
+            drop_weak(e, *read)
+            assert outcome(vertical_compose, str, e, *args) == outcome(
+                vertical_compose_reference, str, e, *args
+            ), (args, read)
+
+
+def test_vertical_compose_reads_only_arrows_into_dom_b():
+    """An entry of W_{A.P}'s morphism map at (Q, B∘Q, B) is no slice
+    position when Q is not an arrow into dom(B), even where the tables
+    hold one: vertical_compose raises Truncated, as restricting does."""
+    e = copy.deepcopy(BASES["nat-e"])
+    A, B, f, P, Q, F = args = ("1>=0", "0>=0", "[]", "2>=1", "1>=0", "[1]")
+    assert args in CALLS["nat-e"]
+    wap = e.weak[e.cat.compose[(A, P)]]
+    stray = "1>=1"  # an arrow into 1, not into dom(B) = 0
+    e.cat.compose[(B, stray)] = "1>=0"
+    wap.mor_map[(stray, "1>=0", B)] = wap.mor_map[(Q, e.cat.compose[(B, Q)], B)]
+    moved = (A, B, f, P, stray, F)
+    assert outcome(vertical_compose_reference, str, e, *moved)[0] is Truncated
+    assert outcome(vertical_compose, str, e, *moved) == outcome(vertical_compose_reference, str, e, *moved)
+
+
+@pytest.mark.parametrize("kind", ["nat-e", "finset-b"])
+def test_translations_match_reference_with_each_entry_dropped_at_height_0(kind):
+    """At height 0 nothing is truncated, so the internal-hom category is
+    partial only where a dropped entry makes it so."""
+    base = built(kind, 0)
+    assert not internal_hom_cat(base, base.cat.terminal).partial
+    functors = [("weak", k) for k in sorted(base.weak)] + [("subst", k) for k in sorted(base.subst)]
+    for family, name in functors:
+        for table in ("obj_map", "mor_map", "term_map"):
+            for key in sorted(getattr(getattr(base, family)[name], table)):
+                e = copy.deepcopy(base)
+                del getattr(getattr(e, family)[name], table)[key]
+                assert_translations_match(e)
+
+
+# A guard no damage reaches: it needs a composite A∘xR with wrong
+# endpoints for which vertical_compose still succeeds, and then
+# W_P(W_A(B)) and (W_{A.P}/B)(Q) are not composable in either system.
+UNREACHED = {"if pulled not in fam.arrows:"}
+
+
+def branch_lines(fn) -> set[int]:
+    """Line numbers of fn's ``partial = True``, ``continue`` and
+    ``raise Truncated`` statements, less those under UNREACHED guards."""
+    lines, start = inspect.getsourcelines(fn)
+    return {
+        start + i
+        for i, text in enumerate(lines)
+        if (text.strip() in ("partial = True", "continue") or text.strip().startswith("raise Truncated"))
+        and lines[i - 1].strip() not in UNREACHED
+    }
+
+
+def test_damage_reaches_every_branch():
+    """damaged_system and vertical_case, choosing uniformly with a fixed
+    seed, reach every branch that marks the internal-hom category
+    partial, skips a composite or a pullback, or raises Truncated in
+    vertical_compose."""
+    fns = (esys.internal_hom_cat, esys._precompose_reads, xlate.e_to_ce, esys.vertical_compose)
+    codes = {fn.__code__ for fn in fns}
+    hit: set[tuple[str, int]] = set()
+
+    def local(frame, event, arg):
+        if event == "line":
+            hit.add((frame.f_code.co_name, frame.f_lineno))
+        return local
+
+    def tracer(frame, event, arg):
+        return local if frame.f_code in codes else None
+
+    rng = random.Random(0)
+    for _ in range(200):
+        e = damaged_system(rng.choice)
+        v, args = vertical_case(rng.choice)
+        previous = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            for fn, fn_args in ((e_to_ce, (e,)), (vertical_compose, (v,) + args)):
+                with contextlib.suppress(Exception):
+                    fn(*fn_args)
+        finally:
+            sys.settrace(previous)
+    missed = {(fn.__name__, ln) for fn in fns for ln in branch_lines(fn)} - hit
+    assert not missed
+
+
+# ---------------------------------------------------------------------------
+# nothing outlives a call
+
+
+def change_weak_term(e) -> None:
+    """Send the term [0] of W_{2>=1} at the triangle (2>=1, 2>=1, 1>=1) to [1]."""
+    table = e.weak["2>=1"].term_map[("2>=1", "2>=1", "1>=1")]
+    assert table["[0]"] == "[0]"
+    table["[0]"] = "[1]"
+
+
+def test_translation_memo_does_not_outlive_the_call():
+    e = build_nat_esystem(4)
+    before = save_structure(e_to_ce(e))
+    change_weak_term(e)
+    after = save_structure(e_to_ce(e))
+    fresh = build_nat_esystem(4)
+    change_weak_term(fresh)
+    assert after == save_structure(e_to_ce(fresh))
+    assert after != before
