@@ -153,12 +153,18 @@ def cmd_translate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     to = args.to
+    if kind == "esystem" and to == "b":
+        # e_to_b copies the category's tables without reading them for
+        # gaps, so a broken category would come out as a B-system
+        pre = _category_report(kind, obj)
+        if not pre.ok:
+            return _print_report(pre)
     try:
         out = _translate(kind, obj, to)
-    except (LoadError, ValueError) as exc:
+    except LoadError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except Truncated as exc:
+    except (Truncated, ValueError) as exc:
         return _translation_fell_off(kind, obj, exc)
     _write(args.output, save_structure(out))
     return 0
@@ -173,18 +179,28 @@ def _categories(kind: str, obj) -> list[tuple[str, FinCat]]:
     return []
 
 
-def _translation_fell_off(kind: str, obj, exc: Truncated) -> int:
-    """A translation needed a table entry the input lacks.
-
-    If a category of the input breaks a law, that is the defect: print
-    the report and exit 1. Otherwise name the missing entry and exit 2.
-    """
+def _category_report(kind: str, obj) -> Report:
+    """The category laws of every category of the input."""
     pre = Report()
     for prefix, cat in _categories(kind, obj):
         pre.merge(validate_fincat(cat), prefix=prefix)
+    return pre
+
+
+def _translation_fell_off(kind: str, obj, exc: Truncated | ValueError) -> int:
+    """A translation needed a table entry the input lacks, or rejected it.
+
+    If a category of the input breaks a law, that is the defect: print
+    the report and exit 1. Otherwise name the missing entry, or give the
+    translation's reason, and exit 2.
+    """
+    pre = _category_report(kind, obj)
     if not pre.ok:
         return _print_report(pre)
-    print(f"error: the translation needs {exc.what}, which the input does not define", file=sys.stderr)
+    if isinstance(exc, Truncated):
+        print(f"error: the translation needs {exc.what}, which the input does not define", file=sys.stderr)
+    else:
+        print(f"error: {exc}", file=sys.stderr)
     return 2
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from operator import eq
+from operator import itemgetter
 
 from .core import (
     Arrow,
@@ -30,7 +30,7 @@ from .core import (
     validate_fincat,
     validate_functor,
 )
-from .report import Report, Truncated, diff_maps, diff_tables
+from .report import Report, Truncated, diff_tables
 
 SliceMor = tuple[str, str, str]  # (underlying arrow, source object, target object)
 
@@ -182,127 +182,53 @@ def sf_equal(f: SliceFunctorT, g: SliceFunctorT) -> tuple[list[tuple], int, int]
     return bad, skipped + len(f.term_map.keys() ^ g.term_map.keys()), checked
 
 
-_EMPTY: dict[str, str] = {}
-_ABSENT = object()
-
-# A term table of a composite, kept as the pair of tables it is read
-# through: t maps to t2[t1[t]]; a None t2 means the table is t1 itself.
-_TermPair = tuple[dict[str, str], "dict[str, str] | None"]
-
-
-def _pointwise_tables(
-    g: SliceFunctorT, f: SliceFunctorT | None
-) -> tuple[dict[str, str], dict[SliceMor, str], dict[SliceMor, _TermPair]]:
-    """The object map, morphism map and term tables of g∘f (of g alone
-    when f is None), with each term table left as the pair it is read
-    through. The keys and values are exactly compose_sf's."""
-    if f is None:
-        return g.obj_map, g.mor_map, {k: (tm, None) for k, tm in g.term_map.items()}
-    go, gm, gt = g.obj_map, g.mor_map, g.term_map
-    fo, ft = f.obj_map, f.term_map
-    obj = {x: go[y] for x, y in fo.items() if y in go}
-    mor: dict[SliceMor, str] = {}
-    terms: dict[SliceMor, _TermPair] = {}
-    for k, h1 in f.mor_map.items():
-        fa, fb = fo.get(k[1]), fo.get(k[2])
-        if fa is None or fb is None:
-            continue
-        key1 = (h1, fa, fb)
-        h2 = gm.get(key1)
-        if h2 is None:
-            continue
-        mor[k] = h2
-        terms[k] = (ft.get(k, _EMPTY), gt.get(key1, _EMPTY))
-    return obj, mor, terms
-
-
-def _term_tables_agree(t1: dict, t2: dict | None, s1: dict, s2: dict | None) -> tuple[int, int] | None:
-    """diff_maps's (skipped, checked) between the term tables read through
-    (t1, t2) and (s1, s2), or None if they differ at a shared key."""
-    # Fast path: both tables defined on the same keys. A lookup that
-    # fails falls through to the entry-by-entry count below.
-    try:
-        if t1.keys() == s1.keys():
-            left = t1.values() if t2 is None else map(t2.__getitem__, t1.values())
-            right = map(s1.__getitem__, t1)
-            if s2 is not None:
-                right = map(s2.__getitem__, right)
-            return (0, len(t1)) if all(map(eq, left, right)) else None
-    except KeyError:
-        pass
-    n_left = shared = 0
-    for t, u in t1.items():
-        if t2 is not None:
-            u = t2.get(u, _ABSENT)
-            if u is _ABSENT:
-                continue
-        n_left += 1
-        v = s1.get(t, _ABSENT)
-        if v is _ABSENT:
-            continue
-        if s2 is not None:
-            v = s2.get(v, _ABSENT)
-            if v is _ABSENT:
-                continue
-        shared += 1
-        if u != v:
-            return None
-    n_right = len(s1) if s2 is None else sum(1 for v in s1.values() if v in s2)
-    return n_left + n_right - 2 * shared, shared
-
-
 def composites_equal(
     e: ESystem,
     g1: SliceFunctorT,
     f1: SliceFunctorT | None,
     g2: SliceFunctorT,
     f2: SliceFunctorT | None,
+    slices: _Slices | None = None,
 ) -> tuple[list[tuple], int, int]:
-    """sf_equal(g1∘f1, g2∘f2), without building the composites' term tables.
+    """sf_equal(g1∘f1, g2∘f2), without building the composites when they agree.
 
     A None f1 or f2 makes that side g1 or g2 alone: a single functor,
     such as W_{A.P} or an identity from identity_sf. The result is the
     same (bad, skipped, checked) triple as sf_equal of the two sides
-    built with compose_sf.
+    built with compose_sf. ``slices`` holds the flat forms for the
+    length of one validation; without it they live for this call only.
 
-    Completeness: the object and morphism maps of each side are built by
-    the same filters compose_sf applies (an entry exists exactly when
-    every lookup along the way is defined), so diff_maps sees the same
-    keys and values and counts them the same way. compose_sf sets
-    ``term_map[k]`` exactly when it sets ``mor_map[k]``, to the table
-    t -> G(F(t)) over those t whose F-image has a G-image; each term
-    table is kept here as that pair of lookups. Two tables with the same
-    keys and every lookup defined share all their entries and are
-    compared in one pass. Otherwise the left side's entries are walked
-    once, looking up the right side's value at each key, and the right
-    side's defined entries are counted in one more pass; that gives
-    diff_maps's skipped and checked counts without the table. Term keys
-    on one side only are counted as sf_equal counts them, so a morphism
-    key on one side only counts twice: once in the morphism map and once
-    as a missing term table. At the first value that differs, both sides
-    are built with compose_sf and sf_equal makes the witnesses, so they
-    come in its sorted order.
+    Each side is taken in flat form (see _flatten): one tuple from the
+    cells of its source slice to the cells of its target slice, where a
+    cell is a slice object, a slice morphism, a slot (m, t) for t in
+    T(m[0]), or the absent cell. g∘f is the gather G[F[i]], taken only
+    when f's target cells are g's source cells; the absent cell maps to
+    the absent cell. Completeness: a flat form is faithful, since each
+    target cell stands for one value, so equal tuples over the same
+    source and target cells mean identical dict entries. The gather
+    follows compose_sf's filters: an object x gets a cell exactly when
+    f.obj_map[x] and g.obj_map at it are defined; a morphism m exactly
+    when f.mor_map[m] and g.mor_map at (h1, fa, fb) are, where fa and fb
+    are defined because every representable functor maps the endpoints
+    of its morphisms; and a slot (m, t) exactly when, further, t is in
+    f.term_map[m] and its image u in g.term_map[(h1, fa, fb)], which
+    both exist because a representable functor has a term table exactly
+    at its morphisms. compose_sf sets term_map[m] exactly when it sets
+    mor_map[m], so two equal tuples have the same term-table keys and
+    sf_equal finds no witness, no skip, and one checked entry per cell
+    that is not absent. Where the tuples differ, or a side is not
+    representable, both sides are built with compose_sf and sf_equal
+    makes the witnesses, so they come in its sorted order.
     """
-    lo, lm, lt = _pointwise_tables(g1, f1)
-    ro, rm, rt = _pointwise_tables(g2, f2)
-    differ: list[tuple] = []
-    s_obj, c_obj = diff_maps(lo, ro, (), differ)
-    s_mor, c_mor = diff_maps(lm, rm, (), differ)
-    if not differ:
-        shared = lt.keys() & rt.keys()
-        skipped = s_obj + s_mor + len(lt) + len(rt) - 2 * len(shared)
-        checked = c_obj + c_mor
-        for k in shared:
-            counts = _term_tables_agree(*lt[k], *rt[k])
-            if counts is None:
-                break
-            skipped += counts[0]
-            checked += counts[1]
-        else:
-            return [], skipped, checked
-    lhs = g1 if f1 is None else compose_sf(e, g1, f1)
-    rhs = g2 if f2 is None else compose_sf(e, g2, f2)
-    return sf_equal(lhs, rhs)
+    if slices is None:
+        slices = _Slices(e)
+    lhs = slices.composite(g1, f1)
+    if lhs is not None and lhs == slices.composite(g2, f2):
+        cells = lhs[2]
+        return [], 0, len(cells) - cells.count(lhs[1].absent)
+    left = g1 if f1 is None else compose_sf(e, g1, f1)
+    right = g2 if f2 is None else compose_sf(e, g2, f2)
+    return sf_equal(left, right)
 
 
 def validate_sfunctor(e: ESystem, F: SliceFunctorT, rep: Report, law: str) -> None:
@@ -373,24 +299,89 @@ def validate_sfunctor(e: ESystem, F: SliceFunctorT, rep: Report, law: str) -> No
 # the slice-level homomorphism conditions
 
 
-class _Slices:
-    """Slice functors of one E-system, memoised for one validation call.
+class _Cells:
+    """The cells of the slice over one apex, numbered once: its objects
+    (arrows_into), its morphisms (slice_mors), the slots (m, t) for t in
+    T(m[0]), and last the absent cell."""
 
-    Holds identity_sf per apex, and restrict_sf(H, P) per P for the
-    functor H restricted most recently. validate_esystem makes
-    one and drops it when it returns, so nothing outlives the call and a
-    table changed between two calls is read afresh. Restrictions are
-    kept for one functor at a time, so the memo never holds more than
-    one functor's: validate_esystem checks all three parts of a functor
+    __slots__ = ("obj", "mor", "slot", "absent")
+
+    def __init__(self, e: ESystem, apex: str) -> None:
+        objs, mors = slice_objects(e.cat, apex), slice_mors(e.cat, apex)
+        self.obj = {x: i for i, x in enumerate(objs)}
+        self.mor = {m: i for i, m in enumerate(mors, len(objs))}
+        self.slot: dict[SliceMor, dict[str, int]] = {}
+        n = len(objs) + len(mors)
+        for m in mors:
+            self.slot[m] = {t: i for i, t in enumerate(sorted(e.T(m[0])), n)}
+            n += len(self.slot[m])
+        self.absent = n
+
+
+# A slice functor in flat form: its source cells, its target cells, and
+# the target cell of each source cell.
+_Flat = tuple[_Cells, _Cells, tuple[int, ...]]
+
+
+def _flatten(F: SliceFunctorT, src: _Cells, tgt: _Cells) -> tuple[int, ...] | None:
+    """F as one tuple from src's cells to tgt's; cells F leaves undefined
+    go to the absent cell. None unless F is representable: every key and
+    value is a cell, term_map has exactly mor_map's keys, and each
+    morphism's endpoints are in obj_map."""
+    obj, terms = F.obj_map, F.term_map
+    if terms.keys() != F.mor_map.keys():
+        return None
+    out = [tgt.absent] * (src.absent + 1)
+    try:
+        for x, y in obj.items():
+            out[src.obj[x]] = tgt.obj[y]
+        for m, h1 in F.mor_map.items():
+            i = src.mor[m]
+            img = (h1, obj[m[1]], obj[m[2]])
+            out[i] = tgt.mor[img]
+            slots, images = src.slot[m], tgt.slot[img]
+            for t, u in terms[m].items():
+                out[slots[t]] = images[u]
+    except KeyError:
+        return None
+    return tuple(out)
+
+
+class _Slices:
+    """Slice functors of one validation call, and their flat forms.
+
+    Holds identity_sf per apex, restrict_sf(H, P) per P for the functor
+    H restricted most recently, the cells of each slice, and the flat
+    form of each functor compared (see composites_equal). The validator
+    makes one and drops it when it returns, so nothing outlives the call
+    and a table changed between two calls is read afresh. Restrictions
+    are kept for one functor at a time, and their flat forms are dropped
+    with them: validate_esystem checks all three parts of a functor
     before the next, and only axiom 5's one restriction per arrow is
     computed a second time.
+
+    For validate_ehom, ``target`` is the target system: its own functors
+    are numbered in it, the slices of the homomorphism go from the
+    source to it, and every other functor lives in the source. Which
+    system numbers a functor decides only whether the flat path is
+    taken: a flat form is faithful in any numbering, and two forms are
+    gathered or compared only over the very same cells.
     """
 
-    def __init__(self, e: ESystem) -> None:
+    def __init__(self, e: ESystem, target: ESystem | None = None) -> None:
         self.e = e
+        self.target = e if target is None else target
         self._ids: dict[str, SliceFunctorT] = {}
         self._restricted: SliceFunctorT | None = None
         self._restrictions: dict[str, SliceFunctorT | None] = {}
+        self._hom_slices: dict[str, SliceFunctorT | None] = {}
+        self._cells: dict[tuple[int, str], _Cells] = {}
+        self._flats: dict[int, tuple[SliceFunctorT, _Flat | None]] = {}
+        # (source, target) system of the functors that do not live in e
+        self._homes: dict[int, tuple[ESystem, ESystem]] = {}
+        if self.target is not e:
+            for F in itertools.chain(self.target.subst.values(), self.target.weak.values()):
+                self._homes[id(F)] = (self.target, self.target)
 
     def identity(self, apex: str) -> SliceFunctorT:
         if apex not in self._ids:
@@ -400,6 +391,8 @@ class _Slices:
     def restrict(self, H: SliceFunctorT, P: str) -> SliceFunctorT | None:
         """restrict_sf(e, H, P), or None where it raises Truncated."""
         if H is not self._restricted:
+            for R in self._restrictions.values():
+                self._flats.pop(id(R), None)
             self._restricted, self._restrictions = H, {}
         memo = self._restrictions
         if P not in memo:
@@ -408,6 +401,47 @@ class _Slices:
             except Truncated:
                 memo[P] = None
         return memo[P]
+
+    def hom_slice(self, h: EHom, gamma: str) -> SliceFunctorT | None:
+        """slice_of_ehom(h, gamma), or None where gamma has no image."""
+        if gamma not in self._hom_slices:
+            try:
+                H = slice_of_ehom(h, gamma)
+            except KeyError:
+                H = None
+            else:
+                self._homes[id(H)] = (self.e, self.target)
+            self._hom_slices[gamma] = H
+        return self._hom_slices[gamma]
+
+    def _cells_of(self, e: ESystem, apex: str) -> _Cells:
+        key = (id(e), apex)
+        if key not in self._cells:
+            self._cells[key] = _Cells(e, apex)
+        return self._cells[key]
+
+    def flat(self, F: SliceFunctorT) -> _Flat | None:
+        """F's flat form, or None where F is not representable."""
+        hit = self._flats.get(id(F))
+        if hit is None:
+            s, t = self._homes.get(id(F), (self.e, self.e))
+            src, tgt = self._cells_of(s, F.source_apex), self._cells_of(t, F.target_apex)
+            cells = _flatten(F, src, tgt)
+            # F is kept with its form, so its id is not reused in the call
+            hit = self._flats[id(F)] = (F, None if cells is None else (src, tgt, cells))
+        return hit[1]
+
+    def composite(self, g: SliceFunctorT, f: SliceFunctorT | None) -> _Flat | None:
+        """The flat form of g∘f (of g alone when f is None), or None."""
+        G = self.flat(g)
+        if G is None or f is None:
+            return G
+        F = self.flat(f)
+        if F is None or F[1] is not G[0]:
+            return None
+        idx = F[2]
+        # itemgetter gives a bare value, not a tuple, for a single index
+        return F[0], G[1], itemgetter(*idx)(G[2]) if len(idx) > 1 else (G[2][idx[0]],)
 
 
 def _ehom_part(slices: _Slices, H: SliceFunctorT, part: str, rep: Report, law: str) -> None:
@@ -451,7 +485,7 @@ def _ehom_part(slices: _Slices, H: SliceFunctorT, part: str, rep: Report, law: s
                     if Sy is None or Syi is None:
                         rep.skip(law)
                         continue
-                    bad, skipped, _ = composites_equal(e, HP, Sy, Syi, HPQ)
+                    bad, skipped, _ = composites_equal(e, HP, Sy, Syi, HPQ, slices)
                     rep.skip(law, skipped)
                     for w in bad:
                         rep.fail(law, (P, Q, y) + w)
@@ -462,7 +496,7 @@ def _ehom_part(slices: _Slices, H: SliceFunctorT, part: str, rep: Report, law: s
                 if WQ is None or Wi is None:
                     rep.skip(law)
                     continue
-                bad, skipped, _ = composites_equal(e, Wi, HP, HPQ, WQ)
+                bad, skipped, _ = composites_equal(e, Wi, HP, HPQ, WQ, slices)
                 rep.skip(law, skipped)
                 for w in bad:
                     rep.fail(law, (P, Q) + w)
@@ -607,7 +641,7 @@ def validate_esystem(e: ESystem) -> Report:
             if wa is None or wp is None or wap is None:
                 rep.skip("weak-functor")
                 continue
-            bad, skipped, _ = composites_equal(e, wap, None, wp, wa)
+            bad, skipped, _ = composites_equal(e, wap, None, wp, wa, slices)
             rep.skip("weak-functor", skipped)
             for w in bad:
                 rep.fail("weak-functor", (A, P) + w, "W_{A.P} != W_P . W_A")
@@ -629,7 +663,7 @@ def validate_esystem(e: ESystem) -> Report:
         if wa is None:
             rep.skip("e-axiom-3")
             continue
-        bad, skipped, _ = composites_equal(e, sx, wa, slices.identity(cat.cod(A)), None)
+        bad, skipped, _ = composites_equal(e, sx, wa, slices.identity(cat.cod(A)), None, slices)
         rep.skip("e-axiom-3", skipped)
         for w in bad:
             rep.fail("e-axiom-3", (A, x) + w)
@@ -667,7 +701,7 @@ def validate_esystem(e: ESystem) -> Report:
         if waa is None:
             rep.skip("e-axiom-5")
             continue
-        bad, skipped, _ = composites_equal(e, s1, waa, slices.identity(cat.dom(A)), None)
+        bad, skipped, _ = composites_equal(e, s1, waa, slices.identity(cat.dom(A)), None, slices)
         rep.skip("e-axiom-5", skipped)
         for w in bad:
             rep.fail("e-axiom-5", (A,) + w)
@@ -755,18 +789,18 @@ def validate_ehom(h: EHom) -> Report:
     for law in ("preserve-sub", "preserve-weak", "preserve-proj"):
         rep.law(law)
 
+    slices = _Slices(src, tgt)
     for gamma in sorted(cat.objects):
         if gamma not in h.functor.object_map:
             continue
-        hg = slice_of_ehom(h, gamma)
+        hg = slices.hom_slice(h, gamma)
         for A in slice_objects(cat, gamma):
             Aimg = h.functor.arrow_map.get(A)
             if Aimg is None:
                 rep.skip("preserve-sub")
                 continue
-            try:
-                ha = slice_of_ehom(h, cat.dom(A))
-            except KeyError:
+            ha = slices.hom_slice(h, cat.dom(A))
+            if ha is None:
                 rep.skip("preserve-sub")
                 continue
             for x in sorted(src.T(A)):
@@ -777,7 +811,7 @@ def validate_ehom(h: EHom) -> Report:
                 if sx is None or sxi is None:
                     rep.skip("preserve-sub")
                     continue
-                bad, skipped, _ = composites_equal(src, hg, sx, sxi, ha)
+                bad, skipped, _ = composites_equal(src, hg, sx, sxi, ha, slices)
                 rep.skip("preserve-sub", skipped)
                 for w in bad:
                     rep.fail("preserve-sub", (gamma, A, x) + w)
@@ -787,7 +821,7 @@ def validate_ehom(h: EHom) -> Report:
             if wa is None or wi is None:
                 rep.skip("preserve-weak")
             else:
-                bad, skipped, _ = composites_equal(src, ha, wa, wi, hg)
+                bad, skipped, _ = composites_equal(src, ha, wa, wi, hg, slices)
                 rep.skip("preserve-weak", skipped)
                 for w in bad:
                     rep.fail("preserve-weak", (gamma, A) + w)
@@ -1024,9 +1058,9 @@ def internal_hom_cat(e: ESystem, gamma: str) -> FinCat:
                     if hom_bc:
                         partial = True
                     continue
-                t2 = sf.term_map.get(key1, _EMPTY)
+                t2 = sf.term_map.get(key1, {})
                 for g, g_name in hom_bc.items():
-                    gf_name = hom_ac.get(t2.get(t1.get(g, _ABSENT), _ABSENT))
+                    gf_name = hom_ac.get(t2.get(t1.get(g)))
                     if gf_name is None:
                         partial = True
                         continue
@@ -1066,14 +1100,14 @@ def _precompose_reads(
             continue
         u = wb.obj_map[C]
         key1 = None
-        t1 = _EMPTY
+        t1 = {}
         if u and fb is not None:
             k = (u, u, one)
             h1, fa = wab.mor_map.get(k), wab.obj_map.get(u)
             if h1 is not None and fa is not None:
                 key1 = (h1, fa, fb)
-                t1 = wab.term_map.get(k, _EMPTY)
-        reads.append((hom_bc, names.get((A, C), _EMPTY), key1, t1))
+                t1 = wab.term_map.get(k, {})
+        reads.append((hom_bc, names.get((A, C), {}), key1, t1))
     return reads
 
 

@@ -1,13 +1,27 @@
+import collections
+import functools
+
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 from bcsys import esys
 from bcsys.bsys import build_finset_bsystem
-from bcsys.core import FunctorData, join_ids, parse_path_id, split_ids, unpack_ids, validate_fincat
+from bcsys.core import (
+    Arrow,
+    FinCat,
+    FunctorData,
+    join_ids,
+    parse_path_id,
+    split_ids,
+    unpack_ids,
+    validate_fincat,
+)
 from bcsys.esys import (
     EHom,
+    ESystem,
     SliceFunctorT,
+    TermCat,
     build_group_structure,
     build_nat_esystem,
     check_pairing,
@@ -678,9 +692,9 @@ def test_composites_equal_matches_reference_at_every_site(validate, monkeypatch)
     shapes = set()
     failing = 0
 
-    def checked(e, g1, f1, g2, f2):
+    def checked(e, g1, f1, g2, f2, slices=None):
         nonlocal failing
-        got = real(e, g1, f1, g2, f2)
+        got = real(e, g1, f1, g2, f2, slices)
         assert got == _reference(e, g1, f1, g2, f2)
         shapes.add((f1 is None, f2 is None))
         failing += bool(got[0])
@@ -717,5 +731,200 @@ def test_validation_memo_does_not_outlive_the_call():
     expected = validate_esystem(fresh)
     assert not again.ok
     assert "subst-system" in again.failed_laws()
+    assert again.format() == expected.format()
+    assert [v.witness for v in again.violations()] == [v.witness for v in expected.violations()]
+
+
+# ---------------------------------------------------------------------------
+# the flat comparison of composites_equal on functors of real systems
+
+
+@functools.cache
+def _real_sites():
+    """For each of group-s3, and nat-e and b_to_e(finset-b) at heights
+    2-4: the system and the sides (g1, f1, g2, f2) of every
+    composites_equal call made while validating it."""
+    systems = [build_group_structure(*s3_table())]
+    for h in (2, 3, 4):
+        systems += [build_nat_esystem(h), b_to_e(build_finset_bsystem(h))]
+    real = esys.composites_equal
+    out = []
+    for e in systems:
+        sites = []
+
+        def record(e, g1, f1, g2, f2, slices=None, sites=sites):
+            sites.append((g1, f1, g2, f2))
+            return real(e, g1, f1, g2, f2, slices)
+
+        esys.composites_equal = record
+        try:
+            validate_esystem(e)
+        finally:
+            esys.composites_equal = real
+        out.append((e, sites))
+    return out
+
+
+def _copy_sf(F):
+    return SliceFunctorT(
+        F.source_apex,
+        F.target_apex,
+        obj_map=dict(F.obj_map),
+        mor_map=dict(F.mor_map),
+        term_map={k: dict(tm) for k, tm in F.term_map.items()},
+    )
+
+
+def _damage(draw, e, F):
+    """A copy of F with one entry dropped or changed, a term key outside
+    T, or a different apex; an unchanged copy where the drawn damage has
+    no entry to act on."""
+    F = _copy_sf(F)
+    cat = e.cat
+    kind = draw(
+        st.sampled_from(
+            ["drop-obj", "drop-mor", "drop-term", "drop-table", "obj-value", "mor-value",
+             "term-value", "term-key", "source-apex", "target-apex"]
+        )
+    )
+    tables = sorted(k for k, tm in F.term_map.items() if tm)
+    if kind == "drop-obj" and F.obj_map:
+        del F.obj_map[draw(st.sampled_from(sorted(F.obj_map)))]
+    elif kind == "drop-mor" and F.mor_map:
+        del F.mor_map[draw(st.sampled_from(sorted(F.mor_map)))]
+    elif kind == "drop-table" and F.term_map:
+        del F.term_map[draw(st.sampled_from(sorted(F.term_map)))]
+    elif kind == "drop-term" and tables:
+        tm = F.term_map[draw(st.sampled_from(tables))]
+        del tm[draw(st.sampled_from(sorted(tm)))]
+    elif kind == "obj-value" and F.obj_map:
+        x = draw(st.sampled_from(sorted(F.obj_map)))
+        F.obj_map[x] = draw(st.sampled_from(sorted(cat.arrows_into(F.target_apex))))
+    elif kind == "mor-value" and F.mor_map:
+        m = draw(st.sampled_from(sorted(F.mor_map)))
+        F.mor_map[m] = draw(st.sampled_from(sorted(cat.arrows)))
+    elif kind == "term-value" and tables:
+        k = draw(st.sampled_from(tables))
+        t = draw(st.sampled_from(sorted(F.term_map[k])))
+        F.term_map[k][t] = draw(st.sampled_from(sorted(set().union(*e.tc.terms.values()))))
+    elif kind == "term-key" and F.term_map:
+        k = draw(st.sampled_from(sorted(F.term_map)))
+        F.term_map[k]["not-a-term"] = draw(st.sampled_from(sorted(e.T(F.mor_map.get(k, k[0])) or {"x"})))
+    elif kind in ("source-apex", "target-apex"):
+        apex = draw(st.sampled_from(sorted(cat.objects)))
+        if kind == "source-apex":
+            F.source_apex = apex
+        else:
+            F.target_apex = apex
+    return F
+
+
+@st.composite
+def _damaged_sites(draw):
+    # indices, not sampled_from: labelling a long list of tables is slow
+    e, sites = _real_sites()[draw(st.integers(0, len(_real_sites()) - 1))]
+    sides = list(sites[draw(st.integers(0, len(sites) - 1))])
+    if draw(st.booleans()):
+        i = draw(st.sampled_from([i for i, F in enumerate(sides) if F is not None]))
+        sides[i] = _damage(draw, e, sides[i])
+    return e, sides
+
+
+def test_composites_equal_matches_reference_on_damaged_real_functors(monkeypatch):
+    """The flat comparison agrees with building both composites, on the
+    functors of real systems with at most one entry damaged, and both its
+    equal-tuple path and its fallback are taken."""
+    paths = collections.Counter()
+    real_sf_equal = esys.sf_equal
+
+    def counted(f, g):
+        paths["fallback"] += 1
+        return real_sf_equal(f, g)
+
+    monkeypatch.setattr(esys, "sf_equal", counted)
+
+    @settings(max_examples=400, deadline=None, database=None, derandomize=True)
+    @given(_damaged_sites())
+    def run(site):
+        e, sides = site
+        before = paths["fallback"]
+        assert composites_equal(e, *sides) == _reference(e, *sides)
+        if paths["fallback"] == before:
+            paths["tuple"] += 1
+
+    run()
+    assert paths["tuple"] > 0 and paths["fallback"] > 0
+
+
+def _two_slices(with_u: bool):
+    """An E-system with no terms on two objects a, b: the slices over a
+    and b have 3 cells each, or, with an arrow u: a -> b, 3 and 6."""
+    arrows = {"1a": Arrow("1a", "a", "a"), "1b": Arrow("1b", "b", "b")}
+    compose = {("1a", "1a"): "1a", ("1b", "1b"): "1b"}
+    if with_u:
+        arrows["u"] = Arrow("u", "a", "b")
+        compose.update({("u", "1a"): "u", ("1b", "u"): "u"})
+    cat = FinCat(frozenset({"a", "b"}), arrows, {"a": "1a", "b": "1b"}, compose)
+    return ESystem(tc=TermCat(cat=cat))
+
+
+def test_composites_equal_reads_tuples_over_their_own_cells():
+    # equal tuples over different source cells are different functors
+    e = _two_slices(with_u=False)
+    over_a = SliceFunctorT("a", "a", obj_map={"1a": "1a"})
+    over_b = SliceFunctorT("b", "a", obj_map={"1b": "1a"})
+    assert composites_equal(e, over_a, None, over_b, None) == ([], 2, 0)
+    # g∘f is not gathered where f lands in another slice than g starts in
+    e = _two_slices(with_u=True)
+    f = SliceFunctorT("a", "a", obj_map={"1a": "1a"})
+    g = SliceFunctorT("b", "b", obj_map={"1b": "1b"})
+    other = SliceFunctorT("a", "b", obj_map={"1a": "1b"})
+    assert composites_equal(e, g, f, other, None) == ([], 1, 0)
+    assert composites_equal(e, g, f, other, None) == _reference(e, g, f, other, None)
+    # over an apex that is no object, a form has the absent cell only
+    nowhere = SliceFunctorT("c", "c")
+    assert composites_equal(e, nowhere, nowhere, nowhere, nowhere) == ([], 0, 0)
+
+
+def test_composites_equal_counts_term_tables_without_morphisms():
+    """A term table is representable only at a morphism: an empty table
+    dropped, or one added where there is no morphism, is a skip."""
+    e = build_nat_esystem(2)
+    W = e.weak[nat_arrow(0, 0)]
+    empty = next(k for k, tm in sorted(W.term_map.items()) if not tm)
+    dropped = _copy_sf(W)
+    del dropped.term_map[empty]
+    assert composites_equal(e, W, None, dropped, None) == _reference(e, W, None, dropped, None)
+    assert composites_equal(e, W, None, dropped, None)[1] == 1
+    extra = _copy_sf(W)
+    del extra.mor_map[empty]
+    assert composites_equal(e, extra, None, dropped, None) == _reference(e, extra, None, dropped, None)
+    assert composites_equal(e, extra, None, dropped, None)[1] == 2
+
+
+def _corrupt_weak_term(e):
+    """Change one term image of a weakening W_A, A not an identity, to
+    another term of the same target set."""
+    for A, F in sorted(e.weak.items()):
+        if e.cat.is_id(A):
+            continue
+        for k in sorted(F.term_map):
+            img, tm = F.mor_map.get(k), F.term_map[k]
+            if img is not None and tm and len(e.T(img)) > 1:
+                t = sorted(tm)[0]
+                tm[t] = sorted(e.T(img) - {tm[t]})[0]
+                return
+    raise AssertionError("no term image to corrupt")
+
+
+def test_flat_forms_do_not_outlive_the_call():
+    e = build_nat_esystem(4)
+    first = validate_esystem(e)
+    _corrupt_weak_term(e)
+    again = validate_esystem(e)
+    fresh = build_nat_esystem(4)
+    _corrupt_weak_term(fresh)
+    expected = validate_esystem(fresh)
+    assert again.format() != first.format()
     assert again.format() == expected.format()
     assert [v.witness for v in again.violations()] == [v.witness for v in expected.violations()]

@@ -243,3 +243,74 @@ def test_cli_translate_broken_category(tmp_path, capsys, to, damage, partial, co
         assert printed.out == "" and printed.err.count("\n") == 1
         assert printed.err.startswith("error: ") and law in printed.err
     assert not out.exists()
+
+
+_NAT3 = json.dumps(save_structure(build_nat_esystem(3)))
+
+
+def _nat3_without(tmp_path, entry):
+    """nat-e h3, not partial, with one identity or composite removed."""
+    doc = json.loads(json.loads(_NAT3))
+    cat = doc["payload"]["cat"]
+    if entry[0] == "identity":
+        del cat["identity"][entry[1]]
+    else:
+        cat["compose"] = [row for row in cat["compose"] if row[:2] != list(entry[1:])]
+    cat["partial"] = False
+    path = tmp_path / "e.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def _nat3_removals():
+    cat = json.loads(json.loads(_NAT3))["payload"]["cat"]
+    return [("identity", x) for x in sorted(cat["identity"])] + [
+        ("compose", *row[:2]) for row in cat["compose"]
+    ]
+
+
+def _translate_fails_on_category(tmp_path, capsys, to, entry):
+    out = tmp_path / "out.json"
+    assert main(["translate", "--to", to, str(_nat3_without(tmp_path, entry)), "-o", str(out)]) == 1
+    printed = capsys.readouterr()
+    law = "FAIL cat:identity" if entry[0] == "identity" else "FAIL cat:compose-total"
+    assert law in printed.out and printed.err == ""
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("entry", _nat3_removals(), ids=lambda entry: ",".join(entry))
+def test_cli_translate_to_b_checks_the_category(tmp_path, capsys, entry):
+    """e_to_b reads no gap in the category, so the category is checked
+    first: every single removal reports the law it breaks and exits 1."""
+    _translate_fails_on_category(tmp_path, capsys, "b", entry)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        ("compose", "0>=0", "0>=0"),
+        ("compose", "0>=0", "1>=0"),
+        ("compose", "0>=0", "2>=0"),
+        ("compose", "0>=0", "3>=0"),
+        ("compose", "1>=0", "1>=1"),
+        ("compose", "1>=0", "2>=1"),
+        ("compose", "1>=0", "3>=1"),
+        ("compose", "2>=0", "2>=2"),
+        ("compose", "3>=0", "3>=3"),
+    ],
+    ids=lambda entry: ",".join(entry),
+)
+def test_cli_translate_to_c_rejection_checks_the_category(tmp_path, capsys, entry):
+    """These removals make ce_to_c reject the family category (a
+    ValueError); the broken input category is the defect reported."""
+    _translate_fails_on_category(tmp_path, capsys, "c", entry)
+
+
+def test_cli_translate_rejection_on_sound_category_is_input_error(tmp_path, capsys):
+    path, out = tmp_path / "g.json", tmp_path / "out.json"
+    path.write_text(save_structure(build_group_structure(*s3_table())))
+    assert main(["translate", "--to", "ce", str(path), "-o", str(out)]) == 2
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err == "error: e_to_ce needs a chosen terminal object\n"
+    assert not out.exists()

