@@ -285,10 +285,7 @@ def check_preservation(
                 continue
             lhs = compose_bhom(restrict_bhom(h, k - 1, ftbdx), sx)
             rhs = compose_bhom(tgt.subst[(k, ximg)], restrict_bhom(h, k, bdx))
-            bad, skipped, _ = bhom_eq(lhs, rhs)
-            rep.skip(name, skipped)
-            for w in bad:
-                rep.fail(name, (k, x) + w)
+            rep.record(name, bhom_eq(lhs, rhs), (k, x))
     elif which == "weak":
         for (n, X), wx in sorted(src.weak.items()):
             rep.tick(name)
@@ -302,10 +299,7 @@ def check_preservation(
                 continue
             lhs = compose_bhom(restrict_bhom(h, n, X), wx)
             rhs = compose_bhom(tgt.weak[(n, ximg)], restrict_bhom(h, n - 1, ftx))
-            bad, skipped, _ = bhom_eq(lhs, rhs)
-            rep.skip(name, skipped)
-            for w in bad:
-                rep.fail(name, (n, X) + w)
+            rep.record(name, bhom_eq(lhs, rhs), (n, X))
     else:
         for (n, X), d in sorted(src.gen.items()):
             rep.tick(name)
@@ -383,10 +377,7 @@ def validate_bsystem(sys: BSystem) -> Report:
             rep.skip("axiom-3")
             continue
         composite = compose_bhom(sx, wx)
-        bad, skipped, _ = bhom_eq(composite, bhom_identity(composite.source))
-        rep.skip("axiom-3", skipped)
-        for w in bad:
-            rep.fail("axiom-3", (k, x) + w)
+        rep.record("axiom-3", bhom_eq(composite, bhom_identity(composite.source)), (k, x))
 
     # axiom 4: S_x(delta(bd x)) = x
     for (k, x), sx in sorted(sys.subst.items()):
@@ -412,10 +403,7 @@ def validate_bsystem(sys: BSystem) -> Report:
             rep.skip("axiom-5")
             continue
         composite = compose_bhom(sd, restrict_bhom(wx, 1, X))
-        bad, skipped, _ = bhom_eq(composite, bhom_identity(composite.source))
-        rep.skip("axiom-5", skipped)
-        for w in bad:
-            rep.fail("axiom-5", (n, X) + w)
+        rep.record("axiom-5", bhom_eq(composite, bhom_identity(composite.source)), (n, X))
 
     return rep
 

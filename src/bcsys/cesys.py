@@ -180,9 +180,7 @@ def validate_cesystem(a: CESystem, rooted: bool = False, stratified: bool = Fals
             rep.skip("pb-b")
     for (f, A), (fA, pi2) in sorted(a.pb.items()):
         delta = base.dom(f)
-        for g in sorted(base.arrows):
-            if base.cod(g) != delta:
-                continue
+        for g in base.arrows_into(delta):
             rep.tick("pb-c")
             try:
                 fg = base.comp(f, g)

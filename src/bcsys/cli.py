@@ -34,7 +34,6 @@ from .xlate import (
     casce_iso,
     ce_to_c,
     ce_to_e,
-    compose_equivalence,
     e_to_b,
     e_to_ce,
     grand_roundtrip_iso,
@@ -153,9 +152,10 @@ def cmd_translate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     to = args.to
-    if kind == "esystem" and to == "b":
+    if kind == "esystem":
         # e_to_b copies the category's tables without reading them for
-        # gaps, so a broken category would come out as a B-system
+        # gaps, and e_to_ce reads only the entries it needs, so a broken
+        # category could come out as a translated document
         pre = _category_report(kind, obj)
         if not pre.ok:
             return _print_report(pre)
@@ -211,7 +211,7 @@ def _translate(kind: str, obj, to: str):
         if to == "ce":
             return e_to_ce(b_to_e(obj))
         if to == "c":
-            return compose_equivalence("b2c", obj).output
+            return ce_to_c(e_to_ce(b_to_e(obj)))
         if to == "b":
             return obj
     if kind == "esystem":
@@ -238,7 +238,7 @@ def _translate(kind: str, obj, to: str):
         if to == "e":
             return ce_to_e(c_to_ce(obj))
         if to == "b":
-            return compose_equivalence("c2b", obj).output
+            return e_to_b(ce_to_e(c_to_ce(obj)))
         if to == "c":
             return obj
     raise LoadError(f"cannot translate kind {kind!r} to {to!r}")

@@ -229,9 +229,7 @@ def validate_csystem(c: CSystem) -> Report:
 
     for (f, gamma), (ob_f, q_f) in sorted(c.pb.items()):
         delta = c.cat.dom(f)
-        for g in sorted(cat.arrows):
-            if cat.cod(g) != delta:
-                continue
+        for g in cat.arrows_into(delta):
             rep.tick("vii")
             try:
                 fg = cat.comp(f, g)

@@ -485,10 +485,7 @@ def _ehom_part(slices: _Slices, H: SliceFunctorT, part: str, rep: Report, law: s
                     if Sy is None or Syi is None:
                         rep.skip(law)
                         continue
-                    bad, skipped, _ = composites_equal(e, HP, Sy, Syi, HPQ, slices)
-                    rep.skip(law, skipped)
-                    for w in bad:
-                        rep.fail(law, (P, Q, y) + w)
+                    rep.record(law, composites_equal(e, HP, Sy, Syi, HPQ, slices), (P, Q, y))
             elif part == "weak":
                 rep.tick(law)
                 WQ = e.weak.get(Q)
@@ -496,10 +493,7 @@ def _ehom_part(slices: _Slices, H: SliceFunctorT, part: str, rep: Report, law: s
                 if WQ is None or Wi is None:
                     rep.skip(law)
                     continue
-                bad, skipped, _ = composites_equal(e, Wi, HP, HPQ, WQ, slices)
-                rep.skip(law, skipped)
-                for w in bad:
-                    rep.fail(law, (P, Q) + w)
+                rep.record(law, composites_equal(e, Wi, HP, HPQ, WQ, slices), (P, Q))
             else:  # proj
                 rep.tick(law)
                 oneQ = e.proj.get(Q)
@@ -628,10 +622,7 @@ def validate_esystem(e: ESystem) -> Report:
         if wid is None:
             rep.skip("weak-functor")
             continue
-        bad, skipped, _ = sf_equal(wid, slices.identity(X))
-        rep.skip("weak-functor", skipped)
-        for w in bad:
-            rep.fail("weak-functor", (X,) + w, "W_id != id")
+        rep.record("weak-functor", sf_equal(wid, slices.identity(X)), (X,), "W_id != id")
     for A in arrows:
         for P in slice_objects(cat, cat.dom(A)):
             rep.tick("weak-functor")
@@ -641,10 +632,8 @@ def validate_esystem(e: ESystem) -> Report:
             if wa is None or wp is None or wap is None:
                 rep.skip("weak-functor")
                 continue
-            bad, skipped, _ = composites_equal(e, wap, None, wp, wa, slices)
-            rep.skip("weak-functor", skipped)
-            for w in bad:
-                rep.fail("weak-functor", (A, P) + w, "W_{A.P} != W_P . W_A")
+            diff = composites_equal(e, wap, None, wp, wa, slices)
+            rep.record("weak-functor", diff, (A, P), "W_{A.P} != W_P . W_A")
 
     # slice-level homomorphism laws
     for (A, x), sx in sorted(e.subst.items()):
@@ -663,10 +652,8 @@ def validate_esystem(e: ESystem) -> Report:
         if wa is None:
             rep.skip("e-axiom-3")
             continue
-        bad, skipped, _ = composites_equal(e, sx, wa, slices.identity(cat.cod(A)), None, slices)
-        rep.skip("e-axiom-3", skipped)
-        for w in bad:
-            rep.fail("e-axiom-3", (A, x) + w)
+        diff = composites_equal(e, sx, wa, slices.identity(cat.cod(A)), None, slices)
+        rep.record("e-axiom-3", diff, (A, x))
 
     # axiom 4: S_x(1_A) = x
     for (A, x), sx in sorted(e.subst.items()):
@@ -701,10 +688,8 @@ def validate_esystem(e: ESystem) -> Report:
         if waa is None:
             rep.skip("e-axiom-5")
             continue
-        bad, skipped, _ = composites_equal(e, s1, waa, slices.identity(cat.dom(A)), None, slices)
-        rep.skip("e-axiom-5", skipped)
-        for w in bad:
-            rep.fail("e-axiom-5", (A,) + w)
+        diff = composites_equal(e, s1, waa, slices.identity(cat.dom(A)), None, slices)
+        rep.record("e-axiom-5", diff, (A,))
 
     if e.levels is not None:
         _check_stratified(e, rep)
@@ -811,20 +796,14 @@ def validate_ehom(h: EHom) -> Report:
                 if sx is None or sxi is None:
                     rep.skip("preserve-sub")
                     continue
-                bad, skipped, _ = composites_equal(src, hg, sx, sxi, ha, slices)
-                rep.skip("preserve-sub", skipped)
-                for w in bad:
-                    rep.fail("preserve-sub", (gamma, A, x) + w)
+                rep.record("preserve-sub", composites_equal(src, hg, sx, sxi, ha, slices), (gamma, A, x))
             rep.tick("preserve-weak")
             wa = src.weak.get(A)
             wi = tgt.weak.get(Aimg)
             if wa is None or wi is None:
                 rep.skip("preserve-weak")
             else:
-                bad, skipped, _ = composites_equal(src, ha, wa, wi, hg, slices)
-                rep.skip("preserve-weak", skipped)
-                for w in bad:
-                    rep.fail("preserve-weak", (gamma, A) + w)
+                rep.record("preserve-weak", composites_equal(src, ha, wa, wi, hg, slices), (gamma, A))
             rep.tick("preserve-proj")
             one = src.proj.get(A)
             onei = tgt.proj.get(Aimg)

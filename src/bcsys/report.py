@@ -59,6 +59,20 @@ class Report:
     def fail(self, name: str, witness: tuple, detail: str = "") -> None:
         self.law(name).violations.append(Violation(name, witness, detail))
 
+    def record(
+        self, name: str, diff: tuple[list[tuple], int, int], prefix: tuple = (), detail: str = ""
+    ) -> None:
+        """Enter a table comparison's ``(bad, skipped, checked)`` under ``name``.
+
+        Adds ``skipped`` (registering the law even when it is 0) and fails
+        each witness ``prefix + w`` with ``detail``, in the order given.
+        ``checked`` is not ticked: callers tick in their own units.
+        """
+        bad, skipped, _ = diff
+        self.skip(name, skipped)
+        for w in bad:
+            self.fail(name, prefix + w, detail)
+
     def miss(self, name: str, reason: str) -> None:
         self.law(name).missing = reason
 

@@ -6,12 +6,15 @@ arrow names is tested for composability, and every candidate cone
 searches all of hom(Z, P) for mediators, with a missing composite raised
 as Truncated and caught as a skip.
 
-The last three build the internal-hom category, the E-to-CE translation
+The next three build the internal-hom category, the E-to-CE translation
 and the vertical composite the way ``esys.internal_hom_cat``,
 ``xlate.e_to_ce`` and ``esys.vertical_compose`` used to: one whole
 precomposite f* = compose_sf(S_f, restrict_sf(W_A, B)) per internal
 morphism f, and one whole restriction W_{A.P}/B per vertical composite.
 ``e_to_ce_reference`` calls the other two references.
+
+The last builds the unit the way ``xlate.unit_ehom`` used to: one whole
+restriction W_{!Γ}/!Γ per arrow A into Γ, to read the position of A.
 
 Tests compare the fast code against them, result for result.
 """
@@ -19,8 +22,9 @@ Tests compare the fast code against them, result for result.
 from __future__ import annotations
 
 from bcsys.cesys import CESystem
-from bcsys.core import Arrow, FinCat, slice_category, triangle_id, validate_units
+from bcsys.core import Arrow, FinCat, FunctorData, slice_category, triangle_id, validate_units
 from bcsys.esys import (
+    EHom,
     ESystem,
     hom_terms_of,
     ih_arrow,
@@ -32,6 +36,7 @@ from bcsys.esys import (
     term_extension,
 )
 from bcsys.report import Report, Truncated
+from bcsys.xlate import ce_to_e, e_to_ce
 
 
 def validate_fincat_reference(c: FinCat) -> Report:
@@ -295,3 +300,60 @@ def e_to_ce_reference(e: ESystem) -> CESystem:
                 continue
             a.pb[(name, triangle_id(R, BR, B))] = (pulled, pi2name)
     return a
+
+
+def unit_ehom_reference(e: ESystem) -> EHom:
+    """eta: e -> ce_to_e(e_to_ce(e)), the slice-at-terminal comparison."""
+    a = e_to_ce(e)
+    ehat = ce_to_e(a)
+    root = e.cat.terminal
+    cat = e.cat
+    bang = {}
+    for x in cat.objects:
+        hs = cat.hom(x, root)
+        bang[x] = hs[0] if len(hs) == 1 else None
+    object_map = {x: bang[x] for x in cat.objects if bang[x] is not None}
+    arrow_map = {}
+    for h in cat.arrows:
+        f, g = bang.get(cat.dom(h)), bang.get(cat.cod(h))
+        if f is None or g is None:
+            continue
+        t = triangle_id(h, f, g)
+        if t in ehat.cat.arrows:
+            arrow_map[h] = t
+    term_map: dict[str, dict[str, str]] = {}
+    for A in cat.arrows:
+        tm = {}
+        gamma = cat.cod(A)
+        bg = bang.get(gamma)
+        if bg is None:
+            term_map[A] = tm
+            continue
+        one = e.proj.get(bg)
+        wb = e.weak.get(bg)
+        if one is None or wb is None:
+            term_map[A] = tm
+            continue
+        abar = wb.obj_map.get(bg)
+        try:
+            pbar = restrict_sf(e, wb, bg).obj_map.get(A)
+        except Truncated:
+            pbar = None
+        if abar is None or pbar is None:
+            term_map[A] = tm
+            continue
+        for t in e.T(A):
+            try:
+                val = term_extension(e, abar, pbar, one, t)
+            except Truncated:
+                continue
+            name = ih_arrow(bang[gamma], bang[cat.dom(A)], val)
+            if arrow_map.get(A) is not None and name in ehat.T(arrow_map[A]):
+                tm[t] = name
+        term_map[A] = tm
+    return EHom(
+        source=e,
+        target=ehat,
+        functor=FunctorData(cat, ehat.cat, object_map, arrow_map),
+        term_map=term_map,
+    )

@@ -1,7 +1,7 @@
 import hypothesis.strategies as st
 from hypothesis import given
 
-from bcsys.report import diff_maps, diff_tables
+from bcsys.report import Report, diff_maps, diff_tables
 
 small_maps = st.dictionaries(st.sampled_from("abcdef"), st.integers(0, 2), max_size=6)
 
@@ -43,3 +43,54 @@ def test_diff_maps_matches_a_loop_over_the_sorted_key_union(f, g):
     out: list[tuple] = []
     assert diff_maps(f, g, ("t",), out) == (skipped, checked)
     assert out == bad
+
+
+witness_lists = st.lists(st.tuples(st.sampled_from("xyz"), st.integers(0, 3)), max_size=4)
+diffs = st.tuples(witness_lists, st.integers(0, 5), st.integers(0, 5))
+
+
+def _skip_and_fail(rep, name, diff, prefix=(), detail=""):
+    """What every table comparison did before Report.record."""
+    bad, skipped, _ = diff
+    rep.skip(name, skipped)
+    for w in bad:
+        rep.fail(name, prefix + w, detail)
+
+
+def _state(rep: Report) -> list:
+    return [
+        (name, r.checked, r.skipped, r.missing, [(v.law, v.witness, v.detail) for v in r.violations])
+        for name, r in rep.laws.items()
+    ]
+
+
+record_calls = st.lists(
+    st.tuples(st.sampled_from(["law", "other"]), diffs, st.tuples(st.integers(0, 2)), st.text(max_size=3))
+)
+
+
+@given(record_calls, st.integers(0, 3))
+def test_record_equals_skip_then_fail_in_order(calls, ticks):
+    old, new = Report(), Report()
+    for rep in (old, new):
+        rep.tick("law", ticks)
+    for name, diff, prefix, detail in calls:
+        _skip_and_fail(old, name, diff, prefix, detail)
+        new.record(name, diff, prefix, detail)
+    assert _state(new) == _state(old)
+    assert new.format() == old.format()
+
+
+@given(st.integers(0, 5))
+def test_record_registers_the_law_on_an_empty_diff_and_never_ticks(checked):
+    rep = Report()
+    rep.record("law", ([], 0, checked))
+    assert rep.format() == "PASS law (checked 0)"
+
+
+def test_record_defaults_to_no_prefix_and_no_detail():
+    rep = Report()
+    rep.record("law", ([("a", 1), ("b", 2)], 3, 7))
+    res = rep.laws["law"]
+    assert (res.checked, res.skipped) == (0, 3)
+    assert [(v.witness, v.detail) for v in res.violations] == [(("a", 1), ""), (("b", 2), "")]

@@ -2,13 +2,14 @@ import json
 
 import pytest
 
+import bcsys
 from bcsys.bsys import build_finset_bsystem, validate_bsystem
 from bcsys.cesys import build_finset_cesystem
 from bcsys.cli import main
 from bcsys.esys import build_group_structure, build_nat_esystem, s3_table
 from bcsys.serialize import LoadError, load_structure, save_structure
 from bcsys.syntax import parse_signature
-from bcsys.xlate import ce_to_c
+from bcsys.xlate import ce_to_c, compose_equivalence
 
 
 @pytest.mark.parametrize(
@@ -285,6 +286,14 @@ def test_cli_translate_to_b_checks_the_category(tmp_path, capsys, entry):
     _translate_fails_on_category(tmp_path, capsys, "b", entry)
 
 
+@pytest.mark.parametrize("to", ["ce", "c"])
+@pytest.mark.parametrize("entry", _nat3_removals(), ids=lambda entry: ",".join(entry))
+def test_cli_translate_to_ce_and_c_check_the_category(tmp_path, capsys, to, entry):
+    """e_to_ce reads only the entries it needs, so the category is checked
+    first for these targets too: every single removal exits 1."""
+    _translate_fails_on_category(tmp_path, capsys, to, entry)
+
+
 @pytest.mark.parametrize(
     "entry",
     [
@@ -314,3 +323,27 @@ def test_cli_translate_rejection_on_sound_category_is_input_error(tmp_path, caps
     assert printed.out == ""
     assert printed.err == "error: e_to_ce needs a chosen terminal object\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("height", [3, 4])
+def test_cli_translate_between_b_and_c_runs_no_validation(tmp_path, monkeypatch, height):
+    """B to C and C to B compose the three single-step translations, with
+    the bytes compose_equivalence's output has, and validate nothing."""
+    b = build_finset_bsystem(height)
+    c = compose_equivalence("b2c", b).output
+    expected = {"c": save_structure(c), "b": save_structure(compose_equivalence("c2b", c).output)}
+    b_doc, c_doc = tmp_path / "b.json", tmp_path / "c.json"
+    b_doc.write_text(save_structure(b))
+    c_doc.write_text(expected["c"])
+
+    def no_validation(*args, **kwargs):
+        raise AssertionError("translate ran a validator")
+
+    for module in (bcsys.bsys, bcsys.cesys, bcsys.cli, bcsys.core, bcsys.csys, bcsys.esys, bcsys.xlate):
+        for name in dir(module):
+            if name.startswith("validate_"):
+                monkeypatch.setattr(module, name, no_validation)
+    for to, src in (("c", b_doc), ("b", c_doc)):
+        out = tmp_path / f"out.{to}.json"
+        assert main(["translate", "--to", to, str(src), "-o", str(out)]) == 0
+        assert out.read_text() == expected[to]

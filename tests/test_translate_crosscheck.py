@@ -1,11 +1,12 @@
 """The pointwise E-to-CE translation against the composite-building one.
 
-``esys.internal_hom_cat``, ``xlate.e_to_ce`` and ``esys.vertical_compose``
-read single entries of S_f, W_A/B and W_{A.P}; ``reference.py`` keeps the
-versions that build f* = S_f ∘ (W_A/B) and W_{A.P}/B whole. Each check
-here asserts the same tables (or the same exception type, and for
-Truncated the same missing entry) on the built examples and on
-E-systems with entries dropped or retargeted.
+``esys.internal_hom_cat``, ``xlate.e_to_ce``, ``esys.vertical_compose``
+and ``xlate.unit_ehom`` read single entries of S_f, W_A/B, W_{A.P} and
+W_{!Γ}/!Γ; ``reference.py`` keeps the versions that build f* = S_f ∘
+(W_A/B), W_{A.P}/B and W_{!Γ}/!Γ whole. Each check here asserts the same
+tables (or the same exception type, and for Truncated the same missing
+entry) on the built examples and on E-systems with entries dropped or
+retargeted.
 """
 
 import contextlib
@@ -24,9 +25,14 @@ from bcsys.core import FinCat
 from bcsys.esys import build_nat_esystem, internal_hom_cat, vertical_compose
 from bcsys.report import Truncated
 from bcsys.serialize import save_structure
-from bcsys.xlate import b_to_e, e_to_ce
+from bcsys.xlate import b_to_e, e_to_ce, unit_ehom
 
-from reference import e_to_ce_reference, internal_hom_cat_reference, vertical_compose_reference
+from reference import (
+    e_to_ce_reference,
+    internal_hom_cat_reference,
+    unit_ehom_reference,
+    vertical_compose_reference,
+)
 
 
 def fincat_tables(c: FinCat) -> tuple:
@@ -302,6 +308,73 @@ def test_damage_reaches_every_branch():
             sys.settrace(previous)
     missed = {(fn.__name__, ln) for fn in fns for ln in branch_lines(fn)} - hit
     assert not missed
+
+
+# ---------------------------------------------------------------------------
+# the unit eta: e -> ce_to_e(e_to_ce(e))
+
+
+def ehom_tables(h) -> tuple:
+    return (h.functor.object_map, h.functor.arrow_map, h.term_map, fincat_tables(h.target.cat))
+
+
+def assert_unit_matches(e) -> object:
+    got = outcome(unit_ehom, ehom_tables, e)
+    assert got == outcome(unit_ehom_reference, ehom_tables, e)
+    return got
+
+
+@pytest.mark.parametrize("height", range(2, 6))
+@pytest.mark.parametrize("kind", ["nat-e", "finset-b"])
+def test_unit_ehom_matches_reference_on_examples(kind, height):
+    _objects, _arrows, term_map, _cat = assert_unit_matches(built(kind, height))
+    assert any(term_map.values())
+
+
+def one_damage(damage, rng):
+    """A chooser for damaged_system that applies exactly one ``damage``."""
+
+    def choose(seq):
+        if seq is DAMAGE:
+            return damage
+        if seq == (1, 2, 3, 4):
+            return 1
+        return rng.choice(seq)
+
+    return choose
+
+
+@pytest.mark.parametrize("damage", DAMAGE)
+@pytest.mark.parametrize("kind", sorted(BASES))
+def test_unit_ehom_matches_reference_with_one_damage(kind, damage):
+    rng = random.Random(0)
+    for _ in range(5):
+        assert_unit_matches(damaged_system(one_damage(damage, rng), kind))
+
+
+@pytest.mark.parametrize("kind", sorted(BASES))
+def test_unit_ehom_matches_reference_with_each_position_read_dropped(kind):
+    """For every arrow A into Γ, drop W_{!Γ}(!Γ), the composite !Γ∘A or
+    the position W_{!Γ}.mor_map[(A, !Γ∘A, !Γ)] that unit_ehom reads."""
+    base = BASES[kind]
+    cat = base.cat
+    changed = 0
+    for A in sorted(cat.arrows):
+        bang = cat.hom(cat.cod(A), cat.terminal)
+        if len(bang) != 1 or bang[0] not in base.weak:
+            continue
+        bg = bang[0]
+        key = (bg, A)
+        drops = [
+            lambda e: e.weak[bg].obj_map.pop(bg, None),
+            lambda e: e.cat.compose.pop(key, None),
+            lambda e: e.weak[bg].mor_map.pop((A, e.cat.compose.get(key), bg), None),
+        ]
+        for drop in drops:
+            e = copy.deepcopy(base)
+            drop(e)
+            changed += assert_unit_matches(e) != outcome(unit_ehom, ehom_tables, base)
+    assert changed
 
 
 # ---------------------------------------------------------------------------
