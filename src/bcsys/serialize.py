@@ -9,6 +9,7 @@ not run the domain-law validators; the CLI's check command does that.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring_ascii as _enc
 from typing import Any
 
 from .bsys import BFrame, BFrameHom, BSystem
@@ -26,7 +27,57 @@ class LoadError(ValueError):
 
 
 def dumps(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    r"""``json.dumps(doc, sort_keys=True, indent=2) + "\n"``, byte for byte.
+
+    ``json`` uses its C encoder only when ``indent`` is None, so the
+    indented form would run the pure-Python encoder, which also collects
+    every token of the document in one list before joining. This writer
+    holds one joined string per nesting level instead. It writes what
+    ``json`` writes: strings through json's own ``encode_basestring_ascii``,
+    ``int`` by ``int.__repr__``, ``true``/``false``/``null``, ``[]`` and
+    ``{}`` for empty containers, every item on its own line two spaces
+    deeper than its container, items joined by ``","``, a dict's entries
+    sorted by key (keys are distinct, so sorting the items orders by key
+    alone) and written ``key: value``. Payloads hold only dicts with
+    ``str`` keys, lists, ``str``, ``int``, ``bool`` and ``None``; any
+    other type, a tuple or a float among them, raises ``TypeError``.
+    """
+    return _dump(doc, "\n") + "\n"
+
+
+def _dump(v: Any, nl: str) -> str:
+    """v written at the indentation ``nl`` (a newline and its indent)."""
+    if isinstance(v, str):
+        return _enc(v)
+    if v is None:
+        return "null"
+    if v is True:
+        return "true"
+    if v is False:
+        return "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    inner = nl + "  "
+    sep = "," + inner
+    if isinstance(v, list):
+        if not v:
+            return "[]"
+        if all(type(x) is str for x in v):
+            body = sep.join(map(_enc, v))
+        else:
+            body = sep.join([_dump(x, inner) for x in v])
+        return "[" + inner + body + nl + "]"
+    if isinstance(v, dict):
+        if not v:
+            return "{}"
+        items = sorted(v.items())
+        # _enc raises TypeError on a key that is not a str
+        if all(type(x) is str for _, x in items):
+            body = sep.join([_enc(k) + ": " + _enc(x) for k, x in items])
+        else:
+            body = sep.join([_enc(k) + ": " + _dump(x, inner) for k, x in items])
+        return "{" + inner + body + nl + "}"
+    raise TypeError(f"cannot write {type(v).__name__} to a document")
 
 
 # ---------------------------------------------------------------------------

@@ -136,8 +136,25 @@ def _sfunctor_of_bhom(
     return sf
 
 
+def _subst_of(bsys: BSystem, level: int, x: str) -> BFrameHom:
+    try:
+        return bsys.subst[(level, x)]
+    except KeyError:
+        raise Truncated(f"subst({level},{x!r})") from None
+
+
 def b_to_e(bsys: BSystem) -> ESystem:
-    """The stratified E-system on the free category of a B-system's frame."""
+    """The stratified E-system on the free category of a B-system's frame.
+
+    Every term tuple is packed once, and every term table is filled from
+    those packed ids: a tuple enters the table of a slice morphism when
+    the level map sends each of its components, which is exactly when
+    ``map`` over them raises no ``KeyError``, and its image is the packed
+    tuple of the images, looked up in ``packs`` when it is itself a term
+    tuple. So the tables are those of packing each tuple where it is
+    used. A substitution the B-system lacks raises ``Truncated`` naming
+    it.
+    """
     frame = bsys.frame
     cat, strat = free_cat_of_tree(_tree_of_frame(frame))
 
@@ -160,7 +177,7 @@ def b_to_e(bsys: BSystem) -> ESystem:
                 if k == 1:
                     for x in t1[(n, X)]:
                         out.append((x,))
-                        shoms[(n, X, (x,))] = bsys.subst[(n, x)]
+                        shoms[(n, X, (x,))] = _subst_of(bsys, n, x)
                 else:
                     ftX = frame.ft[n][X]
                     for t in tsets.get((n - 1, ftX, k - 1), []):
@@ -173,49 +190,58 @@ def b_to_e(bsys: BSystem) -> ESystem:
                             tup = t + (x,)
                             out.append(tup)
                             shoms[(n, X, tup)] = compose_bhom(
-                                bsys.subst[(lv, x)], restrict_bhom(st, 1, X)
+                                _subst_of(bsys, lv, x), restrict_bhom(st, 1, X)
                             )
                 tsets[(n, X, k)] = out
 
+    packed = {key: [(t, pack_ids(t)) for t in tups] for key, tups in tsets.items()}
     terms: dict[str, frozenset[str]] = {}
-    for (n, X, k), tups in tsets.items():
-        terms[path_id(n, X, k)] = frozenset(pack_ids(t) for t in tups)
+    for (n, X, k), rows in packed.items():
+        terms[path_id(n, X, k)] = frozenset(p for _t, p in rows)
     e = ESystem(tc=TermCat(cat=cat, terms=terms), levels=dict(strat.level))
+    packs = {t: p for rows in packed.values() for t, p in rows}
+    empty = pack_ids(())
+    parsed: dict[str, tuple[int, str, int]] = {}
 
     def fill_terms(sf: SliceFunctorT, hom: BFrameHom, n_src: int) -> None:
         # terms of an arrow (y, d) are flat tuples of elements one level
         # above its codomain; the functor acts componentwise
         for key in list(sf.mor_map):
-            h, _f, _g = key
-            m, y, d = parse_path_id(h)
+            h = key[0]
+            loc = parsed.get(h)
+            if loc is None:
+                loc = parsed[h] = parse_path_id(h)
+            m, y, d = loc
             if d == 0:
-                sf.term_map[key] = {pack_ids(()): pack_ids(())}
+                sf.term_map[key] = {empty: empty}
                 continue
-            slice_lvl = (m - d + 1) - n_src
-            tmap = hom.Ht.get(slice_lvl, {})
+            image = hom.Ht.get((m - d + 1) - n_src, {}).__getitem__
             table = {}
-            for tup in tsets.get((m, y, d), []):
-                if all(c in tmap for c in tup):
-                    table[pack_ids(tup)] = pack_ids(tuple(tmap[c] for c in tup))
+            for t, p in packed.get((m, y, d), ()):
+                try:
+                    img = tuple(map(image, t))
+                except KeyError:
+                    continue
+                table[p] = packs.get(img) or pack_ids(img)
             sf.term_map[key] = table
 
     # substitution functors for every arrow and term tuple
-    for (n, X, k), tups in tsets.items():
+    for (n, X, k), rows in packed.items():
         if k == 0:
             continue
         ftk = frame.ft_iter(n, X, k)
-        for t in tups:
+        for t, p in rows:
             hom = shoms[(n, X, t)]
             sf = _sfunctor_of_bhom(cat, hom, n, X, n - k, ftk)
             fill_terms(sf, hom, n)
-            e.subst[(path_id(n, X, k), pack_ids(t))] = sf
+            e.subst[(path_id(n, X, k), p)] = sf
     # identity arrows: substitution by the empty tuple is the identity
     for n in range(frame.height + 1):
         for X in frame.B[n]:
             hom = shoms[(n, X, ())]
             sf = _sfunctor_of_bhom(cat, hom, n, X, n, X)
             fill_terms(sf, hom, n)
-            e.subst[(path_id(n, X, 0), pack_ids(()))] = sf
+            e.subst[(path_id(n, X, 0), empty)] = sf
 
     # weakening: composites of the one-step weakening homs
     whoms: dict[tuple[int, str, int], BFrameHom] = {}
@@ -518,7 +544,15 @@ def proj_path(gamma: str, k: int) -> str:
 
 
 def c_to_ce(c: CSystem) -> CESystem:
-    """Families freely generated by the canonical projections."""
+    """Families freely generated by the canonical projections.
+
+    The pullback of a length-n projection p_ξ^n along f needs cod f =
+    ft^n(ξ), so the loop walks ``arrows_into`` that object instead of
+    testing every arrow. It reads only entries of length n - 1 and writes
+    each key (f, p_ξ^n) once, so the order of the walk changes only the
+    insertion order of ``pb``, which every reader sorts or compares as a
+    dict.
+    """
     cat = c.cat
     arrows: dict[str, Arrow] = {}
     identity: dict[str, str] = {}
@@ -584,9 +618,7 @@ def c_to_ce(c: CSystem) -> CESystem:
             if c.length.get(xi, 0) < n:
                 continue
             p_prime = proj_path(c.ft[xi], n - 1)
-            for f in cat.arrows:
-                if cat.cod(f) != ftk[(xi, n)]:
-                    continue
+            for f in cat.arrows_into(ftk[(xi, n)]):
                 inner = a.pb.get((f, p_prime))
                 if inner is None:
                     continue
@@ -600,7 +632,13 @@ def c_to_ce(c: CSystem) -> CESystem:
 
 
 def ce_to_c(a: CESystem) -> CSystem:
-    """Read a C-system off a rooted stratified CE-system."""
+    """Read a C-system off a rooted stratified CE-system.
+
+    The pullback of X along f needs cod f = ft(X), so the loop walks
+    ``arrows_into(ft(X))`` instead of testing every arrow; each key
+    (f, X) is written once, so only the insertion order of ``pb``
+    changes, which every reader sorts or compares as a dict.
+    """
     strat = stratify(a.fam)
     if not isinstance(strat, Stratification):
         raise ValueError(f"family category does not stratify: {strat}")
@@ -625,9 +663,7 @@ def ce_to_c(a: CESystem) -> CSystem:
     for X in cat.objects:
         if length[X] == 0:
             continue
-        for f in cat.arrows:
-            if cat.cod(f) != ft[X]:
-                continue
+        for f in cat.arrows_into(ft[X]):
             entry = a.pb.get((f, ind[X]))
             if entry is None:
                 continue

@@ -13,19 +13,47 @@ precomposite f* = compose_sf(S_f, restrict_sf(W_A, B)) per internal
 morphism f, and one whole restriction W_{A.P}/B per vertical composite.
 ``e_to_ce_reference`` calls the other two references.
 
-The last builds the unit the way ``xlate.unit_ehom`` used to: one whole
-restriction W_{!Γ}/!Γ per arrow A into Γ, to read the position of A.
+``unit_ehom_reference`` builds the unit the way ``xlate.unit_ehom`` used
+to: one whole restriction W_{!Γ}/!Γ per arrow A into Γ, to read the
+position of A.
+
+The last three are ``xlate.b_to_e``, ``c_to_ce`` and ``ce_to_c`` as they
+were before ``b_to_e`` packed each term tuple once and the pullback
+loops walked ``arrows_into``: every term tuple and its image is packed
+where it is used, and every arrow of the base is tested for its
+codomain. ``b_to_e_reference`` raises ``KeyError`` on a missing
+substitution, where ``b_to_e`` raises ``Truncated``.
 
 Tests compare the fast code against them, result for result.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
+
+from bcsys.bsys import BFrameHom, BSystem, bhom_identity, compose_bhom, restrict_bhom, slice_bframe
 from bcsys.cesys import CESystem
-from bcsys.core import Arrow, FinCat, FunctorData, slice_category, triangle_id, validate_units
+from bcsys.core import (
+    Arrow,
+    FinCat,
+    FunctorData,
+    Stratification,
+    free_cat_of_tree,
+    individual_arrow,
+    pack_ids,
+    parse_path_id,
+    path_id,
+    slice_category,
+    stratify,
+    triangle_id,
+    validate_units,
+)
+from bcsys.csys import CSystem
 from bcsys.esys import (
     EHom,
     ESystem,
+    SliceFunctorT,
+    TermCat,
     hom_terms_of,
     ih_arrow,
     ih_term,
@@ -36,7 +64,7 @@ from bcsys.esys import (
     term_extension,
 )
 from bcsys.report import Report, Truncated
-from bcsys.xlate import ce_to_e, e_to_ce
+from bcsys.xlate import _sfunctor_of_bhom, _tree_of_frame, ce_to_e, e_to_ce, proj_path
 
 
 def validate_fincat_reference(c: FinCat) -> Report:
@@ -357,3 +385,255 @@ def unit_ehom_reference(e: ESystem) -> EHom:
         functor=FunctorData(cat, ehat.cat, object_map, arrow_map),
         term_map=term_map,
     )
+
+
+def b_to_e_reference(bsys: BSystem) -> ESystem:
+    """The stratified E-system on the free category of a B-system's frame."""
+    frame = bsys.frame
+    cat, strat = free_cat_of_tree(_tree_of_frame(frame))
+
+    # inductive term tuples and their substitution homomorphisms
+    t1: dict[tuple[int, str], list[str]] = {}
+    for k in range(1, frame.height + 1):
+        for X in frame.B[k]:
+            t1[(k, X)] = sorted(x for x in frame.Bt[k] if frame.bd[k][x] == X)
+
+    tsets: dict[tuple[int, str, int], list[tuple[str, ...]]] = {}
+    shoms: dict[tuple[int, str, tuple[str, ...]], BFrameHom] = {}
+    for n in range(frame.height + 1):
+        for X in frame.B[n]:
+            tsets[(n, X, 0)] = [()]
+            shoms[(n, X, ())] = bhom_identity(slice_bframe(frame, n, X))
+    for k in range(1, frame.height + 1):
+        for n in range(k, frame.height + 1):
+            for X in frame.B[n]:
+                out: list[tuple[str, ...]] = []
+                if k == 1:
+                    for x in t1[(n, X)]:
+                        out.append((x,))
+                        shoms[(n, X, (x,))] = bsys.subst[(n, x)]
+                else:
+                    ftX = frame.ft[n][X]
+                    for t in tsets.get((n - 1, ftX, k - 1), []):
+                        st = shoms[(n - 1, ftX, t)]
+                        if X not in st.H.get(1, {}):
+                            continue
+                        y = st.H[1][X]
+                        lv = n - k + 1
+                        for x in t1.get((lv, y), []):
+                            tup = t + (x,)
+                            out.append(tup)
+                            shoms[(n, X, tup)] = compose_bhom(
+                                bsys.subst[(lv, x)], restrict_bhom(st, 1, X)
+                            )
+                tsets[(n, X, k)] = out
+
+    terms: dict[str, frozenset[str]] = {}
+    for (n, X, k), tups in tsets.items():
+        terms[path_id(n, X, k)] = frozenset(pack_ids(t) for t in tups)
+    e = ESystem(tc=TermCat(cat=cat, terms=terms), levels=dict(strat.level))
+
+    def fill_terms(sf: SliceFunctorT, hom: BFrameHom, n_src: int) -> None:
+        # terms of an arrow (y, d) are flat tuples of elements one level
+        # above its codomain; the functor acts componentwise
+        for key in list(sf.mor_map):
+            h, _f, _g = key
+            m, y, d = parse_path_id(h)
+            if d == 0:
+                sf.term_map[key] = {pack_ids(()): pack_ids(())}
+                continue
+            slice_lvl = (m - d + 1) - n_src
+            tmap = hom.Ht.get(slice_lvl, {})
+            table = {}
+            for tup in tsets.get((m, y, d), []):
+                if all(c in tmap for c in tup):
+                    table[pack_ids(tup)] = pack_ids(tuple(tmap[c] for c in tup))
+            sf.term_map[key] = table
+
+    # substitution functors for every arrow and term tuple
+    for (n, X, k), tups in tsets.items():
+        if k == 0:
+            continue
+        ftk = frame.ft_iter(n, X, k)
+        for t in tups:
+            hom = shoms[(n, X, t)]
+            sf = _sfunctor_of_bhom(cat, hom, n, X, n - k, ftk)
+            fill_terms(sf, hom, n)
+            e.subst[(path_id(n, X, k), pack_ids(t))] = sf
+    # identity arrows: substitution by the empty tuple is the identity
+    for n in range(frame.height + 1):
+        for X in frame.B[n]:
+            hom = shoms[(n, X, ())]
+            sf = _sfunctor_of_bhom(cat, hom, n, X, n, X)
+            fill_terms(sf, hom, n)
+            e.subst[(path_id(n, X, 0), pack_ids(()))] = sf
+
+    # weakening: composites of the one-step weakening homs
+    whoms: dict[tuple[int, str, int], BFrameHom] = {}
+    for n in range(frame.height + 1):
+        for X in frame.B[n]:
+            whoms[(n, X, 0)] = bhom_identity(slice_bframe(frame, n, X))
+    for k in range(1, frame.height + 1):
+        for n in range(k, frame.height + 1):
+            for X in frame.B[n]:
+                prev = whoms.get((n - 1, frame.ft[n][X], k - 1))
+                wx = bsys.weak.get((n, X))
+                if prev is None or wx is None:
+                    continue
+                whoms[(n, X, k)] = compose_bhom(wx, prev)
+    for (n, X, k), hom in whoms.items():
+        sf = _sfunctor_of_bhom(cat, hom, n - k, frame.ft_iter(n, X, k), n, X)
+        fill_terms(sf, hom, n - k)
+        e.weak[path_id(n, X, k)] = sf
+
+    # identity terms, built inductively from the generic elements
+    ones: dict[tuple[int, str, int], tuple[str, ...]] = {}
+    for n in range(frame.height + 1):
+        for X in frame.B[n]:
+            ones[(n, X, 0)] = ()
+    for k in range(1, frame.height + 1):
+        for n in range(k, frame.height + 1):
+            for X in frame.B[n]:
+                d = bsys.gen.get((n, X))
+                if d is None:
+                    continue
+                if k == 1:
+                    ones[(n, X, 1)] = (d,)
+                    continue
+                prev = ones.get((n - 1, frame.ft[n][X], k - 1))
+                wx = bsys.weak.get((n, X))
+                if prev is None or wx is None:
+                    continue
+                # components of the previous identity term all live one
+                # level above ft(X), where W_X acts at slice level 1
+                tmap = wx.Ht.get(1, {})
+                if not all(c in tmap for c in prev):
+                    continue
+                ones[(n, X, k)] = tuple(tmap[c] for c in prev) + (d,)
+    for (n, X, k), tup in ones.items():
+        # record the identity term only when its container W_A(A) is
+        # itself representable at this height
+        A = path_id(n, X, k)
+        wa = e.weak.get(A)
+        if wa is not None and wa.obj_map.get(A) is not None:
+            e.proj[A] = pack_ids(tup)
+    return e
+
+
+def c_to_ce_reference(c: CSystem) -> CESystem:
+    """Families freely generated by the canonical projections."""
+    cat = c.cat
+    arrows: dict[str, Arrow] = {}
+    identity: dict[str, str] = {}
+    compose: dict[tuple[str, str], str] = {}
+    ifun: dict[str, str] = {}
+    ftk: dict[tuple[str, int], str] = {}
+    for gamma in cat.objects:
+        cur = gamma
+        ftk[(gamma, 0)] = gamma
+        for k in range(1, c.length.get(gamma, 0) + 1):
+            cur = c.ft[cur]
+            ftk[(gamma, k)] = cur
+    for gamma in cat.objects:
+        identity[gamma] = proj_path(gamma, 0)
+        for k in range(c.length.get(gamma, 0) + 1):
+            name = proj_path(gamma, k)
+            arrows[name] = Arrow(name, gamma, ftk[(gamma, k)])
+        # I sends a projection path to its composite in the base; the
+        # length-one case needs no identity, so partial bases still map it
+        try:
+            ifun[proj_path(gamma, 0)] = cat.id_of(gamma)
+        except Truncated:
+            pass
+        cur = gamma
+        img = None
+        for k in range(1, c.length.get(gamma, 0) + 1):
+            p = c.proj.get(cur)
+            if p is None:
+                img = None
+            elif k == 1:
+                img = p
+            elif img is not None:
+                try:
+                    img = cat.comp(p, img)
+                except Truncated:
+                    img = None
+            if img is not None:
+                ifun[proj_path(gamma, k)] = img
+            cur = c.ft[cur]
+    for gamma in cat.objects:
+        for k in range(c.length.get(gamma, 0) + 1):
+            mid = ftk[(gamma, k)]
+            for j in range(c.length.get(mid, 0) + 1):
+                compose[(proj_path(mid, j), proj_path(gamma, k))] = proj_path(
+                    gamma, k + j
+                )
+    fam = FinCat(
+        objects=cat.objects,
+        arrows=arrows,
+        identity=identity,
+        compose=compose,
+        terminal=c.one,
+        partial=cat.partial,
+    )
+    a = CESystem(fam=fam, base=cat, ifun=ifun, root=c.one)
+    # pullbacks, by induction on path length
+    for f in cat.arrows:
+        gamma = cat.cod(f)
+        a.pb[(f, proj_path(gamma, 0))] = (proj_path(cat.dom(f), 0), f)
+    maxlen = max(c.length.values(), default=0)
+    for n in range(1, maxlen + 1):
+        for xi in cat.objects:
+            if c.length.get(xi, 0) < n:
+                continue
+            p_prime = proj_path(c.ft[xi], n - 1)
+            for f in cat.arrows:
+                if cat.cod(f) != ftk[(xi, n)]:
+                    continue
+                inner = a.pb.get((f, p_prime))
+                if inner is None:
+                    continue
+                fp_prime, pi_prime = inner
+                entry = c.pb.get((pi_prime, xi))
+                if entry is None:
+                    continue
+                ob, q = entry
+                a.pb[(f, proj_path(xi, n))] = (proj_path(ob, n), q)
+    return a
+
+
+def ce_to_c_reference(a: CESystem) -> CSystem:
+    """Read a C-system off a rooted stratified CE-system."""
+    strat = stratify(a.fam)
+    if not isinstance(strat, Stratification):
+        raise ValueError(f"family category does not stratify: {strat}")
+    for x in sorted(a.base.objects):
+        if len(a.base.hom(x, a.root)) != 1:
+            raise ValueError("CE-system is not rooted")
+    cat = replace(a.base, terminal=a.root)
+    length = dict(strat.level)
+    ft = {a.root: a.root}
+    proj: dict[str, str] = {}
+    pb: dict[tuple[str, str], tuple[str, str]] = {}
+    ind: dict[str, str] = {}
+    for X in cat.objects:
+        if length[X] > 0:
+            x = individual_arrow(a.fam, strat, X)
+            ind[X] = x
+            ft[X] = a.fam.cod(x)
+            try:
+                proj[X] = a.I(x)
+            except Truncated:
+                pass  # projection beyond the truncation; validators skip
+    for X in cat.objects:
+        if length[X] == 0:
+            continue
+        for f in cat.arrows:
+            if cat.cod(f) != ft[X]:
+                continue
+            entry = a.pb.get((f, ind[X]))
+            if entry is None:
+                continue
+            fx, pi2 = entry
+            pb[(f, X)] = (a.fam.dom(fx), pi2)
+    return CSystem(cat=cat, one=a.root, length=length, ft=ft, proj=proj, pb=pb)

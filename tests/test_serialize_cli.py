@@ -1,15 +1,17 @@
 import json
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
 import bcsys
 from bcsys.bsys import build_finset_bsystem, validate_bsystem
 from bcsys.cesys import build_finset_cesystem
 from bcsys.cli import main
 from bcsys.esys import build_group_structure, build_nat_esystem, s3_table
-from bcsys.serialize import LoadError, load_structure, save_structure
+from bcsys.serialize import LoadError, dumps, load_structure, save_structure
 from bcsys.syntax import parse_signature
-from bcsys.xlate import ce_to_c, compose_equivalence
+from bcsys.xlate import b_to_e, c_to_ce, ce_to_c, ce_to_e, compose_equivalence, e_to_b, e_to_ce
 
 
 @pytest.mark.parametrize(
@@ -29,6 +31,82 @@ def test_save_load_roundtrip_bit_exact(obj):
     text = save_structure(obj)
     _kind, back = load_structure(text)
     assert save_structure(back) == text
+
+
+# ---------------------------------------------------------------------------
+# the writer: json.dumps(sort_keys=True, indent=2) + "\n", byte for byte
+
+
+def json_form(doc) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+# quotes, escapes, control characters, non-ASCII, astral and lone surrogates
+TRICKY = st.sampled_from(
+    ['"', "\\", "/", "\b", "\f", "\n", "\r", "\t", "\x00", "\x1f", "\x7f", "é", "€", "\u2028", "\U0001d11e", "\ud800"]
+)
+TEXT = st.text(st.one_of(TRICKY, st.characters()), max_size=6)
+LEAVES = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**70), max_value=2**70)
+    | st.sampled_from([0, -1, 2**63, -(2**63) - 1])
+    | TEXT
+)
+TREES = st.recursive(
+    LEAVES,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(TEXT, max_size=4)
+    | st.dictionaries(TEXT, inner, max_size=4)
+    | st.dictionaries(TEXT, TEXT, max_size=4),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(TREES)
+def test_writer_matches_json_on_generated_trees(tree):
+    assert dumps(tree) == json_form(tree)
+    assert dumps({"k": [tree, {}, []]}) == json_form({"k": [tree, {}, []]})
+
+
+def assert_json_form(text: str) -> None:
+    """A written document is json's indented form of what it holds."""
+    assert text == json_form(json.loads(text))
+
+
+@pytest.mark.parametrize("name", ["finset-b", "finset-ce", "nat-e", "group-s3", "syntactic"])
+def test_writer_matches_json_on_every_example(tmp_path, name):
+    sig = tmp_path / "sig.txt"
+    sig.write_text("type U; type El(tm)\n")
+    out = tmp_path / "x.json"
+    assert main(["example", name, "--sig", str(sig), "-o", str(out)]) == 0
+    assert_json_form(out.read_text())
+
+
+@pytest.mark.parametrize("height", [3, 4, 5])
+@pytest.mark.parametrize("kind", ["nat-e", "finset-b"])
+def test_writer_matches_json_on_every_translation(kind, height):
+    if kind == "finset-b":
+        b = build_finset_bsystem(height)
+        assert_json_form(save_structure(b))
+        e = b_to_e(b)
+    else:
+        e = build_nat_esystem(height)
+    a = e_to_ce(e)
+    c = ce_to_c(a)
+    for obj in (e, a, c, c_to_ce(c), ce_to_e(a), e_to_b(e)):
+        assert_json_form(save_structure(obj))
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [{"a": 1.0}, {"a": [1, (2, 3)]}, (), {1: "a"}, {"a": {2: []}}, {"a": "b", 3: "c"}],
+    ids=["float", "tuple", "top-tuple", "int-key", "nested-int-key", "mixed-keys"],
+)
+def test_writer_rejects_other_types(doc):
+    with pytest.raises(TypeError):
+        dumps(doc)
 
 
 def test_loaded_bsystem_still_validates():
@@ -347,3 +425,24 @@ def test_cli_translate_between_b_and_c_runs_no_validation(tmp_path, monkeypatch,
         out = tmp_path / f"out.{to}.json"
         assert main(["translate", "--to", to, str(src), "-o", str(out)]) == 0
         assert out.read_text() == expected[to]
+
+
+@pytest.mark.parametrize("to", ["e", "ce", "c"])
+@pytest.mark.parametrize("row", range(3))
+def test_cli_translate_missing_substitution_is_input_error(tmp_path, capsys, to, row):
+    """b_to_e needs every substitution of the B-system; without one,
+    translate names it on one line, exits 2 and writes nothing."""
+    doc = json.loads(save_structure(build_finset_bsystem(3)))
+    subst = doc["payload"]["subst"]
+    assert len(subst) == 3
+    gone = subst.pop(row)
+    path, out = tmp_path / "b.json", tmp_path / "out.json"
+    path.write_text(json.dumps(doc))
+    assert main(["translate", "--to", to, str(path), "-o", str(out)]) == 2
+    printed = capsys.readouterr()
+    assert printed.out == ""
+    assert printed.err == (
+        f"error: the translation needs subst({gone['level']},{gone['element']!r}), "
+        "which the input does not define\n"
+    )
+    assert not out.exists()

@@ -7,6 +7,11 @@ W_{!Γ}/!Γ; ``reference.py`` keeps the versions that build f* = S_f ∘
 tables (or the same exception type, and for Truncated the same missing
 entry) on the built examples and on E-systems with entries dropped or
 retargeted.
+
+``xlate.b_to_e``, ``c_to_ce`` and ``ce_to_c`` are checked the same way
+against their earlier bodies in ``reference.py``: on the built examples,
+on B-systems with Ht entries dropped or retargeted, and on C- and
+CE-systems with ft, proj, pb or ifun rows dropped.
 """
 
 import contextlib
@@ -21,13 +26,17 @@ from hypothesis import given, settings
 
 from bcsys import esys, xlate
 from bcsys.bsys import build_finset_bsystem
+from bcsys.cesys import build_finset_cesystem
 from bcsys.core import FinCat
 from bcsys.esys import build_nat_esystem, internal_hom_cat, vertical_compose
 from bcsys.report import Truncated
 from bcsys.serialize import save_structure
-from bcsys.xlate import b_to_e, e_to_ce, unit_ehom
+from bcsys.xlate import b_to_e, c_to_ce, ce_to_c, e_to_ce, unit_ehom
 
 from reference import (
+    b_to_e_reference,
+    c_to_ce_reference,
+    ce_to_c_reference,
     e_to_ce_reference,
     internal_hom_cat_reference,
     unit_ehom_reference,
@@ -397,3 +406,175 @@ def test_translation_memo_does_not_outlive_the_call():
     change_weak_term(fresh)
     assert after == save_structure(e_to_ce(fresh))
     assert after != before
+
+
+# ---------------------------------------------------------------------------
+# b_to_e, c_to_ce and ce_to_c against their earlier bodies
+
+
+def sfunctor_tables(sf) -> tuple:
+    return (sf.source_apex, sf.target_apex, sf.obj_map, sf.mor_map, sf.term_map)
+
+
+def esystem_tables(e) -> tuple:
+    return (
+        fincat_tables(e.cat),
+        e.tc.terms,
+        {k: sfunctor_tables(sf) for k, sf in e.subst.items()},
+        {k: sfunctor_tables(sf) for k, sf in e.weak.items()},
+        e.proj,
+        e.levels,
+    )
+
+
+def csystem_tables(c) -> tuple:
+    return (fincat_tables(c.cat), c.one, c.length, c.ft, c.proj, c.pb)
+
+
+def assert_b_to_e_matches(b) -> tuple:
+    got = outcome(b_to_e, esystem_tables, b)
+    assert got == outcome(b_to_e_reference, esystem_tables, b)
+    return got
+
+
+def assert_c_translations_match(a) -> None:
+    """ce_to_c on a, and c_to_ce on what it gives, against the references."""
+    got = outcome(ce_to_c, csystem_tables, a)
+    assert got == outcome(ce_to_c_reference, csystem_tables, a)
+    if isinstance(got, tuple):
+        assert_c_to_ce_matches(ce_to_c(a))
+
+
+def assert_c_to_ce_matches(c) -> tuple:
+    got = outcome(c_to_ce, cesystem_tables, c)
+    assert got == outcome(c_to_ce_reference, cesystem_tables, c)
+    return got
+
+
+@pytest.mark.parametrize("height", range(8))
+def test_b_to_e_matches_reference_on_finset_b(height):
+    _cat, terms, *_functors = assert_b_to_e_matches(build_finset_bsystem(height))
+    assert height < 2 or any(terms.values())
+
+
+@pytest.mark.parametrize("height", range(8))
+@pytest.mark.parametrize("kind", ["nat-e", "finset-b"])
+def test_c_translations_match_reference_through_e_to_ce(kind, height):
+    assert_c_translations_match(e_to_ce(built(kind, height)))
+
+
+@pytest.mark.parametrize("height", [2, 3])
+def test_c_translations_match_reference_on_finset_ce(height):
+    assert_c_translations_match(build_finset_cesystem(height))
+
+
+def ht_entries(b) -> list[tuple]:
+    """(table, key, level, element) of every Ht entry of every
+    substitution and weakening homomorphism of b."""
+    return [
+        (table, key, level, x)
+        for table in ("subst", "weak")
+        for key, hom in sorted(getattr(b, table).items())
+        for level, m in sorted(hom.Ht.items())
+        for x in sorted(m)
+    ]
+
+
+# what a damaged Ht entry becomes: None drops it; a name no term tuple
+# holds makes images that are no term tuple, packed afresh
+STRAYS = (None, "stray", "a,(b)\\")
+
+
+def damage_ht(b, table, key, level, x, value) -> None:
+    """Drop the Ht entry x of a homomorphism of b, or send x to value."""
+    m = getattr(b, table)[key].Ht[level]
+    if value is None:
+        del m[x]
+    else:
+        m[x] = value
+
+
+@pytest.mark.parametrize("value", STRAYS)
+@pytest.mark.parametrize("height", [3, 4, 5])
+def test_b_to_e_matches_reference_with_each_ht_entry_damaged(height, value):
+    """A dropped Ht entry leaves a term tuple with an unmapped component,
+    which fill_terms skips; a retargeted one gives an image that is no
+    term tuple."""
+    base = build_finset_bsystem(height)
+    whole = assert_b_to_e_matches(base)
+    changed = 0
+    for entry in ht_entries(base):
+        b = copy.deepcopy(base)
+        damage_ht(b, *entry, value)
+        changed += assert_b_to_e_matches(b) != whole
+    assert changed
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_b_to_e_matches_reference_with_ht_entries_damaged(data):
+    b = build_finset_bsystem(data.draw(st.sampled_from([3, 4, 5])))
+    entries = ht_entries(b)
+    values = STRAYS + tuple(x for *_, x in entries)
+    for entry in data.draw(st.lists(st.sampled_from(entries), min_size=1, max_size=4, unique=True)):
+        damage_ht(b, *entry, data.draw(st.sampled_from(values)))
+    assert_b_to_e_matches(b)
+
+
+C_BASES = {kind: ce_to_c(e_to_ce(built(kind, 4))) for kind in ("nat-e", "finset-b")}
+CE_BASES = {
+    "nat-e": e_to_ce(built("nat-e", 4)),
+    "finset-b": e_to_ce(built("finset-b", 4)),
+    "finset-ce": build_finset_cesystem(3),
+}
+
+
+def c_rows(c) -> list[tuple]:
+    """(table, key) of every ft, proj and pb row of a C-system."""
+    return [(table, key) for table in ("ft", "proj", "pb") for key in sorted(getattr(c, table))]
+
+
+def ce_rows(a) -> list[tuple]:
+    """(table, key) of every pb and ifun row of a CE-system."""
+    return [(table, key) for table in ("pb", "ifun") for key in sorted(getattr(a, table))]
+
+
+def without(obj, rows):
+    obj = copy.deepcopy(obj)
+    for table, key in rows:
+        del getattr(obj, table)[key]
+    return obj
+
+
+@pytest.mark.parametrize("kind", sorted(C_BASES))
+def test_c_to_ce_matches_reference_with_each_row_dropped(kind):
+    base = C_BASES[kind]
+    whole = assert_c_to_ce_matches(base)
+    changed = 0
+    for row in c_rows(base):
+        changed += assert_c_to_ce_matches(without(base, [row])) != whole
+    assert changed
+
+
+@pytest.mark.parametrize("kind", sorted(CE_BASES))
+def test_ce_to_c_matches_reference_with_each_row_dropped(kind):
+    base = CE_BASES[kind]
+    whole = outcome(ce_to_c, csystem_tables, base)
+    changed = 0
+    for row in ce_rows(base):
+        damaged = without(base, [row])
+        assert_c_translations_match(damaged)
+        changed += outcome(ce_to_c, csystem_tables, damaged) != whole
+    assert changed
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_c_translations_match_reference_with_rows_dropped(data):
+    def dropped(rows):
+        return data.draw(st.lists(st.sampled_from(rows), min_size=1, max_size=4, unique=True))
+
+    c = C_BASES[data.draw(st.sampled_from(sorted(C_BASES)))]
+    assert_c_to_ce_matches(without(c, dropped(c_rows(c))))
+    a = CE_BASES[data.draw(st.sampled_from(sorted(CE_BASES)))]
+    assert_c_translations_match(without(a, dropped(ce_rows(a))))
