@@ -250,6 +250,15 @@ def cmd_roundtrip(args) -> int:
     except (LoadError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    try:
+        return _roundtrip(kind, obj)
+    except (Truncated, ValueError) as exc:
+        return _translation_fell_off(kind, obj, exc)
+
+
+def _roundtrip(kind: str, obj) -> int:
+    """Run and print the round trip of one structure; every translation
+    runs before anything is printed."""
     if kind == "bsystem":
         iso, stages = grand_roundtrip_iso(obj)
         for name, rep in stages.items():

@@ -10,7 +10,9 @@ Object and arrow ids are opaque strings; equality is id equality.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
+from operator import itemgetter
 
 from .report import Report, Truncated
 
@@ -277,6 +279,26 @@ def validate_fincat(c: FinCat) -> Report:
     skipped, so the row is counted as len(_into[dom g]) checked and as
     many skipped without visiting its f. Counts are added to the report
     once, after the loop; only the witnesses depend on the order.
+
+    The other rows (h, g) are compared whole where they can be. rows[x]
+    is the tuple of x∘f over f in _into[dom x], with None where a
+    composite is missing, and ``full`` the arrows whose row has no None;
+    left maps each a in _into[dom h] to h∘a where that is present. Where
+    hg = h∘g is an arrow with dom hg = dom g, rows[hg] runs over the
+    same fs = _into[dom g] as rows[g], so it holds every (h∘g)∘f, and
+    rows[g] every g∘f. When fs has more than one f and g and hg are both
+    in ``full``, gathering left at rows[g] gives every h∘(g∘f), or
+    raises KeyError where some g∘f is not an arrow into dom h or
+    h∘(g∘f) is missing. If the gathered tuple equals rows[hg], every
+    triple of the row has both sides present and equal: it is compared,
+    as one element of the tuple comparison, and neither skipped nor
+    failed, so ``checked`` still counts every triple compared. Every
+    other row, including a KeyError or an unequal tuple, runs the per-f
+    loop of _assoc_row over the same g∘f and (h∘g)∘f, the latter read
+    from the table where hg is no arrow or has another domain. It looks
+    h∘(g∘f) up in left, and in the table where left has no entry, which
+    finds a stray key (h, g∘f) too. So the witnesses, their order and
+    the skips are those of a loop over every triple.
     """
     rep = validate_units(c)
     arrows, compose, into = c.arrows, c.compose, c._into
@@ -318,23 +340,32 @@ def validate_fincat(c: FinCat) -> Report:
     for g, f in sorted(unknown):
         rep.fail("compose-total", (g, f), "composite of unknown arrow")
 
+    rows = {x: tuple(compose.get((x, f)) for f in into.get(ar.dom, ())) for x, ar in arrows.items()}
+    full = {x for x, row in rows.items() if None not in row}
     checked = skipped = 0
     for h in names:
-        for g in into.get(arrows[h].dom, ()):
-            fs = into.get(arrows[g].dom, ())
+        into_h = into.get(arrows[h].dom, ())
+        left = {a: ha for a in into_h if (ha := compose.get((h, a))) is not None}
+        for g in into_h:
+            dom_g = arrows[g].dom
+            fs = into.get(dom_g, ())
             checked += len(fs)
-            hg = compose.get((h, g))
+            hg = left.get(g)
             if hg is None:
                 skipped += len(fs)
                 continue
-            for f in fs:
-                lhs = compose.get((hg, f))
-                gf = compose.get((g, f))
-                rhs = None if gf is None else compose.get((h, gf))
-                if lhs is None or rhs is None:
-                    skipped += 1
-                elif lhs != rhs:
-                    rep.fail("assoc", (h, g, f), f"{lhs!r} != {rhs!r}")
+            ar_hg = arrows.get(hg)
+            if ar_hg is None or ar_hg.dom != dom_g:
+                lhss = [compose.get((hg, f)) for f in fs]
+            else:
+                lhss = rows[hg]
+                if len(fs) > 1 and g in full and hg in full:
+                    try:
+                        if itemgetter(*rows[g])(left) == lhss:
+                            continue
+                    except KeyError:
+                        pass
+            skipped += _assoc_row(compose, left, h, g, fs, rows[g], lhss, rep)
     if checked:
         rep.tick("assoc", checked)
     if skipped:
@@ -350,6 +381,30 @@ def validate_fincat(c: FinCat) -> Report:
                 if len(arrs) != 1:
                     rep.fail("terminal", (obj, tuple(arrs)), "hom to terminal not a singleton")
     return rep
+
+
+def _assoc_row(
+    compose: dict[tuple[str, str], str],
+    left: dict[str, str],
+    h: str,
+    g: str,
+    fs: list[str],
+    gfs: tuple[str | None, ...],
+    lhss: Sequence[str | None],
+    rep: Report,
+) -> int:
+    """Compare (h∘g)∘f with h∘(g∘f) for each f of fs, in order; report
+    the failures and return the number of triples skipped. gfs and lhss
+    hold g∘f and (h∘g)∘f for each f, None where missing; left holds h∘a
+    for the a into dom h, and compose is read for any other a."""
+    skipped = 0
+    for f, gf, lhs in zip(fs, gfs, lhss):
+        rhs = None if gf is None else left.get(gf) or compose.get((h, gf))
+        if lhs is None or rhs is None:
+            skipped += 1
+        elif lhs != rhs:
+            rep.fail("assoc", (h, g, f), f"{lhs!r} != {rhs!r}")
+    return skipped
 
 
 def validate_tree(t: RootedTree) -> Report:

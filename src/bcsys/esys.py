@@ -15,6 +15,7 @@ maximal common defined domain and counts the rest as skipped.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from operator import itemgetter
 
@@ -95,11 +96,15 @@ def terminal_mor(cat: FinCat, u: str, apex: str) -> SliceMor:
 
 
 def identity_sf(e: ESystem, apex: str) -> SliceFunctorT:
-    cat = e.cat
+    return _identity_on(e, apex, slice_mors(e.cat, apex))
+
+
+def _identity_on(e: ESystem, apex: str, mors: list[SliceMor]) -> SliceFunctorT:
+    """identity_sf(e, apex), given the slice morphisms over apex."""
     sf = SliceFunctorT(source_apex=apex, target_apex=apex)
-    for f in slice_objects(cat, apex):
+    for f in slice_objects(e.cat, apex):
         sf.obj_map[f] = f
-    for m in slice_mors(cat, apex):
+    for m in mors:
         sf.mor_map[m] = m[0]
         sf.term_map[m] = {t: t for t in e.T(m[0])}
     return sf
@@ -135,28 +140,57 @@ def restrict_sf(e: ESystem, F: SliceFunctorT, P: str) -> SliceFunctorT:
     at the domain; every entry is read off F's tables at morphisms over P.
     """
     cat = e.cat
+    return _restrict(cat, _restriction_plan(cat, P, lambda apex: slice_mors(cat, apex)), F)
+
+
+# Where F/P reads F, for one slice object P of one category: P, the pairs
+# (q, (q, P∘q, P)) for the slice objects q over dom(P) with P∘q defined,
+# and the pairs (m, (h, P∘q1, P∘q2)) for the slice morphisms m = (h, q1,
+# q2) over dom(P) with both composites defined, in slice_mors order.
+_Plan = tuple[str, list[tuple[str, SliceMor]], list[tuple[SliceMor, SliceMor]]]
+
+
+def _restriction_plan(cat: FinCat, P: str, mors_of: Callable[[str], list[SliceMor]]) -> _Plan:
+    """The plan of F/P for every F; ``mors_of(apex)`` gives slice_mors(cat,
+    apex). A P that is no arrow gets an empty plan: _restrict raises
+    before it reads one."""
+    if P not in cat.arrows:
+        return P, [], []
+    compose = cat.compose
+    dom = cat.dom(P)
+    objs = []
+    for q in slice_objects(cat, dom):
+        pq = compose.get((P, q))
+        if pq is not None:
+            objs.append((q, (q, pq, P)))
+    mors = []
+    for m in mors_of(dom):
+        pq1, pq2 = compose.get((P, m[1])), compose.get((P, m[2]))
+        if pq1 is not None and pq2 is not None:
+            mors.append((m, (m[0], pq1, pq2)))
+    return P, objs, mors
+
+
+def _restrict(cat: FinCat, plan: _Plan, F: SliceFunctorT) -> SliceFunctorT:
+    """F/P through its plan: Truncated where P is not in F.obj_map, and
+    otherwise the entries of F at the plan's keys that F defines."""
+    P, objs, mors = plan
     if P not in F.obj_map:
         raise Truncated(f"restrict: {P!r} not in obj_map")
     out = SliceFunctorT(
         source_apex=cat.dom(P), target_apex=cat.dom(F.obj_map[P])
     )
-    for q in slice_objects(cat, cat.dom(P)):
-        pq = cat.compose.get((P, q))
-        if pq is None:
-            continue
-        img = F.mor_map.get((q, pq, P))
+    mor_map, term_map = F.mor_map, F.term_map
+    for q, key in objs:
+        img = mor_map.get(key)
         if img is not None:
             out.obj_map[q] = img
-    for (h, q1, q2) in slice_mors(cat, cat.dom(P)):
-        pq1 = cat.compose.get((P, q1))
-        pq2 = cat.compose.get((P, q2))
-        if pq1 is None or pq2 is None:
-            continue
-        img = F.mor_map.get((h, pq1, pq2))
+    for m, key in mors:
+        img = mor_map.get(key)
         if img is None:
             continue
-        out.mor_map[(h, q1, q2)] = img
-        out.term_map[(h, q1, q2)] = dict(F.term_map.get((h, pq1, pq2), {}))
+        out.mor_map[m] = img
+        out.term_map[m] = dict(term_map.get(key, {}))
     return out
 
 
@@ -306,8 +340,8 @@ class _Cells:
 
     __slots__ = ("obj", "mor", "slot", "absent")
 
-    def __init__(self, e: ESystem, apex: str) -> None:
-        objs, mors = slice_objects(e.cat, apex), slice_mors(e.cat, apex)
+    def __init__(self, e: ESystem, apex: str, mors: list[SliceMor]) -> None:
+        objs = slice_objects(e.cat, apex)
         self.obj = {x: i for i, x in enumerate(objs)}
         self.mor = {m: i for i, m in enumerate(mors, len(objs))}
         self.slot: dict[SliceMor, dict[str, int]] = {}
@@ -350,15 +384,17 @@ def _flatten(F: SliceFunctorT, src: _Cells, tgt: _Cells) -> tuple[int, ...] | No
 class _Slices:
     """Slice functors of one validation call, and their flat forms.
 
-    Holds identity_sf per apex, restrict_sf(H, P) per P for the functor
+    Holds slice_mors per apex, identity_sf per apex, the restriction
+    plan of each slice object P, restrict_sf(H, P) per P for the functor
     H restricted most recently, the cells of each slice, and the flat
-    form of each functor compared (see composites_equal). The validator
-    makes one and drops it when it returns, so nothing outlives the call
-    and a table changed between two calls is read afresh. Restrictions
-    are kept for one functor at a time, and their flat forms are dropped
-    with them: validate_esystem checks all three parts of a functor
-    before the next, and only axiom 5's one restriction per arrow is
-    computed a second time.
+    form of each functor compared (see composites_equal). The slice
+    morphisms, the plans, the identities and the cells read the category
+    only. The validator makes one and drops it when it returns, so
+    nothing outlives the call and a table changed between two calls is
+    read afresh. Restrictions are kept for one functor at a time, and
+    their flat forms are dropped with them: validate_esystem checks all
+    three parts of a functor before the next, and only axiom 5's one
+    restriction per arrow is computed a second time.
 
     For validate_ehom, ``target`` is the target system: its own functors
     are numbered in it, the slices of the homomorphism go from the
@@ -371,6 +407,8 @@ class _Slices:
     def __init__(self, e: ESystem, target: ESystem | None = None) -> None:
         self.e = e
         self.target = e if target is None else target
+        self._mors: dict[tuple[int, str], list[SliceMor]] = {}
+        self._plans: dict[str, _Plan] = {}
         self._ids: dict[str, SliceFunctorT] = {}
         self._restricted: SliceFunctorT | None = None
         self._restrictions: dict[str, SliceFunctorT | None] = {}
@@ -383,9 +421,16 @@ class _Slices:
             for F in itertools.chain(self.target.subst.values(), self.target.weak.values()):
                 self._homes[id(F)] = (self.target, self.target)
 
+    def mors(self, e: ESystem, apex: str) -> list[SliceMor]:
+        """slice_mors(e.cat, apex), once per call."""
+        key = (id(e), apex)
+        if key not in self._mors:
+            self._mors[key] = slice_mors(e.cat, apex)
+        return self._mors[key]
+
     def identity(self, apex: str) -> SliceFunctorT:
         if apex not in self._ids:
-            self._ids[apex] = identity_sf(self.e, apex)
+            self._ids[apex] = _identity_on(self.e, apex, self.mors(self.e, apex))
         return self._ids[apex]
 
     def restrict(self, H: SliceFunctorT, P: str) -> SliceFunctorT | None:
@@ -396,8 +441,10 @@ class _Slices:
             self._restricted, self._restrictions = H, {}
         memo = self._restrictions
         if P not in memo:
+            if P not in self._plans:
+                self._plans[P] = _restriction_plan(self.e.cat, P, lambda apex: self.mors(self.e, apex))
             try:
-                memo[P] = restrict_sf(self.e, H, P)
+                memo[P] = _restrict(self.e.cat, self._plans[P], H)
             except Truncated:
                 memo[P] = None
         return memo[P]
@@ -417,7 +464,7 @@ class _Slices:
     def _cells_of(self, e: ESystem, apex: str) -> _Cells:
         key = (id(e), apex)
         if key not in self._cells:
-            self._cells[key] = _Cells(e, apex)
+            self._cells[key] = _Cells(e, apex, self.mors(e, apex))
         return self._cells[key]
 
     def flat(self, F: SliceFunctorT) -> _Flat | None:

@@ -551,7 +551,8 @@ def c_to_ce(c: CSystem) -> CESystem:
     testing every arrow. It reads only entries of length n - 1 and writes
     each key (f, p_ξ^n) once, so the order of the walk changes only the
     insertion order of ``pb``, which every reader sorts or compares as a
-    dict.
+    dict. A father missing from a chain ξ, ft(ξ), ... raises Truncated
+    naming it.
     """
     cat = c.cat
     arrows: dict[str, Arrow] = {}
@@ -563,6 +564,8 @@ def c_to_ce(c: CSystem) -> CESystem:
         cur = gamma
         ftk[(gamma, 0)] = gamma
         for k in range(1, c.length.get(gamma, 0) + 1):
+            if cur not in c.ft:
+                raise Truncated(f"ft({cur!r})")
             cur = c.ft[cur]
             ftk[(gamma, k)] = cur
     for gamma in cat.objects:
@@ -576,10 +579,9 @@ def c_to_ce(c: CSystem) -> CESystem:
             ifun[proj_path(gamma, 0)] = cat.id_of(gamma)
         except Truncated:
             pass
-        cur = gamma
         img = None
         for k in range(1, c.length.get(gamma, 0) + 1):
-            p = c.proj.get(cur)
+            p = c.proj.get(ftk[(gamma, k - 1)])
             if p is None:
                 img = None
             elif k == 1:
@@ -591,7 +593,6 @@ def c_to_ce(c: CSystem) -> CESystem:
                     img = None
             if img is not None:
                 ifun[proj_path(gamma, k)] = img
-            cur = c.ft[cur]
     for gamma in cat.objects:
         for k in range(c.length.get(gamma, 0) + 1):
             mid = ftk[(gamma, k)]
@@ -617,7 +618,7 @@ def c_to_ce(c: CSystem) -> CESystem:
         for xi in cat.objects:
             if c.length.get(xi, 0) < n:
                 continue
-            p_prime = proj_path(c.ft[xi], n - 1)
+            p_prime = proj_path(ftk[(xi, 1)], n - 1)
             for f in cat.arrows_into(ftk[(xi, n)]):
                 inner = a.pb.get((f, p_prime))
                 if inner is None:

@@ -13,6 +13,10 @@ precomposite f* = compose_sf(S_f, restrict_sf(W_A, B)) per internal
 morphism f, and one whole restriction W_{A.P}/B per vertical composite.
 ``e_to_ce_reference`` calls the other two references.
 
+``restrict_sf_reference`` is ``esys.restrict_sf`` as it was before
+restrictions went through one plan per slice object: it enumerates the
+slice over dom(P) and reads the composites afresh on every call.
+
 ``unit_ehom_reference`` builds the unit the way ``xlate.unit_ehom`` used
 to: one whole restriction W_{!Γ}/!Γ per arrow A into Γ, to read the
 position of A.
@@ -22,7 +26,9 @@ were before ``b_to_e`` packed each term tuple once and the pullback
 loops walked ``arrows_into``: every term tuple and its image is packed
 where it is used, and every arrow of the base is tested for its
 codomain. ``b_to_e_reference`` raises ``KeyError`` on a missing
-substitution, where ``b_to_e`` raises ``Truncated``.
+substitution, where ``b_to_e`` raises ``Truncated``. Both
+``c_to_ce_reference`` and ``c_to_ce`` raise ``Truncated`` naming the
+first missing father, where the earlier ``c_to_ce`` raised ``KeyError``.
 
 Tests compare the fast code against them, result for result.
 """
@@ -44,6 +50,7 @@ from bcsys.core import (
     parse_path_id,
     path_id,
     slice_category,
+    slice_mors,
     stratify,
     triangle_id,
     validate_units,
@@ -167,6 +174,34 @@ def check_pullback_square_reference(
                         witness + (Z0, u, v),
                         f"{len(mediators)} mediating arrows",
                     )
+
+
+def restrict_sf_reference(e: ESystem, F: SliceFunctorT, P: str) -> SliceFunctorT:
+    """F/P: the functor induced between slices over dom(P) and dom(F(P))."""
+    cat = e.cat
+    if P not in F.obj_map:
+        raise Truncated(f"restrict: {P!r} not in obj_map")
+    out = SliceFunctorT(
+        source_apex=cat.dom(P), target_apex=cat.dom(F.obj_map[P])
+    )
+    for q in slice_objects(cat, cat.dom(P)):
+        pq = cat.compose.get((P, q))
+        if pq is None:
+            continue
+        img = F.mor_map.get((q, pq, P))
+        if img is not None:
+            out.obj_map[q] = img
+    for (h, q1, q2) in slice_mors(cat, cat.dom(P)):
+        pq1 = cat.compose.get((P, q1))
+        pq2 = cat.compose.get((P, q2))
+        if pq1 is None or pq2 is None:
+            continue
+        img = F.mor_map.get((h, pq1, pq2))
+        if img is None:
+            continue
+        out.mor_map[(h, q1, q2)] = img
+        out.term_map[(h, q1, q2)] = dict(F.term_map.get((h, pq1, pq2), {}))
+    return out
 
 
 def internal_hom_cat_reference(e: ESystem, gamma: str) -> FinCat:
@@ -532,6 +567,8 @@ def c_to_ce_reference(c: CSystem) -> CESystem:
         cur = gamma
         ftk[(gamma, 0)] = gamma
         for k in range(1, c.length.get(gamma, 0) + 1):
+            if cur not in c.ft:
+                raise Truncated(f"ft({cur!r})")
             cur = c.ft[cur]
             ftk[(gamma, k)] = cur
     for gamma in cat.objects:

@@ -1,4 +1,5 @@
 import collections
+import dataclasses
 import functools
 
 import hypothesis.strategies as st
@@ -47,6 +48,8 @@ from bcsys.esys import (
 )
 from bcsys.report import Truncated
 from bcsys.xlate import b_to_e
+
+from reference import restrict_sf_reference
 
 
 def test_term_set_sizes():
@@ -928,3 +931,122 @@ def test_flat_forms_do_not_outlive_the_call():
     assert again.format() != first.format()
     assert again.format() == expected.format()
     assert [v.witness for v in again.violations()] == [v.witness for v in expected.violations()]
+
+
+# ---------------------------------------------------------------------------
+# restrictions through one plan per slice object
+
+
+def _sf_tables(F) -> tuple:
+    return (F.source_apex, F.target_apex, F.obj_map, F.mor_map, F.term_map)
+
+
+def _reference_restriction(cat, F, P):
+    try:
+        return _sf_tables(restrict_sf_reference(ESystem(tc=TermCat(cat=cat)), F, P))
+    except Truncated as exc:
+        return Truncated, exc.what
+
+
+@pytest.fixture
+def restrictions(monkeypatch):
+    """Compare every restriction made through esys, by restrict_sf or
+    within a validation, with restrict_sf_reference: the same tables, or
+    Truncated with the same ``what``. Returns the count of each outcome."""
+    seen = collections.Counter()
+    real = esys._restrict
+
+    def checked(cat, plan, F):
+        want = _reference_restriction(cat, F, plan[0])
+        try:
+            R = real(cat, plan, F)
+        except Truncated as exc:
+            assert (Truncated, exc.what) == want
+            seen["Truncated"] += 1
+            raise
+        assert _sf_tables(R) == want
+        seen["restricted"] += 1
+        return R
+
+    monkeypatch.setattr(esys, "_restrict", checked)
+    return seen
+
+
+@pytest.mark.parametrize("site", range(7))
+def test_restrictions_match_reference_in_validations(restrictions, site):
+    """group-s3, and nat-e and b_to_e(finset-b) at heights 2-4: every
+    restriction validate_esystem makes; and validate_ehom of the
+    isomorphism b_to_e(finset-b) -> nat-e at the same height, which
+    restricts nothing today, so any restriction it comes to make is
+    compared too."""
+    e, _sites = _real_sites()[site]
+    validate_esystem(e)
+    assert restrictions["restricted"] > 0
+    if site:
+        validate_ehom(_b2e_to_nat_hom((site + 3) // 2))
+
+
+def test_standalone_restrictions_match_reference(restrictions):
+    """restrict_sf itself, at every slice object of every functor of
+    nat-e h3, and at names that are no arrow."""
+    e = build_nat_esystem(3)
+    for F in [*e.subst.values(), *e.weak.values()]:
+        for P in [*e.cat.arrows, "zz"]:
+            try:
+                restrict_sf(e, F, P)
+            except Truncated:
+                pass
+    assert restrictions["restricted"] > 0 and restrictions["Truncated"] > 0
+
+
+def _damaged_system(draw, e):
+    """A copy of e with one functor damaged (see _damage), or one composite
+    of its category dropped or retargeted to another arrow or a non-arrow."""
+    subst, weak = dict(e.subst), dict(e.weak)
+    cat = e.cat
+    if draw(st.booleans()):
+        family = subst if draw(st.booleans()) or not weak else weak
+        key = draw(st.sampled_from(sorted(family)))
+        family[key] = _damage(draw, e, family[key])
+    else:
+        compose = dict(cat.compose)
+        key = draw(st.sampled_from(sorted(compose)))
+        value = draw(st.sampled_from([None, "zz", *sorted(cat.arrows)]))
+        if value is None:
+            del compose[key]
+        else:
+            compose[key] = value
+        cat = dataclasses.replace(cat, compose=compose)
+    return ESystem(
+        tc=TermCat(cat=cat, terms=e.tc.terms), subst=subst, weak=weak, proj=e.proj, levels=e.levels
+    )
+
+
+@st.composite
+def _damaged_systems(draw):
+    e, _sites = _real_sites()[draw(st.integers(0, len(_real_sites()) - 1))]
+    return _damaged_system(draw, e)
+
+
+def test_restrictions_match_reference_on_damaged_systems(restrictions):
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(_damaged_systems())
+    def run(e):
+        validate_esystem(e)
+
+    run()
+    assert restrictions["restricted"] > 0
+
+
+def test_restriction_plans_do_not_outlive_the_call():
+    """A plan reads the composition table; one changed between two
+    validations is read afresh."""
+    e = build_nat_esystem(4)
+    first = validate_esystem(e)
+    key = (nat_arrow(1, 0), nat_arrow(2, 1))
+    del e.cat.compose[key]
+    again = validate_esystem(e)
+    fresh = build_nat_esystem(4)
+    del fresh.cat.compose[key]
+    assert again.format() != first.format()
+    assert again.format() == validate_esystem(fresh).format()

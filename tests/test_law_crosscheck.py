@@ -7,7 +7,9 @@ same law names in the same order, the same checked and skipped counts and
 the same violations in the same order.
 """
 
+import collections
 import dataclasses
+import operator
 
 import pytest
 from hypothesis import example, given, settings
@@ -141,6 +143,129 @@ def test_validate_fincat_matches_reference_on_random_tables(cat):
 @given(damaged_categories())
 def test_validate_fincat_matches_reference_on_damaged_categories(cat):
     assert_same_report(validate_fincat(cat), validate_fincat_reference(cat))
+
+
+# ---------------------------------------------------------------------------
+# associativity a row at a time
+
+
+@pytest.fixture
+def assoc_rows(monkeypatch):
+    """Count the (h, g) rows validate_fincat tries to compare whole, the
+    tries that raise KeyError, and the rows it compares one f at a time."""
+    counts = collections.Counter()
+    real_row = core._assoc_row
+
+    def per_f(*args):
+        counts["per-f"] += 1
+        return real_row(*args)
+
+    def gather(*keys):
+        get = operator.itemgetter(*keys)
+
+        def run(table):
+            counts["tried"] += 1
+            try:
+                return get(table)
+            except KeyError:
+                counts["KeyError"] += 1
+                raise
+
+        return run
+
+    monkeypatch.setattr(core, "_assoc_row", per_f)
+    monkeypatch.setattr(core, "itemgetter", gather)
+    return counts
+
+
+def rows_with_hg(c: FinCat) -> int:
+    """The rows (h, g), g into dom h, whose h∘g is in the table."""
+    return sum(
+        (h, g) in c.compose
+        for h in c.arrows
+        for g in c.arrows
+        if c.dom(h) == c.cod(g)
+    )
+
+
+def with_compose(c: FinCat, put=(), drop=(), **fields) -> FinCat:
+    compose = {k: v for k, v in c.compose.items() if k not in drop}
+    compose.update(put)
+    return dataclasses.replace(c, compose=compose, **fields)
+
+
+def single_damages():
+    """One damage each to lawful categories with rows of one and of many f."""
+    fin = finsets_op_cat(2)
+    chain = free_cat_of_tree(chain_tree(3))[0]
+    out = {"lawful finsets": fin, "lawful chain": chain}
+    # g∘f for a g: 1 -> 2 and f: 2 -> 1 with more than one arrow in hom(2, 2)
+    g = next(a for a in sorted(fin.arrows) if (fin.dom(a), fin.cod(a)) == ("1", "2"))
+    f = next(a for a in sorted(fin.arrows) if (fin.dom(a), fin.cod(a)) == ("2", "1"))
+    gf = fin.compose[(g, f)]
+    same_hom = next(a for a in fin.hom("2", "2") if a != gf)
+    wrong_ends = next(a for a in sorted(fin.arrows) if fin.cod(a) != "2")
+    h = next(a for a in sorted(fin.arrows) if fin.dom(a) == "2" and not fin.is_id(a))
+    out["retargeted in its hom"] = with_compose(fin, put={(g, f): same_hom})
+    out["retargeted to wrong endpoints"] = with_compose(fin, put={(g, f): wrong_ends})
+    out["stray (h, g∘f) after a wrong codomain"] = with_compose(
+        fin, put={(g, f): wrong_ends, (h, wrong_ends): fin.compose[(h, gf)]}
+    )
+    for partial in (False, True):
+        out[f"removed, partial={partial}"] = with_compose(fin, drop=[(g, f)], partial=partial)
+        out[f"removed from a chain, partial={partial}"] = with_compose(
+            chain, drop=[sorted(chain.compose)[-1]], partial=partial
+        )
+    out["names a non-arrow"] = with_compose(fin, put={(g, f): "zz"})
+    out["chain retargeted"] = with_compose(chain, put={sorted(chain.compose)[0]: sorted(chain.arrows)[0]})
+    return out
+
+
+@pytest.mark.parametrize("name, cat", sorted(single_damages().items()), ids=sorted(single_damages()))
+def test_validate_fincat_matches_reference_on_single_damages(assoc_rows, name, cat):
+    assert_same_report(validate_fincat(cat), validate_fincat_reference(cat))
+    whole = rows_with_hg(cat) - assoc_rows["per-f"]
+    assert whole > 0 and assoc_rows["tried"] >= whole
+    if "chain" not in name:
+        # every row has several f: only a damage sends one to the per-f loop
+        assert (assoc_rows["per-f"] > 0) == (name != "lawful finsets")
+    else:
+        # a row whose g starts at the top of the chain has one f
+        assert assoc_rows["per-f"] > 0
+    if name.startswith("stray"):
+        assert assoc_rows["KeyError"] > 0
+
+
+def test_generated_tables_reach_both_assoc_paths(assoc_rows):
+    """The hypothesis tables above compare rows whole, raise KeyError out
+    of the gather, and run the per-f loop."""
+    whole = 0
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(st.one_of(random_tables(), damaged_categories()))
+    def run(cat):
+        nonlocal whole
+        before = assoc_rows["per-f"]
+        assert_same_report(validate_fincat(cat), validate_fincat_reference(cat))
+        whole += rows_with_hg(cat) - (assoc_rows["per-f"] - before)
+
+    run()
+    assert whole > 0 and assoc_rows["per-f"] > 0 and assoc_rows["KeyError"] > 0
+
+
+FINSET_CE_H4_BASE = """\
+PASS assoc (checked 37147243)
+PASS compose-total (checked 133799)
+PASS endpoints (checked 499)
+PASS identity (checked 5)
+PASS terminal (checked 5)
+PASS unit (checked 499)"""
+
+
+def test_finset_ce_h4_base_report_is_unchanged():
+    """The 499-arrow base of finset-ce h4: every one of its 37,147,243
+    triples is compared, as the loop over single triples did."""
+    assert validate_fincat(cesys.build_finset_cesystem(4).base).format() == FINSET_CE_H4_BASE
 
 
 @st.composite

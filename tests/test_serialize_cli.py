@@ -446,3 +446,73 @@ def test_cli_translate_missing_substitution_is_input_error(tmp_path, capsys, to,
         "which the input does not define\n"
     )
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# round trips whose translations raise, and C-systems without a father
+
+
+def _run(capsys, *argv):
+    code = main(list(argv))
+    printed = capsys.readouterr()
+    assert "Traceback" not in printed.err
+    return code, printed
+
+
+def _one_line(printed, message):
+    assert printed.out == ""
+    assert printed.err == f"error: {message}\n"
+
+
+def test_cli_roundtrip_group_s3_is_input_error(tmp_path, capsys):
+    """group-s3 has no chosen terminal, which e_to_ce needs."""
+    path = tmp_path / "g.json"
+    path.write_text(save_structure(build_group_structure(*s3_table())))
+    code, printed = _run(capsys, "roundtrip", str(path))
+    assert code == 2
+    _one_line(printed, "e_to_ce needs a chosen terminal object")
+
+
+def test_cli_roundtrip_bsystem_without_weakening_is_input_error(tmp_path, capsys):
+    doc = json.loads(save_structure(build_finset_bsystem(2)))
+    del doc["payload"]["weak"][0]
+    path = tmp_path / "b.json"
+    path.write_text(json.dumps(doc))
+    code, printed = _run(capsys, "roundtrip", str(path))
+    assert code == 2
+    _one_line(printed, "CE-system is not rooted")
+
+
+def test_cli_roundtrip_cesystem_without_identity_reports_the_category(tmp_path, capsys):
+    doc = json.loads(save_structure(build_finset_cesystem(2)))
+    del doc["payload"]["fam"]["identity"]["2"]
+    path = tmp_path / "ce.json"
+    path.write_text(json.dumps(doc))
+    code, printed = _run(capsys, "roundtrip", str(path))
+    assert code == 1
+    assert "FAIL fam:identity: witness=('2',) no identity arrow" in printed.out
+    assert printed.err == ""
+
+
+@pytest.fixture
+def fatherless_csystem(tmp_path):
+    """finset-ce h2 translated to a C-system, with ft['1'] removed."""
+    doc = json.loads(save_structure(ce_to_c(build_finset_cesystem(2))))
+    del doc["payload"]["ft"]["1"]
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_cli_check_csystem_without_father_fails_law_ii(fatherless_csystem, capsys):
+    code, printed = _run(capsys, "check", str(fatherless_csystem))
+    assert code == 1
+    assert "FAIL ii: witness=('1',) no father" in printed.out.splitlines()
+    assert printed.err == ""
+
+
+@pytest.mark.parametrize("command", [["translate", "--to", "ce"], ["roundtrip"]])
+def test_cli_csystem_without_father_is_input_error(fatherless_csystem, capsys, command):
+    code, printed = _run(capsys, *command, str(fatherless_csystem))
+    assert code == 2
+    _one_line(printed, "the translation needs ft('1'), which the input does not define")
