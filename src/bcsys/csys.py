@@ -282,7 +282,10 @@ def validate_csystem_hom(h: CSystemHom) -> Report:
             rep.fail("hom-ii", (x,), "length not preserved")
         rep.tick("hom-iii")
         if img is not None and src.length.get(x, 0) > 0:
-            if F.object_map.get(src.ft[x]) != tgt.ft.get(img):
+            father = src.ft.get(x)
+            if father is None:
+                rep.skip("hom-iii")
+            elif F.object_map.get(father) != tgt.ft.get(img):
                 rep.fail("hom-iii", (x,), "father not preserved")
         if src.length.get(x, 0) > 0:
             rep.tick("hom-iv")

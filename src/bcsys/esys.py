@@ -223,14 +223,18 @@ def composites_equal(
     g2: SliceFunctorT,
     f2: SliceFunctorT | None,
     slices: _Slices | None = None,
+    key: tuple[int | None, int | None, int | None, int | None] | None = None,
 ) -> tuple[list[tuple], int, int]:
     """sf_equal(g1∘f1, g2∘f2), without building the composites when they agree.
 
     A None f1 or f2 makes that side g1 or g2 alone: a single functor,
     such as W_{A.P} or an identity from identity_sf. The result is the
     same (bad, skipped, checked) triple as sf_equal of the two sides
-    built with compose_sf. ``slices`` holds the flat forms for the
-    length of one validation; without it they live for this call only.
+    built with compose_sf. ``slices`` holds the flat forms, their
+    numbers and the results of one validation; without it they live for
+    this call only. ``key`` is the numbers of the four sides in
+    ``slices`` where the caller has them. A result may be handed to
+    several callers, so its witness list is read, never mutated.
 
     Each side is taken in flat form (see _flatten): one tuple from the
     cells of its source slice to the cells of its target slice, where a
@@ -253,80 +257,114 @@ def composites_equal(
     that is not absent. Where the tuples differ, or a side is not
     representable, both sides are built with compose_sf and sf_equal
     makes the witnesses, so they come in its sorted order.
+
+    The result is memoised on the value numbers of the four sides (see
+    _Slices.number; an absent f counts as -1). Completeness: equal
+    numbers mean the very same form, cells included, and numbers are
+    never reused within a call. By the argument above the dicts of
+    compose_sf(g, f) are a function of the forms of g and f (every
+    entry is read off the gather, and each cell stands for one value),
+    and those of g alone a function of g's form. So sf_equal of the two
+    sides, witnesses, skips and checks alike, depends on the four
+    numbers only, and a key met again gets the same triple; the
+    fallback runs once per distinct key. Sides that are not
+    representable have no number and are never memoised.
     """
     if slices is None:
         slices = _Slices(e)
-    lhs = slices.composite(g1, f1)
-    if lhs is not None and lhs == slices.composite(g2, f2):
-        cells = lhs[2]
-        return [], 0, len(cells) - cells.count(lhs[1].absent)
-    left = g1 if f1 is None else compose_sf(e, g1, f1)
-    right = g2 if f2 is None else compose_sf(e, g2, f2)
-    return sf_equal(left, right)
+    if key is None:
+        number = slices.number
+        key = (
+            number(g1),
+            -1 if f1 is None else number(f1),
+            number(g2),
+            -1 if f2 is None else number(f2),
+        )
+    hit = slices.diffs.get(key)
+    if hit is None:
+        lhs = None if None in key else slices.composite(key[0], key[1])
+        if lhs is not None and lhs == slices.composite(key[2], key[3]):
+            cells = lhs[2]
+            hit = [], 0, len(cells) - cells.count(lhs[1].absent)
+        else:
+            left = g1 if f1 is None else compose_sf(e, g1, f1)
+            right = g2 if f2 is None else compose_sf(e, g2, f2)
+            hit = sf_equal(left, right)
+        if None not in key:
+            slices.diffs[key] = hit
+    return hit
 
 
 def validate_sfunctor(e: ESystem, F: SliceFunctorT, rep: Report, law: str) -> None:
-    """Functor-with-term-structure laws for one slice functor."""
+    """Functor-with-term-structure laws for one slice functor.
+
+    Checks and skips are counted here and entered once, at the end.
+    """
     cat = e.cat
+    T = e.T
+    compose = cat.compose.get
+    obj_get, mor_get = F.obj_map.get, F.mor_map.get
+    ticks = skips = 0
     src_objs = set(slice_objects(cat, F.source_apex))
     tgt_objs = set(slice_objects(cat, F.target_apex))
     for x, y in sorted(F.obj_map.items()):
-        rep.tick(law)
+        ticks += 1
         if x not in src_objs or y not in tgt_objs:
             rep.fail(law, (x, y), "object map endpoints wrong")
     for (h, a, b), h1 in sorted(F.mor_map.items()):
-        rep.tick(law)
-        fa, fb = F.obj_map.get(a), F.obj_map.get(b)
+        ticks += 1
+        fa, fb = obj_get(a), obj_get(b)
         if fa is None or fb is None:
-            rep.skip(law)
+            skips += 1
             continue
-        if cat.compose.get((fb, h1)) != fa:
+        if compose((fb, h1)) != fa:
             rep.fail(law, (h, a, b), "image does not commute over the apex")
     # identities and composition
     for a in sorted(F.obj_map):
-        rep.tick(law)
+        ticks += 1
         try:
             ida = cat.id_of(cat.dom(a))
-            key = (ida, a, a)
-            img = F.mor_map.get(key)
+            img = mor_get((ida, a, a))
             if img is None:
-                rep.skip(law)
+                skips += 1
             elif img != cat.id_of(cat.dom(F.obj_map[a])):
                 rep.fail(law, (a,), "identity not preserved")
         except Truncated:
-            rep.skip(law)
+            skips += 1
     mors = sorted(F.mor_map)
     by_source: dict[str, list[SliceMor]] = {}
     for m in mors:
         by_source.setdefault(m[1], []).append(m)
-    for (h1, a, b) in mors:
-        for (h2, _b, c) in by_source.get(b, ()):
-            rep.tick(law)
-            try:
-                hh = cat.comp(h2, h1)
-            except Truncated:
-                rep.skip(law)
+    for m1 in mors:
+        h1, a, b = m1
+        i1 = mor_get(m1)
+        for m2 in by_source.get(b, ()):
+            h2, _b, c = m2
+            ticks += 1
+            hh = compose((h2, h1))
+            if hh is None:
+                skips += 1
                 continue
-            lhs = F.mor_map.get((hh, a, c))
-            i1, i2 = F.mor_map[(h1, a, b)], F.mor_map[(h2, b, c)]
-            try:
-                rhs = cat.comp(i2, i1)
-            except Truncated:
-                rep.skip(law)
-                continue
-            if lhs is None:
-                rep.skip(law)
+            lhs = mor_get((hh, a, c))
+            rhs = compose((mor_get(m2), i1))
+            if rhs is None or lhs is None:
+                skips += 1
             elif lhs != rhs:
                 rep.fail(law, (h2, h1, a), "composition not preserved")
     # term maps land in the right sets
     for m, tm in sorted(F.term_map.items()):
-        img = F.mor_map.get(m)
+        img = mor_get(m)
+        keys = T(m[0])
+        images = T(img) if img is not None else None
         for t, u in sorted(tm.items()):
-            rep.tick(law)
-            if t not in e.T(m[0]):
+            ticks += 1
+            if t not in keys:
                 rep.fail(law, (m, t), "term map key not a term")
-            elif img is None or u not in e.T(img):
+            elif images is None or u not in images:
                 rep.fail(law, (m, t, u), "term image outside target term set")
+    if ticks or skips:
+        rep.tick(law, ticks)
+        rep.skip(law, skips)
 
 
 # ---------------------------------------------------------------------------
@@ -382,19 +420,31 @@ def _flatten(F: SliceFunctorT, src: _Cells, tgt: _Cells) -> tuple[int, ...] | No
 
 
 class _Slices:
-    """Slice functors of one validation call, and their flat forms.
+    """Slice functors of one validation call, their flat forms and numbers.
 
     Holds slice_mors per apex, identity_sf per apex, the restriction
     plan of each slice object P, restrict_sf(H, P) per P for the functor
-    H restricted most recently, the cells of each slice, and the flat
-    form of each functor compared (see composites_equal). The slice
-    morphisms, the plans, the identities and the cells read the category
-    only. The validator makes one and drops it when it returns, so
-    nothing outlives the call and a table changed between two calls is
-    read afresh. Restrictions are kept for one functor at a time, and
-    their flat forms are dropped with them: validate_esystem checks all
-    three parts of a functor before the next, and only axiom 5's one
-    restriction per arrow is computed a second time.
+    H restricted most recently, the cells of each slice, the sorted
+    terms of each arrow, and a value number for each distinct flat form
+    of a functor compared (see composites_equal), with the results of
+    the comparisons made so far. The slice morphisms, the plans, the
+    identities, the cells and the term lists read the category only. The
+    validator makes one and drops it when it returns, so nothing
+    outlives the call and a table changed between two calls is read
+    afresh.
+
+    Restrictions are kept for one functor H at a time: validate_esystem
+    checks all three parts of a functor before the next, and only axiom
+    5's one restriction per arrow is computed a second time. When H
+    changes, what was made for the old H is dropped: its restrictions,
+    their numbers, the forms first numbered through them, and every
+    memoised result. A form first numbered through a restriction and
+    then met again as a functor that lives for the call (a substitution,
+    a weakening, an identity, a slice of validate_ehom's homomorphism)
+    keeps its number past H. A number is drawn from a counter, so it is
+    never given to a second form within the call. So what is held at any
+    time is the call's own functors, plus the restrictions of one H and
+    the results of the comparisons made since H was first restricted.
 
     For validate_ehom, ``target`` is the target system: its own functors
     are numbered in it, the slices of the homomorphism go from the
@@ -410,11 +460,22 @@ class _Slices:
         self._mors: dict[tuple[int, str], list[SliceMor]] = {}
         self._plans: dict[str, _Plan] = {}
         self._ids: dict[str, SliceFunctorT] = {}
+        self._terms: dict[str, list[str]] = {}
         self._restricted: SliceFunctorT | None = None
         self._restrictions: dict[str, SliceFunctorT | None] = {}
         self._hom_slices: dict[str, SliceFunctorT | None] = {}
         self._cells: dict[tuple[int, str], _Cells] = {}
-        self._flats: dict[int, tuple[SliceFunctorT, _Flat | None]] = {}
+        # id(F) -> (F, its number); F is kept, so its id is not reused
+        self._numbered: dict[int, tuple[SliceFunctorT, int | None]] = {}
+        self._next = itertools.count()
+        self._forms: dict[int, _Flat] = {}
+        # form -> number: for the functors of the call, and for the forms
+        # first met through a restriction of the current H
+        self._kept: dict[_Flat, int] = {}
+        self._scoped: dict[_Flat, int] = {}
+        # (g1, f1, g2, f2) numbers -> composites_equal's triple, for the current H
+        self.diffs: dict[tuple[int, int, int, int], tuple[list[tuple], int, int]] = {}
+        self._families: dict[int, dict] = {}
         # (source, target) system of the functors that do not live in e
         self._homes: dict[int, tuple[ESystem, ESystem]] = {}
         if self.target is not e:
@@ -433,12 +494,18 @@ class _Slices:
             self._ids[apex] = _identity_on(self.e, apex, self.mors(self.e, apex))
         return self._ids[apex]
 
+    def terms(self, a: str) -> list[str]:
+        """sorted(e.T(a)), once per call."""
+        ts = self._terms.get(a)
+        if ts is None:
+            ts = self._terms[a] = sorted(self.e.T(a))
+        return ts
+
     def restrict(self, H: SliceFunctorT, P: str) -> SliceFunctorT | None:
         """restrict_sf(e, H, P), or None where it raises Truncated."""
         if H is not self._restricted:
-            for R in self._restrictions.values():
-                self._flats.pop(id(R), None)
-            self._restricted, self._restrictions = H, {}
+            self._drop_restrictions()
+            self._restricted = H
         memo = self._restrictions
         if P not in memo:
             if P not in self._plans:
@@ -448,6 +515,14 @@ class _Slices:
             except Truncated:
                 memo[P] = None
         return memo[P]
+
+    def _drop_restrictions(self) -> None:
+        for R in self._restrictions.values():
+            self._numbered.pop(id(R), None)
+        for n in self._scoped.values():
+            del self._forms[n]
+        self._restrictions, self._scoped = {}, {}
+        self.diffs = {}
 
     def hom_slice(self, h: EHom, gamma: str) -> SliceFunctorT | None:
         """slice_of_ehom(h, gamma), or None where gamma has no image."""
@@ -467,24 +542,50 @@ class _Slices:
             self._cells[key] = _Cells(e, apex, self.mors(e, apex))
         return self._cells[key]
 
-    def flat(self, F: SliceFunctorT) -> _Flat | None:
-        """F's flat form, or None where F is not representable."""
-        hit = self._flats.get(id(F))
+    def number(self, F: SliceFunctorT) -> int | None:
+        """The number of F's flat form, or None where F is not representable."""
+        return self._entry(F)[1]
+
+    def _entry(self, F: SliceFunctorT) -> tuple[SliceFunctorT, int | None]:
+        """(F, number(F))."""
+        hit = self._numbered.get(id(F))
         if hit is None:
             s, t = self._homes.get(id(F), (self.e, self.e))
             src, tgt = self._cells_of(s, F.source_apex), self._cells_of(t, F.target_apex)
             cells = _flatten(F, src, tgt)
-            # F is kept with its form, so its id is not reused in the call
-            hit = self._flats[id(F)] = (F, None if cells is None else (src, tgt, cells))
-        return hit[1]
+            n = None
+            if cells is not None:
+                restricted = any(R is F for R in self._restrictions.values())
+                n = self._number_form((src, tgt, cells), restricted)
+            hit = self._numbered[id(F)] = (F, n)
+        return hit
 
-    def composite(self, g: SliceFunctorT, f: SliceFunctorT | None) -> _Flat | None:
-        """The flat form of g∘f (of g alone when f is None), or None."""
-        G = self.flat(g)
-        if G is None or f is None:
+    def _number_form(self, form: _Flat, restricted: bool) -> int:
+        n = self._kept.get(form)
+        if n is not None:
+            return n
+        n = self._scoped.pop(form, None)
+        if n is None:
+            n = next(self._next)
+            self._forms[n] = form
+        (self._scoped if restricted else self._kept)[form] = n
+        return n
+
+    def numbered(self, family: dict) -> dict:
+        """key -> (F, number(F)) for every F of ``family`` (e.subst or
+        e.weak, which live for the call), once per call."""
+        out = self._families.get(id(family))
+        if out is None:
+            out = self._families[id(family)] = {key: self._entry(F) for key, F in family.items()}
+        return out
+
+    def composite(self, g: int, f: int) -> _Flat | None:
+        """The flat form of g∘f (of g alone when f is -1), or None."""
+        G = self._forms[g]
+        if f < 0:
             return G
-        F = self.flat(f)
-        if F is None or F[1] is not G[0]:
+        F = self._forms[f]
+        if F[1] is not G[0]:
             return None
         idx = F[2]
         # itemgetter gives a bare value, not a tuple, for a single index
@@ -497,68 +598,87 @@ def _ehom_part(slices: _Slices, H: SliceFunctorT, part: str, rep: Report, law: s
     part "sub": H commutes with substitution on slices of its source.
     part "weak": H commutes with weakening.
     part "proj": H preserves identity terms.
+
+    Checks and skips are counted here and entered once, at the end, and
+    the comparisons are looked up by the numbers of their sides first.
     """
     e = slices.e
     cat = e.cat
-    delta = H.source_apex
-    for P in slice_objects(cat, delta):
-        if P not in H.obj_map:
-            rep.skip(law)
+    compose = cat.compose
+    H_obj, H_mor, H_terms = H.obj_map, H.mor_map, H.term_map
+    subst = slices.numbered(e.subst)
+    weak = slices.numbered(e.weak)
+    ticks = skips = 0
+    for P in slice_objects(cat, H.source_apex):
+        if P not in H_obj:
+            skips += 1
             continue
         HP = slices.restrict(H, P)
         if HP is None:
-            rep.skip(law)
+            skips += 1
             continue
         for Q in slice_objects(cat, cat.dom(P)):
-            PQ = cat.compose.get((P, Q))
+            PQ = compose.get((P, Q))
             if PQ is None:
-                rep.skip(law)
+                skips += 1
                 continue
             key = (Q, PQ, P)
-            Qimg = H.mor_map.get(key)
+            Qimg = H_mor.get(key)
             if Qimg is None:
-                rep.skip(law)
+                skips += 1
                 continue
             HPQ = slices.restrict(H, PQ)
             if HPQ is None:
-                rep.skip(law)
+                skips += 1
                 continue
             if part == "sub":
-                for y in sorted(e.T(Q)):
-                    rep.tick(law)
-                    Sy = e.subst.get((Q, y))
-                    yimg = H.term_map.get(key, {}).get(y)
-                    Syi = e.subst.get((Qimg, yimg)) if yimg is not None else None
+                nHP, nHPQ = slices.number(HP), slices.number(HPQ)
+                images = H_terms.get(key, {})
+                for y in slices.terms(Q):
+                    ticks += 1
+                    Sy = subst.get((Q, y))
+                    Syi = subst.get((Qimg, images.get(y)))
                     if Sy is None or Syi is None:
-                        rep.skip(law)
+                        skips += 1
                         continue
-                    rep.record(law, composites_equal(e, HP, Sy, Syi, HPQ, slices), (P, Q, y))
+                    k = (nHP, Sy[1], Syi[1], nHPQ)
+                    bad, skipped, _ = composites_equal(e, HP, Sy[0], Syi[0], HPQ, slices, key=k)
+                    skips += skipped
+                    for w in bad:
+                        rep.fail(law, (P, Q, y) + w)
             elif part == "weak":
-                rep.tick(law)
-                WQ = e.weak.get(Q)
-                Wi = e.weak.get(Qimg)
+                ticks += 1
+                WQ = weak.get(Q)
+                Wi = weak.get(Qimg)
                 if WQ is None or Wi is None:
-                    rep.skip(law)
+                    skips += 1
                     continue
-                rep.record(law, composites_equal(e, Wi, HP, HPQ, WQ, slices), (P, Q))
+                k = (Wi[1], slices.number(HP), slices.number(HPQ), WQ[1])
+                bad, skipped, _ = composites_equal(e, Wi[0], HP, HPQ, WQ[0], slices, key=k)
+                skips += skipped
+                for w in bad:
+                    rep.fail(law, (P, Q) + w)
             else:  # proj
-                rep.tick(law)
+                ticks += 1
                 oneQ = e.proj.get(Q)
                 onei = e.proj.get(Qimg)
                 WQ = e.weak.get(Q)
                 if oneQ is None or onei is None or WQ is None:
-                    rep.skip(law)
+                    skips += 1
                     continue
                 u = WQ.obj_map.get(Q)
                 if u is None:
-                    rep.skip(law)
+                    skips += 1
                     continue
                 act = term_action_at(e, HPQ, u)
                 if act is None or oneQ not in act:
-                    rep.skip(law)
+                    skips += 1
                     continue
                 if act[oneQ] != onei:
                     rep.fail(law, (P, Q), f"H(1) = {act[oneQ]!r}, expected {onei!r}")
+    if ticks or skips:
+        rep.tick(law, ticks)
+        rep.skip(law, skips)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,14 @@ morphism f, and one whole restriction W_{A.P}/B per vertical composite.
 restrictions went through one plan per slice object: it enumerates the
 slice over dom(P) and reads the composites afresh on every call.
 
+``validate_sfunctor_reference`` and ``ehom_part_reference`` are
+``esys.validate_sfunctor`` and ``esys._ehom_part`` as they were before
+they counted checks and skips in locals and looked comparisons up by the
+numbers of their sides: every instance is ticked and skipped on the
+report as it is met, every composition pair of a slice functor is found
+by a scan of all its morphisms, and every comparison builds both sides
+with ``compose_sf`` and restricts with ``restrict_sf_reference``.
+
 ``unit_ehom_reference`` builds the unit the way ``xlate.unit_ehom`` used
 to: one whole restriction W_{!Γ}/!Γ per arrow A into Γ, to read the
 position of A.
@@ -61,11 +69,13 @@ from bcsys.esys import (
     ESystem,
     SliceFunctorT,
     TermCat,
+    compose_sf,
     hom_terms_of,
     ih_arrow,
     ih_term,
     precompose,
     restrict_sf,
+    sf_equal,
     slice_objects,
     term_action_at,
     term_extension,
@@ -202,6 +212,114 @@ def restrict_sf_reference(e: ESystem, F: SliceFunctorT, P: str) -> SliceFunctorT
         out.mor_map[(h, q1, q2)] = img
         out.term_map[(h, q1, q2)] = dict(F.term_map.get((h, pq1, pq2), {}))
     return out
+
+
+def validate_sfunctor_reference(e: ESystem, F: SliceFunctorT, rep: Report, law: str) -> None:
+    """Functor-with-term-structure laws for one slice functor."""
+    cat = e.cat
+    src_objs = set(slice_objects(cat, F.source_apex))
+    tgt_objs = set(slice_objects(cat, F.target_apex))
+    for x, y in sorted(F.obj_map.items()):
+        rep.tick(law)
+        if x not in src_objs or y not in tgt_objs:
+            rep.fail(law, (x, y), "object map endpoints wrong")
+    for (h, a, b), h1 in sorted(F.mor_map.items()):
+        rep.tick(law)
+        fa, fb = F.obj_map.get(a), F.obj_map.get(b)
+        if fa is None or fb is None:
+            rep.skip(law)
+            continue
+        if cat.compose.get((fb, h1)) != fa:
+            rep.fail(law, (h, a, b), "image does not commute over the apex")
+    for a in sorted(F.obj_map):
+        rep.tick(law)
+        try:
+            ida = cat.id_of(cat.dom(a))
+            img = F.mor_map.get((ida, a, a))
+            if img is None:
+                rep.skip(law)
+            elif img != cat.id_of(cat.dom(F.obj_map[a])):
+                rep.fail(law, (a,), "identity not preserved")
+        except Truncated:
+            rep.skip(law)
+    mors = sorted(F.mor_map)
+    for (h1, a, b) in mors:
+        for (h2, b2, c) in mors:
+            if b2 != b:
+                continue
+            rep.tick(law)
+            try:
+                hh = cat.comp(h2, h1)
+            except Truncated:
+                rep.skip(law)
+                continue
+            lhs = F.mor_map.get((hh, a, c))
+            try:
+                rhs = cat.comp(F.mor_map[(h2, b, c)], F.mor_map[(h1, a, b)])
+            except Truncated:
+                rep.skip(law)
+                continue
+            if lhs is None:
+                rep.skip(law)
+            elif lhs != rhs:
+                rep.fail(law, (h2, h1, a), "composition not preserved")
+    for m, tm in sorted(F.term_map.items()):
+        img = F.mor_map.get(m)
+        for t, u in sorted(tm.items()):
+            rep.tick(law)
+            if t not in e.T(m[0]):
+                rep.fail(law, (m, t), "term map key not a term")
+            elif img is None or u not in e.T(img):
+                rep.fail(law, (m, t, u), "term image outside target term set")
+
+
+def ehom_part_reference(e: ESystem, H: SliceFunctorT, part: str, rep: Report, law: str) -> None:
+    """One pre-E-homomorphism condition for H: part "sub", "weak" or "proj"."""
+    cat = e.cat
+    for P in slice_objects(cat, H.source_apex):
+        if P not in H.obj_map:
+            rep.skip(law)
+            continue
+        HP = restrict_sf_reference(e, H, P)
+        for Q in slice_objects(cat, cat.dom(P)):
+            PQ = cat.compose.get((P, Q))
+            key = (Q, PQ, P)
+            Qimg = H.mor_map.get(key) if PQ is not None else None
+            if Qimg is None:
+                rep.skip(law)
+                continue
+            try:
+                HPQ = restrict_sf_reference(e, H, PQ)
+            except Truncated:
+                rep.skip(law)
+                continue
+            if part == "sub":
+                for y in sorted(e.T(Q)):
+                    rep.tick(law)
+                    Sy = e.subst.get((Q, y))
+                    yimg = H.term_map.get(key, {}).get(y)
+                    Syi = e.subst.get((Qimg, yimg)) if yimg is not None else None
+                    if Sy is None or Syi is None:
+                        rep.skip(law)
+                        continue
+                    diff = sf_equal(compose_sf(e, HP, Sy), compose_sf(e, Syi, HPQ))
+                    rep.record(law, diff, (P, Q, y))
+            elif part == "weak":
+                rep.tick(law)
+                WQ, Wi = e.weak.get(Q), e.weak.get(Qimg)
+                if WQ is None or Wi is None:
+                    rep.skip(law)
+                    continue
+                rep.record(law, sf_equal(compose_sf(e, Wi, HP), compose_sf(e, HPQ, WQ)), (P, Q))
+            else:
+                rep.tick(law)
+                oneQ, onei, WQ = e.proj.get(Q), e.proj.get(Qimg), e.weak.get(Q)
+                u = WQ.obj_map.get(Q) if WQ is not None else None
+                act = term_action_at(e, HPQ, u) if u is not None else None
+                if oneQ is None or onei is None or act is None or oneQ not in act:
+                    rep.skip(law)
+                elif act[oneQ] != onei:
+                    rep.fail(law, (P, Q), f"H(1) = {act[oneQ]!r}, expected {onei!r}")
 
 
 def internal_hom_cat_reference(e: ESystem, gamma: str) -> FinCat:

@@ -14,6 +14,7 @@ from bcsys.cesys import (
 from bcsys.core import Arrow, FinCat, FunctorData, identity_functor, validate_fincat
 from bcsys.csys import CSystem, CSystemHom, validate_csystem, validate_csystem_hom
 from bcsys.esys import nat_arrow
+from bcsys.xlate import ce_to_c
 
 
 def finset_csystem(height: int) -> CSystem:
@@ -72,6 +73,19 @@ def test_identity_csystem_hom():
     c = finset_csystem(2)
     h = CSystemHom(source=c, target=c, functor=identity_functor(c.cat))
     assert validate_csystem_hom(h).ok
+
+
+def test_csystem_hom_skips_father_of_object_without_ft_row():
+    """A source object with no ft row makes its hom-iii instance a skip,
+    not a KeyError."""
+    c = ce_to_c(build_finset_cesystem(2))
+    x = next(x for x in sorted(c.cat.objects) if c.length.get(x, 0) > 0)
+    whole = validate_csystem_hom(CSystemHom(source=c, target=c, functor=identity_functor(c.cat)))
+    del c.ft[x]
+    rep = validate_csystem_hom(CSystemHom(source=c, target=c, functor=identity_functor(c.cat)))
+    assert rep.laws["hom-iii"].skipped == whole.laws["hom-iii"].skipped + 1
+    assert rep.laws["hom-iii"].checked == whole.laws["hom-iii"].checked
+    assert not rep.laws["hom-iii"].violations and not whole.laws["hom-iii"].violations
 
 
 def test_length_breaking_functor_fails():

@@ -46,10 +46,10 @@ from bcsys.esys import (
     validate_esystem,
     vertical_compose,
 )
-from bcsys.report import Truncated
+from bcsys.report import Report, Truncated
 from bcsys.xlate import b_to_e
 
-from reference import restrict_sf_reference
+from reference import ehom_part_reference, restrict_sf_reference, validate_sfunctor_reference
 
 
 def test_term_set_sizes():
@@ -680,35 +680,62 @@ def _b2e_to_nat_hom(h: int) -> EHom:
     )
 
 
-@pytest.mark.parametrize(
-    "validate",
-    [
-        lambda: validate_esystem(build_nat_esystem(4)),
-        lambda: validate_esystem(build_group_structure(*s3_table())),
-        lambda: validate_esystem(b_to_e(build_finset_bsystem(4))),
-        lambda: validate_ehom(_b2e_to_nat_hom(3)),
-    ],
-    ids=["nat-e-h4", "group-s3", "b2e-finset-b-h4", "ehom-b2e-nat-h3"],
-)
-def test_composites_equal_matches_reference_at_every_site(validate, monkeypatch):
+@pytest.fixture
+def memo(monkeypatch):
+    """Check every composites_equal call against building both sides with
+    compose_sf. Counts the calls, the calls answered from the memo (those
+    that made no gather and no fallback), the calls with a witness, and
+    each shape (f1 is None, f2 is None) met."""
+    seen = collections.Counter()
     real = esys.composites_equal
-    shapes = set()
-    failing = 0
+    real_gather, real_sf_equal = esys._Slices.composite, esys.sf_equal
 
-    def checked(e, g1, f1, g2, f2, slices=None):
-        nonlocal failing
-        got = real(e, g1, f1, g2, f2, slices)
+    def gather(self, g, f):
+        seen["work"] += 1
+        return real_gather(self, g, f)
+
+    def fallback(f, g):
+        seen["work"] += 1
+        return real_sf_equal(f, g)
+
+    def checked(e, g1, f1, g2, f2, slices=None, key=None):
+        work = seen["work"]
+        got = real(e, g1, f1, g2, f2, slices, key)
+        seen["calls"] += 1
+        seen["hits"] += seen["work"] == work
+        seen["failing"] += bool(got[0])
+        seen[(f1 is None, f2 is None)] += 1
         assert got == _reference(e, g1, f1, g2, f2)
-        shapes.add((f1 is None, f2 is None))
-        failing += bool(got[0])
         return got
 
+    monkeypatch.setattr(esys._Slices, "composite", gather)
+    monkeypatch.setattr(esys, "sf_equal", fallback)
     monkeypatch.setattr(esys, "composites_equal", checked)
+    return seen
+
+
+_SITES = {
+    "nat-e-h4": lambda: validate_esystem(build_nat_esystem(4)),
+    "group-s3": lambda: validate_esystem(build_group_structure(*s3_table())),
+    "b2e-finset-b-h4": lambda: validate_esystem(b_to_e(build_finset_bsystem(4))),
+    "ehom-b2e-nat-h3": lambda: validate_ehom(_b2e_to_nat_hom(3)),
+    **{f"nat-e-h{h}": lambda h=h: validate_esystem(build_nat_esystem(h)) for h in (2, 3, 5)},
+    **{
+        f"b2e-finset-b-h{h}": lambda h=h: validate_esystem(b_to_e(build_finset_bsystem(h)))
+        for h in (2, 3, 5)
+    },
+}
+
+
+@pytest.mark.parametrize("validate", list(_SITES.values()), ids=list(_SITES))
+def test_composites_equal_matches_reference_at_every_site(validate, memo):
     rep = validate()
+    shapes = {k for k in memo if isinstance(k, tuple)}
     assert (False, False) in shapes
     if "weak-functor" in rep.laws:  # validate_esystem: W_{A.P} and axioms 3, 5
         assert shapes == {(False, False), (True, False), (False, True)}
-    assert (failing > 0) == ("e-axiom-3" in rep.failed_laws())
+        assert 0 < memo["hits"] < memo["calls"]
+    assert (memo["failing"] > 0) == ("e-axiom-3" in rep.failed_laws())
 
 
 def _corrupt_subst_term(e):
@@ -755,9 +782,9 @@ def _real_sites():
     for e in systems:
         sites = []
 
-        def record(e, g1, f1, g2, f2, slices=None, sites=sites):
+        def record(e, g1, f1, g2, f2, slices=None, key=None, sites=sites):
             sites.append((g1, f1, g2, f2))
-            return real(e, g1, f1, g2, f2, slices)
+            return real(e, g1, f1, g2, f2, slices, key)
 
         esys.composites_equal = record
         try:
@@ -934,6 +961,164 @@ def test_flat_forms_do_not_outlive_the_call():
 
 
 # ---------------------------------------------------------------------------
+# value numbers and the comparison memo of _Slices
+
+
+def test_composites_equal_memo_matches_reference_on_damaged_systems(memo):
+    """nat-e and b_to_e(finset-b) at heights 2-4, damaged once."""
+
+    @settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @given(_damaged_systems(first=1))
+    def run(e):
+        validate_esystem(e)
+
+    run()
+    assert 0 < memo["hits"] < memo["calls"]
+
+
+@pytest.fixture
+def tallies(monkeypatch):
+    """Run every validate_sfunctor and _ehom_part call of a validation on
+    a fresh report beside its reference, and require the same laws, in the
+    same order, with the same checks, skips and witnesses. Counts the calls."""
+    seen = collections.Counter()
+    real_sfunctor, real_part = esys.validate_sfunctor, esys._ehom_part
+
+    def same(run, reference):
+        got, want = Report(), Report()
+        run(got)
+        reference(want)
+        assert list(got.laws.items()) == list(want.laws.items())
+
+    def sfunctor(e, F, rep, law):
+        same(lambda r: real_sfunctor(e, F, r, law), lambda r: validate_sfunctor_reference(e, F, r, law))
+        seen["sfunctor"] += 1
+        real_sfunctor(e, F, rep, law)
+
+    def part(slices, H, kind, rep, law):
+        same(lambda r: real_part(slices, H, kind, r, law), lambda r: ehom_part_reference(slices.e, H, kind, r, law))
+        seen[kind] += 1
+        real_part(slices, H, kind, rep, law)
+
+    monkeypatch.setattr(esys, "validate_sfunctor", sfunctor)
+    monkeypatch.setattr(esys, "_ehom_part", part)
+    return seen
+
+
+@pytest.mark.parametrize("site", range(7))
+def test_tallied_laws_match_reference_in_validations(tallies, site):
+    """group-s3, and nat-e and b_to_e(finset-b) at heights 2-4."""
+    validate_esystem(_real_sites()[site][0])
+    assert tallies["sfunctor"] and tallies["sub"] and tallies["weak"] and tallies["proj"]
+
+
+def test_tallied_laws_match_reference_on_damaged_systems(tallies):
+    """nat-e and b_to_e(finset-b) at heights 2-4, damaged once."""
+
+    @settings(max_examples=40, deadline=None, database=None, derandomize=True)
+    @given(_damaged_systems(first=1))
+    def run(e):
+        validate_esystem(e)
+
+    run()
+    assert tallies["sfunctor"] and tallies["sub"]
+
+
+def test_equal_tuples_over_different_cells_get_different_numbers():
+    e = _two_slices(with_u=False)
+    over_a = SliceFunctorT("a", "a", obj_map={"1a": "1a"})
+    over_b = SliceFunctorT("b", "a", obj_map={"1b": "1a"})
+    slices = esys._Slices(e)
+    na, nb = slices.number(over_a), slices.number(over_b)
+    assert slices._forms[na][2] == slices._forms[nb][2]
+    assert na != nb
+    # the same tables in another functor object get the same number
+    assert slices.number(_copy_sf(over_a)) == na
+
+
+def test_memo_is_dropped_with_the_restrictions_of_its_functor(monkeypatch):
+    """Across validate_esystem(nat-e h4), whenever the restricted functor
+    changes: no result, form or number made through the old functor's
+    restrictions is held any longer, every number still held has its
+    form, and a result is held only while its four numbers are."""
+    drops = 0
+    real_drop = esys._Slices._drop_restrictions
+
+    def holding(slices):
+        return {n for _F, n in slices._numbered.values() if n is not None}
+
+    def drop(slices):
+        nonlocal drops
+        old = [R for R in slices._restrictions.values() if R is not None]
+        assert all(n in slices._forms for key in slices.diffs for n in key if n >= 0)
+        real_drop(slices)
+        drops += 1
+        assert not slices.diffs and not slices._scoped
+        assert set(slices._forms) == set(slices._kept.values())
+        assert holding(slices) <= set(slices._forms)
+        assert not any(F is R for F, _n in slices._numbered.values() for R in old)
+
+    monkeypatch.setattr(esys._Slices, "_drop_restrictions", drop)
+    assert validate_esystem(build_nat_esystem(4)).ok
+    assert drops > 10
+
+
+def test_a_restriction_at_a_reused_id_is_numbered_afresh():
+    """Restrictions of one functor after another, each dropped with its
+    functor: one made at the address of a dropped one gets the number of
+    its own form, never the number of the old one."""
+    e = build_nat_esystem(4)
+    slices = esys._Slices(e)
+    numbers: dict[int, int] = {}  # id of a dropped restriction -> its number
+    reused = 0
+    for A in sorted(e.weak):
+        made = {}
+        for P in sorted(e.cat.arrows):
+            R = slices.restrict(e.weak[A], P)
+            if R is None:
+                continue
+            n = slices.number(R)
+            src, tgt, cells = slices._forms[n]
+            assert cells == esys._flatten(R, src, tgt)
+            assert composites_equal(e, R, None, R, None, slices) == _reference(e, R, None, R, None)
+            if id(R) in numbers:
+                reused += 1
+                assert n != numbers[id(R)]
+            made[id(R)] = n
+            del R
+        numbers.update(made)
+    assert reused > 0
+
+
+def test_a_form_first_met_through_a_restriction_keeps_its_number_for_the_call():
+    """The identity on the slice over 0 restricted at 1_0 is that identity
+    again: numbered first as a restriction, its number outlives the
+    restriction once the identity itself has been numbered."""
+    e = build_nat_esystem(3)
+    slices = esys._Slices(e)
+    ident = slices.identity("0")
+    n = slices.number(slices.restrict(ident, nat_arrow(0, 0)))
+    assert slices.number(ident) == n
+    assert slices.restrict(e.weak[nat_arrow(1, 0)], nat_arrow(1, 0)) is not None  # drops the first
+    assert slices.number(ident) == n and n in slices._forms
+    assert composites_equal(e, ident, None, ident, None, slices) == _reference(e, ident, None, ident, None)
+
+
+def test_ehom_memo_does_not_outlive_the_call():
+    """validate_ehom reads a target substitution changed between two calls afresh."""
+    hom = _b2e_to_nat_hom(3)
+    first = validate_ehom(hom)
+    _corrupt_subst_term(hom.target)
+    again = validate_ehom(hom)
+    fresh = _b2e_to_nat_hom(3)
+    _corrupt_subst_term(fresh.target)
+    expected = validate_ehom(fresh)
+    assert first.ok and not again.ok
+    assert again.format() == expected.format()
+    assert [v.witness for v in again.violations()] == [v.witness for v in expected.violations()]
+
+
+# ---------------------------------------------------------------------------
 # restrictions through one plan per slice object
 
 
@@ -1023,8 +1208,9 @@ def _damaged_system(draw, e):
 
 
 @st.composite
-def _damaged_systems(draw):
-    e, _sites = _real_sites()[draw(st.integers(0, len(_real_sites()) - 1))]
+def _damaged_systems(draw, first=0):
+    """A damaged copy of one of _real_sites()[first:]."""
+    e, _sites = _real_sites()[draw(st.integers(first, len(_real_sites()) - 1))]
     return _damaged_system(draw, e)
 
 
