@@ -77,6 +77,12 @@ def cmd_example(args) -> int:
     if height > max_height():
         print(f"height {height} exceeds {MAX_HEIGHT_ENV}={max_height()}", file=sys.stderr)
         return 2
+    if height < 0:
+        print(f"height {height} is negative", file=sys.stderr)
+        return 2
+    if args.bound < 1:
+        print(f"bound {args.bound} is below 1", file=sys.stderr)
+        return 2
     if args.name == "finset-b":
         obj = build_finset_bsystem(height)
     elif args.name == "finset-ce":

@@ -95,16 +95,12 @@ def terminal_mor(cat: FinCat, u: str, apex: str) -> SliceMor:
     return (u, u, cat.id_of(apex))
 
 
-def identity_sf(e: ESystem, apex: str) -> SliceFunctorT:
-    return _identity_on(e, apex, slice_mors(e.cat, apex))
-
-
-def _identity_on(e: ESystem, apex: str, mors: list[SliceMor]) -> SliceFunctorT:
-    """identity_sf(e, apex), given the slice morphisms over apex."""
+def identity_sf(e: ESystem, apex: str, mors: list[SliceMor] | None = None) -> SliceFunctorT:
+    """The identity on the slice over apex; ``mors`` is slice_mors(e.cat, apex) if given."""
     sf = SliceFunctorT(source_apex=apex, target_apex=apex)
     for f in slice_objects(e.cat, apex):
         sf.obj_map[f] = f
-    for m in mors:
+    for m in slice_mors(e.cat, apex) if mors is None else mors:
         sf.mor_map[m] = m[0]
         sf.term_map[m] = {t: t for t in e.T(m[0])}
     return sf
@@ -440,31 +436,22 @@ class _Slices:
     their numbers, the forms first numbered through them, and every
     memoised result. A form first numbered through a restriction and
     then met again as a functor that lives for the call (a substitution,
-    a weakening, an identity, a slice of validate_ehom's homomorphism)
-    keeps its number past H. A number is drawn from a counter, so it is
-    never given to a second form within the call. So what is held at any
-    time is the call's own functors, plus the restrictions of one H and
-    the results of the comparisons made since H was first restricted.
-
-    For validate_ehom, ``target`` is the target system: its own functors
-    are numbered in it, the slices of the homomorphism go from the
-    source to it, and every other functor lives in the source. Which
-    system numbers a functor decides only whether the flat path is
-    taken: a flat form is faithful in any numbering, and two forms are
-    gathered or compared only over the very same cells.
+    a weakening, an identity) keeps its number past H. A number is drawn
+    from a counter, so it is never given to a second form within the
+    call. So what is held at any time is the call's own functors, plus
+    the restrictions of one H and the results of the comparisons made
+    since H was first restricted.
     """
 
-    def __init__(self, e: ESystem, target: ESystem | None = None) -> None:
+    def __init__(self, e: ESystem) -> None:
         self.e = e
-        self.target = e if target is None else target
-        self._mors: dict[tuple[int, str], list[SliceMor]] = {}
+        self._mors: dict[str, list[SliceMor]] = {}
         self._plans: dict[str, _Plan] = {}
         self._ids: dict[str, SliceFunctorT] = {}
         self._terms: dict[str, list[str]] = {}
         self._restricted: SliceFunctorT | None = None
         self._restrictions: dict[str, SliceFunctorT | None] = {}
-        self._hom_slices: dict[str, SliceFunctorT | None] = {}
-        self._cells: dict[tuple[int, str], _Cells] = {}
+        self._cells: dict[str, _Cells] = {}
         # id(F) -> (F, its number); F is kept, so its id is not reused
         self._numbered: dict[int, tuple[SliceFunctorT, int | None]] = {}
         self._next = itertools.count()
@@ -476,22 +463,16 @@ class _Slices:
         # (g1, f1, g2, f2) numbers -> composites_equal's triple, for the current H
         self.diffs: dict[tuple[int, int, int, int], tuple[list[tuple], int, int]] = {}
         self._families: dict[int, dict] = {}
-        # (source, target) system of the functors that do not live in e
-        self._homes: dict[int, tuple[ESystem, ESystem]] = {}
-        if self.target is not e:
-            for F in itertools.chain(self.target.subst.values(), self.target.weak.values()):
-                self._homes[id(F)] = (self.target, self.target)
 
-    def mors(self, e: ESystem, apex: str) -> list[SliceMor]:
+    def mors(self, apex: str) -> list[SliceMor]:
         """slice_mors(e.cat, apex), once per call."""
-        key = (id(e), apex)
-        if key not in self._mors:
-            self._mors[key] = slice_mors(e.cat, apex)
-        return self._mors[key]
+        if apex not in self._mors:
+            self._mors[apex] = slice_mors(self.e.cat, apex)
+        return self._mors[apex]
 
     def identity(self, apex: str) -> SliceFunctorT:
         if apex not in self._ids:
-            self._ids[apex] = _identity_on(self.e, apex, self.mors(self.e, apex))
+            self._ids[apex] = identity_sf(self.e, apex, self.mors(apex))
         return self._ids[apex]
 
     def terms(self, a: str) -> list[str]:
@@ -509,7 +490,7 @@ class _Slices:
         memo = self._restrictions
         if P not in memo:
             if P not in self._plans:
-                self._plans[P] = _restriction_plan(self.e.cat, P, lambda apex: self.mors(self.e, apex))
+                self._plans[P] = _restriction_plan(self.e.cat, P, self.mors)
             try:
                 memo[P] = _restrict(self.e.cat, self._plans[P], H)
             except Truncated:
@@ -524,41 +505,23 @@ class _Slices:
         self._restrictions, self._scoped = {}, {}
         self.diffs = {}
 
-    def hom_slice(self, h: EHom, gamma: str) -> SliceFunctorT | None:
-        """slice_of_ehom(h, gamma), or None where gamma has no image."""
-        if gamma not in self._hom_slices:
-            try:
-                H = slice_of_ehom(h, gamma)
-            except KeyError:
-                H = None
-            else:
-                self._homes[id(H)] = (self.e, self.target)
-            self._hom_slices[gamma] = H
-        return self._hom_slices[gamma]
-
-    def _cells_of(self, e: ESystem, apex: str) -> _Cells:
-        key = (id(e), apex)
-        if key not in self._cells:
-            self._cells[key] = _Cells(e, apex, self.mors(e, apex))
-        return self._cells[key]
+    def _cells_of(self, apex: str) -> _Cells:
+        if apex not in self._cells:
+            self._cells[apex] = _Cells(self.e, apex, self.mors(apex))
+        return self._cells[apex]
 
     def number(self, F: SliceFunctorT) -> int | None:
         """The number of F's flat form, or None where F is not representable."""
-        return self._entry(F)[1]
-
-    def _entry(self, F: SliceFunctorT) -> tuple[SliceFunctorT, int | None]:
-        """(F, number(F))."""
         hit = self._numbered.get(id(F))
         if hit is None:
-            s, t = self._homes.get(id(F), (self.e, self.e))
-            src, tgt = self._cells_of(s, F.source_apex), self._cells_of(t, F.target_apex)
+            src, tgt = self._cells_of(F.source_apex), self._cells_of(F.target_apex)
             cells = _flatten(F, src, tgt)
             n = None
             if cells is not None:
                 restricted = any(R is F for R in self._restrictions.values())
                 n = self._number_form((src, tgt, cells), restricted)
             hit = self._numbered[id(F)] = (F, n)
-        return hit
+        return hit[1]
 
     def _number_form(self, form: _Flat, restricted: bool) -> int:
         n = self._kept.get(form)
@@ -576,7 +539,7 @@ class _Slices:
         e.weak, which live for the call), once per call."""
         out = self._families.get(id(family))
         if out is None:
-            out = self._families[id(family)] = {key: self._entry(F) for key, F in family.items()}
+            out = self._families[id(family)] = {key: (F, self.number(F)) for key, F in family.items()}
         return out
 
     def composite(self, g: int, f: int) -> _Flat | None:
@@ -941,18 +904,16 @@ def validate_ehom(h: EHom) -> Report:
     for law in ("preserve-sub", "preserve-weak", "preserve-proj"):
         rep.law(law)
 
-    slices = _Slices(src, tgt)
+    # H/gamma for every gamma with an image
+    hom_slices = {gamma: slice_of_ehom(h, gamma) for gamma in h.functor.object_map}
     for gamma in sorted(cat.objects):
-        if gamma not in h.functor.object_map:
+        hg = hom_slices.get(gamma)
+        if hg is None:
             continue
-        hg = slices.hom_slice(h, gamma)
         for A in slice_objects(cat, gamma):
             Aimg = h.functor.arrow_map.get(A)
-            if Aimg is None:
-                rep.skip("preserve-sub")
-                continue
-            ha = slices.hom_slice(h, cat.dom(A))
-            if ha is None:
+            ha = hom_slices.get(cat.dom(A))
+            if Aimg is None or ha is None:
                 rep.skip("preserve-sub")
                 continue
             for x in sorted(src.T(A)):
@@ -963,22 +924,21 @@ def validate_ehom(h: EHom) -> Report:
                 if sx is None or sxi is None:
                     rep.skip("preserve-sub")
                     continue
-                rep.record("preserve-sub", composites_equal(src, hg, sx, sxi, ha, slices), (gamma, A, x))
+                diff = sf_equal(compose_sf(src, hg, sx), compose_sf(src, sxi, ha))
+                rep.record("preserve-sub", diff, (gamma, A, x))
             rep.tick("preserve-weak")
             wa = src.weak.get(A)
             wi = tgt.weak.get(Aimg)
             if wa is None or wi is None:
                 rep.skip("preserve-weak")
             else:
-                rep.record("preserve-weak", composites_equal(src, ha, wa, wi, hg, slices), (gamma, A))
+                diff = sf_equal(compose_sf(src, ha, wa), compose_sf(src, wi, hg))
+                rep.record("preserve-weak", diff, (gamma, A))
             rep.tick("preserve-proj")
             one = src.proj.get(A)
             onei = tgt.proj.get(Aimg)
-            if one is None or onei is None or wa is None:
-                rep.skip("preserve-proj")
-                continue
-            pos = wa.obj_map.get(A)
-            if pos is None:
+            pos = wa.obj_map.get(A) if wa is not None else None
+            if one is None or onei is None or pos is None:
                 rep.skip("preserve-proj")
                 continue
             img = h.term_map.get(pos, {}).get(one)

@@ -53,6 +53,9 @@ class RawExpr:
     sort: str  # "ty" or "tm"
     head: str  # former name, or "#i" for a term variable
     children: tuple["RawExpr", ...] = ()
+    # term variables each child binds, from the former's signature; empty
+    # where no child binds any
+    binders: tuple[int, ...] = ()
 
     def key(self) -> str:
         if not self.children:
@@ -126,6 +129,7 @@ def shift(expr: RawExpr, by: int, cutoff: int = 0) -> RawExpr:
         expr.sort,
         expr.head,
         tuple(shift(c, by, cutoff + _binders_of(expr, j)) for j, c in enumerate(expr.children)),
+        expr.binders,
     )
 
 
@@ -144,22 +148,12 @@ def subst(expr: RawExpr, j: int, repl: RawExpr) -> RawExpr:
             subst(c, j + _binders_of(expr, idx), repl)
             for idx, c in enumerate(expr.children)
         ),
+        expr.binders,
     )
 
 
-_BINDER_TABLE: dict[str, tuple[int, ...]] = {}
-
-
 def _binders_of(expr: RawExpr, child_index: int) -> int:
-    binders = _BINDER_TABLE.get(expr.head)
-    if binders is None:
-        return 0
-    return binders[child_index]
-
-
-def _register_signature(sig: BindingSignature) -> None:
-    for f in sig.type_formers + sig.term_formers:
-        _BINDER_TABLE[f.name] = tuple(a.binders for a in f.args)
+    return expr.binders[child_index] if expr.binders else 0
 
 
 def enumerate_raw(
@@ -171,7 +165,6 @@ def enumerate_raw(
     """
     if bound < 1:
         raise ValueError("size bound must be at least 1")
-    _register_signature(sig)
     memo: dict[tuple[str, int, int], list[RawExpr]] = {}
 
     def gen(sort: str, vars_: int, budget: int) -> list[RawExpr]:
@@ -184,8 +177,9 @@ def enumerate_raw(
         formers = sig.type_formers if sort == "ty" else sig.term_formers
         if budget >= 1:
             for f in formers:
+                binders = tuple(a.binders for a in f.args)
                 for combo in _child_combos(f.args, vars_, budget - 1, gen):
-                    out.append(RawExpr(sort, f.name, combo))
+                    out.append(RawExpr(sort, f.name, combo, binders))
         out.sort(key=lambda e: (e.size(), e.key()))
         memo[key] = out
         return out
@@ -222,7 +216,6 @@ def build_syntactic_bframe(
     substitution, weakening and generic-element tables carry only the
     entries whose results stay within the enumeration bound.
     """
-    _register_signature(sig)
     lm: list[list[RawExpr]] = []
     rr: list[list[RawExpr]] = []
     for i in range(height + 1):

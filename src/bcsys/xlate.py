@@ -990,8 +990,8 @@ def counit_cehom(a: CESystem) -> CEHom:
     obj_map = {}
     fam_ar = {}
     base_ar = {}
-    for t, (h, f, g) in slice_category(fam, a.root).triangle.items():
-        fam_ar[t] = h
+    for h, f, g in slice_mors(fam, a.root):
+        fam_ar[triangle_id(h, f, g)] = h
     for f in ahat.fam.objects:
         obj_map[f] = fam.dom(f)
     for name, arr in ahat.base.arrows.items():

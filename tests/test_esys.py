@@ -49,6 +49,7 @@ from bcsys.esys import (
 from bcsys.report import Report, Truncated
 from bcsys.xlate import b_to_e
 
+from ehom_pins import PINS
 from reference import ehom_part_reference, restrict_sf_reference, validate_sfunctor_reference
 
 
@@ -718,7 +719,6 @@ _SITES = {
     "nat-e-h4": lambda: validate_esystem(build_nat_esystem(4)),
     "group-s3": lambda: validate_esystem(build_group_structure(*s3_table())),
     "b2e-finset-b-h4": lambda: validate_esystem(b_to_e(build_finset_bsystem(4))),
-    "ehom-b2e-nat-h3": lambda: validate_ehom(_b2e_to_nat_hom(3)),
     **{f"nat-e-h{h}": lambda h=h: validate_esystem(build_nat_esystem(h)) for h in (2, 3, 5)},
     **{
         f"b2e-finset-b-h{h}": lambda h=h: validate_esystem(b_to_e(build_finset_bsystem(h)))
@@ -1116,6 +1116,34 @@ def test_ehom_memo_does_not_outlive_the_call():
     assert first.ok and not again.ok
     assert again.format() == expected.format()
     assert [v.witness for v in again.violations()] == [v.witness for v in expected.violations()]
+
+
+def _damaged_ehom(h: int, damage: str | None) -> EHom:
+    """_b2e_to_nat_hom(h) with one kind of damage: a target substitution
+    term retargeted (subst-term), two term images of the homomorphism
+    swapped (hom-term), a source or target weakening dropped
+    (source-weak, target-weak), or the object 1@1 left unmapped."""
+    hom = _b2e_to_nat_hom(h)
+    if damage == "subst-term":
+        _corrupt_subst_term(hom.target)
+    elif damage == "hom-term":
+        tm = hom.term_map["3@3>1"]
+        tm["(0)"], tm["(1)"] = tm["(1)"], tm["(0)"]
+    elif damage == "source-weak":
+        del hom.source.weak["2@2>0"]
+    elif damage == "target-weak":
+        del hom.target.weak["2>=1"]
+    elif damage == "unmapped":
+        del hom.functor.object_map["1@1"]
+    return hom
+
+
+@pytest.mark.parametrize("h, damage", list(PINS), ids=[f"h{h}-{d or 'sound'}" for h, d in PINS])
+def test_validate_ehom_matches_its_pinned_report(h, damage):
+    rep = validate_ehom(_damaged_ehom(h, damage))
+    lines, witnesses = PINS[(h, damage)]
+    assert rep.format().splitlines() == lines
+    assert [v.witness for v in rep.violations()] == witnesses
 
 
 # ---------------------------------------------------------------------------

@@ -214,6 +214,27 @@ def test_cli_height_cap(tmp_path, capsys, monkeypatch):
     assert code == 2
 
 
+@pytest.mark.parametrize("name", ["finset-b", "nat-e", "finset-ce", "group-s3"])
+def test_cli_example_rejects_a_negative_height(tmp_path, capsys, name):
+    out = tmp_path / "x.json"
+    code = main(["example", name, "--height", "-1", "-o", str(out)])
+    printed = capsys.readouterr()
+    assert code == 2 and not out.exists()
+    assert printed.out == "" and printed.err == "height -1 is negative\n"
+
+
+@pytest.mark.parametrize("bound", ["0", "-1"])
+def test_cli_example_rejects_a_bound_below_one(tmp_path, capsys, bound):
+    sig = tmp_path / "sig.txt"
+    sig.write_text("type U; type El(tm)\n")
+    out = tmp_path / "s.json"
+    argv = ["example", "syntactic", "--sig", str(sig), "--height", "2", "--bound", bound]
+    code = main(argv + ["-o", str(out)])
+    printed = capsys.readouterr()
+    assert code == 2 and not out.exists()
+    assert printed.out == "" and printed.err == f"bound {bound} is below 1\n"
+
+
 def test_cli_malformed_file(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{ nope")

@@ -85,6 +85,33 @@ def test_shift_and_subst_de_bruijn():
     assert subst(el0, 0, v1).key() == "El(#1)"
 
 
+BINDING_LAM, PLAIN_LAM = "type U; term lam(tm^1.tm)", "type U; term lam(tm)"
+
+
+def _lam_after(order):
+    """Enumerate the two lam signatures in ``order``, then shift and
+    substitute each one's lam(#0) over one variable, and build each one's
+    syntactic B-frame."""
+    sigs = {text: parse_signature(text) for text in order}
+    lams = {}
+    for text in order:
+        _tys, tms = enumerate_raw(sigs[text], 1, 2)
+        lams[text] = next(t for t in tms if t.key() == "lam(#0)")
+    moved = {
+        text: (shift(lam, 1).key(), subst(lam, 0, RawExpr("tm", "#5")).key())
+        for text, lam in lams.items()
+    }
+    reports = {text: build_syntactic_bframe(sigs[text], 2, 2)[1].format() for text in order}
+    return moved, reports
+
+
+def test_shift_and_subst_read_binders_from_their_own_signature():
+    moved, reports = _lam_after([BINDING_LAM, PLAIN_LAM])
+    # under the binder, #0 is the bound variable; without it, the free one
+    assert moved == {BINDING_LAM: ("lam(#0)", "lam(#0)"), PLAIN_LAM: ("lam(#1)", "lam(#5)")}
+    assert _lam_after([PLAIN_LAM, BINDING_LAM]) == (moved, reports)
+
+
 def test_syntactic_bframe_level_sizes():
     # |B_n| is the product of |LM([i])| for i < n; |B~_{n+1}| multiplies in
     # |R([n])| and |LM([n])|. Independent closed forms for {U, El}:
