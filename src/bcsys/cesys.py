@@ -24,7 +24,7 @@ from .core import (
     validate_fincat,
     validate_functor,
 )
-from .csys import check_pullback_square
+from .csys import check_pullback_composites, check_pullback_square
 from .esys import nat_arrow, nat_poset_cat
 from .report import Report, Truncated
 
@@ -178,28 +178,7 @@ def validate_cesystem(a: CESystem, rooted: bool = False, stratified: bool = Fals
                 rep.fail("pb-b", (A,), f"pullback along identity is {entry!r}")
         except Truncated:
             rep.skip("pb-b")
-    for (f, A), (fA, pi2) in sorted(a.pb.items()):
-        delta = base.dom(f)
-        for g in base.arrows_into(delta):
-            rep.tick("pb-c")
-            try:
-                fg = base.comp(f, g)
-            except Truncated:
-                rep.skip("pb-c")
-                continue
-            lhs = a.pb.get((fg, A))
-            inner = a.pb.get((g, fA))
-            if lhs is None or inner is None:
-                rep.skip("pb-c")
-                continue
-            gA, pi2g = inner
-            try:
-                expect = (gA, base.comp(pi2, pi2g))
-            except Truncated:
-                rep.skip("pb-c")
-                continue
-            if lhs != expect:
-                rep.fail("pb-c", (f, g, A), f"{lhs!r} != {expect!r}")
+    check_pullback_composites(base, a.pb, rep, "pb-c")
     for (f, A), (fA, pi2) in sorted(a.pb.items()):
         for P in fam.arrows_into(fam.dom(A)):
             rep.tick("pb-d")

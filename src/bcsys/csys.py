@@ -238,29 +238,30 @@ def validate_csystem(c: CSystem) -> Report:
             if entry != expected:
                 rep.fail("vi", (gamma,), f"id pullback is {entry!r}")
 
-    for (f, gamma), (ob_f, q_f) in sorted(c.pb.items()):
-        delta = c.cat.dom(f)
-        for g in cat.arrows_into(delta):
-            rep.tick("vii")
-            try:
-                fg = cat.comp(f, g)
-            except Truncated:
-                rep.skip("vii")
-                continue
-            lhs = c.pb.get((fg, gamma))
-            inner = c.pb.get((g, ob_f))
-            if lhs is None or inner is None:
-                rep.skip("vii")
-                continue
-            ob_g, q_g = inner
-            try:
-                composite_q = cat.comp(q_f, q_g)
-            except Truncated:
-                rep.skip("vii")
-                continue
-            if lhs != (ob_g, composite_q):
-                rep.fail("vii", (f, g, gamma), f"{lhs!r} != {(ob_g, composite_q)!r}")
+    check_pullback_composites(cat, c.pb, rep, "vii")
     return rep
+
+
+def check_pullback_composites(
+    cat: FinCat, pb: dict[tuple[str, str], tuple[str, str]], rep: Report, law: str
+) -> None:
+    """The pullback along a composite is the composite of the pullbacks.
+
+    For every entry pb[(f, X)] = (Y, q) and every g into dom(f), with
+    pb[(g, Y)] = (Y', q'), require pb[(f∘g, X)] = (Y', q∘q'). An instance
+    is skipped when f∘g, q∘q' or either entry is missing.
+    """
+    compose = cat.compose
+    for (f, X), (Y, q) in sorted(pb.items()):
+        for g in cat.arrows_into(cat.dom(f)):
+            rep.tick(law)
+            lhs = pb.get((compose.get((f, g)), X))
+            inner = pb.get((g, Y))
+            expect = None if inner is None else (inner[0], compose.get((q, inner[1])))
+            if lhs is None or expect is None or expect[1] is None:
+                rep.skip(law)
+            elif lhs != expect:
+                rep.fail(law, (f, g, X), f"{lhs!r} != {expect!r}")
 
 
 def validate_csystem_hom(h: CSystemHom) -> Report:

@@ -904,24 +904,19 @@ def validate_ehom(h: EHom) -> Report:
     for law in ("preserve-sub", "preserve-weak", "preserve-proj"):
         rep.law(law)
 
-    # H/gamma for every gamma with an image
+    # H/gamma for every gamma with an image; an instance that reads a
+    # missing slice or table is skipped
     hom_slices = {gamma: slice_of_ehom(h, gamma) for gamma in h.functor.object_map}
     for gamma in sorted(cat.objects):
         hg = hom_slices.get(gamma)
-        if hg is None:
-            continue
         for A in slice_objects(cat, gamma):
             Aimg = h.functor.arrow_map.get(A)
             ha = hom_slices.get(cat.dom(A))
-            if Aimg is None or ha is None:
-                rep.skip("preserve-sub")
-                continue
             for x in sorted(src.T(A)):
                 rep.tick("preserve-sub")
                 sx = src.subst.get((A, x))
-                ximg = h.term_map.get(A, {}).get(x)
-                sxi = tgt.subst.get((Aimg, ximg)) if ximg is not None else None
-                if sx is None or sxi is None:
+                sxi = tgt.subst.get((Aimg, h.term_map.get(A, {}).get(x)))
+                if hg is None or ha is None or sx is None or sxi is None:
                     rep.skip("preserve-sub")
                     continue
                 diff = sf_equal(compose_sf(src, hg, sx), compose_sf(src, sxi, ha))
@@ -929,7 +924,7 @@ def validate_ehom(h: EHom) -> Report:
             rep.tick("preserve-weak")
             wa = src.weak.get(A)
             wi = tgt.weak.get(Aimg)
-            if wa is None or wi is None:
+            if hg is None or ha is None or wa is None or wi is None:
                 rep.skip("preserve-weak")
             else:
                 diff = sf_equal(compose_sf(src, ha, wa), compose_sf(src, wi, hg))

@@ -14,12 +14,11 @@ them as skipped.
 
 from __future__ import annotations
 
-import itertools
 import re
 from dataclasses import dataclass
 
 from .bsys import BFrame, BFrameHom, BSystem, slice_bframe, validate_bsystem
-from .core import pack_ids, unpack_ids
+from .core import pack_ids
 from .report import Report
 
 
@@ -223,13 +222,7 @@ def build_syntactic_bframe(
         lm.append(tys)
         rr.append(tms)
     lm_keys = [frozenset(t.key() for t in tys) for tys in lm]
-    by_key: dict[tuple[int, str], RawExpr] = {}
-    for i, tys in enumerate(lm):
-        for t in tys:
-            by_key[(i, t.key())] = t
-    for i, tms in enumerate(rr):
-        for t in tms:
-            by_key[(i, t.key())] = t
+    rr_keys = [frozenset(t.key() for t in tms) for tms in rr]
 
     teles: list[list[tuple[RawExpr, ...]]] = [[()]]
     for n in range(1, height + 1):
@@ -272,88 +265,64 @@ def build_syntactic_bframe(
     frame = BFrame(height=height, B=B, Bt=tuple(Bt), ft=tuple(ft), bd=tuple(bd))
     sys = BSystem(frame=frame)
 
+    slices = {(n, X): slice_bframe(frame, n, X) for n in range(height + 1) for X in B[n]}
+
+    def lift(src_at: tuple[int, str], tgt_at: tuple[int, str], act) -> BFrameHom:
+        """The hom B/src -> B/tgt that cuts the source apex's telescope off
+        each element and puts the target apex's telescope in its place.
+
+        ``act(e, i)`` changes an expression that sits under the first i
+        types of the cut tail. Each result must be enumerated at level
+        len(prefix) + i; an entry with a piece that is not is left out.
+        """
+        src, tgt = slices[src_at], slices[tgt_at]
+        cut, prefix = src_at[0], tele_by_id[tgt_at[1]]
+        p = len(prefix)
+
+        def lift_tail(tail):
+            new_tail = tuple(act(c, i) for i, c in enumerate(tail))
+            if all(nt.key() in lm_keys[p + i] for i, nt in enumerate(new_tail)):
+                return prefix + new_tail
+            return None
+
+        top = min(src.height, tgt.height)
+        H: dict[int, dict[str, str]] = {}
+        Ht: dict[int, dict[str, str]] = {}
+        for lvl in range(top + 1):
+            hm = {}
+            for Y in src.B[lvl]:
+                new_tele = lift_tail(tele_by_id[Y][cut:])
+                if new_tele is not None:
+                    hm[Y] = _tele_id(new_tele)
+            H[lvl] = hm
+        for lvl in range(1, top + 1):
+            tm = {}
+            for el in src.Bt[lvl]:
+                tele2, term2, ty2 = judg_by_id[el]
+                d = len(tele2) - cut
+                new_tele = lift_tail(tele2[cut:])
+                new_term, new_ty = act(term2, d), act(ty2, d)
+                if (
+                    new_tele is not None
+                    and new_term.key() in rr_keys[p + d]
+                    and new_ty.key() in lm_keys[p + d]
+                ):
+                    tm[el] = judg_id(new_tele, new_term, new_ty)
+            Ht[lvl] = tm
+        return BFrameHom(source=src, target=tgt, H=H, Ht=Ht)
+
     # substitution structure: replace the last variable of the context
     for n in range(1, height + 1):
         for j in frame.Bt[n]:
-            tele, term, ty = judg_by_id[j]
-            m = len(tele)  # the term lives over m variables
-            src = slice_bframe(frame, n, frame.bd[n][j])
-            tgt = slice_bframe(frame, n - 1, _tele_id(tele))
-            H: dict[int, dict[str, str]] = {}
-            Ht: dict[int, dict[str, str]] = {}
-            for lvl in range(src.height + 1):
-                hm = {}
-                for Y in src.B[lvl]:
-                    full = tele_by_id[Y]
-                    tail = full[m + 1 :]
-                    new_tail = tuple(
-                        subst(c, i, term) for i, c in enumerate(tail)
-                    )
-                    if all(
-                        nt.key() in lm_keys[m + i] for i, nt in enumerate(new_tail)
-                    ):
-                        hm[Y] = _tele_id(tele + new_tail)
-                H[lvl] = hm
-            for lvl in range(1, src.height + 1):
-                tm = {}
-                for el in src.Bt[lvl]:
-                    tele2, term2, ty2 = judg_by_id[el]
-                    tail = tele2[m + 1 :]
-                    d = len(tail)
-                    new_tail = tuple(
-                        subst(c, i, term) for i, c in enumerate(tail)
-                    )
-                    new_term = subst(term2, d, term)
-                    new_ty = subst(ty2, d, term)
-                    pieces_ok = (
-                        all(nt.key() in lm_keys[m + i] for i, nt in enumerate(new_tail))
-                        and new_term.key() in {e.key() for e in rr[m + d]}
-                        and new_ty.key() in lm_keys[m + d]
-                    )
-                    if pieces_ok:
-                        tm[el] = judg_id(tele + new_tail, new_term, new_ty)
-                Ht[lvl] = tm
-            sys.subst[(n, j)] = BFrameHom(source=src, target=tgt, H=H, Ht=Ht)
+            tele, term, _ty = judg_by_id[j]
+            sys.subst[(n, j)] = lift(
+                (n, frame.bd[n][j]), (n - 1, _tele_id(tele)), lambda c, i: subst(c, i, term)
+            )
 
     # weakening structure: insert the new type, shifting later indices
     for n in range(1, height + 1):
         for Xid in frame.B[n]:
-            full = tele_by_id[Xid]
-            parent_len = n - 1
-            parent = full[:-1]
-            inserted = full[-1]
-            src = slice_bframe(frame, n - 1, _tele_id(parent))
-            tgt = slice_bframe(frame, n, Xid)
-            H: dict[int, dict[str, str]] = {}
-            Ht: dict[int, dict[str, str]] = {}
-            for lvl in range(min(src.height, tgt.height) + 1):
-                hm = {}
-                for Y in src.B[lvl]:
-                    tail = tele_by_id[Y][n - 1 :]
-                    new_tail = tuple(shift(c, 1, i) for i, c in enumerate(tail))
-                    if all(
-                        nt.key() in lm_keys[n + i] for i, nt in enumerate(new_tail)
-                    ):
-                        hm[Y] = _tele_id(full + new_tail)
-                H[lvl] = hm
-            for lvl in range(1, min(src.height, tgt.height) + 1):
-                tm = {}
-                for el in src.Bt[lvl]:
-                    tele2, term2, ty2 = judg_by_id[el]
-                    tail = tele2[n - 1 :]
-                    d = len(tail)
-                    new_tail = tuple(shift(c, 1, i) for i, c in enumerate(tail))
-                    new_term = shift(term2, 1, d)
-                    new_ty = shift(ty2, 1, d)
-                    ok = (
-                        all(nt.key() in lm_keys[n + i] for i, nt in enumerate(new_tail))
-                        and new_term.key() in {e.key() for e in rr[n + d]}
-                        and new_ty.key() in lm_keys[n + d]
-                    )
-                    if ok:
-                        tm[el] = judg_id(full + new_tail, new_term, new_ty)
-                Ht[lvl] = tm
-            sys.weak[(n, Xid)] = BFrameHom(source=src, target=tgt, H=H, Ht=Ht)
+            sys.weak[(n, Xid)] = lift((n - 1, frame.ft[n][Xid]), (n, Xid), lambda c, i: shift(c, 1, i))
 
     # generic elements: the last variable, weakened
     for n in range(1, height):

@@ -148,9 +148,9 @@ PINS = {
             "FAIL functor:object-map: witness=('1@1',) unmapped object",
             'PASS functor:preserves-compose (checked 20)',
             'PASS functor:preserves-identity (checked 4, skipped 1)',
-            'PASS preserve-proj (checked 6, skipped 3)',
-            'PASS preserve-sub (checked 5, skipped 1)',
-            'PASS preserve-weak (checked 6)',
+            'PASS preserve-proj (checked 10, skipped 4)',
+            'PASS preserve-sub (checked 8, skipped 3)',
+            'PASS preserve-weak (checked 10, skipped 4)',
             'PASS term-map (checked 8)',
             'PASS terminal (checked 1)',
         ],
@@ -168,9 +168,9 @@ PINS = {
             "FAIL functor:object-map: witness=('1@1',) unmapped object",
             'PASS functor:preserves-compose (checked 35)',
             'PASS functor:preserves-identity (checked 5, skipped 1)',
-            'PASS preserve-proj (checked 10, skipped 4)',
-            'PASS preserve-sub (checked 13, skipped 1)',
-            'PASS preserve-weak (checked 10)',
+            'PASS preserve-proj (checked 15, skipped 6)',
+            'PASS preserve-sub (checked 17, skipped 4)',
+            'PASS preserve-weak (checked 15, skipped 5)',
             'PASS term-map (checked 17)',
             'PASS terminal (checked 1)',
         ],

@@ -126,6 +126,32 @@ def test_broken_pi2_detected():
     assert rep.laws["pb-commute"].violations or rep.laws["pb-universal"].violations
 
 
+def _retarget_projection(pb, cat, key):
+    """Point the projection of the chosen pullback pb[key] at the first
+    other arrow with the same endpoints."""
+    ob, q = pb[key]
+    pb[key] = (ob, next(a for a in sorted(cat.hom(cat.dom(q), cat.cod(q))) if a != q))
+
+
+def test_retargeted_pullback_fails_the_composite_laws():
+    """pb-c and C-system law vii: the pullback along a composite is the
+    composite of the pullbacks."""
+    a = build_finset_cesystem(3)
+    _retarget_projection(a.pb, a.base, ("f0->0[]", "2>=0"))
+    rep = validate_cesystem(a)
+    assert [(v.witness, v.detail) for v in rep.laws["pb-c"].violations] == [
+        (("f0->0[]", "f1->0[]", "2>=0"), "('3>=1', 'f3->2[1,2]') != ('3>=1', 'f3->2[1,1]')"),
+    ]
+    c = ce_to_c(build_finset_cesystem(3))
+    _retarget_projection(c.pb, c.cat, ("f1->0[]", "1"))
+    rep = validate_csystem(c)
+    assert [(v.witness, v.detail) for v in rep.laws["vii"].violations] == [
+        (("f1->0[]", "f2->1[0]", "1"), "('3', 'f3->1[2]') != ('3', 'f3->1[0]')"),
+        (("f1->0[]", "f2->1[1]", "1"), "('3', 'f3->1[2]') != ('3', 'f3->1[1]')"),
+        (("f2->0[]", "f1->2[0,0]", "1"), "('2', 'f2->1[0]') != ('2', 'f2->1[1]')"),
+    ]
+
+
 def test_root_terminal_in_base():
     a = build_finset_cesystem(3)
     for n in range(4):

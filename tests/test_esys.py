@@ -1146,6 +1146,19 @@ def test_validate_ehom_matches_its_pinned_report(h, damage):
     assert [v.witness for v in rep.violations()] == witnesses
 
 
+@pytest.mark.parametrize("h", [3, 4, 5])
+def test_damage_skips_preservation_instances_without_dropping_them(h):
+    """Each preserve-* law has the same instances whatever the damage; a
+    damaged instance is skipped, never left uncounted."""
+    laws = ("preserve-sub", "preserve-weak", "preserve-proj")
+    sound = validate_ehom(_damaged_ehom(h, None))
+    for damage in ("subst-term", "hom-term", "source-weak", "target-weak", "unmapped"):
+        rep = validate_ehom(_damaged_ehom(h, damage))
+        assert [rep.laws[law].checked for law in laws] == [
+            sound.laws[law].checked for law in laws
+        ], damage
+
+
 # ---------------------------------------------------------------------------
 # restrictions through one plan per slice object
 

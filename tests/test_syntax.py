@@ -1,5 +1,8 @@
+import hashlib
+
 import pytest
 
+from bcsys import syntax
 from bcsys.syntax import (
     BindingSignature,
     RawExpr,
@@ -10,7 +13,8 @@ from bcsys.syntax import (
     shift,
     subst,
 )
-from bcsys.bsys import validate_bframe
+from bcsys.bsys import slice_bframe, validate_bframe
+from bcsys.serialize import save_structure
 from bcsys.core import unpack_ids
 
 
@@ -165,3 +169,47 @@ def test_bigger_signature_with_binders_validates():
     sig = parse_signature("type U; type El(tm); type Pi(ty, tm^1.ty); term lam(ty, tm^1.tm)")
     sys, rep = build_syntactic_bframe(sig, 2, 2)
     assert not rep.failed_laws(), rep.format()
+
+
+LAM_APP = "type U; type El(tm); term lam(tm^1.tm); term app(tm,tm)"
+
+# sha256 of save_structure and of Report.format() for build_syntactic_bframe
+# at bound 2, recorded before substitution and weakening shared one routine
+SYNTACTIC_PINS = {
+    (UEL, 3): (
+        "2c05b0423aef751931a1e3525b95e881e352df5c0c6d32d4701b413b348b320b",
+        "795ce723b4762a62d42d28ffbd22d172af3e8cd71d95c8771d3f750a032ef424",
+    ),
+    (UEL, 4): (
+        "f5067f40a506bec58a9ba7cb15fef6ebca2ef8db81a39959590a4fa1ad668d6c",
+        "37978eb0ec397aef380ad4d8b2c3e330f1a98412fb666d77f2bdebb4d614cf07",
+    ),
+    ("type U; type Pi(ty, tm^1.ty); term lam(tm^1.tm)", 3): (
+        "d47b4c391e0d4ac3180446ef31f7e176efdf66a1e9dfc42db41503d6e79633c3",
+        "858e3905226455e78b81acecb798eec3a9562324c5a2fdb9e95ffafab3dc64dc",
+    ),
+    (LAM_APP, 2): (
+        "9e5ffa1d75c4c02fe246a1171f509da4c2547dee33f08112b2148f0486fe7c0f",
+        "29d798cf37ab88e31792961c6bc5b5f0d67848150548dee43b7eb11e541e89a2",
+    ),
+}
+
+
+@pytest.mark.parametrize("text, height", list(SYNTACTIC_PINS))
+def test_syntactic_bsystem_matches_its_pins(text, height):
+    sys, rep = build_syntactic_bframe(parse_signature(text), height, 2)
+    got = tuple(hashlib.sha256(s.encode()).hexdigest() for s in (save_structure(sys), rep.format()))
+    assert got == SYNTACTIC_PINS[(text, height)]
+
+
+def test_builder_slices_each_context_once(monkeypatch):
+    calls = []
+
+    def counted(frame, n, X):
+        calls.append((n, X))
+        return slice_bframe(frame, n, X)
+
+    monkeypatch.setattr(syntax, "slice_bframe", counted)
+    sys, _ = build_syntactic_bframe(parse_signature(LAM_APP), 2, 2)
+    assert len(calls) == len(set(calls))
+    assert len(calls) <= sum(len(level) for level in sys.frame.B)
