@@ -9,6 +9,7 @@ reads standard input or writes standard output.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -326,7 +327,13 @@ def cmd_pair(args) -> int:
     return _print_report(check_pairing(obj))
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of ``main``, built once per process.
+
+    ``parse_args`` reads it and writes only the namespace it returns, and
+    no default is mutable, so one ``main`` call leaves nothing for the next.
+    """
     ap = argparse.ArgumentParser(
         prog="bcsys",
         description="check, translate and round-trip finitely presented "

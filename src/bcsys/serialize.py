@@ -37,46 +37,59 @@ def dumps(doc: dict) -> str:
     ``int`` by ``int.__repr__``, ``true``/``false``/``null``, ``[]`` and
     ``{}`` for empty containers, every item on its own line two spaces
     deeper than its container, items joined by ``","``, a dict's entries
-    sorted by key (keys are distinct, so sorting the items orders by key
-    alone) and written ``key: value``. Payloads hold only dicts with
-    ``str`` keys, lists, ``str``, ``int``, ``bool`` and ``None``; any
-    other type, a tuple or a float among them, raises ``TypeError``.
+    sorted by key and written ``key: value``. Payloads hold only dicts
+    with ``str`` keys, lists, ``str``, ``int``, ``bool`` and ``None``, of
+    exactly these types; any other type, a tuple or a float among them,
+    raises ``TypeError``.
     """
     return _dump(doc, "\n") + "\n"
 
 
 def _dump(v: Any, nl: str) -> str:
-    """v written at the indentation ``nl`` (a newline and its indent)."""
-    if isinstance(v, str):
+    """v written at the indentation ``nl`` (a newline and its indent).
+
+    Dispatches on the exact type, most frequent first. A container whose
+    last item (for a dict, its last value in key order) is a ``str`` is
+    tried as all strings, in one join; ``_enc`` raises ``TypeError`` on
+    the first item that is not, and the general path writes it then.
+    """
+    t = type(v)
+    if t is str:
         return _enc(v)
+    inner = nl + "  "
+    sep = "," + inner
+    if t is list:
+        if not v:
+            return "[]"
+        if type(v[-1]) is str:
+            try:
+                return "[" + inner + sep.join(map(_enc, v)) + nl + "]"
+            except TypeError:
+                pass
+        body = sep.join([_enc(x) if type(x) is str else _dump(x, inner) for x in v])
+        return "[" + inner + body + nl + "]"
+    if t is dict:
+        if not v:
+            return "{}"
+        # keys are distinct, so this is json's order of the sorted items;
+        # _enc raises TypeError on a key that is not a str
+        keys = sorted(v)
+        if type(v[keys[-1]]) is str:
+            try:
+                body = sep.join([_enc(k) + ": " + _enc(v[k]) for k in keys])
+                return "{" + inner + body + nl + "}"
+            except TypeError:
+                pass
+        body = sep.join([_enc(k) + ": " + _dump(v[k], inner) for k in keys])
+        return "{" + inner + body + nl + "}"
     if v is None:
         return "null"
     if v is True:
         return "true"
     if v is False:
         return "false"
-    if isinstance(v, int):
+    if t is int:
         return int.__repr__(v)
-    inner = nl + "  "
-    sep = "," + inner
-    if isinstance(v, list):
-        if not v:
-            return "[]"
-        if all(type(x) is str for x in v):
-            body = sep.join(map(_enc, v))
-        else:
-            body = sep.join([_dump(x, inner) for x in v])
-        return "[" + inner + body + nl + "]"
-    if isinstance(v, dict):
-        if not v:
-            return "{}"
-        items = sorted(v.items())
-        # _enc raises TypeError on a key that is not a str
-        if all(type(x) is str for _, x in items):
-            body = sep.join([_enc(k) + ": " + _enc(x) for k, x in items])
-        else:
-            body = sep.join([_enc(k) + ": " + _dump(x, inner) for k, x in items])
-        return "{" + inner + body + nl + "}"
     raise TypeError(f"cannot write {type(v).__name__} to a document")
 
 
@@ -91,7 +104,7 @@ def fincat_payload(c: FinCat) -> dict:
             {"id": a.name, "dom": a.dom, "cod": a.cod}
             for _, a in sorted(c.arrows.items())
         ],
-        "identity": dict(sorted(c.identity.items())),
+        "identity": c.identity,
         "compose": [[g, f, gf] for (g, f), gf in sorted(c.compose.items())],
         "terminal": c.terminal,
         "partial": c.partial,
@@ -134,7 +147,7 @@ def tree_payload(t: RootedTree) -> dict:
     return {
         "height": t.height,
         "levels": [sorted(l) for l in t.levels],
-        "parent": [dict(sorted(m.items())) for m in t.parent],
+        "parent": list(t.parent),
     }
 
 
@@ -153,8 +166,8 @@ def bframe_payload(b: BFrame) -> dict:
         "height": b.height,
         "B": [sorted(s) for s in b.B],
         "Bt": [sorted(s) for s in b.Bt[1:]],
-        "ft": [dict(sorted(m.items())) for m in b.ft[1:]],
-        "bd": [dict(sorted(m.items())) for m in b.bd[1:]],
+        "ft": list(b.ft[1:]),
+        "bd": list(b.bd[1:]),
     }
 
 
@@ -178,8 +191,8 @@ def bframe_load(p: dict) -> BFrame:
 
 def _bhom_payload(h: BFrameHom) -> dict:
     return {
-        "H": {str(n): dict(sorted(m.items())) for n, m in sorted(h.H.items())},
-        "Ht": {str(n): dict(sorted(m.items())) for n, m in sorted(h.Ht.items())},
+        "H": {str(n): m for n, m in h.H.items()},
+        "Ht": {str(n): m for n, m in h.Ht.items()},
     }
 
 
@@ -215,20 +228,23 @@ def bsystem_load(p: dict) -> BSystem:
 
     frame = bframe_load(p["frame"])
     sys = BSystem(frame=frame)
+    # one slice frame per context, shared by every hom over it: a BFrame
+    # is frozen and nothing writes to its tables
+    slices = {
+        (n, x): slice_bframe(frame, n, x) for n in range(frame.height + 1) for x in frame.B[n]
+    }
     for rec in p["subst"]:
         k, x = rec["level"], rec["element"]
         if not (1 <= k <= frame.height) or x not in frame.Bt[k]:
             raise LoadError(f"substitution entry at ({k}, {x!r}) dangling")
         bdx = frame.bd[k][x]
-        src = slice_bframe(frame, k, bdx)
-        tgt = slice_bframe(frame, k - 1, frame.ft[k][bdx])
+        src, tgt = slices[(k, bdx)], slices[(k - 1, frame.ft[k][bdx])]
         sys.subst[(k, x)] = _bhom_load(rec["hom"], src, tgt)
     for rec in p["weak"]:
         k, x = rec["level"], rec["element"]
         if not (1 <= k <= frame.height) or x not in frame.B[k]:
             raise LoadError(f"weakening entry at ({k}, {x!r}) dangling")
-        src = slice_bframe(frame, k - 1, frame.ft[k][x])
-        tgt = slice_bframe(frame, k, x)
+        src, tgt = slices[(k - 1, frame.ft[k][x])], slices[(k, x)]
         sys.weak[(k, x)] = _bhom_load(rec["hom"], src, tgt)
     for rec in p["gen"]:
         k, x, v = rec["level"], rec["element"], rec["value"]
@@ -246,16 +262,16 @@ def _sfunctor_payload(sf: SliceFunctorT) -> dict:
     return {
         "source_apex": sf.source_apex,
         "target_apex": sf.target_apex,
-        "obj": dict(sorted(sf.obj_map.items())),
+        "obj": sf.obj_map,
         "mor": [[h, f, g, img] for (h, f, g), img in sorted(sf.mor_map.items())],
-        "term": [
-            [h, f, g, dict(sorted(tm.items()))]
-            for (h, f, g), tm in sorted(sf.term_map.items())
-        ],
+        "term": [[h, f, g, tm] for (h, f, g), tm in sorted(sf.term_map.items())],
     }
 
 
 def _sfunctor_load(p: dict, cat: FinCat) -> SliceFunctorT:
+    for end in ("source_apex", "target_apex"):
+        if p[end] not in cat.objects:
+            raise LoadError(f"slice functor {end} {p[end]!r} not an object")
     sf = SliceFunctorT(source_apex=p["source_apex"], target_apex=p["target_apex"])
     for x, y in p["obj"].items():
         if x not in cat.arrows or y not in cat.arrows:
@@ -283,8 +299,8 @@ def esystem_payload(e: ESystem) -> dict:
             {"arrow": a, "functor": _sfunctor_payload(sf)}
             for a, sf in sorted(e.weak.items())
         ],
-        "proj": dict(sorted(e.proj.items())),
-        "levels": dict(sorted(e.levels.items())) if e.levels is not None else None,
+        "proj": e.proj,
+        "levels": e.levels,
     }
 
 
@@ -294,6 +310,9 @@ def esystem_load(p: dict) -> ESystem:
     for a, ts in p["terms"].items():
         if a not in cat.arrows:
             raise LoadError(f"term set on dangling arrow {a!r}")
+        for t in ts:
+            if type(t) is not str:
+                raise LoadError(f"term {t!r} on arrow {a!r} is not a string")
         terms[a] = frozenset(ts)
     e = ESystem(tc=TermCat(cat=cat, terms=terms))
     for rec in p["subst"]:
@@ -309,9 +328,13 @@ def esystem_load(p: dict) -> ESystem:
     for a, t in p["proj"].items():
         if a not in cat.arrows:
             raise LoadError(f"identity term at {a!r} dangling")
+        if type(t) is not str:
+            raise LoadError(f"identity term {t!r} at {a!r} is not a string")
         e.proj[a] = t
     if p.get("levels") is not None:
         e.levels = {x: int(v) for x, v in p["levels"].items()}
+        if e.levels.keys() != cat.objects:
+            raise LoadError("levels do not name exactly the objects of the category")
     return e
 
 
@@ -323,9 +346,9 @@ def csystem_payload(c: CSystem) -> dict:
     return {
         "cat": fincat_payload(c.cat),
         "one": c.one,
-        "length": dict(sorted(c.length.items())),
-        "ft": dict(sorted(c.ft.items())),
-        "proj": dict(sorted(c.proj.items())),
+        "length": c.length,
+        "ft": c.ft,
+        "proj": c.proj,
         "pb": [[f, g, ob, q] for (f, g), (ob, q) in sorted(c.pb.items())],
     }
 
@@ -360,7 +383,7 @@ def cesystem_payload(a: CESystem) -> dict:
     return {
         "fam": fincat_payload(a.fam),
         "base": fincat_payload(a.base),
-        "ifun": dict(sorted(a.ifun.items())),
+        "ifun": a.ifun,
         "root": a.root,
         "pb": [[f, A, fA, pi2] for (f, A), (fA, pi2) in sorted(a.pb.items())],
     }

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import json
 
 import hypothesis.strategies as st
@@ -10,7 +12,7 @@ from bcsys.cesys import build_finset_cesystem
 from bcsys.cli import main
 from bcsys.esys import build_group_structure, build_nat_esystem, s3_table
 from bcsys.serialize import LoadError, dumps, load_structure, save_structure
-from bcsys.syntax import parse_signature
+from bcsys.syntax import build_syntactic_bframe, parse_signature
 from bcsys.xlate import b_to_e, c_to_ce, ce_to_c, ce_to_e, compose_equivalence, e_to_b, e_to_ce
 
 
@@ -537,3 +539,119 @@ def test_cli_csystem_without_father_is_input_error(fatherless_csystem, capsys, c
     code, printed = _run(capsys, *command, str(fatherless_csystem))
     assert code == 2
     _one_line(printed, "the translation needs ft('1'), which the input does not define")
+
+
+# ---------------------------------------------------------------------------
+# E-system documents that load must not crash check, translate or roundtrip
+
+
+ESYSTEM_DAMAGES = {
+    "int-term": lambda p: p["terms"][min(p["terms"])].append(5),
+    "int-identity-term": lambda p: p["proj"].update({min(p["proj"]): 5}),
+    "levels-of-no-object": lambda p: p.update(levels={"zz": 1}),
+    "levels-missing-an-object": lambda p: p["levels"].pop(min(p["levels"])),
+    "source-apex-not-an-object": lambda p: p["subst"][0]["functor"].update(source_apex="nowhere"),
+    "target-apex-not-an-object": lambda p: p["weak"][0]["functor"].update(target_apex="nowhere"),
+}
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["check"], ["translate", "--to", "c"], ["translate", "--to", "b"], ["roundtrip"]],
+    ids=["check", "translate-c", "translate-b", "roundtrip"],
+)
+@pytest.mark.parametrize("damage", ESYSTEM_DAMAGES.values(), ids=ESYSTEM_DAMAGES.keys())
+def test_cli_rejects_a_broken_esystem_at_load(tmp_path, capsys, damage, command):
+    doc = json.loads(save_structure(build_nat_esystem(3)))
+    damage(doc["payload"])
+    path = tmp_path / "e.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out.json"
+    output = ["-o", str(out)] if command[0] == "translate" else []
+    code, printed = _run(capsys, *command, str(path), *output)
+    assert code == 2
+    assert printed.out == ""
+    assert printed.err.startswith("error: ") and printed.err.count("\n") == 1
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# the writer shares the structure's own tables and must leave them as they are
+
+
+def _tables(x):
+    """Every table of x as plain values, each dict in its own key order."""
+    if dataclasses.is_dataclass(x):
+        return [(name, _tables(v)) for name, v in vars(x).items()]
+    if isinstance(x, dict):
+        return [(k, _tables(v)) for k, v in x.items()]
+    if isinstance(x, frozenset):
+        return sorted(x)
+    if isinstance(x, (tuple, list)):
+        return [_tables(v) for v in x]
+    return x
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_nat_esystem(4),
+        lambda: build_finset_cesystem(3),
+        lambda: ce_to_c(build_finset_cesystem(3)),
+        lambda: build_finset_bsystem(4),
+    ],
+    ids=["nat-e-h4", "finset-ce-h3", "finset-ce-h3-c", "finset-b-h4"],
+)
+def test_save_leaves_the_structure_unchanged(build):
+    obj = build()
+    before = copy.deepcopy(obj)
+    first = save_structure(obj)
+    assert save_structure(obj) == first
+    assert _tables(obj) == _tables(before)
+
+
+# ---------------------------------------------------------------------------
+# one parser per process: in-process main calls share no options
+
+
+def test_main_calls_do_not_share_options(tmp_path, capsys):
+    x = tmp_path / "ce.json"
+    x.write_text(save_structure(build_finset_cesystem(2)))
+    outputs = []
+    for flags in ([], ["--rooted", "--stratified"], []):
+        main(["check", *flags, str(x)])
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[2]
+    assert outputs[0] != outputs[1]
+
+    out = tmp_path / "e.json"
+    assert main(["translate", "--to", "e", str(x), "-o", str(out)]) == 0
+    written = out.read_text()
+    assert capsys.readouterr().out == ""
+    assert main(["translate", "--to", "ce", str(x)]) == 0
+    assert '"kind": "cesystem"' in capsys.readouterr().out
+    assert out.read_text() == written
+
+
+# ---------------------------------------------------------------------------
+# bsystem_load makes one slice frame per context
+
+
+def test_bsystem_load_slices_each_context_once(monkeypatch):
+    from bcsys import bsys
+
+    sig = parse_signature("type U; type El(tm); term lam(tm^1.tm); term app(tm,tm)")
+    b, _ = build_syntactic_bframe(sig, 2, 2)
+    text = save_structure(b)
+    calls = []
+    slice_bframe = bsys.slice_bframe
+
+    def counted(frame, n, X):
+        calls.append((n, X))
+        return slice_bframe(frame, n, X)
+
+    monkeypatch.setattr(bsys, "slice_bframe", counted)
+    _kind, back = load_structure(text)
+    assert len(calls) == len(set(calls))
+    assert len(calls) <= sum(len(level) for level in back.frame.B)
+    assert save_structure(back) == text
