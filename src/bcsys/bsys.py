@@ -9,6 +9,9 @@ are skipped and counted rather than failed.
 Structure maps on slices reuse the ambient tables: a slice of a slice is
 elementwise a slice of the ambient frame, so the same homomorphism
 objects serve at every depth.
+
+A frame's tables are not changed after the frame is made, so its slices
+are made once, by ``slice_bframe``, and kept with it.
 """
 
 from __future__ import annotations
@@ -23,7 +26,9 @@ class BFrame:
     """Level sets B_0..B_N and B~_1..B~_N with father and boundary maps.
 
     ``ft[k]`` maps B_k to B_{k-1} and ``bd[k]`` maps B~_k to B_k, both
-    keyed by the level of their domain (index 0 unused).
+    keyed by the level of their domain (index 0 unused). The tables are
+    not changed after the frame is made, so ``_slices`` keeps the slice
+    frames made of it, keyed by (n, X), outside equality and ``repr``.
     """
 
     height: int
@@ -31,6 +36,7 @@ class BFrame:
     Bt: tuple[frozenset[str], ...]
     ft: tuple[dict[str, str], ...]
     bd: tuple[dict[str, str], ...]
+    _slices: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def ft_iter(self, k: int, x: str, m: int) -> str:
         for i in range(m):
@@ -104,7 +110,15 @@ def validate_bframe(b: BFrame) -> Report:
 
 
 def slice_bframe(b: BFrame, n: int, X: str) -> BFrame:
-    """The slice frame B/X for X in B_n: level m holds the elements over X."""
+    """The slice frame B/X for X in B_n, made once and kept in ``b._slices``:
+    level m holds the elements over X."""
+    s = b._slices.get((n, X))
+    if s is None:
+        s = b._slices[(n, X)] = _build_slice(b, n, X)
+    return s
+
+
+def _build_slice(b: BFrame, n: int, X: str) -> BFrame:
     if n > b.height or X not in b.B[n]:
         raise ValueError(f"{X!r} is not an element of B_{n}")
     h = b.height - n

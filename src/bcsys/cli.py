@@ -15,12 +15,13 @@ import sys
 
 from .bsys import build_finset_bsystem, validate_bsystem
 from .cesys import build_finset_cesystem, validate_cesystem
-from .core import FinCat, Stratification, stratify, validate_fincat, validate_units
+from .core import Stratification, stratify, validate_fincat, validate_units
 from .csys import validate_csystem
 from .esys import (
     ESystem,
     build_group_structure,
     build_nat_esystem,
+    check_identity_terms,
     check_pairing,
     s3_table,
     validate_esystem,
@@ -158,16 +159,12 @@ def cmd_translate(args) -> int:
     except (LoadError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    to = args.to
     if kind == "esystem":
-        # e_to_b copies the category's tables without reading them for
-        # gaps, and e_to_ce reads only the entries it needs, so a broken
-        # category could come out as a translated document
-        pre = _category_report(kind, obj)
+        pre = _precheck(kind, obj)
         if not pre.ok:
             return _print_report(pre)
     try:
-        out = _translate(kind, obj, to)
+        out = _translate(kind, obj, args.to)
     except LoadError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -177,31 +174,30 @@ def cmd_translate(args) -> int:
     return 0
 
 
-def _categories(kind: str, obj) -> list[tuple[str, FinCat]]:
-    """The categories of a loaded structure, with their report prefixes."""
-    if kind in ("esystem", "csystem"):
-        return [("cat:", obj.cat)]
-    if kind == "cesystem":
-        return [("fam:", obj.fam), ("base:", obj.base)]
-    return []
-
-
-def _category_report(kind: str, obj) -> Report:
-    """The category laws of every category of the input."""
+def _precheck(kind: str, obj) -> Report:
+    """The laws no translation reads for itself: those of every category of
+    the input (e_to_b copies the tables without looking for gaps, e_to_ce
+    reads only the entries it needs) and, for an E-system, proj-system's
+    rule that each identity term lies in T(W_A(A))."""
     pre = Report()
-    for prefix, cat in _categories(kind, obj):
-        pre.merge(validate_fincat(cat), prefix=prefix)
+    if kind in ("esystem", "csystem"):
+        pre.merge(validate_fincat(obj.cat), prefix="cat:")
+    elif kind == "cesystem":
+        pre.merge(validate_fincat(obj.fam), prefix="fam:")
+        pre.merge(validate_fincat(obj.base), prefix="base:")
+    if kind == "esystem":
+        check_identity_terms(obj, pre)
     return pre
 
 
 def _translation_fell_off(kind: str, obj, exc: Truncated | ValueError) -> int:
     """A translation needed a table entry the input lacks, or rejected it.
 
-    If a category of the input breaks a law, that is the defect: print
+    If the input breaks a law of ``_precheck``, that is the defect: print
     the report and exit 1. Otherwise name the missing entry, or give the
     translation's reason, and exit 2.
     """
-    pre = _category_report(kind, obj)
+    pre = _precheck(kind, obj)
     if not pre.ok:
         return _print_report(pre)
     if isinstance(exc, Truncated):
@@ -211,44 +207,29 @@ def _translation_fell_off(kind: str, obj, exc: Truncated | ValueError) -> int:
     return 2
 
 
+# the kinds in chain order (``--to X`` names kind X + "system"), and the
+# single steps between neighbours, which look each translation up when they
+# run so that a wrapper put on this module's binding sees the call
+_CHAIN = ("bsystem", "esystem", "cesystem", "csystem")
+_STEPS = {
+    ("bsystem", "esystem"): lambda b: b_to_e(b),
+    ("esystem", "bsystem"): lambda e: e_to_b(_ensure_levels(e)),
+    ("esystem", "cesystem"): lambda e: e_to_ce(e),
+    ("cesystem", "esystem"): lambda a: ce_to_e(a),
+    ("cesystem", "csystem"): lambda a: ce_to_c(a),
+    ("csystem", "cesystem"): lambda c: c_to_ce(c),
+}
+
+
 def _translate(kind: str, obj, to: str):
-    if kind == "bsystem":
-        if to == "e":
-            return b_to_e(obj)
-        if to == "ce":
-            return e_to_ce(b_to_e(obj))
-        if to == "c":
-            return ce_to_c(e_to_ce(b_to_e(obj)))
-        if to == "b":
-            return obj
-    if kind == "esystem":
-        if to == "b":
-            return e_to_b(_ensure_levels(obj))
-        if to == "ce":
-            return e_to_ce(obj)
-        if to == "c":
-            return ce_to_c(e_to_ce(obj))
-        if to == "e":
-            return obj
-    if kind == "cesystem":
-        if to == "e":
-            return ce_to_e(obj)
-        if to == "c":
-            return ce_to_c(obj)
-        if to == "b":
-            return e_to_b(_ensure_levels(ce_to_e(obj)))
-        if to == "ce":
-            return obj
-    if kind == "csystem":
-        if to == "ce":
-            return c_to_ce(obj)
-        if to == "e":
-            return ce_to_e(c_to_ce(obj))
-        if to == "b":
-            return e_to_b(ce_to_e(c_to_ce(obj)))
-        if to == "c":
-            return obj
-    raise LoadError(f"cannot translate kind {kind!r} to {to!r}")
+    """Walk the chain from ``kind`` to ``to``, one single step at a time."""
+    if kind not in _CHAIN:
+        raise LoadError(f"cannot translate kind {kind!r} to {to!r}")
+    i, j = _CHAIN.index(kind), _CHAIN.index(to + "system")
+    step = 1 if j > i else -1
+    for k in range(i, j, step):
+        obj = _STEPS[(_CHAIN[k], _CHAIN[k + step])](obj)
+    return obj
 
 
 def cmd_roundtrip(args) -> int:
@@ -257,6 +238,10 @@ def cmd_roundtrip(args) -> int:
     except (LoadError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    if kind == "esystem":
+        pre = _precheck(kind, obj)
+        if not pre.ok:
+            return _print_report(pre)
     try:
         return _roundtrip(kind, obj)
     except (Truncated, ValueError) as exc:

@@ -12,7 +12,7 @@ import json
 from json.encoder import encode_basestring_ascii as _enc
 from typing import Any
 
-from .bsys import BFrame, BFrameHom, BSystem
+from .bsys import BFrame, BFrameHom, BSystem, slice_bframe
 from .cesys import CESystem
 from .core import Arrow, FinCat, RootedTree
 from .csys import CSystem
@@ -196,13 +196,27 @@ def _bhom_payload(h: BFrameHom) -> dict:
     }
 
 
-def _bhom_load(p: dict, src: BFrame, tgt: BFrame) -> BFrameHom:
+def _bhom_load(p: dict, src: BFrame, tgt: BFrame, at: str) -> BFrameHom:
     return BFrameHom(
         source=src,
         target=tgt,
-        H={int(n): dict(m) for n, m in p["H"].items()},
-        Ht={int(n): dict(m) for n, m in p["Ht"].items()},
+        H=_level_maps(p["H"], src.B, tgt.B, f"{at}: H"),
+        Ht=_level_maps(p["Ht"], src.Bt, tgt.Bt, f"{at}: Ht"),
     )
+
+
+def _level_maps(p: dict, srcs: tuple, tgts: tuple, at: str) -> dict[int, dict[str, str]]:
+    """The level maps of p, each entry at level m checked to go from srcs[m] into tgts[m]."""
+    out = {}
+    for n, m in p.items():
+        lvl, m = int(n), dict(m)
+        src = srcs[lvl] if 0 <= lvl < len(srcs) else frozenset()
+        tgt = tgts[lvl] if 0 <= lvl < len(tgts) else frozenset()
+        if not (src.issuperset(m) and tgt.issuperset(m.values())):
+            x = min(x for x, y in m.items() if x not in src or y not in tgt)
+            raise LoadError(f"{at}[{lvl}] entry {x!r} -> {m[x]!r} dangling")
+        out[lvl] = m
+    return out
 
 
 def bsystem_payload(b: BSystem) -> dict:
@@ -224,28 +238,23 @@ def bsystem_payload(b: BSystem) -> dict:
 
 
 def bsystem_load(p: dict) -> BSystem:
-    from .bsys import slice_bframe
-
     frame = bframe_load(p["frame"])
     sys = BSystem(frame=frame)
-    # one slice frame per context, shared by every hom over it: a BFrame
-    # is frozen and nothing writes to its tables
-    slices = {
-        (n, x): slice_bframe(frame, n, x) for n in range(frame.height + 1) for x in frame.B[n]
-    }
     for rec in p["subst"]:
         k, x = rec["level"], rec["element"]
+        at = f"substitution entry at ({k}, {x!r})"
         if not (1 <= k <= frame.height) or x not in frame.Bt[k]:
-            raise LoadError(f"substitution entry at ({k}, {x!r}) dangling")
+            raise LoadError(f"{at} dangling")
         bdx = frame.bd[k][x]
-        src, tgt = slices[(k, bdx)], slices[(k - 1, frame.ft[k][bdx])]
-        sys.subst[(k, x)] = _bhom_load(rec["hom"], src, tgt)
+        src, tgt = slice_bframe(frame, k, bdx), slice_bframe(frame, k - 1, frame.ft[k][bdx])
+        sys.subst[(k, x)] = _bhom_load(rec["hom"], src, tgt, at)
     for rec in p["weak"]:
         k, x = rec["level"], rec["element"]
+        at = f"weakening entry at ({k}, {x!r})"
         if not (1 <= k <= frame.height) or x not in frame.B[k]:
-            raise LoadError(f"weakening entry at ({k}, {x!r}) dangling")
-        src, tgt = slices[(k - 1, frame.ft[k][x])], slices[(k, x)]
-        sys.weak[(k, x)] = _bhom_load(rec["hom"], src, tgt)
+            raise LoadError(f"{at} dangling")
+        src, tgt = slice_bframe(frame, k - 1, frame.ft[k][x]), slice_bframe(frame, k, x)
+        sys.weak[(k, x)] = _bhom_load(rec["hom"], src, tgt, at)
     for rec in p["gen"]:
         k, x, v = rec["level"], rec["element"], rec["value"]
         if x not in frame.B[k] or k + 1 > frame.height or v not in frame.Bt[k + 1]:
@@ -283,7 +292,11 @@ def _sfunctor_load(p: dict, cat: FinCat) -> SliceFunctorT:
                 raise LoadError(f"slice functor morphism entry {a!r} dangling")
         sf.mor_map[(h, f, g)] = img
     for h, f, g, tm in p["term"]:
-        sf.term_map[(h, f, g)] = dict(tm)
+        tm = sf.term_map[(h, f, g)] = dict(tm)
+        # keys come from JSON object keys, which are always strings
+        if not {str}.issuperset(map(type, tm.values())):
+            bad = next(t for t in tm.values() if type(t) is not str)
+            raise LoadError(f"slice functor term {bad!r} at {(h, f, g)!r} is not a string")
     return sf
 
 

@@ -265,8 +265,6 @@ def build_syntactic_bframe(
     frame = BFrame(height=height, B=B, Bt=tuple(Bt), ft=tuple(ft), bd=tuple(bd))
     sys = BSystem(frame=frame)
 
-    slices = {(n, X): slice_bframe(frame, n, X) for n in range(height + 1) for X in B[n]}
-
     def lift(src_at: tuple[int, str], tgt_at: tuple[int, str], act) -> BFrameHom:
         """The hom B/src -> B/tgt that cuts the source apex's telescope off
         each element and puts the target apex's telescope in its place.
@@ -275,7 +273,7 @@ def build_syntactic_bframe(
         types of the cut tail. Each result must be enumerated at level
         len(prefix) + i; an entry with a piece that is not is left out.
         """
-        src, tgt = slices[src_at], slices[tgt_at]
+        src, tgt = slice_bframe(frame, *src_at), slice_bframe(frame, *tgt_at)
         cut, prefix = src_at[0], tele_by_id[tgt_at[1]]
         p = len(prefix)
 

@@ -164,12 +164,14 @@ def b_to_e(bsys: BSystem) -> ESystem:
         for X in frame.B[k]:
             t1[(k, X)] = sorted(x for x in frame.Bt[k] if frame.bd[k][x] == X)
 
+    # a context's identity hom substitutes the empty tuple and weakens by none
     tsets: dict[tuple[int, str, int], list[tuple[str, ...]]] = {}
     shoms: dict[tuple[int, str, tuple[str, ...]], BFrameHom] = {}
+    whoms: dict[tuple[int, str, int], BFrameHom] = {}
     for n in range(frame.height + 1):
         for X in frame.B[n]:
             tsets[(n, X, 0)] = [()]
-            shoms[(n, X, ())] = bhom_identity(slice_bframe(frame, n, X))
+            shoms[(n, X, ())] = whoms[(n, X, 0)] = bhom_identity(slice_bframe(frame, n, X))
     for k in range(1, frame.height + 1):
         for n in range(k, frame.height + 1):
             for X in frame.B[n]:
@@ -244,10 +246,6 @@ def b_to_e(bsys: BSystem) -> ESystem:
             e.subst[(path_id(n, X, 0), empty)] = sf
 
     # weakening: composites of the one-step weakening homs
-    whoms: dict[tuple[int, str, int], BFrameHom] = {}
-    for n in range(frame.height + 1):
-        for X in frame.B[n]:
-            whoms[(n, X, 0)] = bhom_identity(slice_bframe(frame, n, X))
     for k in range(1, frame.height + 1):
         for n in range(k, frame.height + 1):
             for X in frame.B[n]:

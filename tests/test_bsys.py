@@ -65,6 +65,14 @@ def test_slice_of_slice_is_slice_at_inner_element():
     assert once.B == direct.B and once.Bt == direct.Bt
 
 
+def test_slice_frame_is_made_once_and_kept():
+    b = build_finset_bframe(3)
+    s = slice_bframe(b, 1, "1")
+    assert slice_bframe(b, 1, "1") is s
+    assert slice_bframe(s, 1, "2") is slice_bframe(s, 1, "2")
+    assert b == build_finset_bframe(3) and "_slices" not in repr(b)
+
+
 def test_identity_hom_validates():
     b = build_finset_bframe(3)
     assert validate_bframe_hom(bhom_identity(b)).ok

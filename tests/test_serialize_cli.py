@@ -1,5 +1,7 @@
+import contextlib
 import copy
 import dataclasses
+import io
 import json
 
 import hypothesis.strategies as st
@@ -552,6 +554,7 @@ ESYSTEM_DAMAGES = {
     "levels-missing-an-object": lambda p: p["levels"].pop(min(p["levels"])),
     "source-apex-not-an-object": lambda p: p["subst"][0]["functor"].update(source_apex="nowhere"),
     "target-apex-not-an-object": lambda p: p["weak"][0]["functor"].update(target_apex="nowhere"),
+    "int-in-a-term-table": lambda p: p["subst"][0]["functor"]["term"][0][3].update({"[]": 5}),
 }
 
 
@@ -572,6 +575,59 @@ def test_cli_rejects_a_broken_esystem_at_load(tmp_path, capsys, damage, command)
     assert code == 2
     assert printed.out == ""
     assert printed.err.startswith("error: ") and printed.err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["check"], ["translate", "--to", "c"], ["translate", "--to", "b"], ["roundtrip"]],
+    ids=["check", "translate-c", "translate-b", "roundtrip"],
+)
+def test_cli_fails_an_identity_term_outside_its_terms(tmp_path, capsys, command):
+    doc = json.loads(save_structure(build_nat_esystem(3)))
+    doc["payload"]["proj"]["0>=0"] = "zz"
+    path = tmp_path / "e.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out.json"
+    output = ["-o", str(out)] if command[0] == "translate" else []
+    code, printed = _run(capsys, *command, str(path), *output)
+    assert code == 1
+    line = next(l for l in printed.out.splitlines() if l.startswith("FAIL proj-system"))
+    assert line.startswith("FAIL proj-system: witness=('0>=0',) identity term outside T(W_A(A))")
+    assert printed.err == ""
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# B-system documents whose hom entries leave their slice frames do not load
+
+
+BHOM_DAMAGES = {
+    "value-outside-the-target-level": lambda p: p["weak"][0]["hom"]["H"]["1"].update({"1": "3"}),
+    "key-outside-the-source-level": lambda p: p["subst"][0]["hom"]["Ht"]["1"].update({"2": "0"}),
+    "term-value-not-an-element": lambda p: p["subst"][0]["hom"]["Ht"]["1"].update({"0": "zz"}),
+    "level-above-the-slice": lambda p: p["subst"][0]["hom"]["H"].update({"5": {"3": "2"}}),
+}
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["check"], ["translate", "--to", "e"], ["translate", "--to", "c"], ["roundtrip"]],
+    ids=["check", "translate-e", "translate-c", "roundtrip"],
+)
+@pytest.mark.parametrize("damage", BHOM_DAMAGES.values(), ids=BHOM_DAMAGES.keys())
+def test_cli_rejects_a_dangling_bhom_entry_at_load(tmp_path, capsys, damage, command):
+    doc = json.loads(save_structure(build_finset_bsystem(3)))
+    damage(doc["payload"])
+    path = tmp_path / "b.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out.json"
+    output = ["-o", str(out)] if command[0] == "translate" else []
+    code, printed = _run(capsys, *command, str(path), *output)
+    assert code == 2
+    assert printed.out == ""
+    assert printed.err.startswith("error: ") and printed.err.count("\n") == 1
+    assert "dangling" in printed.err
     assert not out.exists()
 
 
@@ -643,15 +699,95 @@ def test_bsystem_load_slices_each_context_once(monkeypatch):
     sig = parse_signature("type U; type El(tm); term lam(tm^1.tm); term app(tm,tm)")
     b, _ = build_syntactic_bframe(sig, 2, 2)
     text = save_structure(b)
-    calls = []
-    slice_bframe = bsys.slice_bframe
+    builds = []
+    build = bsys._build_slice
 
     def counted(frame, n, X):
-        calls.append((n, X))
-        return slice_bframe(frame, n, X)
+        builds.append((frame, n, X))
+        return build(frame, n, X)
 
-    monkeypatch.setattr(bsys, "slice_bframe", counted)
+    monkeypatch.setattr(bsys, "_build_slice", counted)
     _kind, back = load_structure(text)
-    assert len(calls) == len(set(calls))
-    assert len(calls) <= sum(len(level) for level in back.frame.B)
+    assert all(frame is back.frame for frame, _n, _X in builds)
+    contexts = [(n, X) for _frame, n, X in builds]
+    assert len(contexts) == len(set(contexts))
+    assert len(contexts) <= sum(len(level) for level in back.frame.B)
     assert save_structure(back) == text
+
+
+# ---------------------------------------------------------------------------
+# the CLI contract on damaged B-system documents: every run exits 0, 1 or 2
+# without a traceback, writes no output when it fails, and says why in one
+# line when it exits 2
+
+
+DAMAGE_BASES = {
+    "finset-b-h3": build_finset_bsystem(3),
+    "finset-b-h4": build_finset_bsystem(4),
+    "uel-h3": build_syntactic_bframe(parse_signature("type U; type El(tm)"), 3, 2)[0],
+}
+DAMAGE_DOCS = {name: save_structure(b) for name, b in DAMAGE_BASES.items()}
+
+
+def bsystem_entries(p: dict) -> list[tuple]:
+    """The path of every row and of every H, Ht, ft and bd entry of a payload.
+
+    A row's path is (table, index); an entry's path ends in its key.
+    """
+    out = [(table, i) for table in ("subst", "weak", "gen") for i in range(len(p[table]))]
+    for table in ("subst", "weak"):
+        for i, rec in enumerate(p[table]):
+            for name in ("H", "Ht"):
+                for lvl, m in sorted(rec["hom"][name].items()):
+                    out += [(table, i, "hom", name, lvl, key) for key in sorted(m)]
+    for name in ("ft", "bd"):
+        for lvl, m in enumerate(p["frame"][name]):
+            out += [("frame", name, lvl, key) for key in sorted(m)]
+    return out
+
+
+def bsystem_elements(p: dict) -> list[str]:
+    return sorted({x for level in p["frame"]["B"] + p["frame"]["Bt"] for x in level})
+
+
+DAMAGE_ENTRIES = {name: bsystem_entries(json.loads(t)["payload"]) for name, t in DAMAGE_DOCS.items()}
+DAMAGE_VALUES = {name: bsystem_elements(json.loads(t)["payload"]) + ["zz"] for name, t in DAMAGE_DOCS.items()}
+DAMAGE_COMMANDS = (["check"], ["translate", "--to", "e"], ["translate", "--to", "c"], ["roundtrip"])
+
+
+def run_captured(argv: list[str]) -> tuple[int, str, str]:
+    """main(argv) in this process, with what it prints; an exception it
+    raises, which would print a traceback, fails the caller."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(st.data())
+def test_cli_contract_on_damaged_bsystem_documents(tmp_path_factory, data):
+    name = data.draw(st.sampled_from(sorted(DAMAGE_DOCS)))
+    doc = json.loads(DAMAGE_DOCS[name])
+    path = data.draw(st.sampled_from(DAMAGE_ENTRIES[name]))
+    *outer, last = path
+    table = doc["payload"]
+    for step in outer:
+        table = table[step]
+    if len(path) == 2 or data.draw(st.booleans()):
+        del table[last]
+    else:
+        table[last] = data.draw(st.sampled_from(DAMAGE_VALUES[name]))
+    tmp = tmp_path_factory.mktemp("damaged")
+    src, dst = tmp / "b.json", tmp / "out.json"
+    src.write_text(json.dumps(doc))
+    for command in DAMAGE_COMMANDS:
+        output = ["-o", str(dst)] if command[0] == "translate" else []
+        code, out, err = run_captured([*command, str(src), *output])
+        assert code in (0, 1, 2), (command, path)
+        assert "Traceback" not in err
+        if code:
+            assert not dst.exists(), (command, path)
+        if code == 2:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (command, path, err)
+        dst.unlink(missing_ok=True)

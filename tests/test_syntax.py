@@ -2,7 +2,7 @@ import hashlib
 
 import pytest
 
-from bcsys import syntax
+from bcsys import bsys
 from bcsys.syntax import (
     BindingSignature,
     RawExpr,
@@ -13,8 +13,8 @@ from bcsys.syntax import (
     shift,
     subst,
 )
-from bcsys.bsys import slice_bframe, validate_bframe
-from bcsys.serialize import save_structure
+from bcsys.bsys import validate_bframe, validate_bsystem
+from bcsys.serialize import load_structure, save_structure
 from bcsys.core import unpack_ids
 
 
@@ -202,14 +202,32 @@ def test_syntactic_bsystem_matches_its_pins(text, height):
     assert got == SYNTACTIC_PINS[(text, height)]
 
 
-def test_builder_slices_each_context_once(monkeypatch):
-    calls = []
+def count_slice_builds(monkeypatch) -> list[tuple]:
+    """Record (frame, n, X) for every slice frame bsys builds from now on;
+    the list holds each frame, so no two frames share an id."""
+    builds = []
+    build = bsys._build_slice
 
     def counted(frame, n, X):
-        calls.append((n, X))
-        return slice_bframe(frame, n, X)
+        builds.append((frame, n, X))
+        return build(frame, n, X)
 
-    monkeypatch.setattr(syntax, "slice_bframe", counted)
+    monkeypatch.setattr(bsys, "_build_slice", counted)
+    return builds
+
+
+def test_builder_slices_each_context_once(monkeypatch):
+    builds = count_slice_builds(monkeypatch)
     sys, _ = build_syntactic_bframe(parse_signature(LAM_APP), 2, 2)
-    assert len(calls) == len(set(calls))
-    assert len(calls) <= sum(len(level) for level in sys.frame.B)
+    own = [(n, X) for frame, n, X in builds if frame is sys.frame]
+    assert len(own) == len(set(own))
+    assert len(own) <= sum(len(level) for level in sys.frame.B)
+
+
+def test_validation_builds_each_slice_frame_once(monkeypatch):
+    sys, rep = build_syntactic_bframe(parse_signature(LAM_APP), 2, 2)
+    _kind, fresh = load_structure(save_structure(sys))
+    builds = count_slice_builds(monkeypatch)
+    assert validate_bsystem(fresh).format() == rep.format()
+    keys = [(id(frame), n, X) for frame, n, X in builds]
+    assert builds and len(keys) == len(set(keys))
