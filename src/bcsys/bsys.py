@@ -211,25 +211,15 @@ def restrict_bhom(h: BFrameHom, n: int, X: str) -> BFrameHom:
     img = h.H[n][X]
     src = slice_bframe(h.source, n, X)
     tgt = slice_bframe(h.target, n, img)
-    H = {
-        m: {
-            y: h.H[n + m][y]
-            for y in src.B[m]
-            if y in h.H.get(n + m, {})
-        }
-        for m in range(src.height + 1)
-        if n + m <= h.common_height
-    }
-    Ht = {
-        m: {
-            y: h.Ht[n + m][y]
-            for y in src.Bt[m]
-            if y in h.Ht.get(n + m, {})
-        }
-        for m in range(1, src.height + 1)
-        if n + m <= h.common_height
-    }
+    top = min(src.height, h.common_height - n)
+    H = {m: _entries_at(h.H.get(n + m, {}), src.B[m]) for m in range(top + 1)}
+    Ht = {m: _entries_at(h.Ht.get(n + m, {}), src.Bt[m]) for m in range(1, top + 1)}
     return BFrameHom(source=src, target=tgt, H=H, Ht=Ht)
+
+
+def _entries_at(table: dict[str, str], keys: frozenset[str]) -> dict[str, str]:
+    """The entries of one level's table at ``keys``, in ``keys`` order."""
+    return {y: table[y] for y in keys if y in table}
 
 
 def bhom_eq(f: BFrameHom, g: BFrameHom) -> tuple[list[tuple], int, int]:

@@ -102,7 +102,7 @@ def cmd_example(args) -> int:
         except SignatureError as exc:
             print(f"signature error: {exc}", file=sys.stderr)
             return 2
-        obj, _rep = build_syntactic_bframe(sig, height, args.bound)
+        obj = build_syntactic_bframe(sig, height, args.bound)
     else:
         print(f"unknown example {args.name!r}", file=sys.stderr)
         return 2

@@ -90,11 +90,6 @@ def slice_objects(cat: FinCat, apex: str) -> list[str]:
     return cat.arrows_into(apex)
 
 
-def terminal_mor(cat: FinCat, u: str, apex: str) -> SliceMor:
-    """The canonical slice morphism from object u to the slice terminal."""
-    return (u, u, cat.id_of(apex))
-
-
 def identity_sf(e: ESystem, apex: str, mors: list[SliceMor] | None = None) -> SliceFunctorT:
     """The identity on the slice over apex; ``mors`` is slice_mors(e.cat, apex) if given."""
     sf = SliceFunctorT(source_apex=apex, target_apex=apex)
@@ -191,12 +186,11 @@ def _restrict(cat: FinCat, plan: _Plan, F: SliceFunctorT) -> SliceFunctorT:
 
 
 def term_action_at(e: ESystem, F: SliceFunctorT, u: str) -> dict[str, str] | None:
-    """F's action on the terms of a slice object u (an arrow into the apex)."""
-    try:
-        key = terminal_mor(e.cat, u, F.source_apex)
-    except Truncated:
-        return None
-    return F.term_map.get(key)
+    """F's action on the terms of a slice object u (an arrow into the apex):
+    its term table at the slice morphism (u, u, 1_apex) from u to the
+    slice terminal. None where the apex has no identity (no morphism is
+    keyed by None) or F has no table there."""
+    return F.term_map.get((u, u, e.cat.identity.get(F.source_apex)))
 
 
 def sf_equal(f: SliceFunctorT, g: SliceFunctorT) -> tuple[list[tuple], int, int]:
@@ -316,17 +310,17 @@ def validate_sfunctor(e: ESystem, F: SliceFunctorT, rep: Report, law: str) -> No
         if compose((fb, h1)) != fa:
             rep.fail(law, (h, a, b), "image does not commute over the apex")
     # identities and composition
+    identity = cat.identity.get
     for a in sorted(F.obj_map):
         ticks += 1
-        try:
-            ida = cat.id_of(cat.dom(a))
-            img = mor_get((ida, a, a))
-            if img is None:
-                skips += 1
-            elif img != cat.id_of(cat.dom(F.obj_map[a])):
-                rep.fail(law, (a,), "identity not preserved")
-        except Truncated:
+        # no morphism is keyed by a missing identity, and the image's
+        # identity is read only once the identity's image exists
+        img = mor_get((identity(cat.dom(a)), a, a))
+        want = None if img is None else identity(cat.dom(F.obj_map[a]))
+        if want is None:
             skips += 1
+        elif img != want:
+            rep.fail(law, (a,), "identity not preserved")
     mors = sorted(F.mor_map)
     by_source: dict[str, list[SliceMor]] = {}
     for m in mors:
@@ -483,18 +477,19 @@ class _Slices:
         return ts
 
     def restrict(self, H: SliceFunctorT, P: str) -> SliceFunctorT | None:
-        """restrict_sf(e, H, P), or None where it raises Truncated."""
+        """restrict_sf(e, H, P), or None where P is not in H.obj_map (where
+        restrict_sf raises Truncated)."""
         if H is not self._restricted:
             self._drop_restrictions()
             self._restricted = H
         memo = self._restrictions
         if P not in memo:
-            if P not in self._plans:
-                self._plans[P] = _restriction_plan(self.e.cat, P, self.mors)
-            try:
-                memo[P] = _restrict(self.e.cat, self._plans[P], H)
-            except Truncated:
+            if P not in H.obj_map:
                 memo[P] = None
+            else:
+                if P not in self._plans:
+                    self._plans[P] = _restriction_plan(self.e.cat, P, self.mors)
+                memo[P] = _restrict(self.e.cat, self._plans[P], H)
         return memo[P]
 
     def _drop_restrictions(self) -> None:
@@ -716,9 +711,8 @@ def validate_esystem(e: ESystem) -> Report:
                 continue
             validate_sfunctor(e, sx, rep, "subst-functor")
             rep.tick("subst-functor")
-            try:
-                ids, idt = cat.id_of(cat.dom(A)), cat.id_of(cat.cod(A))
-            except Truncated:
+            ids, idt = cat.identity.get(cat.dom(A)), cat.identity.get(cat.cod(A))
+            if ids is None or idt is None:
                 rep.skip("subst-functor")
                 continue
             if sx.obj_map.get(ids) != idt:
@@ -733,12 +727,11 @@ def validate_esystem(e: ESystem) -> Report:
             continue
         validate_sfunctor(e, wa, rep, "weak-functor")
         rep.tick("weak-functor")
-        try:
-            ids = cat.id_of(cat.cod(A))
-            if wa.obj_map.get(ids) != cat.id_of(cat.dom(A)):
-                rep.fail("weak-functor", (A,), "W_A does not preserve the slice terminal")
-        except Truncated:
+        ids, idt = cat.identity.get(cat.cod(A)), cat.identity.get(cat.dom(A))
+        if ids is None or idt is None:
             rep.skip("weak-functor")
+        elif wa.obj_map.get(ids) != idt:
+            rep.fail("weak-functor", (A,), "W_A does not preserve the slice terminal")
         # identity terms live where W_A(A) exists
         rep.tick("coverage")
         if A not in e.proj:
@@ -751,12 +744,7 @@ def validate_esystem(e: ESystem) -> Report:
     # weakening is functorial in the arrow
     for X in sorted(cat.objects):
         rep.tick("weak-functor")
-        try:
-            ida = cat.id_of(X)
-        except Truncated:
-            rep.skip("weak-functor")
-            continue
-        wid = e.weak.get(ida)
+        wid = e.weak.get(cat.identity.get(X))  # no weakening is keyed by None
         if wid is None:
             rep.skip("weak-functor")
             continue
@@ -1179,7 +1167,7 @@ def internal_hom_cat(e: ESystem, gamma: str) -> FinCat:
         arrows=arrows,
         identity=identity,
         compose=compose,
-        terminal=cat.id_of(gamma) if gamma in cat.identity else None,
+        terminal=cat.identity.get(gamma),
         partial=partial,
     )
 
@@ -1348,9 +1336,8 @@ def check_pairing(e: ESystem) -> Report:
                     rep.skip("pairing-inverse")
     for gamma in sorted(cat.objects):
         rep.tick("terminal-terms")
-        try:
-            ida = cat.id_of(gamma)
-        except Truncated:
+        ida = cat.identity.get(gamma)
+        if ida is None:
             rep.skip("terminal-terms")
             continue
         if len(e.T(ida)) != 1:

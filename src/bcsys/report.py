@@ -152,8 +152,10 @@ def diff_tables(pairs: list[tuple[dict, dict, tuple]]) -> tuple[list[tuple], int
 class Truncated(Exception):
     """A lookup fell off the represented truncation height.
 
-    Raised when a table entry needed by a check refers to data above the
-    finite presentation's height; callers catch it and record a skip.
+    Raised by a helper whose caller cannot go on without the missing
+    entry: a translation, or a derived construction such as
+    term_extension. Validators do not catch it; they read a missing
+    entry with ``.get`` and record a skip.
     """
 
     def __init__(self, what: str):

@@ -17,9 +17,8 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .bsys import BFrame, BFrameHom, BSystem, slice_bframe, validate_bsystem
+from .bsys import BFrame, BFrameHom, BSystem, slice_bframe
 from .core import pack_ids
-from .report import Report
 
 
 class SignatureError(ValueError):
@@ -206,14 +205,13 @@ def _tele_id(types: tuple[RawExpr, ...]) -> str:
     return pack_ids(tuple(t.key() for t in types))
 
 
-def build_syntactic_bframe(
-    sig: BindingSignature, height: int, bound: int
-) -> tuple[BSystem, Report]:
+def build_syntactic_bframe(sig: BindingSignature, height: int, bound: int) -> BSystem:
     """Contexts are telescopes; judgement elements add a term and a type.
 
-    Returns the pre-B-system together with its validation report; the
-    substitution, weakening and generic-element tables carry only the
-    entries whose results stay within the enumeration bound.
+    Returns the pre-B-system, unvalidated: a caller that wants its report
+    runs validate_bsystem. The substitution, weakening and
+    generic-element tables carry only the entries whose results stay
+    within the enumeration bound.
     """
     lm: list[list[RawExpr]] = []
     rr: list[list[RawExpr]] = []
@@ -332,4 +330,4 @@ def build_syntactic_bframe(
                 continue
             sys.gen[(n, Xid)] = judg_id(full, RawExpr("tm", "#0"), shifted)
 
-    return sys, validate_bsystem(sys)
+    return sys

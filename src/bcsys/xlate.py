@@ -550,7 +550,9 @@ def c_to_ce(c: CSystem) -> CESystem:
     each key (f, p_ξ^n) once, so the order of the walk changes only the
     insertion order of ``pb``, which every reader sorts or compares as a
     dict. A father missing from a chain ξ, ft(ξ), ... raises Truncated
-    naming it.
+    naming it. An entry pb[(π', ξ)] = (ob, q) with ob shorter than n
+    names no path p_ob^n, and is left out, as e_to_ce leaves out a pulled
+    family that is not an arrow.
     """
     cat = c.cat
     arrows: dict[str, Arrow] = {}
@@ -573,10 +575,9 @@ def c_to_ce(c: CSystem) -> CESystem:
             arrows[name] = Arrow(name, gamma, ftk[(gamma, k)])
         # I sends a projection path to its composite in the base; the
         # length-one case needs no identity, so partial bases still map it
-        try:
-            ifun[proj_path(gamma, 0)] = cat.id_of(gamma)
-        except Truncated:
-            pass
+        ident = cat.identity.get(gamma)
+        if ident is not None:
+            ifun[proj_path(gamma, 0)] = ident
         img = None
         for k in range(1, c.length.get(gamma, 0) + 1):
             p = c.proj.get(ftk[(gamma, k - 1)])
@@ -585,10 +586,7 @@ def c_to_ce(c: CSystem) -> CESystem:
             elif k == 1:
                 img = p
             elif img is not None:
-                try:
-                    img = cat.comp(p, img)
-                except Truncated:
-                    img = None
+                img = cat.compose.get((p, img))
             if img is not None:
                 ifun[proj_path(gamma, k)] = img
     for gamma in cat.objects:
@@ -626,7 +624,10 @@ def c_to_ce(c: CSystem) -> CESystem:
                 if entry is None:
                     continue
                 ob, q = entry
-                a.pb[(f, proj_path(xi, n))] = (proj_path(ob, n), q)
+                pulled = proj_path(ob, n)
+                if pulled not in arrows:  # ob is shorter than n: no such path
+                    continue
+                a.pb[(f, proj_path(xi, n))] = (pulled, q)
     return a
 
 
@@ -655,10 +656,9 @@ def ce_to_c(a: CESystem) -> CSystem:
             x = individual_arrow(a.fam, strat, X)
             ind[X] = x
             ft[X] = a.fam.cod(x)
-            try:
-                proj[X] = a.I(x)
-            except Truncated:
-                pass  # projection beyond the truncation; validators skip
+            p = a.ifun.get(x)
+            if p is not None:  # else beyond the truncation; validators skip
+                proj[X] = p
     for X in cat.objects:
         if length[X] == 0:
             continue
@@ -729,10 +729,8 @@ def _section_terms(a: CESystem, A: str) -> list[str]:
     base, fam = a.base, a.fam
     gamma = fam.cod(A)
     out = []
-    try:
-        ia = a.I(A)
-        ident = base.id_of(gamma)
-    except Truncated:
+    ia, ident = a.ifun.get(A), base.identity.get(gamma)
+    if ia is None or ident is None:
         return []
     for x in base.hom(gamma, fam.dom(A)):
         if base.compose.get((ia, x)) == ident:
@@ -764,12 +762,13 @@ def _pullback_sfunctor(a: CESystem, f: str) -> SliceFunctorT:
         sf.mor_map[(P, B1, B)] = gP
         # sections transport through the universal property
         table = {}
+        igP = a.ifun.get(gP)
         for x in _section_terms(a, P):
-            try:
-                xg = base.comp(x, g)
-                igP = a.I(gP)
-                ident = base.id_of(fam.cod(gP))
-            except Truncated:
+            xg = base.compose.get((x, g))
+            if xg is None or igP is None:
+                continue
+            ident = base.identity.get(fam.cod(gP))
+            if ident is None:
                 continue
             mediators = [
                 w
@@ -791,9 +790,8 @@ def ce_to_e(a: CESystem) -> ESystem:
     levels = dict(strat.level) if isinstance(strat, Stratification) else None
     e = ESystem(tc=TermCat(cat=fam, terms=terms), levels=levels)
     for A in fam.arrows:
-        try:
-            ia = a.I(A)
-        except Truncated:
+        ia = a.ifun.get(A)
+        if ia is None:
             continue
         e.weak[A] = _pullback_sfunctor(a, ia)
         for x in terms[A]:
@@ -803,10 +801,8 @@ def ce_to_e(a: CESystem) -> ESystem:
         if entry is None:
             continue
         waa, pi2 = entry
-        try:
-            ident = a.base.id_of(fam.dom(A))
-            iwaa = a.I(waa)
-        except Truncated:
+        ident, iwaa = a.base.identity.get(fam.dom(A)), a.ifun.get(waa)
+        if ident is None or iwaa is None:
             continue
         mediators = [
             w
@@ -998,18 +994,12 @@ def counit_cehom(a: CESystem) -> CEHom:
         x = ih_term(e, name, fhat, ghat)
         if x is None:
             continue
-        try:
-            ifhat = a.I(fhat)
-        except Truncated:
-            continue
-        entry = a.pb.get((ifhat, ghat))
+        entry = a.pb.get((a.ifun.get(fhat), ghat))  # no entry is keyed by None
         if entry is None:
             continue
-        _, pi2 = entry
-        try:
-            base_ar[name] = base.comp(pi2, x)
-        except Truncated:
-            continue
+        pi2x = base.compose.get((entry[1], x))
+        if pi2x is not None:
+            base_ar[name] = pi2x
     return CEHom(
         source=ahat,
         target=a,

@@ -578,7 +578,8 @@ def test_acceptance_8_syntactic_bframe():
     ]
     assert expected_B == [1, 1, 2, 6]
     assert expected_Bt == [0, 0, 2, 12]
-    sys, rep = build_syntactic_bframe(sig, 3, 2)
+    sys = build_syntactic_bframe(sig, 3, 2)
+    rep = validate_bsystem(sys)
     assert [len(s) for s in sys.frame.B] == expected_B
     assert [len(s) for s in sys.frame.Bt] == expected_Bt
     assert not rep.failed_laws(), rep.format()

@@ -519,6 +519,37 @@ def test_cli_roundtrip_cesystem_without_identity_reports_the_category(tmp_path, 
     assert printed.err == ""
 
 
+def _csystem_with_unit_pullback(tmp_path, row):
+    """finset-ce h2 as a C-system, with the object of one pb entry set to
+    the unit: the entry names a projection path p|0|n that does not exist."""
+    doc = json.loads(save_structure(ce_to_c(build_finset_cesystem(2))))
+    pb = doc["payload"]["pb"]
+    assert len(pb) == 3
+    pb[row][2] = "0"
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("row", range(3))
+def test_cli_roundtrip_csystem_with_a_unit_pullback_fails_retraction(tmp_path, capsys, row):
+    path = _csystem_with_unit_pullback(tmp_path, row)
+    code, printed = _run(capsys, "roundtrip", str(path))
+    assert code == 1 and printed.err == ""
+    assert printed.out == "FAIL retraction: witness=() ce_to_c(c_to_ce(c)) differs from c\n"
+
+
+@pytest.mark.parametrize("to", ["b", "e", "ce"])
+@pytest.mark.parametrize("row", range(3))
+def test_cli_translate_csystem_with_a_unit_pullback_checks(tmp_path, capsys, to, row):
+    """c_to_ce leaves out a pullback entry whose projection path does not
+    exist, so every translation exits 0 and writes a loadable document."""
+    path, out = _csystem_with_unit_pullback(tmp_path, row), tmp_path / "out.json"
+    assert _run(capsys, "translate", "--to", to, str(path), "-o", str(out))[0] == 0
+    code, printed = _run(capsys, "check", str(out))
+    assert (code, printed.err) == (0, "")
+
+
 @pytest.fixture
 def fatherless_csystem(tmp_path):
     """finset-ce h2 translated to a C-system, with ft['1'] removed."""
@@ -697,7 +728,7 @@ def test_bsystem_load_slices_each_context_once(monkeypatch):
     from bcsys import bsys
 
     sig = parse_signature("type U; type El(tm); term lam(tm^1.tm); term app(tm,tm)")
-    b, _ = build_syntactic_bframe(sig, 2, 2)
+    b = build_syntactic_bframe(sig, 2, 2)
     text = save_structure(b)
     builds = []
     build = bsys._build_slice
@@ -724,7 +755,7 @@ def test_bsystem_load_slices_each_context_once(monkeypatch):
 DAMAGE_BASES = {
     "finset-b-h3": build_finset_bsystem(3),
     "finset-b-h4": build_finset_bsystem(4),
-    "uel-h3": build_syntactic_bframe(parse_signature("type U; type El(tm)"), 3, 2)[0],
+    "uel-h3": build_syntactic_bframe(parse_signature("type U; type El(tm)"), 3, 2),
 }
 DAMAGE_DOCS = {name: save_structure(b) for name, b in DAMAGE_BASES.items()}
 

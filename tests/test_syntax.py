@@ -105,7 +105,9 @@ def _lam_after(order):
         text: (shift(lam, 1).key(), subst(lam, 0, RawExpr("tm", "#5")).key())
         for text, lam in lams.items()
     }
-    reports = {text: build_syntactic_bframe(sigs[text], 2, 2)[1].format() for text in order}
+    reports = {
+        text: validate_bsystem(build_syntactic_bframe(sigs[text], 2, 2)).format() for text in order
+    }
     return moved, reports
 
 
@@ -121,7 +123,7 @@ def test_syntactic_bframe_level_sizes():
     # |R([n])| and |LM([n])|. Independent closed forms for {U, El}:
     # |LM([i])| = 1 + i and |R([i])| = i.
     sig = parse_signature(UEL)
-    sys, rep = build_syntactic_bframe(sig, 3, 2)
+    sys = build_syntactic_bframe(sig, 3, 2)
     assert [len(s) for s in sys.frame.B] == [1, 1, 2, 6]
     assert [len(s) for s in sys.frame.Bt] == [0, 0, 2, 12]
     assert validate_bframe(sys.frame).ok
@@ -129,14 +131,15 @@ def test_syntactic_bframe_level_sizes():
 
 def test_syntactic_bframe_passes_bsystem_axioms_in_bound():
     sig = parse_signature(UEL)
-    sys, rep = build_syntactic_bframe(sig, 3, 2)
+    sys = build_syntactic_bframe(sig, 3, 2)
+    rep = validate_bsystem(sys)
     assert not rep.failed_laws(), rep.format()
     assert rep.total_skipped() > 0  # the bound genuinely truncates
 
 
 def test_syntactic_generic_element_shape():
     sig = parse_signature(UEL)
-    sys, _ = build_syntactic_bframe(sig, 3, 2)
+    sys = build_syntactic_bframe(sig, 3, 2)
     # delta on the context (U): the variable #0 of the weakened type U
     (x_u,) = [x for x in sys.frame.B[1]]
     d = sys.gen[(1, x_u)]
@@ -149,7 +152,7 @@ def test_syntactic_generic_element_shape():
 
 def test_weakening_is_injective_on_enumerated_sets():
     sig = parse_signature(UEL)
-    sys, _ = build_syntactic_bframe(sig, 3, 2)
+    sys = build_syntactic_bframe(sig, 3, 2)
     for (n, X), hom in sys.weak.items():
         for lvl, table in hom.Ht.items():
             assert len(set(table.values())) == len(table)
@@ -160,14 +163,16 @@ def test_weakening_is_injective_on_enumerated_sets():
 def test_subst_after_weaken_is_identity():
     # the de Bruijn instance of axiom 3, checked through the validator
     sig = parse_signature(UEL)
-    sys, rep = build_syntactic_bframe(sig, 3, 2)
+    sys = build_syntactic_bframe(sig, 3, 2)
+    rep = validate_bsystem(sys)
     assert not rep.laws["axiom-3"].violations
     assert rep.laws["axiom-3"].checked > 0
 
 
 def test_bigger_signature_with_binders_validates():
     sig = parse_signature("type U; type El(tm); type Pi(ty, tm^1.ty); term lam(ty, tm^1.tm)")
-    sys, rep = build_syntactic_bframe(sig, 2, 2)
+    sys = build_syntactic_bframe(sig, 2, 2)
+    rep = validate_bsystem(sys)
     assert not rep.failed_laws(), rep.format()
 
 
@@ -197,7 +202,8 @@ SYNTACTIC_PINS = {
 
 @pytest.mark.parametrize("text, height", list(SYNTACTIC_PINS))
 def test_syntactic_bsystem_matches_its_pins(text, height):
-    sys, rep = build_syntactic_bframe(parse_signature(text), height, 2)
+    sys = build_syntactic_bframe(parse_signature(text), height, 2)
+    rep = validate_bsystem(sys)
     got = tuple(hashlib.sha256(s.encode()).hexdigest() for s in (save_structure(sys), rep.format()))
     assert got == SYNTACTIC_PINS[(text, height)]
 
@@ -218,14 +224,15 @@ def count_slice_builds(monkeypatch) -> list[tuple]:
 
 def test_builder_slices_each_context_once(monkeypatch):
     builds = count_slice_builds(monkeypatch)
-    sys, _ = build_syntactic_bframe(parse_signature(LAM_APP), 2, 2)
+    sys = build_syntactic_bframe(parse_signature(LAM_APP), 2, 2)
     own = [(n, X) for frame, n, X in builds if frame is sys.frame]
     assert len(own) == len(set(own))
     assert len(own) <= sum(len(level) for level in sys.frame.B)
 
 
 def test_validation_builds_each_slice_frame_once(monkeypatch):
-    sys, rep = build_syntactic_bframe(parse_signature(LAM_APP), 2, 2)
+    sys = build_syntactic_bframe(parse_signature(LAM_APP), 2, 2)
+    rep = validate_bsystem(sys)
     _kind, fresh = load_structure(save_structure(sys))
     builds = count_slice_builds(monkeypatch)
     assert validate_bsystem(fresh).format() == rep.format()
