@@ -26,7 +26,7 @@ from .core import (
 )
 from .csys import check_pullback_composites, check_pullback_square
 from .esys import nat_arrow, nat_poset_cat
-from .report import Report, Truncated
+from .report import Report
 
 
 @dataclass
@@ -37,12 +37,6 @@ class CESystem:
     root: str
     pb: dict[tuple[str, str], tuple[str, str]] = field(default_factory=dict)
     # pb[(f, A)] = (f*A, pi2) for f a base arrow into cod(A)
-
-    def I(self, a: str) -> str:
-        try:
-            return self.ifun[a]
-        except KeyError:
-            raise Truncated(f"I({a!r})") from None
 
 
 @dataclass

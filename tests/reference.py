@@ -757,6 +757,14 @@ def c_to_ce_reference(c: CSystem) -> CESystem:
     return a
 
 
+def _ifun(a: CESystem, x: str) -> str:
+    """I(x), raising Truncated where ``ifun`` has no entry for x."""
+    try:
+        return a.ifun[x]
+    except KeyError:
+        raise Truncated(f"I({x!r})") from None
+
+
 def ce_to_c_reference(a: CESystem) -> CSystem:
     """Read a C-system off a rooted stratified CE-system."""
     strat = stratify(a.fam)
@@ -777,7 +785,7 @@ def ce_to_c_reference(a: CESystem) -> CSystem:
             ind[X] = x
             ft[X] = a.fam.cod(x)
             try:
-                proj[X] = a.I(x)
+                proj[X] = _ifun(a, x)
             except Truncated:
                 pass  # projection beyond the truncation; validators skip
     for X in cat.objects:

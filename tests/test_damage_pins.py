@@ -37,9 +37,6 @@ from bcsys.esys import TermCat, build_nat_esystem, check_pairing, internal_hom_c
 from bcsys.serialize import dumps, fincat_payload, save_structure
 from bcsys.xlate import b_to_e, c_to_ce, casce_iso, ce_to_c, ce_to_e, counit_cehom, e_to_ce
 
-# every k-th composite of a category is dropped, in sorted key order
-COMPOSITE_STRIDE = 1
-
 
 def _without(d: dict, key) -> dict:
     out = dict(d)
@@ -48,10 +45,10 @@ def _without(d: dict, key) -> dict:
 
 
 def _cat_damages(cat, tag: str):
-    """(name, damaged copy) for each identity and every k-th composite."""
+    """(name, damaged copy) for each identity and each composite."""
     for x in sorted(cat.identity):
         yield f"{tag}-identity:{x}", replace(cat, identity=_without(cat.identity, x))
-    for key in sorted(cat.compose)[::COMPOSITE_STRIDE]:
+    for key in sorted(cat.compose):
         yield f"{tag}-compose:{key}", replace(cat, compose=_without(cat.compose, key))
 
 
