@@ -228,10 +228,10 @@ def validate_ce_hom(h: CEHom, stratified: bool = False) -> Report:
         if isinstance(s, Stratification) and isinstance(t, Stratification):
             strat = (s, t)
             rep.law("stratified")
+            # an unmapped object, or one whose image is no object, has no level
             for x in sorted(src.fam.objects):
                 rep.tick("stratified")
-                img = h.fam_map.object_map.get(x)
-                if img is None or t.of(img) != s.of(x):
+                if t.level.get(h.fam_map.object_map.get(x)) != s.of(x):
                     rep.fail("stratified", (x,), "family component not stratified")
         else:
             rep.miss("stratified", "one side does not stratify")

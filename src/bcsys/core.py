@@ -647,12 +647,13 @@ def slice_mors(c: FinCat, apex: str) -> list[tuple[str, str, str]]:
     ]
 
 
-def slice_category(c: FinCat, apex: str) -> SliceCat:
-    """Materialize the strict slice of ``c`` over ``apex`` as a FinCat."""
+def slice_category(c: FinCat, apex: str, mors: list[tuple[str, str, str]] | None = None) -> SliceCat:
+    """Materialize the strict slice of ``c`` over ``apex`` as a FinCat;
+    ``mors`` is slice_mors(c, apex) if given."""
     if apex not in c.objects:
         raise ValueError(f"{apex!r} is not an object")
     objs = c.arrows_into(apex)
-    triangle = {triangle_id(*m): m for m in slice_mors(c, apex)}
+    triangle = {triangle_id(*m): m for m in (slice_mors(c, apex) if mors is None else mors)}
     arrows = {tid: Arrow(tid, f, g) for tid, (_h, f, g) in triangle.items()}
     identity = {f: triangle_id(c.id_of(c.dom(f)), f, f) for f in objs}
     compose: dict[tuple[str, str], str] = {}
@@ -737,12 +738,14 @@ def validate_functor(fd: FunctorData, stratified: bool = False) -> Report:
         elif not isinstance(ts, Stratification):
             rep.miss("stratified", "target category is not stratified")
         else:
+            # an unmapped object, or one whose image is no object (which
+            # object-map fails), has no level to compare
             for x in sorted(src.objects):
                 rep.tick("stratified")
-                y = obj_map.get(x)
-                if y is None:
+                level = ts.level.get(obj_map.get(x))
+                if level is None:
                     rep.skip("stratified")
-                elif ts.of(y) != ss.of(x):
+                elif level != ss.of(x):
                     rep.fail("stratified", (x,), "level not preserved")
             # the criterion: terminal and individual arrows are enough,
             # but level preservation on all objects subsumes both.

@@ -27,7 +27,6 @@ from .core import (
     identity_functor,
     join_ids,
     slice_mors,
-    split_ids,
     validate_fincat,
     validate_functor,
 )
@@ -410,7 +409,7 @@ def _flatten(F: SliceFunctorT, src: _Cells, tgt: _Cells) -> tuple[int, ...] | No
 
 
 class _Slices:
-    """Slice functors of one validation call, their flat forms and numbers.
+    """Slice functors of one call, their flat forms and numbers.
 
     Holds slice_mors per apex, identity_sf per apex, the restriction
     plan of each slice object P, restrict_sf(H, P) per P for the functor
@@ -418,10 +417,10 @@ class _Slices:
     terms of each arrow, and a value number for each distinct flat form
     of a functor compared (see composites_equal), with the results of
     the comparisons made so far. The slice morphisms, the plans, the
-    identities, the cells and the term lists read the category only. The
-    validator makes one and drops it when it returns, so nothing
-    outlives the call and a table changed between two calls is read
-    afresh.
+    identities, the cells and the term lists read the category only.
+    validate_esystem, internal_hom_cat and xlate.e_to_ce each make one
+    and drop it when they return, so nothing outlives the call and a
+    table changed between two calls is read afresh.
 
     Restrictions are kept for one functor H at a time: validate_esystem
     checks all three parts of a functor before the next, and only axiom
@@ -1073,25 +1072,48 @@ def ih_arrow(A: str, B: str, t: str) -> str:
     return join_ids("ih", A, B, t)
 
 
-def ih_term(e: ESystem, name: str, A: str, B: str) -> str | None:
-    """The inverse of ih_arrow: decode the term t from the arrow id ``name``.
-
-    None unless ``name`` decodes to endpoints (A, B) and a term in
-    T(W_A(B)).
-    """
-    parts = split_ids(name, "|")
-    if len(parts) != 4 or parts[:3] != ["ih", A, B]:
-        return None
-    ts = hom_terms_of(e, A, B)
-    return parts[3] if ts is not None and parts[3] in ts else None
-
-
 def internal_hom_cat(e: ESystem, gamma: str) -> FinCat:
     """The strict category of internal morphisms over ``gamma``.
 
     Objects are the arrows into gamma; hom(A, B) = T(W_A(B)); composition
     is precomposition. On truncated systems some hom sets or composites
     fall outside the height; the result is marked partial.
+    """
+    return _internal_hom(e, gamma, _Slices(e))[0]
+
+
+def _hom_names(e: ESystem, A: str, B: str) -> dict[str, str] | None:
+    """t -> ih_arrow(A, B, t) for t in T(W_A(B)); None where hom(A, B) is
+    not represented."""
+    ts = hom_terms_of(e, A, B)
+    return None if ts is None else {t: ih_arrow(A, B, t) for t in ts}
+
+
+def _ih_terms(e: ESystem, arrows: dict[str, Arrow]) -> dict[str, str]:
+    """The inverse of ih_arrow on ``arrows``: name -> t for each arrow
+    whose id is ih_arrow(dom, cod, t) with t in T(W_dom(cod)). It makes
+    the names of each hom set once, with _hom_names, and decodes no id."""
+    inverses: dict[tuple[str, str], dict[str, str]] = {}
+    out: dict[str, str] = {}
+    for name, arr in arrows.items():
+        inverse = inverses.get((arr.dom, arr.cod))
+        if inverse is None:
+            row = _hom_names(e, arr.dom, arr.cod) or {}
+            inverse = inverses[(arr.dom, arr.cod)] = {n: t for t, n in row.items()}
+        t = inverse.get(name)
+        if t is not None:
+            out[name] = t
+    return out
+
+
+def _internal_hom(
+    e: ESystem, gamma: str, slices: _Slices
+) -> tuple[FinCat, dict[tuple[str, str], dict[str, str]]]:
+    """internal_hom_cat(e, gamma) and its names: names[A, B] is
+    _hom_names(e, A, B) for each represented hom set, in the order of the
+    arrows. So a caller reads an arrow's term from the names and decodes
+    no id. ``slices`` is the caller's: the restrictions read its slice
+    morphisms and plans.
 
     The composite g∘f of f in hom(A, B) and g in hom(B, C) is f*(g), the
     action of f* = S_f ∘ (W_A/B) (see precompose) on the terms of
@@ -1119,23 +1141,20 @@ def internal_hom_cat(e: ESystem, gamma: str) -> FinCat:
     identity: dict[str, str] = {}
     compose: dict[tuple[str, str], str] = {}
     partial = False
-    # names[A, B][t] = ih_arrow(A, B, t) for t in T(W_A(B)); no entry
-    # where the hom set is not represented
     names: dict[tuple[str, str], dict[str, str]] = {}
 
     for A in objs:
         for B in objs:
-            ts = hom_terms_of(e, A, B)
-            if ts is None:
+            row = _hom_names(e, A, B)
+            if row is None:
                 partial = True
                 continue
-            names[(A, B)] = row = {t: ih_arrow(A, B, t) for t in ts}
+            names[(A, B)] = row
             for name in row.values():
                 arrows[name] = Arrow(name, A, B)
     for A in objs:
-        one = e.proj.get(A)
-        name = ih_arrow(A, A, one) if one is not None else None
-        if name is None or name not in arrows:
+        name = names.get((A, A), {}).get(e.proj.get(A))
+        if name is None:
             partial = True
             continue
         identity[A] = name
@@ -1148,7 +1167,7 @@ def internal_hom_cat(e: ESystem, gamma: str) -> FinCat:
                 partial = True
                 continue
             if reads is None:
-                reads = _precompose_reads(e, A, B, objs, names)
+                reads = _precompose_reads(e, A, B, objs, names, slices)
             for hom_bc, hom_ac, key1, t1 in reads:
                 h2 = sf.mor_map.get(key1) if key1 is not None else None
                 if h2 is None:
@@ -1169,7 +1188,7 @@ def internal_hom_cat(e: ESystem, gamma: str) -> FinCat:
         compose=compose,
         terminal=cat.identity.get(gamma),
         partial=partial,
-    )
+    ), names
 
 
 def _precompose_reads(
@@ -1178,6 +1197,7 @@ def _precompose_reads(
     B: str,
     objs: list[str],
     names: dict[tuple[str, str], dict[str, str]],
+    slices: _Slices,
 ) -> list[tuple[dict[str, str], dict[str, str], SliceMor | None, dict[str, str]]]:
     """What internal_hom_cat reads of W_A/B, for each C with hom(B, C)
     represented: the names of hom(B, C) and of hom(A, C) (empty if not
@@ -1186,7 +1206,7 @@ def _precompose_reads(
     where f*'s term table at u is undefined whatever f is.
     """
     cat = e.cat
-    wab = restrict_sf(e, e.weak[A], B)
+    wab = slices.restrict(e.weak[A], B)
     wb = e.weak.get(B)
     one = cat.identity.get(cat.dom(B))
     fb = wab.obj_map.get(one) if one is not None else None

@@ -11,6 +11,7 @@ fabricated).
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field, replace
 
 from .bsys import (
@@ -55,13 +56,13 @@ from .esys import (
     ESystem,
     SliceFunctorT,
     TermCat,
+    _ih_terms,
+    _internal_hom,
+    _Slices,
     compose_ehom,
     ehom_equal,
     identity_ehom,
     ih_arrow,
-    ih_term,
-    internal_hom_cat,
-    restrict_sf,
     term_action_at,
     term_extension,
     validate_ehom,
@@ -96,18 +97,36 @@ def _tree_of_frame(frame: BFrame) -> RootedTree:
     )
 
 
+class _Ids(dict):
+    """Ids a translation makes, each once per call: ``self[key]`` is
+    ``make(*key)``, made at the first read of ``key``, and ``where`` maps
+    each id made back to its key, so no id made here is parsed. A
+    translation makes one table per call and drops it when it returns."""
+
+    def __init__(self, make: Callable[..., str]) -> None:
+        super().__init__()
+        self.make = make
+        self.where: dict[str, tuple] = {}
+
+    def __missing__(self, key: tuple) -> str:
+        made = self[key] = self.make(*key)
+        self.where[made] = key
+        return made
+
+
 def _sfunctor_of_bhom(
-    cat: FinCat,
     hom: BFrameHom,
     n_src: int,
     x_src: str,
     n_tgt: int,
     x_tgt: str,
+    paths: _Ids,
 ) -> SliceFunctorT:
     """Lift a homomorphism of slice frames to a slice functor on the free category.
 
     Terms of an arrow (Y, d) are flat tuples whose entries all live one
-    level above the codomain; the term action is componentwise.
+    level above the codomain; the term action is componentwise. ``paths``
+    is b_to_e's table of path_id(n, y, d).
     """
     sf = SliceFunctorT(
         source_apex=obj_id(n_src, x_src), target_apex=obj_id(n_tgt, x_tgt)
@@ -118,21 +137,22 @@ def _sfunctor_of_bhom(
         if level_map is None:
             continue
         for y, y1 in level_map.items():
-            sf.obj_map[path_id(n_src + m, y, m)] = path_id(n_tgt + m, y1, m)
+            sf.obj_map[paths[n_src + m, y, m]] = paths[n_tgt + m, y1, m]
     for m in range(src.height + 1):
+        level_map = hom.H.get(m, {})
         for y in src.B[m]:
-            if y not in hom.H.get(m, {}):
+            if y not in level_map:
                 continue
-            y1 = hom.H[m][y]
+            y1 = level_map[y]
+            f1 = paths[n_src + m, y, m]
             for d in range(m + 1):
                 # slice morphism from (y, m) to its d-th truncation
                 z = src.ft_iter(m, y, d) if d else y
                 if z not in hom.H.get(m - d, {}):
                     continue
-                h = path_id(n_src + m, y, d)
-                f1 = path_id(n_src + m, y, m)
-                g1 = path_id(n_src + m - d, z, m - d)
-                sf.mor_map[(h, f1, g1)] = path_id(n_tgt + m, y1, d)
+                h = paths[n_src + m, y, d]
+                g1 = paths[n_src + m - d, z, m - d]
+                sf.mor_map[(h, f1, g1)] = paths[n_tgt + m, y1, d]
     return sf
 
 
@@ -197,23 +217,20 @@ def b_to_e(bsys: BSystem) -> ESystem:
                 tsets[(n, X, k)] = out
 
     packed = {key: [(t, pack_ids(t)) for t in tups] for key, tups in tsets.items()}
+    paths = _Ids(path_id)
     terms: dict[str, frozenset[str]] = {}
     for (n, X, k), rows in packed.items():
-        terms[path_id(n, X, k)] = frozenset(p for _t, p in rows)
+        terms[paths[n, X, k]] = frozenset(p for _t, p in rows)
     e = ESystem(tc=TermCat(cat=cat, terms=terms), levels=dict(strat.level))
     packs = {t: p for rows in packed.values() for t, p in rows}
     empty = pack_ids(())
-    parsed: dict[str, tuple[int, str, int]] = {}
+    where = paths.where
 
     def fill_terms(sf: SliceFunctorT, hom: BFrameHom, n_src: int) -> None:
         # terms of an arrow (y, d) are flat tuples of elements one level
         # above its codomain; the functor acts componentwise
         for key in list(sf.mor_map):
-            h = key[0]
-            loc = parsed.get(h)
-            if loc is None:
-                loc = parsed[h] = parse_path_id(h)
-            m, y, d = loc
+            m, y, d = where[key[0]]
             if d == 0:
                 sf.term_map[key] = {empty: empty}
                 continue
@@ -234,16 +251,16 @@ def b_to_e(bsys: BSystem) -> ESystem:
         ftk = frame.ft_iter(n, X, k)
         for t, p in rows:
             hom = shoms[(n, X, t)]
-            sf = _sfunctor_of_bhom(cat, hom, n, X, n - k, ftk)
+            sf = _sfunctor_of_bhom(hom, n, X, n - k, ftk, paths)
             fill_terms(sf, hom, n)
-            e.subst[(path_id(n, X, k), p)] = sf
+            e.subst[(paths[n, X, k], p)] = sf
     # identity arrows: substitution by the empty tuple is the identity
     for n in range(frame.height + 1):
         for X in frame.B[n]:
             hom = shoms[(n, X, ())]
-            sf = _sfunctor_of_bhom(cat, hom, n, X, n, X)
+            sf = _sfunctor_of_bhom(hom, n, X, n, X, paths)
             fill_terms(sf, hom, n)
-            e.subst[(path_id(n, X, 0), empty)] = sf
+            e.subst[(paths[n, X, 0], empty)] = sf
 
     # weakening: composites of the one-step weakening homs
     for k in range(1, frame.height + 1):
@@ -255,9 +272,9 @@ def b_to_e(bsys: BSystem) -> ESystem:
                     continue
                 whoms[(n, X, k)] = compose_bhom(wx, prev)
     for (n, X, k), hom in whoms.items():
-        sf = _sfunctor_of_bhom(cat, hom, n - k, frame.ft_iter(n, X, k), n, X)
+        sf = _sfunctor_of_bhom(hom, n - k, frame.ft_iter(n, X, k), n, X, paths)
         fill_terms(sf, hom, n - k)
-        e.weak[path_id(n, X, k)] = sf
+        e.weak[paths[n, X, k]] = sf
 
     # identity terms, built inductively from the generic elements
     ones: dict[tuple[int, str, int], tuple[str, ...]] = {}
@@ -286,7 +303,7 @@ def b_to_e(bsys: BSystem) -> ESystem:
     for (n, X, k), tup in ones.items():
         # record the identity term only when its container W_A(A) is
         # itself representable at this height
-        A = path_id(n, X, k)
+        A = paths[n, X, k]
         wa = e.weak.get(A)
         if wa is not None and wa.obj_map.get(A) is not None:
             e.proj[A] = pack_ids(tup)
@@ -302,8 +319,34 @@ def _unique_arrow(cat: FinCat, x: str, y: str) -> str | None:
     return arrs[0] if len(arrs) == 1 else None
 
 
+class _ElementReads:
+    """What _bhom_of_sfunctor reads besides the slice functor, once per
+    e_to_b call: the (X, t) of each frame element, recorded where e_to_b
+    packs it; for each object Y, ybar, the first arrow out of Y that
+    goes one level down; and _unique_arrow of each pair of objects."""
+
+    def __init__(self, cat: FinCat, lv: dict[str, int]) -> None:
+        self.cat = cat
+        self.lv = lv
+        self.parts: dict[str, tuple[str, str]] = {}
+        self._down: dict[str, str | None] = {}
+        self._unique: dict[tuple[str, str], str | None] = {}
+
+    def down(self, Y: str) -> str | None:
+        if Y not in self._down:
+            cat, lv = self.cat, self.lv
+            below = lv.get(Y, 0) - 1
+            self._down[Y] = next((a for a in cat.arrows_from(Y) if lv.get(cat.cod(a)) == below), None)
+        return self._down[Y]
+
+    def unique(self, x: str, y: str) -> str | None:
+        if (x, y) not in self._unique:
+            self._unique[(x, y)] = _unique_arrow(self.cat, x, y)
+        return self._unique[(x, y)]
+
+
 def _bhom_of_sfunctor(e: ESystem, sf: SliceFunctorT, src: BFrame, tgt: BFrame,
-                      lv: dict[str, int]) -> BFrameHom:
+                      reads: _ElementReads) -> BFrameHom:
     """Project a slice functor down to a homomorphism of the level frames."""
     cat = e.cat
     z, z1 = sf.source_apex, sf.target_apex
@@ -313,21 +356,17 @@ def _bhom_of_sfunctor(e: ESystem, sf: SliceFunctorT, src: BFrame, tgt: BFrame,
         hm: dict[str, str] = {}
         tm: dict[str, str] = {}
         for Y in src.B[m]:
-            u = _unique_arrow(cat, Y, z)
+            u = reads.unique(Y, z)
             if u is None or u not in sf.obj_map:
                 continue
             hm[Y] = cat.dom(sf.obj_map[u])
         for el in src.Bt[m]:
-            Y, t = unpack_ids(el)
-            u = _unique_arrow(cat, Y, z)
-            ybar = None
-            for a in cat.arrows_from(Y):
-                if lv.get(cat.cod(a)) == lv.get(Y, 0) - 1:
-                    ybar = a
-                    break
+            Y, t = reads.parts[el]
+            u = reads.unique(Y, z)
+            ybar = reads.down(Y)
             if u is None or ybar is None:
                 continue
-            uft = _unique_arrow(cat, cat.cod(ybar), z)
+            uft = reads.unique(cat.cod(ybar), z)
             if uft is None:
                 continue
             key = (ybar, u, uft)
@@ -359,11 +398,14 @@ def e_to_b(e: ESystem) -> BSystem:
     Bt: list[frozenset[str]] = [frozenset()]
     bd: list[dict[str, str]] = [{}]
     ft: list[dict[str, str]] = [{}]
+    reads = _ElementReads(cat, lv)
     for m in range(1, height + 1):
         elems = {}
         for X in B[m]:
             for t in e.T(ind[X]):
-                elems[pack_ids((X, t))] = X
+                el = pack_ids((X, t))
+                elems[el] = X
+                reads.parts[el] = (X, t)
         Bt.append(frozenset(elems))
         bd.append(elems)
         ft.append({X: cat.cod(ind[X]) for X in B[m]})
@@ -371,20 +413,20 @@ def e_to_b(e: ESystem) -> BSystem:
     sys = BSystem(frame=frame)
     for m in range(1, height + 1):
         for el in frame.Bt[m]:
-            X, t = unpack_ids(el)
+            X, t = reads.parts[el]
             sf = e.subst.get((ind[X], t))
             if sf is None:
                 continue
             src = slice_bframe(frame, m, X)
             tgt = slice_bframe(frame, m - 1, cat.cod(ind[X]))
-            sys.subst[(m, el)] = _bhom_of_sfunctor(e, sf, src, tgt, lv)
+            sys.subst[(m, el)] = _bhom_of_sfunctor(e, sf, src, tgt, reads)
         for X in frame.B[m]:
             wf = e.weak.get(ind[X])
             if wf is None:
                 continue
             src = slice_bframe(frame, m - 1, cat.cod(ind[X]))
             tgt = slice_bframe(frame, m, X)
-            sys.weak[(m, X)] = _bhom_of_sfunctor(e, wf, src, tgt, lv)
+            sys.weak[(m, X)] = _bhom_of_sfunctor(e, wf, src, tgt, reads)
             one = e.proj.get(ind[X])
             wxx = wf.obj_map.get(ind[X])
             if one is not None and wxx is not None and m + 1 <= height:
@@ -553,6 +595,8 @@ def c_to_ce(c: CSystem) -> CESystem:
     naming it. An entry pb[(π', ξ)] = (ob, q) with ob shorter than n
     names no path p_ob^n, and is left out, as e_to_ce leaves out a pulled
     family that is not an arrow.
+
+    Each path id is made once per call, in ``paths``.
     """
     cat = c.cat
     arrows: dict[str, Arrow] = {}
@@ -560,6 +604,7 @@ def c_to_ce(c: CSystem) -> CESystem:
     compose: dict[tuple[str, str], str] = {}
     ifun: dict[str, str] = {}
     ftk: dict[tuple[str, int], str] = {}
+    paths = _Ids(proj_path)
     for gamma in cat.objects:
         cur = gamma
         ftk[(gamma, 0)] = gamma
@@ -569,15 +614,15 @@ def c_to_ce(c: CSystem) -> CESystem:
             cur = c.ft[cur]
             ftk[(gamma, k)] = cur
     for gamma in cat.objects:
-        identity[gamma] = proj_path(gamma, 0)
         for k in range(c.length.get(gamma, 0) + 1):
-            name = proj_path(gamma, k)
+            name = paths[gamma, k]
             arrows[name] = Arrow(name, gamma, ftk[(gamma, k)])
+        identity[gamma] = paths[gamma, 0]
         # I sends a projection path to its composite in the base; the
         # length-one case needs no identity, so partial bases still map it
         ident = cat.identity.get(gamma)
         if ident is not None:
-            ifun[proj_path(gamma, 0)] = ident
+            ifun[identity[gamma]] = ident
         img = None
         for k in range(1, c.length.get(gamma, 0) + 1):
             p = c.proj.get(ftk[(gamma, k - 1)])
@@ -588,14 +633,13 @@ def c_to_ce(c: CSystem) -> CESystem:
             elif img is not None:
                 img = cat.compose.get((p, img))
             if img is not None:
-                ifun[proj_path(gamma, k)] = img
+                ifun[paths[gamma, k]] = img
     for gamma in cat.objects:
         for k in range(c.length.get(gamma, 0) + 1):
             mid = ftk[(gamma, k)]
+            p_k = paths[gamma, k]
             for j in range(c.length.get(mid, 0) + 1):
-                compose[(proj_path(mid, j), proj_path(gamma, k))] = proj_path(
-                    gamma, k + j
-                )
+                compose[(paths[mid, j], p_k)] = paths[gamma, k + j]
     fam = FinCat(
         objects=cat.objects,
         arrows=arrows,
@@ -608,13 +652,13 @@ def c_to_ce(c: CSystem) -> CESystem:
     # pullbacks, by induction on path length
     for f in cat.arrows:
         gamma = cat.cod(f)
-        a.pb[(f, proj_path(gamma, 0))] = (proj_path(cat.dom(f), 0), f)
+        a.pb[(f, paths[gamma, 0])] = (paths[cat.dom(f), 0], f)
     maxlen = max(c.length.values(), default=0)
     for n in range(1, maxlen + 1):
         for xi in cat.objects:
             if c.length.get(xi, 0) < n:
                 continue
-            p_prime = proj_path(ftk[(xi, 1)], n - 1)
+            p_prime = paths[ftk[(xi, 1)], n - 1]
             for f in cat.arrows_into(ftk[(xi, n)]):
                 inner = a.pb.get((f, p_prime))
                 if inner is None:
@@ -624,10 +668,10 @@ def c_to_ce(c: CSystem) -> CESystem:
                 if entry is None:
                     continue
                 ob, q = entry
-                pulled = proj_path(ob, n)
+                pulled = paths[ob, n]
                 if pulled not in arrows:  # ob is shorter than n: no such path
                     continue
-                a.pb[(f, proj_path(xi, n))] = (pulled, q)
+                a.pb[(f, paths[xi, n])] = (pulled, q)
     return a
 
 
@@ -847,13 +891,22 @@ def e_to_ce(e: ESystem) -> CESystem:
     of f*'s object map. precompose raises Truncated only where S_x is
     missing (restricting W_A at B cannot raise, since W_A(B) exists when
     x names a base arrow), and those arrows get no pullbacks here either.
+
+    The base arrows are read as (A, B, x, name) from the names that
+    esys._internal_hom returns, so no arrow id is decoded, and an
+    internal-hom id is looked up there instead of made again. One
+    _Slices serves the call: the slice morphisms of each apex are
+    enumerated once, the restriction plan of each slice object is made
+    once, and W_A/B is restricted once per (A, B) here, as in the
+    internal-hom category.
     """
     root = e.cat.terminal
     if root is None:
         raise ValueError("e_to_ce needs a chosen terminal object")
-    sl = slice_category(e.cat, root)
+    slices = _Slices(e)
+    sl = slice_category(e.cat, root, slices.mors(root))
     fam = sl.cat
-    base = internal_hom_cat(e, root)
+    base, names = _internal_hom(e, root, slices)
     ifun: dict[str, str] = {}
     for t, (h, f, g) in sl.triangle.items():
         # first projection: weaken the identity term of g by h
@@ -868,46 +921,46 @@ def e_to_ce(e: ESystem) -> CESystem:
         act = term_action_at(e, wh, u)
         if act is None or one not in act:
             continue
-        name = ih_arrow(f, g, act[one])
-        if name in base.arrows:
+        name = names.get((f, g), {}).get(act[one])
+        if name is not None:
             ifun[t] = name
     a = CESystem(fam=fam, base=base, ifun=ifun, root=fam.terminal)
-    over: dict[str, list[tuple[str, str]]] = {}  # families R over B, as (R, B.R)
-    for R, BR, B in sl.triangle.values():
-        over.setdefault(B, []).append((R, BR))
+    over: dict[str, list[tuple[str, str, str]]] = {}  # families R over B, as (R, B.R, triangle)
+    for t, (R, BR, B) in sl.triangle.items():
+        over.setdefault(B, []).append((R, BR, t))
     # f*(R) = S_x((W_A/B)(R)), read from the two tables; W_A/B is
-    # restricted once per (A, B), whose arrows come one after another
-    group = wab = None
-    for name, arr in base.arrows.items():
-        A, B = arr.dom, arr.cod
-        x = ih_term(e, name, A, B)  # never None: the base is named from e
-        sx = e.subst.get((e.weak[A].obj_map[B], x))
-        if sx is None:
-            continue
-        if group != (A, B):
-            group, wab = (A, B), restrict_sf(e, e.weak[A], B)
-        for R, BR in over.get(B, []):
-            # R is a family over B; pull it back along the internal x
-            xR = sx.obj_map.get(wab.obj_map.get(R))
-            if xR is None:
+    # restricted once per (A, B), at its first x with S_x
+    for (A, B), row in names.items():
+        pos = e.weak[A].obj_map[B]
+        wab = None
+        for x, name in row.items():
+            sx = e.subst.get((pos, x))
+            if sx is None:
                 continue
-            AxR = e.cat.compose.get((A, xR))
-            if AxR is None or AxR not in fam.objects:
-                continue
-            onexR = e.proj.get(xR)
-            if onexR is None:
-                continue
-            try:
-                pi2 = vertical_compose(e, A, B, x, xR, R, onexR)
-            except Truncated:
-                continue
-            pi2name = ih_arrow(AxR, BR, pi2)
-            if pi2name not in base.arrows:
-                continue
-            pulled = triangle_id(xR, AxR, A)
-            if pulled not in fam.arrows:
-                continue
-            a.pb[(name, triangle_id(R, BR, B))] = (pulled, pi2name)
+            if wab is None:
+                wab = slices.restrict(e.weak[A], B)
+            for R, BR, tri in over.get(B, []):
+                # R is a family over B; pull it back along the internal x
+                xR = sx.obj_map.get(wab.obj_map.get(R))
+                if xR is None:
+                    continue
+                AxR = e.cat.compose.get((A, xR))
+                if AxR is None or AxR not in fam.objects:
+                    continue
+                onexR = e.proj.get(xR)
+                if onexR is None:
+                    continue
+                try:
+                    pi2 = vertical_compose(e, A, B, x, xR, R, onexR)
+                except Truncated:
+                    continue
+                pi2name = names.get((AxR, BR), {}).get(pi2)
+                if pi2name is None:
+                    continue
+                pulled = triangle_id(xR, AxR, A)
+                if pulled not in fam.arrows:
+                    continue
+                a.pb[(name, tri)] = (pulled, pi2name)
     return a
 
 
@@ -988,10 +1041,11 @@ def counit_cehom(a: CESystem) -> CEHom:
         fam_ar[triangle_id(h, f, g)] = h
     for f in ahat.fam.objects:
         obj_map[f] = fam.dom(f)
+    terms = _ih_terms(e, ahat.base.arrows)
     for name, arr in ahat.base.arrows.items():
         fhat, ghat = arr.dom, arr.cod
-        # the underlying section x, recovered from the hom-set encoding
-        x = ih_term(e, name, fhat, ghat)
+        # the underlying section x, read from the names of its hom set
+        x = terms.get(name)
         if x is None:
             continue
         entry = a.pb.get((a.ifun.get(fhat), ghat))  # no entry is keyed by None
@@ -1070,7 +1124,7 @@ def compose_cehom(g: CEHom, f: CEHom) -> CEHom:
 
 def cehom_of_ehom(h: EHom, src_ce: CESystem, tgt_ce: CESystem) -> CEHom:
     """E2CE on homomorphisms: slices on families, term maps on contexts."""
-    e, d = h.source, h.target
+    e = h.source
     obj_map = {}
     fam_ar = {}
     base_ar = {}
@@ -1091,9 +1145,10 @@ def cehom_of_ehom(h: EHom, src_ce: CESystem, tgt_ce: CESystem) -> CEHom:
         name = triangle_id(ih_, fi, gi)
         if name in tgt_ce.fam.arrows:
             fam_ar[t] = name
+    terms = _ih_terms(e, src_ce.base.arrows)
     for name, arr in src_ce.base.arrows.items():
         A, B = arr.dom, arr.cod
-        x = ih_term(e, name, A, B)
+        x = terms.get(name)
         if x is None:
             continue
         pos = e.weak[A].obj_map[B]

@@ -29,7 +29,7 @@ with ``compose_sf`` and restricts with ``restrict_sf_reference``.
 to: one whole restriction W_{!Γ}/!Γ per arrow A into Γ, to read the
 position of A.
 
-The last three are ``xlate.b_to_e``, ``c_to_ce`` and ``ce_to_c`` as they
+The next three are ``xlate.b_to_e``, ``c_to_ce`` and ``ce_to_c`` as they
 were before ``b_to_e`` packed each term tuple once and the pullback
 loops walked ``arrows_into``: every term tuple and its image is packed
 where it is used, and every arrow of the base is tested for its
@@ -37,6 +37,14 @@ codomain. ``b_to_e_reference`` raises ``KeyError`` on a missing
 substitution, where ``b_to_e`` raises ``Truncated``. Both
 ``c_to_ce_reference`` and ``c_to_ce`` raise ``Truncated`` naming the
 first missing father, where the earlier ``c_to_ce`` raised ``KeyError``.
+``sfunctor_of_bhom_reference`` is the slice-functor lift they use, making
+every path id where it is used.
+
+``ih_term`` is the decoder of internal-hom ids that ``xlate`` used
+before it read an arrow's term from the names of its hom set:
+``counit_cehom_reference`` and ``cehom_of_ehom_reference`` are the
+counit and E2CE on homomorphisms as they were then, and decode every
+base arrow id with it.
 
 Tests compare the fast code against them, result for result.
 """
@@ -46,7 +54,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from bcsys.bsys import BFrameHom, BSystem, bhom_identity, compose_bhom, restrict_bhom, slice_bframe
-from bcsys.cesys import CESystem
+from bcsys.cesys import CEHom, CESystem
 from bcsys.core import (
     Arrow,
     FinCat,
@@ -54,11 +62,13 @@ from bcsys.core import (
     Stratification,
     free_cat_of_tree,
     individual_arrow,
+    obj_id,
     pack_ids,
     parse_path_id,
     path_id,
     slice_category,
     slice_mors,
+    split_ids,
     stratify,
     triangle_id,
     validate_units,
@@ -72,7 +82,6 @@ from bcsys.esys import (
     compose_sf,
     hom_terms_of,
     ih_arrow,
-    ih_term,
     precompose,
     restrict_sf,
     sf_equal,
@@ -81,7 +90,7 @@ from bcsys.esys import (
     term_extension,
 )
 from bcsys.report import Report, Truncated
-from bcsys.xlate import _sfunctor_of_bhom, _tree_of_frame, ce_to_e, e_to_ce, proj_path
+from bcsys.xlate import _tree_of_frame, ce_to_e, e_to_ce, proj_path
 
 
 def validate_fincat_reference(c: FinCat) -> Report:
@@ -322,6 +331,19 @@ def ehom_part_reference(e: ESystem, H: SliceFunctorT, part: str, rep: Report, la
                     rep.fail(law, (P, Q), f"H(1) = {act[oneQ]!r}, expected {onei!r}")
 
 
+def ih_term(e: ESystem, name: str, A: str, B: str) -> str | None:
+    """The inverse of ih_arrow: decode the term t from the arrow id ``name``.
+
+    None unless ``name`` decodes to endpoints (A, B) and a term in
+    T(W_A(B)).
+    """
+    parts = split_ids(name, "|")
+    if len(parts) != 4 or parts[:3] != ["ih", A, B]:
+        return None
+    ts = hom_terms_of(e, A, B)
+    return parts[3] if ts is not None and parts[3] in ts else None
+
+
 def internal_hom_cat_reference(e: ESystem, gamma: str) -> FinCat:
     """The strict category of internal morphisms over ``gamma``.
 
@@ -540,6 +562,42 @@ def unit_ehom_reference(e: ESystem) -> EHom:
     )
 
 
+def sfunctor_of_bhom_reference(
+    hom: BFrameHom,
+    n_src: int,
+    x_src: str,
+    n_tgt: int,
+    x_tgt: str,
+) -> SliceFunctorT:
+    """xlate._sfunctor_of_bhom as it was before b_to_e made each path id
+    once per call: every id is made where it is used."""
+    sf = SliceFunctorT(
+        source_apex=obj_id(n_src, x_src), target_apex=obj_id(n_tgt, x_tgt)
+    )
+    src = hom.source
+    for m in range(src.height + 1):
+        level_map = hom.H.get(m)
+        if level_map is None:
+            continue
+        for y, y1 in level_map.items():
+            sf.obj_map[path_id(n_src + m, y, m)] = path_id(n_tgt + m, y1, m)
+    for m in range(src.height + 1):
+        for y in src.B[m]:
+            if y not in hom.H.get(m, {}):
+                continue
+            y1 = hom.H[m][y]
+            for d in range(m + 1):
+                # slice morphism from (y, m) to its d-th truncation
+                z = src.ft_iter(m, y, d) if d else y
+                if z not in hom.H.get(m - d, {}):
+                    continue
+                h = path_id(n_src + m, y, d)
+                f1 = path_id(n_src + m, y, m)
+                g1 = path_id(n_src + m - d, z, m - d)
+                sf.mor_map[(h, f1, g1)] = path_id(n_tgt + m, y1, d)
+    return sf
+
+
 def b_to_e_reference(bsys: BSystem) -> ESystem:
     """The stratified E-system on the free category of a B-system's frame."""
     frame = bsys.frame
@@ -610,14 +668,14 @@ def b_to_e_reference(bsys: BSystem) -> ESystem:
         ftk = frame.ft_iter(n, X, k)
         for t in tups:
             hom = shoms[(n, X, t)]
-            sf = _sfunctor_of_bhom(cat, hom, n, X, n - k, ftk)
+            sf = sfunctor_of_bhom_reference(hom, n, X, n - k, ftk)
             fill_terms(sf, hom, n)
             e.subst[(path_id(n, X, k), pack_ids(t))] = sf
     # identity arrows: substitution by the empty tuple is the identity
     for n in range(frame.height + 1):
         for X in frame.B[n]:
             hom = shoms[(n, X, ())]
-            sf = _sfunctor_of_bhom(cat, hom, n, X, n, X)
+            sf = sfunctor_of_bhom_reference(hom, n, X, n, X)
             fill_terms(sf, hom, n)
             e.subst[(path_id(n, X, 0), pack_ids(()))] = sf
 
@@ -635,7 +693,7 @@ def b_to_e_reference(bsys: BSystem) -> ESystem:
                     continue
                 whoms[(n, X, k)] = compose_bhom(wx, prev)
     for (n, X, k), hom in whoms.items():
-        sf = _sfunctor_of_bhom(cat, hom, n - k, frame.ft_iter(n, X, k), n, X)
+        sf = sfunctor_of_bhom_reference(hom, n - k, frame.ft_iter(n, X, k), n, X)
         fill_terms(sf, hom, n - k)
         e.weak[path_id(n, X, k)] = sf
 
@@ -800,3 +858,80 @@ def ce_to_c_reference(a: CESystem) -> CSystem:
             fx, pi2 = entry
             pb[(f, X)] = (a.fam.dom(fx), pi2)
     return CSystem(cat=cat, one=a.root, length=length, ft=ft, proj=proj, pb=pb)
+
+
+def counit_cehom_reference(a: CESystem) -> CEHom:
+    """epsilon: e_to_ce(ce_to_e(a)) -> a, evaluation of internal morphisms."""
+    e = ce_to_e(a)
+    ahat = e_to_ce(e)
+    fam, base = a.fam, a.base
+    obj_map = {}
+    fam_ar = {}
+    base_ar = {}
+    for h, f, g in slice_mors(fam, a.root):
+        fam_ar[triangle_id(h, f, g)] = h
+    for f in ahat.fam.objects:
+        obj_map[f] = fam.dom(f)
+    for name, arr in ahat.base.arrows.items():
+        fhat, ghat = arr.dom, arr.cod
+        # the underlying section x, recovered from the hom-set encoding
+        x = ih_term(e, name, fhat, ghat)
+        if x is None:
+            continue
+        entry = a.pb.get((a.ifun.get(fhat), ghat))  # no entry is keyed by None
+        if entry is None:
+            continue
+        pi2x = base.compose.get((entry[1], x))
+        if pi2x is not None:
+            base_ar[name] = pi2x
+    return CEHom(
+        source=ahat,
+        target=a,
+        fam_map=FunctorData(ahat.fam, fam, dict(obj_map), fam_ar),
+        base_map=FunctorData(ahat.base, base, dict(obj_map), base_ar),
+    )
+
+
+def cehom_of_ehom_reference(h: EHom, src_ce: CESystem, tgt_ce: CESystem) -> CEHom:
+    """E2CE on homomorphisms: slices on families, term maps on contexts."""
+    e = h.source
+    obj_map = {}
+    fam_ar = {}
+    base_ar = {}
+    for f in src_ce.fam.objects:
+        img = h.functor.arrow_map.get(f)
+        if img is not None:
+            obj_map[f] = img
+    for t in src_ce.fam.arrows:
+        parts = split_ids(t, "|")
+        hh, f, g = parts[0], parts[1], parts[2]
+        ih_, fi, gi = (
+            h.functor.arrow_map.get(hh),
+            h.functor.arrow_map.get(f),
+            h.functor.arrow_map.get(g),
+        )
+        if None in (ih_, fi, gi):
+            continue
+        name = triangle_id(ih_, fi, gi)
+        if name in tgt_ce.fam.arrows:
+            fam_ar[t] = name
+    for name, arr in src_ce.base.arrows.items():
+        A, B = arr.dom, arr.cod
+        x = ih_term(e, name, A, B)
+        if x is None:
+            continue
+        pos = e.weak[A].obj_map[B]
+        Ai, Bi = h.functor.arrow_map.get(A), h.functor.arrow_map.get(B)
+        posi = h.functor.arrow_map.get(pos)
+        xi = h.term_map.get(pos, {}).get(x)
+        if None in (Ai, Bi, posi, xi):
+            continue
+        name2 = ih_arrow(Ai, Bi, xi)
+        if name2 in tgt_ce.base.arrows:
+            base_ar[name] = name2
+    return CEHom(
+        source=src_ce,
+        target=tgt_ce,
+        fam_map=FunctorData(src_ce.fam, tgt_ce.fam, dict(obj_map), fam_ar),
+        base_map=FunctorData(src_ce.base, tgt_ce.base, dict(obj_map), base_ar),
+    )

@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from bcsys.cesys import build_finset_cesystem
 from bcsys.core import (
     Arrow,
     FinCat,
@@ -383,3 +384,17 @@ def test_arrow_index_returns_fresh_lists():
     cat.hom("9", "9").append("junk")
     _assert_index_matches_scans(cat)
     assert cat.hom("9", "9") == []
+
+
+def test_stratified_functor_skips_an_image_that_is_no_object():
+    """An object sent to a name that is no object of the target has no
+    level to compare: object-map fails it and the stratified law skips
+    it, as it skips an unmapped object."""
+    fam = build_finset_cesystem(2).fam
+    fd = identity_functor(fam)
+    fd.object_map["1"] = "bogus"
+    rep = validate_functor(fd, stratified=True)
+    law = rep.laws["stratified"]
+    assert not law.violations
+    assert (law.checked, law.skipped) == (len(fam.objects), 1)
+    assert [v.witness for v in rep.laws["object-map"].violations] == [("1", "bogus")]

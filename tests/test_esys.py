@@ -32,7 +32,6 @@ from bcsys.esys import (
     hom_terms_of,
     identity_sf,
     ih_arrow,
-    ih_term,
     internal_hom_cat,
     nat_arrow,
     precompose,
@@ -50,7 +49,7 @@ from bcsys.report import Report, Truncated
 from bcsys.xlate import b_to_e
 
 from ehom_pins import PINS
-from reference import ehom_part_reference, restrict_sf_reference, validate_sfunctor_reference
+from reference import ehom_part_reference, ih_term, restrict_sf_reference, validate_sfunctor_reference
 
 
 def test_term_set_sizes():

@@ -11,7 +11,15 @@ retargeted.
 ``xlate.b_to_e``, ``c_to_ce`` and ``ce_to_c`` are checked the same way
 against their earlier bodies in ``reference.py``: on the built examples,
 on B-systems with Ht entries dropped or retargeted, and on C- and
-CE-systems with ft, proj, pb or ifun rows dropped.
+CE-systems with ft, proj, pb or ifun rows dropped. So are
+``counit_cehom`` and ``cehom_of_ehom``, which read a base arrow's term
+from the names of its hom set where their earlier bodies decoded the
+arrow id, on damaged E-systems and CE-systems at heights 0 to 5.
+
+The last tests count calls: the translations decode no internal-hom id,
+``c_to_ce`` and ``b_to_e`` make each path id once, ``e_to_b`` unpacks
+no frame element, and ``e_to_ce`` enumerates each slice and plans each
+restriction once.
 """
 
 import contextlib
@@ -24,19 +32,21 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from bcsys import esys, xlate
+from bcsys import core, esys, xlate
 from bcsys.bsys import build_finset_bsystem
 from bcsys.cesys import build_finset_cesystem
 from bcsys.core import FinCat
 from bcsys.esys import build_nat_esystem, internal_hom_cat, vertical_compose
 from bcsys.report import Truncated
 from bcsys.serialize import save_structure
-from bcsys.xlate import b_to_e, c_to_ce, ce_to_c, e_to_ce, unit_ehom
+from bcsys.xlate import b_to_e, c_to_ce, ce_to_c, cehom_of_ehom, counit_cehom, e_to_ce, unit_ehom
 
 from reference import (
     b_to_e_reference,
     c_to_ce_reference,
     ce_to_c_reference,
+    cehom_of_ehom_reference,
+    counit_cehom_reference,
     e_to_ce_reference,
     internal_hom_cat_reference,
     unit_ehom_reference,
@@ -123,11 +133,11 @@ DAMAGE = (
 )
 
 
-def damaged_system(choose, kind=None):
-    """A deep copy of nat-e or b_to_e(finset-b) at height 3 with one to
-    four entries dropped or retargeted; ``choose`` picks one element of
-    a sequence."""
-    e = copy.deepcopy(BASES[kind or choose(sorted(BASES))])
+def damaged_system(choose, kind=None, base=None):
+    """A deep copy of ``base``, or else of nat-e or b_to_e(finset-b) at
+    height 3, with one to four entries dropped or retargeted; ``choose``
+    picks one element of a sequence."""
+    e = copy.deepcopy(base if base is not None else BASES[kind or choose(sorted(BASES))])
     arrows = sorted(e.cat.arrows)
     for _ in range(choose((1, 2, 3, 4))):
         damage = choose(DAMAGE)
@@ -291,7 +301,7 @@ def test_damage_reaches_every_branch():
     seed, reach every branch that marks the internal-hom category
     partial, skips a composite or a pullback, or raises Truncated in
     vertical_compose."""
-    fns = (esys.internal_hom_cat, esys._precompose_reads, xlate.e_to_ce, esys.vertical_compose)
+    fns = (esys._internal_hom, esys._precompose_reads, xlate.e_to_ce, esys.vertical_compose)
     codes = {fn.__code__ for fn in fns}
     hit: set[tuple[str, int]] = set()
 
@@ -578,3 +588,172 @@ def test_c_translations_match_reference_with_rows_dropped(data):
     assert_c_to_ce_matches(without(c, dropped(c_rows(c))))
     a = CE_BASES[data.draw(st.sampled_from(sorted(CE_BASES)))]
     assert_c_translations_match(without(a, dropped(ce_rows(a))))
+
+
+# ---------------------------------------------------------------------------
+# the counit and E2CE on homomorphisms against their earlier bodies
+
+
+def cehom_tables(h) -> tuple:
+    return (h.fam_map.object_map, h.fam_map.arrow_map, h.base_map.object_map, h.base_map.arrow_map)
+
+
+def assert_counit_matches(a) -> object:
+    got = outcome(counit_cehom, cehom_tables, a)
+    assert got == outcome(counit_cehom_reference, cehom_tables, a)
+    return got
+
+
+def assert_cehom_of_ehom_matches(h, src_ce, tgt_ce) -> object:
+    got = outcome(cehom_of_ehom, cehom_tables, h, src_ce, tgt_ce)
+    assert got == outcome(cehom_of_ehom_reference, cehom_tables, h, src_ce, tgt_ce)
+    return got
+
+
+def or_none(fn, *args):
+    """fn(*args), or None where it raises: a damaged input that no
+    translation gets past gives the homomorphisms nothing to read."""
+    try:
+        return fn(*args)
+    except Exception:
+        return None
+
+
+def assert_adjunction_homs_match(e, other) -> list:
+    """counit_cehom on e_to_ce(e), and cehom_of_ehom of unit_ehom(e) from
+    e_to_ce(e) and from e_to_ce(other), against the references. With
+    ``other`` a differently damaged system, some base arrows name hom
+    sets that e does not represent. Returns the outcomes compared."""
+    got = []
+    ae = or_none(e_to_ce, e)
+    if ae is not None:
+        got.append(assert_counit_matches(ae))
+    eta = or_none(unit_ehom, e)
+    tgt = or_none(e_to_ce, eta.target) if eta is not None else None
+    if tgt is not None:
+        for src in (ae, or_none(e_to_ce, other)):
+            if src is not None:
+                got.append(assert_cehom_of_ehom_matches(eta, src, tgt))
+    return got
+
+
+@pytest.mark.parametrize("height", range(6))
+@pytest.mark.parametrize("kind", ["nat-e", "finset-b"])
+def test_adjunction_homs_match_reference_on_examples(kind, height):
+    e = built(kind, height)
+    counit, unit_image, _same = assert_adjunction_homs_match(e, e)
+    assert height < 1 or (counit[3] and unit_image[3])
+
+
+@pytest.mark.parametrize("height", range(6))
+@pytest.mark.parametrize("kind", ["nat-e", "finset-b"])
+def test_adjunction_homs_match_reference_with_one_damage(kind, height):
+    base = built(kind, height)
+    rng = random.Random(height)
+    for damage in DAMAGE:
+        e = damaged_system(one_damage(damage, rng), base=base)
+        assert assert_adjunction_homs_match(e, base)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_adjunction_homs_match_reference_on_damaged_systems(data):
+    choose = drawing(data.draw)
+    base = built(choose(["nat-e", "finset-b"]), choose(range(6)))
+    assert_adjunction_homs_match(damaged_system(choose, base=base), damaged_system(choose, base=base))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_counit_matches_reference_with_ce_rows_dropped(data):
+    choose = drawing(data.draw)
+    a = e_to_ce(built(choose(["nat-e", "finset-b"]), choose(range(6))))
+    rows = ce_rows(a)
+    if rows:
+        a = without(a, data.draw(st.lists(st.sampled_from(rows), min_size=1, max_size=4, unique=True)))
+    assert_counit_matches(a)
+
+
+# ---------------------------------------------------------------------------
+# each id made once, none decoded, each slice enumerated once
+
+
+def counting(monkeypatch, modules, name, calls, keep=lambda *args: True):
+    """Replace ``name`` under each of ``modules`` that binds it by a
+    wrapper that appends its arguments to ``calls`` where keep(*args)."""
+    real = getattr(modules[0], name)
+
+    def counted(*args):
+        if keep(*args):
+            calls.append(args)
+        return real(*args)
+
+    for mod in modules:
+        if hasattr(mod, name):
+            monkeypatch.setattr(mod, name, counted)
+
+
+@pytest.mark.parametrize("kind", ["nat-e", "finset-b"])
+def test_translations_decode_no_internal_hom_id(monkeypatch, kind):
+    e = built(kind, 4)
+    decoded = []
+    counting(monkeypatch, (core, esys, xlate), "split_ids", decoded, lambda s, sep: s.startswith("ih|"))
+    ae = e_to_ce(e)
+    eps = counit_cehom(ae)
+    eta = unit_ehom(e)
+    cehom_of_ehom(eta, ae, eps.source)
+    xlate.adjunction_witnesses(e, ae)
+    assert eps.base_map.arrow_map
+    assert not decoded
+
+
+@pytest.mark.parametrize("c", [*C_BASES.values(), ce_to_c(build_finset_cesystem(3))], ids=[*C_BASES, "finset-ce"])
+def test_c_to_ce_makes_each_path_id_once(monkeypatch, c):
+    made = []
+    counting(monkeypatch, (xlate,), "proj_path", made)
+    a = c_to_ce(c)
+    assert len(made) == len(set(made)) >= len(a.fam.arrows)
+
+
+@pytest.mark.parametrize("height", [3, 6])
+@pytest.mark.parametrize("kind", ["nat-e", "finset-b"])
+def test_e_to_ce_enumerates_each_slice_once(monkeypatch, kind, height):
+    """slice_mors once per apex and one restriction plan per slice
+    object, outside vertical_compose: its term_extension restricts S_x
+    on its own, with restrict_sf."""
+    e = built(kind, height)
+    outside = [True]
+    slices, plans = [], []
+    counting(monkeypatch, (core, esys, xlate), "slice_mors", slices, lambda c, apex: outside[0])
+    counting(monkeypatch, (esys,), "_restriction_plan", plans, lambda cat, P, mors_of: outside[0])
+    real = xlate.vertical_compose
+
+    def vertical(*args):
+        outside[0] = False
+        try:
+            return real(*args)
+        finally:
+            outside[0] = True
+
+    monkeypatch.setattr(xlate, "vertical_compose", vertical)
+    e_to_ce(e)
+    apexes = [apex for _c, apex in slices]
+    planned = [P for _cat, P, _mors_of in plans]
+    assert len(apexes) == len(set(apexes))
+    assert len(planned) == len(set(planned)) > 0
+
+
+@pytest.mark.parametrize("height", [3, 5])
+def test_b_to_e_and_e_to_b_make_each_id_once_and_decode_none(monkeypatch, height):
+    """b_to_e makes each path id once and parses none; e_to_b unpacks
+    no frame element, since it packed each one itself."""
+    b = build_finset_bsystem(height)
+    made, parsed, unpacked = [], [], []
+    counting(monkeypatch, (xlate,), "path_id", made)
+    counting(monkeypatch, (xlate,), "parse_path_id", parsed)
+    counting(monkeypatch, (core, xlate), "unpack_ids", unpacked)
+    e = b_to_e(b)
+    xlate.e_to_b(e)
+    assert len(made) == len(set(made)) > 0
+    assert not parsed
+    assert not unpacked
