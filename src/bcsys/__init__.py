@@ -23,7 +23,6 @@ from .cesys import (
     CEHom,
     CESystem,
     build_finset_cesystem,
-    slice_cesystem,
     validate_ce_hom,
     validate_cesystem,
 )
@@ -35,16 +34,14 @@ from .core import (
     SliceCat,
     Stratification,
     StratFailure,
-    factor_individuals,
     free_cat_of_tree,
     slice_category,
     stratify,
-    tree_of_strat,
     validate_fincat,
     validate_functor,
     validate_tree,
 )
-from .csys import CSystem, CSystemHom, validate_csystem, validate_csystem_hom
+from .csys import CSystem, validate_csystem
 from .esys import (
     EHom,
     ESystem,
@@ -81,7 +78,6 @@ from .xlate import (
     ce_to_c,
     ce_to_e,
     compose_equivalence,
-    e_roundtrip_iso,
     e_to_b,
     e_to_ce,
     grand_roundtrip_iso,

@@ -17,10 +17,7 @@ from .core import (
     FinCat,
     FunctorData,
     Stratification,
-    join_ids,
-    slice_category,
     stratify,
-    triangle_id,
     validate_fincat,
     validate_functor,
 )
@@ -256,96 +253,6 @@ def validate_ce_hom(h: CEHom, stratified: bool = False) -> Report:
         if entry != expect:
             rep.fail("pb", (f, A), f"{entry!r} != {expect!r}")
     return rep
-
-
-# ---------------------------------------------------------------------------
-# slices
-
-
-def slice_cesystem(a: CESystem, gamma: str) -> CESystem:
-    """The slice CE-system over an object; always rooted at the identity."""
-    fam_sl = slice_category(a.fam, gamma)
-    base_objs = list(fam_sl.cat.objects)
-
-    def sl_arrow(h: str, f: str, g: str) -> str:
-        return join_ids("slb", h, f, g)
-
-    arrows: dict[str, Arrow] = {}
-    triple: dict[str, tuple[str, str, str]] = {}
-    identity: dict[str, str] = {}
-    compose: dict[tuple[str, str], str] = {}
-    partial = a.base.partial or a.fam.partial
-    for f in base_objs:
-        for g in base_objs:
-            fi, gi = a.ifun.get(f), a.ifun.get(g)
-            if fi is None or gi is None:
-                partial = True
-                continue
-            for h in a.base.hom(a.base.dom(fi), a.base.dom(gi)):
-                if a.base.compose.get((gi, h)) == fi:
-                    name = sl_arrow(h, f, g)
-                    arrows[name] = Arrow(name, f, g)
-                    triple[name] = (h, f, g)
-    for f in base_objs:
-        ident = a.base.identity.get(a.fam.dom(f))
-        if ident is None:
-            partial = True
-            continue
-        name = sl_arrow(ident, f, f)
-        if name in arrows:
-            identity[f] = name
-    for n1, (h1, f1, g1) in triple.items():
-        for n2, (h2, f2, g2) in triple.items():
-            if f2 != g1:
-                continue
-            comp = a.base.compose.get((h2, h1))
-            if comp is None:
-                partial = True
-                continue
-            name = sl_arrow(comp, f1, g2)
-            if name in arrows:
-                compose[(n2, n1)] = name
-            else:
-                partial = True
-    base_sl = FinCat(
-        objects=frozenset(base_objs),
-        arrows=arrows,
-        identity=identity,
-        compose=compose,
-        terminal=fam_sl.cat.terminal,
-        partial=partial,
-    )
-    ifun = {}
-    for t, (h, f, g) in fam_sl.triangle.items():
-        ih = a.ifun.get(h)
-        if ih is None:
-            continue
-        name = sl_arrow(ih, f, g)
-        if name in arrows:
-            ifun[t] = name
-    pb: dict[tuple[str, str], tuple[str, str]] = {}
-    for name, (h, f, g) in triple.items():
-        # families over g in the slice are triangles (P, g.P, g)
-        for t, (P, fP, gP) in fam_sl.triangle.items():
-            if gP != g:
-                continue
-            amb = a.pb.get((h, P))
-            if amb is None:
-                continue
-            hP, pi2 = amb
-            newf = a.fam.compose.get((f, hP))
-            if newf is None:
-                continue
-            if newf not in fam_sl.cat.objects or fP not in fam_sl.cat.objects:
-                continue
-            pulled = triangle_id(hP, newf, f)
-            if pulled not in fam_sl.cat.arrows:
-                continue
-            pi2name = sl_arrow(pi2, newf, fP)
-            if pi2name not in arrows:
-                continue
-            pb[(name, t)] = (pulled, pi2name)
-    return CESystem(fam=fam_sl.cat, base=base_sl, ifun=ifun, root=fam_sl.cat.terminal, pb=pb)
 
 
 # ---------------------------------------------------------------------------

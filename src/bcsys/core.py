@@ -11,7 +11,7 @@ Object and arrow ids are opaque strings; equality is id equality.
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from operator import itemgetter
 
 from .report import Report, Truncated
@@ -20,19 +20,6 @@ from .report import Report, Truncated
 def esc(part: str) -> str:
     """Escape an id for embedding into a composite id."""
     return part.replace("\\", "\\\\").replace("|", "\\|").replace("@", "\\@").replace(">", "\\>")
-
-
-def unesc(part: str) -> str:
-    out = []
-    i = 0
-    while i < len(part):
-        if part[i] == "\\" and i + 1 < len(part):
-            out.append(part[i + 1])
-            i += 2
-        else:
-            out.append(part[i])
-            i += 1
-    return "".join(out)
 
 
 def join_ids(*parts: str) -> str:
@@ -474,37 +461,6 @@ def stratify(c: FinCat) -> Stratification | StratFailure:
     return Stratification(level=dict(level))
 
 
-def factor_individuals(c: FinCat, s: Stratification, f: str) -> list[str]:
-    """Unique factorization of ``f`` into level-dropping individual arrows.
-
-    Returned in application order: the first entry has domain dom(f).
-    An identity factors as the empty list.
-    """
-    lo, hi = s.of(c.cod(f)), s.of(c.dom(f))
-    if hi < lo:
-        raise ValueError(f"arrow {f!r} raises level under the given stratification")
-    if hi == lo:
-        if not c.is_id(f):
-            raise ValueError(f"level-preserving arrow {f!r} is not an identity")
-        return []
-    steps: list[str] = []
-    x = c.dom(f)
-    for k in range(hi, lo, -1):
-        cands = [
-            a for a in c.arrows_from(x) if s.of(c.cod(a)) == k - 1
-        ]
-        if len(cands) != 1:
-            raise ValueError(f"no unique individual arrow out of {x!r}")
-        steps.append(cands[0])
-        x = c.cod(cands[0])
-    composite = steps[0]
-    for a in steps[1:]:
-        composite = c.comp(a, composite)
-    if composite != f:
-        raise ValueError(f"individual factorization composes to {composite!r}, not {f!r}")
-    return steps
-
-
 def individual_arrow(c: FinCat, s: Stratification, x: str) -> str:
     """The unique individual arrow with domain ``x`` (level of x positive)."""
     k = s.of(x)
@@ -526,34 +482,6 @@ def obj_id(n: int, node: str) -> str:
 
 def path_id(n: int, node: str, k: int) -> str:
     return f"{esc(node)}@{n}>{k}"
-
-
-def _last_unescaped(s: str, ch: str) -> int:
-    for i in range(len(s) - 1, -1, -1):
-        if s[i] != ch:
-            continue
-        j, nb = i - 1, 0
-        while j >= 0 and s[j] == "\\":
-            nb += 1
-            j -= 1
-        if nb % 2 == 0:
-            return i
-    return -1
-
-
-def parse_obj_id(s: str) -> tuple[int, str]:
-    i = _last_unescaped(s, "@")
-    if i < 0:
-        raise ValueError(f"not an object id: {s!r}")
-    return int(s[i + 1 :]), unesc(s[:i])
-
-
-def parse_path_id(s: str) -> tuple[int, str, int]:
-    i = _last_unescaped(s, ">")
-    if i < 0:
-        raise ValueError(f"not a path id: {s!r}")
-    n, node = parse_obj_id(s[:i])
-    return n, node, int(s[i + 1 :])
 
 
 def free_cat_of_tree(t: RootedTree) -> tuple[FinCat, Stratification]:
@@ -609,19 +537,6 @@ def free_cat_of_tree(t: RootedTree) -> tuple[FinCat, Stratification]:
     return cat, Stratification(level=level)
 
 
-def tree_of_strat(c: FinCat, s: Stratification) -> RootedTree:
-    """Level fibers with parents given by the unique individual arrows."""
-    height = max(s.level.values(), default=0)
-    levels = [frozenset(x for x, n in s.level.items() if n == m) for m in range(height + 1)]
-    parent: list[dict[str, str]] = []
-    for m in range(height):
-        pm: dict[str, str] = {}
-        for x in levels[m + 1]:
-            pm[x] = c.cod(individual_arrow(c, s, x))
-        parent.append(pm)
-    return RootedTree(height=height, levels=tuple(levels), parent=tuple(parent))
-
-
 # ---------------------------------------------------------------------------
 # slices
 
@@ -647,13 +562,13 @@ def slice_mors(c: FinCat, apex: str) -> list[tuple[str, str, str]]:
     ]
 
 
-def slice_category(c: FinCat, apex: str, mors: list[tuple[str, str, str]] | None = None) -> SliceCat:
+def slice_category(c: FinCat, apex: str, mors: list[tuple[str, str, str]]) -> SliceCat:
     """Materialize the strict slice of ``c`` over ``apex`` as a FinCat;
-    ``mors`` is slice_mors(c, apex) if given."""
+    ``mors`` is slice_mors(c, apex)."""
     if apex not in c.objects:
         raise ValueError(f"{apex!r} is not an object")
     objs = c.arrows_into(apex)
-    triangle = {triangle_id(*m): m for m in (slice_mors(c, apex) if mors is None else mors)}
+    triangle = {triangle_id(*m): m for m in mors}
     arrows = {tid: Arrow(tid, f, g) for tid, (_h, f, g) in triangle.items()}
     identity = {f: triangle_id(c.id_of(c.dom(f)), f, f) for f in objs}
     compose: dict[tuple[str, str], str] = {}
@@ -669,14 +584,6 @@ def slice_category(c: FinCat, apex: str, mors: list[tuple[str, str, str]] | None
         terminal=c.id_of(apex),
     )
     return SliceCat(base=c, apex=apex, cat=cat, triangle=triangle)
-
-
-def slice_levels(base_strat: Stratification, sl: SliceCat) -> Stratification:
-    """The induced stratification on a slice: level of f is L(dom f) - L(apex)."""
-    off = base_strat.of(sl.apex)
-    return Stratification(
-        level={f: base_strat.of(sl.base.dom(f)) - off for f in sl.cat.objects}
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -771,6 +678,3 @@ def identity_functor(c: FinCat) -> FunctorData:
         arrow_map={a: a for a in c.arrows},
     )
 
-
-def functor_equal(f: FunctorData, g: FunctorData) -> bool:
-    return f.object_map == g.object_map and f.arrow_map == g.arrow_map

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import FinCat, FunctorData, validate_fincat, validate_functor
+from .core import FinCat, validate_fincat
 from .report import Report
 
 
@@ -22,13 +22,6 @@ class CSystem:
     ft: dict[str, str]
     proj: dict[str, str] = field(default_factory=dict)
     pb: dict[tuple[str, str], tuple[str, str]] = field(default_factory=dict)
-
-
-@dataclass
-class CSystemHom:
-    source: CSystem
-    target: CSystem
-    functor: FunctorData
 
 
 def check_pullback_square(
@@ -250,50 +243,3 @@ def check_pullback_composites(
             elif lhs != expect:
                 rep.fail(law, (f, g, X), f"{lhs!r} != {expect!r}")
 
-
-def validate_csystem_hom(h: CSystemHom) -> Report:
-    """Conditions (i)-(v) for a morphism of C-systems, exhaustively."""
-    rep = Report()
-    rep.merge(validate_functor(h.functor), prefix="functor:")
-    src, tgt, F = h.source, h.target, h.functor
-    for law in ("hom-i", "hom-ii", "hom-iii", "hom-iv", "hom-v"):
-        rep.law(law)
-
-    rep.tick("hom-i")
-    if F.object_map.get(src.one) != tgt.one:
-        rep.fail("hom-i", (src.one,), "unit not preserved")
-
-    for x in sorted(src.cat.objects):
-        rep.tick("hom-ii")
-        img = F.object_map.get(x)
-        if img is None or tgt.length.get(img) != src.length.get(x):
-            rep.fail("hom-ii", (x,), "length not preserved")
-        rep.tick("hom-iii")
-        if img is not None and src.length.get(x, 0) > 0:
-            father = src.ft.get(x)
-            if father is None:
-                rep.skip("hom-iii")
-            elif F.object_map.get(father) != tgt.ft.get(img):
-                rep.fail("hom-iii", (x,), "father not preserved")
-        if src.length.get(x, 0) > 0:
-            rep.tick("hom-iv")
-            p = src.proj.get(x)
-            if p is None or img is None:
-                rep.skip("hom-iv")
-            elif F.arrow_map.get(p) != tgt.proj.get(img):
-                rep.fail("hom-iv", (x,), "projection not preserved")
-
-    for (f, gamma), (ob, q) in sorted(src.pb.items()):
-        rep.tick("hom-v")
-        fi = F.arrow_map.get(f)
-        gi = F.object_map.get(gamma)
-        if fi is None or gi is None:
-            rep.skip("hom-v")
-            continue
-        entry = tgt.pb.get((fi, gi))
-        if entry is None:
-            rep.skip("hom-v")
-            continue
-        if entry != (F.object_map.get(ob), F.arrow_map.get(q)):
-            rep.fail("hom-v", (f, gamma), f"pullback image {entry!r}")
-    return rep

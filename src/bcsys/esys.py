@@ -89,12 +89,12 @@ def slice_objects(cat: FinCat, apex: str) -> list[str]:
     return cat.arrows_into(apex)
 
 
-def identity_sf(e: ESystem, apex: str, mors: list[SliceMor] | None = None) -> SliceFunctorT:
-    """The identity on the slice over apex; ``mors`` is slice_mors(e.cat, apex) if given."""
+def identity_sf(e: ESystem, apex: str, mors: list[SliceMor]) -> SliceFunctorT:
+    """The identity on the slice over apex; ``mors`` is slice_mors(e.cat, apex)."""
     sf = SliceFunctorT(source_apex=apex, target_apex=apex)
     for f in slice_objects(e.cat, apex):
         sf.obj_map[f] = f
-    for m in slice_mors(e.cat, apex) if mors is None else mors:
+    for m in mors:
         sf.mor_map[m] = m[0]
         sf.term_map[m] = {t: t for t in e.T(m[0])}
     return sf
@@ -990,6 +990,20 @@ def _substitute_x(e: ESystem, A: str, P: str, x: str) -> tuple[str, str | None, 
     """The half of term_extension that does not depend on u.
 
     Returns S_x(1_{A.P}), the slice position it sits on, and S_x(P).
+
+    S_x/P is read at the two entries used, without restricting the whole
+    functor; 1 is the identity of dom(P). Completeness: restrict_sf(e,
+    S_x, P) raises Truncated exactly when P is not in S_x.obj_map. Its
+    action on pos = W_{A.P}(A.P) is its term table at the slice morphism
+    (pos, pos, 1). That table exists only where (pos, pos, 1) is in
+    slice_mors(dom P) (1 an endomorphism of dom(P), pos an arrow into it,
+    1∘pos = pos), P∘pos and P∘1 are defined and S_x.mor_map has
+    (pos, P∘pos, P∘1); it is then S_x.term_map at that key (empty where
+    that has no table).
+    (S_x/P)(pos) is S_x.mor_map[(pos, P∘pos, P)], for pos an arrow into
+    dom(P) with P∘pos defined. Those are the cases checked here, so the
+    same terms and positions are found and the same ones raise Truncated,
+    with the same messages.
     """
     cat = e.cat
     AP = cat.comp(A, P)
@@ -1003,11 +1017,17 @@ def _substitute_x(e: ESystem, A: str, P: str, x: str) -> tuple[str, str | None, 
     sx = e.subst.get((A, x))
     if sx is None:
         raise Truncated(f"S_{{{x!r}}}")
-    sxp = restrict_sf(e, sx, P)
-    act1 = term_action_at(e, sxp, pos)
+    if P not in sx.obj_map:
+        raise Truncated(f"restrict: {P!r} not in obj_map")
+    compose, dP = cat.compose, cat.dom(P)
+    ident = cat.identity.get(dP)
+    over = ident in cat.hom(dP, dP) and pos in cat.arrows_into(dP) and compose.get((ident, pos)) == pos
+    Ppos = compose.get((P, pos))
+    key = (pos, Ppos, compose.get((P, ident)))
+    act1 = sx.term_map.get(key) if over and key in sx.mor_map else None
     if act1 is None or one not in act1:
         raise Truncated("S_x/P action on the identity term")
-    return act1[one], sxp.obj_map.get(pos), sx.obj_map.get(P)
+    return act1[one], sx.mor_map.get((pos, Ppos, P)), sx.obj_map.get(P)
 
 
 def _substitute_u(e: ESystem, sx_one: tuple[str, str | None, str | None], u: str) -> str:
@@ -1051,6 +1071,9 @@ def subst_term(e: ESystem, w: str, AP: str, pos: str, t: str) -> str:
     return act[t]
 
 
+# No code in bcsys calls precompose. It stays public as the reference
+# construction of f*: tests/reference.py builds the internal-hom category
+# and e_to_ce from it, to cross-check _internal_hom and vertical_compose.
 def precompose(e: ESystem, A: str, B: str, f: str) -> SliceFunctorT:
     """f* = S_f . (W_A/B) for an internal morphism f in T(W_A(B))."""
     cat = e.cat
@@ -1072,6 +1095,9 @@ def ih_arrow(A: str, B: str, t: str) -> str:
     return join_ids("ih", A, B, t)
 
 
+# No code in bcsys calls internal_hom_cat; xlate.e_to_ce calls _internal_hom
+# with its own _Slices. It stays as the public entry point for one
+# internal-hom category, which the benchmark traces by name.
 def internal_hom_cat(e: ESystem, gamma: str) -> FinCat:
     """The strict category of internal morphisms over ``gamma``.
 

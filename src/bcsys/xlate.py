@@ -40,8 +40,6 @@ from .core import (
     join_ids,
     obj_id,
     pack_ids,
-    parse_obj_id,
-    parse_path_id,
     path_id,
     slice_category,
     slice_mors,
@@ -471,86 +469,6 @@ def b_roundtrip_iso(bsys: BSystem) -> IsoWitness:
     rep.merge(validate_bsystem_hom(fwd, bsys, b2), prefix="fwd:")
     rep.merge(validate_bsystem_hom(bwd, b2, bsys), prefix="bwd:")
     _check_inverse(rep, fwd, bwd, frame, frame2, compose_bhom, bhom_identity, bhom_eq)
-    return IsoWitness(forward=fwd, backward=bwd, report=rep)
-
-
-def e_roundtrip_iso(e: ESystem) -> IsoWitness:
-    """phi: b_to_e(e_to_b(e)) vs e, with term components by iterated pairing.
-
-    Objects (n, X) map back to X; a term tuple maps to the pairing of its
-    prefix with the last component. Entries whose pairing falls outside
-    the truncation are skipped.
-    """
-    b = e_to_b(e)
-    ehat = b_to_e(b)
-    cat = e.cat
-    lv = e.levels
-    strat = Stratification(level=dict(lv))
-    object_map = {}
-    arrow_map = {}
-    for o in ehat.cat.objects:
-        n, X = parse_obj_id(o)
-        object_map[o] = X
-    for a in ehat.cat.arrows:
-        n, X, k = parse_path_id(a)
-        target_level_objs = [y for y in cat.objects if lv[y] == n - k]
-        img = None
-        for y in target_level_objs:
-            arrs = cat.hom(X, y)
-            if arrs:
-                img = arrs[0]
-                break
-        if img is not None:
-            arrow_map[a] = img
-
-    term_map: dict[str, dict[str, str]] = {}
-
-    def phi_term(X: str, k: int, tup: tuple[str, ...]) -> str | None:
-        if k == 0:
-            ident = cat.id_of(X)
-            ts = sorted(e.T(ident))
-            return ts[0] if len(ts) == 1 else None
-        if k == 1:
-            _Y, y = unpack_ids(tup[0])
-            return y
-        prefix, last = tup[:-1], tup[-1]
-        ftX = cat.cod(individual_arrow(cat, strat, X))
-        x = phi_term(ftX, k - 1, prefix)
-        if x is None:
-            return None
-        _Y, y = unpack_ids(last)
-        # pairing at (A, P) with A the k-1 step arrow out of ft(X), P individual
-        A = arrow_map.get(path_id(lv[ftX], ftX, k - 1))
-        P = individual_arrow(cat, strat, X)
-        if A is None:
-            return None
-        try:
-            return term_extension(e, A, P, x, y)
-        except Truncated:
-            return None
-
-    for a in ehat.cat.arrows:
-        n, X, k = parse_path_id(a)
-        tm = {}
-        for t in ehat.T(a):
-            val = phi_term(X, k, unpack_ids(t))
-            if val is not None:
-                tm[t] = val
-        term_map[a] = tm
-
-    fwd = EHom(
-        source=ehat,
-        target=e,
-        functor=FunctorData(ehat.cat, cat, object_map, arrow_map),
-        term_map=term_map,
-    )
-    rep = Report()
-    rep.merge(validate_ehom(fwd), prefix="fwd:")
-    bwd, inv_rep = invert_ehom(fwd)
-    rep.merge(inv_rep, prefix="inv:")
-    if bwd is not None:
-        rep.merge(validate_ehom(bwd), prefix="bwd:")
-        _check_inverse(rep, fwd, bwd, ehat, e, compose_ehom, identity_ehom, ehom_equal)
     return IsoWitness(forward=fwd, backward=bwd, report=rep)
 
 

@@ -1,9 +1,14 @@
-"""Hand-rolled finite categories used as independent oracles in tests.
+"""Hand-rolled finite categories used as independent oracles in tests,
+and the decoders of object and path ids.
 
 These constructions deliberately avoid the package's own builders where a
 test is meant to cross-check one: they encode the textbook definitions
 directly (thin categories from a transitive relation, opposite-of-finite-
 sets via plain function composition).
+
+``parse_obj_id`` and ``parse_path_id`` invert ``core.obj_id`` and
+``core.path_id``. The translations keep what they encode in an id, so
+only tests decode one.
 """
 
 from __future__ import annotations
@@ -105,3 +110,44 @@ def count_paths(tree) -> int:
         for _node in tree.levels[n]:
             total += n  # one path per cut-off length
     return total
+
+
+def unesc(part: str) -> str:
+    out = []
+    i = 0
+    while i < len(part):
+        if part[i] == "\\" and i + 1 < len(part):
+            out.append(part[i + 1])
+            i += 2
+        else:
+            out.append(part[i])
+            i += 1
+    return "".join(out)
+
+
+def _last_unescaped(s: str, ch: str) -> int:
+    for i in range(len(s) - 1, -1, -1):
+        if s[i] != ch:
+            continue
+        j, nb = i - 1, 0
+        while j >= 0 and s[j] == "\\":
+            nb += 1
+            j -= 1
+        if nb % 2 == 0:
+            return i
+    return -1
+
+
+def parse_obj_id(s: str) -> tuple[int, str]:
+    i = _last_unescaped(s, "@")
+    if i < 0:
+        raise ValueError(f"not an object id: {s!r}")
+    return int(s[i + 1 :]), unesc(s[:i])
+
+
+def parse_path_id(s: str) -> tuple[int, str, int]:
+    i = _last_unescaped(s, ">")
+    if i < 0:
+        raise ValueError(f"not a path id: {s!r}")
+    n, node = parse_obj_id(s[:i])
+    return n, node, int(s[i + 1 :])

@@ -12,6 +12,9 @@ and the vertical composite the way ``esys.internal_hom_cat``,
 precomposite f* = compose_sf(S_f, restrict_sf(W_A, B)) per internal
 morphism f, and one whole restriction W_{A.P}/B per vertical composite.
 ``e_to_ce_reference`` calls the other two references.
+``_substitute_x_reference`` is the x half of ``esys.term_extension`` as
+it was before it read S_x/P pointwise: it restricts the whole functor
+S_x to the slice over dom(P) to read two of its entries.
 
 ``restrict_sf_reference`` is ``esys.restrict_sf`` as it was before
 restrictions went through one plan per slice object: it enumerates the
@@ -64,7 +67,6 @@ from bcsys.core import (
     individual_arrow,
     obj_id,
     pack_ids,
-    parse_path_id,
     path_id,
     slice_category,
     slice_mors,
@@ -91,6 +93,8 @@ from bcsys.esys import (
 )
 from bcsys.report import Report, Truncated
 from bcsys.xlate import _tree_of_frame, ce_to_e, e_to_ce, proj_path
+
+from helpers import parse_path_id
 
 
 def validate_fincat_reference(c: FinCat) -> Report:
@@ -442,12 +446,33 @@ def vertical_compose_reference(e: ESystem, A: str, B: str, f: str, P: str, Q: st
     return term_extension(e, Abar, Pbar, x, F)
 
 
+def _substitute_x_reference(e: ESystem, A: str, P: str, x: str) -> tuple[str, str | None, str | None]:
+    """S_x(1_{A.P}), the slice position it sits on, and S_x(P)."""
+    cat = e.cat
+    AP = cat.comp(A, P)
+    one = e.proj.get(AP)
+    if one is None:
+        raise Truncated(f"identity term of {AP!r}")
+    wap = e.weak.get(AP)
+    if wap is None or AP not in wap.obj_map:
+        raise Truncated(f"W_{{{AP!r}}}({AP!r})")
+    pos = wap.obj_map[AP]
+    sx = e.subst.get((A, x))
+    if sx is None:
+        raise Truncated(f"S_{{{x!r}}}")
+    sxp = restrict_sf(e, sx, P)
+    act1 = term_action_at(e, sxp, pos)
+    if act1 is None or one not in act1:
+        raise Truncated("S_x/P action on the identity term")
+    return act1[one], sxp.obj_map.get(pos), sx.obj_map.get(P)
+
+
 def e_to_ce_reference(e: ESystem) -> CESystem:
     """Families are the slice at the terminal; contexts the internal morphisms."""
     root = e.cat.terminal
     if root is None:
         raise ValueError("e_to_ce needs a chosen terminal object")
-    sl = slice_category(e.cat, root)
+    sl = slice_category(e.cat, root, slice_mors(e.cat, root))
     fam = sl.cat
     base = internal_hom_cat_reference(e, root)
     ifun: dict[str, str] = {}

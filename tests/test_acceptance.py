@@ -19,7 +19,6 @@ from bcsys.core import (
     RootedTree,
     Stratification,
     StratFailure,
-    parse_path_id,
     path_id,
     stratify,
     unpack_ids,
@@ -63,6 +62,7 @@ from bcsys.xlate import (
     unit_ehom,
 )
 
+from helpers import parse_path_id
 from test_csys_cesys import non_rooted_cesystem
 
 

@@ -7,12 +7,11 @@ from bcsys.cesys import (
     finsets_op_cat,
     fn_arrow,
     parse_fn_arrow,
-    slice_cesystem,
     validate_ce_hom,
     validate_cesystem,
 )
 from bcsys.core import Arrow, FinCat, FunctorData, identity_functor, validate_fincat
-from bcsys.csys import CSystem, CSystemHom, validate_csystem, validate_csystem_hom
+from bcsys.csys import CSystem, validate_csystem
 from bcsys.esys import nat_arrow
 from bcsys.xlate import ce_to_c
 
@@ -67,34 +66,6 @@ def test_wrong_q_arrow_fails_condition_v():
     rep = validate_csystem(c)
     assert rep.laws["v"].violations
     assert any(v.witness[:2] == key for v in rep.laws["v"].violations)
-
-
-def test_identity_csystem_hom():
-    c = finset_csystem(2)
-    h = CSystemHom(source=c, target=c, functor=identity_functor(c.cat))
-    assert validate_csystem_hom(h).ok
-
-
-def test_csystem_hom_skips_father_of_object_without_ft_row():
-    """A source object with no ft row makes its hom-iii instance a skip,
-    not a KeyError."""
-    c = ce_to_c(build_finset_cesystem(2))
-    x = next(x for x in sorted(c.cat.objects) if c.length.get(x, 0) > 0)
-    whole = validate_csystem_hom(CSystemHom(source=c, target=c, functor=identity_functor(c.cat)))
-    del c.ft[x]
-    rep = validate_csystem_hom(CSystemHom(source=c, target=c, functor=identity_functor(c.cat)))
-    assert rep.laws["hom-iii"].skipped == whole.laws["hom-iii"].skipped + 1
-    assert rep.laws["hom-iii"].checked == whole.laws["hom-iii"].checked
-    assert not rep.laws["hom-iii"].violations and not whole.laws["hom-iii"].violations
-
-
-def test_length_breaking_functor_fails():
-    c = finset_csystem(1)
-    om = {"0": "0", "1": "0"}
-    am = {a: c.cat.id_of("0") for a in c.cat.arrows}
-    h = CSystemHom(source=c, target=c, functor=FunctorData(c.cat, c.cat, om, am))
-    rep = validate_csystem_hom(h)
-    assert rep.laws["hom-ii"].violations
 
 
 def test_finset_cesystem_validates_with_flags():
@@ -200,30 +171,6 @@ def test_root_moving_hom_fails():
     assert rep.laws["root"].violations
 
 
-def test_slice_over_root_matches_ambient_counts():
-    a = build_finset_cesystem(3)
-    sl = slice_cesystem(a, "0")
-    rep = validate_cesystem(sl, rooted=True)
-    assert rep.ok, rep.format()
-    assert len(sl.fam.objects) == len(a.fam.objects)
-    # base homs correspond: arrows between slice objects match ambient counts
-    for m in range(4):
-        for n in range(4):
-            amb = len(a.base.hom(str(m), str(n)))
-            got = len(
-                sl.base.hom(nat_arrow(m, 0), nat_arrow(n, 0))
-            )
-            assert got == amb
-
-
-def test_finset_slice_over_one():
-    a = build_finset_cesystem(3)
-    sl = slice_cesystem(a, "1")
-    assert sorted(sl.fam.objects) == [nat_arrow(1, 1), nat_arrow(2, 1), nat_arrow(3, 1)]
-    rep = validate_cesystem(sl, rooted=True)
-    assert rep.ok, rep.format()
-
-
 def non_rooted_cesystem(height: int) -> CESystem:
     """Finite-set CE-system with an extra base endomap of the root."""
     a = build_finset_cesystem(height)
@@ -262,11 +209,3 @@ def test_non_rooted_instance():
     assert rep.laws["rooted"].violations
     plain = validate_cesystem(a)
     assert plain.ok, plain.format()
-
-
-def test_slice_is_rooted_even_if_ambient_is_not():
-    a = non_rooted_cesystem(2)
-    sl = slice_cesystem(a, "1")
-    rep = validate_cesystem(sl, rooted=True)
-    assert not rep.laws["rooted"].violations
-    assert not rep.laws["root"].violations

@@ -27,7 +27,6 @@ from bcsys.bsys import build_finset_bsystem
 from bcsys.cesys import (
     CEHom,
     build_finset_cesystem,
-    slice_cesystem,
     validate_ce_hom,
     validate_cesystem,
 )
@@ -112,8 +111,6 @@ def _ce_runs(a):
     yield "validate_cesystem", lambda: _report(validate_cesystem(a, rooted=True, stratified=True))
     yield "units", lambda: _report(validate_units(a.fam)) + _report(validate_units(a.base))
     yield "functor", lambda: _report(validate_functor(identity_functor(a.fam), stratified=True))
-    for gamma in sorted(a.fam.objects):
-        yield f"slice:{gamma}", lambda g=gamma: _save_and_check(slice_cesystem(a, g))
     yield "casce_iso", lambda: _report(casce_iso(a).report)
     yield "counit", lambda: _report(validate_ce_hom(counit_cehom(a), stratified=True))
     yield "ce_to_c", lambda: _save_and_check(ce_to_c(a))

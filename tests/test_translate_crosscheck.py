@@ -719,28 +719,18 @@ def test_c_to_ce_makes_each_path_id_once(monkeypatch, c):
 @pytest.mark.parametrize("kind", ["nat-e", "finset-b"])
 def test_e_to_ce_enumerates_each_slice_once(monkeypatch, kind, height):
     """slice_mors once per apex and one restriction plan per slice
-    object, outside vertical_compose: its term_extension restricts S_x
-    on its own, with restrict_sf."""
+    object, over the whole call, and no restrict_sf."""
     e = built(kind, height)
-    outside = [True]
-    slices, plans = [], []
-    counting(monkeypatch, (core, esys, xlate), "slice_mors", slices, lambda c, apex: outside[0])
-    counting(monkeypatch, (esys,), "_restriction_plan", plans, lambda cat, P, mors_of: outside[0])
-    real = xlate.vertical_compose
-
-    def vertical(*args):
-        outside[0] = False
-        try:
-            return real(*args)
-        finally:
-            outside[0] = True
-
-    monkeypatch.setattr(xlate, "vertical_compose", vertical)
+    slices, plans, restricted = [], [], []
+    counting(monkeypatch, (core, esys, xlate), "slice_mors", slices)
+    counting(monkeypatch, (esys,), "_restriction_plan", plans)
+    counting(monkeypatch, (esys,), "restrict_sf", restricted)
     e_to_ce(e)
     apexes = [apex for _c, apex in slices]
     planned = [P for _cat, P, _mors_of in plans]
     assert len(apexes) == len(set(apexes))
     assert len(planned) == len(set(planned)) > 0
+    assert not restricted
 
 
 @pytest.mark.parametrize("height", [3, 5])
@@ -748,12 +738,11 @@ def test_b_to_e_and_e_to_b_make_each_id_once_and_decode_none(monkeypatch, height
     """b_to_e makes each path id once and parses none; e_to_b unpacks
     no frame element, since it packed each one itself."""
     b = build_finset_bsystem(height)
-    made, parsed, unpacked = [], [], []
+    made, unpacked = [], []
     counting(monkeypatch, (xlate,), "path_id", made)
-    counting(monkeypatch, (xlate,), "parse_path_id", parsed)
     counting(monkeypatch, (core, xlate), "unpack_ids", unpacked)
     e = b_to_e(b)
     xlate.e_to_b(e)
     assert len(made) == len(set(made)) > 0
-    assert not parsed
+    assert not hasattr(xlate, "parse_path_id")
     assert not unpacked

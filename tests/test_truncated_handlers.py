@@ -22,7 +22,6 @@ EXPECTED = Counter(
         ("cli", "cmd_translate"): 1,
         ("cli", "cmd_roundtrip"): 1,
         ("esys", "check_pairing"): 2,
-        ("xlate", "e_roundtrip_iso.phi_term"): 1,
         ("xlate", "e_to_ce"): 1,
         ("xlate", "unit_ehom"): 1,
     }
