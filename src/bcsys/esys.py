@@ -17,7 +17,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Callable
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import itemgetter, ne
 
 from .core import (
     Arrow,
@@ -243,9 +243,28 @@ def composites_equal(
     at its morphisms. compose_sf sets term_map[m] exactly when it sets
     mor_map[m], so two equal tuples have the same term-table keys and
     sf_equal finds no witness, no skip, and one checked entry per cell
-    that is not absent. Where the tuples differ, or a side is not
-    representable, both sides are built with compose_sf and sf_equal
-    makes the witnesses, so they come in its sorted order.
+    that is not absent.
+
+    Where the tuples differ, _one_sided counts sf_equal's triple from
+    the differing positions. A cell present on both sides is a key both
+    dicts have: sf_equal checks it, and where its two values differ it
+    is a witness. A cell present on one side only is a key one dict
+    lacks, and sf_equal skips:
+    - for an object, its obj_map entry: 1;
+    - for a morphism m, its mor_map entry and its term table: 2. Each
+      side has a term table exactly at its morphisms, so the table is
+      one-sided with m, and sf_equal compares no entry of a table that
+      one side lacks: m's slots add nothing;
+    - for a slot (m, t), its entry in m's term table: 1, but only where
+      m is present on both sides, for the same reason. A slot present on
+      a side implies m present there.
+    So where no position has two present cells that differ, the skips
+    are these weights summed, ``checked`` is the number of cells present
+    on both sides, and there is no witness: sf_equal's triple exactly.
+    At the first position with two present cells that differ, the count
+    gives up: both sides are built with compose_sf and sf_equal makes
+    the witnesses, so they come in its sorted order. The same happens
+    where a side is not representable or the sides have different cells.
 
     The result is memoised on the value numbers of the four sides (see
     _Slices.number; an absent f counts as -1). Completeness: equal
@@ -272,16 +291,42 @@ def composites_equal(
     hit = slices.diffs.get(key)
     if hit is None:
         lhs = None if None in key else slices.composite(key[0], key[1])
-        if lhs is not None and lhs == slices.composite(key[2], key[3]):
-            cells = lhs[2]
-            hit = [], 0, len(cells) - cells.count(lhs[1].absent)
-        else:
+        rhs = None if lhs is None else slices.composite(key[2], key[3])
+        if rhs is not None and lhs[0] is rhs[0] and lhs[1] is rhs[1]:
+            hit = _one_sided(lhs, rhs)
+        if hit is None:
             left = g1 if f1 is None else compose_sf(e, g1, f1)
             right = g2 if f2 is None else compose_sf(e, g2, f2)
             hit = sf_equal(left, right)
         if None not in key:
             slices.diffs[key] = hit
     return hit
+
+
+def _one_sided(lhs: _Flat, rhs: _Flat) -> tuple[list[tuple], int, int] | None:
+    """sf_equal's triple for two forms over the same cells, or None where
+    a cell present on both sides differs (see composites_equal)."""
+    src, tgt, L = lhs
+    R = rhs[2]
+    absent = tgt.absent
+    present = len(L) - L.count(absent)
+    if L == R:
+        return [], 0, present
+    owner = src.owner
+    skipped = right_absent = 0
+    for i in itertools.compress(range(len(L)), map(ne, L, R)):
+        if R[i] == absent:
+            right_absent += 1
+        elif L[i] != absent:
+            return None
+        m = owner[i]
+        if m < 0:
+            skipped += 1
+        elif m == i:
+            skipped += 2
+        elif L[m] != absent and R[m] != absent:
+            skipped += 1
+    return [], skipped, present - right_absent
 
 
 def validate_sfunctor(e: ESystem, F: SliceFunctorT, rep: Report, law: str) -> None:
@@ -363,20 +408,23 @@ def validate_sfunctor(e: ESystem, F: SliceFunctorT, rep: Report, law: str) -> No
 class _Cells:
     """The cells of the slice over one apex, numbered once: its objects
     (arrows_into), its morphisms (slice_mors), the slots (m, t) for t in
-    T(m[0]), and last the absent cell."""
+    T(m[0]), and last the absent cell. ``owner[i]`` is the morphism cell
+    that cell i belongs to: a slot's morphism, a morphism itself, and -1
+    for an object or the absent cell."""
 
-    __slots__ = ("obj", "mor", "slot", "absent")
+    __slots__ = ("obj", "mor", "slot", "absent", "owner")
 
     def __init__(self, e: ESystem, apex: str, mors: list[SliceMor]) -> None:
         objs = slice_objects(e.cat, apex)
         self.obj = {x: i for i, x in enumerate(objs)}
         self.mor = {m: i for i, m in enumerate(mors, len(objs))}
         self.slot: dict[SliceMor, dict[str, int]] = {}
-        n = len(objs) + len(mors)
-        for m in mors:
-            self.slot[m] = {t: i for i, t in enumerate(sorted(e.T(m[0])), n)}
-            n += len(self.slot[m])
-        self.absent = n
+        owner = [-1] * len(objs) + list(self.mor.values())
+        for m, i in self.mor.items():
+            self.slot[m] = {t: j for j, t in enumerate(sorted(e.T(m[0])), len(owner))}
+            owner += [i] * len(self.slot[m])
+        self.absent = len(owner)
+        self.owner = tuple(owner) + (-1,)
 
 
 # A slice functor in flat form: its source cells, its target cells, and
@@ -747,7 +795,8 @@ def validate_esystem(e: ESystem) -> Report:
         if wid is None:
             rep.skip("weak-functor")
             continue
-        rep.record("weak-functor", sf_equal(wid, slices.identity(X)), (X,), "W_id != id")
+        diff = composites_equal(e, wid, None, slices.identity(X), None, slices)
+        rep.record("weak-functor", diff, (X,), "W_id != id")
     for A in arrows:
         for P in slice_objects(cat, cat.dom(A)):
             rep.tick("weak-functor")

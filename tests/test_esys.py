@@ -737,8 +737,8 @@ def test_composites_equal_matches_reference_at_every_site(validate, memo):
     rep = validate()
     shapes = {k for k in memo if isinstance(k, tuple)}
     assert (False, False) in shapes
-    if "weak-functor" in rep.laws:  # validate_esystem: W_{A.P} and axioms 3, 5
-        assert shapes == {(False, False), (True, False), (False, True)}
+    if "weak-functor" in rep.laws:  # validate_esystem: W_{A.P}, W_id and axioms 3, 5
+        assert shapes == {(False, False), (True, False), (False, True), (True, True)}
         assert 0 < memo["hits"] < memo["calls"]
     assert (memo["failing"] > 0) == ("e-axiom-3" in rep.failed_laws())
 
@@ -935,6 +935,97 @@ def test_composites_equal_counts_term_tables_without_morphisms():
     del extra.mor_map[empty]
     assert composites_equal(e, extra, None, dropped, None) == _reference(e, extra, None, dropped, None)
     assert composites_equal(e, extra, None, dropped, None)[1] == 2
+
+
+def _count_case(monkeypatch, e, lhs, rhs):
+    """composites_equal of two single functors, checked against the
+    reference, with the number of sf_equal calls it made."""
+    calls = []
+    real = esys.sf_equal
+    monkeypatch.setattr(esys, "sf_equal", lambda f, g: calls.append(1) or real(f, g))
+    got = composites_equal(e, lhs, None, rhs, None)
+    assert got == _reference(e, lhs, None, rhs, None)
+    return got, len(calls)
+
+
+def _weak_with_two_terms():
+    """nat-e h3, and a weakening with a morphism m whose term table has at
+    least two entries, each with another term of its target set."""
+    e = build_nat_esystem(3)
+    W = e.weak[nat_arrow(0, 0)]
+    m = next(
+        k for k, tm in sorted(W.term_map.items())
+        if len(tm) >= 2 and len(e.T(W.mor_map[k])) > 1
+    )
+    return e, W, m
+
+
+def test_count_rule_object_on_one_side(monkeypatch):
+    e, W, _m = _weak_with_two_terms()
+    x = sorted(W.obj_map)[-1]
+    # drop x's morphisms on both sides, so only the object differs
+    both = _copy_sf(W)
+    for k in [k for k in both.mor_map if x in k[1:]]:
+        del both.mor_map[k], both.term_map[k]
+    one = _copy_sf(both)
+    del one.obj_map[x]
+    got, fallbacks = _count_case(monkeypatch, e, both, one)
+    assert got[:2] == ([], 1) and fallbacks == 0
+
+
+def test_count_rule_morphism_on_one_side(monkeypatch):
+    e, W, m = _weak_with_two_terms()
+    one = _copy_sf(W)
+    del one.mor_map[m], one.term_map[m]
+    got, fallbacks = _count_case(monkeypatch, e, W, one)
+    # its mor_map entry and its term table, not its len(W.term_map[m]) slots
+    assert got[:2] == ([], 2) and fallbacks == 0
+
+
+def test_count_rule_slot_under_shared_morphism(monkeypatch):
+    e, W, m = _weak_with_two_terms()
+    one = _copy_sf(W)
+    del one.term_map[m][sorted(one.term_map[m])[0]]
+    got, fallbacks = _count_case(monkeypatch, e, one, W)
+    assert got[:2] == ([], 1) and fallbacks == 0
+
+
+def test_count_rule_present_cells_that_differ_take_the_witness_path(monkeypatch):
+    e, W, m = _weak_with_two_terms()
+    changed = _copy_sf(W)
+    tm = changed.term_map[m]
+    for t in sorted(tm)[:2]:
+        tm[t] = sorted(e.T(W.mor_map[m]) - {tm[t]})[0]
+    got, fallbacks = _count_case(monkeypatch, e, W, changed)
+    assert fallbacks == 1
+    assert got[0] == sorted(got[0]) and len(got[0]) == 2
+
+
+_NO_FALLBACK = {
+    **{f"nat-e-h{h}": lambda h=h: build_nat_esystem(h) for h in (3, 4, 5, 6)},
+    **{f"b2e-finset-b-h{h}": lambda h=h: b_to_e(build_finset_bsystem(h)) for h in (3, 4, 5, 6)},
+}
+
+
+def _fallbacks(monkeypatch, e):
+    """The compose_sf calls and the sf_equal results of validate_esystem(e)."""
+    built, results = [], []
+    real_compose, real_equal = esys.compose_sf, esys.sf_equal
+    monkeypatch.setattr(esys, "compose_sf", lambda *a: built.append(1) or real_compose(*a))
+    monkeypatch.setattr(esys, "sf_equal", lambda f, g: results.append(real_equal(f, g)) or results[-1])
+    validate_esystem(e)
+    return len(built), results
+
+
+@pytest.mark.parametrize("make", list(_NO_FALLBACK.values()), ids=list(_NO_FALLBACK))
+def test_validation_builds_no_composite_without_a_witness(monkeypatch, make):
+    assert _fallbacks(monkeypatch, make()) == (0, [])
+
+
+def test_group_s3_builds_composites_only_for_witnesses(monkeypatch):
+    built, results = _fallbacks(monkeypatch, build_group_structure(*s3_table()))
+    assert results and all(bad for bad, _s, _c in results)
+    assert built <= 2 * len(results)
 
 
 def _corrupt_weak_term(e):

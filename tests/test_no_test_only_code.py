@@ -1,12 +1,14 @@
 """Every top-level function and class in bcsys has a caller in bcsys.
 
 A definition counts as used when its name is read in the code of another
-top-level statement of the package: a function or class body, or a
-module-level statement such as serialize's dispatch tables or the CLI's
-``__main__`` guard. Imports, including the re-exports in ``__init__``,
-do not count, and neither do docstrings. So a function that only tests
-call fails here: it belongs in tests/reference.py or tests/helpers.py,
-or nowhere.
+top-level statement of the package that is itself used: a function or
+class body with a caller, or a module-level statement such as
+serialize's dispatch tables or the CLI's ``__main__`` guard. Imports,
+including the re-exports in ``__init__``, do not count, and neither do
+docstrings, nor reads from a definition that has no caller.
+So a function that only tests call, or that only such a function calls,
+fails here: it belongs in tests/reference.py or tests/helpers.py, or
+nowhere.
 """
 
 from __future__ import annotations
@@ -26,6 +28,9 @@ EXEMPT = {
     # the public entry point for one internal-hom category, which the
     # benchmark traces by name; e_to_ce calls _internal_hom directly
     ("esys", "internal_hom_cat"),
+    # f* restricts W_A to B through it, and the benchmark traces it by
+    # name; the checker restricts through _Slices.restrict
+    ("esys", "restrict_sf"),
 }
 
 
@@ -41,8 +46,11 @@ def _read_names(node: ast.AST) -> set[str]:
 
 def uncalled(src: Path) -> set[tuple[str, str]]:
     """(module, name) of each top-level def or class in the modules under
-    ``src`` that no other top-level statement there names."""
-    defs: list[tuple[str, str, ast.AST]] = []
+    ``src`` that no other used top-level statement there names: a def is
+    used when a used statement names it, and a statement that is not a def
+    is always used. Found by iterating to the fixpoint, each round dropping
+    the reads of the defs found uncalled so far."""
+    defs: dict[ast.AST, tuple[str, str]] = {}
     statements: list[ast.AST] = []
     for path in sorted(src.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
@@ -51,13 +59,19 @@ def uncalled(src: Path) -> set[tuple[str, str]]:
                 continue
             statements.append(node)
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                defs.append((path.stem, node.name, node))
+                defs[node] = (path.stem, node.name)
     read = [(node, _read_names(node)) for node in statements]
-    return {
-        (module, name)
-        for module, name, node in defs
-        if not any(name in names for other, names in read if other is not node)
-    }
+    found: set[tuple[str, str]] = set()
+    while True:
+        live = [(node, names) for node, names in read if defs.get(node) not in found]
+        now = {
+            (module, name)
+            for node, (module, name) in defs.items()
+            if not any(name in names for other, names in live if other is not node)
+        }
+        if now == found:
+            return found
+        found = now
 
 
 def test_every_definition_has_a_caller_in_the_package():
@@ -71,3 +85,15 @@ def test_a_name_in_a_docstring_or_its_own_body_is_no_call(tmp_path):
         'TABLE = {"k": used}\n'
     )
     assert uncalled(tmp_path) == {("m", "recursive")}
+
+
+def test_a_name_read_only_by_uncalled_code_is_no_call(tmp_path):
+    (tmp_path / "m.py").write_text(
+        "def used():\n    return helper()\n\n\n"
+        "def helper():\n    return 1\n\n\n"
+        "def orphan():\n    return inner()\n\n\n"
+        "def inner():\n    return leaf()\n\n\n"
+        "def leaf():\n    return 2\n\n\n"
+        'TABLE = {"k": used}\n'
+    )
+    assert uncalled(tmp_path) == {("m", "orphan"), ("m", "inner"), ("m", "leaf")}
