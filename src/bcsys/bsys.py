@@ -261,60 +261,54 @@ def slice_system(sys: BSystem, n: int, X: str) -> BSystem:
 
 
 def check_preservation(
-    h: BFrameHom, src: BSystem, tgt: BSystem, which: str, rep: Report | None = None,
-    law: str | None = None,
-) -> Report:
-    """Does ``h`` preserve substitution, weakening or generic elements?
+    h: BFrameHom, src: BSystem, tgt: BSystem, rep: Report, law: str | None = None
+) -> None:
+    """Does ``h`` preserve substitution, weakening and generic elements?
 
-    ``which`` is one of "sub", "weak", "gen". The commuting squares are
-    compared elementwise on maximal common domains; instances whose data
-    is missing on either side count as skipped.
+    The three are checked in that order, each under ``law``, or without
+    it under "preserve-sub", "preserve-weak" and "preserve-gen". The
+    commuting squares are compared elementwise on maximal common domains;
+    instances whose data is missing on either side count as skipped.
     """
-    if which not in ("sub", "weak", "gen"):
-        raise ValueError(f"unknown structure kind {which!r}")
-    rep = rep if rep is not None else Report()
-    name = law or f"preserve-{which}"
-
-    if which == "sub":
-        for (k, x), sx in sorted(src.subst.items()):
-            rep.tick(name)
-            ximg = h.Ht.get(k, {}).get(x)
-            bdx = src.frame.bd[k][x]
-            ftbdx = src.frame.ft[k][bdx]
-            if ximg is None or (k, ximg) not in tgt.subst:
-                rep.skip(name)
-                continue
-            if bdx not in h.H.get(k, {}) or ftbdx not in h.H.get(k - 1, {}):
-                rep.skip(name)
-                continue
-            lhs = compose_bhom(restrict_bhom(h, k - 1, ftbdx), sx)
-            rhs = compose_bhom(tgt.subst[(k, ximg)], restrict_bhom(h, k, bdx))
-            rep.record(name, bhom_eq(lhs, rhs), (k, x))
-    elif which == "weak":
-        for (n, X), wx in sorted(src.weak.items()):
-            rep.tick(name)
-            ximg = h.H.get(n, {}).get(X)
-            ftx = src.frame.ft[n][X]
-            if ximg is None or (n, ximg) not in tgt.weak:
-                rep.skip(name)
-                continue
-            if ftx not in h.H.get(n - 1, {}):
-                rep.skip(name)
-                continue
-            lhs = compose_bhom(restrict_bhom(h, n, X), wx)
-            rhs = compose_bhom(tgt.weak[(n, ximg)], restrict_bhom(h, n - 1, ftx))
-            rep.record(name, bhom_eq(lhs, rhs), (n, X))
-    else:
-        for (n, X), d in sorted(src.gen.items()):
-            rep.tick(name)
-            ximg = h.H.get(n, {}).get(X)
-            dimg = h.Ht.get(n + 1, {}).get(d)
-            if ximg is None or dimg is None or (n, ximg) not in tgt.gen:
-                rep.skip(name)
-                continue
-            if tgt.gen[(n, ximg)] != dimg:
-                rep.fail(name, (n, X), f"H(delta) = {dimg!r}, delta(H) = {tgt.gen[(n, ximg)]!r}")
-    return rep
+    name = law or "preserve-sub"
+    for (k, x), sx in sorted(src.subst.items()):
+        rep.tick(name)
+        ximg = h.Ht.get(k, {}).get(x)
+        bdx = src.frame.bd[k][x]
+        ftbdx = src.frame.ft[k][bdx]
+        if ximg is None or (k, ximg) not in tgt.subst:
+            rep.skip(name)
+            continue
+        if bdx not in h.H.get(k, {}) or ftbdx not in h.H.get(k - 1, {}):
+            rep.skip(name)
+            continue
+        lhs = compose_bhom(restrict_bhom(h, k - 1, ftbdx), sx)
+        rhs = compose_bhom(tgt.subst[(k, ximg)], restrict_bhom(h, k, bdx))
+        rep.record(name, bhom_eq(lhs, rhs), (k, x))
+    name = law or "preserve-weak"
+    for (n, X), wx in sorted(src.weak.items()):
+        rep.tick(name)
+        ximg = h.H.get(n, {}).get(X)
+        ftx = src.frame.ft[n][X]
+        if ximg is None or (n, ximg) not in tgt.weak:
+            rep.skip(name)
+            continue
+        if ftx not in h.H.get(n - 1, {}):
+            rep.skip(name)
+            continue
+        lhs = compose_bhom(restrict_bhom(h, n, X), wx)
+        rhs = compose_bhom(tgt.weak[(n, ximg)], restrict_bhom(h, n - 1, ftx))
+        rep.record(name, bhom_eq(lhs, rhs), (n, X))
+    name = law or "preserve-gen"
+    for (n, X), d in sorted(src.gen.items()):
+        rep.tick(name)
+        ximg = h.H.get(n, {}).get(X)
+        dimg = h.Ht.get(n + 1, {}).get(d)
+        if ximg is None or dimg is None or (n, ximg) not in tgt.gen:
+            rep.skip(name)
+            continue
+        if tgt.gen[(n, ximg)] != dimg:
+            rep.fail(name, (n, X), f"H(delta) = {dimg!r}, delta(H) = {tgt.gen[(n, ximg)]!r}")
 
 
 def validate_bsystem(sys: BSystem) -> Report:
@@ -362,15 +356,13 @@ def validate_bsystem(sys: BSystem) -> Report:
         ftbdx = b.ft[k][bdx]
         src = slice_system(sys, k, bdx)
         tgt = slice_system(sys, k - 1, ftbdx)
-        for which in ("sub", "weak", "gen"):
-            check_preservation(sx, src, tgt, which, rep, law="axiom-1")
+        check_preservation(sx, src, tgt, rep, law="axiom-1")
 
     # axiom 2: every W_X is a pre-B-homomorphism
     for (n, X), wx in sorted(sys.weak.items()):
         src = slice_system(sys, n - 1, b.ft[n][X])
         tgt = slice_system(sys, n, X)
-        for which in ("sub", "weak", "gen"):
-            check_preservation(wx, src, tgt, which, rep, law="axiom-2")
+        check_preservation(wx, src, tgt, rep, law="axiom-2")
 
     # axiom 3: S_x . W_bd(x) = id
     for (k, x), sx in sorted(sys.subst.items()):
@@ -416,8 +408,7 @@ def validate_bsystem_hom(h: BFrameHom, src: BSystem, tgt: BSystem) -> Report:
     """A homomorphism of B-systems: frame naturality plus all preservations."""
     rep = Report()
     rep.merge(validate_bframe_hom(h))
-    for which in ("sub", "weak", "gen"):
-        check_preservation(h, src, tgt, which, rep)
+    check_preservation(h, src, tgt, rep)
     return rep
 
 

@@ -590,8 +590,8 @@ def slice_category(c: FinCat, apex: str, mors: list[tuple[str, str, str]]) -> Sl
 # functors
 
 
-def validate_functor(fd: FunctorData, stratified: bool = False) -> Report:
-    """Check functor laws exhaustively; with ``stratified``, also level preservation."""
+def validate_functor(fd: FunctorData) -> Report:
+    """Check functor laws exhaustively."""
     rep = Report()
     src, tgt = fd.source, fd.target
 
@@ -637,27 +637,6 @@ def validate_functor(fd: FunctorData, stratified: bool = False) -> Report:
         elif img != fgf:
             rep.fail("preserves-compose", (g, f), f"{img!r} != F({gf!r})")
 
-    if stratified:
-        ss = stratify(src) if src.terminal is not None else None
-        ts = stratify(tgt) if tgt.terminal is not None else None
-        if not isinstance(ss, Stratification):
-            rep.miss("stratified", "source category is not stratified")
-        elif not isinstance(ts, Stratification):
-            rep.miss("stratified", "target category is not stratified")
-        else:
-            # an unmapped object, or one whose image is no object (which
-            # object-map fails), has no level to compare
-            for x in sorted(src.objects):
-                rep.tick("stratified")
-                level = ts.level.get(obj_map.get(x))
-                if level is None:
-                    rep.skip("stratified")
-                elif level != ss.of(x):
-                    rep.fail("stratified", (x,), "level not preserved")
-            # the criterion: terminal and individual arrows are enough,
-            # but level preservation on all objects subsumes both.
-            if src.terminal is not None and fd.object_map.get(src.terminal) != tgt.terminal:
-                rep.fail("stratified", (src.terminal,), "terminal not preserved")
     return rep
 
 

@@ -177,9 +177,7 @@ def validate_csystem(c: CSystem) -> Report:
             rep.tick("coverage")
             rep.skip("coverage")
             continue
-        for f in cat.arrows:
-            if cat.cod(f) != base:
-                continue
+        for f in cat.arrows_into(base):
             rep.tick("coverage")
             entry = c.pb.get((f, gamma))
             if entry is None:

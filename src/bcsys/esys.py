@@ -85,14 +85,10 @@ class EHom:
 # slice plumbing
 
 
-def slice_objects(cat: FinCat, apex: str) -> list[str]:
-    return cat.arrows_into(apex)
-
-
 def identity_sf(e: ESystem, apex: str, mors: list[SliceMor]) -> SliceFunctorT:
     """The identity on the slice over apex; ``mors`` is slice_mors(e.cat, apex)."""
     sf = SliceFunctorT(source_apex=apex, target_apex=apex)
-    for f in slice_objects(e.cat, apex):
+    for f in e.cat.arrows_into(apex):
         sf.obj_map[f] = f
     for m in mors:
         sf.mor_map[m] = m[0]
@@ -100,7 +96,7 @@ def identity_sf(e: ESystem, apex: str, mors: list[SliceMor]) -> SliceFunctorT:
     return sf
 
 
-def compose_sf(e: ESystem, g: SliceFunctorT, f: SliceFunctorT) -> SliceFunctorT:
+def compose_sf(g: SliceFunctorT, f: SliceFunctorT) -> SliceFunctorT:
     """g after f; entries undefined anywhere along the way are omitted."""
     out = SliceFunctorT(source_apex=f.source_apex, target_apex=g.target_apex)
     for x, y in f.obj_map.items():
@@ -149,7 +145,7 @@ def _restriction_plan(cat: FinCat, P: str, mors_of: Callable[[str], list[SliceMo
     compose = cat.compose
     dom = cat.dom(P)
     objs = []
-    for q in slice_objects(cat, dom):
+    for q in cat.arrows_into(dom):
         pq = compose.get((P, q))
         if pq is not None:
             objs.append((q, (q, pq, P)))
@@ -206,12 +202,11 @@ def sf_equal(f: SliceFunctorT, g: SliceFunctorT) -> tuple[list[tuple], int, int]
 
 
 def composites_equal(
-    e: ESystem,
     g1: SliceFunctorT,
     f1: SliceFunctorT | None,
     g2: SliceFunctorT,
     f2: SliceFunctorT | None,
-    slices: _Slices | None = None,
+    slices: _Slices,
     key: tuple[int | None, int | None, int | None, int | None] | None = None,
 ) -> tuple[list[tuple], int, int]:
     """sf_equal(g1∘f1, g2∘f2), without building the composites when they agree.
@@ -220,10 +215,10 @@ def composites_equal(
     such as W_{A.P} or an identity from identity_sf. The result is the
     same (bad, skipped, checked) triple as sf_equal of the two sides
     built with compose_sf. ``slices`` holds the flat forms, their
-    numbers and the results of one validation; without it they live for
-    this call only. ``key`` is the numbers of the four sides in
-    ``slices`` where the caller has them. A result may be handed to
-    several callers, so its witness list is read, never mutated.
+    numbers and the results of one validation. ``key`` is the numbers of
+    the four sides in ``slices`` where the caller has them. A result may
+    be handed to several callers, so its witness list is read, never
+    mutated.
 
     Each side is taken in flat form (see _flatten): one tuple from the
     cells of its source slice to the cells of its target slice, where a
@@ -278,8 +273,6 @@ def composites_equal(
     fallback runs once per distinct key. Sides that are not
     representable have no number and are never memoised.
     """
-    if slices is None:
-        slices = _Slices(e)
     if key is None:
         number = slices.number
         key = (
@@ -295,8 +288,8 @@ def composites_equal(
         if rhs is not None and lhs[0] is rhs[0] and lhs[1] is rhs[1]:
             hit = _one_sided(lhs, rhs)
         if hit is None:
-            left = g1 if f1 is None else compose_sf(e, g1, f1)
-            right = g2 if f2 is None else compose_sf(e, g2, f2)
+            left = g1 if f1 is None else compose_sf(g1, f1)
+            right = g2 if f2 is None else compose_sf(g2, f2)
             hit = sf_equal(left, right)
         if None not in key:
             slices.diffs[key] = hit
@@ -339,8 +332,8 @@ def validate_sfunctor(e: ESystem, F: SliceFunctorT, rep: Report, law: str) -> No
     compose = cat.compose.get
     obj_get, mor_get = F.obj_map.get, F.mor_map.get
     ticks = skips = 0
-    src_objs = set(slice_objects(cat, F.source_apex))
-    tgt_objs = set(slice_objects(cat, F.target_apex))
+    src_objs = set(cat.arrows_into(F.source_apex))
+    tgt_objs = set(cat.arrows_into(F.target_apex))
     for x, y in sorted(F.obj_map.items()):
         ticks += 1
         if x not in src_objs or y not in tgt_objs:
@@ -415,7 +408,7 @@ class _Cells:
     __slots__ = ("obj", "mor", "slot", "absent", "owner")
 
     def __init__(self, e: ESystem, apex: str, mors: list[SliceMor]) -> None:
-        objs = slice_objects(e.cat, apex)
+        objs = e.cat.arrows_into(apex)
         self.obj = {x: i for i, x in enumerate(objs)}
         self.mor = {m: i for i, m in enumerate(mors, len(objs))}
         self.slot: dict[SliceMor, dict[str, int]] = {}
@@ -471,7 +464,7 @@ class _Slices:
     table changed between two calls is read afresh.
 
     Restrictions are kept for one functor H at a time: validate_esystem
-    checks all three parts of a functor before the next, and only axiom
+    checks all three conditions of a functor in one walk, and only axiom
     5's one restriction per arrow is computed a second time. When H
     changes, what was made for the old H is dropped: its restrictions,
     their numbers, the forms first numbered through them, and every
@@ -597,93 +590,93 @@ class _Slices:
         return F[0], G[1], itemgetter(*idx)(G[2]) if len(idx) > 1 else (G[2][idx[0]],)
 
 
-def _ehom_part(slices: _Slices, H: SliceFunctorT, part: str, rep: Report, law: str) -> None:
-    """One of the pre-E-homomorphism conditions for a slice functor H.
+def _ehom_parts(slices: _Slices, H: SliceFunctorT, rep: Report, laws: tuple[str, str, str]) -> None:
+    """The pre-E-homomorphism conditions for a slice functor H, entered
+    under laws[0], laws[1] and laws[2], in one walk over its (P, Q):
+    H commutes with substitution on slices of its source, H commutes
+    with weakening, and H preserves identity terms.
 
-    part "sub": H commutes with substitution on slices of its source.
-    part "weak": H commutes with weakening.
-    part "proj": H preserves identity terms.
-
-    Checks and skips are counted here and entered once, at the end, and
-    the comparisons are looked up by the numbers of their sides first.
+    Completeness: each condition is checked at a slice object Q over
+    dom(P), for P a slice object over H's source apex, once the
+    restriction H/P, the image H(Q) and the restriction H/(P∘Q) exist.
+    Where one is missing, the three conditions share the skip: that P,
+    or that (P, Q), counts one skip under each law, as a walk per
+    condition counts it. Past that, each condition reads only its own
+    tables and counts its own checks, skips and witnesses. They are
+    entered once, at the end, in the order of ``laws``. Each condition's
+    witnesses are in walk order, so a law that two conditions share
+    (e-axiom-1 for S_x) gets all the witnesses of the earlier one before
+    those of the later one, as when each condition had a walk of its
+    own. Comparisons are looked up by the numbers of their sides first.
     """
     e = slices.e
     cat = e.cat
-    compose = cat.compose
+    compose, proj = cat.compose, e.proj
     H_obj, H_mor, H_terms = H.obj_map, H.mor_map, H.term_map
     subst = slices.numbered(e.subst)
     weak = slices.numbered(e.weak)
-    ticks = skips = 0
-    for P in slice_objects(cat, H.source_apex):
-        if P not in H_obj:
-            skips += 1
-            continue
-        HP = slices.restrict(H, P)
+    shared = sub_ticks = sub_skips = weak_ticks = weak_skips = proj_ticks = proj_skips = 0
+    sub_bad: list[tuple[tuple, str]] = []
+    weak_bad: list[tuple[tuple, str]] = []
+    proj_bad: list[tuple[tuple, str]] = []
+    for P in cat.arrows_into(H.source_apex):
+        HP = slices.restrict(H, P) if P in H_obj else None
         if HP is None:
-            skips += 1
+            shared += 1
             continue
-        for Q in slice_objects(cat, cat.dom(P)):
+        nHP = slices.number(HP)
+        for Q in cat.arrows_into(cat.dom(P)):
             PQ = compose.get((P, Q))
-            if PQ is None:
-                skips += 1
-                continue
             key = (Q, PQ, P)
-            Qimg = H_mor.get(key)
-            if Qimg is None:
-                skips += 1
-                continue
-            HPQ = slices.restrict(H, PQ)
+            Qimg = None if PQ is None else H_mor.get(key)
+            HPQ = None if Qimg is None else slices.restrict(H, PQ)
             if HPQ is None:
-                skips += 1
+                shared += 1
                 continue
-            if part == "sub":
-                nHP, nHPQ = slices.number(HP), slices.number(HPQ)
-                images = H_terms.get(key, {})
-                for y in slices.terms(Q):
-                    ticks += 1
-                    Sy = subst.get((Q, y))
-                    Syi = subst.get((Qimg, images.get(y)))
-                    if Sy is None or Syi is None:
-                        skips += 1
-                        continue
-                    k = (nHP, Sy[1], Syi[1], nHPQ)
-                    bad, skipped, _ = composites_equal(e, HP, Sy[0], Syi[0], HPQ, slices, key=k)
-                    skips += skipped
-                    for w in bad:
-                        rep.fail(law, (P, Q, y) + w)
-            elif part == "weak":
-                ticks += 1
-                WQ = weak.get(Q)
-                Wi = weak.get(Qimg)
-                if WQ is None or Wi is None:
-                    skips += 1
+            nHPQ = slices.number(HPQ)
+            # substitution
+            images = H_terms.get(key, {})
+            for y in slices.terms(Q):
+                sub_ticks += 1
+                Sy = subst.get((Q, y))
+                Syi = subst.get((Qimg, images.get(y)))
+                if Sy is None or Syi is None:
+                    sub_skips += 1
                     continue
-                k = (Wi[1], slices.number(HP), slices.number(HPQ), WQ[1])
-                bad, skipped, _ = composites_equal(e, Wi[0], HP, HPQ, WQ[0], slices, key=k)
-                skips += skipped
-                for w in bad:
-                    rep.fail(law, (P, Q) + w)
-            else:  # proj
-                ticks += 1
-                oneQ = e.proj.get(Q)
-                onei = e.proj.get(Qimg)
-                WQ = e.weak.get(Q)
-                if oneQ is None or onei is None or WQ is None:
-                    skips += 1
-                    continue
-                u = WQ.obj_map.get(Q)
-                if u is None:
-                    skips += 1
-                    continue
-                act = term_action_at(e, HPQ, u)
-                if act is None or oneQ not in act:
-                    skips += 1
-                    continue
-                if act[oneQ] != onei:
-                    rep.fail(law, (P, Q), f"H(1) = {act[oneQ]!r}, expected {onei!r}")
-    if ticks or skips:
-        rep.tick(law, ticks)
-        rep.skip(law, skips)
+                k = (nHP, Sy[1], Syi[1], nHPQ)
+                found, skipped, _ = composites_equal(HP, Sy[0], Syi[0], HPQ, slices, key=k)
+                sub_skips += skipped
+                for w in found:
+                    sub_bad.append(((P, Q, y) + w, ""))
+            # weakening
+            weak_ticks += 1
+            WQ = weak.get(Q)
+            Wi = weak.get(Qimg)
+            if WQ is None or Wi is None:
+                weak_skips += 1
+            else:
+                k = (Wi[1], nHP, nHPQ, WQ[1])
+                found, skipped, _ = composites_equal(Wi[0], HP, HPQ, WQ[0], slices, key=k)
+                weak_skips += skipped
+                for w in found:
+                    weak_bad.append(((P, Q) + w, ""))
+            # identity terms
+            proj_ticks += 1
+            oneQ = proj.get(Q)
+            onei = proj.get(Qimg)
+            u = None if WQ is None else WQ[0].obj_map.get(Q)
+            act = None if u is None else term_action_at(e, HPQ, u)
+            if oneQ is None or onei is None or act is None or oneQ not in act:
+                proj_skips += 1
+            elif act[oneQ] != onei:
+                proj_bad.append(((P, Q), f"H(1) = {act[oneQ]!r}, expected {onei!r}"))
+    parts = (sub_ticks, sub_skips, sub_bad), (weak_ticks, weak_skips, weak_bad), (proj_ticks, proj_skips, proj_bad)
+    for law, (ticks, skips, bad) in zip(laws, parts):
+        if ticks or skips or shared:
+            rep.tick(law, ticks)
+            rep.skip(law, skips + shared)
+        for w, detail in bad:
+            rep.fail(law, w, detail)
 
 
 # ---------------------------------------------------------------------------
@@ -795,10 +788,10 @@ def validate_esystem(e: ESystem) -> Report:
         if wid is None:
             rep.skip("weak-functor")
             continue
-        diff = composites_equal(e, wid, None, slices.identity(X), None, slices)
+        diff = composites_equal(wid, None, slices.identity(X), None, slices)
         rep.record("weak-functor", diff, (X,), "W_id != id")
     for A in arrows:
-        for P in slice_objects(cat, cat.dom(A)):
+        for P in cat.arrows_into(cat.dom(A)):
             rep.tick("weak-functor")
             AP = cat.compose.get((A, P))
             wa, wp = e.weak.get(A), e.weak.get(P)
@@ -806,18 +799,14 @@ def validate_esystem(e: ESystem) -> Report:
             if wa is None or wp is None or wap is None:
                 rep.skip("weak-functor")
                 continue
-            diff = composites_equal(e, wap, None, wp, wa, slices)
+            diff = composites_equal(wap, None, wp, wa, slices)
             rep.record("weak-functor", diff, (A, P), "W_{A.P} != W_P . W_A")
 
     # slice-level homomorphism laws
     for (A, x), sx in sorted(e.subst.items()):
-        _ehom_part(slices, sx, "sub", rep, "subst-system")
-        _ehom_part(slices, sx, "weak", rep, "e-axiom-1")
-        _ehom_part(slices, sx, "proj", rep, "e-axiom-1")
+        _ehom_parts(slices, sx, rep, ("subst-system", "e-axiom-1", "e-axiom-1"))
     for A, wa in sorted(e.weak.items()):
-        _ehom_part(slices, wa, "weak", rep, "weak-system")
-        _ehom_part(slices, wa, "proj", rep, "proj-system")
-        _ehom_part(slices, wa, "sub", rep, "e-axiom-2")
+        _ehom_parts(slices, wa, rep, ("e-axiom-2", "weak-system", "proj-system"))
 
     # axiom 3: S_x . W_A = id
     for (A, x), sx in sorted(e.subst.items()):
@@ -826,7 +815,7 @@ def validate_esystem(e: ESystem) -> Report:
         if wa is None:
             rep.skip("e-axiom-3")
             continue
-        diff = composites_equal(e, sx, wa, slices.identity(cat.cod(A)), None, slices)
+        diff = composites_equal(sx, wa, slices.identity(cat.cod(A)), None, slices)
         rep.record("e-axiom-3", diff, (A, x))
 
     # axiom 4: S_x(1_A) = x
@@ -862,7 +851,7 @@ def validate_esystem(e: ESystem) -> Report:
         if waa is None:
             rep.skip("e-axiom-5")
             continue
-        diff = composites_equal(e, s1, waa, slices.identity(cat.dom(A)), None, slices)
+        diff = composites_equal(s1, waa, slices.identity(cat.dom(A)), None, slices)
         rep.record("e-axiom-5", diff, (A,))
 
     if e.levels is not None:
@@ -909,7 +898,7 @@ def slice_of_ehom(h: EHom, gamma: str) -> SliceFunctorT:
     """The restriction H/Gamma of a global homomorphism to a slice."""
     cat = h.source.cat
     out = SliceFunctorT(source_apex=gamma, target_apex=h.functor.object_map[gamma])
-    for a in slice_objects(cat, gamma):
+    for a in cat.arrows_into(gamma):
         img = h.functor.arrow_map.get(a)
         if img is not None:
             out.obj_map[a] = img
@@ -953,7 +942,7 @@ def validate_ehom(h: EHom) -> Report:
     hom_slices = {gamma: slice_of_ehom(h, gamma) for gamma in h.functor.object_map}
     for gamma in sorted(cat.objects):
         hg = hom_slices.get(gamma)
-        for A in slice_objects(cat, gamma):
+        for A in cat.arrows_into(gamma):
             Aimg = h.functor.arrow_map.get(A)
             ha = hom_slices.get(cat.dom(A))
             for x in sorted(src.T(A)):
@@ -963,7 +952,7 @@ def validate_ehom(h: EHom) -> Report:
                 if hg is None or ha is None or sx is None or sxi is None:
                     rep.skip("preserve-sub")
                     continue
-                diff = sf_equal(compose_sf(src, hg, sx), compose_sf(src, sxi, ha))
+                diff = sf_equal(compose_sf(hg, sx), compose_sf(sxi, ha))
                 rep.record("preserve-sub", diff, (gamma, A, x))
             rep.tick("preserve-weak")
             wa = src.weak.get(A)
@@ -971,7 +960,7 @@ def validate_ehom(h: EHom) -> Report:
             if hg is None or ha is None or wa is None or wi is None:
                 rep.skip("preserve-weak")
             else:
-                diff = sf_equal(compose_sf(src, ha, wa), compose_sf(src, wi, hg))
+                diff = sf_equal(compose_sf(ha, wa), compose_sf(wi, hg))
                 rep.record("preserve-weak", diff, (gamma, A))
             rep.tick("preserve-proj")
             one = src.proj.get(A)
@@ -1136,7 +1125,7 @@ def precompose(e: ESystem, A: str, B: str, f: str) -> SliceFunctorT:
     if sf is None:
         raise Truncated(f"S_{{{f!r}}}")
     wab = restrict_sf(e, wa, B)
-    return compose_sf(e, sf, wab)
+    return compose_sf(sf, wab)
 
 
 def ih_arrow(A: str, B: str, t: str) -> str:
@@ -1211,7 +1200,7 @@ def _internal_hom(
     exists.
     """
     cat = e.cat
-    objs = slice_objects(cat, gamma)
+    objs = cat.arrows_into(gamma)
     arrows: dict[str, Arrow] = {}
     identity: dict[str, str] = {}
     compose: dict[tuple[str, str], str] = {}
@@ -1371,8 +1360,8 @@ def check_pairing(e: ESystem) -> Report:
     rep.law("pairing-inverse")
     rep.law("terminal-terms")
     for gamma in sorted(cat.objects):
-        for A in slice_objects(cat, gamma):
-            for P in slice_objects(cat, cat.dom(A)):
+        for A in cat.arrows_into(gamma):
+            for P in cat.arrows_into(cat.dom(A)):
                 AP = cat.compose.get((A, P))
                 if AP is None:
                     rep.skip("pairing-count")

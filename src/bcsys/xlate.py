@@ -436,11 +436,12 @@ def e_to_b(e: ESystem) -> BSystem:
 # round trips on the B side
 
 
-def _check_inverse(rep: Report, fwd, bwd, src, tgt, compose, identity, equal) -> None:
-    """Check bwd∘fwd = id on src as ``iso:bwd.fwd`` and fwd∘bwd = id on
-    tgt as ``iso:fwd.bwd``, ticking the entries each comparison checked."""
-    for name, g, f, base in (("iso:bwd.fwd", bwd, fwd, src), ("iso:fwd.bwd", fwd, bwd, tgt)):
-        diff = equal(compose(g, f), identity(base))
+def _check_inverse(rep: Report, fwd: BFrameHom, bwd: BFrameHom) -> None:
+    """Check bwd∘fwd = id on fwd's source as ``iso:bwd.fwd`` and fwd∘bwd =
+    id on its target as ``iso:fwd.bwd``, ticking the entries each
+    comparison checked."""
+    for name, g, f, base in (("iso:bwd.fwd", bwd, fwd, fwd.source), ("iso:fwd.bwd", fwd, bwd, fwd.target)):
+        diff = bhom_eq(compose_bhom(g, f), bhom_identity(base))
         rep.tick(name, diff[2])
         rep.record(name, diff)
 
@@ -468,7 +469,7 @@ def b_roundtrip_iso(bsys: BSystem) -> IsoWitness:
     rep = Report()
     rep.merge(validate_bsystem_hom(fwd, bsys, b2), prefix="fwd:")
     rep.merge(validate_bsystem_hom(bwd, b2, bsys), prefix="bwd:")
-    _check_inverse(rep, fwd, bwd, frame, frame2, compose_bhom, bhom_identity, bhom_eq)
+    _check_inverse(rep, fwd, bwd)
     return IsoWitness(forward=fwd, backward=bwd, report=rep)
 
 
@@ -1236,5 +1237,5 @@ def grand_roundtrip_iso(bsys: BSystem) -> tuple[IsoWitness, dict[str, Report]]:
     Ht = {n: {v: k for k, v in m.items()} for n, m in back_total.Ht.items()}
     fwd_total = BFrameHom(source=bsys.frame, target=b2.frame, H=H, Ht=Ht)
     rep.merge(validate_bsystem_hom(fwd_total, bsys, b2), prefix="hom-fwd:")
-    _check_inverse(rep, fwd_total, back_total, bsys.frame, b2.frame, compose_bhom, bhom_identity, bhom_eq)
+    _check_inverse(rep, fwd_total, back_total)
     return IsoWitness(forward=fwd_total, backward=back_total, report=rep), stages

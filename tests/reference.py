@@ -21,9 +21,10 @@ restrictions went through one plan per slice object: it enumerates the
 slice over dom(P) and reads the composites afresh on every call.
 
 ``validate_sfunctor_reference`` and ``ehom_part_reference`` are
-``esys.validate_sfunctor`` and ``esys._ehom_part`` as they were before
-they counted checks and skips in locals and looked comparisons up by the
-numbers of their sides: every instance is ticked and skipped on the
+``esys.validate_sfunctor`` and one condition of ``esys._ehom_parts`` as
+they were before they counted checks and skips in locals, looked
+comparisons up by the numbers of their sides and checked the three
+conditions in one walk: every instance is ticked and skipped on the
 report as it is met, every composition pair of a slice functor is found
 by a scan of all its morphisms, and every comparison builds both sides
 with ``compose_sf`` and restricts with ``restrict_sf_reference``.
@@ -87,7 +88,6 @@ from bcsys.esys import (
     precompose,
     restrict_sf,
     sf_equal,
-    slice_objects,
     term_action_at,
     term_extension,
 )
@@ -207,7 +207,7 @@ def restrict_sf_reference(e: ESystem, F: SliceFunctorT, P: str) -> SliceFunctorT
     out = SliceFunctorT(
         source_apex=cat.dom(P), target_apex=cat.dom(F.obj_map[P])
     )
-    for q in slice_objects(cat, cat.dom(P)):
+    for q in cat.arrows_into(cat.dom(P)):
         pq = cat.compose.get((P, q))
         if pq is None:
             continue
@@ -230,8 +230,8 @@ def restrict_sf_reference(e: ESystem, F: SliceFunctorT, P: str) -> SliceFunctorT
 def validate_sfunctor_reference(e: ESystem, F: SliceFunctorT, rep: Report, law: str) -> None:
     """Functor-with-term-structure laws for one slice functor."""
     cat = e.cat
-    src_objs = set(slice_objects(cat, F.source_apex))
-    tgt_objs = set(slice_objects(cat, F.target_apex))
+    src_objs = set(cat.arrows_into(F.source_apex))
+    tgt_objs = set(cat.arrows_into(F.target_apex))
     for x, y in sorted(F.obj_map.items()):
         rep.tick(law)
         if x not in src_objs or y not in tgt_objs:
@@ -289,12 +289,12 @@ def validate_sfunctor_reference(e: ESystem, F: SliceFunctorT, rep: Report, law: 
 def ehom_part_reference(e: ESystem, H: SliceFunctorT, part: str, rep: Report, law: str) -> None:
     """One pre-E-homomorphism condition for H: part "sub", "weak" or "proj"."""
     cat = e.cat
-    for P in slice_objects(cat, H.source_apex):
+    for P in cat.arrows_into(H.source_apex):
         if P not in H.obj_map:
             rep.skip(law)
             continue
         HP = restrict_sf_reference(e, H, P)
-        for Q in slice_objects(cat, cat.dom(P)):
+        for Q in cat.arrows_into(cat.dom(P)):
             PQ = cat.compose.get((P, Q))
             key = (Q, PQ, P)
             Qimg = H.mor_map.get(key) if PQ is not None else None
@@ -315,7 +315,7 @@ def ehom_part_reference(e: ESystem, H: SliceFunctorT, part: str, rep: Report, la
                     if Sy is None or Syi is None:
                         rep.skip(law)
                         continue
-                    diff = sf_equal(compose_sf(e, HP, Sy), compose_sf(e, Syi, HPQ))
+                    diff = sf_equal(compose_sf(HP, Sy), compose_sf(Syi, HPQ))
                     rep.record(law, diff, (P, Q, y))
             elif part == "weak":
                 rep.tick(law)
@@ -323,7 +323,7 @@ def ehom_part_reference(e: ESystem, H: SliceFunctorT, part: str, rep: Report, la
                 if WQ is None or Wi is None:
                     rep.skip(law)
                     continue
-                rep.record(law, sf_equal(compose_sf(e, Wi, HP), compose_sf(e, HPQ, WQ)), (P, Q))
+                rep.record(law, sf_equal(compose_sf(Wi, HP), compose_sf(HPQ, WQ)), (P, Q))
             else:
                 rep.tick(law)
                 oneQ, onei, WQ = e.proj.get(Q), e.proj.get(Qimg), e.weak.get(Q)
@@ -356,7 +356,7 @@ def internal_hom_cat_reference(e: ESystem, gamma: str) -> FinCat:
     fall outside the height; the result is marked partial.
     """
     cat = e.cat
-    objs = slice_objects(cat, gamma)
+    objs = cat.arrows_into(gamma)
     arrows: dict[str, Arrow] = {}
     identity: dict[str, str] = {}
     compose: dict[tuple[str, str], str] = {}

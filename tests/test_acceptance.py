@@ -268,7 +268,7 @@ def _calculus_identities(e):
                         sx = e.subst[(A, x)]
                         xP = sx.obj_map[P]
                         lhs = e.subst[(AP, w)]
-                        rhs = compose_sf(e, e.subst[(xP, u)], restrict_sf(e, sx, P))
+                        rhs = compose_sf(e.subst[(xP, u)], restrict_sf(e, sx, P))
                         bad, _, _ = sf_equal(lhs, rhs)
                         bump("subst-by-tmext", bool(bad))
                     except Truncated:
@@ -380,7 +380,7 @@ def _interchange_case(e, bump, gamma, A, B, C, P, Q, R, f, g, comp_int):
             # F-bullet(G): transport G through F* and the slice of f*
             Fstar = precompose(e, P, fQ, F)
             fQslice = restrict_sf(e, fstar, Q)
-            Fbul = compose_sf(e, Fstar, fQslice)
+            Fbul = compose_sf(Fstar, fQslice)
             posG = wq.obj_map.get(gR)
             act = term_action_at(e, Fbul, posG)
             if act is None or G not in act:

@@ -17,6 +17,7 @@ from bcsys.bsys import (
     validate_bsystem,
     validate_bsystem_hom,
 )
+from bcsys.report import Report
 
 
 def test_finset_bframe_valid():
@@ -128,20 +129,18 @@ def test_spec_generic_element():
 
 def test_weakening_hom_preserves_substitution():
     sys = build_finset_bsystem(4)
-    rep = check_preservation(
-        sys.weak[(2, "2")],
-        slice_system(sys, 1, "1"),
-        slice_system(sys, 2, "2"),
-        "sub",
-    )
-    assert rep.ok and rep.laws["preserve-sub"].checked > 0
+    rep = Report()
+    check_preservation(sys.weak[(2, "2")], slice_system(sys, 1, "1"), slice_system(sys, 2, "2"), rep)
+    res = rep.laws["preserve-sub"]
+    assert res.ok and res.checked > 0
 
 
 def test_identity_hom_preserves_everything():
     sys = build_finset_bsystem(3)
-    h = bhom_identity(sys.frame)
-    for which in ("sub", "weak", "gen"):
-        assert check_preservation(h, sys, sys, which).ok
+    rep = Report()
+    check_preservation(bhom_identity(sys.frame), sys, sys, rep)
+    assert list(rep.laws) == ["preserve-sub", "preserve-weak", "preserve-gen"]
+    assert rep.ok
 
 
 def test_zeroed_generic_elements_break_gen_preservation():
@@ -150,8 +149,8 @@ def test_zeroed_generic_elements_break_gen_preservation():
     for (n, X) in list(mutated.gen):
         if n >= 2:  # delta_n for n >= 1 lives at key level n+1 >= 2
             mutated.gen[(n, X)] = "0"
-    h = bhom_identity(sys.frame)
-    rep = check_preservation(h, sys, mutated, "gen")
+    rep = Report()
+    check_preservation(bhom_identity(sys.frame), sys, mutated, rep)
     assert rep.laws["preserve-gen"].violations
 
 

@@ -160,28 +160,8 @@ def test_slice_nat_over_2():
 
 def test_identity_functor_validates():
     cat = nat_geq_cat(2)
-    rep = validate_functor(identity_functor(cat), stratified=True)
+    rep = validate_functor(identity_functor(cat))
     assert rep.ok
-
-
-def test_level_collapsing_functor_fails_stratified_check():
-    cat, _ = free_cat_of_tree(chain_tree(2))
-    fd = FunctorData(
-        source=cat,
-        target=cat,
-        object_map={"n0@0": "n0@0", "n1@1": "n1@1", "n2@2": "n1@1"},
-        arrow_map={
-            "n0@0>0": "n0@0>0",
-            "n1@1>0": "n1@1>0",
-            "n1@1>1": "n1@1>1",
-            "n2@2>0": "n1@1>0",
-            "n2@2>1": "n1@1>0",
-            "n2@2>2": "n1@1>1",
-        },
-    )
-    assert validate_functor(fd).ok  # fine as a plain functor
-    rep = validate_functor(fd, stratified=True)
-    assert rep.laws["stratified"].violations
 
 
 @st.composite
@@ -339,17 +319,3 @@ def test_arrow_index_returns_fresh_lists():
     cat.hom("9", "9").append("junk")
     _assert_index_matches_scans(cat)
     assert cat.hom("9", "9") == []
-
-
-def test_stratified_functor_skips_an_image_that_is_no_object():
-    """An object sent to a name that is no object of the target has no
-    level to compare: object-map fails it and the stratified law skips
-    it, as it skips an unmapped object."""
-    fam = build_finset_cesystem(2).fam
-    fd = identity_functor(fam)
-    fd.object_map["1"] = "bogus"
-    rep = validate_functor(fd, stratified=True)
-    law = rep.laws["stratified"]
-    assert not law.violations
-    assert (law.checked, law.skipped) == (len(fam.objects), 1)
-    assert [v.witness for v in rep.laws["object-map"].violations] == [("1", "bogus")]

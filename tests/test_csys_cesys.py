@@ -139,21 +139,6 @@ def test_identity_ce_hom():
     )
     rep = validate_ce_hom(h)
     assert rep.ok, rep.format()
-    rep2 = validate_ce_hom(h, stratified=True)
-    assert rep2.ok
-
-
-def test_stratified_ce_hom_fails_an_image_that_is_no_object():
-    """An object sent to a name that is no object of the target has no
-    level: the stratified law fails it, as it fails an unmapped object."""
-    a = build_finset_cesystem(2)
-    fam_map = identity_functor(a.fam)
-    fam_map.object_map["1"] = "bogus"
-    h = CEHom(source=a, target=a, fam_map=fam_map, base_map=identity_functor(a.base))
-    rep = validate_ce_hom(h, stratified=True)
-    assert [v.witness for v in rep.laws["stratified"].violations] == [("1",)]
-    assert rep.laws["stratified"].checked == len(a.fam.objects)
-    assert ("1", "bogus") in [v.witness for v in rep.laws["fam:object-map"].violations]
 
 
 def test_root_moving_hom_fails():

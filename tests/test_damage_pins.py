@@ -110,9 +110,9 @@ def _report(rep) -> str:
 def _ce_runs(a):
     yield "validate_cesystem", lambda: _report(validate_cesystem(a, rooted=True, stratified=True))
     yield "units", lambda: _report(validate_units(a.fam)) + _report(validate_units(a.base))
-    yield "functor", lambda: _report(validate_functor(identity_functor(a.fam), stratified=True))
+    yield "functor", lambda: _report(validate_functor(identity_functor(a.fam)))
     yield "casce_iso", lambda: _report(casce_iso(a).report)
-    yield "counit", lambda: _report(validate_ce_hom(counit_cehom(a), stratified=True))
+    yield "counit", lambda: _report(validate_ce_hom(counit_cehom(a)))
     yield "ce_to_c", lambda: _save_and_check(ce_to_c(a))
     yield "ce_to_e", lambda: _save_and_check(ce_to_e(a))
 
@@ -132,9 +132,9 @@ def _e_runs(e):
 
 
 def _functor_runs(h):
-    yield "fam", lambda: _report(validate_functor(h.fam_map, stratified=True))
-    yield "base", lambda: _report(validate_functor(h.base_map, stratified=True))
-    yield "ce_hom", lambda: _report(validate_ce_hom(h, stratified=True))
+    yield "fam", lambda: _report(validate_functor(h.fam_map))
+    yield "base", lambda: _report(validate_functor(h.base_map))
+    yield "ce_hom", lambda: _report(validate_ce_hom(h))
 
 
 def _fincat(cat) -> str:

@@ -104,7 +104,7 @@ def test_sf_weak_composite_is_identity_elementwise():
     e = build_nat_esystem(4)
     A = nat_arrow(3, 1)  # k = 2
     for x in e.T(A):
-        comp = compose_sf(e, e.subst[(A, x)], e.weak[A])
+        comp = compose_sf(e.subst[(A, x)], e.weak[A])
         bad, _, checked = sf_equal(comp, identity_sf(e, "1", slice_mors(e.cat, "1")))
         assert not bad and checked > 0
 
@@ -226,7 +226,7 @@ def test_subst_by_tmext_factorization():
         for u in e.T(xP):
             w = term_extension(e, A, P, x, u)
             lhs = e.subst[(AP, w)]
-            rhs = compose_sf(e, e.subst[(xP, u)], restrict_sf(e, sx, P))
+            rhs = compose_sf(e.subst[(xP, u)], restrict_sf(e, sx, P))
             bad, _, checked = sf_equal(lhs, rhs)
             assert not bad and checked > 0
 
@@ -317,7 +317,7 @@ def test_precompose_functorial_in_composition():
                             if act is None or g not in act:
                                 continue
                             gf = act[g]
-                            lhs = compose_sf(e, fstar, precompose(e, B, C, g))
+                            lhs = compose_sf(fstar, precompose(e, B, C, g))
                             rhs = precompose(e, A, C, gf)
                             bad, _, ck = sf_equal(lhs, rhs)
                             assert not bad
@@ -575,12 +575,12 @@ _OBJS = ("x", "y")
 _ARROWS = ("h", "k")
 _TERMS = ("s", "t")
 _MORS = [(h, a, b) for h in _ARROWS for a in _OBJS for b in _OBJS]
-_E = build_nat_esystem(1)  # compose_sf and composites_equal read no table of it
+_E = build_nat_esystem(1)  # composites_equal reads no table of it
 
 
-def _reference(e, g1, f1, g2, f2):
-    lhs = g1 if f1 is None else compose_sf(e, g1, f1)
-    rhs = g2 if f2 is None else compose_sf(e, g2, f2)
+def _reference(g1, f1, g2, f2):
+    lhs = g1 if f1 is None else compose_sf(g1, f1)
+    rhs = g2 if f2 is None else compose_sf(g2, f2)
     return sf_equal(lhs, rhs)
 
 
@@ -636,7 +636,7 @@ def _composite_pairs(draw):
     elif shape == "near":
         g2, f2 = draw(_perturbed(g1)), draw(_perturbed(f1))
     elif shape == "single":
-        g2, f2 = draw(_perturbed(compose_sf(_E, g1, f1))), None
+        g2, f2 = draw(_perturbed(compose_sf(g1, f1))), None
     else:
         ident = {o: o for o in _OBJS}
         g2 = SliceFunctorT(
@@ -655,7 +655,7 @@ def _composite_pairs(draw):
 @settings(max_examples=150, deadline=None)
 @given(_composite_pairs())
 def test_composites_equal_matches_built_composites(sides):
-    assert composites_equal(_E, *sides) == _reference(_E, *sides)
+    assert composites_equal(*sides, esys._Slices(_E)) == _reference(*sides)
 
 
 def test_composites_equal_counts_one_sided_morphism_twice():
@@ -663,8 +663,8 @@ def test_composites_equal_counts_one_sided_morphism_twice():
     g = SliceFunctorT("x", "x", obj_map={"x": "x"}, mor_map={("h", "x", "x"): "h"})
     empty = SliceFunctorT("x", "x", obj_map={"x": "x"})
     # one skip for the morphism map, one for the term table it lacks
-    assert composites_equal(_E, g, f, empty, None) == ([], 2, 1)
-    assert composites_equal(_E, g, f, empty, None) == _reference(_E, g, f, empty, None)
+    assert composites_equal(g, f, empty, None, esys._Slices(_E)) == ([], 2, 1)
+    assert composites_equal(g, f, empty, None, esys._Slices(_E)) == _reference(g, f, empty, None)
 
 
 def _b2e_to_nat_hom(h: int) -> EHom:
@@ -704,14 +704,14 @@ def memo(monkeypatch):
         seen["work"] += 1
         return real_sf_equal(f, g)
 
-    def checked(e, g1, f1, g2, f2, slices=None, key=None):
+    def checked(g1, f1, g2, f2, slices, key=None):
         work = seen["work"]
-        got = real(e, g1, f1, g2, f2, slices, key)
+        got = real(g1, f1, g2, f2, slices, key)
         seen["calls"] += 1
         seen["hits"] += seen["work"] == work
         seen["failing"] += bool(got[0])
         seen[(f1 is None, f2 is None)] += 1
-        assert got == _reference(e, g1, f1, g2, f2)
+        assert got == _reference(g1, f1, g2, f2)
         return got
 
     monkeypatch.setattr(esys._Slices, "composite", gather)
@@ -787,9 +787,9 @@ def _real_sites():
     for e in systems:
         sites = []
 
-        def record(e, g1, f1, g2, f2, slices=None, key=None, sites=sites):
+        def record(g1, f1, g2, f2, slices, key=None, sites=sites):
             sites.append((g1, f1, g2, f2))
-            return real(e, g1, f1, g2, f2, slices, key)
+            return real(g1, f1, g2, f2, slices, key)
 
         esys.composites_equal = record
         try:
@@ -883,7 +883,7 @@ def test_composites_equal_matches_reference_on_damaged_real_functors(monkeypatch
     def run(site):
         e, sides = site
         before = paths["fallback"]
-        assert composites_equal(e, *sides) == _reference(e, *sides)
+        assert composites_equal(*sides, esys._Slices(e)) == _reference(*sides)
         if paths["fallback"] == before:
             paths["tuple"] += 1
 
@@ -908,17 +908,17 @@ def test_composites_equal_reads_tuples_over_their_own_cells():
     e = _two_slices(with_u=False)
     over_a = SliceFunctorT("a", "a", obj_map={"1a": "1a"})
     over_b = SliceFunctorT("b", "a", obj_map={"1b": "1a"})
-    assert composites_equal(e, over_a, None, over_b, None) == ([], 2, 0)
+    assert composites_equal(over_a, None, over_b, None, esys._Slices(e)) == ([], 2, 0)
     # g∘f is not gathered where f lands in another slice than g starts in
     e = _two_slices(with_u=True)
     f = SliceFunctorT("a", "a", obj_map={"1a": "1a"})
     g = SliceFunctorT("b", "b", obj_map={"1b": "1b"})
     other = SliceFunctorT("a", "b", obj_map={"1a": "1b"})
-    assert composites_equal(e, g, f, other, None) == ([], 1, 0)
-    assert composites_equal(e, g, f, other, None) == _reference(e, g, f, other, None)
+    assert composites_equal(g, f, other, None, esys._Slices(e)) == ([], 1, 0)
+    assert composites_equal(g, f, other, None, esys._Slices(e)) == _reference(g, f, other, None)
     # over an apex that is no object, a form has the absent cell only
     nowhere = SliceFunctorT("c", "c")
-    assert composites_equal(e, nowhere, nowhere, nowhere, nowhere) == ([], 0, 0)
+    assert composites_equal(nowhere, nowhere, nowhere, nowhere, esys._Slices(e)) == ([], 0, 0)
 
 
 def test_composites_equal_counts_term_tables_without_morphisms():
@@ -929,12 +929,12 @@ def test_composites_equal_counts_term_tables_without_morphisms():
     empty = next(k for k, tm in sorted(W.term_map.items()) if not tm)
     dropped = _copy_sf(W)
     del dropped.term_map[empty]
-    assert composites_equal(e, W, None, dropped, None) == _reference(e, W, None, dropped, None)
-    assert composites_equal(e, W, None, dropped, None)[1] == 1
+    assert composites_equal(W, None, dropped, None, esys._Slices(e)) == _reference(W, None, dropped, None)
+    assert composites_equal(W, None, dropped, None, esys._Slices(e))[1] == 1
     extra = _copy_sf(W)
     del extra.mor_map[empty]
-    assert composites_equal(e, extra, None, dropped, None) == _reference(e, extra, None, dropped, None)
-    assert composites_equal(e, extra, None, dropped, None)[1] == 2
+    assert composites_equal(extra, None, dropped, None, esys._Slices(e)) == _reference(extra, None, dropped, None)
+    assert composites_equal(extra, None, dropped, None, esys._Slices(e))[1] == 2
 
 
 def _count_case(monkeypatch, e, lhs, rhs):
@@ -943,8 +943,8 @@ def _count_case(monkeypatch, e, lhs, rhs):
     calls = []
     real = esys.sf_equal
     monkeypatch.setattr(esys, "sf_equal", lambda f, g: calls.append(1) or real(f, g))
-    got = composites_equal(e, lhs, None, rhs, None)
-    assert got == _reference(e, lhs, None, rhs, None)
+    got = composites_equal(lhs, None, rhs, None, esys._Slices(e))
+    assert got == _reference(lhs, None, rhs, None)
     return got, len(calls)
 
 
@@ -1072,13 +1072,20 @@ def test_composites_equal_memo_matches_reference_on_damaged_systems(memo):
     assert 0 < memo["hits"] < memo["calls"]
 
 
+# the laws of _ehom_parts for a substitution S_x and a weakening W_A
+_S_LAWS = ("subst-system", "e-axiom-1", "e-axiom-1")
+_W_LAWS = ("e-axiom-2", "weak-system", "proj-system")
+
+
 @pytest.fixture
 def tallies(monkeypatch):
-    """Run every validate_sfunctor and _ehom_part call of a validation on
+    """Run every validate_sfunctor and _ehom_parts call of a validation on
     a fresh report beside its reference, and require the same laws, in the
-    same order, with the same checks, skips and witnesses. Counts the calls."""
+    same order, with the same checks, skips and witnesses. The reference of
+    an _ehom_parts call is ehom_part_reference for the three (condition,
+    law) pairs in turn, on one report. Counts the calls."""
     seen = collections.Counter()
-    real_sfunctor, real_part = esys.validate_sfunctor, esys._ehom_part
+    real_sfunctor, real_parts = esys.validate_sfunctor, esys._ehom_parts
 
     def same(run, reference):
         got, want = Report(), Report()
@@ -1091,13 +1098,17 @@ def tallies(monkeypatch):
         seen["sfunctor"] += 1
         real_sfunctor(e, F, rep, law)
 
-    def part(slices, H, kind, rep, law):
-        same(lambda r: real_part(slices, H, kind, r, law), lambda r: ehom_part_reference(slices.e, H, kind, r, law))
-        seen[kind] += 1
-        real_part(slices, H, kind, rep, law)
+    def parts(slices, H, rep, laws):
+        def reference(r):
+            for kind, law in zip(("sub", "weak", "proj"), laws):
+                ehom_part_reference(slices.e, H, kind, r, law)
+
+        same(lambda r: real_parts(slices, H, r, laws), reference)
+        seen[laws] += 1
+        real_parts(slices, H, rep, laws)
 
     monkeypatch.setattr(esys, "validate_sfunctor", sfunctor)
-    monkeypatch.setattr(esys, "_ehom_part", part)
+    monkeypatch.setattr(esys, "_ehom_parts", parts)
     return seen
 
 
@@ -1105,7 +1116,7 @@ def tallies(monkeypatch):
 def test_tallied_laws_match_reference_in_validations(tallies, site):
     """group-s3, and nat-e and b_to_e(finset-b) at heights 2-4."""
     validate_esystem(_real_sites()[site][0])
-    assert tallies["sfunctor"] and tallies["sub"] and tallies["weak"] and tallies["proj"]
+    assert tallies["sfunctor"] and tallies[_S_LAWS] and tallies[_W_LAWS]
 
 
 def test_tallied_laws_match_reference_on_damaged_systems(tallies):
@@ -1117,7 +1128,7 @@ def test_tallied_laws_match_reference_on_damaged_systems(tallies):
         validate_esystem(e)
 
     run()
-    assert tallies["sfunctor"] and tallies["sub"]
+    assert tallies["sfunctor"] and tallies[_S_LAWS]
 
 
 def test_equal_tuples_over_different_cells_get_different_numbers():
@@ -1176,7 +1187,7 @@ def test_a_restriction_at_a_reused_id_is_numbered_afresh():
             n = slices.number(R)
             src, tgt, cells = slices._forms[n]
             assert cells == esys._flatten(R, src, tgt)
-            assert composites_equal(e, R, None, R, None, slices) == _reference(e, R, None, R, None)
+            assert composites_equal(R, None, R, None, slices) == _reference(R, None, R, None)
             if id(R) in numbers:
                 reused += 1
                 assert n != numbers[id(R)]
@@ -1197,7 +1208,7 @@ def test_a_form_first_met_through_a_restriction_keeps_its_number_for_the_call():
     assert slices.number(ident) == n
     assert slices.restrict(e.weak[nat_arrow(1, 0)], nat_arrow(1, 0)) is not None  # drops the first
     assert slices.number(ident) == n and n in slices._forms
-    assert composites_equal(e, ident, None, ident, None, slices) == _reference(e, ident, None, ident, None)
+    assert composites_equal(ident, None, ident, None, slices) == _reference(ident, None, ident, None)
 
 
 def test_ehom_memo_does_not_outlive_the_call():
