@@ -15,7 +15,6 @@ maximal common defined domain and counts the rest as skipped.
 from __future__ import annotations
 
 import itertools
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from operator import itemgetter, ne
 
@@ -30,7 +29,7 @@ from .core import (
     validate_fincat,
     validate_functor,
 )
-from .report import Report, Truncated, diff_tables
+from .report import Report, diff_tables
 
 SliceMor = tuple[str, str, str]  # (underlying arrow, source object, target object)
 
@@ -119,14 +118,31 @@ def compose_sf(g: SliceFunctorT, f: SliceFunctorT) -> SliceFunctorT:
     return out
 
 
-def restrict_sf(e: ESystem, F: SliceFunctorT, P: str) -> SliceFunctorT:
+def restrict_sf(e: ESystem, F: SliceFunctorT, P: str) -> SliceFunctorT | None:
     """F/P: the functor induced between slices over dom(P) and dom(F(P)).
 
     Uses the canonical identification of a slice of a slice with the slice
     at the domain; every entry is read off F's tables at morphisms over P.
+    None where P is not in F.obj_map.
     """
-    cat = e.cat
-    return _restrict(cat, _restriction_plan(cat, P, lambda apex: slice_mors(cat, apex)), F)
+    return _Slices(e).restrict(F, P)
+
+
+def _restricted_at(cat: FinCat, F: SliceFunctorT, P: str, Q: str) -> str | None:
+    """(F/P)(Q), read as F.mor_map[(Q, P∘Q, P)] without restricting F.
+
+    Completeness: restrict_sf(e, F, P) is None exactly when P is not in
+    F.obj_map. Otherwise it sets obj_map[Q] only for Q among the arrows
+    into dom(P), where it copies F.mor_map[(Q, P∘Q, P)] if P∘Q and that
+    entry are defined. Those are the cases checked here, so the same
+    entries are found, and None is returned exactly where the restriction
+    or its entry at Q is missing.
+    """
+    if P not in F.obj_map:
+        return None
+    q = cat.arrows.get(Q)
+    PQ = cat.compose.get((P, Q)) if q is not None and q.cod == cat.dom(P) else None
+    return None if PQ is None else F.mor_map.get((Q, PQ, P))
 
 
 # Where F/P reads F, for one slice object P of one category: P, the pairs
@@ -136,10 +152,10 @@ def restrict_sf(e: ESystem, F: SliceFunctorT, P: str) -> SliceFunctorT:
 _Plan = tuple[str, list[tuple[str, SliceMor]], list[tuple[SliceMor, SliceMor]]]
 
 
-def _restriction_plan(cat: FinCat, P: str, mors_of: Callable[[str], list[SliceMor]]) -> _Plan:
-    """The plan of F/P for every F; ``mors_of(apex)`` gives slice_mors(cat,
-    apex). A P that is no arrow gets an empty plan: _restrict raises
-    before it reads one."""
+def _restriction_plan(slices: _Slices, P: str) -> _Plan:
+    """The plan of F/P for every F of ``slices``' category. A P that is
+    no arrow gets an empty plan."""
+    cat = slices.e.cat
     if P not in cat.arrows:
         return P, [], []
     compose = cat.compose
@@ -150,7 +166,7 @@ def _restriction_plan(cat: FinCat, P: str, mors_of: Callable[[str], list[SliceMo
         if pq is not None:
             objs.append((q, (q, pq, P)))
     mors = []
-    for m in mors_of(dom):
+    for m in slices.mors(dom):
         pq1, pq2 = compose.get((P, m[1])), compose.get((P, m[2]))
         if pq1 is not None and pq2 is not None:
             mors.append((m, (m[0], pq1, pq2)))
@@ -158,11 +174,9 @@ def _restriction_plan(cat: FinCat, P: str, mors_of: Callable[[str], list[SliceMo
 
 
 def _restrict(cat: FinCat, plan: _Plan, F: SliceFunctorT) -> SliceFunctorT:
-    """F/P through its plan: Truncated where P is not in F.obj_map, and
-    otherwise the entries of F at the plan's keys that F defines."""
+    """F/P through its plan, for P in F.obj_map: the entries of F at the
+    plan's keys that F defines."""
     P, objs, mors = plan
-    if P not in F.obj_map:
-        raise Truncated(f"restrict: {P!r} not in obj_map")
     out = SliceFunctorT(
         source_apex=cat.dom(P), target_apex=cat.dom(F.obj_map[P])
     )
@@ -517,8 +531,7 @@ class _Slices:
         return ts
 
     def restrict(self, H: SliceFunctorT, P: str) -> SliceFunctorT | None:
-        """restrict_sf(e, H, P), or None where P is not in H.obj_map (where
-        restrict_sf raises Truncated)."""
+        """H/P, or None where P is not in H.obj_map."""
         if H is not self._restricted:
             self._drop_restrictions()
             self._restricted = H
@@ -528,7 +541,7 @@ class _Slices:
                 memo[P] = None
             else:
                 if P not in self._plans:
-                    self._plans[P] = _restriction_plan(self.e.cat, P, self.mors)
+                    self._plans[P] = _restriction_plan(self, P)
                 memo[P] = _restrict(self.e.cat, self._plans[P], H)
         return memo[P]
 
@@ -612,7 +625,7 @@ def _ehom_parts(slices: _Slices, H: SliceFunctorT, rep: Report, laws: tuple[str,
     e = slices.e
     cat = e.cat
     compose, proj = cat.compose, e.proj
-    H_obj, H_mor, H_terms = H.obj_map, H.mor_map, H.term_map
+    H_mor, H_terms = H.mor_map, H.term_map
     subst = slices.numbered(e.subst)
     weak = slices.numbered(e.weak)
     shared = sub_ticks = sub_skips = weak_ticks = weak_skips = proj_ticks = proj_skips = 0
@@ -620,7 +633,7 @@ def _ehom_parts(slices: _Slices, H: SliceFunctorT, rep: Report, laws: tuple[str,
     weak_bad: list[tuple[tuple, str]] = []
     proj_bad: list[tuple[tuple, str]] = []
     for P in cat.arrows_into(H.source_apex):
-        HP = slices.restrict(H, P) if P in H_obj else None
+        HP = slices.restrict(H, P)
         if HP is None:
             shared += 1
             continue
@@ -1015,117 +1028,89 @@ def ehom_equal(f: EHom, g: EHom) -> tuple[list[tuple], int, int]:
 # the derived calculus: pairing, projections, internal morphisms
 
 
-def term_extension(e: ESystem, A: str, P: str, x: str, u: str) -> str:
+def term_extension(e: ESystem, A: str, P: str, x: str, u: str) -> str | None:
     """The pairing <x, u> in T(A.P) for x in T(A), u in T(S_x(P)).
 
-    Computed as S_u(S_x(1_{A.P})); raises Truncated when the identity
-    term of A.P or an intermediate position is beyond the truncation.
+    Computed as S_u(S_x(1_{A.P})); None when the identity term of A.P or
+    an intermediate position is beyond the truncation.
     """
-    return _substitute_u(e, _substitute_x(e, A, P, x), u)
+    sx_one = _substitute_x(e, A, P, x)
+    return None if sx_one is None else _substitute_u(e, sx_one, u)
 
 
-def _substitute_x(e: ESystem, A: str, P: str, x: str) -> tuple[str, str | None, str | None]:
+def _substitute_x(e: ESystem, A: str, P: str, x: str) -> tuple[str, str | None, str] | None:
     """The half of term_extension that does not depend on u.
 
-    Returns S_x(1_{A.P}), the slice position it sits on, and S_x(P).
+    Returns S_x(1_{A.P}), the slice position (S_x/P)(pos) it sits on, and
+    S_x(P); None where S_x(1_{A.P}) is missing.
 
     S_x/P is read at the two entries used, without restricting the whole
     functor; 1 is the identity of dom(P). Completeness: restrict_sf(e,
-    S_x, P) raises Truncated exactly when P is not in S_x.obj_map. Its
-    action on pos = W_{A.P}(A.P) is its term table at the slice morphism
+    S_x, P) is None exactly when P is not in S_x.obj_map. Its action on
+    pos = W_{A.P}(A.P) is its term table at the slice morphism
     (pos, pos, 1). That table exists only where (pos, pos, 1) is in
     slice_mors(dom P) (1 an endomorphism of dom(P), pos an arrow into it,
     1∘pos = pos), P∘pos and P∘1 are defined and S_x.mor_map has
     (pos, P∘pos, P∘1); it is then S_x.term_map at that key (empty where
-    that has no table).
-    (S_x/P)(pos) is S_x.mor_map[(pos, P∘pos, P)], for pos an arrow into
-    dom(P) with P∘pos defined. Those are the cases checked here, so the
-    same terms and positions are found and the same ones raise Truncated,
-    with the same messages.
+    that has no table). Those are the cases checked here, so the same
+    terms are found and the same ones are missing; (S_x/P)(pos) is read
+    by _restricted_at.
     """
     cat = e.cat
-    AP = cat.comp(A, P)
+    compose = cat.compose
+    AP = compose.get((A, P))
     one = e.proj.get(AP)
-    if one is None:
-        raise Truncated(f"identity term of {AP!r}")
     wap = e.weak.get(AP)
-    if wap is None or AP not in wap.obj_map:
-        raise Truncated(f"W_{{{AP!r}}}({AP!r})")
-    pos = wap.obj_map[AP]
+    pos = None if wap is None else wap.obj_map.get(AP)
     sx = e.subst.get((A, x))
-    if sx is None:
-        raise Truncated(f"S_{{{x!r}}}")
-    if P not in sx.obj_map:
-        raise Truncated(f"restrict: {P!r} not in obj_map")
-    compose, dP = cat.compose, cat.dom(P)
+    if one is None or pos is None or sx is None or P not in sx.obj_map:
+        return None
+    dP = cat.dom(P)
     ident = cat.identity.get(dP)
     over = ident in cat.hom(dP, dP) and pos in cat.arrows_into(dP) and compose.get((ident, pos)) == pos
-    Ppos = compose.get((P, pos))
-    key = (pos, Ppos, compose.get((P, ident)))
+    key = (pos, compose.get((P, pos)), compose.get((P, ident)))
     act1 = sx.term_map.get(key) if over and key in sx.mor_map else None
     if act1 is None or one not in act1:
-        raise Truncated("S_x/P action on the identity term")
-    return act1[one], sx.mor_map.get((pos, Ppos, P)), sx.obj_map.get(P)
+        return None
+    return act1[one], _restricted_at(cat, sx, P, pos), sx.obj_map[P]
 
 
-def _substitute_u(e: ESystem, sx_one: tuple[str, str | None, str | None], u: str) -> str:
-    """S_u applied to the term _substitute_x returned."""
+def _substitute_u(e: ESystem, sx_one: tuple[str, str | None, str], u: str) -> str | None:
+    """S_u applied to the term _substitute_x returned, or None."""
     t1, pos1, sxP = sx_one
-    su = e.subst.get((sxP, u)) if sxP is not None else None
-    if su is None or pos1 is None:
-        raise Truncated(f"S_{{{u!r}}}")
-    act2 = term_action_at(e, su, pos1)
-    if act2 is None or t1 not in act2:
-        raise Truncated("S_u action")
-    return act2[t1]
+    su = e.subst.get((sxP, u))
+    act2 = None if su is None or pos1 is None else term_action_at(e, su, pos1)
+    return None if act2 is None else act2.get(t1)
 
 
-def projections(e: ESystem, A: str, P: str) -> tuple[str, str]:
-    """(pr1, pr2) for the composite A.P: pr1 = W_P(1_A), pr2 = 1_P."""
-    one_a = e.proj.get(A)
-    one_p = e.proj.get(P)
-    wa = e.weak.get(A)
-    wp = e.weak.get(P)
-    if one_a is None or one_p is None or wa is None or wp is None:
-        raise Truncated("projection data")
-    u = wa.obj_map.get(A)
-    if u is None:
-        raise Truncated("W_A(A)")
-    act = term_action_at(e, wp, u)
-    if act is None or one_a not in act:
-        raise Truncated("W_P action on 1_A")
-    return act[one_a], one_p
+def projections(e: ESystem, A: str, P: str) -> tuple[str, str] | None:
+    """(pr1, pr2) for the composite A.P: pr1 = W_P(1_A), pr2 = 1_P; None
+    where either is missing."""
+    one_p, wa, wp = e.proj.get(P), e.weak.get(A), e.weak.get(P)
+    u = None if wa is None else wa.obj_map.get(A)
+    act = None if one_p is None or wp is None or u is None else term_action_at(e, wp, u)
+    pr1 = None if act is None else act.get(e.proj.get(A))
+    return None if pr1 is None else (pr1, one_p)
 
 
-def subst_term(e: ESystem, w: str, AP: str, pos: str, t: str) -> str:
+def subst_term(e: ESystem, w: str, AP: str, pos: str, t: str) -> str | None:
     """t[w]: apply the substitution functor of w (a term of AP) to a term
-    t sitting on the slice object ``pos`` over dom(AP)."""
+    t sitting on the slice object ``pos`` over dom(AP); None where that
+    is missing."""
     sw = e.subst.get((AP, w))
-    if sw is None:
-        raise Truncated(f"S_{{{w!r}}}")
-    act = term_action_at(e, sw, pos)
-    if act is None or t not in act:
-        raise Truncated("substitution action")
-    return act[t]
+    act = None if sw is None else term_action_at(e, sw, pos)
+    return None if act is None else act.get(t)
 
 
 # No code in bcsys calls precompose. It stays public as the reference
 # construction of f*: tests/reference.py builds the internal-hom category
 # and e_to_ce from it, to cross-check _internal_hom and vertical_compose.
-def precompose(e: ESystem, A: str, B: str, f: str) -> SliceFunctorT:
-    """f* = S_f . (W_A/B) for an internal morphism f in T(W_A(B))."""
-    cat = e.cat
+def precompose(e: ESystem, A: str, B: str, f: str) -> SliceFunctorT | None:
+    """f* = S_f . (W_A/B) for an internal morphism f in T(W_A(B)); None
+    where W_A(B) or S_f is missing."""
     wa = e.weak.get(A)
-    if wa is None:
-        raise Truncated("W_A")
-    Bp = wa.obj_map.get(B)
-    if Bp is None:
-        raise Truncated("W_A(B)")
-    sf = e.subst.get((Bp, f))
-    if sf is None:
-        raise Truncated(f"S_{{{f!r}}}")
-    wab = restrict_sf(e, wa, B)
-    return compose_sf(sf, wab)
+    sf = None if wa is None else e.subst.get((wa.obj_map.get(B), f))
+    return None if sf is None else compose_sf(sf, restrict_sf(e, wa, B))
 
 
 def ih_arrow(A: str, B: str, t: str) -> str:
@@ -1193,9 +1178,9 @@ def _internal_hom(
     depend on f, so the rest is read once per (A, B, C). W_A/B depends
     only on (A, B), so it is restricted once, at the first f whose S_f
     exists, since precompose looks up S_f before it restricts; an f
-    without S_f is partial, as when precompose raised. Restricting never
-    raises Truncated here: it does only where B is not in W_A.obj_map,
-    and then hom(A, B) is not represented. Each composite is looked up
+    without S_f is partial, as where precompose is None. The restriction
+    is never None here: it is only where B is not in W_A.obj_map, and
+    then hom(A, B) is not represented. Each composite is looked up
     in the names of its hom set, so it is kept exactly when its arrow
     exists.
     """
@@ -1303,46 +1288,46 @@ def hom_terms_of(e: ESystem, A: str, B: str) -> frozenset[str] | None:
     return e.T(pos)
 
 
-def vertical_compose(e: ESystem, A: str, B: str, f: str, P: str, Q: str, F: str) -> str:
+def vertical_compose(e: ESystem, A: str, B: str, f: str, P: str, Q: str, F: str) -> str | None:
     """f.F : A.P -> B.Q, the pairing <W_P(f), F> over an internal morphism f.
 
     f is in hom(A, B) = T(W_A(B)); F is in hom_f(P, Q) = T(W_P(f*(Q))).
-
-    (W_{A.P}/B)(Q) is read as W_{A.P}.mor_map[(Q, B∘Q, B)], without
-    restricting the whole functor. Completeness: restrict_sf(e, W, B)
-    raises Truncated exactly when B is not in W.obj_map, and sets
-    obj_map[Q] only for Q among the arrows into dom(B), where it copies
-    W.mor_map[(Q, B∘Q, B)] if B∘Q and that entry are defined. Those are
-    the cases checked here, so the same positions are found and the same
-    ones raise Truncated, with restrict_sf's message.
+    None where an entry it reads is beyond the truncation. P-bar =
+    (W_{A.P}/B)(Q) is read by _restricted_at.
     """
-    cat = e.cat
     wa, wp = e.weak.get(A), e.weak.get(P)
-    if wa is None or wp is None:
-        raise Truncated("weakening data")
-    WAB = wa.obj_map.get(B)
-    if WAB is None:
-        raise Truncated("W_A(B)")
-    act = term_action_at(e, wp, WAB)
+    WAB = None if wa is None or wp is None else wa.obj_map.get(B)
+    act = None if WAB is None else term_action_at(e, wp, WAB)
     if act is None or f not in act:
-        raise Truncated("W_P(f)")
+        return None
     x = act[f]  # in T(W_P(W_A(B))) = T(W_{A.P}(B))
     Abar = wp.obj_map.get(WAB)
     if Abar is None:
-        raise Truncated("W_P(W_A(B))")
-    # P-bar = (W_{A.P}/B)(Q): the slice position whose substitution by x is f*(Q)
-    AP = cat.comp(A, P)
-    wap = e.weak.get(AP)
-    if wap is None:
-        raise Truncated("W_{A.P}")
-    if B not in wap.obj_map:
-        raise Truncated(f"restrict: {B!r} not in obj_map")
-    q = cat.arrows.get(Q)
-    BQ = cat.compose.get((B, Q)) if q is not None and q.cod == cat.dom(B) else None
-    Pbar = wap.mor_map.get((Q, BQ, B)) if BQ is not None else None
-    if Pbar is None:
-        raise Truncated("(W_{A.P}/B)(Q)")
-    return term_extension(e, Abar, Pbar, x, F)
+        return None
+    # P-bar: the slice position whose substitution by x is f*(Q)
+    wap = e.weak.get(e.cat.compose.get((A, P)))
+    Pbar = None if wap is None else _restricted_at(e.cat, wap, B, Q)
+    return None if Pbar is None else term_extension(e, Abar, Pbar, x, F)
+
+
+def _pairing_map(
+    e: ESystem, A: str, P: str, rows: list[tuple[str, list[str]]]
+) -> dict[tuple[str, str], str] | None:
+    """(x, u) -> <x, u> for x and each u of ``rows``, or None at the first
+    pairing that is missing. The x half of term_extension is computed
+    once per x."""
+    image = {}
+    for x, us in rows:
+        if us:
+            sx_one = _substitute_x(e, A, P, x)
+            if sx_one is None:
+                return None
+            for u in us:
+                w = _substitute_u(e, sx_one, u)
+                if w is None:
+                    return None
+                image[(x, u)] = w
+    return image
 
 
 def check_pairing(e: ESystem) -> Report:
@@ -1388,36 +1373,33 @@ def check_pairing(e: ESystem) -> Report:
                         f"sum = {total}, |T(A.P)| = {len(e.T(AP))}",
                     )
                     continue
-                # the actual map, where the identity term exists; the
-                # x half of term_extension is computed once per x
+                # the actual map, where the identity term exists
                 rep.tick("pairing-bijective")
-                try:
-                    image = {}
-                    for x, us in rows:
-                        if us:
-                            sx_one = _substitute_x(e, A, P, x)
-                            for u in us:
-                                image[(x, u)] = _substitute_u(e, sx_one, u)
-                except Truncated:
+                image = _pairing_map(e, A, P, rows)
+                if image is None:
                     rep.skip("pairing-bijective")
                     continue
                 if sorted(image.values()) != sorted(e.T(AP)):
                     rep.fail("pairing-bijective", (A, P), f"image = {sorted(set(image.values()))}")
                     continue
+                # the inverse, up to the first term that is missing
                 rep.tick("pairing-inverse")
-                try:
-                    pr1, pr2 = projections(e, A, P)
-                    wa = e.weak[A]
-                    wp = e.weak[P]
-                    posWA = wp.obj_map.get(wa.obj_map[A])  # W_{A.P}(A), where pr1 sits
-                    posP = wp.obj_map.get(P)  # W_P(P), where pr2 sits
-                    for (x, u), w in image.items():
-                        back1 = subst_term(e, w, AP, posWA, pr1)
-                        back2 = subst_term(e, w, AP, posP, pr2)
-                        if back1 != x or back2 != u:
-                            rep.fail("pairing-inverse", (A, P, x, u), f"got {(back1, back2)!r}")
-                except Truncated:
+                prs = projections(e, A, P)
+                if prs is None:
                     rep.skip("pairing-inverse")
+                    continue
+                pr1, pr2 = prs
+                wp = e.weak[P]
+                posWA = wp.obj_map.get(e.weak[A].obj_map[A])  # W_{A.P}(A), where pr1 sits
+                posP = wp.obj_map.get(P)  # W_P(P), where pr2 sits
+                for (x, u), w in image.items():
+                    back1 = subst_term(e, w, AP, posWA, pr1)
+                    back2 = None if back1 is None else subst_term(e, w, AP, posP, pr2)
+                    if back2 is None:
+                        rep.skip("pairing-inverse")
+                        break
+                    if back1 != x or back2 != u:
+                        rep.fail("pairing-inverse", (A, P, x, u), f"got {(back1, back2)!r}")
     for gamma in sorted(cat.objects):
         rep.tick("terminal-terms")
         ida = cat.identity.get(gamma)

@@ -152,10 +152,11 @@ def diff_tables(pairs: list[tuple[dict, dict, tuple]]) -> tuple[list[tuple], int
 class Truncated(Exception):
     """A lookup fell off the represented truncation height.
 
-    Raised by a helper whose caller cannot go on without the missing
-    entry: a translation, or a derived construction such as
-    term_extension. Validators do not catch it; they read a missing
-    entry with ``.get`` and record a skip.
+    Raised only where a translation cannot go on without the missing
+    entry (FinCat.comp, FinCat.id_of, b_to_e's substitutions and
+    c_to_ce), and caught only by the CLI, which prints ``what``.
+    Validators, translation loops and the derived calculus read a
+    missing entry with ``.get`` and skip it or return None.
     """
 
     def __init__(self, what: str):

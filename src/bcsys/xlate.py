@@ -56,6 +56,7 @@ from .esys import (
     TermCat,
     _ih_terms,
     _internal_hom,
+    _restricted_at,
     _Slices,
     compose_ehom,
     ehom_equal,
@@ -701,6 +702,22 @@ def _section_terms(a: CESystem, A: str) -> list[str]:
     return out
 
 
+def _pulled_section(a: CESystem, F: str, pi2: str, s: str | None, ident: str | None) -> str | None:
+    """The unique w in hom(cod F, dom F) of the base with π2∘w = s and
+    I(F)∘w = ident, for F a family pulled back with second projection
+    π2; None where s, ident or I(F) is missing, or no w or several
+    satisfy both."""
+    base, iF = a.base, a.ifun.get(F)
+    if s is None or ident is None or iF is None:
+        return None
+    found = [
+        w
+        for w in base.hom(a.fam.cod(F), a.fam.dom(F))
+        if base.compose.get((pi2, w)) == s and base.compose.get((iF, w)) == ident
+    ]
+    return found[0] if len(found) == 1 else None
+
+
 def _pullback_sfunctor(a: CESystem, f: str) -> SliceFunctorT:
     """The functor f* on family slices, with its action on sections."""
     base, fam = a.base, a.fam
@@ -725,22 +742,12 @@ def _pullback_sfunctor(a: CESystem, f: str) -> SliceFunctorT:
         sf.mor_map[(P, B1, B)] = gP
         # sections transport through the universal property
         table = {}
-        igP = a.ifun.get(gP)
+        # read only where I(gP) is defined, so that gP is a family arrow
+        ident = base.identity.get(fam.cod(gP)) if gP in a.ifun else None
         for x in _section_terms(a, P):
-            xg = base.compose.get((x, g))
-            if xg is None or igP is None:
-                continue
-            ident = base.identity.get(fam.cod(gP))
-            if ident is None:
-                continue
-            mediators = [
-                w
-                for w in base.hom(fam.cod(gP), fam.dom(gP))
-                if base.compose.get((pi2g, w)) == xg
-                and base.compose.get((igP, w)) == ident
-            ]
-            if len(mediators) == 1:
-                table[x] = mediators[0]
+            w = _pulled_section(a, gP, pi2g, base.compose.get((x, g)), ident)
+            if w is not None:
+                table[x] = w
         sf.term_map[(P, B1, B)] = table
     return sf
 
@@ -761,20 +768,10 @@ def ce_to_e(a: CESystem) -> ESystem:
             e.subst[(A, x)] = _pullback_sfunctor(a, x)
         # identity term: the diagonal section of the pulled-back family
         entry = a.pb.get((ia, A))
-        if entry is None:
-            continue
-        waa, pi2 = entry
-        ident, iwaa = a.base.identity.get(fam.dom(A)), a.ifun.get(waa)
-        if ident is None or iwaa is None:
-            continue
-        mediators = [
-            w
-            for w in a.base.hom(fam.cod(waa), fam.dom(waa))
-            if a.base.compose.get((pi2, w)) == ident
-            and a.base.compose.get((iwaa, w)) == ident
-        ]
-        if len(mediators) == 1:
-            e.proj[A] = mediators[0]
+        ident = a.base.identity.get(fam.dom(A))
+        one = None if entry is None else _pulled_section(a, entry[0], entry[1], ident, ident)
+        if one is not None:
+            e.proj[A] = one
     return e
 
 
@@ -807,9 +804,9 @@ def e_to_ce(e: ESystem) -> CESystem:
     The pullback of a family R over B along an internal morphism x in
     hom(A, B) is f*(R) for f* = S_x ∘ (W_A/B), read as
     S_x.obj_map[(W_A/B).obj_map[R]]: compose_sf sets exactly that entry
-    of f*'s object map. precompose raises Truncated only where S_x is
-    missing (restricting W_A at B cannot raise, since W_A(B) exists when
-    x names a base arrow), and those arrows get no pullbacks here either.
+    of f*'s object map. precompose is None only where S_x is missing
+    (W_A/B exists, since W_A(B) does when x names a base arrow), and
+    those arrows get no pullbacks here either.
 
     The base arrows are read as (A, B, x, name) from the names that
     esys._internal_hom returns, so no arrow id is decoded, and an
@@ -869,11 +866,8 @@ def e_to_ce(e: ESystem) -> CESystem:
                 onexR = e.proj.get(xR)
                 if onexR is None:
                     continue
-                try:
-                    pi2 = vertical_compose(e, A, B, x, xR, R, onexR)
-                except Truncated:
-                    continue
-                pi2name = names.get((AxR, BR), {}).get(pi2)
+                # no name is keyed by None, the missing vertical composite
+                pi2name = names.get((AxR, BR), {}).get(vertical_compose(e, A, B, x, xR, R, onexR))
                 if pi2name is None:
                     continue
                 pulled = triangle_id(xR, AxR, A)
@@ -890,13 +884,8 @@ def e_to_ce(e: ESystem) -> CESystem:
 def unit_ehom(e: ESystem) -> EHom:
     """eta: e -> ce_to_e(e_to_ce(e)), the slice-at-terminal comparison.
 
-    For A into Γ, the position (W_{!Γ}/!Γ)(A) is read as
-    W_{!Γ}.mor_map[(A, !Γ∘A, !Γ)], without restricting the whole functor.
-    Completeness: restrict_sf(e, W, !Γ) raises Truncated exactly when !Γ
-    is not in W.obj_map, and then W_{!Γ}(!Γ) is missing too, so A gets no
-    term images either way. Otherwise it sets obj_map[Q] for the arrows
-    Q into dom(!Γ) = Γ, A among them, to W.mor_map[(Q, !Γ∘Q, !Γ)] where
-    !Γ∘Q and that entry are defined: the entry read here.
+    For A into Γ, the position (W_{!Γ}/!Γ)(A) is read by
+    esys._restricted_at, without restricting the whole functor.
     """
     a = e_to_ce(e)
     ehat = ce_to_e(a)
@@ -926,15 +915,13 @@ def unit_ehom(e: ESystem) -> EHom:
             term_map[A] = tm
             continue
         abar = wb.obj_map.get(bg)
-        bgA = cat.compose.get((bg, A))
-        pbar = wb.mor_map.get((A, bgA, bg)) if bgA is not None else None
+        pbar = _restricted_at(cat, wb, bg, A)
         if abar is None or pbar is None:
             term_map[A] = tm
             continue
         for t in e.T(A):
-            try:
-                val = term_extension(e, abar, pbar, one, t)
-            except Truncated:
+            val = term_extension(e, abar, pbar, one, t)
+            if val is None:
                 continue
             name = ih_arrow(bang[gamma], bang[cat.dom(A)], val)
             if arrow_map.get(A) is not None and name in ehat.T(arrow_map[A]):

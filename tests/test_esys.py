@@ -52,6 +52,7 @@ from ehom_pins import PINS
 from helpers import parse_path_id
 from reference import (
     _substitute_x_reference,
+    check_pairing_reference,
     ehom_part_reference,
     ih_term,
     restrict_sf_reference,
@@ -246,21 +247,19 @@ def test_tmext_associativity_where_representable():
                     if xP is None:
                         continue
                     for u in e.T(xP):
-                        try:
-                            xu = term_extension(e, A, P, x, u)
-                        except Truncated:
+                        xu = term_extension(e, A, P, x, u)
+                        if xu is None:
                             continue
                         sxu = e.subst[(AP, xu)]
                         for v_pos in [sxu.obj_map.get(Q)]:
                             if v_pos is None:
                                 continue
                             for v in e.T(v_pos):
-                                try:
-                                    lhs = term_extension(e, AP, Q, xu, v)
-                                    su = e.subst[(xP, u)]
-                                    uv = term_extension(e, xP, sx_q(e, sx, P, Q), u, v)
-                                    rhs = term_extension(e, A, PQ, x, uv)
-                                except Truncated:
+                                lhs = term_extension(e, AP, Q, xu, v)
+                                su = e.subst[(xP, u)]
+                                uv = None if lhs is None else term_extension(e, xP, sx_q(e, sx, P, Q), u, v)
+                                rhs = None if uv is None else term_extension(e, A, PQ, x, uv)
+                                if rhs is None:
                                     continue
                                 assert lhs == rhs
                                 checked += 1
@@ -419,36 +418,35 @@ def test_prjsquare_uniqueness():
                 for Q in cat.arrows_into(cat.dom(B)):
                     BQ = cat.comp(B, Q)
                     for f in homAB:
-                        try:
-                            fstar = precompose(e, A, B, f)
-                            fQ = fstar.obj_map.get(e.weak[B].obj_map.get(Q))
-                            if fQ is None:
-                                continue
-                            homf = e.T(e.weak[P].obj_map.get(fQ, "missing"))
-                        except Truncated:
+                        fstar = precompose(e, A, B, f)
+                        if fstar is None:
                             continue
+                        fQ = fstar.obj_map.get(e.weak[B].obj_map.get(Q))
+                        if fQ is None:
+                            continue
+                        homf = e.T(e.weak[P].obj_map.get(fQ, "missing"))
                         for F in homf:
-                            try:
-                                vf = vertical_compose(e, A, B, f, P, Q, F)
-                            except Truncated:
+                            vf = vertical_compose(e, A, B, f, P, Q, F)
+                            if vf is None:
                                 continue
                             homAPBQ = hom_terms_of(e, AP, BQ)
                             if homAPBQ is None:
                                 continue
                             assert vf in homAPBQ
-                            try:
-                                pr1B, pr2B = projections(e, B, Q)
-                                pr1A, _ = projections(e, A, P)
-                            except Truncated:
+                            prs_B, prs_A = projections(e, B, Q), projections(e, A, P)
+                            if prs_B is None or prs_A is None:
                                 continue
+                            (pr1B, pr2B), (pr1A, _) = prs_B, prs_A
                             matches = []
                             for h in homAPBQ:
+                                hstar = precompose(e, AP, BQ, h)
                                 try:
-                                    hstar = precompose(e, AP, BQ, h)
                                     posp = e.weak[BQ].obj_map[
                                         e.weak[B].obj_map[BQ]
                                     ]
-                                except (Truncated, KeyError):
+                                except KeyError:
+                                    posp = None
+                                if hstar is None or posp is None:
                                     matches = None
                                     break
                                 # compare via the characterising equations
@@ -468,33 +466,31 @@ def test_prjsquare_uniqueness():
 
 def _comp_int(e, A, B, C, f, g):
     """g . f for f in hom(A,B), g in hom(B,C) over a shared base."""
-    try:
-        fstar = precompose(e, A, B, f)
-        pos = e.weak[B].obj_map[C]
-        act = fstar.term_map.get((pos, pos, e.cat.id_of(e.cat.dom(B))))
-        if act is None:
-            return None
-        return act.get(g)
-    except Truncated:
+    fstar = precompose(e, A, B, f)
+    if fstar is None:
         return None
+    pos = e.weak[B].obj_map[C]
+    act = fstar.term_map.get((pos, pos, e.cat.id_of(e.cat.dom(B))))
+    if act is None:
+        return None
+    return act.get(g)
 
 
 def _comp_int_over(e, AP, BQ, h, pr2, Q, B):
     """h[pr2]: substitute h into the second projection's position."""
-    try:
-        hstar = precompose(e, AP, BQ, h)
-        pos = e.weak[B].obj_map.get(Q)
-        if pos is None:
-            return None
-        pos2 = e.weak[Q].obj_map.get(Q)
-        if pos2 is None:
-            return None
-        act = hstar.term_map.get((pos2, pos2, e.cat.id_of(e.cat.dom(Q))))
-        if act is None:
-            return None
-        return act.get(pr2)
-    except Truncated:
+    hstar = precompose(e, AP, BQ, h)
+    if hstar is None:
         return None
+    pos = e.weak[B].obj_map.get(Q)
+    if pos is None:
+        return None
+    pos2 = e.weak[Q].obj_map.get(Q)
+    if pos2 is None:
+        return None
+    act = hstar.term_map.get((pos2, pos2, e.cat.id_of(e.cat.dom(Q))))
+    if act is None:
+        return None
+    return act.get(pr2)
 
 
 def test_calculus_identities_at_height_4():
@@ -542,11 +538,10 @@ def test_ehom_preserves_pairing_and_projections():
                 AP = cat.compose.get((A, P))
                 if AP is None:
                     continue
-                try:
-                    pr1, pr2 = projections(e, A, P)
-                    pr1i, pr2i = projections(en, arrow_map[A], arrow_map[P])
-                except Truncated:
+                prs, prs_i = projections(e, A, P), projections(en, arrow_map[A], arrow_map[P])
+                if prs is None or prs_i is None:
                     continue
+                (pr1, pr2), (pr1i, pr2i) = prs, prs_i
                 wa, wp = e.weak[A], e.weak[P]
                 pos1 = wp.obj_map[wa.obj_map[A]]
                 pos2 = wp.obj_map[P]
@@ -555,13 +550,12 @@ def test_ehom_preserves_pairing_and_projections():
                 for x in e.T(A):
                     xP = e.subst[(A, x)].obj_map[P]
                     for u in e.T(xP):
-                        try:
-                            w = term_extension(e, A, P, x, u)
-                            wi = term_extension(
-                                en, arrow_map[A], arrow_map[P],
-                                term_map[A][x], term_map[xP][u],
-                            )
-                        except Truncated:
+                        w = term_extension(e, A, P, x, u)
+                        wi = None if w is None else term_extension(
+                            en, arrow_map[A], arrow_map[P],
+                            term_map[A][x], term_map[xP][u],
+                        )
+                        if wi is None:
                             continue
                         assert term_map[AP][w] == wi
                         checked += 1
@@ -1285,23 +1279,26 @@ def _reference_restriction(cat, F, P):
 def restrictions(monkeypatch):
     """Compare every restriction made through esys, by restrict_sf or
     within a validation, with restrict_sf_reference: the same tables, or
-    Truncated with the same ``what``. Returns the count of each outcome."""
+    None where the reference raises Truncated. Returns the count of each
+    outcome."""
     seen = collections.Counter()
-    real = esys._restrict
+    real, real_restrict = esys._restrict, esys._Slices.restrict
 
     def checked(cat, plan, F):
-        want = _reference_restriction(cat, F, plan[0])
-        try:
-            R = real(cat, plan, F)
-        except Truncated as exc:
-            assert (Truncated, exc.what) == want
-            seen["Truncated"] += 1
-            raise
-        assert _sf_tables(R) == want
+        R = real(cat, plan, F)
+        assert _sf_tables(R) == _reference_restriction(cat, F, plan[0])
         seen["restricted"] += 1
         return R
 
+    def checked_missing(slices, H, P):
+        R = real_restrict(slices, H, P)
+        if R is None:
+            assert _reference_restriction(slices.e.cat, H, P)[0] is Truncated
+            seen["None"] += 1
+        return R
+
     monkeypatch.setattr(esys, "_restrict", checked)
+    monkeypatch.setattr(esys._Slices, "restrict", checked_missing)
     return seen
 
 
@@ -1325,11 +1322,8 @@ def test_standalone_restrictions_match_reference(restrictions):
     e = build_nat_esystem(3)
     for F in [*e.subst.values(), *e.weak.values()]:
         for P in [*e.cat.arrows, "zz"]:
-            try:
-                restrict_sf(e, F, P)
-            except Truncated:
-                pass
-    assert restrictions["restricted"] > 0 and restrictions["Truncated"] > 0
+            restrict_sf(e, F, P)
+    assert restrictions["restricted"] > 0 and restrictions["None"] > 0
 
 
 def _damaged_system(draw, e):
@@ -1390,26 +1384,28 @@ def test_restriction_plans_do_not_outlive_the_call():
 # the x half of term_extension, read pointwise
 
 
-def _substitution(f, e, A, P, x):
+def _reference_substitution(e, A, P, x):
+    """_substitute_x_reference(e, A, P, x), or None where it raises
+    Truncated: the live _substitute_x returns None there."""
     try:
-        return f(e, A, P, x)
-    except Truncated as exc:
-        return Truncated, exc.what
+        return _substitute_x_reference(e, A, P, x)
+    except Truncated:
+        return None
 
 
 def _substitutions_match(e, substitutions=None) -> collections.Counter:
     """_substitute_x against _substitute_x_reference at every arrow P and
     every (A, x) of ``substitutions``, by default every arrow A and x in
-    T(A): the same triple, or Truncated with the same ``what``. This
-    includes every (A, P, x) check_pairing visits."""
+    T(A): the same triple, or None where the reference raises Truncated.
+    This includes every (A, P, x) check_pairing visits."""
     if substitutions is None:
         substitutions = [(A, x) for A in sorted(e.cat.arrows) for x in sorted(e.T(A))]
     seen = collections.Counter()
     for A, x in substitutions:
         for P in sorted(e.cat.arrows):
-            got = _substitution(esys._substitute_x, e, A, P, x)
-            assert got == _substitution(_substitute_x_reference, e, A, P, x), (A, P, x)
-            seen["Truncated" if got[0] is Truncated else "found"] += 1
+            got = esys._substitute_x(e, A, P, x)
+            assert got == _reference_substitution(e, A, P, x), (A, P, x)
+            seen["missing" if got is None else "found"] += 1
     return seen
 
 
@@ -1460,7 +1456,7 @@ def test_substitute_x_matches_reference_with_one_entry_dropped(build):
             del entries[key]
             tc = TermCat(cat=dataclasses.replace(cat, **{table: entries}), terms=e.tc.terms)
             seen += _substitutions_match(dataclasses.replace(e, tc=tc))
-    assert seen["found"] > 0 and seen["Truncated"] > 0
+    assert seen["found"] > 0 and seen["missing"] > 0
 
 
 def test_substitute_x_matches_reference_on_forged_composites():
@@ -1475,7 +1471,7 @@ def test_substitute_x_matches_reference_on_forged_composites():
         for A in sorted(cat.arrows)
         for P in sorted(cat.arrows)
         for x in sorted(e.T(A))
-        if not cat.is_id(P) and _substitution(_substitute_x_reference, e, A, P, x)[0] is not Truncated
+        if not cat.is_id(P) and _reference_substitution(e, A, P, x) is not None
     )
     AP, dP = cat.comp(A, P), cat.dom(P)
     pos, ident, sx = e.weak[AP].obj_map[AP], cat.identity[dP], e.subst[(A, x)]
@@ -1500,5 +1496,86 @@ def test_substitute_x_matches_reference_on_forged_composites():
             )
     assert forged
     for f in forged:
-        got = _substitution(esys._substitute_x, f, A, P, x)
-        assert got[0] is Truncated and got == _substitution(_substitute_x_reference, f, A, P, x)
+        assert esys._substitute_x(f, A, P, x) is None
+        assert _reference_substitution(f, A, P, x) is None
+
+
+# ---------------------------------------------------------------------------
+# check_pairing against its body with Truncated handlers
+
+_PAIRING_BASES = {
+    "group-s3": lambda: build_group_structure(*s3_table()),
+    **{f"nat-e h{h}": lambda h=h: build_nat_esystem(h) for h in (2, 3, 4, 5)},
+    **{f"b_to_e finset-b h{h}": lambda h=h: b_to_e(build_finset_bsystem(h)) for h in (2, 3, 4, 5)},
+}
+
+
+@functools.cache
+def _pairing_base(name):
+    return _PAIRING_BASES[name]()
+
+
+@pytest.mark.parametrize("name", sorted(_PAIRING_BASES))
+def test_check_pairing_matches_reference(name):
+    e = _pairing_base(name)
+    assert check_pairing(e).format() == check_pairing_reference(e).format()
+
+
+@st.composite
+def _pairing_damaged(draw):
+    """The name of a system of _PAIRING_BASES up to height 4, and a copy
+    of it with a substitution or weakening functor dropped, an identity
+    term dropped, or one functor damaged by _damage."""
+    name = draw(st.sampled_from(sorted(n for n in _PAIRING_BASES if not n.endswith("h5"))))
+    e = _pairing_base(name)
+    subst, weak, proj = dict(e.subst), dict(e.weak), dict(e.proj)
+    kind = draw(st.sampled_from(["subst", "weak", "proj", "functor"]))
+    if kind == "functor":
+        family = subst if draw(st.booleans()) else weak
+        key = draw(st.sampled_from(sorted(family)))
+        family[key] = _damage(draw, e, family[key])
+    else:
+        table = {"subst": subst, "weak": weak, "proj": proj}[kind]
+        del table[draw(st.sampled_from(sorted(table)))]
+    return name, dataclasses.replace(e, subst=subst, weak=weak, proj=proj)
+
+
+def test_check_pairing_matches_reference_on_damaged_systems():
+    changed = []
+
+    @settings(max_examples=150, deadline=None, database=None, derandomize=True)
+    @given(_pairing_damaged())
+    def run(case):
+        name, e = case
+        got = check_pairing(e).format()
+        assert got == check_pairing_reference(e).format()
+        changed.append(got != check_pairing(_pairing_base(name)).format())
+
+    run()
+    assert any(changed)
+
+
+def _without(table, key):
+    return {k: v for k, v in table.items() if k != key}
+
+
+@pytest.mark.parametrize("name", ["nat-e h4", "b_to_e finset-b h4"])
+def test_check_pairing_matches_reference_with_each_weakening_object_dropped(name):
+    """Every object-map entry of every weakening functor dropped, and
+    every identity term. Dropping W_P(W_A(A)) leaves the projections
+    defined but no position for pr1, so the inverse stops at the first
+    of the pairings."""
+    e = _pairing_base(name)
+    cases = [
+        dataclasses.replace(e, weak={**e.weak, P: dataclasses.replace(F, obj_map=_without(F.obj_map, X))})
+        for P, F in sorted(e.weak.items())
+        for X in sorted(F.obj_map)
+    ]
+    cases += [dataclasses.replace(e, proj=_without(e.proj, A)) for A in sorted(e.proj)]
+    want = check_pairing(e).format()
+    changed = 0
+    for f in cases:
+        got = check_pairing(f).format()
+        assert got == check_pairing_reference(f).format()
+        changed += got != want
+    assert changed
