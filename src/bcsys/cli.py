@@ -159,17 +159,16 @@ def cmd_translate(args) -> int:
     except (LoadError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if kind == "esystem":
-        pre = _precheck(kind, obj)
-        if not pre.ok:
-            return _print_report(pre)
+    pre = _precheck(kind, obj) if kind == "esystem" else None
+    if pre is not None and not pre.ok:
+        return _print_report(pre)
     try:
         out = _translate(kind, obj, args.to)
     except LoadError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (Truncated, ValueError) as exc:
-        return _translation_fell_off(kind, obj, exc)
+        return _translation_fell_off(pre if pre is not None else _precheck(kind, obj), exc)
     _write(args.output, save_structure(out))
     return 0
 
@@ -190,14 +189,13 @@ def _precheck(kind: str, obj) -> Report:
     return pre
 
 
-def _translation_fell_off(kind: str, obj, exc: Truncated | ValueError) -> int:
+def _translation_fell_off(pre: Report, exc: Truncated | ValueError) -> int:
     """A translation needed a table entry the input lacks, or rejected it.
 
-    If the input breaks a law of ``_precheck``, that is the defect: print
-    the report and exit 1. Otherwise name the missing entry, or give the
-    translation's reason, and exit 2.
+    If the input breaks a law of ``_precheck`` (``pre`` is its report),
+    that is the defect: print the report and exit 1. Otherwise name the
+    missing entry, or give the translation's reason, and exit 2.
     """
-    pre = _precheck(kind, obj)
     if not pre.ok:
         return _print_report(pre)
     if isinstance(exc, Truncated):
@@ -238,14 +236,13 @@ def cmd_roundtrip(args) -> int:
     except (LoadError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if kind == "esystem":
-        pre = _precheck(kind, obj)
-        if not pre.ok:
-            return _print_report(pre)
+    pre = _precheck(kind, obj) if kind == "esystem" else None
+    if pre is not None and not pre.ok:
+        return _print_report(pre)
     try:
         return _roundtrip(kind, obj)
     except (Truncated, ValueError) as exc:
-        return _translation_fell_off(kind, obj, exc)
+        return _translation_fell_off(pre if pre is not None else _precheck(kind, obj), exc)
 
 
 def _roundtrip(kind: str, obj) -> int:
@@ -261,7 +258,7 @@ def _roundtrip(kind: str, obj) -> int:
         ok = iso.verified and all(r.ok for r in stages.values())
         return 0 if ok else 1
     if kind == "esystem":
-        eta = unit_ehom(obj)
+        eta = unit_ehom(obj, ce_to_e(e_to_ce(obj)))
         rep = validate_ehom(eta)
         inv, invrep = invert_ehom(eta)
         print(rep.format())
@@ -274,8 +271,7 @@ def _roundtrip(kind: str, obj) -> int:
             iso = casce_iso(obj)
             print(iso.report.format())
             return 0 if iso.verified else 1
-        e = ce_to_e(obj)
-        _eta, _eps, rep = adjunction_witnesses(e, obj)
+        _eta, _eps, rep = adjunction_witnesses(obj)
         print(rep.format())
         return 0 if rep.ok else 1
     if kind == "csystem":

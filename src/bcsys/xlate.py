@@ -12,7 +12,7 @@ fabricated).
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .bsys import (
     BFrame,
@@ -447,10 +447,8 @@ def _check_inverse(rep: Report, fwd: BFrameHom, bwd: BFrameHom) -> None:
         rep.record(name, diff)
 
 
-def b_roundtrip_iso(bsys: BSystem) -> IsoWitness:
-    """bsys vs e_to_b(b_to_e(bsys)): the relabeling isomorphism, verified."""
-    e = b_to_e(bsys)
-    b2 = e_to_b(e)
+def b_roundtrip_iso(bsys: BSystem, b2: BSystem) -> IsoWitness:
+    """bsys vs b2 = e_to_b(b_to_e(bsys)): the relabeling isomorphism, verified."""
     frame, frame2 = bsys.frame, b2.frame
     H: dict[int, dict[str, str]] = {}
     Ht: dict[int, dict[str, str]] = {}
@@ -881,14 +879,12 @@ def e_to_ce(e: ESystem) -> CESystem:
 # the adjunction between E-systems and rooted CE-systems
 
 
-def unit_ehom(e: ESystem) -> EHom:
-    """eta: e -> ce_to_e(e_to_ce(e)), the slice-at-terminal comparison.
+def unit_ehom(e: ESystem, ehat: ESystem) -> EHom:
+    """eta: e -> ehat = ce_to_e(e_to_ce(e)), the slice-at-terminal comparison.
 
     For A into Γ, the position (W_{!Γ}/!Γ)(A) is read by
     esys._restricted_at, without restricting the whole functor.
     """
-    a = e_to_ce(e)
-    ehat = ce_to_e(a)
     root = e.cat.terminal
     cat = e.cat
     bang = {x: _unique_arrow(cat, x, root) for x in cat.objects}
@@ -935,10 +931,9 @@ def unit_ehom(e: ESystem) -> EHom:
     )
 
 
-def counit_cehom(a: CESystem) -> CEHom:
-    """epsilon: e_to_ce(ce_to_e(a)) -> a, evaluation of internal morphisms."""
-    e = ce_to_e(a)
-    ahat = e_to_ce(e)
+def counit_cehom(a: CESystem, e: ESystem, ahat: CESystem) -> CEHom:
+    """epsilon: ahat -> a, evaluation of internal morphisms, for
+    e = ce_to_e(a) and ahat = e_to_ce(e)."""
     fam, base = a.fam, a.base
     obj_map = {}
     fam_ar = {}
@@ -1091,24 +1086,32 @@ def identity_cehom(a: CESystem) -> CEHom:
     )
 
 
-def adjunction_witnesses(e: ESystem, a: CESystem):
-    """Unit and counit with invertibility evidence and triangle identities."""
+def adjunction_witnesses(a: CESystem):
+    """Unit at e = ce_to_e(a) and counit at a, with invertibility evidence
+    and triangle identities.
+
+    Each structure is built once: e, ae = e_to_ce(e) (the source of the
+    counit), ehat = ce_to_e(ae) (the target of the unit) and
+    e_to_ce(ehat) (the source of the counit at ae).
+    """
+    e = ce_to_e(a)
+    ae = e_to_ce(e)
+    ehat = ce_to_e(ae)
     rep = Report()
-    eta = unit_ehom(e)
+    eta = unit_ehom(e, ehat)
     rep.merge(validate_ehom(eta), prefix="eta:")
     eta_inv, inv_rep = invert_ehom(eta)
     rep.merge(inv_rep, prefix="eta-inv:")
     if eta_inv is not None:
         rep.merge(validate_ehom(eta_inv), prefix="eta-inv-hom:")
 
-    eps = counit_cehom(a)
+    eps = counit_cehom(a, e, ae)
     rep.merge(validate_ce_hom(eps), prefix="eps:")
     # invertibility of the counit: image against the base hom-sets
     rep.law("eps-invertible")
-    ahat = eps.source
     fam, base = a.fam, a.base
     by_pair: dict[tuple[str, str], list[str]] = {}
-    for name, arr in ahat.base.arrows.items():
+    for name, arr in ae.base.arrows.items():
         img = eps.base_map.arrow_map.get(name)
         if img is None:
             continue
@@ -1122,19 +1125,16 @@ def adjunction_witnesses(e: ESystem, a: CESystem):
         if missing:
             rep.fail("eps-invertible", (d, g), f"not surjective, missing {missing}")
 
-    # triangle 1: CE2E(eps_A) . eta_{CE2E(A)} = Id on ce_to_e(a)
-    ea = ce_to_e(a)
-    eta_ea = unit_ehom(ea)
-    ce2e_eps = ce2e_of_cehom(eps, eta_ea.target, ea)
-    tri1 = compose_ehom(ce2e_eps, eta_ea)
-    diff = ehom_equal(tri1, identity_ehom(ea))
+    # triangle 1: CE2E(eps_A) . eta_{CE2E(A)} = Id on ce_to_e(a), which is e
+    tri1 = compose_ehom(ce2e_of_cehom(eps, ehat, e), eta)
+    diff = ehom_equal(tri1, identity_ehom(e))
     rep.tick("triangle-1", diff[2])
     rep.record("triangle-1", diff)
 
     # triangle 2: eps_{E2CE(E)} . E2CE(eta_E) = Id on e_to_ce(e)
-    ae = e_to_ce(e)
-    eps_ae = counit_cehom(ae)
-    e2ce_eta = cehom_of_ehom(eta, ae, eps_ae.source)
+    aehat = e_to_ce(ehat)
+    eps_ae = counit_cehom(ae, ehat, aehat)
+    e2ce_eta = cehom_of_ehom(eta, ae, aehat)
     tri2 = compose_cehom(eps_ae, e2ce_eta)
     diff = cehom_equal(tri2, identity_cehom(ae))
     rep.tick("triangle-2", diff[2])
@@ -1147,37 +1147,29 @@ def adjunction_witnesses(e: ESystem, a: CESystem):
 # the composite equivalence between B-systems and C-systems
 
 
-@dataclass
-class ComposeResult:
-    output: object
-    stages: dict[str, Report] = field(default_factory=dict)
-    intermediates: dict[str, object] = field(default_factory=dict)
+def compose_equivalence(direction: str, value) -> tuple[tuple, dict[str, Report]]:
+    """b2c = ce_to_c . e_to_ce . b_to_e;  c2b = e_to_b . ce_to_e . c_to_ce.
 
-
-def compose_equivalence(direction: str, value) -> ComposeResult:
-    """b2c = ce_to_c . e_to_ce . b_to_e;  c2b = e_to_b . ce_to_e . c_to_ce."""
+    Returns the three structures the stages built, in order, and the
+    validation report of each stage.
+    """
     stages: dict[str, Report] = {}
-    inter: dict[str, object] = {}
     if direction == "b2c":
         e = b_to_e(value)
         stages["b_to_e"] = validate_esystem(e)
-        inter["esystem"] = e
         a = e_to_ce(e)
         stages["e_to_ce"] = validate_cesystem(a, rooted=True, stratified=True)
-        inter["cesystem"] = a
         c = ce_to_c(a)
         stages["ce_to_c"] = validate_csystem(c)
-        return ComposeResult(output=c, stages=stages, intermediates=inter)
+        return (e, a, c), stages
     if direction == "c2b":
         a = c_to_ce(value)
         stages["c_to_ce"] = validate_cesystem(a, rooted=True, stratified=True)
-        inter["cesystem"] = a
         e = ce_to_e(a)
         stages["ce_to_e"] = validate_esystem(e)
-        inter["esystem"] = e
         b = e_to_b(e)
         stages["e_to_b"] = validate_bsystem(b)
-        return ComposeResult(output=b, stages=stages, intermediates=inter)
+        return (a, e, b), stages
     raise ValueError(f"unknown direction {direction!r}")
 
 
@@ -1186,36 +1178,32 @@ def grand_roundtrip_iso(bsys: BSystem) -> tuple[IsoWitness, dict[str, Report]]:
 
     The witness is assembled from the three partial-round-trip isos:
     comp/fact on the CE side, the unit on the E side, and the relabeling
-    on the B side.
+    on the B side. The unit and the relabeling compare the structures
+    built by the stages and here; casce_iso makes its own ce_to_c and
+    c_to_ce of a.
     """
-    fwdres = compose_equivalence("b2c", bsys)
-    c = fwdres.output
-    backres = compose_equivalence("c2b", c)
-    b2 = backres.output
-    stages = dict(fwdres.stages)
-    stages.update({f"back:{k}": v for k, v in backres.stages.items()})
-
-    e = fwdres.intermediates["esystem"]
-    a = fwdres.intermediates["cesystem"]
-    ehat = backres.intermediates["esystem"]
+    (e, a, c), fwd_stages = compose_equivalence("b2c", bsys)
+    (_a2, ehat, b2), back_stages = compose_equivalence("c2b", c)
+    stages = dict(fwd_stages)
+    stages.update({f"back:{k}": v for k, v in back_stages.items()})
 
     rep = Report()
     # kappa: ce_to_e(c_to_ce(ce_to_c(a))) -> ce_to_e(a) via the comp iso
     iso_ce = casce_iso(a)
     rep.merge(iso_ce.report, prefix="casce:")
-    # eta inverse: ce_to_e(e_to_ce(e)) -> e
-    eta = unit_ehom(e)
+    # eta inverse: ce_to_e(a) = ce_to_e(e_to_ce(e)) -> e
+    ea = ce_to_e(a)
+    eta = unit_ehom(e, ea)
     eta_inv, inv_rep = invert_ehom(eta)
     rep.merge(inv_rep, prefix="eta:")
     if eta_inv is None:
         return IsoWitness(None, None, rep), stages
-    # eta.target is ce_to_e(a), built by the same construction
-    kappa = ce2e_of_cehom(iso_ce.backward, ehat, eta.target)
+    kappa = ce2e_of_cehom(iso_ce.backward, ehat, ea)
     chain = compose_ehom(eta_inv, kappa)  # ehat -> e
     b1 = e_to_b(e)
     hom_b = e2b_of_ehom(chain, b2, b1)
-    # identify e_to_b(e) with bsys through the relabeling iso
-    ib = b_roundtrip_iso(bsys)
+    # identify b1 = e_to_b(b_to_e(bsys)) with bsys through the relabeling iso
+    ib = b_roundtrip_iso(bsys, b1)
     rep.merge(ib.report, prefix="relabel:")
     back_total = compose_bhom(ib.backward, hom_b)  # b2 -> bsys
     rep.merge(validate_bsystem_hom(back_total, b2, bsys), prefix="hom:")

@@ -9,13 +9,22 @@ sets via plain function composition).
 ``parse_obj_id`` and ``parse_path_id`` invert ``core.obj_id`` and
 ``core.path_id``. The translations keep what they encode in an id, so
 only tests decode one.
+
+The round-trip witnesses compare the structures they are given, which
+their callers in bcsys have already built. ``b_image``, ``unit_of`` and
+``counit_of`` build those images for a test that starts from one
+structure.
 """
 
 from __future__ import annotations
 
 import itertools
 
+from bcsys.bsys import BSystem
+from bcsys.cesys import CEHom, CESystem
 from bcsys.core import Arrow, FinCat
+from bcsys.esys import EHom, ESystem
+from bcsys.xlate import b_to_e, ce_to_e, counit_cehom, e_to_b, e_to_ce, unit_ehom
 
 
 def thin_cat(objects, related, terminal=None) -> FinCat:
@@ -151,3 +160,19 @@ def parse_path_id(s: str) -> tuple[int, str, int]:
         raise ValueError(f"not a path id: {s!r}")
     n, node = parse_obj_id(s[:i])
     return n, node, int(s[i + 1 :])
+
+
+def b_image(b: BSystem) -> BSystem:
+    """e_to_b(b_to_e(b)), which b_roundtrip_iso compares b with."""
+    return e_to_b(b_to_e(b))
+
+
+def unit_of(e: ESystem) -> EHom:
+    """The unit at e, into ce_to_e(e_to_ce(e))."""
+    return unit_ehom(e, ce_to_e(e_to_ce(e)))
+
+
+def counit_of(a: CESystem) -> CEHom:
+    """The counit at a, from e_to_ce(ce_to_e(a))."""
+    e = ce_to_e(a)
+    return counit_cehom(a, e, e_to_ce(e))

@@ -61,6 +61,13 @@ is missing. These references call it through ``_raising`` shims that
 raise Truncated there instead, so each body keeps the control flow it
 had.
 
+``adjunction_witnesses_reference`` is ``xlate.adjunction_witnesses`` as
+it was when it took an E-system and a CE-system apart and every witness
+translated its own input: the unit and each counit build their images
+afresh, and so do both triangles, 5 ``ce_to_e`` and 5 ``e_to_ce`` in
+all. Called with ``(ce_to_e(a), a)``, as the command line does, it gives
+the report of ``adjunction_witnesses(a)``.
+
 Tests compare the fast code against them, result for result.
 """
 
@@ -69,7 +76,7 @@ from __future__ import annotations
 from dataclasses import replace
 
 from bcsys.bsys import BFrameHom, BSystem, bhom_identity, compose_bhom, restrict_bhom, slice_bframe
-from bcsys.cesys import CEHom, CESystem
+from bcsys.cesys import CEHom, CESystem, validate_ce_hom
 from bcsys.core import (
     Arrow,
     FinCat,
@@ -95,8 +102,11 @@ from bcsys.esys import (
     TermCat,
     _substitute_u,
     _substitute_x,
+    compose_ehom,
     compose_sf,
+    ehom_equal,
     hom_terms_of,
+    identity_ehom,
     ih_arrow,
     precompose,
     projections,
@@ -105,11 +115,23 @@ from bcsys.esys import (
     subst_term,
     term_action_at,
     term_extension,
+    validate_ehom,
 )
 from bcsys.report import Report, Truncated
-from bcsys.xlate import _tree_of_frame, ce_to_e, e_to_ce, proj_path
+from bcsys.xlate import (
+    _tree_of_frame,
+    ce2e_of_cehom,
+    ce_to_e,
+    cehom_equal,
+    cehom_of_ehom,
+    compose_cehom,
+    e_to_ce,
+    identity_cehom,
+    invert_ehom,
+    proj_path,
+)
 
-from helpers import parse_path_id
+from helpers import counit_of, parse_path_id, unit_of
 
 
 def _raising(fn):
@@ -1084,3 +1106,55 @@ def cehom_of_ehom_reference(h: EHom, src_ce: CESystem, tgt_ce: CESystem) -> CEHo
         fam_map=FunctorData(src_ce.fam, tgt_ce.fam, dict(obj_map), fam_ar),
         base_map=FunctorData(src_ce.base, tgt_ce.base, dict(obj_map), base_ar),
     )
+
+
+def adjunction_witnesses_reference(e: ESystem, a: CESystem):
+    """Unit and counit with invertibility evidence and triangle identities."""
+    rep = Report()
+    eta = unit_of(e)
+    rep.merge(validate_ehom(eta), prefix="eta:")
+    eta_inv, inv_rep = invert_ehom(eta)
+    rep.merge(inv_rep, prefix="eta-inv:")
+    if eta_inv is not None:
+        rep.merge(validate_ehom(eta_inv), prefix="eta-inv-hom:")
+
+    eps = counit_of(a)
+    rep.merge(validate_ce_hom(eps), prefix="eps:")
+    # invertibility of the counit: image against the base hom-sets
+    rep.law("eps-invertible")
+    ahat = eps.source
+    fam, base = a.fam, a.base
+    by_pair: dict[tuple[str, str], list[str]] = {}
+    for name, arr in ahat.base.arrows.items():
+        img = eps.base_map.arrow_map.get(name)
+        if img is None:
+            continue
+        by_pair.setdefault((fam.dom(arr.dom), fam.dom(arr.cod)), []).append(img)
+    for (d, g), imgs in sorted(by_pair.items()):
+        rep.tick("eps-invertible")
+        if len(set(imgs)) != len(imgs):
+            rep.fail("eps-invertible", (d, g), "not injective")
+        target = base.hom(d, g)
+        missing = sorted(set(target) - set(imgs))
+        if missing:
+            rep.fail("eps-invertible", (d, g), f"not surjective, missing {missing}")
+
+    # triangle 1: CE2E(eps_A) . eta_{CE2E(A)} = Id on ce_to_e(a)
+    ea = ce_to_e(a)
+    eta_ea = unit_of(ea)
+    ce2e_eps = ce2e_of_cehom(eps, eta_ea.target, ea)
+    tri1 = compose_ehom(ce2e_eps, eta_ea)
+    diff = ehom_equal(tri1, identity_ehom(ea))
+    rep.tick("triangle-1", diff[2])
+    rep.record("triangle-1", diff)
+
+    # triangle 2: eps_{E2CE(E)} . E2CE(eta_E) = Id on e_to_ce(e)
+    ae = e_to_ce(e)
+    eps_ae = counit_of(ae)
+    e2ce_eta = cehom_of_ehom(eta, ae, eps_ae.source)
+    tri2 = compose_cehom(eps_ae, e2ce_eta)
+    diff = cehom_equal(tri2, identity_cehom(ae))
+    rep.tick("triangle-2", diff[2])
+    rep.record("triangle-2", diff)
+
+    return eta, eps, rep

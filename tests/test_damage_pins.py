@@ -34,7 +34,9 @@ from bcsys.core import identity_functor, validate_fincat, validate_functor, vali
 from bcsys.csys import validate_csystem
 from bcsys.esys import TermCat, build_nat_esystem, check_pairing, internal_hom_cat, validate_esystem
 from bcsys.serialize import dumps, fincat_payload, save_structure
-from bcsys.xlate import b_to_e, c_to_ce, casce_iso, ce_to_c, ce_to_e, counit_cehom, e_to_ce
+from bcsys.xlate import b_to_e, c_to_ce, casce_iso, ce_to_c, ce_to_e, e_to_ce
+
+from helpers import counit_of
 
 
 def _without(d: dict, key) -> dict:
@@ -92,7 +94,7 @@ def _functor_cases():
     a = build_finset_cesystem(2)
     for tag, h in (
         ("identity", CEHom(a, a, identity_functor(a.fam), identity_functor(a.base))),
-        ("counit", counit_cehom(a)),
+        ("counit", counit_of(a)),
     ):
         for part in ("fam_map", "base_map"):
             F = getattr(h, part)
@@ -112,7 +114,7 @@ def _ce_runs(a):
     yield "units", lambda: _report(validate_units(a.fam)) + _report(validate_units(a.base))
     yield "functor", lambda: _report(validate_functor(identity_functor(a.fam)))
     yield "casce_iso", lambda: _report(casce_iso(a).report)
-    yield "counit", lambda: _report(validate_ce_hom(counit_cehom(a)))
+    yield "counit", lambda: _report(validate_ce_hom(counit_of(a)))
     yield "ce_to_c", lambda: _save_and_check(ce_to_c(a))
     yield "ce_to_e", lambda: _save_and_check(ce_to_e(a))
 

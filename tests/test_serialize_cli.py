@@ -433,8 +433,9 @@ def test_cli_translate_between_b_and_c_runs_no_validation(tmp_path, monkeypatch,
     """B to C and C to B compose the three single-step translations, with
     the bytes compose_equivalence's output has, and validate nothing."""
     b = build_finset_bsystem(height)
-    c = compose_equivalence("b2c", b).output
-    expected = {"c": save_structure(c), "b": save_structure(compose_equivalence("c2b", c).output)}
+    (_e, _a, c), _stages = compose_equivalence("b2c", b)
+    (_a, _e, b2), _stages = compose_equivalence("c2b", c)
+    expected = {"c": save_structure(c), "b": save_structure(b2)}
     b_doc, c_doc = tmp_path / "b.json", tmp_path / "c.json"
     b_doc.write_text(save_structure(b))
     c_doc.write_text(expected["c"])
@@ -496,6 +497,21 @@ def test_cli_roundtrip_group_s3_is_input_error(tmp_path, capsys):
     code, printed = _run(capsys, "roundtrip", str(path))
     assert code == 2
     _one_line(printed, "e_to_ce needs a chosen terminal object")
+
+
+@pytest.mark.parametrize("command", [["translate", "--to", "ce"], ["roundtrip"]])
+def test_cli_prechecks_an_esystem_once_when_its_translation_fails(tmp_path, capsys, monkeypatch, command):
+    """The precheck that ran before the translation decides after it
+    fails: group-s3 is checked once, with the same one line and exit 2."""
+    path = tmp_path / "g.json"
+    path.write_text(save_structure(build_group_structure(*s3_table())))
+    prechecked = []
+    real = bcsys.cli._precheck
+    monkeypatch.setattr(bcsys.cli, "_precheck", lambda *args: prechecked.append(args) or real(*args))
+    code, printed = _run(capsys, *command, str(path))
+    assert code == 2
+    _one_line(printed, "e_to_ce needs a chosen terminal object")
+    assert len(prechecked) == 1
 
 
 def test_cli_roundtrip_bsystem_without_weakening_is_input_error(tmp_path, capsys):

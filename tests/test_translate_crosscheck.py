@@ -16,11 +16,14 @@ CE-systems with ft, proj, pb or ifun rows dropped. So are
 ``counit_cehom`` and ``cehom_of_ehom``, which read a base arrow's term
 from the names of its hom set where their earlier bodies decoded the
 arrow id, on damaged E-systems and CE-systems at heights 0 to 5.
+``adjunction_witnesses(a)`` gives the report its earlier two-argument
+body gives on ``(ce_to_e(a), a)``.
 
 The last tests count calls: the translations decode no internal-hom id,
 ``c_to_ce`` and ``b_to_e`` make each path id once, ``e_to_b`` unpacks
-no frame element, and ``e_to_ce`` enumerates each slice and plans each
-restriction once.
+no frame element, ``e_to_ce`` enumerates each slice and plans each
+restriction once, and the round-trip witnesses make each translation
+they compare once.
 """
 
 import contextlib
@@ -40,9 +43,13 @@ from bcsys.core import FinCat
 from bcsys.esys import build_nat_esystem, internal_hom_cat, vertical_compose
 from bcsys.report import Truncated
 from bcsys.serialize import save_structure
-from bcsys.xlate import b_to_e, c_to_ce, ce_to_c, cehom_of_ehom, counit_cehom, e_to_ce, unit_ehom
+from bcsys.xlate import b_to_e, c_to_ce, ce_to_c, ce_to_e, cehom_of_ehom, e_to_ce
+
+from helpers import counit_of, unit_of
+from test_csys_cesys import non_rooted_cesystem
 
 from reference import (
+    adjunction_witnesses_reference,
     b_to_e_reference,
     c_to_ce_reference,
     ce_to_c_reference,
@@ -351,7 +358,7 @@ def ehom_tables(h) -> tuple:
 
 
 def assert_unit_matches(e) -> object:
-    got = outcome(unit_ehom, ehom_tables, e)
+    got = outcome(unit_of, ehom_tables, e)
     assert got == outcome(unit_ehom_reference, ehom_tables, e)
     return got
 
@@ -405,7 +412,7 @@ def test_unit_ehom_matches_reference_with_each_position_read_dropped(kind):
         for drop in drops:
             e = copy.deepcopy(base)
             drop(e)
-            changed += assert_unit_matches(e) != outcome(unit_ehom, ehom_tables, base)
+            changed += assert_unit_matches(e) != outcome(unit_of, ehom_tables, base)
     assert changed
 
 
@@ -612,7 +619,7 @@ def cehom_tables(h) -> tuple:
 
 
 def assert_counit_matches(a) -> object:
-    got = outcome(counit_cehom, cehom_tables, a)
+    got = outcome(counit_of, cehom_tables, a)
     assert got == outcome(counit_cehom_reference, cehom_tables, a)
     return got
 
@@ -633,7 +640,7 @@ def or_none(fn, *args):
 
 
 def assert_adjunction_homs_match(e, other) -> list:
-    """counit_cehom on e_to_ce(e), and cehom_of_ehom of unit_ehom(e) from
+    """The counit at e_to_ce(e), and cehom_of_ehom of the unit at e from
     e_to_ce(e) and from e_to_ce(other), against the references. With
     ``other`` a differently damaged system, some base arrows name hom
     sets that e does not represent. Returns the outcomes compared."""
@@ -641,7 +648,7 @@ def assert_adjunction_homs_match(e, other) -> list:
     ae = or_none(e_to_ce, e)
     if ae is not None:
         got.append(assert_counit_matches(ae))
-    eta = or_none(unit_ehom, e)
+    eta = or_none(unit_of, e)
     tgt = or_none(e_to_ce, eta.target) if eta is not None else None
     if tgt is not None:
         for src in (ae, or_none(e_to_ce, other)):
@@ -687,6 +694,32 @@ def test_counit_matches_reference_with_ce_rows_dropped(data):
     assert_counit_matches(a)
 
 
+ADJUNCTION_INPUTS = [
+    *(("finset-ce", h) for h in (1, 2, 3)),
+    *(("non-rooted", h) for h in (2, 3)),
+    *((kind, h) for kind in ("nat-e", "finset-b") for h in (2, 3, 4)),
+]
+
+
+def adjunction_input(kind: str, height: int):
+    """finset-ce, the non-rooted CE-system, or e_to_ce of a built E-system."""
+    if kind == "finset-ce":
+        return build_finset_cesystem(height)
+    if kind == "non-rooted":
+        return non_rooted_cesystem(height)
+    return e_to_ce(built(kind, height))
+
+
+@pytest.mark.parametrize("kind, height", ADJUNCTION_INPUTS)
+def test_adjunction_witnesses_match_reference(kind, height):
+    a = adjunction_input(kind, height)
+    eta, eps, rep = xlate.adjunction_witnesses(a)
+    eta_ref, eps_ref, rep_ref = adjunction_witnesses_reference(ce_to_e(a), a)
+    assert rep.format() == rep_ref.format()
+    assert ehom_tables(eta) == ehom_tables(eta_ref)
+    assert cehom_tables(eps) == cehom_tables(eps_ref)
+
+
 # ---------------------------------------------------------------------------
 # each id made once, none decoded, each slice enumerated once
 
@@ -712,10 +745,10 @@ def test_translations_decode_no_internal_hom_id(monkeypatch, kind):
     decoded = []
     counting(monkeypatch, (core, esys, xlate), "split_ids", decoded, lambda s, sep: s.startswith("ih|"))
     ae = e_to_ce(e)
-    eps = counit_cehom(ae)
-    eta = unit_ehom(e)
+    eps = counit_of(ae)
+    eta = unit_of(e)
     cehom_of_ehom(eta, ae, eps.source)
-    xlate.adjunction_witnesses(e, ae)
+    xlate.adjunction_witnesses(ae)
     assert eps.base_map.arrow_map
     assert not decoded
 
@@ -759,3 +792,36 @@ def test_b_to_e_and_e_to_b_make_each_id_once_and_decode_none(monkeypatch, height
     assert len(made) == len(set(made)) > 0
     assert not hasattr(xlate, "parse_path_id")
     assert not unpacked
+
+
+TRANSLATIONS = ("b_to_e", "e_to_ce", "ce_to_c", "c_to_ce", "ce_to_e", "e_to_b")
+
+
+def translation_counts(monkeypatch) -> dict[str, list]:
+    """Calls of each translation that xlate makes through its own bindings."""
+    calls: dict[str, list] = {name: [] for name in TRANSLATIONS}
+    for name in TRANSLATIONS:
+        counting(monkeypatch, (xlate,), name, calls[name])
+    return calls
+
+
+def test_grand_roundtrip_makes_ten_translations(monkeypatch):
+    """The six stages, casce_iso's ce_to_c and c_to_ce of the stage's a,
+    the unit's target ce_to_e(a), and e_to_b of the stage's e for the
+    relabeling: the witnesses translate no stage's input again."""
+    b = build_finset_bsystem(4)
+    calls = translation_counts(monkeypatch)
+    iso, _stages = xlate.grand_roundtrip_iso(b)
+    assert iso.verified
+    assert {name: len(c) for name, c in calls.items()} == {
+        "b_to_e": 1, "e_to_ce": 1, "ce_to_c": 2, "c_to_ce": 2, "ce_to_e": 2, "e_to_b": 2,
+    }
+
+
+def test_adjunction_witnesses_make_four_translations(monkeypatch):
+    """e = ce_to_e(a), e_to_ce(e), ce_to_e of that, and e_to_ce of that."""
+    a = build_finset_cesystem(2)
+    calls = translation_counts(monkeypatch)
+    _eta, _eps, rep = xlate.adjunction_witnesses(a)
+    assert rep.ok
+    assert {name: len(c) for name, c in calls.items() if c} == {"ce_to_e": 2, "e_to_ce": 2}
