@@ -68,12 +68,12 @@ def validate_cesystem(a: CESystem, rooted: bool = False, stratified: bool = Fals
     if fam.objects != base.objects:
         rep.fail("objects-shared", (), "family and base objects differ")
 
+    skipped = 0
     for c in sorted(fam.arrows):
-        rep.tick("functor-I")
         img = a.ifun.get(c)
         if img is None:
             if base.partial:
-                rep.skip("functor-I")
+                skipped += 1
             else:
                 rep.fail("functor-I", (c,), "unmapped family arrow")
             continue
@@ -84,19 +84,19 @@ def validate_cesystem(a: CESystem, rooted: bool = False, stratified: bool = Fals
             rep.fail("functor-I", (c, img), "I is not identity on objects")
     # a missing entry reads as None, and no table is keyed by None
     for x in sorted(fam.objects):
-        rep.tick("functor-I")
         fid, bid = fam.identity.get(x), base.identity.get(x)
         if fid is None or bid is None:
-            rep.skip("functor-I")
+            skipped += 1
         elif a.ifun.get(fid) != bid:
             rep.fail("functor-I", (x,), "identity not preserved")
     for (g, f), gf in sorted(fam.compose.items()):
-        rep.tick("functor-I")
         img = base.compose.get((a.ifun.get(g), a.ifun.get(f)))
         if img is None:
-            rep.skip("functor-I")
+            skipped += 1
         elif img != a.ifun.get(gf):
             rep.fail("functor-I", (g, f), "composition not preserved")
+    rep.tick("functor-I", len(fam.arrows) + len(fam.objects) + len(fam.compose))
+    rep.skip("functor-I", skipped)
 
     rep.tick("root")
     if a.root not in fam.objects:
@@ -106,22 +106,19 @@ def validate_cesystem(a: CESystem, rooted: bool = False, stratified: bool = Fals
             if len(fam.hom(x, a.root)) != 1:
                 rep.fail("root", (x,), "root not terminal in families")
     if rooted:
+        rep.tick("rooted", len(base.objects))
         for x in sorted(base.objects):
-            rep.tick("rooted")
             if len(base.hom(x, a.root)) != 1:
                 rep.fail("rooted", (x,), "root not terminal in the base")
 
     # coverage of the pullback choice
-    for f in sorted(base.arrows):
-        gamma = base.cod(f)
-        for A in fam.arrows_into(gamma):
-            rep.tick("coverage")
-            if (f, A) not in a.pb:
-                rep.skip("coverage")
+    pairs = [(f, A) for f in base.arrows for A in fam.arrows_into(base.cod(f))]
+    rep.tick("coverage", len(pairs))
+    rep.skip("coverage", sum(pair not in a.pb for pair in pairs))
 
+    skipped = 0
     for (f, A), (fA, pi2) in sorted(a.pb.items()):
         delta, gamma = base.dom(f), base.cod(f)
-        rep.tick("pb-commute")
         if fam.cod(A) != gamma:
             rep.fail("pb-commute", (f, A), "family does not sit over cod(f)")
             continue
@@ -133,53 +130,62 @@ def validate_cesystem(a: CESystem, rooted: bool = False, stratified: bool = Fals
             continue
         ia, ifa = a.ifun.get(A), a.ifun.get(fA)
         if ia is None or ifa is None:
-            rep.skip("pb-commute")
+            skipped += 1
             continue
         check_pullback_square(base, pi2, ifa, ia, f, rep, "pb-universal", (f, A))
         lhs, rhs = base.compose.get((ia, pi2)), base.compose.get((f, ifa))
         if lhs is None or rhs is None:
-            rep.skip("pb-commute")
+            skipped += 1
         elif lhs != rhs:
             rep.fail("pb-commute", (f, A), "square does not commute")
+    rep.tick("pb-commute", len(a.pb))
+    rep.skip("pb-commute", skipped)
 
     # functoriality clauses
+    skipped = 0
     for f, ar in sorted(base.arrows.items()):
-        rep.tick("pb-a")
         entry = a.pb.get((f, fam.identity.get(ar.cod)))
         ident = fam.identity.get(ar.dom)
         if entry is None or ident is None:
-            rep.skip("pb-a")
+            skipped += 1
         elif entry != (ident, f):
             rep.fail("pb-a", (f,), f"pullback of identity family is {entry!r}")
+    rep.tick("pb-a", len(base.arrows))
+    rep.skip("pb-a", skipped)
+    skipped = 0
     for A, ar in sorted(fam.arrows.items()):
-        rep.tick("pb-b")
         entry = a.pb.get((base.identity.get(ar.cod), A))
         ident = base.identity.get(ar.dom)
         if entry is None or ident is None:
-            rep.skip("pb-b")
+            skipped += 1
         elif entry != (A, ident):
             rep.fail("pb-b", (A,), f"pullback along identity is {entry!r}")
+    rep.tick("pb-b", len(fam.arrows))
+    rep.skip("pb-b", skipped)
     check_pullback_composites(base, a.pb, rep, "pb-c")
+    checked = skipped = 0
     for (f, A), (fA, pi2) in sorted(a.pb.items()):
         for P in fam.arrows_into(fam.dom(A)):
-            rep.tick("pb-d")
+            checked += 1
             lhs = a.pb.get((f, fam.compose.get((A, P))))
             inner = a.pb.get((pi2, P))
             qP = None if inner is None else fam.compose.get((fA, inner[0]))
             if lhs is None or qP is None:
-                rep.skip("pb-d")
+                skipped += 1
                 continue
             expect = (qP, inner[1])
             if lhs != expect:
                 rep.fail("pb-d", (f, A, P), f"{lhs!r} != {expect!r}")
+    rep.tick("pb-d", checked)
+    rep.skip("pb-d", skipped)
 
     if stratified:
         strat = stratify(fam) if fam.terminal is not None else None
         if not isinstance(strat, Stratification):
             rep.miss("stratified", "family category does not stratify")
         else:
+            rep.tick("stratified", len(a.pb))
             for (f, A), (fA, pi2) in sorted(a.pb.items()):
-                rep.tick("stratified")
                 delta, gamma = base.dom(f), base.cod(f)
                 lhs = strat.of(fam.dom(fA))
                 rhs = strat.of(delta) + strat.of(fam.dom(A)) - strat.of(gamma)
@@ -197,37 +203,37 @@ def validate_ce_hom(h: CEHom) -> Report:
         rep.law(law)
     src, tgt = h.source, h.target
 
+    rep.tick("square", len(src.fam.objects) + len(src.fam.arrows))
     for x in sorted(src.fam.objects):
-        rep.tick("square")
         if h.fam_map.object_map.get(x) != h.base_map.object_map.get(x):
             rep.fail("square", (x,), "components disagree on objects")
+    skipped = 0
     for c in sorted(src.fam.arrows):
-        rep.tick("square")
         lhs = h.base_map.arrow_map.get(src.ifun.get(c))
         rhs = tgt.ifun.get(h.fam_map.arrow_map.get(c))
         if lhs is None or rhs is None:
-            rep.skip("square")
+            skipped += 1
         elif lhs != rhs:
             rep.fail("square", (c,), "square over I does not commute")
+    rep.skip("square", skipped)
 
     rep.tick("root")
     if h.fam_map.object_map.get(src.root) != tgt.root:
         rep.fail("root", (src.root,), "root not preserved")
 
+    rep.tick("pb", len(src.pb))
+    skipped = 0
     for (f, A), (fA, pi2) in sorted(src.pb.items()):
-        rep.tick("pb")
         fi = h.base_map.arrow_map.get(f)
         Ai = h.fam_map.arrow_map.get(A)
-        if fi is None or Ai is None:
-            rep.skip("pb")
-            continue
-        entry = h.target.pb.get((fi, Ai))
+        entry = None if fi is None or Ai is None else h.target.pb.get((fi, Ai))
         if entry is None:
-            rep.skip("pb")
+            skipped += 1
             continue
         expect = (h.fam_map.arrow_map.get(fA), h.base_map.arrow_map.get(pi2))
         if entry != expect:
             rep.fail("pb", (f, A), f"{entry!r} != {expect!r}")
+    rep.skip("pb", skipped)
     return rep
 
 

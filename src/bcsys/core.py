@@ -195,12 +195,12 @@ def validate_units(c: FinCat) -> Report:
     """The category laws checked in linear time: identities, endpoints, unit law."""
     rep = Report()
 
+    skipped = 0
     for obj in sorted(c.objects):
-        rep.tick("identity")
         i = c.identity.get(obj)
         if i is None:
             if c.partial:
-                rep.skip("identity")
+                skipped += 1
             else:
                 rep.fail("identity", (obj,), "no identity arrow")
             continue
@@ -209,26 +209,33 @@ def validate_units(c: FinCat) -> Report:
             continue
         if c.dom(i) != obj or c.cod(i) != obj:
             rep.fail("identity", (obj, i), "identity endpoints wrong")
+    if c.objects:
+        rep.tick("identity", len(c.objects))
+        rep.skip("identity", skipped)
 
     for a, ar in sorted(c.arrows.items()):
-        rep.tick("endpoints")
         if ar.dom not in c.objects or ar.cod not in c.objects:
             rep.fail("endpoints", (a,), "dangling dom/cod")
         if ar.name != a:
             rep.fail("endpoints", (a,), "arrow key and name disagree")
+    if c.arrows:
+        rep.tick("endpoints", len(c.arrows))
 
+    skipped = 0
     # a missing identity reads as None, and no composite is keyed by None
     for f, ar in sorted(c.arrows.items()):
-        rep.tick("unit")
         left = c.compose.get((c.identity.get(ar.cod), f))
         right = c.compose.get((f, c.identity.get(ar.dom)))
         if left is None or right is None:
-            rep.skip("unit")
+            skipped += 1
             continue
         if left != f:
             rep.fail("unit", (f,), f"id∘f = {left!r}")
         if right != f:
             rep.fail("unit", (f,), f"f∘id = {right!r}")
+    if c.arrows:
+        rep.tick("unit", len(c.arrows))
+        rep.skip("unit", skipped)
 
     return rep
 
@@ -236,73 +243,74 @@ def validate_units(c: FinCat) -> Report:
 def validate_fincat(c: FinCat) -> Report:
     """Exhaustively check the strict-category laws and the chosen terminal.
 
-    Every composable pair (g, f) and triple (h, g, f) is checked, in
-    sorted order, but only composable data is visited. ``_into[y]`` holds
-    exactly the arrows with codomain y, in sorted order, so for a fixed g
-    the sorted ``_into[dom g]`` is the sorted list of the f with
-    dom g = cod f: the pairs a loop over all sorted (g, f) would keep.
-    In the same way h, then g in ``_into[dom h]``, then f in
-    ``_into[dom g]`` lists the composable triples in sorted order.
+    The report is that of a loop over every sorted composable pair (g, f)
+    and triple (h, g, f), with the same counts and the same witnesses in
+    the same order, but only the entries of ``compose`` are visited
+    (_composites gives table, rows and other).
 
-    Composite totality: the table's keys (g, f) that are not composable
-    are collected in one pass over ``compose`` and merged into g's row in
-    sorted f order, so every witness comes out in (g, f) order. Keys
-    naming an arrow that does not exist come last, in sorted key order.
+    Composite totality ticks len(_into[dom g]) pairs for each g. Where g
+    has no stray key (a non-composable pair of arrows) and every missing
+    g∘f is a skip, only the f of rows[g] are checked and the others are
+    counted as skipped. Any other row walks _into[dom g] merged with g's
+    stray keys, to write its witnesses in f order. Keys naming an arrow
+    that does not exist fail last, in sorted key order.
 
-    Associativity: a triple is skipped when one of g∘f, (h∘g)∘f or
-    h∘(g∘f) is missing. When h∘g is missing, every f of the row is
-    skipped, so the row is counted as len(_into[dom g]) checked and as
-    many skipped without visiting its f. Counts are added to the report
-    once, after the loop; only the witnesses depend on the order.
+    Associativity ticks len(_from[cod g]) * len(_into[dom g]) triples for
+    each g. A triple is skipped when g∘f, h∘g, (h∘g)∘f or h∘(g∘f) is
+    missing, so only the rows (h, g) of rows[h], and in each the f of
+    rows[g], are visited; the triples not compared count as skipped.
+    (h∘g)∘f is read from table[h∘g], or from ``other`` when h∘g is no
+    arrow with the domain of g; h∘(g∘f) from table[h], then ``other``,
+    which holds a stray key (h, g∘f). Where the rows of g and h∘g are
+    complete and have several f, the row is compared as one tuple
+    gathered from table[h]; a KeyError or an unequal tuple sends it to
+    the per-f loop of _assoc_row, which writes the witnesses.
 
-    The other rows (h, g) are compared whole where they can be. rows[x]
-    is the tuple of x∘f over f in _into[dom x], with None where a
-    composite is missing, and ``full`` the arrows whose row has no None;
-    left maps each a in _into[dom h] to h∘a where that is present. Where
-    hg = h∘g is an arrow with dom hg = dom g, rows[hg] runs over the
-    same fs = _into[dom g] as rows[g], so it holds every (h∘g)∘f, and
-    rows[g] every g∘f. When fs has more than one f and g and hg are both
-    in ``full``, gathering left at rows[g] gives every h∘(g∘f), or
-    raises KeyError where some g∘f is not an arrow into dom h or
-    h∘(g∘f) is missing. If the gathered tuple equals rows[hg], every
-    triple of the row has both sides present and equal: it is compared,
-    as one element of the tuple comparison, and neither skipped nor
-    failed, so ``checked`` still counts every triple compared. Every
-    other row, including a KeyError or an unequal tuple, runs the per-f
-    loop of _assoc_row over the same g∘f and (h∘g)∘f, the latter read
-    from the table where hg is no arrow or has another domain. It looks
-    h∘(g∘f) up in left, and in the table where left has no entry, which
-    finds a stray key (h, g∘f) too. So the witnesses, their order and
-    the skips are those of a loop over every triple.
+    Light's test (Clifford and Preston, The Algebraic Theory of Semigroups
+    I, 1961, §1.2) applies when every law above held with nothing skipped:
+    every object has an identity, the unit law holds at every arrow, and
+    every composable pair has a composite in its hom-set. Let T be the
+    arrows a with (h∘a)∘f = h∘(a∘f) for all composable h and f. T holds
+    the identities, both sides being h∘f by the unit law. For a, b in T,
+    (h∘(a∘b))∘f = ((h∘a)∘b)∘f = (h∘a)∘(b∘f) = h∘(a∘(b∘f)) = h∘((a∘b)∘f)
+    by a, b, a, b in T in turn, so T is closed under composition. Hence T
+    is every arrow once it holds the generators _generators picks: only
+    their rows (h, g) are compared, and the other triples are proved and
+    counted as checked. If a generator row fails, every row is compared.
     """
     rep = validate_units(c)
-    arrows, compose, into = c.arrows, c.compose, c._into
+    arrows, into = c.arrows, c._into
     names = sorted(arrows)
+    table, rows, other = _composites(c)
+    full = {g for g, (fs, _) in rows.items() if len(fs) == len(into[arrows[g].dom])}
 
     stray: dict[str, list[str]] = {}
-    unknown: list[tuple[str, str]] = []
-    for g, f in compose:
-        if g not in arrows or f not in arrows:
-            unknown.append((g, f))
-        elif arrows[g].dom != arrows[f].cod:
+    for g, f in other:
+        if g in arrows and f in arrows:
             stray.setdefault(g, []).append(f)
-
+    pairs = sum(len(into.get(ar.dom, ())) for ar in arrows.values())
+    if pairs:
+        rep.tick("compose-total", pairs)
+    skipped = 0
     for g in names:
         ar_g = arrows[g]
-        row = into.get(ar_g.dom, [])
-        if row:
-            rep.tick("compose-total", len(row))
+        fs = into.get(ar_g.dom, [])
+        walk = rows[g][0] if g in rows else ()
+        missing = len(fs) - len(walk)
         noncomposable = stray.get(g, ())
-        if noncomposable:
-            row = sorted(row + noncomposable)
-        for f in row:
+        if noncomposable or (missing and not c.partial):
+            walk = sorted([*fs, *noncomposable])
+        else:
+            skipped += missing
+        row = table.get(g, {})
+        for f in walk:
             if f in noncomposable:
                 rep.fail("compose-total", (g, f), "composite of non-composable pair")
                 continue
-            gf = compose.get((g, f))
+            gf = row.get(f)
             if gf is None:
                 if c.partial:
-                    rep.skip("compose-total")
+                    skipped += 1
                 else:
                     rep.fail("compose-total", (g, f), "missing composite")
                 continue
@@ -312,39 +320,46 @@ def validate_fincat(c: FinCat) -> Report:
                 continue
             if ar_gf.dom != arrows[f].dom or ar_gf.cod != ar_g.cod:
                 rep.fail("compose-endpoints", (g, f, gf), "composite endpoints wrong")
-    for g, f in sorted(unknown):
+    if skipped:
+        rep.skip("compose-total", skipped)
+    for g, f in sorted(k for k in other if k[0] not in arrows or k[1] not in arrows):
         rep.fail("compose-total", (g, f), "composite of unknown arrow")
 
-    rows = {x: tuple(compose.get((x, f)) for f in into.get(ar.dom, ())) for x, ar in arrows.items()}
-    full = {x for x, row in rows.items() if None not in row}
-    checked = skipped = 0
-    for h in names:
-        into_h = into.get(arrows[h].dom, ())
-        left = {a: ha for a in into_h if (ha := compose.get((h, a))) is not None}
-        for g in into_h:
-            dom_g = arrows[g].dom
-            fs = into.get(dom_g, ())
-            checked += len(fs)
-            hg = left.get(g)
-            if hg is None:
-                skipped += len(fs)
-                continue
+    def assoc(hgs: list[tuple[str, str, str]], out: Report) -> int:
+        """Compare the rows (h, g, h∘g) into ``out``; the triples compared."""
+        compared = 0
+        for h, g, hg in hgs:
+            left = table[h]
+            fs, gfs = rows.get(g, ((), ()))
             ar_hg = arrows.get(hg)
-            if ar_hg is None or ar_hg.dom != dom_g:
-                lhss = [compose.get((hg, f)) for f in fs]
+            if ar_hg is None or ar_hg.dom != arrows[g].dom:
+                lhss = [other.get((hg, f)) for f in fs]
             else:
-                lhss = rows[hg]
                 if len(fs) > 1 and g in full and hg in full:
                     try:
-                        if itemgetter(*rows[g])(left) == lhss:
+                        if itemgetter(*gfs)(left) == rows[hg][1]:
+                            compared += len(fs)
                             continue
                     except KeyError:
                         pass
-            skipped += _assoc_row(compose, left, h, g, fs, rows[g], lhss, rep)
+                lhss = list(map(table.get(hg, {}).get, fs))
+            compared += len(fs) - _assoc_row(other, left, h, g, fs, gfs, lhss, out)
+        return compared
+
+    checked = sum(len(c._from.get(ar.cod, ())) * len(into.get(ar.dom, ())) for ar in arrows.values())
     if checked:
         rep.tick("assoc", checked)
-    if skipped:
-        rep.skip("assoc", skipped)
+    every = [(h, g, hg) for h in names if h in rows for g, hg in zip(*rows[h])]
+    proved = all(res.ok and not res.skipped for res in rep.laws.values())
+    if proved:
+        gens = _generators(c, names, table)
+        probe = Report()
+        assoc([row for row in every if row[1] in gens], probe)
+        proved = not probe.laws
+    if not proved:
+        skipped = checked - assoc(every, rep)
+        if skipped:
+            rep.skip("assoc", skipped)
 
     if c.terminal is not None:
         if c.terminal not in c.objects:
@@ -358,23 +373,66 @@ def validate_fincat(c: FinCat) -> Report:
     return rep
 
 
+def _composites(c: FinCat) -> tuple[dict, dict, dict]:
+    """One pass over ``compose``: table[g] = {f: g∘f} over the composable
+    pairs whose composite is not None, rows[g] = (those f, sorted, and
+    their composites), and ``other`` the keys that are not composable.
+    compose.get((g, f)) is table[g].get(f) or other.get((g, f))."""
+    arrows = c.arrows
+    table: dict[str, dict[str, str]] = {}
+    other: dict[tuple[str, str], str] = {}
+    for key, gf in c.compose.items():
+        ar_g, ar_f = arrows.get(key[0]), arrows.get(key[1])
+        if ar_g is None or ar_f is None or ar_g.dom != ar_f.cod:
+            other[key] = gf
+        elif gf is not None:
+            table.setdefault(key[0], {})[key[1]] = gf
+    rows = {}
+    for g, row in table.items():
+        fs = c._into[arrows[g].dom]
+        if len(row) < len(fs):
+            fs = sorted(row)
+        rows[g] = (fs, tuple(map(row.__getitem__, fs)))
+    return table, rows, other
+
+
+def _generators(c: FinCat, names: list[str], table: dict[str, dict[str, str]]) -> set[str]:
+    """Generators of a category with every composite present and in its
+    hom-set: each arrow, in sorted order, that is not yet made from the
+    identities and the generators before it. ``made`` is closed under
+    composing on the left with a generator, so it holds every composite
+    g1∘(g2∘(...∘(gk∘x))) of generators gi and an identity x."""
+    made = {c.identity[x] for x in c.objects}
+    gens: dict[str, list[str]] = {}  # by domain
+    for a in names:
+        if a not in made:
+            gens.setdefault(c.arrows[a].dom, []).append(a)
+            todo = [table[a][x] for x in c._into[c.arrows[a].dom] if x in made]
+            while todo:
+                y = todo.pop()
+                if y not in made:
+                    made.add(y)
+                    todo.extend(table[b][y] for b in gens.get(c.arrows[y].cod, ()))
+    return {a for row in gens.values() for a in row}
+
+
 def _assoc_row(
-    compose: dict[tuple[str, str], str],
+    other: dict[tuple[str, str], str],
     left: dict[str, str],
     h: str,
     g: str,
     fs: list[str],
-    gfs: tuple[str | None, ...],
+    gfs: tuple[str, ...],
     lhss: Sequence[str | None],
     rep: Report,
 ) -> int:
     """Compare (h∘g)∘f with h∘(g∘f) for each f of fs, in order; report
-    the failures and return the number of triples skipped. gfs and lhss
-    hold g∘f and (h∘g)∘f for each f, None where missing; left holds h∘a
-    for the a into dom h, and compose is read for any other a."""
+    the failures and return the number of triples skipped. gfs holds
+    g∘f and lhss (h∘g)∘f for each f, None where missing; left holds h∘a
+    for the a into dom h, and ``other`` the keys that are not composable."""
     skipped = 0
     for f, gf, lhs in zip(fs, gfs, lhss):
-        rhs = None if gf is None else left.get(gf) or compose.get((h, gf))
+        rhs = left.get(gf) or other.get((h, gf))
         if lhs is None or rhs is None:
             skipped += 1
         elif lhs != rhs:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import FinCat, validate_fincat
+from .core import FinCat, _composites, validate_fincat
 from .report import Report
 
 
@@ -123,6 +123,8 @@ def validate_csystem(c: CSystem) -> Report:
     cat = c.cat
     for law in ("i", "ii", "iii", "iv", "v", "vi", "vii", "coverage"):
         rep.law(law)
+    nonzero = [x for x in sorted(cat.objects) if c.length.get(x, 0) != 0]
+    positive = [x for x in nonzero if c.length[x] > 0]
 
     rep.tick("i")
     zero = {x for x, n in c.length.items() if n == 0}
@@ -132,59 +134,56 @@ def validate_csystem(c: CSystem) -> Report:
         if x not in c.length:
             rep.fail("i", (x,), "object has no length")
 
-    for x in sorted(cat.objects):
-        if c.length.get(x, 0) > 0:
-            rep.tick("ii")
-            fx = c.ft.get(x)
-            if fx is None:
-                rep.fail("ii", (x,), "no father")
-            elif c.length.get(fx) != c.length[x] - 1:
-                rep.fail("ii", (x, fx), "father length wrong")
+    rep.tick("ii", len(positive))
+    for x in positive:
+        fx = c.ft.get(x)
+        if fx is None:
+            rep.fail("ii", (x,), "no father")
+        elif c.length.get(fx) != c.length[x] - 1:
+            rep.fail("ii", (x, fx), "father length wrong")
 
     rep.tick("iii")
     if c.ft.get(c.one) != c.one:
         rep.fail("iii", (c.one,), "ft(1) != 1")
 
+    rep.tick("iv", len(cat.objects))
     for x in sorted(cat.objects):
-        rep.tick("iv")
         arrs = cat.hom(x, c.one)
         if len(arrs) != 1:
             rep.fail("iv", (x, tuple(arrs)), "unit is not terminal")
 
-    for x in sorted(cat.objects):
-        if c.length.get(x, 0) > 0:
-            rep.tick("v")
-            p = c.proj.get(x)
-            if p is None:
-                if cat.partial:
-                    rep.skip("v")
-                else:
-                    rep.fail("v", (x,), "no canonical projection")
-                continue
-            fx = c.ft.get(x)
-            if fx is None:  # law ii reports the missing father
-                rep.skip("v")
-                continue
-            if cat.dom(p) != x or cat.cod(p) != fx:
-                rep.fail("v", (x, p), "projection endpoints wrong")
+    checked, skipped = len(positive), 0
+    for x in positive:
+        p = c.proj.get(x)
+        if p is None:
+            if cat.partial:
+                skipped += 1
+            else:
+                rep.fail("v", (x,), "no canonical projection")
+            continue
+        fx = c.ft.get(x)
+        if fx is None:  # law ii reports the missing father
+            skipped += 1
+            continue
+        if cat.dom(p) != x or cat.cod(p) != fx:
+            rep.fail("v", (x, p), "projection endpoints wrong")
 
     # chosen pullbacks: coverage plus the pullback property
-    for gamma in sorted(cat.objects):
-        if c.length.get(gamma, 0) == 0:
-            continue
+    covered = uncovered = 0
+    for gamma in nonzero:
         base = c.ft.get(gamma)
         if base is None:  # the arrows f into ft(gamma) are not defined
-            rep.tick("coverage")
-            rep.skip("coverage")
+            covered += 1
+            uncovered += 1
             continue
         for f in cat.arrows_into(base):
-            rep.tick("coverage")
+            covered += 1
             entry = c.pb.get((f, gamma))
             if entry is None:
-                rep.skip("coverage")
+                uncovered += 1
                 continue
             ob, q = entry
-            rep.tick("v")
+            checked += 1
             if ob not in cat.objects or q not in cat.arrows:
                 rep.fail("v", (f, gamma), "pullback entry dangling")
                 continue
@@ -197,24 +196,28 @@ def validate_csystem(c: CSystem) -> Report:
             p_ob = c.proj.get(ob)
             p_g = c.proj.get(gamma)
             if p_ob is None or p_g is None:
-                rep.skip("v")
+                skipped += 1
                 continue
             if cat.dom(q) != ob or cat.cod(q) != gamma:
                 rep.fail("v", (f, gamma, q), "q endpoints wrong")
                 continue
             check_pullback_square(cat, q, p_ob, p_g, f, rep, "v", (f, gamma))
+    rep.tick("v", checked)
+    rep.skip("v", skipped)
+    rep.tick("coverage", covered)
+    rep.skip("coverage", uncovered)
 
-    for gamma in sorted(cat.objects):
-        if c.length.get(gamma, 0) == 0:
-            continue
-        rep.tick("vi")
+    skipped = 0
+    for gamma in nonzero:
         # a missing father or identity reads as None, and no entry is keyed by None
         entry = c.pb.get((cat.identity.get(c.ft.get(gamma)), gamma))
         ident = cat.identity.get(gamma)
         if entry is None or ident is None:
-            rep.skip("vi")
+            skipped += 1
         elif entry != (gamma, ident):
             rep.fail("vi", (gamma,), f"id pullback is {entry!r}")
+    rep.tick("vi", len(nonzero))
+    rep.skip("vi", skipped)
 
     check_pullback_composites(cat, c.pb, rep, "vii")
     return rep
@@ -227,17 +230,27 @@ def check_pullback_composites(
 
     For every entry pb[(f, X)] = (Y, q) and every g into dom(f), with
     pb[(g, Y)] = (Y', q'), require pb[(f∘g, X)] = (Y', q∘q'). An instance
-    is skipped when f∘g, q∘q' or either entry is missing.
+    is checked, and skipped when f∘g, q∘q' or either entry is missing. So
+    each entry ticks len(_into[dom f]), and only the g with f∘g present,
+    those of _composites' rows[f], are visited in sorted order; the others
+    count as skipped.
     """
-    compose = cat.compose
+    table, rows, other = _composites(cat)
+    checked = skipped = 0
     for (f, X), (Y, q) in sorted(pb.items()):
-        for g in cat.arrows_into(cat.dom(f)):
-            rep.tick(law)
-            lhs = pb.get((compose.get((f, g)), X))
+        n = len(cat._into.get(cat.dom(f), ()))
+        gs, fgs = rows.get(f, ((), ()))
+        checked += n
+        skipped += n - len(gs)
+        for g, fg in zip(gs, fgs):
+            lhs = pb.get((fg, X))
             inner = pb.get((g, Y))
-            expect = None if inner is None else (inner[0], compose.get((q, inner[1])))
-            if lhs is None or expect is None or expect[1] is None:
-                rep.skip(law)
-            elif lhs != expect:
-                rep.fail(law, (f, g, X), f"{lhs!r} != {expect!r}")
-
+            qq = None if inner is None else table.get(q, {}).get(inner[1]) or other.get((q, inner[1]))
+            if lhs is None or qq is None:
+                skipped += 1
+            elif lhs != (inner[0], qq):
+                rep.fail(law, (f, g, X), f"{lhs!r} != {(inner[0], qq)!r}")
+    if checked:
+        rep.tick(law, checked)
+    if skipped:
+        rep.skip(law, skipped)

@@ -635,8 +635,11 @@ def ce_to_c(a: CESystem) -> CSystem:
 
 def casce_iso(a: CESystem) -> IsoWitness:
     """comp/fact between c_to_ce(ce_to_c(a)) and a (identity on the base)."""
-    c = ce_to_c(a)
-    ahat = c_to_ce(c)
+    return _casce_iso(a, c_to_ce(ce_to_c(a)))
+
+
+def _casce_iso(a: CESystem, ahat: CESystem) -> IsoWitness:
+    """comp/fact between ahat = c_to_ce(ce_to_c(a)) and a."""
     strat = stratify(a.fam)
     assert isinstance(strat, Stratification)
     # comp: paths of individuals -> their composites in fam(a)
@@ -1179,17 +1182,17 @@ def grand_roundtrip_iso(bsys: BSystem) -> tuple[IsoWitness, dict[str, Report]]:
     The witness is assembled from the three partial-round-trip isos:
     comp/fact on the CE side, the unit on the E side, and the relabeling
     on the B side. The unit and the relabeling compare the structures
-    built by the stages and here; casce_iso makes its own ce_to_c and
-    c_to_ce of a.
+    built by the stages and here: comp/fact compares a with the back
+    stage's c_to_ce of the forward stage's ce_to_c(a).
     """
     (e, a, c), fwd_stages = compose_equivalence("b2c", bsys)
-    (_a2, ehat, b2), back_stages = compose_equivalence("c2b", c)
+    (a2, ehat, b2), back_stages = compose_equivalence("c2b", c)
     stages = dict(fwd_stages)
     stages.update({f"back:{k}": v for k, v in back_stages.items()})
 
     rep = Report()
     # kappa: ce_to_e(c_to_ce(ce_to_c(a))) -> ce_to_e(a) via the comp iso
-    iso_ce = casce_iso(a)
+    iso_ce = _casce_iso(a, a2)
     rep.merge(iso_ce.report, prefix="casce:")
     # eta inverse: ce_to_e(a) = ce_to_e(e_to_ce(e)) -> e
     ea = ce_to_e(a)

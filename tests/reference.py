@@ -92,7 +92,6 @@ from bcsys.core import (
     split_ids,
     stratify,
     triangle_id,
-    validate_units,
 )
 from bcsys.csys import CSystem
 from bcsys.esys import (
@@ -157,9 +156,50 @@ projections_raising = _raising(projections)
 subst_term_raising = _raising(subst_term)
 
 
+def validate_units_reference(c: FinCat) -> Report:
+    """validate_units with one tick and one skip per instance."""
+    rep = Report()
+
+    for obj in sorted(c.objects):
+        rep.tick("identity")
+        i = c.identity.get(obj)
+        if i is None:
+            if c.partial:
+                rep.skip("identity")
+            else:
+                rep.fail("identity", (obj,), "no identity arrow")
+            continue
+        if i not in c.arrows:
+            rep.fail("identity", (obj, i), "identity arrow not present")
+            continue
+        if c.dom(i) != obj or c.cod(i) != obj:
+            rep.fail("identity", (obj, i), "identity endpoints wrong")
+
+    for a, ar in sorted(c.arrows.items()):
+        rep.tick("endpoints")
+        if ar.dom not in c.objects or ar.cod not in c.objects:
+            rep.fail("endpoints", (a,), "dangling dom/cod")
+        if ar.name != a:
+            rep.fail("endpoints", (a,), "arrow key and name disagree")
+
+    for f, ar in sorted(c.arrows.items()):
+        rep.tick("unit")
+        left = c.compose.get((c.identity.get(ar.cod), f))
+        right = c.compose.get((f, c.identity.get(ar.dom)))
+        if left is None or right is None:
+            rep.skip("unit")
+            continue
+        if left != f:
+            rep.fail("unit", (f,), f"id∘f = {left!r}")
+        if right != f:
+            rep.fail("unit", (f,), f"f∘id = {right!r}")
+
+    return rep
+
+
 def validate_fincat_reference(c: FinCat) -> Report:
     """validate_fincat by a loop over all sorted (g, f) and (h, g, f)."""
-    rep = validate_units(c)
+    rep = validate_units_reference(c)
     names = sorted(c.arrows)
     for g in names:
         for f in names:
@@ -257,6 +297,24 @@ def check_pullback_square_reference(
                         witness + (Z0, u, v),
                         f"{len(mediators)} mediating arrows",
                     )
+
+
+def check_pullback_composites_reference(
+    cat: FinCat, pb: dict[tuple[str, str], tuple[str, str]], rep: Report, law: str
+) -> None:
+    """check_pullback_composites by a loop over every g into dom(f) of
+    every entry, one tick and one skip per instance."""
+    compose = cat.compose
+    for (f, X), (Y, q) in sorted(pb.items()):
+        for g in cat.arrows_into(cat.dom(f)):
+            rep.tick(law)
+            lhs = pb.get((compose.get((f, g)), X))
+            inner = pb.get((g, Y))
+            expect = None if inner is None else (inner[0], compose.get((q, inner[1])))
+            if lhs is None or expect is None or expect[1] is None:
+                rep.skip(law)
+            elif lhs != expect:
+                rep.fail(law, (f, g, X), f"{lhs!r} != {expect!r}")
 
 
 def restrict_sf_reference(e: ESystem, F: SliceFunctorT, P: str) -> SliceFunctorT:

@@ -1,8 +1,9 @@
 """The indexed category and pullback checks against brute-force loops.
 
-``core.validate_fincat`` and ``csys.check_pullback_square`` visit only
-composable data; ``reference.py`` keeps the loops over every pair, triple
-and cone that they replace. Each check here asserts the same report: the
+``core.validate_fincat``, ``csys.check_pullback_square`` and
+``csys.check_pullback_composites`` visit only the composites a table has;
+``reference.py`` keeps the loops over every pair, triple and cone that
+they replace. Each check here asserts the same report: the
 same law names in the same order, the same checked and skipped counts and
 the same violations in the same order.
 """
@@ -17,11 +18,15 @@ import hypothesis.strategies as st
 
 from bcsys import bsys, cesys, core, csys, esys, xlate
 from bcsys.core import Arrow, FinCat, free_cat_of_tree, validate_fincat
-from bcsys.csys import check_pullback_square
+from bcsys.csys import check_pullback_composites, check_pullback_square
 from bcsys.report import Report
 
 from helpers import chain_tree, finsets_op_cat, thin_cat
-from reference import check_pullback_square_reference, validate_fincat_reference
+from reference import (
+    check_pullback_composites_reference,
+    check_pullback_square_reference,
+    validate_fincat_reference,
+)
 
 
 def assert_same_report(got: Report, want: Report) -> None:
@@ -152,9 +157,16 @@ def test_validate_fincat_matches_reference_on_damaged_categories(cat):
 @pytest.fixture
 def assoc_rows(monkeypatch):
     """Count the (h, g) rows validate_fincat tries to compare whole, the
-    tries that raise KeyError, and the rows it compares one f at a time."""
+    tries that raise KeyError, the rows it compares one f at a time, the
+    calls that pick generators, and the rows (h, g) of those generators."""
     counts = collections.Counter()
-    real_row = core._assoc_row
+    real_row, real_generators = core._assoc_row, core._generators
+
+    def generators(c, *args):
+        gens = real_generators(c, *args)
+        counts["generator path"] += 1
+        counts["generator rows"] += rows_with_hg(c, gens)
+        return gens
 
     def per_f(*args):
         counts["per-f"] += 1
@@ -175,17 +187,27 @@ def assoc_rows(monkeypatch):
 
     monkeypatch.setattr(core, "_assoc_row", per_f)
     monkeypatch.setattr(core, "itemgetter", gather)
+    monkeypatch.setattr(core, "_generators", generators)
     return counts
 
 
-def rows_with_hg(c: FinCat) -> int:
-    """The rows (h, g), g into dom h, whose h∘g is in the table."""
+def rows_with_hg(c: FinCat, gs=None) -> int:
+    """The rows (h, g), g into dom h (and in gs, when given), whose h∘g
+    is in the table."""
     return sum(
         (h, g) in c.compose
         for h in c.arrows
-        for g in c.arrows
+        for g in (c.arrows if gs is None else gs)
         if c.dom(h) == c.cod(g)
     )
+
+
+def rows_visited(c: FinCat, rep: Report, counts) -> int:
+    """The rows validate_fincat compared, given the counts of assoc_rows
+    made by that call: the generators' rows, and every row unless the
+    generator path proved the table associative."""
+    proved = counts["generator path"] and not rep.laws["assoc"].violations
+    return counts["generator rows"] + (0 if proved else rows_with_hg(c))
 
 
 def with_compose(c: FinCat, put=(), drop=(), **fields) -> FinCat:
@@ -223,8 +245,9 @@ def single_damages():
 
 @pytest.mark.parametrize("name, cat", sorted(single_damages().items()), ids=sorted(single_damages()))
 def test_validate_fincat_matches_reference_on_single_damages(assoc_rows, name, cat):
-    assert_same_report(validate_fincat(cat), validate_fincat_reference(cat))
-    whole = rows_with_hg(cat) - assoc_rows["per-f"]
+    rep = validate_fincat(cat)
+    assert_same_report(rep, validate_fincat_reference(cat))
+    whole = rows_visited(cat, rep, assoc_rows) - assoc_rows["per-f"]
     assert whole > 0 and assoc_rows["tried"] >= whole
     if "chain" not in name:
         # every row has several f: only a damage sends one to the per-f loop
@@ -238,19 +261,73 @@ def test_validate_fincat_matches_reference_on_single_damages(assoc_rows, name, c
 
 def test_generated_tables_reach_both_assoc_paths(assoc_rows):
     """The hypothesis tables above compare rows whole, raise KeyError out
-    of the gather, and run the per-f loop."""
+    of the gather, run the per-f loop, walk tables with gaps and prove
+    lawful tables from their generators' rows."""
     whole = 0
+    paths = set()
 
     @settings(max_examples=300, deadline=None, database=None, derandomize=True)
     @given(st.one_of(random_tables(), damaged_categories()))
     def run(cat):
         nonlocal whole
-        before = assoc_rows["per-f"]
-        assert_same_report(validate_fincat(cat), validate_fincat_reference(cat))
-        whole += rows_with_hg(cat) - (assoc_rows["per-f"] - before)
+        before = collections.Counter(assoc_rows)
+        rep = validate_fincat(cat)
+        assert_same_report(rep, validate_fincat_reference(cat))
+        made = assoc_rows - before
+        whole += rows_visited(cat, rep, made) - made["per-f"]
+        paths.update(paths_taken(cat, rep, made))
 
     run()
     assert whole > 0 and assoc_rows["per-f"] > 0 and assoc_rows["KeyError"] > 0
+    assert {"generators", "gaps", "gather", "per-f"} <= paths
+
+
+def paths_taken(c: FinCat, rep: Report, made) -> set[str]:
+    """The paths of one validate_fincat call, from the counts of
+    assoc_rows it made: the generator path, its fallback to every row,
+    the walk of a table with gaps, the whole-row gather and the per-f
+    loop."""
+    paths = set()
+    if made["generator path"]:
+        paths.add("fallback" if rep.laws["assoc"].violations else "generators")
+    if c.partial and "compose-total" in rep.laws and rep.laws["compose-total"].skipped:
+        paths.add("gaps")
+    if made["tried"]:
+        paths.add("gather")
+    if made["per-f"]:
+        paths.add("per-f")
+    return paths
+
+
+def single_retargets():
+    """Every table made from finset-ce h2's base, nat-e h4's category or
+    group-s3's by setting one composite to another arrow."""
+    for cat in (
+        cesys.build_finset_cesystem(2).base,
+        esys.build_nat_esystem(4).cat,
+        esys.build_group_structure(*esys.s3_table()).cat,
+    ):
+        names = sorted(cat.arrows)
+        for key, gf in sorted(cat.compose.items()):
+            for a in names:
+                if a != gf:
+                    yield with_compose(cat, put={key: a})
+
+
+def test_validate_fincat_matches_reference_on_single_retargets(assoc_rows):
+    """Each retarget gets the reference's report. Those that break only
+    associativity pass every law before it, so the generator path runs
+    and falls back to every row."""
+    paths = collections.Counter()
+    assoc_only = 0
+    for cat in single_retargets():
+        before = collections.Counter(assoc_rows)
+        rep = validate_fincat(cat)
+        assert_same_report(rep, validate_fincat_reference(cat))
+        paths.update(paths_taken(cat, rep, assoc_rows - before))
+        assoc_only += rep.failed_laws() == ["assoc"]
+    assert assoc_only > 0
+    assert paths["fallback"] == assoc_only
 
 
 FINSET_CE_H4_BASE = """\
@@ -351,10 +428,12 @@ def test_random_squares_reach_every_outcome():
 
 @pytest.fixture
 def crosschecked(monkeypatch):
-    """Compare every validate_fincat and check_pullback_square call
-    with the reference; returns the number of calls of each."""
-    calls = {"validate_fincat": 0, "check_pullback_square": 0}
+    """Compare every validate_fincat, check_pullback_square and
+    check_pullback_composites call with the reference; returns the number
+    of calls of each."""
+    calls = {"validate_fincat": 0, "check_pullback_square": 0, "check_pullback_composites": 0}
     fast_fincat, fast_square = core.validate_fincat, csys.check_pullback_square
+    fast_composites = csys.check_pullback_composites
 
     def fincat(c):
         rep = fast_fincat(c)
@@ -371,11 +450,21 @@ def crosschecked(monkeypatch):
         calls["check_pullback_square"] += 1
         fast_square(cat, *corners, rep, law, witness)
 
+    def composites(cat, pb, rep, law):
+        mine, ref = Report(), Report()
+        fast_composites(cat, pb, mine, law)
+        check_pullback_composites_reference(cat, pb, ref, law)
+        assert_same_report(mine, ref)
+        calls["check_pullback_composites"] += 1
+        fast_composites(cat, pb, rep, law)
+
     for mod in (core, csys, cesys, esys, xlate):
         if hasattr(mod, "validate_fincat"):
             monkeypatch.setattr(mod, "validate_fincat", fincat)
         if hasattr(mod, "check_pullback_square"):
             monkeypatch.setattr(mod, "check_pullback_square", square)
+        if hasattr(mod, "check_pullback_composites"):
+            monkeypatch.setattr(mod, "check_pullback_composites", composites)
     return calls
 
 
@@ -383,6 +472,7 @@ def crosschecked(monkeypatch):
 def test_grand_roundtrip_calls_match_reference(crosschecked, height):
     xlate.grand_roundtrip_iso(bsys.build_finset_bsystem(height))
     assert crosschecked["validate_fincat"] > 0
+    assert crosschecked["check_pullback_composites"] > 0
 
 
 def retarget_unit(a):
@@ -404,3 +494,75 @@ def test_finset_ce_calls_match_reference(crosschecked, corrupt):
     assert rep.ok is not corrupt
     assert crosschecked["validate_fincat"] > 0
     assert crosschecked["check_pullback_square"] > 0
+    assert crosschecked["check_pullback_composites"] > 0
+
+
+@st.composite
+def pullback_tables(draw):
+    """A random table and a pb of entries (f, X) -> (Y, q) with f an
+    arrow. X and Y come from three labels, so entries meet each other;
+    q is an arrow or a name that is no arrow, and the table's own gaps,
+    stray keys and non-arrow composites give absent and unknown f∘g and
+    q∘q'."""
+    cat = draw(random_tables())
+    names = sorted(cat.arrows)
+    labels = ("X", "Y", "zz")
+    pb = {}
+    for _ in range(draw(st.integers(0, 12)) if names else 0):
+        key = (draw(st.sampled_from(names)), draw(st.sampled_from(labels)))
+        pb[key] = (draw(st.sampled_from(labels)), draw(st.sampled_from(names + ["zz"])))
+    return cat, pb
+
+
+def test_check_pullback_composites_matches_reference_on_random_tables():
+    seen = collections.Counter()
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(pullback_tables())
+    def run(table):
+        cat, pb = table
+        mine, ref = Report(), Report()
+        check_pullback_composites(cat, pb, mine, "pb-c")
+        check_pullback_composites_reference(cat, pb, ref, "pb-c")
+        assert_same_report(mine, ref)
+        res = mine.laws.get("pb-c")
+        if res is not None:
+            seen["failed"] += bool(res.violations)
+            seen["skipped"] += bool(res.skipped)
+            seen["passed"] += res.checked > res.skipped + len(res.violations)
+
+    run()
+    assert seen["failed"] and seen["skipped"] and seen["passed"]
+
+
+class CountingDict(dict):
+    """A dict that counts its reads by key."""
+
+    reads = 0
+
+    def get(self, *args):
+        self.reads += 1
+        return super().get(*args)
+
+    def __getitem__(self, key):
+        self.reads += 1
+        return super().__getitem__(key)
+
+    def __contains__(self, key):
+        self.reads += 1
+        return super().__contains__(key)
+
+
+def test_validators_read_the_table_per_composite_not_per_pair():
+    """The finset-b h7 round-trip base holds 828 composites of 25,080
+    composable pairs. validate_fincat and check_pullback_composites each
+    read its table fewer than 4 * (composites + arrows) times."""
+    a = xlate.e_to_ce(xlate.b_to_e(bsys.build_finset_bsystem(7)))
+    table = CountingDict(a.base.compose)
+    base = dataclasses.replace(a.base, compose=table)
+    bound = 4 * (len(table) + len(base.arrows))
+    validate_fincat(base)
+    assert table.reads < bound
+    table.reads = 0
+    check_pullback_composites(base, a.pb, Report(), "pb-c")
+    assert table.reads < bound
