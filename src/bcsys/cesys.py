@@ -245,61 +245,58 @@ def fn_arrow(m: int, n: int, values: tuple[int, ...]) -> str:
     return f"f{m}->{n}[" + ",".join(str(v) for v in values) + "]"
 
 
-def parse_fn_arrow(name: str) -> tuple[int, int, tuple[int, ...]]:
-    head, _, body = name.partition("[")
-    m, n = head[1:].split("->")
-    vals = tuple(int(v) for v in body[:-1].split(",")) if body[:-1] else ()
-    return int(m), int(n), vals
+def _finsets_op(height: int) -> tuple[FinCat, dict[tuple[int, int], dict[tuple[int, ...], str]]]:
+    """F^op truncated, where an arrow m -> n is a function [n] -> [m],
+    with its names: ``names[(m, n)][v]`` is the arrow m -> n of v.
 
-
-def finsets_op_cat(height: int) -> FinCat:
-    """F^op truncated: an arrow m -> n is a function [n] -> [m]."""
+    Each name is made once, and a composite is the name of v . w looked
+    up in ``names``.
+    """
+    names = {
+        (m, n): {v: fn_arrow(m, n, v) for v in itertools.product(range(m), repeat=n)}
+        for m in range(height + 1)
+        for n in range(height + 1)
+    }
     arrows: dict[str, Arrow] = {}
     identity: dict[str, str] = {}
     compose: dict[tuple[str, str], str] = {}
-    fns: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-    for m in range(height + 1):
-        for n in range(height + 1):
-            fns[(m, n)] = [tuple(v) for v in itertools.product(range(m), repeat=n)]
-    for (m, n), vals in fns.items():
-        for v in vals:
-            name = fn_arrow(m, n, v)
+    for (m, n), by_fn in names.items():
+        for name in by_fn.values():
             arrows[name] = Arrow(name, str(m), str(n))
         if n == m:
-            identity[str(m)] = fn_arrow(m, m, tuple(range(m)))
-    for (m, n), vals in fns.items():
-        for v in vals:
-            for (n2, p), wals in fns.items():
-                if n2 != n:
-                    continue
-                for w in wals:
-                    comp = tuple(v[w[i]] for i in range(p))
-                    compose[(fn_arrow(n, p, w), fn_arrow(m, n, v))] = fn_arrow(m, p, comp)
-    return FinCat(
+            identity[str(m)] = by_fn[tuple(range(m))]
+    for (m, n), by_fn in names.items():
+        for v, g in by_fn.items():
+            at = v.__getitem__
+            for p in range(height + 1):
+                into = names[(m, p)]
+                for w, f in names[(n, p)].items():
+                    compose[(f, g)] = into[tuple(map(at, w))]
+    cat = FinCat(
         objects=frozenset(str(k) for k in range(height + 1)),
         arrows=arrows,
         identity=identity,
         compose=compose,
         terminal="0",
     )
+    return cat, names
 
 
 def build_finset_cesystem(height: int) -> CESystem:
     """Families (N, >=), base F^op, pullback of n+k >= n along f by [f, 1_k]."""
     fam = nat_poset_cat(height)
-    base = finsets_op_cat(height)
+    base, names = _finsets_op(height)
     ifun = {}
     for m in range(height + 1):
         for n in range(m + 1):
-            ifun[nat_arrow(m, n)] = fn_arrow(m, n, tuple(range(n)))
+            ifun[nat_arrow(m, n)] = names[(m, n)][tuple(range(n))]
     pb: dict[tuple[str, str], tuple[str, str]] = {}
-    for name in base.arrows:
-        m, n, f = parse_fn_arrow(name)  # f : [n] -> [m], arrow m -> n
-        for k in range(height - n + 1):
-            if m + k > height:
-                continue
-            A = nat_arrow(n + k, n)
-            fA = nat_arrow(m + k, m)
-            pi2 = fn_arrow(m + k, n + k, f + tuple(m + i for i in range(k)))
-            pb[(name, A)] = (fA, pi2)
+    for (m, n), by_fn in names.items():
+        for f, name in by_fn.items():  # f : [n] -> [m], arrow m -> n
+            for k in range(height - n + 1):
+                if m + k > height:
+                    continue
+                A = nat_arrow(n + k, n)
+                fA = nat_arrow(m + k, m)
+                pb[(name, A)] = (fA, names[(m + k, n + k)][f + tuple(range(m, m + k))])
     return CESystem(fam=fam, base=base, ifun=ifun, root="0", pb=pb)

@@ -1423,11 +1423,6 @@ def fn_term(values: tuple[int, ...]) -> str:
     return "[" + ",".join(str(v) for v in values) + "]"
 
 
-def parse_fn_term(t: str) -> tuple[int, ...]:
-    body = t[1:-1]
-    return tuple(int(v) for v in body.split(",")) if body else ()
-
-
 def nat_poset_cat(height: int) -> FinCat:
     arrows = {}
     identity = {}
@@ -1456,70 +1451,70 @@ def build_nat_esystem(height: int) -> ESystem:
     Substitution by f postcomposes with [id, f] + id, weakening with the
     initial-segment inclusion, and identity terms are the final-segment
     inclusions. Stratified by the identity on levels.
+
+    Each name and term is made once per call: ``ar[m][n]`` names the
+    arrow m >= n, ``fmt`` formats each function once and ``parsed`` is
+    its inverse, so every table shares one string per term. A functor
+    postcomposes through an index list: [0..n) + f + [n..) for S_f and
+    [0..n) + [n+k..) for W_A.
     """
     cat = nat_poset_cat(height)
+    ar = [[nat_arrow(m, n) for n in range(m + 1)] for m in range(height + 1)]
+    ends = {ar[m][n]: (m, n) for m in range(height + 1) for n in range(m + 1)}
+    fmt: dict[tuple[int, ...], str] = {}
     terms: dict[str, frozenset[str]] = {}
     for m in range(height + 1):
         for n in range(m + 1):
-            k = m - n
-            fs = [fn_term(v) for v in itertools.product(range(n), repeat=k)]
-            if k == 0:
-                fs = [fn_term(())]
-            terms[nat_arrow(m, n)] = frozenset(fs)
+            fs = []
+            for v in itertools.product(range(n), repeat=m - n):
+                t = fmt.get(v)
+                if t is None:
+                    t = fmt[v] = fn_term(v)
+                fs.append(t)
+            terms[ar[m][n]] = frozenset(fs)
+    parsed = {t: v for v, t in fmt.items()}
     e = ESystem(tc=TermCat(cat=cat, terms=terms), levels={str(n): n for n in range(height + 1)})
+    mors = [slice_mors(cat, str(m)) for m in range(height + 1)]
 
-    def subst_post(n: int, k: int, f: tuple[int, ...], h: tuple[int, ...]) -> tuple[int, ...]:
-        # ([id_n, f] + id_j) . h  for h : [l] -> [n+k+j]
-        out = []
-        for i in h:
-            if i < n:
-                out.append(i)
-            elif i < n + k:
-                out.append(f[i - n])
-            else:
-                out.append(i - k)
-        return tuple(out)
-
-    def weak_post(n: int, k: int, h: tuple[int, ...]) -> tuple[int, ...]:
-        # (i_n^{n+k} + id_j) . h  for h : [l] -> [n+j]
-        return tuple(i if i < n else i + k for i in h)
+    def term_table(post: list[int], h: str) -> dict[str, str]:
+        at = post.__getitem__
+        return {t: fmt[tuple(map(at, parsed[t]))] for t in terms[h]}
 
     for m in range(height + 1):
         for n in range(m + 1):
             k = m - n
-            A = nat_arrow(m, n)
+            A = ar[m][n]
             # weakening W_A : slice over n -> slice over m, objects +k
+            post = list(range(n)) + list(range(n + k, height))
             wa = SliceFunctorT(source_apex=str(n), target_apex=str(m))
-            for a in range(n, height + 1):
-                if a + k <= height:
-                    wa.obj_map[nat_arrow(a, n)] = nat_arrow(a + k, m)
-            for (h, f1, g1) in slice_mors(cat, str(n)):
-                a, b = int(cat.dom(h)), int(cat.cod(h))
-                if b + k > height or a + k > height:
+            for a in range(n, height + 1 - k):
+                wa.obj_map[ar[a][n]] = ar[a + k][m]
+            for key in mors[n]:
+                a, b = ends[key[0]]
+                if a + k > height:
                     continue
-                key = (h, f1, g1)
-                wa.mor_map[key] = nat_arrow(a + k, b + k)
-                wa.term_map[key] = {
-                    t: fn_term(weak_post(n, k, parse_fn_term(t))) for t in terms[h]
-                }
+                wa.mor_map[key] = ar[a + k][b + k]
+                wa.term_map[key] = term_table(post, key[0])
             e.weak[A] = wa
             # substitution S_f : slice over m -> slice over n, objects -k
+            obj_map = {ar[a][m]: ar[a - k][n] for a in range(m, height + 1)}
+            mor_map = {}
+            for key in mors[m]:
+                a, b = ends[key[0]]
+                mor_map[key] = ar[a - k][b - k]
             for t in terms[A]:
-                f = parse_fn_term(t)
-                sf = SliceFunctorT(source_apex=str(m), target_apex=str(n))
-                for a in range(m, height + 1):
-                    sf.obj_map[nat_arrow(a, m)] = nat_arrow(a - k, n)
-                for (h, f1, g1) in slice_mors(cat, str(m)):
-                    a, b = int(cat.dom(h)), int(cat.cod(h))
-                    key = (h, f1, g1)
-                    sf.mor_map[key] = nat_arrow(a - k, b - k)
-                    sf.term_map[key] = {
-                        u: fn_term(subst_post(n, k, f, parse_fn_term(u)))
-                        for u in terms[h]
-                    }
+                post = list(range(n)) + list(parsed[t]) + list(range(n, height - k))
+                sf = SliceFunctorT(
+                    source_apex=str(m),
+                    target_apex=str(n),
+                    obj_map=dict(obj_map),
+                    mor_map=dict(mor_map),
+                )
+                for key in mors[m]:
+                    sf.term_map[key] = term_table(post, key[0])
                 e.subst[(A, t)] = sf
             if m + k <= height:
-                e.proj[A] = fn_term(tuple(n + l for l in range(k)))
+                e.proj[A] = fmt[tuple(range(n, m))]
     return e
 
 
@@ -1570,29 +1565,34 @@ def build_group_structure(
     def aut_inv(p: dict[str, str]) -> dict[str, str]:
         return {v: k for k, v in p.items()}
 
-    def conj_by(p: dict[str, str], y: dict[str, str]) -> str:
-        return aut_id(aut_compose(aut_compose(p, y), aut_inv(p)))
+    def conj_table(p: dict[str, str]) -> dict[str, str]:
+        # conjugation by p, on every term
+        inv = aut_inv(p)
+        return {aid: aut_id(aut_compose(aut_compose(p, y), inv)) for aid, y in by_id.items()}
 
     mors = slice_mors(cat, obj)
 
-    def mk_sf(on_el, on_term) -> SliceFunctorT:
-        sf = SliceFunctorT(source_apex=obj, target_apex=obj)
-        for g in elements:
-            sf.obj_map[g] = on_el(g)
+    def mk_sf(p: dict[str, str], table: dict[str, str]) -> SliceFunctorT:
+        # acts on elements by p and on terms by ``table``, conjugation by
+        # p; every slice morphism gets its own copy of the table
+        sf = SliceFunctorT(source_apex=obj, target_apex=obj, obj_map={g: p[g] for g in elements})
         for m in mors:
-            sf.mor_map[m] = on_el(m[0])
-            sf.term_map[m] = {aid: on_term(by_id[aid]) for aid in by_id}
+            sf.mor_map[m] = p[m[0]]
+            sf.term_map[m] = dict(table)
         return sf
 
+    # S_x is the same functor for every g, so its table is made once
+    subst_tables = {aid: conj_table(x) for aid, x in by_id.items()}
+    unit_term = aut_id({h: h for h in elements})
     for g in elements:
         # weakening conjugates by the inverse so that W_{A.P} = W_P . W_A
         # under the composite-after convention of the composition table
         gi = _ginv(g, elements, mult, unit)
         phi_g = {h: mult[(mult[(gi, h)], g)] for h in elements}
-        e.weak[g] = mk_sf(lambda h, p=phi_g: p[h], lambda y, p=phi_g: conj_by(p, y))
-        e.proj[g] = aut_id({h: h for h in elements})
+        e.weak[g] = mk_sf(phi_g, conj_table(phi_g))
+        e.proj[g] = unit_term
         for aid, x in by_id.items():
-            e.subst[(g, aid)] = mk_sf(lambda h, p=x: p[h], lambda y, p=x: conj_by(p, y))
+            e.subst[(g, aid)] = mk_sf(x, subst_tables[aid])
     return e
 
 

@@ -270,16 +270,29 @@ def build_syntactic_bframe(sig: BindingSignature, height: int, bound: int) -> BS
         ``act(e, i)`` changes an expression that sits under the first i
         types of the cut tail. Each result must be enumerated at level
         len(prefix) + i; an entry with a piece that is not is left out.
+        The call acts on each (expression, i) and lifts each telescope
+        once: the frame's expressions and telescopes are single objects,
+        so ``acted`` and ``lifted`` are keyed by their ids.
         """
         src, tgt = slice_bframe(frame, *src_at), slice_bframe(frame, *tgt_at)
         cut, prefix = src_at[0], tele_by_id[tgt_at[1]]
         p = len(prefix)
+        prefix_keys = tuple(t.key() for t in prefix)
+        acted: dict[tuple[int, int], str] = {}
+        lifted: dict[int, str | None] = {}
 
-        def lift_tail(tail):
-            new_tail = tuple(act(c, i) for i, c in enumerate(tail))
-            if all(nt.key() in lm_keys[p + i] for i, nt in enumerate(new_tail)):
-                return prefix + new_tail
-            return None
+        def act_key(c: RawExpr, i: int) -> str:
+            k = (id(c), i)
+            if k not in acted:
+                acted[k] = act(c, i).key()
+            return acted[k]
+
+        def lift_tele(tele: tuple[RawExpr, ...]) -> str | None:
+            if id(tele) not in lifted:
+                keys = tuple(act_key(c, i) for i, c in enumerate(tele[cut:]))
+                ok = all(k in lm_keys[p + i] for i, k in enumerate(keys))
+                lifted[id(tele)] = pack_ids(prefix_keys + keys) if ok else None
+            return lifted[id(tele)]
 
         top = min(src.height, tgt.height)
         H: dict[int, dict[str, str]] = {}
@@ -287,23 +300,21 @@ def build_syntactic_bframe(sig: BindingSignature, height: int, bound: int) -> BS
         for lvl in range(top + 1):
             hm = {}
             for Y in src.B[lvl]:
-                new_tele = lift_tail(tele_by_id[Y][cut:])
+                new_tele = lift_tele(tele_by_id[Y])
                 if new_tele is not None:
-                    hm[Y] = _tele_id(new_tele)
+                    hm[Y] = new_tele
             H[lvl] = hm
         for lvl in range(1, top + 1):
             tm = {}
             for el in src.Bt[lvl]:
                 tele2, term2, ty2 = judg_by_id[el]
+                new_tele = lift_tele(tele2)
+                if new_tele is None:
+                    continue
                 d = len(tele2) - cut
-                new_tele = lift_tail(tele2[cut:])
-                new_term, new_ty = act(term2, d), act(ty2, d)
-                if (
-                    new_tele is not None
-                    and new_term.key() in rr_keys[p + d]
-                    and new_ty.key() in lm_keys[p + d]
-                ):
-                    tm[el] = judg_id(new_tele, new_term, new_ty)
+                new_term, new_ty = act_key(term2, d), act_key(ty2, d)
+                if new_term in rr_keys[p + d] and new_ty in lm_keys[p + d]:
+                    tm[el] = pack_ids((new_tele, new_term, new_ty))
             Ht[lvl] = tm
         return BFrameHom(source=src, target=tgt, H=H, Ht=Ht)
 

@@ -162,6 +162,13 @@ def _subst_of(bsys: BSystem, level: int, x: str) -> BFrameHom:
         raise Truncated(f"subst({level},{x!r})") from None
 
 
+def _weak_of(bsys: BSystem, level: int, X: str) -> BFrameHom:
+    try:
+        return bsys.weak[(level, X)]
+    except KeyError:
+        raise Truncated(f"weak({level},{X!r})") from None
+
+
 def b_to_e(bsys: BSystem) -> ESystem:
     """The stratified E-system on the free category of a B-system's frame.
 
@@ -171,8 +178,9 @@ def b_to_e(bsys: BSystem) -> ESystem:
     ``map`` over them raises no ``KeyError``, and its image is the packed
     tuple of the images, looked up in ``packs`` when it is itself a term
     tuple. So the tables are those of packing each tuple where it is
-    used. A substitution the B-system lacks raises ``Truncated`` naming
-    it.
+    used. A substitution or a weakening the B-system lacks raises
+    ``Truncated`` naming it; a missing generic element only leaves out
+    the identity terms built on it.
     """
     frame = bsys.frame
     cat, strat = free_cat_of_tree(_tree_of_frame(frame))
@@ -266,10 +274,8 @@ def b_to_e(bsys: BSystem) -> ESystem:
         for n in range(k, frame.height + 1):
             for X in frame.B[n]:
                 prev = whoms.get((n - 1, frame.ft[n][X], k - 1))
-                wx = bsys.weak.get((n, X))
-                if prev is None or wx is None:
-                    continue
-                whoms[(n, X, k)] = compose_bhom(wx, prev)
+                if prev is not None:
+                    whoms[(n, X, k)] = compose_bhom(_weak_of(bsys, n, X), prev)
     for (n, X, k), hom in whoms.items():
         sf = _sfunctor_of_bhom(hom, n - k, frame.ft_iter(n, X, k), n, X, paths)
         fill_terms(sf, hom, n - k)
@@ -290,12 +296,11 @@ def b_to_e(bsys: BSystem) -> ESystem:
                     ones[(n, X, 1)] = (d,)
                     continue
                 prev = ones.get((n - 1, frame.ft[n][X], k - 1))
-                wx = bsys.weak.get((n, X))
-                if prev is None or wx is None:
+                if prev is None:
                     continue
                 # components of the previous identity term all live one
                 # level above ft(X), where W_X acts at slice level 1
-                tmap = wx.Ht.get(1, {})
+                tmap = bsys.weak[(n, X)].Ht.get(1, {})
                 if not all(c in tmap for c in prev):
                     continue
                 ones[(n, X, k)] = tuple(tmap[c] for c in prev) + (d,)

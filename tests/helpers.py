@@ -7,8 +7,10 @@ directly (thin categories from a transitive relation, opposite-of-finite-
 sets via plain function composition).
 
 ``parse_obj_id`` and ``parse_path_id`` invert ``core.obj_id`` and
-``core.path_id``. The translations keep what they encode in an id, so
-only tests decode one.
+``core.path_id``, and ``parse_fn_arrow`` and ``parse_fn_term`` the
+names of the finite-set examples. The translations keep what they
+encode in an id, and the builders what they encode in a name, so only
+tests decode one.
 
 The round-trip witnesses compare the structures they are given, which
 their callers in bcsys have already built. ``b_image``, ``unit_of`` and
@@ -64,6 +66,20 @@ def nat_geq_cat(height: int) -> FinCat:
 def fn_arrow_id(m: int, n: int, values: tuple[int, ...]) -> str:
     body = ",".join(str(v) for v in values)
     return f"f{m}->{n}[{body}]"
+
+
+def parse_fn_arrow(name: str) -> tuple[int, int, tuple[int, ...]]:
+    """(m, n, values) of a finite-set arrow id, the inverse of fn_arrow_id."""
+    head, _, body = name.partition("[")
+    m, n = head[1:].split("->")
+    vals = tuple(int(v) for v in body[:-1].split(",")) if body[:-1] else ()
+    return int(m), int(n), vals
+
+
+def parse_fn_term(t: str) -> tuple[int, ...]:
+    """The values of a nat-e term, the inverse of ``esys.fn_term``."""
+    body = t[1:-1]
+    return tuple(int(v) for v in body.split(",")) if body else ()
 
 
 def finsets_op_cat(height: int) -> FinCat:

@@ -68,15 +68,34 @@ afresh, and so do both triangles, 5 ``ce_to_e`` and 5 ``e_to_ce`` in
 all. Called with ``(ce_to_e(a), a)``, as the command line does, it gives
 the report of ``adjunction_witnesses(a)``.
 
+The last four are the example builders as they were before each made
+every name, term and expression once per call.
+``build_nat_esystem_reference`` parses and formats a term wherever a
+table uses it, ``build_group_structure_reference`` computes the term
+table of every slice morphism afresh, ``build_finset_cesystem_reference``
+takes its base from ``helpers.finsets_op_cat`` (the same loops as the
+old ``cesys.finsets_op_cat``, one name formatted per composite) and
+parses every base arrow name, and ``build_syntactic_bframe_reference``
+acts on and keys every expression where an entry of a lift uses it.
+
 Tests compare the fast code against them, result for result.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import replace
 
-from bcsys.bsys import BFrameHom, BSystem, bhom_identity, compose_bhom, restrict_bhom, slice_bframe
-from bcsys.cesys import CEHom, CESystem, validate_ce_hom
+from bcsys.bsys import (
+    BFrame,
+    BFrameHom,
+    BSystem,
+    bhom_identity,
+    compose_bhom,
+    restrict_bhom,
+    slice_bframe,
+)
+from bcsys.cesys import CEHom, CESystem, fn_arrow, validate_ce_hom
 from bcsys.core import (
     Arrow,
     FinCat,
@@ -99,14 +118,18 @@ from bcsys.esys import (
     ESystem,
     SliceFunctorT,
     TermCat,
+    _ginv,
     _substitute_u,
     _substitute_x,
     compose_ehom,
     compose_sf,
     ehom_equal,
+    fn_term,
     hom_terms_of,
     identity_ehom,
     ih_arrow,
+    nat_arrow,
+    nat_poset_cat,
     precompose,
     projections,
     restrict_sf,
@@ -117,6 +140,7 @@ from bcsys.esys import (
     validate_ehom,
 )
 from bcsys.report import Report, Truncated
+from bcsys.syntax import BindingSignature, RawExpr, _tele_id, enumerate_raw, shift, subst
 from bcsys.xlate import (
     _tree_of_frame,
     ce2e_of_cehom,
@@ -130,7 +154,7 @@ from bcsys.xlate import (
     proj_path,
 )
 
-from helpers import counit_of, parse_path_id, unit_of
+from helpers import counit_of, finsets_op_cat, parse_fn_arrow, parse_fn_term, parse_path_id, unit_of
 
 
 def _raising(fn):
@@ -1216,3 +1240,285 @@ def adjunction_witnesses_reference(e: ESystem, a: CESystem):
     rep.record("triangle-2", diff)
 
     return eta, eps, rep
+
+
+def build_nat_esystem_reference(height: int) -> ESystem:
+    """``esys.build_nat_esystem`` as it was: every term is parsed and
+    formatted where a table uses it."""
+    cat = nat_poset_cat(height)
+    terms: dict[str, frozenset[str]] = {}
+    for m in range(height + 1):
+        for n in range(m + 1):
+            k = m - n
+            fs = [fn_term(v) for v in itertools.product(range(n), repeat=k)]
+            if k == 0:
+                fs = [fn_term(())]
+            terms[nat_arrow(m, n)] = frozenset(fs)
+    e = ESystem(tc=TermCat(cat=cat, terms=terms), levels={str(n): n for n in range(height + 1)})
+
+    def subst_post(n: int, k: int, f: tuple[int, ...], h: tuple[int, ...]) -> tuple[int, ...]:
+        # ([id_n, f] + id_j) . h  for h : [l] -> [n+k+j]
+        out = []
+        for i in h:
+            if i < n:
+                out.append(i)
+            elif i < n + k:
+                out.append(f[i - n])
+            else:
+                out.append(i - k)
+        return tuple(out)
+
+    def weak_post(n: int, k: int, h: tuple[int, ...]) -> tuple[int, ...]:
+        # (i_n^{n+k} + id_j) . h  for h : [l] -> [n+j]
+        return tuple(i if i < n else i + k for i in h)
+
+    for m in range(height + 1):
+        for n in range(m + 1):
+            k = m - n
+            A = nat_arrow(m, n)
+            # weakening W_A : slice over n -> slice over m, objects +k
+            wa = SliceFunctorT(source_apex=str(n), target_apex=str(m))
+            for a in range(n, height + 1):
+                if a + k <= height:
+                    wa.obj_map[nat_arrow(a, n)] = nat_arrow(a + k, m)
+            for (h, f1, g1) in slice_mors(cat, str(n)):
+                a, b = int(cat.dom(h)), int(cat.cod(h))
+                if b + k > height or a + k > height:
+                    continue
+                key = (h, f1, g1)
+                wa.mor_map[key] = nat_arrow(a + k, b + k)
+                wa.term_map[key] = {
+                    t: fn_term(weak_post(n, k, parse_fn_term(t))) for t in terms[h]
+                }
+            e.weak[A] = wa
+            # substitution S_f : slice over m -> slice over n, objects -k
+            for t in terms[A]:
+                f = parse_fn_term(t)
+                sf = SliceFunctorT(source_apex=str(m), target_apex=str(n))
+                for a in range(m, height + 1):
+                    sf.obj_map[nat_arrow(a, m)] = nat_arrow(a - k, n)
+                for (h, f1, g1) in slice_mors(cat, str(m)):
+                    a, b = int(cat.dom(h)), int(cat.cod(h))
+                    key = (h, f1, g1)
+                    sf.mor_map[key] = nat_arrow(a - k, b - k)
+                    sf.term_map[key] = {
+                        u: fn_term(subst_post(n, k, f, parse_fn_term(u)))
+                        for u in terms[h]
+                    }
+                e.subst[(A, t)] = sf
+            if m + k <= height:
+                e.proj[A] = fn_term(tuple(n + l for l in range(k)))
+    return e
+
+
+def build_group_structure_reference(
+    elements: list[str], mult: dict[tuple[str, str], str], unit: str
+) -> ESystem:
+    """``esys.build_group_structure`` as it was: every slice morphism's
+    term table is computed afresh."""
+    for a in elements:
+        for b in elements:
+            for c in elements:
+                if mult[(mult[(a, b)], c)] != mult[(a, mult[(b, c)])]:
+                    raise ValueError("multiplication table is not associative")
+    obj = "*"
+    arrows = {g: Arrow(g, obj, obj) for g in elements}
+    compose = {(g, h): mult[(g, h)] for g in elements for h in elements}
+    cat = FinCat(
+        objects=frozenset({obj}),
+        arrows=arrows,
+        identity={obj: unit},
+        compose=compose,
+        terminal=None,
+    )
+    # automorphisms by brute force
+    auts: list[dict[str, str]] = []
+    for perm in itertools.permutations(elements):
+        phi = dict(zip(elements, perm))
+        if phi[unit] != unit:
+            continue
+        if all(phi[mult[(a, b)]] == mult[(phi[a], phi[b])] for a in elements for b in elements):
+            auts.append(phi)
+
+    def aut_id(phi: dict[str, str]) -> str:
+        return "aut(" + ",".join(f"{g}>{phi[g]}" for g in sorted(phi)) + ")"
+
+    by_id = {aut_id(phi): phi for phi in auts}
+    terms = {g: frozenset(by_id) for g in elements}
+    e = ESystem(tc=TermCat(cat=cat, terms=terms))
+
+    def aut_compose(p1: dict[str, str], p2: dict[str, str]) -> dict[str, str]:
+        return {g: p1[p2[g]] for g in p1}
+
+    def aut_inv(p: dict[str, str]) -> dict[str, str]:
+        return {v: k for k, v in p.items()}
+
+    def conj_by(p: dict[str, str], y: dict[str, str]) -> str:
+        return aut_id(aut_compose(aut_compose(p, y), aut_inv(p)))
+
+    mors = slice_mors(cat, obj)
+
+    def mk_sf(on_el, on_term) -> SliceFunctorT:
+        sf = SliceFunctorT(source_apex=obj, target_apex=obj)
+        for g in elements:
+            sf.obj_map[g] = on_el(g)
+        for m in mors:
+            sf.mor_map[m] = on_el(m[0])
+            sf.term_map[m] = {aid: on_term(by_id[aid]) for aid in by_id}
+        return sf
+
+    for g in elements:
+        # weakening conjugates by the inverse so that W_{A.P} = W_P . W_A
+        # under the composite-after convention of the composition table
+        gi = _ginv(g, elements, mult, unit)
+        phi_g = {h: mult[(mult[(gi, h)], g)] for h in elements}
+        e.weak[g] = mk_sf(lambda h, p=phi_g: p[h], lambda y, p=phi_g: conj_by(p, y))
+        e.proj[g] = aut_id({h: h for h in elements})
+        for aid, x in by_id.items():
+            e.subst[(g, aid)] = mk_sf(lambda h, p=x: p[h], lambda y, p=x: conj_by(p, y))
+    return e
+
+
+def build_finset_cesystem_reference(height: int) -> CESystem:
+    """``cesys.build_finset_cesystem`` as it was: F^op formats a name for
+    every composite, and every base arrow name is parsed."""
+    fam = nat_poset_cat(height)
+    base = finsets_op_cat(height)  # the parent body of cesys.finsets_op_cat
+    ifun = {}
+    for m in range(height + 1):
+        for n in range(m + 1):
+            ifun[nat_arrow(m, n)] = fn_arrow(m, n, tuple(range(n)))
+    pb: dict[tuple[str, str], tuple[str, str]] = {}
+    for name in base.arrows:
+        m, n, f = parse_fn_arrow(name)  # f : [n] -> [m], arrow m -> n
+        for k in range(height - n + 1):
+            if m + k > height:
+                continue
+            A = nat_arrow(n + k, n)
+            fA = nat_arrow(m + k, m)
+            pi2 = fn_arrow(m + k, n + k, f + tuple(m + i for i in range(k)))
+            pb[(name, A)] = (fA, pi2)
+    return CESystem(fam=fam, base=base, ifun=ifun, root="0", pb=pb)
+
+
+def build_syntactic_bframe_reference(sig: BindingSignature, height: int, bound: int) -> BSystem:
+    """``syntax.build_syntactic_bframe`` as it was: every lift acts on
+    and keys each expression where an entry uses it."""
+    lm: list[list[RawExpr]] = []
+    rr: list[list[RawExpr]] = []
+    for i in range(height + 1):
+        tys, tms = enumerate_raw(sig, i, bound)
+        lm.append(tys)
+        rr.append(tms)
+    lm_keys = [frozenset(t.key() for t in tys) for tys in lm]
+    rr_keys = [frozenset(t.key() for t in tms) for tms in rr]
+
+    teles: list[list[tuple[RawExpr, ...]]] = [[()]]
+    for n in range(1, height + 1):
+        teles.append(
+            [t + (a,) for t in teles[n - 1] for a in lm[n - 1]]
+        )
+
+    B = tuple(frozenset(_tele_id(t) for t in teles[n]) for n in range(height + 1))
+    tele_by_id: dict[str, tuple[RawExpr, ...]] = {}
+    for n in range(height + 1):
+        for t in teles[n]:
+            tele_by_id[_tele_id(t)] = t
+
+    def judg_id(tele: tuple[RawExpr, ...], term: RawExpr, ty: RawExpr) -> str:
+        return pack_ids((_tele_id(tele), term.key(), ty.key()))
+
+    Bt: list[frozenset[str]] = [frozenset()]
+    judg_by_id: dict[str, tuple[tuple[RawExpr, ...], RawExpr, RawExpr]] = {}
+    for n in range(1, height + 1):
+        elems = []
+        for tele in teles[n - 1]:
+            for term in rr[n - 1]:
+                for ty in lm[n - 1]:
+                    j = judg_id(tele, term, ty)
+                    judg_by_id[j] = (tele, term, ty)
+                    elems.append(j)
+        Bt.append(frozenset(elems))
+
+    ft: list[dict[str, str]] = [{}]
+    bd: list[dict[str, str]] = [{}]
+    for n in range(1, height + 1):
+        ft.append({_tele_id(t): _tele_id(t[:-1]) for t in teles[n]})
+        bd.append(
+            {
+                j: _tele_id(tele + (ty,))
+                for j, (tele, term, ty) in judg_by_id.items()
+                if len(tele) == n - 1
+            }
+        )
+    frame = BFrame(height=height, B=B, Bt=tuple(Bt), ft=tuple(ft), bd=tuple(bd))
+    sys = BSystem(frame=frame)
+
+    def lift(src_at: tuple[int, str], tgt_at: tuple[int, str], act) -> BFrameHom:
+        """The hom B/src -> B/tgt that cuts the source apex's telescope off
+        each element and puts the target apex's telescope in its place.
+
+        ``act(e, i)`` changes an expression that sits under the first i
+        types of the cut tail. Each result must be enumerated at level
+        len(prefix) + i; an entry with a piece that is not is left out.
+        """
+        src, tgt = slice_bframe(frame, *src_at), slice_bframe(frame, *tgt_at)
+        cut, prefix = src_at[0], tele_by_id[tgt_at[1]]
+        p = len(prefix)
+
+        def lift_tail(tail):
+            new_tail = tuple(act(c, i) for i, c in enumerate(tail))
+            if all(nt.key() in lm_keys[p + i] for i, nt in enumerate(new_tail)):
+                return prefix + new_tail
+            return None
+
+        top = min(src.height, tgt.height)
+        H: dict[int, dict[str, str]] = {}
+        Ht: dict[int, dict[str, str]] = {}
+        for lvl in range(top + 1):
+            hm = {}
+            for Y in src.B[lvl]:
+                new_tele = lift_tail(tele_by_id[Y][cut:])
+                if new_tele is not None:
+                    hm[Y] = _tele_id(new_tele)
+            H[lvl] = hm
+        for lvl in range(1, top + 1):
+            tm = {}
+            for el in src.Bt[lvl]:
+                tele2, term2, ty2 = judg_by_id[el]
+                d = len(tele2) - cut
+                new_tele = lift_tail(tele2[cut:])
+                new_term, new_ty = act(term2, d), act(ty2, d)
+                if (
+                    new_tele is not None
+                    and new_term.key() in rr_keys[p + d]
+                    and new_ty.key() in lm_keys[p + d]
+                ):
+                    tm[el] = judg_id(new_tele, new_term, new_ty)
+            Ht[lvl] = tm
+        return BFrameHom(source=src, target=tgt, H=H, Ht=Ht)
+
+    # substitution structure: replace the last variable of the context
+    for n in range(1, height + 1):
+        for j in frame.Bt[n]:
+            tele, term, _ty = judg_by_id[j]
+            sys.subst[(n, j)] = lift(
+                (n, frame.bd[n][j]), (n - 1, _tele_id(tele)), lambda c, i: subst(c, i, term)
+            )
+
+    # weakening structure: insert the new type, shifting later indices
+    for n in range(1, height + 1):
+        for Xid in frame.B[n]:
+            sys.weak[(n, Xid)] = lift((n - 1, frame.ft[n][Xid]), (n, Xid), lambda c, i: shift(c, 1, i))
+
+    # generic elements: the last variable, weakened
+    for n in range(1, height):
+        for Xid in frame.B[n]:
+            full = tele_by_id[Xid]
+            a = full[-1]
+            shifted = shift(a, 1, 0)
+            if shifted.key() not in lm_keys[n]:
+                continue
+            sys.gen[(n, Xid)] = judg_id(full, RawExpr("tm", "#0"), shifted)
+
+    return sys

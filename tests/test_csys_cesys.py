@@ -4,9 +4,7 @@ from bcsys.cesys import (
     CEHom,
     CESystem,
     build_finset_cesystem,
-    finsets_op_cat,
     fn_arrow,
-    parse_fn_arrow,
     validate_ce_hom,
     validate_cesystem,
 )
@@ -14,6 +12,8 @@ from bcsys.core import Arrow, FinCat, FunctorData, identity_functor, validate_fi
 from bcsys.csys import CSystem, validate_csystem
 from bcsys.esys import nat_arrow
 from bcsys.xlate import ce_to_c
+
+from helpers import finsets_op_cat, parse_fn_arrow
 
 
 def finset_csystem(height: int) -> CSystem:

@@ -453,25 +453,37 @@ def test_cli_translate_between_b_and_c_runs_no_validation(tmp_path, monkeypatch,
         assert out.read_text() == expected[to]
 
 
-@pytest.mark.parametrize("to", ["e", "ce", "c"])
-@pytest.mark.parametrize("row", range(3))
-def test_cli_translate_missing_substitution_is_input_error(tmp_path, capsys, to, row):
-    """b_to_e needs every substitution of the B-system; without one,
-    translate names it on one line, exits 2 and writes nothing."""
+def _translate_without_row(tmp_path, capsys, table, row, to):
+    """Translate finset-b h3 without one row of ``table``: translate names
+    the row on one line, exits 2 and writes nothing."""
     doc = json.loads(save_structure(build_finset_bsystem(3)))
-    subst = doc["payload"]["subst"]
-    assert len(subst) == 3
-    gone = subst.pop(row)
+    rows = doc["payload"][table]
+    assert len(rows) == 3
+    gone = rows.pop(row)
     path, out = tmp_path / "b.json", tmp_path / "out.json"
     path.write_text(json.dumps(doc))
     assert main(["translate", "--to", to, str(path), "-o", str(out)]) == 2
     printed = capsys.readouterr()
     assert printed.out == ""
     assert printed.err == (
-        f"error: the translation needs subst({gone['level']},{gone['element']!r}), "
+        f"error: the translation needs {table}({gone['level']},{gone['element']!r}), "
         "which the input does not define\n"
     )
     assert not out.exists()
+
+
+@pytest.mark.parametrize("to", ["e", "ce", "c"])
+@pytest.mark.parametrize("row", range(3))
+def test_cli_translate_missing_substitution_is_input_error(tmp_path, capsys, to, row):
+    """b_to_e needs every substitution of the B-system."""
+    _translate_without_row(tmp_path, capsys, "subst", row, to)
+
+
+@pytest.mark.parametrize("to", ["e", "ce", "c"])
+@pytest.mark.parametrize("row", range(3))
+def test_cli_translate_missing_weakening_is_input_error(tmp_path, capsys, to, row):
+    """b_to_e needs the weakening of every context."""
+    _translate_without_row(tmp_path, capsys, "weak", row, to)
 
 
 # ---------------------------------------------------------------------------
@@ -521,7 +533,7 @@ def test_cli_roundtrip_bsystem_without_weakening_is_input_error(tmp_path, capsys
     path.write_text(json.dumps(doc))
     code, printed = _run(capsys, "roundtrip", str(path))
     assert code == 2
-    _one_line(printed, "CE-system is not rooted")
+    _one_line(printed, "the translation needs weak(1,'1'), which the input does not define")
 
 
 def test_cli_roundtrip_cesystem_without_identity_reports_the_category(tmp_path, capsys):

@@ -251,7 +251,7 @@ def test_ce_to_e_of_finset_matches_nat():
             assert len(e.T(nat_arrow(m, n))) == len(en.T(nat_arrow(m, n)))
     # explicit iso: a section fixes the first n values, the rest encode
     # the function [k] -> [n]
-    from bcsys.cesys import parse_fn_arrow
+    from helpers import parse_fn_arrow
 
     obj = {str(n): str(n) for n in range(4)}
     arr = {a_: a_ for a_ in en.cat.arrows}
