@@ -123,7 +123,7 @@ def restrict_sf(e: ESystem, F: SliceFunctorT, P: str) -> SliceFunctorT | None:
 
     Uses the canonical identification of a slice of a slice with the slice
     at the domain; every entry is read off F's tables at morphisms over P.
-    None where P is not in F.obj_map.
+    None where P is not in F.obj_map or F(P) is no arrow.
     """
     return _Slices(e).restrict(F, P)
 
@@ -132,13 +132,13 @@ def _restricted_at(cat: FinCat, F: SliceFunctorT, P: str, Q: str) -> str | None:
     """(F/P)(Q), read as F.mor_map[(Q, P∘Q, P)] without restricting F.
 
     Completeness: restrict_sf(e, F, P) is None exactly when P is not in
-    F.obj_map. Otherwise it sets obj_map[Q] only for Q among the arrows
-    into dom(P), where it copies F.mor_map[(Q, P∘Q, P)] if P∘Q and that
-    entry are defined. Those are the cases checked here, so the same
-    entries are found, and None is returned exactly where the restriction
-    or its entry at Q is missing.
+    F.obj_map or F(P) is no arrow. Otherwise it sets obj_map[Q] only for
+    Q among the arrows into dom(P), where it copies F.mor_map[(Q, P∘Q,
+    P)] if P∘Q and that entry are defined. Those are the cases checked
+    here, so the same entries are found, and None is returned exactly
+    where the restriction or its entry at Q is missing.
     """
-    if P not in F.obj_map:
+    if F.obj_map.get(P) not in cat.arrows:
         return None
     q = cat.arrows.get(Q)
     PQ = cat.compose.get((P, Q)) if q is not None and q.cod == cat.dom(P) else None
@@ -263,10 +263,9 @@ def composites_equal(
     - for a morphism m, its mor_map entry and its term table: 2. Each
       side has a term table exactly at its morphisms, so the table is
       one-sided with m, and sf_equal compares no entry of a table that
-      one side lacks: m's slots add nothing;
+      one side lacks: m's slots weigh 0;
     - for a slot (m, t), its entry in m's term table: 1, but only where
-      m is present on both sides, for the same reason. A slot present on
-      a side implies m present there.
+      m is present on both sides, for the same reason.
     So where no position has two present cells that differ, the skips
     are these weights summed, ``checked`` is the number of cells present
     on both sides, and there is no witness: sf_equal's triple exactly.
@@ -274,6 +273,21 @@ def composites_equal(
     gives up: both sides are built with compose_sf and sf_equal makes
     the witnesses, so they come in its sorted order. The same happens
     where a side is not representable or the sides have different cells.
+
+    The count reads the slots of a morphism present on one side only as
+    one run (see _Cells.span), not one by one. In a flat form a present
+    slot implies a present morphism: _flatten sets (m, t) only for an m
+    it sets, and in a gather G[F[i]] a present slot (m, t) has F present
+    at (m, t), so at m, with F's slot a slot of F's image m' of m; G is
+    present at that slot, so at m', and the gather is present at m. So
+    the side that lacks m lacks each of its slots, and no slot of the
+    run is present on both sides: it weighs 0 and is no witness. What it
+    adds is one cell missing on the right for each slot present on the
+    left, where m is the left's: one count over the run. The remaining
+    slots lie under morphisms both sides have or neither has, and the
+    latter are absent on both sides. They are compared one stretch
+    between two one-sided morphisms at a time, and only a stretch that
+    differs is walked, with the rule above.
 
     The result is memoised on the value numbers of the four sides (see
     _Slices.number; an absent f counts as -1). Completeness: equal
@@ -319,19 +333,39 @@ def _one_sided(lhs: _Flat, rhs: _Flat) -> tuple[list[tuple], int, int] | None:
     present = len(L) - L.count(absent)
     if L == R:
         return [], 0, present
-    owner = src.owner
+    nobj, span = len(src.obj), src.span
     skipped = right_absent = 0
-    for i in itertools.compress(range(len(L)), map(ne, L, R)):
-        if R[i] == absent:
-            right_absent += 1
-        elif L[i] != absent:
+    # the slot runs of the morphisms present on one side only, in cell order
+    runs = []
+    for i in itertools.compress(range(src.k), map(ne, L, R)):
+        left_only = R[i] == absent
+        if not left_only and L[i] != absent:
             return None
-        m = owner[i]
-        if m < 0:
+        right_absent += left_only
+        if i < nobj:
             skipped += 1
-        elif m == i:
-            skipped += 2
-        elif L[m] != absent and R[m] != absent:
+            continue
+        skipped += 2
+        start, stop = span[i]
+        runs.append((start, stop))
+        if left_only:
+            # the right has none of its slots: each present one on the left
+            # is a cell the right lacks, and weighs nothing in the skips
+            run = L[start:stop]
+            right_absent += len(run) - run.count(absent)
+    # the other slots are under a morphism both sides have or neither has
+    start = src.k
+    runs.append((len(L), len(L)))
+    for stop, after in runs:
+        l, r = L[start:stop], R[start:stop]
+        start = after
+        if l == r:
+            continue
+        for i in itertools.compress(range(len(l)), map(ne, l, r)):
+            if r[i] == absent:
+                right_absent += 1
+            elif l[i] != absent:
+                return None
             skipped += 1
     return [], skipped, present - right_absent
 
@@ -364,10 +398,15 @@ def validate_sfunctor(e: ESystem, F: SliceFunctorT, rep: Report, law: str) -> No
     identity = cat.identity.get
     for a in sorted(F.obj_map):
         ticks += 1
-        # no morphism is keyed by a missing identity, and the image's
+        # an entry that is no arrow fails the endpoint check above; no
+        # morphism is keyed by a missing identity, and the image's
         # identity is read only once the identity's image exists
+        fa = F.obj_map[a]
+        if a not in cat.arrows or fa not in cat.arrows:
+            skips += 1
+            continue
         img = mor_get((identity(cat.dom(a)), a, a))
-        want = None if img is None else identity(cat.dom(F.obj_map[a]))
+        want = None if img is None else identity(cat.dom(fa))
         if want is None:
             skips += 1
         elif img != want:
@@ -415,23 +454,25 @@ def validate_sfunctor(e: ESystem, F: SliceFunctorT, rep: Report, law: str) -> No
 class _Cells:
     """The cells of the slice over one apex, numbered once: its objects
     (arrows_into), its morphisms (slice_mors), the slots (m, t) for t in
-    T(m[0]), and last the absent cell. ``owner[i]`` is the morphism cell
-    that cell i belongs to: a slot's morphism, a morphism itself, and -1
-    for an object or the absent cell."""
+    T(m[0]), and last the absent cell. The first ``k`` cells are the
+    objects and morphisms; the slots of each morphism are one run of
+    cells, ``span[i]`` = (start, stop) for the morphism cell i, and the
+    runs follow each other in the order of the morphisms."""
 
-    __slots__ = ("obj", "mor", "slot", "absent", "owner")
+    __slots__ = ("obj", "mor", "slot", "absent", "k", "span")
 
     def __init__(self, e: ESystem, apex: str, mors: list[SliceMor]) -> None:
         objs = e.cat.arrows_into(apex)
         self.obj = {x: i for i, x in enumerate(objs)}
         self.mor = {m: i for i, m in enumerate(mors, len(objs))}
         self.slot: dict[SliceMor, dict[str, int]] = {}
-        owner = [-1] * len(objs) + list(self.mor.values())
+        self.span: dict[int, tuple[int, int]] = {}
+        start = self.k = len(objs) + len(mors)
         for m, i in self.mor.items():
-            self.slot[m] = {t: j for j, t in enumerate(sorted(e.T(m[0])), len(owner))}
-            owner += [i] * len(self.slot[m])
-        self.absent = len(owner)
-        self.owner = tuple(owner) + (-1,)
+            self.slot[m] = {t: j for j, t in enumerate(sorted(e.T(m[0])), start)}
+            self.span[i] = (start, start + len(self.slot[m]))
+            start += len(self.slot[m])
+        self.absent = start
 
 
 # A slice functor in flat form: its source cells, its target cells, and
@@ -531,13 +572,14 @@ class _Slices:
         return ts
 
     def restrict(self, H: SliceFunctorT, P: str) -> SliceFunctorT | None:
-        """H/P, or None where P is not in H.obj_map."""
+        """H/P, or None where P is not in H.obj_map or H(P) is no arrow,
+        so that H/P has no target slice."""
         if H is not self._restricted:
             self._drop_restrictions()
             self._restricted = H
         memo = self._restrictions
         if P not in memo:
-            if P not in H.obj_map:
+            if H.obj_map.get(P) not in self.e.cat.arrows:
                 memo[P] = None
             else:
                 if P not in self._plans:
@@ -890,12 +932,22 @@ def _check_stratified(e: ESystem, rep: Report) -> None:
             rep.fail("stratified", (a,), "arrow raises level")
         if d == c and not cat.is_id(a):
             rep.fail("stratified", (a,), "level-preserving non-identity arrow")
+
+    def level(q: str) -> int | None:
+        # an object with no level fails above, an entry that is no arrow
+        # fails the functor's endpoint check: such instances are skipped
+        a = cat.arrows.get(q)
+        return None if a is None else lv.get(a.dom)
+
     def functor_level_ok(F: SliceFunctorT, tag: tuple) -> None:
         off_s = lv.get(F.source_apex)
         off_t = lv.get(F.target_apex)
         for q, q1 in sorted(F.obj_map.items()):
             rep.tick("stratified")
-            if lv[cat.dom(q)] - off_s != lv[cat.dom(q1)] - off_t:
+            d, d1 = level(q), level(q1)
+            if d is None or d1 is None or off_s is None or off_t is None:
+                rep.skip("stratified")
+            elif d - off_s != d1 - off_t:
                 rep.fail("stratified", tag + (q,), "slice functor not stratified")
     for (A, x), sx in sorted(e.subst.items()):
         functor_level_ok(sx, ("S", A, x))

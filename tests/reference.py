@@ -29,6 +29,11 @@ report as it is met, every composition pair of a slice functor is found
 by a scan of all its morphisms, and every comparison builds both sides
 with ``compose_sf`` and restricts with ``restrict_sf_reference``.
 
+``one_sided_reference`` is ``esys._one_sided`` as it was before it
+skipped the term slots of a morphism present on one side only: it walks
+every differing position of the two flat forms, slots included, and
+weighs each by the morphism it belongs to (``cell_owners``).
+
 ``unit_ehom_reference`` builds the unit the way ``xlate.unit_ehom`` used
 to: one whole restriction W_{!Γ}/!Γ per arrow A into Γ, to read the
 position of A.
@@ -84,6 +89,7 @@ Tests compare the fast code against them, result for result.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import replace
 
 from bcsys.bsys import (
@@ -476,6 +482,44 @@ def ehom_part_reference(e: ESystem, H: SliceFunctorT, part: str, rep: Report, la
                 elif act[oneQ] != onei:
                     rep.fail(law, (P, Q), f"H(1) = {act[oneQ]!r}, expected {onei!r}")
 
+
+def cell_owners(cells) -> list[int]:
+    """The morphism cell each cell of an ``esys._Cells`` belongs to: a
+    slot's morphism, a morphism itself, and -1 for an object or the
+    absent cell."""
+    owner = [-1] * (cells.absent + 1)
+    for m, i in cells.mor.items():
+        owner[i] = i
+        for j in cells.slot[m].values():
+            owner[j] = i
+    return owner
+
+
+def one_sided_reference(lhs, rhs) -> tuple[list[tuple], int, int] | None:
+    """sf_equal's triple for two flat forms over the same cells, or None
+    where a cell present on both sides differs: every differing
+    position, term slots included, weighed by the morphism it belongs to."""
+    src, tgt, L = lhs
+    R = rhs[2]
+    absent = tgt.absent
+    present = len(L) - L.count(absent)
+    if L == R:
+        return [], 0, present
+    owner = cell_owners(src)
+    skipped = right_absent = 0
+    for i in itertools.compress(range(len(L)), map(operator.ne, L, R)):
+        if R[i] == absent:
+            right_absent += 1
+        elif L[i] != absent:
+            return None
+        m = owner[i]
+        if m < 0:
+            skipped += 1
+        elif m == i:
+            skipped += 2
+        elif L[m] != absent and R[m] != absent:
+            skipped += 1
+    return [], skipped, present - right_absent
 
 def ih_term(e: ESystem, name: str, A: str, B: str) -> str | None:
     """The inverse of ih_arrow: decode the term t from the arrow id ``name``.

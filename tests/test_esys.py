@@ -1,6 +1,8 @@
 import collections
 import dataclasses
 import functools
+import itertools
+import operator
 
 import hypothesis.strategies as st
 import pytest
@@ -52,9 +54,11 @@ from ehom_pins import PINS
 from helpers import parse_path_id
 from reference import (
     _substitute_x_reference,
+    cell_owners,
     check_pairing_reference,
     ehom_part_reference,
     ih_term,
+    one_sided_reference,
     restrict_sf_reference,
     validate_sfunctor_reference,
 )
@@ -73,6 +77,31 @@ def test_nat_esystem_validates():
         rep = validate_esystem(build_nat_esystem(h))
         assert rep.ok, rep.format()
         assert not rep.failed_laws()
+
+
+def test_object_without_level_fails_stratified():
+    e = build_nat_esystem(3)
+    del e.levels["2"]
+    rep = validate_esystem(e)
+    assert rep.failed_laws() == ["stratified"]
+    assert [(v.witness, v.detail) for v in rep.violations()] == [(("2",), "object has no level")]
+    # the slice functor entries at that object are skipped, not compared
+    assert rep.laws["stratified"].skipped > 0
+
+
+@pytest.mark.parametrize("where", ["image", "key"])
+def test_substitution_object_entry_that_is_no_arrow_fails_its_endpoints(where):
+    e = build_nat_esystem(3)
+    F = e.subst[sorted(e.subst)[0]]
+    x = sorted(F.obj_map)[0]
+    entry = (x, "zz") if where == "image" else ("zz", F.obj_map[x])
+    F.obj_map[entry[0]] = entry[1]
+    rep = validate_esystem(e)
+    assert "subst-functor" in rep.failed_laws()
+    assert (entry, "object map endpoints wrong") in [
+        (v.witness, v.detail) for v in rep.laws["subst-functor"].violations
+    ]
+    assert "stratified" not in rep.failed_laws()
 
 
 def test_nat_axioms_check_nonvacuously():
@@ -569,7 +598,9 @@ _OBJS = ("x", "y")
 _ARROWS = ("h", "k")
 _TERMS = ("s", "t")
 _MORS = [(h, a, b) for h in _ARROWS for a in _OBJS for b in _OBJS]
-_E = build_nat_esystem(1)  # composites_equal reads no table of it
+# the functors over x and y are not representable in it; the "flat" shape
+# draws sub-functors of its identities, with slices of up to 22 cells
+_E = build_nat_esystem(3)
 
 
 def _reference(g1, f1, g2, f2):
@@ -621,10 +652,35 @@ def _perturbed(draw, sf):
 
 
 @st.composite
-def _composite_pairs(draw):
+def _thinned(draw, F):
+    """A copy of the representable F with some objects (and the morphisms
+    at them), some morphisms (and their term tables) and some term
+    entries dropped, and maybe one term image changed to another term of
+    its set: still representable, over the same cells."""
+    kept = st.sampled_from((True,) * 7 + (False,))
+    obj = {x: y for x, y in F.obj_map.items() if draw(kept)}
+    mor = {m: h for m, h in F.mor_map.items() if m[1] in obj and m[2] in obj and draw(kept)}
+    terms = {m: {t: u for t, u in F.term_map[m].items() if draw(kept)} for m in mor}
+    changeable = [(m, t) for m in sorted(terms) for t in sorted(terms[m]) if len(_E.T(mor[m])) > 1]
+    if changeable and draw(st.booleans()):
+        m, t = changeable[draw(st.integers(0, len(changeable) - 1))]
+        terms[m][t] = sorted(_E.T(mor[m]) - {terms[m][t]})[0]
+    return SliceFunctorT(F.source_apex, F.target_apex, obj_map=obj, mor_map=mor, term_map=terms)
+
+
+@st.composite
+def _composite_pairs(draw, shapes=("random", "near", "single", "identity", "flat")):
     g1, f1 = draw(_slice_functors()), draw(_slice_functors())
-    shape = draw(st.sampled_from(["random", "near", "single", "identity"]))
-    if shape == "random":
+    shape = draw(st.sampled_from(shapes))
+    if shape == "flat":
+        # sub-functors of one identity of _E: every side is representable
+        # and its composites are gathered, so the flat comparison runs
+        apex = draw(st.sampled_from(sorted(_E.cat.objects)))
+        ident = identity_sf(_E, apex, slice_mors(_E.cat, apex))
+        side = st.one_of(st.just(ident), _thinned(ident))
+        g1, f1, g2 = draw(side), draw(st.one_of(st.none(), side)), draw(side)
+        f2 = draw(st.one_of(st.none(), side))
+    elif shape == "random":
         g2 = draw(_slice_functors())
         f2 = draw(st.one_of(st.none(), _slice_functors()))
     elif shape == "near":
@@ -993,6 +1049,92 @@ def test_count_rule_present_cells_that_differ_take_the_witness_path(monkeypatch)
     got, fallbacks = _count_case(monkeypatch, e, W, changed)
     assert fallbacks == 1
     assert got[0] == sorted(got[0]) and len(got[0]) == 2
+
+
+def _one_sided_paths(lhs, rhs) -> set[str]:
+    """The slot paths of _one_sided that two forms over the same cells
+    take: a differing slot under a morphism present on the left only
+    ("left-only run", counted by one count over its run) or on the right
+    only ("right-only run", skipped), and one under a morphism both sides
+    have ("shared run", walked; "shared run, both present" where its two
+    cells are present and differ)."""
+    src, tgt, L = lhs
+    R = rhs[2]
+    absent = tgt.absent
+    owner = cell_owners(src)
+    out = set()
+    for i in itertools.compress(range(len(L)), map(operator.ne, L, R)):
+        m = owner[i]
+        if m < 0 or m == i:
+            continue
+        if R[m] == absent:
+            out.add("left-only run")
+        elif L[m] == absent:
+            out.add("right-only run")
+        else:
+            out.add("shared run")
+            if L[i] != absent and R[i] != absent:
+                out.add("shared run, both present")
+    return out
+
+
+def _checked_one_sided(monkeypatch) -> collections.Counter:
+    """Check every _one_sided call against one_sided_reference, and count
+    the calls and the slot paths their forms take."""
+    seen = collections.Counter()
+    real = esys._one_sided
+
+    def checked(lhs, rhs):
+        got = real(lhs, rhs)
+        assert got == one_sided_reference(lhs, rhs)
+        seen["calls"] += 1
+        seen.update(_one_sided_paths(lhs, rhs))
+        return got
+
+    monkeypatch.setattr(esys, "_one_sided", checked)
+    return seen
+
+
+# each system, and the slot paths its validation takes: on the lawful
+# ones a slot differs only under a morphism present on one side
+_ONE_SIDED_SITES = {
+    "group-s3": (lambda: build_group_structure(*s3_table()), {"shared run", "shared run, both present"}),
+    **{
+        f"nat-e-h{h}": (lambda h=h: build_nat_esystem(h), {"left-only run", "right-only run"})
+        for h in (5, 6)
+    },
+    **{
+        f"b2e-finset-b-h{h}": (
+            lambda h=h: b_to_e(build_finset_bsystem(h)),
+            {"left-only run", "right-only run"},
+        )
+        for h in (5, 6)
+    },
+}
+
+
+@pytest.mark.parametrize("make, paths", list(_ONE_SIDED_SITES.values()), ids=list(_ONE_SIDED_SITES))
+def test_one_sided_matches_reference_in_validations(monkeypatch, make, paths):
+    seen = _checked_one_sided(monkeypatch)
+    validate_esystem(make())
+    assert seen.pop("calls") > 0
+    assert set(seen) == paths
+
+
+def test_one_sided_matches_reference_on_composite_pairs(monkeypatch):
+    """Sub-functors of identities reach every slot path, a differing slot
+    under a morphism both sides have included."""
+    seen = _checked_one_sided(monkeypatch)
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(_composite_pairs(shapes=("flat",)))
+    def run(sides):
+        assert composites_equal(*sides, esys._Slices(_E)) == _reference(*sides)
+
+    run()
+    assert all(seen[path] > 0 for path in (
+        "left-only run", "right-only run", "shared run", "shared run, both present"
+    ))
 
 
 _NO_FALLBACK = {
