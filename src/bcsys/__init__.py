@@ -51,7 +51,6 @@ from .esys import (
     build_nat_esystem,
     check_pairing,
     internal_hom_cat,
-    precompose,
     projections,
     s3_table,
     term_extension,

@@ -26,39 +26,9 @@ def join_ids(*parts: str) -> str:
     return "|".join(esc(p) for p in parts)
 
 
-def split_ids(s: str, sep: str) -> list[str]:
-    """Split on unescaped separators and unescape the pieces."""
-    parts = []
-    cur = []
-    i = 0
-    while i < len(s):
-        c = s[i]
-        if c == "\\" and i + 1 < len(s):
-            cur.append(s[i + 1])
-            i += 2
-            continue
-        if c == sep:
-            parts.append("".join(cur))
-            cur = []
-        else:
-            cur.append(c)
-        i += 1
-    parts.append("".join(cur))
-    return parts
-
-
 def pack_ids(parts: tuple[str, ...] | list[str]) -> str:
     """Canonical tuple encoding used for generated term and element ids."""
     return "(" + ",".join(p.replace("\\", "\\\\").replace(",", "\\,").replace("(", "\\(").replace(")", "\\)") for p in parts) + ")"
-
-
-def unpack_ids(s: str) -> tuple[str, ...]:
-    if not (s.startswith("(") and s.endswith(")")):
-        raise ValueError(f"not a packed id: {s!r}")
-    body = s[1:-1]
-    if body == "":
-        return ()
-    return tuple(split_ids(body, ","))
 
 
 @dataclass(frozen=True)

@@ -927,6 +927,7 @@ def _check_stratified(e: ESystem, rep: Report) -> None:
         rep.tick("stratified")
         d, c = lv.get(cat.dom(a)), lv.get(cat.cod(a))
         if d is None or c is None:
+            rep.skip("stratified")
             continue
         if d < c:
             rep.fail("stratified", (a,), "arrow raises level")
@@ -1154,17 +1155,6 @@ def subst_term(e: ESystem, w: str, AP: str, pos: str, t: str) -> str | None:
     return None if act is None else act.get(t)
 
 
-# No code in bcsys calls precompose. It stays public as the reference
-# construction of f*: tests/reference.py builds the internal-hom category
-# and e_to_ce from it, to cross-check _internal_hom and vertical_compose.
-def precompose(e: ESystem, A: str, B: str, f: str) -> SliceFunctorT | None:
-    """f* = S_f . (W_A/B) for an internal morphism f in T(W_A(B)); None
-    where W_A(B) or S_f is missing."""
-    wa = e.weak.get(A)
-    sf = None if wa is None else e.subst.get((wa.obj_map.get(B), f))
-    return None if sf is None else compose_sf(sf, restrict_sf(e, wa, B))
-
-
 def ih_arrow(A: str, B: str, t: str) -> str:
     """The id of the internal morphism t in hom(A, B) = T(W_A(B))."""
     return join_ids("ih", A, B, t)
@@ -1217,7 +1207,7 @@ def _internal_hom(
     morphisms and plans.
 
     The composite g∘f of f in hom(A, B) and g in hom(B, C) is f*(g), the
-    action of f* = S_f ∘ (W_A/B) (see precompose) on the terms of
+    action of f* = S_f ∘ (W_A/B) on the terms of
     u = W_B(C). It is read from the tables of S_f and W_A/B without
     building f*. Completeness: term_action_at(compose_sf(S_f, W_A/B), u)
     is f*'s term table at k = (u, u, 1_{dom B}), and None when that
@@ -1229,8 +1219,8 @@ def _internal_hom(
     fa, fb), {}). Those are the lookups made here. Only the last two
     depend on f, so the rest is read once per (A, B, C). W_A/B depends
     only on (A, B), so it is restricted once, at the first f whose S_f
-    exists, since precompose looks up S_f before it restricts; an f
-    without S_f is partial, as where precompose is None. The restriction
+    exists, since f* needs S_f before W_A/B is read; an f without S_f is
+    partial, as f* is missing there. The restriction
     is never None here: it is only where B is not in W_A.obj_map, and
     then hom(A, B) is not represented. Each composite is looked up
     in the names of its hom set, so it is kept exactly when its arrow

@@ -96,15 +96,6 @@ class Report:
     def missing_laws(self) -> list[str]:
         return sorted(n for n, r in self.laws.items() if r.missing is not None)
 
-    def violations(self) -> list[Violation]:
-        out: list[Violation] = []
-        for name in sorted(self.laws):
-            out.extend(self.laws[name].violations)
-        return out
-
-    def total_skipped(self) -> int:
-        return sum(r.skipped for r in self.laws.values())
-
     def format(self) -> str:
         lines = []
         for name in sorted(self.laws):

@@ -43,10 +43,8 @@ from .core import (
     path_id,
     slice_category,
     slice_mors,
-    split_ids,
     stratify,
     triangle_id,
-    unpack_ids,
 )
 from .csys import CSystem, validate_csystem
 from .esys import (
@@ -326,22 +324,15 @@ def _unique_arrow(cat: FinCat, x: str, y: str) -> str | None:
 class _ElementReads:
     """What _bhom_of_sfunctor reads besides the slice functor, once per
     e_to_b call: the (X, t) of each frame element, recorded where e_to_b
-    packs it; for each object Y, ybar, the first arrow out of Y that
-    goes one level down; and _unique_arrow of each pair of objects."""
+    packs it; ``ind``, the individual arrow of each object of positive
+    level, as e_to_b found it; and _unique_arrow of each pair of
+    objects."""
 
-    def __init__(self, cat: FinCat, lv: dict[str, int]) -> None:
+    def __init__(self, cat: FinCat, ind: dict[str, str]) -> None:
         self.cat = cat
-        self.lv = lv
+        self.ind = ind
         self.parts: dict[str, tuple[str, str]] = {}
-        self._down: dict[str, str | None] = {}
         self._unique: dict[tuple[str, str], str | None] = {}
-
-    def down(self, Y: str) -> str | None:
-        if Y not in self._down:
-            cat, lv = self.cat, self.lv
-            below = lv.get(Y, 0) - 1
-            self._down[Y] = next((a for a in cat.arrows_from(Y) if lv.get(cat.cod(a)) == below), None)
-        return self._down[Y]
 
     def unique(self, x: str, y: str) -> str | None:
         if (x, y) not in self._unique:
@@ -367,9 +358,9 @@ def _bhom_of_sfunctor(e: ESystem, sf: SliceFunctorT, src: BFrame, tgt: BFrame,
         for el in src.Bt[m]:
             Y, t = reads.parts[el]
             u = reads.unique(Y, z)
-            ybar = reads.down(Y)
-            if u is None or ybar is None:
+            if u is None:
                 continue
+            ybar = reads.ind[Y]
             uft = reads.unique(cat.cod(ybar), z)
             if uft is None:
                 continue
@@ -402,7 +393,7 @@ def e_to_b(e: ESystem) -> BSystem:
     Bt: list[frozenset[str]] = [frozenset()]
     bd: list[dict[str, str]] = [{}]
     ft: list[dict[str, str]] = [{}]
-    reads = _ElementReads(cat, lv)
+    reads = _ElementReads(cat, ind)
     for m in range(1, height + 1):
         elems = {}
         for X in B[m]:
@@ -478,24 +469,30 @@ def b_roundtrip_iso(bsys: BSystem, b2: BSystem) -> IsoWitness:
 
 
 def e2b_of_ehom(k: EHom, src_b: BSystem, tgt_b: BSystem) -> BFrameHom:
-    """Transport a stratified E-homomorphism to the extracted B-systems."""
-    lv = k.source.levels
+    """Transport a stratified E-homomorphism to the extracted B-systems,
+    for src_b = e_to_b(k.source): the element (X, t) of src_b's frame,
+    for t in T(ind X), is named pack_ids((X, t)), as e_to_b names it."""
+    e = k.source
+    lv = e.levels
     strat = Stratification(level=dict(lv))
     H: dict[int, dict[str, str]] = {}
     Ht: dict[int, dict[str, str]] = {}
     for x, y in k.functor.object_map.items():
         H.setdefault(lv[x], {})[x] = y
-    for m in range(1, src_b.frame.height + 1):
+    frame = src_b.frame
+    for m in range(1, frame.height + 1):
         Ht[m] = {}
-        for el in src_b.frame.Bt[m]:
-            X, t = unpack_ids(el)
-            xbar = individual_arrow(k.source.cat, strat, X)
-            timg = k.term_map.get(xbar, {}).get(t)
+        for X in frame.B[m]:
             ximg = k.functor.object_map.get(X)
-            if timg is None or ximg is None:
+            if ximg is None:
                 continue
-            Ht[m][el] = pack_ids((ximg, timg))
-    return BFrameHom(source=src_b.frame, target=tgt_b.frame, H=H, Ht=Ht)
+            xbar = individual_arrow(e.cat, strat, X)
+            tmap = k.term_map.get(xbar, {})
+            for t in e.T(xbar):
+                timg = tmap.get(t)
+                if timg is not None:
+                    Ht[m][pack_ids((X, t))] = pack_ids((ximg, timg))
+    return BFrameHom(source=frame, target=tgt_b.frame, H=H, Ht=Ht)
 
 
 # ---------------------------------------------------------------------------
@@ -647,17 +644,19 @@ def _casce_iso(a: CESystem, ahat: CESystem) -> IsoWitness:
     """comp/fact between ahat = c_to_ce(ce_to_c(a)) and a."""
     strat = stratify(a.fam)
     assert isinstance(strat, Stratification)
-    # comp: paths of individuals -> their composites in fam(a)
+    # comp: paths of individuals -> their composites in fam(a); the path
+    # p|Γ|k of ahat runs from Γ down k levels, by ce_to_c's lengths, which
+    # are strat's levels
+    ind = {x: individual_arrow(a.fam, strat, x) for x in a.fam.objects if strat.of(x) > 0}
     comp_obj = {x: x for x in a.fam.objects}
     comp_ar: dict[str, str] = {}
     fact_ar: dict[str, str] = {}
     for name in ahat.fam.arrows:
         gamma = ahat.fam.dom(name)
-        k = int(split_ids(name, "|")[-1])
         cur = a.fam.id_of(gamma)
         x = gamma
-        for _ in range(k):
-            step = individual_arrow(a.fam, strat, x)
+        for _ in range(strat.of(gamma) - strat.of(ahat.fam.cod(name))):
+            step = ind[x]
             cur = a.fam.comp(step, cur)
             x = a.fam.cod(step)
         comp_ar[name] = cur
@@ -810,7 +809,7 @@ def e_to_ce(e: ESystem) -> CESystem:
     The pullback of a family R over B along an internal morphism x in
     hom(A, B) is f*(R) for f* = S_x ∘ (W_A/B), read as
     S_x.obj_map[(W_A/B).obj_map[R]]: compose_sf sets exactly that entry
-    of f*'s object map. precompose is None only where S_x is missing
+    of f*'s object map. f* is missing only where S_x is missing
     (W_A/B exists, since W_A(B) does when x names a base arrow), and
     those arrows get no pullbacks here either.
 
@@ -1032,7 +1031,9 @@ def compose_cehom(g: CEHom, f: CEHom) -> CEHom:
 
 
 def cehom_of_ehom(h: EHom, src_ce: CESystem, tgt_ce: CESystem) -> CEHom:
-    """E2CE on homomorphisms: slices on families, term maps on contexts."""
+    """E2CE on homomorphisms: slices on families, term maps on contexts,
+    for src_ce = e_to_ce(h.source), whose families' arrows are the
+    triangles triangle_id(h, f, g) of slice_mors at the terminal."""
     e = h.source
     obj_map = {}
     fam_ar = {}
@@ -1041,9 +1042,7 @@ def cehom_of_ehom(h: EHom, src_ce: CESystem, tgt_ce: CESystem) -> CEHom:
         img = h.functor.arrow_map.get(f)
         if img is not None:
             obj_map[f] = img
-    for t in src_ce.fam.arrows:
-        parts = split_ids(t, "|")
-        hh, f, g = parts[0], parts[1], parts[2]
+    for hh, f, g in slice_mors(e.cat, e.cat.terminal):
         ih_, fi, gi = (
             h.functor.arrow_map.get(hh),
             h.functor.arrow_map.get(f),
@@ -1053,7 +1052,7 @@ def cehom_of_ehom(h: EHom, src_ce: CESystem, tgt_ce: CESystem) -> CEHom:
             continue
         name = triangle_id(ih_, fi, gi)
         if name in tgt_ce.fam.arrows:
-            fam_ar[t] = name
+            fam_ar[triangle_id(hh, f, g)] = name
     terms = _ih_terms(e, src_ce.base.arrows)
     for name, arr in src_ce.base.arrows.items():
         A, B = arr.dom, arr.cod

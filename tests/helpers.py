@@ -1,5 +1,5 @@
 """Hand-rolled finite categories used as independent oracles in tests,
-and the decoders of object and path ids.
+the decoders of ids, and readers of reports.
 
 These constructions deliberately avoid the package's own builders where a
 test is meant to cross-check one: they encode the textbook definitions
@@ -7,10 +7,15 @@ directly (thin categories from a transitive relation, opposite-of-finite-
 sets via plain function composition).
 
 ``parse_obj_id`` and ``parse_path_id`` invert ``core.obj_id`` and
-``core.path_id``, and ``parse_fn_arrow`` and ``parse_fn_term`` the
-names of the finite-set examples. The translations keep what they
+``core.path_id``, ``split_ids`` and ``unpack_ids`` invert
+``core.join_ids`` (and so ``triangle_id``, ``proj_path`` and
+``ih_arrow``) and ``core.pack_ids``, and ``parse_fn_arrow`` and
+``parse_fn_term`` the names of the finite-set examples. The translations keep what they
 encode in an id, and the builders what they encode in a name, so only
 tests decode one.
+
+``violations`` and ``total_skipped`` read a ``Report`` as a whole: its
+violations in law order, and the sum of its skips.
 
 The round-trip witnesses compare the structures they are given, which
 their callers in bcsys have already built. ``b_image``, ``unit_of`` and
@@ -26,6 +31,7 @@ from bcsys.bsys import BSystem
 from bcsys.cesys import CEHom, CESystem
 from bcsys.core import Arrow, FinCat
 from bcsys.esys import EHom, ESystem
+from bcsys.report import Report, Violation
 from bcsys.xlate import b_to_e, ce_to_e, counit_cehom, e_to_b, e_to_ce, unit_ehom
 
 
@@ -137,6 +143,38 @@ def count_paths(tree) -> int:
     return total
 
 
+def split_ids(s: str, sep: str) -> list[str]:
+    """Split on unescaped separators and unescape the pieces: the inverse
+    of ``core.join_ids`` for ``sep`` '|'."""
+    parts = []
+    cur = []
+    i = 0
+    while i < len(s):
+        c = s[i]
+        if c == "\\" and i + 1 < len(s):
+            cur.append(s[i + 1])
+            i += 2
+            continue
+        if c == sep:
+            parts.append("".join(cur))
+            cur = []
+        else:
+            cur.append(c)
+        i += 1
+    parts.append("".join(cur))
+    return parts
+
+
+def unpack_ids(s: str) -> tuple[str, ...]:
+    """The parts of a packed id, the inverse of ``core.pack_ids``."""
+    if not (s.startswith("(") and s.endswith(")")):
+        raise ValueError(f"not a packed id: {s!r}")
+    body = s[1:-1]
+    if body == "":
+        return ()
+    return tuple(split_ids(body, ","))
+
+
 def unesc(part: str) -> str:
     out = []
     i = 0
@@ -176,6 +214,15 @@ def parse_path_id(s: str) -> tuple[int, str, int]:
         raise ValueError(f"not a path id: {s!r}")
     n, node = parse_obj_id(s[:i])
     return n, node, int(s[i + 1 :])
+
+
+def violations(rep: Report) -> list[Violation]:
+    """Every violation of ``rep``, law by law in sorted order."""
+    return [v for name in sorted(rep.laws) for v in rep.laws[name].violations]
+
+
+def total_skipped(rep: Report) -> int:
+    return sum(r.skipped for r in rep.laws.values())
 
 
 def b_image(b: BSystem) -> BSystem:

@@ -21,7 +21,6 @@ from bcsys.core import (
     StratFailure,
     path_id,
     stratify,
-    unpack_ids,
 )
 from bcsys.esys import (
     EHom,
@@ -33,7 +32,6 @@ from bcsys.esys import (
     hom_terms_of,
     identity_sf,
     nat_arrow,
-    precompose,
     projections,
     restrict_sf,
     s3_table,
@@ -60,8 +58,8 @@ from bcsys.xlate import (
     invert_ehom,
 )
 
-from helpers import b_image, parse_path_id, unit_of
-from reference import adjunction_witnesses_reference
+from helpers import b_image, parse_path_id, unit_of, unpack_ids
+from reference import adjunction_witnesses_reference, precompose
 from test_csys_cesys import non_rooted_cesystem
 
 

@@ -36,7 +36,7 @@ from bcsys.esys import TermCat, build_nat_esystem, check_pairing, internal_hom_c
 from bcsys.serialize import dumps, fincat_payload, save_structure
 from bcsys.xlate import b_to_e, c_to_ce, casce_iso, ce_to_c, ce_to_e, e_to_ce
 
-from helpers import counit_of
+from helpers import counit_of, violations
 
 
 def _without(d: dict, key) -> dict:
@@ -106,7 +106,7 @@ def _functor_cases():
 
 
 def _report(rep) -> str:
-    return rep.format() + "\n" + "\n".join(str(v) for v in rep.violations())
+    return rep.format() + "\n" + "\n".join(str(v) for v in violations(rep))
 
 
 def _ce_runs(a):

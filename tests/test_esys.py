@@ -16,8 +16,6 @@ from bcsys.core import (
     FunctorData,
     join_ids,
     slice_mors,
-    split_ids,
-    unpack_ids,
     validate_fincat,
 )
 from bcsys.esys import (
@@ -36,7 +34,6 @@ from bcsys.esys import (
     ih_arrow,
     internal_hom_cat,
     nat_arrow,
-    precompose,
     projections,
     restrict_sf,
     s3_table,
@@ -51,7 +48,7 @@ from bcsys.report import Report, Truncated
 from bcsys.xlate import b_to_e
 
 from ehom_pins import PINS
-from helpers import parse_path_id
+from helpers import parse_path_id, split_ids, unpack_ids, violations
 from reference import (
     _substitute_x_reference,
     cell_owners,
@@ -59,6 +56,7 @@ from reference import (
     ehom_part_reference,
     ih_term,
     one_sided_reference,
+    precompose,
     restrict_sf_reference,
     validate_sfunctor_reference,
 )
@@ -84,9 +82,11 @@ def test_object_without_level_fails_stratified():
     del e.levels["2"]
     rep = validate_esystem(e)
     assert rep.failed_laws() == ["stratified"]
-    assert [(v.witness, v.detail) for v in rep.violations()] == [(("2",), "object has no level")]
-    # the slice functor entries at that object are skipped, not compared
-    assert rep.laws["stratified"].skipped > 0
+    assert [(v.witness, v.detail) for v in violations(rep)] == [(("2",), "object has no level")]
+    # the 4 arrows and the 19 slice functor entries at that object are
+    # skipped, not compared
+    res = rep.laws["stratified"]
+    assert (res.checked, res.skipped) == (49, 23)
 
 
 @pytest.mark.parametrize("where", ["image", "key"])
@@ -539,7 +539,7 @@ def test_calculus_identities_at_height_4():
 def test_ehom_preserves_pairing_and_projections():
     # an E-homomorphism commutes with term extension and both projections
     from bcsys.bsys import build_finset_bsystem
-    from bcsys.core import FunctorData, unpack_ids
+    from bcsys.core import FunctorData
     from bcsys.esys import EHom, validate_ehom
     from bcsys.xlate import b_to_e
 
@@ -817,7 +817,7 @@ def test_validation_memo_does_not_outlive_the_call():
     assert not again.ok
     assert "subst-system" in again.failed_laws()
     assert again.format() == expected.format()
-    assert [v.witness for v in again.violations()] == [v.witness for v in expected.violations()]
+    assert [v.witness for v in violations(again)] == [v.witness for v in violations(expected)]
 
 
 # ---------------------------------------------------------------------------
@@ -884,7 +884,7 @@ def _damage(draw, e, F):
         del tm[draw(st.sampled_from(sorted(tm)))]
     elif kind == "obj-value" and F.obj_map:
         x = draw(st.sampled_from(sorted(F.obj_map)))
-        F.obj_map[x] = draw(st.sampled_from(sorted(cat.arrows_into(F.target_apex))))
+        F.obj_map[x] = draw(st.sampled_from([*sorted(cat.arrows_into(F.target_apex)), "zz"]))
     elif kind == "mor-value" and F.mor_map:
         m = draw(st.sampled_from(sorted(F.mor_map)))
         F.mor_map[m] = draw(st.sampled_from(sorted(cat.arrows)))
@@ -1189,7 +1189,7 @@ def test_flat_forms_do_not_outlive_the_call():
     expected = validate_esystem(fresh)
     assert again.format() != first.format()
     assert again.format() == expected.format()
-    assert [v.witness for v in again.violations()] == [v.witness for v in expected.violations()]
+    assert [v.witness for v in violations(again)] == [v.witness for v in violations(expected)]
 
 
 # ---------------------------------------------------------------------------
@@ -1219,7 +1219,8 @@ def tallies(monkeypatch):
     a fresh report beside its reference, and require the same laws, in the
     same order, with the same checks, skips and witnesses. The reference of
     an _ehom_parts call is ehom_part_reference for the three (condition,
-    law) pairs in turn, on one report. Counts the calls."""
+    law) pairs in turn, on one report. Counts the calls, and those on a
+    functor with an object image that is no arrow."""
     seen = collections.Counter()
     real_sfunctor, real_parts = esys.validate_sfunctor, esys._ehom_parts
 
@@ -1232,6 +1233,7 @@ def tallies(monkeypatch):
     def sfunctor(e, F, rep, law):
         same(lambda r: real_sfunctor(e, F, r, law), lambda r: validate_sfunctor_reference(e, F, r, law))
         seen["sfunctor"] += 1
+        seen["sfunctor image no arrow"] += any(y not in e.cat.arrows for y in F.obj_map.values())
         real_sfunctor(e, F, rep, law)
 
     def parts(slices, H, rep, laws):
@@ -1241,6 +1243,7 @@ def tallies(monkeypatch):
 
         same(lambda r: real_parts(slices, H, r, laws), reference)
         seen[laws] += 1
+        seen["parts image no arrow"] += any(y not in slices.e.cat.arrows for y in H.obj_map.values())
         real_parts(slices, H, rep, laws)
 
     monkeypatch.setattr(esys, "validate_sfunctor", sfunctor)
@@ -1265,6 +1268,8 @@ def test_tallied_laws_match_reference_on_damaged_systems(tallies):
 
     run()
     assert tallies["sfunctor"] and tallies[_S_LAWS]
+    # _damage's obj-value draws an image that is no arrow
+    assert tallies["sfunctor image no arrow"] and tallies["parts image no arrow"]
 
 
 def test_equal_tuples_over_different_cells_get_different_numbers():
@@ -1358,7 +1363,7 @@ def test_ehom_memo_does_not_outlive_the_call():
     expected = validate_ehom(fresh)
     assert first.ok and not again.ok
     assert again.format() == expected.format()
-    assert [v.witness for v in again.violations()] == [v.witness for v in expected.violations()]
+    assert [v.witness for v in violations(again)] == [v.witness for v in violations(expected)]
 
 
 def _damaged_ehom(h: int, damage: str | None) -> EHom:
@@ -1386,7 +1391,7 @@ def test_validate_ehom_matches_its_pinned_report(h, damage):
     rep = validate_ehom(_damaged_ehom(h, damage))
     lines, witnesses = PINS[(h, damage)]
     assert rep.format().splitlines() == lines
-    assert [v.witness for v in rep.violations()] == witnesses
+    assert [v.witness for v in violations(rep)] == witnesses
 
 
 @pytest.mark.parametrize("h", [3, 4, 5])

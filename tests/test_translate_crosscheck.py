@@ -17,25 +17,32 @@ CE-systems with ft, proj, pb or ifun rows dropped. So are
 from the names of its hom set where their earlier bodies decoded the
 arrow id, on damaged E-systems and CE-systems at heights 0 to 5.
 ``adjunction_witnesses(a)`` gives the report its earlier two-argument
-body gives on ``(ce_to_e(a), a)``.
+body gives on ``(ce_to_e(a), a)``. ``e_to_b``, ``e2b_of_ehom`` and the
+comp map of ``_casce_iso``, which read what the structures hold, give
+the tables of their earlier bodies, which parsed ids, on the examples,
+in grand round trips and on damaged E-systems.
 
-The last tests count calls: the translations decode no internal-hom id,
-``c_to_ce`` and ``b_to_e`` make each path id once, ``e_to_b`` unpacks
-no frame element, ``e_to_ce`` enumerates each slice and plans each
-restriction once, and the round-trip witnesses make each translation
-they compare once.
+The last tests pin how ids are made and read: no module of bcsys
+defines or reads a decoder of joined or packed ids (an AST check), and,
+counting calls, ``c_to_ce`` and ``b_to_e`` make each path id once,
+``e_to_ce`` enumerates each slice and plans each restriction once, and
+the round-trip witnesses make each translation they compare once.
 """
 
+import ast
+import collections
 import contextlib
 import copy
 import inspect
 import random
 import sys
+from pathlib import Path
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
+import bcsys
 from bcsys import core, esys, xlate
 from bcsys.bsys import build_finset_bsystem
 from bcsys.cesys import build_finset_cesystem
@@ -45,6 +52,7 @@ from bcsys.report import Truncated
 from bcsys.serialize import save_structure
 from bcsys.xlate import b_to_e, c_to_ce, ce_to_c, ce_to_e, cehom_of_ehom, e_to_ce
 
+import helpers
 from helpers import counit_of, unit_of
 from test_csys_cesys import non_rooted_cesystem
 
@@ -52,10 +60,14 @@ from reference import (
     adjunction_witnesses_reference,
     b_to_e_reference,
     c_to_ce_reference,
+    casce_comp_reference,
     ce_to_c_reference,
     cehom_of_ehom_reference,
     counit_cehom_reference,
+    e2b_of_ehom_reference,
+    e_to_b_reference,
     e_to_ce_reference,
+    ih_term,
     internal_hom_cat_reference,
     unit_ehom_reference,
     vertical_compose_reference,
@@ -639,9 +651,23 @@ def or_none(fn, *args):
         return None
 
 
+def ih_terms_reference(e, arrows) -> dict:
+    """name -> t for each arrow that reference.ih_term decodes."""
+    terms = {name: ih_term(e, name, arr.dom, arr.cod) for name, arr in arrows.items()}
+    return {name: t for name, t in terms.items() if t is not None}
+
+
+def assert_ih_terms_match(e, arrows) -> object:
+    got = outcome(esys._ih_terms, dict, e, arrows)
+    assert got == outcome(ih_terms_reference, dict, e, arrows)
+    return got
+
+
 def assert_adjunction_homs_match(e, other) -> list:
     """The counit at e_to_ce(e), and cehom_of_ehom of the unit at e from
-    e_to_ce(e) and from e_to_ce(other), against the references. With
+    e_to_ce(e), against the references; and the terms that
+    esys._ih_terms, which both read, finds for the base arrows of
+    e_to_ce(e) and of e_to_ce(other), against reference.ih_term. With
     ``other`` a differently damaged system, some base arrows name hom
     sets that e does not represent. Returns the outcomes compared."""
     got = []
@@ -650,10 +676,11 @@ def assert_adjunction_homs_match(e, other) -> list:
         got.append(assert_counit_matches(ae))
     eta = or_none(unit_of, e)
     tgt = or_none(e_to_ce, eta.target) if eta is not None else None
-    if tgt is not None:
-        for src in (ae, or_none(e_to_ce, other)):
-            if src is not None:
-                got.append(assert_cehom_of_ehom_matches(eta, src, tgt))
+    if ae is not None and tgt is not None:
+        got.append(assert_cehom_of_ehom_matches(eta, ae, tgt))
+    for src in (ae, or_none(e_to_ce, other)):
+        if src is not None:
+            got.append(assert_ih_terms_match(e, src.base.arrows))
     return got
 
 
@@ -661,8 +688,9 @@ def assert_adjunction_homs_match(e, other) -> list:
 @pytest.mark.parametrize("kind", ["nat-e", "finset-b"])
 def test_adjunction_homs_match_reference_on_examples(kind, height):
     e = built(kind, height)
-    counit, unit_image, _same = assert_adjunction_homs_match(e, e)
-    assert height < 1 or (counit[3] and unit_image[3])
+    counit, unit_image, terms, same = assert_adjunction_homs_match(e, e)
+    assert height < 1 or (counit[3] and unit_image[3] and terms)
+    assert terms == same
 
 
 @pytest.mark.parametrize("height", range(6))
@@ -721,6 +749,119 @@ def test_adjunction_witnesses_match_reference(kind, height):
 
 
 # ---------------------------------------------------------------------------
+# the witnesses that read what the structures hold, against their bodies
+# that parsed ids
+
+
+def bhom_tables(h) -> tuple:
+    return (h.H, h.Ht)
+
+
+def bsystem_tables(b) -> tuple:
+    f = b.frame
+    return (
+        (f.height, f.B, f.Bt, f.ft, f.bd),
+        {k: bhom_tables(h) for k, h in b.subst.items()},
+        {k: bhom_tables(h) for k, h in b.weak.items()},
+        b.gen,
+    )
+
+
+def comp_arrows(iso) -> dict:
+    """The arrow map of comp: ahat -> a, the backward map of _casce_iso."""
+    return iso.backward.fam_map.arrow_map
+
+
+# name in xlate: (its tables, the reference, the reference's tables)
+WITNESSES = {
+    "e_to_b": (bsystem_tables, e_to_b_reference, bsystem_tables),
+    "e2b_of_ehom": (bhom_tables, e2b_of_ehom_reference, bhom_tables),
+    "_casce_iso": (comp_arrows, casce_comp_reference, dict),
+}
+
+
+def checking_witnesses(monkeypatch) -> collections.Counter:
+    """Check every call of xlate.e_to_b, e2b_of_ehom and _casce_iso, from
+    a test or from xlate, against its earlier body: the same tables, or
+    the same exception. Counts the calls checked, and those that
+    returned."""
+    seen = collections.Counter()
+    for name, (tables, reference, reference_tables) in WITNESSES.items():
+        real = getattr(xlate, name)
+
+        def checked(*args, real=real, name=name, tables=tables, reference=reference, ref=reference_tables):
+            got = outcome(real, tables, *args)
+            assert got == outcome(reference, ref, *args), name
+            seen[name] += 1
+            seen[name, "returned"] += isinstance(got, (tuple, dict))
+            return real(*args)
+
+        monkeypatch.setattr(xlate, name, checked)
+    return seen
+
+
+@pytest.fixture
+def witnesses(monkeypatch):
+    return checking_witnesses(monkeypatch)
+
+
+def run_witnesses(e) -> None:
+    """e_to_b of e, e2b_of_ehom of the unit at e, from e_to_b(e) to
+    e_to_b of its target, and casce_iso of e_to_ce(e), each where the
+    structures it reads can be built."""
+    xlate.e_to_b(e)
+    eta = or_none(unit_of, e)
+    src = or_none(e_to_b_reference, e)
+    tgt = or_none(e_to_b_reference, eta.target) if eta is not None else None
+    if src is not None and tgt is not None:
+        xlate.e2b_of_ehom(eta, src, tgt)
+    a = or_none(e_to_ce, e)
+    if a is not None:
+        with contextlib.suppress(Exception):
+            xlate.casce_iso(a)
+
+
+@pytest.mark.parametrize("height", range(5))
+def test_casce_comp_matches_reference_on_finset_ce(witnesses, height):
+    assert xlate.casce_iso(build_finset_cesystem(height)).verified
+    assert witnesses["_casce_iso", "returned"] == 1
+
+
+@pytest.mark.parametrize("height", range(1, 6))
+@pytest.mark.parametrize("kind", ["nat-e", "finset-b"])
+def test_witnesses_match_reference_on_examples(witnesses, kind, height):
+    run_witnesses(built(kind, height))
+    assert all(witnesses[name, "returned"] == 1 for name in WITNESSES)
+
+
+@pytest.mark.parametrize("height", range(1, 7))
+def test_witnesses_match_reference_in_grand_round_trips(witnesses, height):
+    """Two e_to_b, one e2b_of_ehom and one _casce_iso per round trip."""
+    iso, _stages = xlate.grand_roundtrip_iso(build_finset_bsystem(height))
+    assert iso.verified
+    assert [witnesses[name, "returned"] for name in WITNESSES] == [2, 1, 1]
+
+
+@pytest.mark.parametrize("damage", DAMAGE)
+@pytest.mark.parametrize("kind", sorted(BASES))
+def test_witnesses_match_reference_with_one_damage(witnesses, kind, damage):
+    rng = random.Random(0)
+    for _ in range(5):
+        run_witnesses(damaged_system(one_damage(damage, rng), kind))
+    assert witnesses["e_to_b"] == 5
+    assert all(witnesses[name, "returned"] for name in WITNESSES)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(st.data())
+def test_witnesses_match_reference_on_damaged_systems(data):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        seen = checking_witnesses(monkeypatch)
+        run_witnesses(damaged_system(drawing(data.draw)))
+        assert seen["e_to_b"] == 1
+
+
+# ---------------------------------------------------------------------------
 # each id made once, none decoded, each slice enumerated once
 
 
@@ -739,18 +880,26 @@ def counting(monkeypatch, modules, name, calls, keep=lambda *args: True):
             monkeypatch.setattr(mod, name, counted)
 
 
-@pytest.mark.parametrize("kind", ["nat-e", "finset-b"])
-def test_translations_decode_no_internal_hom_id(monkeypatch, kind):
-    e = built(kind, 4)
-    decoded = []
-    counting(monkeypatch, (core, esys, xlate), "split_ids", decoded, lambda s, sep: s.startswith("ih|"))
-    ae = e_to_ce(e)
-    eps = counit_of(ae)
-    eta = unit_of(e)
-    cehom_of_ehom(eta, ae, eps.source)
-    xlate.adjunction_witnesses(ae)
-    assert eps.base_map.arrow_map
-    assert not decoded
+DECODERS = ("split_ids", "unpack_ids")
+
+
+def test_no_module_defines_or_reads_a_decoder():
+    """The decoders of joined and packed ids live in tests/helpers.py: no
+    module of bcsys defines, imports or reads either, so no translation
+    or witness parses an id that another function made."""
+    found = []
+    for path in sorted(Path(bcsys.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            name = (
+                getattr(node, "name", None)
+                or getattr(node, "id", None)
+                or getattr(node, "attr", None)
+                or getattr(node, "asname", None)
+            )
+            if name in DECODERS:
+                found.append((path.stem, name, node.lineno))
+    assert not found
+    assert all(hasattr(helpers, name) for name in DECODERS)
 
 
 @pytest.mark.parametrize("c", [*C_BASES.values(), ce_to_c(build_finset_cesystem(3))], ids=[*C_BASES, "finset-ce"])
@@ -781,17 +930,16 @@ def test_e_to_ce_enumerates_each_slice_once(monkeypatch, kind, height):
 
 @pytest.mark.parametrize("height", [3, 5])
 def test_b_to_e_and_e_to_b_make_each_id_once_and_decode_none(monkeypatch, height):
-    """b_to_e makes each path id once and parses none; e_to_b unpacks
-    no frame element, since it packed each one itself."""
+    """b_to_e makes each path id once and parses none, with e_to_b run
+    on its output; test_no_module_defines_or_reads_a_decoder pins that
+    e_to_b unpacks no frame element."""
     b = build_finset_bsystem(height)
-    made, unpacked = [], []
+    made = []
     counting(monkeypatch, (xlate,), "path_id", made)
-    counting(monkeypatch, (core, xlate), "unpack_ids", unpacked)
     e = b_to_e(b)
     xlate.e_to_b(e)
     assert len(made) == len(set(made)) > 0
     assert not hasattr(xlate, "parse_path_id")
-    assert not unpacked
 
 
 TRANSLATIONS = ("b_to_e", "e_to_ce", "ce_to_c", "c_to_ce", "ce_to_e", "e_to_b")

@@ -15,7 +15,6 @@ from bcsys.core import (
     obj_id,
     pack_ids,
     path_id,
-    unpack_ids,
 )
 from bcsys.csys import validate_csystem
 from bcsys.esys import (
@@ -43,7 +42,7 @@ from bcsys.xlate import (
     invert_ehom,
 )
 
-from helpers import b_image, counit_of, parse_obj_id, parse_path_id, unit_of
+from helpers import b_image, counit_of, parse_obj_id, parse_path_id, unit_of, unpack_ids
 from reference import adjunction_witnesses_reference
 from test_csys_cesys import non_rooted_cesystem
 
