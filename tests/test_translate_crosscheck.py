@@ -902,6 +902,69 @@ def test_no_module_defines_or_reads_a_decoder():
     assert all(hasattr(helpers, name) for name in DECODERS)
 
 
+SPLITS = ("split", "rsplit", "partition", "rpartition")
+
+
+@contextlib.contextmanager
+def recording_ih_decodes():
+    """Record, while the block runs, each call of a function named in
+    DECODERS and each str split or partition that code of bcsys makes,
+    where the string is an internal-hom id."""
+    package = str(Path(bcsys.__file__).parent)
+    decoded = []
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_name in DECODERS:
+            first = frame.f_locals.get(frame.f_code.co_varnames[0]) if frame.f_code.co_argcount else None
+            if isinstance(first, str) and first.startswith("ih|"):
+                decoded.append((frame.f_code.co_name, first))
+        elif event == "c_call" and getattr(arg, "__name__", None) in SPLITS:
+            s = getattr(arg, "__self__", None)
+            if isinstance(s, str) and s.startswith("ih|") and frame.f_code.co_filename.startswith(package):
+                decoded.append((arg.__name__, s))
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        yield decoded
+    finally:
+        sys.setprofile(previous)
+
+
+@pytest.mark.parametrize("kind", ["nat-e", "finset-b"])
+def test_translations_decode_no_internal_hom_id(kind):
+    """The counit, the unit's CE-image and the adjunction witnesses at
+    e_to_ce(e) neither call a decoder nor split an internal-hom id at
+    run time; test_no_module_defines_or_reads_a_decoder pins the names
+    statically."""
+    e = built(kind, 4)
+    with recording_ih_decodes() as decoded:
+        ae = e_to_ce(e)
+        eps = counit_of(ae)
+        eta = unit_of(e)
+        cehom_of_ehom(eta, ae, eps.source)
+        xlate.adjunction_witnesses(ae)
+    assert eps.base_map.arrow_map
+    assert any(name.startswith("ih|") for name in ae.base.arrows)
+    assert not decoded
+
+
+def test_ih_decode_recorder_sees_a_split_of_an_ih_id():
+    """recording_ih_decodes sees a decoder called on an internal-hom id
+    and a split of one made in bcsys, so an empty record is no blind
+    spot."""
+    ih = esys.ih_arrow("A", "B", "t")
+    with recording_ih_decodes() as decoded:
+        helpers.split_ids(ih, "|")
+        helpers.split_ids("x|y", "|")
+    assert [name for name, _s in decoded] == ["split_ids"]
+    code = compile("s.split('|')", str(Path(bcsys.__file__).parent / "probe.py"), "eval")
+    with recording_ih_decodes() as decoded:
+        eval(code, {"s": ih})
+        eval(code, {"s": "x|y"})
+    assert decoded == [("split", ih)]
+
+
 @pytest.mark.parametrize("c", [*C_BASES.values(), ce_to_c(build_finset_cesystem(3))], ids=[*C_BASES, "finset-ce"])
 def test_c_to_ce_makes_each_path_id_once(monkeypatch, c):
     made = []
