@@ -4,12 +4,18 @@ Exit codes: 0 all checked laws pass, 1 at least one law fails or a
 round-trip witness does not verify, 2 malformed input or usage error.
 Structure files are the JSON documents of the serialize module; `-`
 reads standard input or writes standard output.
+
+``main`` pauses the cyclic garbage collector while a command runs and
+turns it back on afterwards if it was on: bcsys builds no reference
+cycles, so reference counting frees everything and the collector's
+passes over the heap find nothing. No other module touches ``gc``.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import gc
 import os
 import sys
 
@@ -47,26 +53,44 @@ from .xlate import (
 MAX_HEIGHT_ENV = "BCSYS_MAX_HEIGHT"
 
 
+class CommandError(Exception):
+    """A file that cannot be read or written, or a malformed setting.
+
+    ``main`` prints it, as it prints a LoadError, on one line of stderr
+    and exits 2.
+    """
+
+
 def max_height() -> int:
+    raw = os.environ.get(MAX_HEIGHT_ENV, "8")
     try:
-        return int(os.environ.get(MAX_HEIGHT_ENV, "8"))
+        return int(raw)
     except ValueError:
-        return 8
+        raise CommandError(f"{MAX_HEIGHT_ENV}={raw!r} is not an integer") from None
 
 
 def _read(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    try:
+        if path == "-":
+            return sys.stdin.read()
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise CommandError(str(exc)) from None
+    except UnicodeDecodeError as exc:
+        where = "standard input" if path == "-" else repr(path)
+        raise CommandError(f"{where} is not UTF-8: {exc}") from None
 
 
 def _write(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise CommandError(str(exc)) from None
 
 
 def _print_report(rep: Report) -> int:
@@ -75,9 +99,9 @@ def _print_report(rep: Report) -> int:
 
 
 def cmd_example(args) -> int:
-    height = args.height
-    if height > max_height():
-        print(f"height {height} exceeds {MAX_HEIGHT_ENV}={max_height()}", file=sys.stderr)
+    height, cap = args.height, max_height()
+    if height > cap:
+        print(f"height {height} exceeds {MAX_HEIGHT_ENV}={cap}", file=sys.stderr)
         return 2
     if height < 0:
         print(f"height {height} is negative", file=sys.stderr)
@@ -135,11 +159,7 @@ def _validate(kind: str, obj, rooted: bool, stratified: bool) -> Report:
 
 
 def cmd_check(args) -> int:
-    try:
-        kind, obj = load_structure(_read(args.file), expect_kind=args.as_kind)
-    except (LoadError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    kind, obj = load_structure(_read(args.file), expect_kind=args.as_kind)
     rep = _validate(kind, obj, args.rooted, args.stratified)
     return _print_report(rep)
 
@@ -154,19 +174,14 @@ def _ensure_levels(e: ESystem) -> ESystem:
 
 
 def cmd_translate(args) -> int:
-    try:
-        kind, obj = load_structure(_read(args.file))
-    except (LoadError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    kind, obj = load_structure(_read(args.file))
     pre = _precheck(kind, obj) if kind == "esystem" else None
     if pre is not None and not pre.ok:
         return _print_report(pre)
     try:
         out = _translate(kind, obj, args.to)
-    except LoadError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except LoadError:
+        raise  # a ValueError that main reports as malformed input
     except (Truncated, ValueError) as exc:
         return _translation_fell_off(pre if pre is not None else _precheck(kind, obj), exc)
     _write(args.output, save_structure(out))
@@ -231,11 +246,7 @@ def _translate(kind: str, obj, to: str):
 
 
 def cmd_roundtrip(args) -> int:
-    try:
-        kind, obj = load_structure(_read(args.file))
-    except (LoadError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    kind, obj = load_structure(_read(args.file))
     pre = _precheck(kind, obj) if kind == "esystem" else None
     if pre is not None and not pre.ok:
         return _print_report(pre)
@@ -300,11 +311,7 @@ def _roundtrip(kind: str, obj) -> int:
 
 
 def cmd_pair(args) -> int:
-    try:
-        kind, obj = load_structure(_read(args.file), expect_kind="esystem")
-    except (LoadError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    kind, obj = load_structure(_read(args.file), expect_kind="esystem")
     return _print_report(check_pairing(obj))
 
 
@@ -355,7 +362,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return args.func(args)
+    except (LoadError, CommandError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    finally:
+        if enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

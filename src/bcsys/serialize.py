@@ -4,6 +4,12 @@ A document is {"kind": ..., "version": 1, "payload": ...} where the
 payload mirrors the in-memory tables field for field. Loading checks
 referential integrity of ids (dangling references are errors) but does
 not run the domain-law validators; the CLI's check command does that.
+
+A loaded category keeps one string per object id and per arrow id:
+every table of the structure holds the very id objects that ``objects``
+and ``arrows`` hold. The loaders check each reference by looking it up
+in a dict that maps each id to itself, which returns the stored id or
+raises KeyError for a dangling one. Term strings stay as parsed.
 """
 
 from __future__ import annotations
@@ -112,31 +118,48 @@ def fincat_payload(c: FinCat) -> dict:
 
 
 def fincat_load(p: dict) -> FinCat:
-    objects = frozenset(p["objects"])
-    arrows = {}
+    objs = {x: x for x in p["objects"]}
+    arrows, ids = {}, {}
     for rec in p["arrows"]:
-        if rec["dom"] not in objects or rec["cod"] not in objects:
-            raise LoadError(f"arrow {rec['id']!r} has dangling endpoints")
-        arrows[rec["id"]] = Arrow(rec["id"], rec["dom"], rec["cod"])
+        dom, cod = rec["dom"], rec["cod"]
+        try:
+            dom, cod = objs[dom], objs[cod]
+        except KeyError:
+            raise LoadError(f"arrow {rec['id']!r} has dangling endpoints") from None
+        a = rec["id"]
+        arrows[a] = Arrow(a, dom, cod)
+        ids[a] = a
+    identity = {}
     for obj, i in p["identity"].items():
-        if obj not in objects or i not in arrows:
-            raise LoadError(f"identity entry {obj!r}: {i!r} dangling")
+        try:
+            identity[objs[obj]] = ids[i]
+        except KeyError:
+            raise LoadError(f"identity entry {obj!r}: {i!r} dangling") from None
     compose = {}
     for g, f, gf in p["compose"]:
-        if g not in arrows or f not in arrows or gf not in arrows:
-            raise LoadError(f"compose entry ({g!r}, {f!r}) dangling")
-        compose[(g, f)] = gf
+        try:
+            compose[(ids[g], ids[f])] = ids[gf]
+        except KeyError:
+            raise LoadError(f"compose entry ({g!r}, {f!r}) dangling") from None
     terminal = p.get("terminal")
-    if terminal is not None and terminal not in objects:
-        raise LoadError(f"terminal {terminal!r} not an object")
+    if terminal is not None:
+        try:
+            terminal = objs[terminal]
+        except KeyError:
+            raise LoadError(f"terminal {terminal!r} not an object") from None
     return FinCat(
-        objects=objects,
+        objects=frozenset(objs),
         arrows=arrows,
-        identity=dict(p["identity"]),
+        identity=identity,
         compose=compose,
         terminal=terminal,
         partial=bool(p.get("partial", False)),
     )
+
+
+def _id_maps(cat: FinCat) -> tuple[dict[str, str], dict[str, str]]:
+    """Each object id and each arrow id of cat, mapped to itself."""
+    return dict(zip(cat.objects, cat.objects)), dict(zip(cat.arrows, cat.arrows))
 
 
 # ---------------------------------------------------------------------------
@@ -277,22 +300,31 @@ def _sfunctor_payload(sf: SliceFunctorT) -> dict:
     }
 
 
-def _sfunctor_load(p: dict, cat: FinCat) -> SliceFunctorT:
+def _sfunctor_load(p: dict, objs: dict[str, str], ids: dict[str, str]) -> SliceFunctorT:
+    """The slice functor of p; ``objs`` and ``ids`` are ``_id_maps`` of its category."""
+    apex = {}
     for end in ("source_apex", "target_apex"):
-        if p[end] not in cat.objects:
-            raise LoadError(f"slice functor {end} {p[end]!r} not an object")
-    sf = SliceFunctorT(source_apex=p["source_apex"], target_apex=p["target_apex"])
+        x = p[end]
+        try:
+            apex[end] = objs[x]
+        except KeyError:
+            raise LoadError(f"slice functor {end} {x!r} not an object") from None
+    sf = SliceFunctorT(**apex)
+    obj_map, mor_map = sf.obj_map, sf.mor_map
     for x, y in p["obj"].items():
-        if x not in cat.arrows or y not in cat.arrows:
-            raise LoadError(f"slice functor object entry {x!r} dangling")
-        sf.obj_map[x] = y
+        try:
+            obj_map[ids[x]] = ids[y]
+        except KeyError:
+            raise LoadError(f"slice functor object entry {x!r} dangling") from None
     for h, f, g, img in p["mor"]:
-        for a in (h, f, g, img):
-            if a not in cat.arrows:
-                raise LoadError(f"slice functor morphism entry {a!r} dangling")
-        sf.mor_map[(h, f, g)] = img
+        try:
+            key = (ids[h], ids[f], ids[g])
+            mor_map[key] = ids[img]
+        except KeyError as exc:
+            raise LoadError(f"slice functor morphism entry {exc.args[0]!r} dangling") from None
+    get = ids.get
     for h, f, g, tm in p["term"]:
-        tm = sf.term_map[(h, f, g)] = dict(tm)
+        tm = sf.term_map[(get(h, h), get(f, f), get(g, g))] = dict(tm)
         # keys come from JSON object keys, which are always strings
         if not {str}.issuperset(map(type, tm.values())):
             bad = next(t for t in tm.values() if type(t) is not str)
@@ -319,10 +351,13 @@ def esystem_payload(e: ESystem) -> dict:
 
 def esystem_load(p: dict) -> ESystem:
     cat = fincat_load(p["cat"])
+    objs, ids = _id_maps(cat)
     terms = {}
     for a, ts in p["terms"].items():
-        if a not in cat.arrows:
-            raise LoadError(f"term set on dangling arrow {a!r}")
+        try:
+            a = ids[a]
+        except KeyError:
+            raise LoadError(f"term set on dangling arrow {a!r}") from None
         for t in ts:
             if type(t) is not str:
                 raise LoadError(f"term {t!r} on arrow {a!r} is not a string")
@@ -330,22 +365,27 @@ def esystem_load(p: dict) -> ESystem:
     e = ESystem(tc=TermCat(cat=cat, terms=terms))
     for rec in p["subst"]:
         a, t = rec["arrow"], rec["term"]
-        if a not in cat.arrows or t not in terms.get(a, frozenset()):
+        arrow = ids.get(a)
+        if arrow is None or t not in terms.get(arrow, frozenset()):
             raise LoadError(f"substitution functor at ({a!r}, {t!r}) dangling")
-        e.subst[(a, t)] = _sfunctor_load(rec["functor"], cat)
+        e.subst[(arrow, t)] = _sfunctor_load(rec["functor"], objs, ids)
     for rec in p["weak"]:
         a = rec["arrow"]
-        if a not in cat.arrows:
-            raise LoadError(f"weakening functor at {a!r} dangling")
-        e.weak[a] = _sfunctor_load(rec["functor"], cat)
+        try:
+            a = ids[a]
+        except KeyError:
+            raise LoadError(f"weakening functor at {a!r} dangling") from None
+        e.weak[a] = _sfunctor_load(rec["functor"], objs, ids)
     for a, t in p["proj"].items():
-        if a not in cat.arrows:
-            raise LoadError(f"identity term at {a!r} dangling")
+        try:
+            a = ids[a]
+        except KeyError:
+            raise LoadError(f"identity term at {a!r} dangling") from None
         if type(t) is not str:
             raise LoadError(f"identity term {t!r} at {a!r} is not a string")
         e.proj[a] = t
     if p.get("levels") is not None:
-        e.levels = {x: int(v) for x, v in p["levels"].items()}
+        e.levels = {objs.get(x, x): int(v) for x, v in p["levels"].items()}
         if e.levels.keys() != cat.objects:
             raise LoadError("levels do not name exactly the objects of the category")
     return e
@@ -368,26 +408,38 @@ def csystem_payload(c: CSystem) -> dict:
 
 def csystem_load(p: dict) -> CSystem:
     cat = fincat_load(p["cat"])
-    for x in p["length"]:
-        if x not in cat.objects:
-            raise LoadError(f"length entry {x!r} dangling")
+    objs, ids = _id_maps(cat)
+    length = {}
+    for x, v in p["length"].items():
+        try:
+            length[objs[x]] = v
+        except KeyError:
+            raise LoadError(f"length entry {x!r} dangling") from None
+    ft = {}
     for x, v in p["ft"].items():
-        if x not in cat.objects or v not in cat.objects:
-            raise LoadError(f"ft entry {x!r} dangling")
+        try:
+            ft[objs[x]] = objs[v]
+        except KeyError:
+            raise LoadError(f"ft entry {x!r} dangling") from None
+    proj = {}
     for x, v in p["proj"].items():
-        if x not in cat.objects or v not in cat.arrows:
-            raise LoadError(f"projection entry {x!r} dangling")
+        try:
+            proj[objs[x]] = ids[v]
+        except KeyError:
+            raise LoadError(f"projection entry {x!r} dangling") from None
     pb = {}
     for f, g, ob, q in p["pb"]:
-        if f not in cat.arrows or g not in cat.objects or ob not in cat.objects or q not in cat.arrows:
-            raise LoadError(f"pullback entry ({f!r}, {g!r}) dangling")
-        pb[(f, g)] = (ob, q)
+        try:
+            key = (ids[f], objs[g])
+            pb[key] = (objs[ob], ids[q])
+        except KeyError:
+            raise LoadError(f"pullback entry ({f!r}, {g!r}) dangling") from None
     return CSystem(
         cat=cat,
         one=p["one"],
-        length={x: int(v) for x, v in p["length"].items()},
-        ft=dict(p["ft"]),
-        proj=dict(p["proj"]),
+        length={x: int(v) for x, v in length.items()},
+        ft=ft,
+        proj=proj,
         pb=pb,
     )
 
@@ -405,17 +457,27 @@ def cesystem_payload(a: CESystem) -> dict:
 def cesystem_load(p: dict) -> CESystem:
     fam = fincat_load(p["fam"])
     base = fincat_load(p["base"])
+    fam_objs, fam_ids = _id_maps(fam)
+    base_ids = _id_maps(base)[1]
+    ifun = {}
     for c, v in p["ifun"].items():
-        if c not in fam.arrows or v not in base.arrows:
-            raise LoadError(f"ifun entry {c!r} dangling")
-    if p["root"] not in fam.objects:
-        raise LoadError(f"root {p['root']!r} not an object")
+        try:
+            ifun[fam_ids[c]] = base_ids[v]
+        except KeyError:
+            raise LoadError(f"ifun entry {c!r} dangling") from None
+    root = p["root"]
+    try:
+        root = fam_objs[root]
+    except KeyError:
+        raise LoadError(f"root {root!r} not an object") from None
     pb = {}
     for f, A, fA, pi2 in p["pb"]:
-        if f not in base.arrows or A not in fam.arrows or fA not in fam.arrows or pi2 not in base.arrows:
-            raise LoadError(f"pullback entry ({f!r}, {A!r}) dangling")
-        pb[(f, A)] = (fA, pi2)
-    return CESystem(fam=fam, base=base, ifun=dict(p["ifun"]), root=p["root"], pb=pb)
+        try:
+            key = (base_ids[f], fam_ids[A])
+            pb[key] = (fam_ids[fA], base_ids[pi2])
+        except KeyError:
+            raise LoadError(f"pullback entry ({f!r}, {A!r}) dangling") from None
+    return CESystem(fam=fam, base=base, ifun=ifun, root=root, pb=pb)
 
 
 # ---------------------------------------------------------------------------

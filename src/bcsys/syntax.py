@@ -164,37 +164,43 @@ def enumerate_raw(
     if bound < 1:
         raise ValueError("size bound must be at least 1")
     memo: dict[tuple[str, int, int], list[RawExpr]] = {}
+    return _raw_exprs(sig, memo, "ty", n, bound), _raw_exprs(sig, memo, "tm", n, bound)
 
-    def gen(sort: str, vars_: int, budget: int) -> list[RawExpr]:
-        key = (sort, vars_, budget)
-        if key in memo:
-            return memo[key]
-        out: list[RawExpr] = []
-        if sort == "tm":
-            out.extend(RawExpr("tm", f"#{i}") for i in range(vars_))
-        formers = sig.type_formers if sort == "ty" else sig.term_formers
-        if budget >= 1:
-            for f in formers:
-                binders = tuple(a.binders for a in f.args)
-                for combo in _child_combos(f.args, vars_, budget - 1, gen):
-                    out.append(RawExpr(sort, f.name, combo, binders))
-        out.sort(key=lambda e: (e.size(), e.key()))
-        memo[key] = out
-        return out
 
-    def _child_combos(args, vars_, budget, gen):
-        if not args:
-            yield ()
-            return
-        first, rest = args[0], args[1:]
-        for child in gen(first.sort, vars_ + first.binders, budget):
-            used = child.size()
-            if used > budget:
-                continue
-            for tail in _child_combos(rest, vars_, budget - used, gen):
-                yield (child,) + tail
+# module-level, not nested: two nested functions that call each other
+# would form a reference cycle that only the cyclic collector frees
+def _raw_exprs(
+    sig: BindingSignature, memo: dict, sort: str, vars_: int, budget: int
+) -> list[RawExpr]:
+    """The expressions of ``sort`` over vars_ variables with <= budget formers."""
+    key = (sort, vars_, budget)
+    if key in memo:
+        return memo[key]
+    out: list[RawExpr] = []
+    if sort == "tm":
+        out.extend(RawExpr("tm", f"#{i}") for i in range(vars_))
+    formers = sig.type_formers if sort == "ty" else sig.term_formers
+    if budget >= 1:
+        for f in formers:
+            binders = tuple(a.binders for a in f.args)
+            for combo in _child_combos(sig, memo, f.args, vars_, budget - 1):
+                out.append(RawExpr(sort, f.name, combo, binders))
+    out.sort(key=lambda e: (e.size(), e.key()))
+    memo[key] = out
+    return out
 
-    return gen("ty", n, bound), gen("tm", n, bound)
+
+def _child_combos(sig: BindingSignature, memo: dict, args, vars_: int, budget: int):
+    if not args:
+        yield ()
+        return
+    first, rest = args[0], args[1:]
+    for child in _raw_exprs(sig, memo, first.sort, vars_ + first.binders, budget):
+        used = child.size()
+        if used > budget:
+            continue
+        for tail in _child_combos(sig, memo, rest, vars_, budget - used):
+            yield (child,) + tail
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,86 @@ def test_save_load_roundtrip_bit_exact(obj):
 
 
 # ---------------------------------------------------------------------------
+# a loaded document holds one string per object id and per arrow id
+
+
+class StoredIds:
+    """The id objects that key ``objects`` and ``arrows`` of a category;
+    ``obj(x)`` and ``arrow(a)`` assert that x or a is one of them itself,
+    not an equal string."""
+
+    def __init__(self, cat):
+        self.objs = {id(x) for x in cat.objects}
+        self.arrows = {id(a) for a in cat.arrows}
+        for a, ar in cat.arrows.items():
+            assert ar.name is a
+            self.obj(ar.dom)
+            self.obj(ar.cod)
+        for x, i in cat.identity.items():
+            self.obj(x)
+            self.arrow(i)
+        for (g, f), gf in cat.compose.items():
+            self.arrow(g, f, gf)
+        if cat.terminal is not None:
+            self.obj(cat.terminal)
+
+    def obj(self, *xs):
+        for x in xs:
+            assert id(x) in self.objs, x
+
+    def arrow(self, *xs):
+        for x in xs:
+            assert id(x) in self.arrows, x
+
+
+def assert_esystem_ids_shared(e):
+    ids = StoredIds(e.cat)
+    ids.arrow(*e.tc.terms, *e.weak, *e.proj, *(a for a, _t in e.subst))
+    ids.obj(*e.levels)
+    for sf in [*e.subst.values(), *e.weak.values()]:
+        ids.obj(sf.source_apex, sf.target_apex)
+        ids.arrow(*sf.obj_map, *sf.obj_map.values(), *sf.mor_map.values())
+        for key in [*sf.mor_map, *sf.term_map]:
+            ids.arrow(*key)
+
+
+def assert_csystem_ids_shared(c):
+    ids = StoredIds(c.cat)
+    ids.obj(*c.length, *c.ft, *c.ft.values(), *c.proj)
+    ids.arrow(*c.proj.values())
+    for (f, g), (ob, q) in c.pb.items():
+        ids.arrow(f, q)
+        ids.obj(g, ob)
+
+
+def assert_cesystem_ids_shared(a):
+    fam, base = StoredIds(a.fam), StoredIds(a.base)
+    fam.obj(a.root)
+    fam.arrow(*a.ifun)
+    base.arrow(*a.ifun.values())
+    for (f, A), (fA, pi2) in a.pb.items():
+        base.arrow(f, pi2)
+        fam.arrow(A, fA)
+
+
+@pytest.mark.parametrize(
+    "build, check",
+    [
+        (lambda: build_nat_esystem(4), assert_esystem_ids_shared),
+        (lambda: b_to_e(build_finset_bsystem(3)), assert_esystem_ids_shared),
+        (lambda: build_finset_cesystem(3), assert_cesystem_ids_shared),
+        (lambda: ce_to_c(build_finset_cesystem(3)), assert_csystem_ids_shared),
+    ],
+    ids=["nat-e-h4", "finset-b-h3-e", "finset-ce-h3", "finset-ce-h3-c"],
+)
+def test_a_loaded_document_holds_one_string_per_id(build, check):
+    text = save_structure(build())
+    _kind, obj = load_structure(text)
+    check(obj)
+    assert save_structure(obj) == text
+
+
+# ---------------------------------------------------------------------------
 # the writer: json.dumps(sort_keys=True, indent=2) + "\n", byte for byte
 
 
@@ -484,6 +564,64 @@ def test_cli_translate_missing_substitution_is_input_error(tmp_path, capsys, to,
 def test_cli_translate_missing_weakening_is_input_error(tmp_path, capsys, to, row):
     """b_to_e needs the weakening of every context."""
     _translate_without_row(tmp_path, capsys, "weak", row, to)
+
+
+# ---------------------------------------------------------------------------
+# files that cannot be read or written, and a malformed BCSYS_MAX_HEIGHT:
+# exit 2 with one line on stderr
+
+
+def _undecodable(tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_bytes(b"\xff\xfe{")
+    return path
+
+
+@pytest.mark.parametrize(
+    "command", [["check"], ["translate", "--to", "e"], ["roundtrip"], ["pair"]], ids=" ".join
+)
+def test_cli_undecodable_file_is_input_error(tmp_path, capsys, command):
+    path, out = _undecodable(tmp_path), tmp_path / "out.json"
+    output = ["-o", str(out)] if command[0] == "translate" else []
+    code, printed = _run(capsys, *command, str(path), *output)
+    assert code == 2 and not out.exists()
+    _one_line(printed, f"{str(path)!r} is not UTF-8: 'utf-8' codec can't decode byte 0xff "
+              "in position 0: invalid start byte")
+
+
+@pytest.mark.parametrize("sig", ["missing", "undecodable"])
+def test_cli_unreadable_signature_is_input_error(tmp_path, capsys, sig):
+    path = tmp_path / "missing.sig" if sig == "missing" else _undecodable(tmp_path)
+    out = tmp_path / "s.json"
+    code, printed = _run(capsys, "example", "syntactic", "--sig", str(path), "-o", str(out))
+    assert code == 2 and not out.exists()
+    if sig == "missing":
+        _one_line(printed, f"[Errno 2] No such file or directory: {str(path)!r}")
+    else:
+        assert printed.out == "" and printed.err.startswith(f"error: {str(path)!r} is not UTF-8: ")
+        assert printed.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["example", "translate"])
+def test_cli_unwritable_output_is_input_error(tmp_path, capsys, command):
+    out = tmp_path / "missing" / "x.json"
+    if command == "example":
+        argv = ["example", "nat-e", "--height", "2"]
+    else:
+        b = tmp_path / "b.json"
+        b.write_text(save_structure(build_finset_bsystem(2)))
+        argv = ["translate", "--to", "e", str(b)]
+    code, printed = _run(capsys, *argv, "-o", str(out))
+    assert code == 2 and not out.parent.exists()
+    _one_line(printed, f"[Errno 2] No such file or directory: {str(out)!r}")
+
+
+def test_cli_malformed_height_cap_is_input_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("BCSYS_MAX_HEIGHT", "ten")
+    out = tmp_path / "x.json"
+    code, printed = _run(capsys, "example", "nat-e", "--height", "9", "-o", str(out))
+    assert code == 2 and not out.exists()
+    _one_line(printed, "BCSYS_MAX_HEIGHT='ten' is not an integer")
 
 
 # ---------------------------------------------------------------------------
