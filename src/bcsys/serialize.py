@@ -9,7 +9,11 @@ A loaded category keeps one string per object id and per arrow id:
 every table of the structure holds the very id objects that ``objects``
 and ``arrows`` hold. The loaders check each reference by looking it up
 in a dict that maps each id to itself, which returns the stored id or
-raises KeyError for a dangling one. Term strings stay as parsed.
+raises KeyError for a dangling one. Each entry's ids are looked up in
+the order the message names them, key before value (Python evaluates
+the right side of ``d[k] = v`` first), so a document with several
+faults reports the same one as membership tests in that order would.
+Term strings stay as parsed.
 """
 
 from __future__ import annotations
@@ -132,13 +136,15 @@ def fincat_load(p: dict) -> FinCat:
     identity = {}
     for obj, i in p["identity"].items():
         try:
-            identity[objs[obj]] = ids[i]
+            x = objs[obj]
+            identity[x] = ids[i]
         except KeyError:
             raise LoadError(f"identity entry {obj!r}: {i!r} dangling") from None
     compose = {}
     for g, f, gf in p["compose"]:
         try:
-            compose[(ids[g], ids[f])] = ids[gf]
+            key = (ids[g], ids[f])
+            compose[key] = ids[gf]
         except KeyError:
             raise LoadError(f"compose entry ({g!r}, {f!r}) dangling") from None
     terminal = p.get("terminal")
@@ -313,7 +319,8 @@ def _sfunctor_load(p: dict, objs: dict[str, str], ids: dict[str, str]) -> SliceF
     obj_map, mor_map = sf.obj_map, sf.mor_map
     for x, y in p["obj"].items():
         try:
-            obj_map[ids[x]] = ids[y]
+            a = ids[x]
+            obj_map[a] = ids[y]
         except KeyError:
             raise LoadError(f"slice functor object entry {x!r} dangling") from None
     for h, f, g, img in p["mor"]:
@@ -418,13 +425,15 @@ def csystem_load(p: dict) -> CSystem:
     ft = {}
     for x, v in p["ft"].items():
         try:
-            ft[objs[x]] = objs[v]
+            x = objs[x]
+            ft[x] = objs[v]
         except KeyError:
             raise LoadError(f"ft entry {x!r} dangling") from None
     proj = {}
     for x, v in p["proj"].items():
         try:
-            proj[objs[x]] = ids[v]
+            x = objs[x]
+            proj[x] = ids[v]
         except KeyError:
             raise LoadError(f"projection entry {x!r} dangling") from None
     pb = {}
@@ -462,7 +471,8 @@ def cesystem_load(p: dict) -> CESystem:
     ifun = {}
     for c, v in p["ifun"].items():
         try:
-            ifun[fam_ids[c]] = base_ids[v]
+            a = fam_ids[c]
+            ifun[a] = base_ids[v]
         except KeyError:
             raise LoadError(f"ifun entry {c!r} dangling") from None
     root = p["root"]

@@ -74,6 +74,8 @@ def test_no_command_leaves_cyclic_garbage(tmp_path, collector, name):
     if name != "group-s3":
         assert sorted(docs) == ["b", "c", "ce", "e"]
     for path in docs.values():
+        for to in ("b", "e", "ce", "c"):
+            run(["translate", "--to", to, path])
         run(["roundtrip", path])
     if "e" in docs:
         run(["pair", docs["e"]])
