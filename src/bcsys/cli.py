@@ -72,7 +72,10 @@ def max_height() -> int:
 def _read(path: str) -> str:
     try:
         if path == "-":
-            return sys.stdin.read()
+            # the bytes, decoded strictly as a file is: sys.stdin's own
+            # decoder may turn bytes that are not UTF-8 into surrogates
+            stream = getattr(sys.stdin, "buffer", None)
+            return sys.stdin.read() if stream is None else stream.read().decode("utf-8")
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:

@@ -123,7 +123,8 @@ def restrict_sf(e: ESystem, F: SliceFunctorT, P: str) -> SliceFunctorT | None:
 
     Uses the canonical identification of a slice of a slice with the slice
     at the domain; every entry is read off F's tables at morphisms over P.
-    None where P is not in F.obj_map or F(P) is no arrow.
+    None where P is not in F.obj_map or F(P) is no arrow. The term
+    tables of F/P are F's own tables, not copies: read them, never write.
     """
     return _Slices(e).restrict(F, P)
 
@@ -175,7 +176,8 @@ def _restriction_plan(slices: _Slices, P: str) -> _Plan:
 
 def _restrict(cat: FinCat, plan: _Plan, F: SliceFunctorT) -> SliceFunctorT:
     """F/P through its plan, for P in F.obj_map: the entries of F at the
-    plan's keys that F defines."""
+    plan's keys that F defines. Each term table is F's table at the key,
+    shared, not copied: nothing in bcsys writes into a restriction."""
     P, objs, mors = plan
     out = SliceFunctorT(
         source_apex=cat.dom(P), target_apex=cat.dom(F.obj_map[P])
@@ -190,7 +192,8 @@ def _restrict(cat: FinCat, plan: _Plan, F: SliceFunctorT) -> SliceFunctorT:
         if img is None:
             continue
         out.mor_map[m] = img
-        out.term_map[m] = dict(term_map.get(key, {}))
+        tm = term_map.get(key)
+        out.term_map[m] = {} if tm is None else tm
     return out
 
 
@@ -300,6 +303,16 @@ def composites_equal(
     numbers only, and a key met again gets the same triple; the
     fallback runs once per distinct key. Sides that are not
     representable have no number and are never memoised.
+
+    A key whose four numbers are kept (see _Slices.kept_numbers: the
+    numbers of the call's own functors, and -1) is memoised for the
+    whole call; any other key only while its restrictions are, until H
+    changes. A kept number is never reused and its form is held until
+    the call returns, so by the argument above a result under a kept key
+    stays that key's result for the rest of the call, whichever H is
+    restricted. A witness-free result is one (skipped, checked) pair,
+    held once per call (_Slices.clean) and shared by every key that has
+    it.
     """
     if key is None:
         number = slices.number
@@ -309,7 +322,8 @@ def composites_equal(
             number(g2),
             -1 if f2 is None else number(f2),
         )
-    hit = slices.diffs.get(key)
+    memo = slices.lasting if slices.kept_numbers.issuperset(key) else slices.diffs
+    hit = memo.get(key)
     if hit is None:
         lhs = None if None in key else slices.composite(key[0], key[1])
         rhs = None if lhs is None else slices.composite(key[2], key[3])
@@ -320,7 +334,9 @@ def composites_equal(
             right = g2 if f2 is None else compose_sf(g2, f2)
             hit = sf_equal(left, right)
         if None not in key:
-            slices.diffs[key] = hit
+            if not hit[0]:
+                hit = slices.clean.setdefault(hit[1:], hit)
+            memo[key] = hit
     return hit
 
 
@@ -374,18 +390,30 @@ def validate_sfunctor(e: ESystem, F: SliceFunctorT, rep: Report, law: str) -> No
     """Functor-with-term-structure laws for one slice functor.
 
     Checks and skips are counted here and entered once, at the end.
+
+    The object map and each term table are first tested whole, by set
+    containment: the object map's keys in the source slice's objects
+    and its values in the target's, a table's keys in T(m[0]) and its
+    values in T(F(m)). Completeness: an entry fails exactly when its key
+    or its value lies outside the set it is tested against, so a map
+    passes the containment tests exactly when no entry fails, and each
+    entry ticks once either way. Only a map that fails them is walked
+    entry by entry, in sorted order, so the witnesses are those of the
+    walk over every entry, in its order.
     """
     cat = e.cat
     T = e.T
     compose = cat.compose.get
-    obj_get, mor_get = F.obj_map.get, F.mor_map.get
-    ticks = skips = 0
+    obj_map = F.obj_map
+    obj_get, mor_get = obj_map.get, F.mor_map.get
+    ticks = len(obj_map)
+    skips = 0
     src_objs = set(cat.arrows_into(F.source_apex))
     tgt_objs = set(cat.arrows_into(F.target_apex))
-    for x, y in sorted(F.obj_map.items()):
-        ticks += 1
-        if x not in src_objs or y not in tgt_objs:
-            rep.fail(law, (x, y), "object map endpoints wrong")
+    if not (src_objs.issuperset(obj_map) and tgt_objs.issuperset(obj_map.values())):
+        for x, y in sorted(obj_map.items()):
+            if x not in src_objs or y not in tgt_objs:
+                rep.fail(law, (x, y), "object map endpoints wrong")
     for (h, a, b), h1 in sorted(F.mor_map.items()):
         ticks += 1
         fa, fb = obj_get(a), obj_get(b)
@@ -432,12 +460,17 @@ def validate_sfunctor(e: ESystem, F: SliceFunctorT, rep: Report, law: str) -> No
             elif lhs != rhs:
                 rep.fail(law, (h2, h1, a), "composition not preserved")
     # term maps land in the right sets
-    for m, tm in sorted(F.term_map.items()):
+    walk = []
+    for m, tm in F.term_map.items():
+        ticks += len(tm)
+        img = mor_get(m)
+        if img is None or not (T(m[0]).issuperset(tm) and T(img).issuperset(tm.values())):
+            walk.append(m)
+    for m in sorted(walk):
         img = mor_get(m)
         keys = T(m[0])
         images = T(img) if img is not None else None
-        for t, u in sorted(tm.items()):
-            ticks += 1
+        for t, u in sorted(F.term_map[m].items()):
             if t not in keys:
                 rep.fail(law, (m, t), "term map key not a term")
             elif images is None or u not in images:
@@ -512,7 +545,7 @@ class _Slices:
     H restricted most recently, the cells of each slice, the sorted
     terms of each arrow, and a value number for each distinct flat form
     of a functor compared (see composites_equal), with the results of
-    the comparisons made so far. The slice morphisms, the plans, the
+    the comparisons made. The slice morphisms, the plans, the
     identities, the cells and the term lists read the category only.
     validate_esystem, internal_hom_cat and xlate.e_to_ce each make one
     and drop it when they return, so nothing outlives the call and a
@@ -522,14 +555,23 @@ class _Slices:
     checks all three conditions of a functor in one walk, and only axiom
     5's one restriction per arrow is computed a second time. When H
     changes, what was made for the old H is dropped: its restrictions,
-    their numbers, the forms first numbered through them, and every
-    memoised result. A form first numbered through a restriction and
-    then met again as a functor that lives for the call (a substitution,
+    their numbers, the forms first numbered through them, and the
+    memoised results in ``diffs``. A form first numbered through a
+    restriction and then met again as a functor that lives for the call
+    (a substitution,
     a weakening, an identity) keeps its number past H. A number is drawn
     from a counter, so it is never given to a second form within the
-    call. So what is held at any time is the call's own functors, plus
-    the restrictions of one H and the results of the comparisons made
-    since H was first restricted.
+    call. So what is held at any time is the call's own functors and the
+    results of comparing them, plus the restrictions of one H and the
+    results of the comparisons made with them since H was first
+    restricted.
+
+    A comparison of four sides whose numbers are kept
+    (``kept_numbers``) is memoised in ``lasting``, which a change of H
+    leaves alone: its numbers are never reused and their forms are held
+    until the call returns, and a result depends on the four forms only
+    (see composites_equal). A comparison with a scoped side goes to
+    ``diffs`` and is dropped with that side's H.
     """
 
     def __init__(self, e: ESystem) -> None:
@@ -549,8 +591,14 @@ class _Slices:
         # first met through a restriction of the current H
         self._kept: dict[_Flat, int] = {}
         self._scoped: dict[_Flat, int] = {}
-        # (g1, f1, g2, f2) numbers -> composites_equal's triple, for the current H
+        # the numbers of _kept, and -1 for an absent side
+        self.kept_numbers: set[int] = {-1}
+        # (g1, f1, g2, f2) numbers -> composites_equal's triple: for the
+        # call where all four are in kept_numbers, else for the current H
+        self.lasting: dict[tuple[int, int, int, int], tuple[list[tuple], int, int]] = {}
         self.diffs: dict[tuple[int, int, int, int], tuple[list[tuple], int, int]] = {}
+        # (skipped, checked) -> the one witness-free triple held for it
+        self.clean: dict[tuple[int, int], tuple[list[tuple], int, int]] = {}
         self._families: dict[int, dict] = {}
 
     def mors(self, apex: str) -> list[SliceMor]:
@@ -621,7 +669,11 @@ class _Slices:
         if n is None:
             n = next(self._next)
             self._forms[n] = form
-        (self._scoped if restricted else self._kept)[form] = n
+        if restricted:
+            self._scoped[form] = n
+        else:
+            self._kept[form] = n
+            self.kept_numbers.add(n)
         return n
 
     def numbered(self, family: dict) -> dict:

@@ -331,7 +331,14 @@ def _sfunctor_load(p: dict, objs: dict[str, str], ids: dict[str, str]) -> SliceF
             raise LoadError(f"slice functor morphism entry {exc.args[0]!r} dangling") from None
     get = ids.get
     for h, f, g, tm in p["term"]:
-        tm = sf.term_map[(get(h, h), get(f, f), get(g, g))] = dict(tm)
+        try:
+            key = (ids[h], ids[f], ids[g])
+        except KeyError:
+            # a part that is no id is kept as read, and must be a string
+            key = (get(h, h), get(f, f), get(g, g))
+            if not {str}.issuperset(map(type, key)):
+                raise LoadError(f"slice functor term entry at {key!r} is not keyed by strings") from None
+        tm = sf.term_map[key] = dict(tm)
         # keys come from JSON object keys, which are always strings
         if not {str}.issuperset(map(type, tm.values())):
             bad = next(t for t in tm.values() if type(t) is not str)

@@ -740,11 +740,16 @@ def _b2e_to_nat_hom(h: int) -> EHom:
 def memo(monkeypatch):
     """Check every composites_equal call against building both sides with
     compose_sf. Counts the calls, the calls answered from the memo (those
-    that made no gather and no fallback), the calls with a witness, and
-    each shape (f1 is None, f2 is None) met."""
+    that made no gather and no fallback), those answered from a result
+    kept across functors (made while another functor H, or none, was
+    restricted), the calls with a witness, and each shape (f1 is None,
+    f2 is None) met."""
     seen = collections.Counter()
     real = esys.composites_equal
     real_gather, real_sf_equal = esys._Slices.composite, esys.sf_equal
+    # each _Slices met -> key of its call-lived memo -> the H restricted
+    # when that key's result was made
+    made_under: dict = {}
 
     def gather(self, g, f):
         seen["work"] += 1
@@ -758,7 +763,16 @@ def memo(monkeypatch):
         work = seen["work"]
         got = real(g1, f1, g2, f2, slices, key)
         seen["calls"] += 1
-        seen["hits"] += seen["work"] == work
+        hit = seen["work"] == work
+        seen["hits"] += hit
+        if key is None:
+            key = tuple(-1 if F is None else slices.number(F) for F in (g1, f1, g2, f2))
+        if key in slices.lasting:
+            made = made_under.setdefault(slices, {})
+            if not hit:
+                made[key] = slices._restricted
+            else:
+                seen["kept across functors"] += made[key] is not slices._restricted
         seen["failing"] += bool(got[0])
         seen[(f1 is None, f2 is None)] += 1
         assert got == _reference(g1, f1, g2, f2)
@@ -793,10 +807,19 @@ def test_composites_equal_matches_reference_at_every_site(validate, memo):
     assert (memo["failing"] > 0) == ("e-axiom-3" in rep.failed_laws())
 
 
-def _corrupt_subst_term(e):
-    """Change one term image of a substitution functor to another term of
-    the same target set, so only composite-based laws can see it."""
-    for key, F in sorted(e.subst.items()):
+def test_results_of_call_lived_sides_are_kept_across_functors(memo):
+    """nat-e h4: some comparisons of four call-lived sides are answered
+    under a later H from the result made under an earlier one, and each
+    answer is still the reference's."""
+    assert validate_esystem(build_nat_esystem(4)).ok
+    assert memo["kept across functors"] > 0
+
+
+def _corrupt_term(e, family="subst"):
+    """Change one term image of a substitution (or, with family "weak", a
+    weakening) functor to another term of the same target set, in place,
+    so only composite-based laws can see it."""
+    for key, F in sorted(getattr(e, family).items()):
         for k in sorted(F.term_map):
             img, tm = F.mor_map.get(k), F.term_map[k]
             if img is not None and tm and len(e.T(img)) > 1:
@@ -806,13 +829,31 @@ def _corrupt_subst_term(e):
     raise AssertionError("no term image to corrupt")
 
 
+def test_a_weakening_term_changed_in_place_between_calls_is_read_afresh():
+    """A restriction shares its functor's term tables, and comparisons of
+    call-lived functors are kept for the whole call: a term entry of a
+    weakening changed in place after one validation is read by the next,
+    which agrees with a fresh system changed alike. (The next test does
+    the same with a substitution.)"""
+    e = build_nat_esystem(4)
+    assert validate_esystem(e).ok
+    _corrupt_term(e, "weak")
+    again = validate_esystem(e)
+    fresh = build_nat_esystem(4)
+    _corrupt_term(fresh, "weak")
+    expected = validate_esystem(fresh)
+    assert not again.ok
+    assert again.format() == expected.format()
+    assert [v.witness for v in violations(again)] == [v.witness for v in violations(expected)]
+
+
 def test_validation_memo_does_not_outlive_the_call():
     e = build_nat_esystem(4)
     assert validate_esystem(e).ok
-    _corrupt_subst_term(e)
+    _corrupt_term(e)
     again = validate_esystem(e)
     fresh = build_nat_esystem(4)
-    _corrupt_subst_term(fresh)
+    _corrupt_term(fresh)
     expected = validate_esystem(fresh)
     assert not again.ok
     assert "subst-system" in again.failed_laws()
@@ -1219,8 +1260,9 @@ def tallies(monkeypatch):
     a fresh report beside its reference, and require the same laws, in the
     same order, with the same checks, skips and witnesses. The reference of
     an _ehom_parts call is ehom_part_reference for the three (condition,
-    law) pairs in turn, on one report. Counts the calls, and those on a
-    functor with an object image that is no arrow."""
+    law) pairs in turn, on one report. Counts the calls, those on a
+    functor with an object image that is no arrow, and each detail of
+    validate_sfunctor's witnesses."""
     seen = collections.Counter()
     real_sfunctor, real_parts = esys.validate_sfunctor, esys._ehom_parts
 
@@ -1229,10 +1271,12 @@ def tallies(monkeypatch):
         run(got)
         reference(want)
         assert list(got.laws.items()) == list(want.laws.items())
+        return got
 
     def sfunctor(e, F, rep, law):
-        same(lambda r: real_sfunctor(e, F, r, law), lambda r: validate_sfunctor_reference(e, F, r, law))
+        got = same(lambda r: real_sfunctor(e, F, r, law), lambda r: validate_sfunctor_reference(e, F, r, law))
         seen["sfunctor"] += 1
+        seen.update(v.detail for res in got.laws.values() for v in res.violations)
         seen["sfunctor image no arrow"] += any(y not in e.cat.arrows for y in F.obj_map.values())
         real_sfunctor(e, F, rep, law)
 
@@ -1270,6 +1314,9 @@ def test_tallied_laws_match_reference_on_damaged_systems(tallies):
     assert tallies["sfunctor"] and tallies[_S_LAWS]
     # _damage's obj-value draws an image that is no arrow
     assert tallies["sfunctor image no arrow"] and tallies["parts image no arrow"]
+    # maps that fail their containment tests are walked entry by entry
+    for detail in ("object map endpoints wrong", "term map key not a term", "term image outside target term set"):
+        assert tallies[detail], detail
 
 
 def test_equal_tuples_over_different_cells_get_different_numbers():
@@ -1288,7 +1335,8 @@ def test_memo_is_dropped_with_the_restrictions_of_its_functor(monkeypatch):
     """Across validate_esystem(nat-e h4), whenever the restricted functor
     changes: no result, form or number made through the old functor's
     restrictions is held any longer, every number still held has its
-    form, and a result is held only while its four numbers are."""
+    form, and a result is held only while its four numbers are. The
+    results kept for the call stay, and each has four kept numbers."""
     drops = 0
     real_drop = esys._Slices._drop_restrictions
 
@@ -1298,13 +1346,18 @@ def test_memo_is_dropped_with_the_restrictions_of_its_functor(monkeypatch):
     def drop(slices):
         nonlocal drops
         old = [R for R in slices._restrictions.values() if R is not None]
-        assert all(n in slices._forms for key in slices.diffs for n in key if n >= 0)
+        lasting = dict(slices.lasting)
+        assert all(n in slices._forms for key in [*slices.diffs, *lasting] for n in key if n >= 0)
         real_drop(slices)
         drops += 1
         assert not slices.diffs and not slices._scoped
         assert set(slices._forms) == set(slices._kept.values())
         assert holding(slices) <= set(slices._forms)
         assert not any(F is R for F, _n in slices._numbered.values() for R in old)
+        # the call-lived memo is left alone, and holds only kept numbers
+        assert slices.lasting == lasting
+        assert slices.kept_numbers == set(slices._kept.values()) | {-1}
+        assert all(slices.kept_numbers.issuperset(key) for key in slices.lasting)
 
     monkeypatch.setattr(esys._Slices, "_drop_restrictions", drop)
     assert validate_esystem(build_nat_esystem(4)).ok
@@ -1356,10 +1409,10 @@ def test_ehom_memo_does_not_outlive_the_call():
     """validate_ehom reads a target substitution changed between two calls afresh."""
     hom = _b2e_to_nat_hom(3)
     first = validate_ehom(hom)
-    _corrupt_subst_term(hom.target)
+    _corrupt_term(hom.target)
     again = validate_ehom(hom)
     fresh = _b2e_to_nat_hom(3)
-    _corrupt_subst_term(fresh.target)
+    _corrupt_term(fresh.target)
     expected = validate_ehom(fresh)
     assert first.ok and not again.ok
     assert again.format() == expected.format()
@@ -1373,7 +1426,7 @@ def _damaged_ehom(h: int, damage: str | None) -> EHom:
     (source-weak, target-weak), or the object 1@1 left unmapped."""
     hom = _b2e_to_nat_hom(h)
     if damage == "subst-term":
-        _corrupt_subst_term(hom.target)
+        _corrupt_term(hom.target)
     elif damage == "hom-term":
         tm = hom.term_map["3@3>1"]
         tm["(0)"], tm["(1)"] = tm["(1)"], tm["(0)"]

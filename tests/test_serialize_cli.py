@@ -752,6 +752,7 @@ ESYSTEM_DAMAGES = {
     "source-apex-not-an-object": lambda p: p["subst"][0]["functor"].update(source_apex="nowhere"),
     "target-apex-not-an-object": lambda p: p["weak"][0]["functor"].update(target_apex="nowhere"),
     "int-in-a-term-table": lambda p: p["subst"][0]["functor"]["term"][0][3].update({"[]": 5}),
+    "null-term-key": lambda p: p["weak"][0]["functor"]["term"][0].__setitem__(0, None),
 }
 
 
@@ -793,6 +794,69 @@ def test_cli_fails_an_identity_term_outside_its_terms(tmp_path, capsys, command)
     assert line.startswith("FAIL proj-system: witness=('0>=0',) identity term outside T(W_A(A))")
     assert printed.err == ""
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command", [["check"], ["translate", "--to", "ce"], ["roundtrip"]], ids=" ".join
+)
+@pytest.mark.parametrize("value", [None, 7])
+@pytest.mark.parametrize("slot", ["h", "f", "g"])
+def test_cli_rejects_a_term_row_not_keyed_by_strings(tmp_path, capsys, slot, value, command):
+    """nat-e h1 with h, f or g of the first weakening term row not a string:
+    one line and exit 2, where check once raised TypeError from sorting
+    the keys and translate --to ce wrote the row out."""
+    doc = json.loads(save_structure(build_nat_esystem(1)))
+    row = doc["payload"]["weak"][0]["functor"]["term"][0]
+    row["hfg".index(slot)] = value
+    path, out = tmp_path / "e.json", tmp_path / "out.json"
+    path.write_text(json.dumps(doc))
+    output = ["-o", str(out)] if command[0] == "translate" else []
+    code, printed = _run(capsys, *command, str(path), *output)
+    assert code == 2 and not out.exists()
+    _one_line(printed, f"slice functor term entry at {tuple(row[:3])!r} is not keyed by strings")
+
+
+def test_a_term_row_keyed_by_a_string_that_is_no_id_loads_as_read():
+    doc = json.loads(save_structure(build_nat_esystem(1)))
+    rec = doc["payload"]["weak"][0]
+    rec["functor"]["term"][0][0] = "zz"
+    _kind, e = load_structure(json.dumps(doc))
+    assert ("zz", *rec["functor"]["term"][0][1:3]) in e.weak[rec["arrow"]].term_map
+
+
+def _stdin_bytes(monkeypatch, data: bytes) -> None:
+    """Standard input as a terminal or pipe gives it: bytes under a text
+    layer, whose decoder turns bytes that are not UTF-8 into surrogates."""
+    monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", errors="surrogateescape"))
+
+
+@pytest.mark.parametrize(
+    "command", [["check"], ["translate", "--to", "ce"], ["roundtrip"], ["pair"]], ids=" ".join
+)
+def test_cli_undecodable_standard_input_is_input_error(tmp_path, capsys, monkeypatch, command):
+    """nat-e h1 with 0xff after every 1>=0 exits 2 from standard input,
+    as it does from a file."""
+    data = save_structure(build_nat_esystem(1)).encode().replace(b"1>=0", b"1>=0\xff")
+    _stdin_bytes(monkeypatch, data)
+    out = tmp_path / "out.json"
+    output = ["-o", str(out)] if command[0] == "translate" else []
+    code, printed = _run(capsys, *command, "-", *output)
+    assert code == 2 and not out.exists()
+    _one_line(printed, "standard input is not UTF-8: 'utf-8' codec can't decode byte 0xff "
+              f"in position {data.index(0xFF)}: invalid start byte")
+
+
+def test_cli_reads_standard_input_bytes_as_a_file(tmp_path, capsys, monkeypatch):
+    """UTF-8 bytes on standard input, a non-ASCII id included, translate
+    to the same document as the same bytes in a file."""
+    data = save_structure(build_nat_esystem(2)).replace("1>=0", "1>=0\u00e9").encode()
+    path = tmp_path / "e.json"
+    path.write_bytes(data)
+    code, printed = _run(capsys, "translate", "--to", "ce", str(path))
+    assert code == 0 and "1>=0\\u00e9" in printed.out
+    _stdin_bytes(monkeypatch, data)
+    code, piped = _run(capsys, "translate", "--to", "ce", "-")
+    assert code == 0 and piped.out == printed.out
 
 
 # ---------------------------------------------------------------------------
