@@ -13,13 +13,15 @@ raises KeyError for a dangling one. Each entry's ids are looked up in
 the order the message names them, key before value (Python evaluates
 the right side of ``d[k] = v`` first), so a document with several
 faults reports the same one as membership tests in that order would.
-Term strings stay as parsed.
+Term strings stay as parsed. Nothing is coerced: a level, height or
+length must be a JSON integer and ``partial`` a JSON boolean. Documents
+are written by orjson where its bytes are json's (see ``dumps``).
 """
 
 from __future__ import annotations
 
 import json
-from json.encoder import encode_basestring_ascii as _enc
+from itertools import chain, compress
 from typing import Any
 
 from .bsys import BFrame, BFrameHom, BSystem, slice_bframe
@@ -36,71 +38,60 @@ class LoadError(ValueError):
     pass
 
 
+def _int(v: Any, what: str, *args: Any) -> int:
+    """v, which must be an int (a bool is not one); ``what.format(*args)`` names it."""
+    if type(v) is not int:
+        raise LoadError(f"{what.format(*args)} is {v!r}, not an integer")
+    return v
+
+
 def dumps(doc: dict) -> str:
     r"""``json.dumps(doc, sort_keys=True, indent=2) + "\n"``, byte for byte.
 
-    ``json`` uses its C encoder only when ``indent`` is None, so the
-    indented form would run the pure-Python encoder, which also collects
-    every token of the document in one list before joining. This writer
-    holds one joined string per nesting level instead. It writes what
-    ``json`` writes: strings through json's own ``encode_basestring_ascii``,
-    ``int`` by ``int.__repr__``, ``true``/``false``/``null``, ``[]`` and
-    ``{}`` for empty containers, every item on its own line two spaces
-    deeper than its container, items joined by ``","``, a dict's entries
-    sorted by key and written ``key: value``. Payloads hold only dicts
-    with ``str`` keys, lists, ``str``, ``int``, ``bool`` and ``None``, of
-    exactly these types; any other type, a tuple or a float among them,
-    raises ``TypeError``.
+    orjson writes this form in C, with json's bytes wherever they are
+    ASCII without DEL (0x7f). ``json.dumps`` itself writes the rest:
+    non-ASCII text and DEL, which orjson writes raw and json escapes, and
+    what orjson raises on (a lone surrogate, an int outside
+    [-2**63, 2**64 - 1], nesting past its depth limit). Only exact dicts
+    with ``str`` keys, lists, ``str``, ``int``, ``bool`` and ``None`` are
+    written; any other type, a tuple or a float among them, raises
+    ``TypeError``. That is checked after writing, so that a document
+    holding itself makes the writer raise before the check walks it.
     """
-    return _dump(doc, "\n") + "\n"
+    # imported on first write, so reading and checking never pay its 1 MB of memory
+    import orjson
+
+    try:
+        out = orjson.dumps(doc, option=orjson.OPT_INDENT_2 | orjson.OPT_SORT_KEYS | orjson.OPT_APPEND_NEWLINE)
+    except orjson.JSONEncodeError:
+        out = None
+    same = out is not None and out.isascii() and b"\x7f" not in out
+    text = out.decode("ascii") if same else json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    _check_types(doc)
+    return text
 
 
-def _dump(v: Any, nl: str) -> str:
-    """v written at the indentation ``nl`` (a newline and its indent).
+# the only types a document may hold, each mapped to whether it nests
+_NESTS = {str: False, int: False, bool: False, type(None): False, list: True, dict: True}
 
-    Dispatches on the exact type, most frequent first. A container whose
-    last item (for a dict, its last value in key order) is a ``str`` is
-    tried as all strings, in one join; ``_enc`` raises ``TypeError`` on
-    the first item that is not, and the general path writes it then.
+
+def _check_types(doc: Any) -> None:
+    """Raise ``TypeError`` unless doc holds only the types ``dumps`` writes.
+
+    One nesting level at a time, by C-level ``map``: Python loops run per
+    level and per container, never per leaf.
     """
-    t = type(v)
-    if t is str:
-        return _enc(v)
-    inner = nl + "  "
-    sep = "," + inner
-    if t is list:
-        if not v:
-            return "[]"
-        if type(v[-1]) is str:
-            try:
-                return "[" + inner + sep.join(map(_enc, v)) + nl + "]"
-            except TypeError:
-                pass
-        body = sep.join([_enc(x) if type(x) is str else _dump(x, inner) for x in v])
-        return "[" + inner + body + nl + "]"
-    if t is dict:
-        if not v:
-            return "{}"
-        # keys are distinct, so this is json's order of the sorted items;
-        # _enc raises TypeError on a key that is not a str
-        keys = sorted(v)
-        if type(v[keys[-1]]) is str:
-            try:
-                body = sep.join([_enc(k) + ": " + _enc(v[k]) for k in keys])
-                return "{" + inner + body + nl + "}"
-            except TypeError:
-                pass
-        body = sep.join([_enc(k) + ": " + _dump(v[k], inner) for k in keys])
-        return "{" + inner + body + nl + "}"
-    if v is None:
-        return "null"
-    if v is True:
-        return "true"
-    if v is False:
-        return "false"
-    if t is int:
-        return int.__repr__(v)
-    raise TypeError(f"cannot write {type(v).__name__} to a document")
+    values = [doc]
+    while values:
+        try:
+            boxes = list(compress(values, map(_NESTS.__getitem__, map(type, values))))
+        except KeyError as exc:
+            raise TypeError(f"cannot write {exc.args[0].__name__} to a document") from None
+        lists = [b for b in boxes if type(b) is list]
+        dicts = [b for b in boxes if type(b) is dict]
+        if not {str}.issuperset(map(type, chain.from_iterable(dicts))):
+            raise TypeError("cannot write a key that is not a str to a document")
+        values = list(chain(chain.from_iterable(lists), chain.from_iterable(map(dict.values, dicts))))
 
 
 # ---------------------------------------------------------------------------
@@ -153,13 +144,16 @@ def fincat_load(p: dict) -> FinCat:
             terminal = objs[terminal]
         except KeyError:
             raise LoadError(f"terminal {terminal!r} not an object") from None
+    partial = p.get("partial", False)
+    if type(partial) is not bool:
+        raise LoadError(f"partial is {partial!r}, not a boolean")
     return FinCat(
         objects=frozenset(objs),
         arrows=arrows,
         identity=identity,
         compose=compose,
         terminal=terminal,
-        partial=bool(p.get("partial", False)),
+        partial=partial,
     )
 
 
@@ -187,7 +181,7 @@ def tree_load(p: dict) -> RootedTree:
         for node, par in pm.items():
             if node not in levels[n + 1] or par not in levels[n]:
                 raise LoadError(f"parent entry {node!r} -> {par!r} dangling")
-    return RootedTree(height=p["height"], levels=levels, parent=parent)
+    return RootedTree(height=_int(p["height"], "tree height"), levels=levels, parent=parent)
 
 
 def bframe_payload(b: BFrame) -> dict:
@@ -201,7 +195,7 @@ def bframe_payload(b: BFrame) -> dict:
 
 
 def bframe_load(p: dict) -> BFrame:
-    height = p["height"]
+    height = _int(p["height"], "frame height")
     B = tuple(frozenset(s) for s in p["B"])
     Bt = (frozenset(),) + tuple(frozenset(s) for s in p["Bt"])
     ft = ({},) + tuple(dict(m) for m in p["ft"])
@@ -271,6 +265,7 @@ def bsystem_load(p: dict) -> BSystem:
     sys = BSystem(frame=frame)
     for rec in p["subst"]:
         k, x = rec["level"], rec["element"]
+        _int(k, "level of substitution entry {!r}", x)
         at = f"substitution entry at ({k}, {x!r})"
         if not (1 <= k <= frame.height) or x not in frame.Bt[k]:
             raise LoadError(f"{at} dangling")
@@ -279,6 +274,7 @@ def bsystem_load(p: dict) -> BSystem:
         sys.subst[(k, x)] = _bhom_load(rec["hom"], src, tgt, at)
     for rec in p["weak"]:
         k, x = rec["level"], rec["element"]
+        _int(k, "level of weakening entry {!r}", x)
         at = f"weakening entry at ({k}, {x!r})"
         if not (1 <= k <= frame.height) or x not in frame.B[k]:
             raise LoadError(f"{at} dangling")
@@ -286,6 +282,7 @@ def bsystem_load(p: dict) -> BSystem:
         sys.weak[(k, x)] = _bhom_load(rec["hom"], src, tgt, at)
     for rec in p["gen"]:
         k, x, v = rec["level"], rec["element"], rec["value"]
+        _int(k, "level of generic element {!r}", x)
         if x not in frame.B[k] or k + 1 > frame.height or v not in frame.Bt[k + 1]:
             raise LoadError(f"generic element at ({k}, {x!r}) dangling")
         sys.gen[(k, x)] = v
@@ -399,7 +396,7 @@ def esystem_load(p: dict) -> ESystem:
             raise LoadError(f"identity term {t!r} at {a!r} is not a string")
         e.proj[a] = t
     if p.get("levels") is not None:
-        e.levels = {objs.get(x, x): int(v) for x, v in p["levels"].items()}
+        e.levels = {objs.get(x, x): _int(v, "level of object {!r}", x) for x, v in p["levels"].items()}
         if e.levels.keys() != cat.objects:
             raise LoadError("levels do not name exactly the objects of the category")
     return e
@@ -426,7 +423,7 @@ def csystem_load(p: dict) -> CSystem:
     length = {}
     for x, v in p["length"].items():
         try:
-            length[objs[x]] = v
+            length[objs[x]] = _int(v, "length of object {!r}", x)
         except KeyError:
             raise LoadError(f"length entry {x!r} dangling") from None
     ft = {}
@@ -453,7 +450,7 @@ def csystem_load(p: dict) -> CSystem:
     return CSystem(
         cat=cat,
         one=p["one"],
-        length={x: int(v) for x, v in length.items()},
+        length=length,
         ft=ft,
         proj=proj,
         pb=pb,

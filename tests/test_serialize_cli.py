@@ -3,12 +3,17 @@ import copy
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
+import types
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 import bcsys
+from bcsys import serialize
 from bcsys.bsys import build_finset_bsystem, validate_bsystem
 from bcsys.cesys import build_finset_cesystem
 from bcsys.cli import main
@@ -16,6 +21,8 @@ from bcsys.esys import build_group_structure, build_nat_esystem, s3_table
 from bcsys.serialize import LoadError, dumps, load_structure, save_structure
 from bcsys.syntax import build_syntactic_bframe, parse_signature
 from bcsys.xlate import b_to_e, c_to_ce, ce_to_c, ce_to_e, compose_equivalence, e_to_b, e_to_ce
+
+from helpers import chain_tree
 
 
 @pytest.mark.parametrize(
@@ -191,6 +198,62 @@ def test_writer_matches_json_on_every_translation(kind, height):
 def test_writer_rejects_other_types(doc):
     with pytest.raises(TypeError):
         dumps(doc)
+
+
+# ASCII text and ints within 64 bits, which orjson writes as json does
+ASCII_TEXT = st.text(st.one_of(TRICKY.filter(str.isascii), st.characters(max_codepoint=0x7F)), max_size=6)
+ASCII_TREES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**63), max_value=2**63)
+    | st.sampled_from([-(2**63), 2**64 - 1])
+    | ASCII_TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(ASCII_TEXT, inner, max_size=4),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ASCII_TREES)
+def test_writer_leaves_ascii_trees_to_orjson(tree):
+    """json.dumps runs only for a tree holding DEL, which orjson writes raw."""
+    calls = []
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return json.dumps(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(serialize, "json", types.SimpleNamespace(dumps=recorded))
+        text = dumps({"k": [tree, {}, []]})
+    assert text == json_form({"k": [tree, {}, []]})
+    assert bool(calls) == ("\x7f" in json.dumps(tree, ensure_ascii=False))
+
+
+@pytest.mark.parametrize(
+    "leaf", ["a\x7fb", "\ud800", 2**70, "\u00e9"], ids=["del", "lone-surrogate", "int-past-64-bits", "non-ascii"]
+)
+def test_writer_matches_json_where_orjson_does_not(leaf):
+    doc = {"a": [leaf, "b"], "c": {"d": leaf}}
+    assert dumps(doc) == json_form(doc)
+
+
+def _imports_orjson(tmp_path, *argv: str) -> bool:
+    """Whether ``bcsys`` run on argv in a fresh interpreter imports orjson."""
+    probe = "import sys; from bcsys.cli import main; main(sys.argv[1:]); print('orjson' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(bcsys.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    run = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True, env=env, cwd=tmp_path)
+    assert run.returncode == 0, run.stderr
+    return run.stdout.splitlines()[-1] == "True"
+
+
+def test_only_writing_a_document_imports_orjson(tmp_path):
+    """orjson costs about 1.2 MB of resident memory, which a run that writes nothing does not pay."""
+    path = tmp_path / "e.json"
+    path.write_text(save_structure(build_nat_esystem(2)))
+    assert not _imports_orjson(tmp_path, "check", str(path))
+    assert _imports_orjson(tmp_path, "translate", "--to", "ce", str(path), "-o", str(tmp_path / "ce.json"))
 
 
 def test_loaded_bsystem_still_validates():
@@ -822,6 +885,79 @@ def test_a_term_row_keyed_by_a_string_that_is_no_id_loads_as_read():
     rec["functor"]["term"][0][0] = "zz"
     _kind, e = load_structure(json.dumps(doc))
     assert ("zz", *rec["functor"]["term"][0][1:3]) in e.weak[rec["arrow"]].term_map
+
+
+# ---------------------------------------------------------------------------
+# an int field takes an int, never a bool, and partial takes a bool
+
+
+def _row_level(table: str, entry: str):
+    def damage(p):
+        p[table][0]["level"] = True
+        return f"level of {entry} {p[table][0]['element']!r} is True, not an integer"
+    return damage
+
+
+def _object_field(field: str, what: str, value):
+    def damage(p):
+        x = min(p[field])
+        p[field][x] = value
+        return f"{what} of object {x!r} is {value!r}, not an integer"
+    return damage
+
+
+LOOSE_DOCS = {
+    "b": save_structure(build_finset_bsystem(2)),
+    "e": save_structure(build_nat_esystem(2)),
+    "c": save_structure(ce_to_c(e_to_ce(build_nat_esystem(2)))),
+}
+LOOSE_FIELDS = {
+    "substitution-level": ("b", _row_level("subst", "substitution entry")),
+    "weakening-level": ("b", _row_level("weak", "weakening entry")),
+    "generic-level": ("b", _row_level("gen", "generic element")),
+    "frame-height": ("b", lambda p: p["frame"].update(height=2.0) or "frame height is 2.0, not an integer"),
+    "level-float": ("e", _object_field("levels", "level", 1.7)),
+    "level-string": ("e", _object_field("levels", "level", "1")),
+    "level-bool": ("e", _object_field("levels", "level", True)),
+    "length-string": ("c", _object_field("length", "length", "1")),
+    "length-float": ("c", _object_field("length", "length", 1.5)),
+    "partial-string": ("c", lambda p: p["cat"].update(partial="false") or "partial is 'false', not a boolean"),
+    "partial-int": ("e", lambda p: p["cat"].update(partial=0) or "partial is 0, not a boolean"),
+}
+
+
+@pytest.mark.parametrize("command", ["check", "translate", "roundtrip"])
+@pytest.mark.parametrize("field", LOOSE_FIELDS.values(), ids=LOOSE_FIELDS.keys())
+def test_cli_rejects_a_field_of_the_wrong_json_type(tmp_path, capsys, field, command):
+    """Where int() or bool() once coerced the value and the command exited 0."""
+    kind, damage = field
+    doc = json.loads(LOOSE_DOCS[kind])
+    message = damage(doc["payload"])
+    path, out = tmp_path / "x.json", tmp_path / "out.json"
+    path.write_text(json.dumps(doc))
+    argv = [command, str(path)]
+    if command == "translate":
+        argv += ["--to", "e" if kind == "c" else "c", "-o", str(out)]
+    code, printed = _run(capsys, *argv)
+    assert code == 2 and not out.exists()
+    _one_line(printed, message)
+
+
+def test_cli_rejects_a_tree_height_that_is_not_an_integer(tmp_path, capsys):
+    doc = json.loads(save_structure(chain_tree(2)))
+    doc["payload"]["height"] = True
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps(doc))
+    code, printed = _run(capsys, "check", str(path))
+    assert code == 2
+    _one_line(printed, "tree height is True, not an integer")
+
+
+def test_a_category_without_partial_loads_as_total():
+    doc = json.loads(LOOSE_DOCS["e"])
+    del doc["payload"]["cat"]["partial"]
+    _kind, e = load_structure(json.dumps(doc))
+    assert e.cat.partial is False
 
 
 def _stdin_bytes(monkeypatch, data: bytes) -> None:
