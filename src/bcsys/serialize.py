@@ -13,9 +13,12 @@ raises KeyError for a dangling one. Each entry's ids are looked up in
 the order the message names them, key before value (Python evaluates
 the right side of ``d[k] = v`` first), so a document with several
 faults reports the same one as membership tests in that order would.
-Term strings stay as parsed. Nothing is coerced: a level, height or
-length must be a JSON integer and ``partial`` a JSON boolean. Documents
-are written by orjson where its bytes are json's (see ``dumps``).
+Term strings stay as parsed. Nothing is coerced: every id, element,
+term and former name must be a JSON string, a level, height, length or
+binder count a JSON integer, ``partial`` a JSON boolean and ``version``
+the integer 1. Documents are read by orjson where it gives json's
+structure (see ``load_structure``) and written by orjson where its bytes
+are json's (see ``dumps``).
 """
 
 from __future__ import annotations
@@ -45,6 +48,13 @@ def _int(v: Any, what: str, *args: Any) -> int:
     return v
 
 
+def _strs(xs: Any, what: str, *args: Any) -> None:
+    """Raise LoadError unless each x of xs is a str; ``what.format(x, *args)`` names the first that is not."""
+    if not {str}.issuperset(map(type, xs)):
+        bad = next(x for x in xs if type(x) is not str)
+        raise LoadError(f"{what.format(bad, *args)} is not a string")
+
+
 def dumps(doc: dict) -> str:
     r"""``json.dumps(doc, sort_keys=True, indent=2) + "\n"``, byte for byte.
 
@@ -58,7 +68,7 @@ def dumps(doc: dict) -> str:
     ``TypeError``. That is checked after writing, so that a document
     holding itself makes the writer raise before the check walks it.
     """
-    # imported on first write, so reading and checking never pay its 1 MB of memory
+    # imported on first use, so the validators called in-process never pay its 1 MB of memory
     import orjson
 
     try:
@@ -113,6 +123,7 @@ def fincat_payload(c: FinCat) -> dict:
 
 
 def fincat_load(p: dict) -> FinCat:
+    _strs(p["objects"], "object {!r}")
     objs = {x: x for x in p["objects"]}
     arrows, ids = {}, {}
     for rec in p["arrows"]:
@@ -124,6 +135,7 @@ def fincat_load(p: dict) -> FinCat:
         a = rec["id"]
         arrows[a] = Arrow(a, dom, cod)
         ids[a] = a
+    _strs(ids, "arrow id {!r}")
     identity = {}
     for obj, i in p["identity"].items():
         try:
@@ -175,6 +187,8 @@ def tree_payload(t: RootedTree) -> dict:
 
 
 def tree_load(p: dict) -> RootedTree:
+    for n, l in enumerate(p["levels"]):
+        _strs(l, "element {!r} of tree level {}", n)
     levels = tuple(frozenset(l) for l in p["levels"])
     parent = tuple(dict(m) for m in p["parent"])
     for n, pm in enumerate(parent):
@@ -196,6 +210,9 @@ def bframe_payload(b: BFrame) -> dict:
 
 def bframe_load(p: dict) -> BFrame:
     height = _int(p["height"], "frame height")
+    for name, base in (("B", 0), ("Bt", 1)):
+        for k, s in enumerate(p[name], base):
+            _strs(s, "element {!r} of {}[{}]", name, k)
     B = tuple(frozenset(s) for s in p["B"])
     Bt = (frozenset(),) + tuple(frozenset(s) for s in p["Bt"])
     ft = ({},) + tuple(dict(m) for m in p["ft"])
@@ -369,9 +386,7 @@ def esystem_load(p: dict) -> ESystem:
             a = ids[a]
         except KeyError:
             raise LoadError(f"term set on dangling arrow {a!r}") from None
-        for t in ts:
-            if type(t) is not str:
-                raise LoadError(f"term {t!r} on arrow {a!r} is not a string")
+        _strs(ts, "term {!r} on arrow {!r}", a)
         terms[a] = frozenset(ts)
     e = ESystem(tc=TermCat(cat=cat, terms=terms))
     for rec in p["subst"]:
@@ -447,9 +462,12 @@ def csystem_load(p: dict) -> CSystem:
             pb[key] = (objs[ob], ids[q])
         except KeyError:
             raise LoadError(f"pullback entry ({f!r}, {g!r}) dangling") from None
+    one = p["one"]
+    if type(one) is not str:
+        raise LoadError(f"one is {one!r}, not a string")
     return CSystem(
         cat=cat,
-        one=p["one"],
+        one=one,
         length=length,
         ft=ft,
         proj=proj,
@@ -512,11 +530,16 @@ def signature_load(p: dict) -> BindingSignature:
     def formers(recs):
         out = []
         for rec in recs:
-            args = tuple(FormerArg(sort=s, binders=int(k)) for s, k in rec["args"])
+            name = rec["name"]
+            if type(name) is not str:
+                raise LoadError(f"former name {name!r} is not a string")
+            args = tuple(
+                FormerArg(sort=s, binders=_int(k, "binder count of former {!r}", name)) for s, k in rec["args"]
+            )
             for a in args:
                 if a.sort not in ("ty", "tm"):
                     raise LoadError(f"bad sort {a.sort!r}")
-            out.append(Former(name=rec["name"], args=args))
+            out.append(Former(name=name, args=args))
         return tuple(out)
 
     return BindingSignature(type_formers=formers(p["types"]), term_formers=formers(p["terms"]))
@@ -554,18 +577,61 @@ def save_structure(obj: Any) -> str:
 
 
 def load_structure(text: str, expect_kind: str | None = None):
+    """The kind and the structure of the document ``text``; LoadError if it does not load.
+
+    orjson parses the text, and its tree is kept only when the whole load
+    succeeds. If orjson raises JSONDecodeError, or the load raises
+    LoadError, the text is parsed again by ``json.loads`` and loaded from
+    that tree, so every failure reports json's line and column or the
+    loaders' message on json's tree, as it did before orjson read.
+    json's RecursionError, at nesting past the interpreter's limit, is
+    reported on one line too.
+
+    A load that succeeds from orjson's tree builds what json's tree would.
+    orjson (3.8.3) accepts only RFC 8259 JSON, which json accepts too,
+    nesting past json's limit aside; it rejects what json alone accepts
+    (NaN, Infinity, 1e400, lone surrogates). On text both accept, the
+    trees are equal, with exact types and key order (a duplicate key
+    keeps its first place and its last value), except that orjson reads
+    an int outside [-2**63, 2**64 - 1] as a float. No such float reaches
+    a structure: each scalar the load reads is checked to be exactly a
+    ``str`` (ids, elements, terms, names) or an ``int`` or ``bool``
+    (levels, heights, lengths, binder counts, ``version``, ``partial``),
+    or is looked up among strings so checked, or is compared with a
+    string (a sort, the kind). A float is neither type and equals no
+    string, so it fails the load wherever it is read, and the text is
+    loaded again by json; where nothing reads it, it is in no structure.
+    The one input that loads here and not by json alone is a document
+    json cannot parse for its nesting, nested deep only where nothing
+    reads it.
+    """
+    # imported on first use, so the validators called in-process never pay its 1 MB of memory
+    import orjson
+
+    try:
+        return _load(orjson.loads(text), expect_kind)
+    except (orjson.JSONDecodeError, LoadError):
+        pass
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise LoadError(f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    except RecursionError:
+        raise LoadError("parse error: the document is nested too deeply") from None
+    return _load(doc, expect_kind)
+
+
+def _load(doc: Any, expect_kind: str | None):
+    """The kind and the structure of a parsed document."""
     if not isinstance(doc, dict) or "kind" not in doc:
         raise LoadError("document has no kind tag")
     kind = doc["kind"]
-    if doc.get("version") != VERSION:
-        raise LoadError(f"unsupported version {doc.get('version')!r}")
+    version = doc.get("version")
+    if version != VERSION or type(version) is not int:
+        raise LoadError(f"unsupported version {version!r}")
     if expect_kind is not None and kind != expect_kind:
         raise LoadError(f"expected kind {expect_kind!r}, found {kind!r}")
-    loader = _LOADERS.get(kind)
+    loader = _LOADERS.get(kind) if type(kind) is str else None
     if loader is None:
         raise LoadError(f"unknown kind {kind!r}")
     try:

@@ -102,12 +102,17 @@ old ``cesys.finsets_op_cat``, one name formatted per composite) and
 parses every base arrow name, and ``build_syntactic_bframe_reference``
 acts on and keys every expression where an entry of a lift uses it.
 
+``load_structure_reference`` is ``serialize.load_structure`` as it was
+before orjson read documents: ``json.loads``, then the loaders, with the
+version compared by ``!=``.
+
 Tests compare the fast code against them, result for result.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import operator
 from dataclasses import replace
 
@@ -163,6 +168,7 @@ from bcsys.esys import (
     validate_ehom,
 )
 from bcsys.report import Report, Truncated
+from bcsys.serialize import _LOADERS, VERSION, LoadError
 from bcsys.syntax import BindingSignature, RawExpr, _tele_id, enumerate_raw, shift, subst
 from bcsys.xlate import (
     _tree_of_frame,
@@ -1763,3 +1769,27 @@ def build_syntactic_bframe_reference(sig: BindingSignature, height: int, bound: 
             sys.gen[(n, Xid)] = judg_id(full, RawExpr("tm", "#0"), shifted)
 
     return sys
+
+
+def load_structure_reference(text: str, expect_kind: str | None = None):
+    """``serialize.load_structure`` as it was: json parses every document."""
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise LoadError(f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
+    if not isinstance(doc, dict) or "kind" not in doc:
+        raise LoadError("document has no kind tag")
+    kind = doc["kind"]
+    if doc.get("version") != VERSION:
+        raise LoadError(f"unsupported version {doc.get('version')!r}")
+    if expect_kind is not None and kind != expect_kind:
+        raise LoadError(f"expected kind {expect_kind!r}, found {kind!r}")
+    loader = _LOADERS.get(kind)
+    if loader is None:
+        raise LoadError(f"unknown kind {kind!r}")
+    try:
+        return kind, loader(doc["payload"])
+    except LoadError:
+        raise
+    except (KeyError, TypeError, IndexError, AttributeError, ValueError) as exc:
+        raise LoadError(f"malformed {kind} payload: {type(exc).__name__}: {exc}") from None

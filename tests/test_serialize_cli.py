@@ -9,6 +9,7 @@ import sys
 import types
 
 import hypothesis.strategies as st
+import orjson
 import pytest
 from hypothesis import given, settings
 
@@ -23,6 +24,7 @@ from bcsys.syntax import build_syntactic_bframe, parse_signature
 from bcsys.xlate import b_to_e, c_to_ce, ce_to_c, ce_to_e, compose_equivalence, e_to_b, e_to_ce
 
 from helpers import chain_tree
+from reference import load_structure_reference
 
 
 @pytest.mark.parametrize(
@@ -238,9 +240,9 @@ def test_writer_matches_json_where_orjson_does_not(leaf):
     assert dumps(doc) == json_form(doc)
 
 
-def _imports_orjson(tmp_path, *argv: str) -> bool:
-    """Whether ``bcsys`` run on argv in a fresh interpreter imports orjson."""
-    probe = "import sys; from bcsys.cli import main; main(sys.argv[1:]); print('orjson' in sys.modules)"
+def _imports_orjson(tmp_path, code: str, *argv: str) -> bool:
+    """Whether ``code`` run on argv in a fresh interpreter imports orjson."""
+    probe = f"import sys; {code}; print('orjson' in sys.modules)"
     src = os.path.dirname(os.path.dirname(bcsys.__file__))
     env = {**os.environ, "PYTHONPATH": src}
     run = subprocess.run([sys.executable, "-c", probe, *argv], capture_output=True, text=True, env=env, cwd=tmp_path)
@@ -248,12 +250,24 @@ def _imports_orjson(tmp_path, *argv: str) -> bool:
     return run.stdout.splitlines()[-1] == "True"
 
 
-def test_only_writing_a_document_imports_orjson(tmp_path):
-    """orjson costs about 1.2 MB of resident memory, which a run that writes nothing does not pay."""
+# the calls of the e-laws and b2c2b benchmarks, which neither read nor write a document
+_IN_PROCESS_CALLS = (
+    "from bcsys import bsys, cesys, cli, esys, serialize, xlate; "
+    "e = esys.build_nat_esystem(3); esys.validate_esystem(e); esys.check_pairing(e); "
+    "xlate.grand_roundtrip_iso(bsys.build_finset_bsystem(3)); "
+    "a = cesys.build_finset_cesystem(2); cesys.validate_cesystem(a, rooted=True, stratified=True); "
+    "xlate.casce_iso(a)"
+)
+
+
+def test_only_reading_or_writing_a_document_imports_orjson(tmp_path):
+    """orjson costs about 1.0 MB of resident memory, which the in-process
+    validations and round trips do not pay; the command line reads its
+    documents with it."""
+    assert not _imports_orjson(tmp_path, _IN_PROCESS_CALLS)
     path = tmp_path / "e.json"
     path.write_text(save_structure(build_nat_esystem(2)))
-    assert not _imports_orjson(tmp_path, "check", str(path))
-    assert _imports_orjson(tmp_path, "translate", "--to", "ce", str(path), "-o", str(tmp_path / "ce.json"))
+    assert _imports_orjson(tmp_path, "from bcsys.cli import main; main(sys.argv[1:])", "check", str(path))
 
 
 def test_loaded_bsystem_still_validates():
@@ -273,6 +287,18 @@ def test_dangling_bd_reference_rejected():
 def test_unknown_kind_rejected():
     with pytest.raises(LoadError, match="unknown kind"):
         load_structure(json.dumps({"kind": "widget", "version": 1, "payload": {}}))
+
+
+@pytest.mark.parametrize("kind", [[], {}, ["esystem"]], ids=["list", "object", "list-of-a-kind"])
+def test_cli_rejects_a_kind_that_is_not_a_string(tmp_path, capsys, kind):
+    """An unhashable kind once raised TypeError out of main."""
+    doc = json.loads(save_structure(build_nat_esystem(1)))
+    doc["kind"] = kind
+    path = tmp_path / "e.json"
+    path.write_text(json.dumps(doc))
+    code, printed = _run(capsys, "check", str(path))
+    assert code == 2
+    _one_line(printed, f"unknown kind {kind!r}")
 
 
 def test_version_mismatch_rejected():
@@ -1188,3 +1214,353 @@ def test_cli_contract_on_damaged_bsystem_documents(tmp_path_factory, data):
         if code == 2:
             assert out == "" and err.startswith("error: ") and err.count("\n") == 1, (command, path, err)
         dst.unlink(missing_ok=True)
+
+
+# ---------------------------------------------------------------------------
+# ids, elements and former names are strings, version is the integer 1 and
+# a binder count an integer
+
+
+BIG = 2**64
+STRING_DOCS = {
+    "tree": save_structure(chain_tree(2)),
+    "bframe": save_structure(build_finset_bsystem(2).frame),
+    "e": LOOSE_DOCS["e"],
+    "c": LOOSE_DOCS["c"],
+    "signature": save_structure(parse_signature("type U; type El(tm); term lam(tm^1.tm)")),
+}
+
+
+def _replaced(doc, path, value):
+    """doc with the value at path set to value."""
+    if not path:
+        return value
+    *outer, last = path
+    inner = doc
+    for step in outer:
+        inner = inner[step]
+    inner[last] = value
+    return doc
+
+
+def _set(*path, value):
+    """A damage that sets the value at path of a document."""
+    return lambda doc: _replaced(doc, path, value)
+
+
+STRING_FIELDS = {
+    "object": ("e", _set("payload", "cat", "objects", 0, value=BIG), f"object {BIG} is not a string"),
+    "arrow-id": ("c", _set("payload", "cat", "arrows", 0, "id", value=BIG), f"arrow id {BIG} is not a string"),
+    "frame-B": ("bframe", _set("payload", "B", 1, 0, value=BIG), f"element {BIG} of B[1] is not a string"),
+    "frame-Bt": ("bframe", _set("payload", "Bt", 1, 0, value=5), "element 5 of Bt[2] is not a string"),
+    "tree-level": (
+        "tree", _set("payload", "levels", 1, 0, value=BIG), f"element {BIG} of tree level 1 is not a string"
+    ),
+    "one": ("c", _set("payload", "one", value=BIG), f"one is {BIG}, not a string"),
+    "former-name": ("signature", _set("payload", "types", 0, "name", value=5), "former name 5 is not a string"),
+    "binder-count-bool": (
+        "signature",
+        _set("payload", "terms", 0, "args", 0, 1, value=True),
+        "binder count of former 'lam' is True, not an integer",
+    ),
+    "binder-count-float": (
+        "signature",
+        _set("payload", "terms", 0, "args", 0, 1, value=1.9),
+        "binder count of former 'lam' is 1.9, not an integer",
+    ),
+    "version-true": ("e", _set("version", value=True), "unsupported version True"),
+    "version-float": ("e", _set("version", value=1.0), "unsupported version 1.0"),
+    "version-big": ("c", _set("version", value=BIG), f"unsupported version {BIG}"),
+}
+
+
+@pytest.mark.parametrize("field", STRING_FIELDS.values(), ids=STRING_FIELDS.keys())
+def test_cli_rejects_an_id_or_count_of_the_wrong_json_type(tmp_path, capsys, field):
+    """Where the loaders once kept the value as read, or coerced it, and
+    orjson and json would have read a big int apart."""
+    kind, damage, message = field
+    doc = json.loads(STRING_DOCS[kind])
+    damage(doc)
+    path = tmp_path / "x.json"
+    path.write_text(json.dumps(doc))
+    code, printed = _run(capsys, "check", str(path))
+    assert code == 2
+    _one_line(printed, message)
+
+
+# ---------------------------------------------------------------------------
+# the reader keeps orjson's tree only where the load from it succeeds, and
+# then builds what json's tree builds
+
+
+@pytest.mark.parametrize("command", [["check"], ["translate", "--to", "e"], ["roundtrip"]], ids=" ".join)
+def test_cli_rejects_a_document_nested_too_deeply(tmp_path, capsys, command):
+    """json's parser raises RecursionError here, which once left main as a traceback."""
+    path, out = tmp_path / "deep.json", tmp_path / "out.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    output = ["-o", str(out)] if command[0] == "translate" else []
+    code, printed = _run(capsys, *command, str(path), *output)
+    assert code == 2 and not out.exists()
+    _one_line(printed, "parse error: the document is nested too deeply")
+
+
+def _exact(x):
+    """x as plain values that compare equal only where the types are the same
+    at every place, dicts in their key order."""
+    if dataclasses.is_dataclass(x):
+        return type(x), tuple((name, _exact(v)) for name, v in vars(x).items())
+    if type(x) is dict:
+        return dict, tuple((_exact(k), _exact(v)) for k, v in x.items())
+    if type(x) in (set, frozenset):
+        return type(x), frozenset(map(_exact, x))
+    if type(x) in (tuple, list):
+        return type(x), tuple(map(_exact, x))
+    return type(x), x
+
+
+def _outcome(load, text):
+    try:
+        kind, obj = load(text)
+    except LoadError as exc:
+        return "error", str(exc)
+    return kind, _exact(obj)
+
+
+def _loaded_by_json(text):
+    """The outcome of load_structure on text, and whether json.loads ran."""
+    calls = []
+
+    def recorded(s):
+        calls.append(s)
+        return json.loads(s)
+
+    namespace = types.SimpleNamespace(loads=recorded, dumps=json.dumps, JSONDecodeError=json.JSONDecodeError)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(serialize, "json", namespace)
+        outcome = _outcome(load_structure, text)
+    return outcome, bool(calls)
+
+
+def _orjson_reads(text) -> bool:
+    try:
+        orjson.loads(text)
+    except orjson.JSONDecodeError:
+        return False
+    return True
+
+
+def assert_read_as_by_json(text):
+    """load_structure gives load_structure_reference's structure, with exact
+    types, or its error line. json parses only where the load fails, where
+    orjson cannot parse, or where orjson's tree is not json's (a big int)."""
+    outcome, by_json = _loaded_by_json(text)
+    assert outcome == _outcome(load_structure_reference, text)
+    if not by_json:
+        assert outcome[0] != "error"
+    elif outcome[0] != "error" and _orjson_reads(text):
+        assert _exact(orjson.loads(text)) != _exact(json.loads(text))
+    return outcome, by_json
+
+
+def _reader_docs():
+    objs = {"group-s3": build_group_structure(*s3_table())}
+    for h in (1, 2, 3):
+        b, ce, e = build_finset_bsystem(h), build_finset_cesystem(h), build_nat_esystem(h)
+        objs |= {
+            f"tree-h{h}": chain_tree(h),
+            f"finset-b-h{h}": b,
+            f"finset-b-h{h}-frame": b.frame,
+            f"finset-b-h{h}-e": b_to_e(b),
+            f"nat-e-h{h}": e,
+            f"nat-e-h{h}-ce": e_to_ce(e),
+            f"nat-e-h{h}-c": ce_to_c(e_to_ce(e)),
+            f"finset-ce-h{h}": ce,
+            f"finset-ce-h{h}-c": ce_to_c(ce),
+            f"uel-h{h}": build_syntactic_bframe(parse_signature("type U; type El(tm)"), h, 2),
+        }
+    for i, sig in enumerate(["type U; type El(tm)", "type U; type El(tm); term lam(tm^1.tm); term app(tm,tm)"]):
+        objs[f"signature-{i}"] = parse_signature(sig)
+    return {name: save_structure(x) for name, x in objs.items()}
+
+
+READER_DOCS = _reader_docs()
+# a string the text writes as the number 1e400, which json reads as inf
+E400 = "\x00e400\x00"
+# a key the text writes as a copy of another key of its dict
+DUP = "\x00dup\x00"
+BIG_INTS = [2**63, -(2**63), 2**64, 2**64 - 1, -(2**63) - 1]
+ODD_VALUES = [*BIG_INTS, float("nan"), float("inf"), float("-inf"), E400, "\ud800", "a\udc00"]
+ID_SUFFIXES = ["\ud800", "\udfff", "\u00e9", "\U0001d11e", "\x7f"]
+
+
+@st.composite
+def reader_documents(draw):
+    """An example document of every kind at h1-h3, or one damaged as the
+    tests above damage documents."""
+    how = draw(st.sampled_from(["example", "example", "example", "bsystem-entry", "esystem", "bhom", "field"]))
+    if how == "example":
+        return json.loads(READER_DOCS[draw(st.sampled_from(sorted(READER_DOCS)))])
+    if how == "bsystem-entry":
+        name = draw(st.sampled_from(sorted(DAMAGE_DOCS)))
+        doc = json.loads(DAMAGE_DOCS[name])
+        *outer, last = path = draw(st.sampled_from(DAMAGE_ENTRIES[name]))
+        table = doc["payload"]
+        for step in outer:
+            table = table[step]
+        if len(path) == 2 or draw(st.booleans()):
+            del table[last]
+        else:
+            table[last] = draw(st.sampled_from(DAMAGE_VALUES[name]))
+        return doc
+    if how == "field":
+        kind, damage = draw(st.sampled_from(list(LOOSE_FIELDS.values())))
+        doc = json.loads(LOOSE_DOCS[kind])
+        damage(doc["payload"])
+        return doc
+    if how == "esystem":
+        damages, base = ESYSTEM_DAMAGES, build_nat_esystem(3)
+    else:
+        damages, base = BHOM_DAMAGES, DAMAGE_BASES["finset-b-h3"]
+    doc = json.loads(save_structure(base))
+    draw(st.sampled_from(sorted(damages.items())))[1](doc["payload"])
+    return doc
+
+
+def _places(x, path=()):
+    """(path, value) for x and every value x holds."""
+    yield path, x
+    if type(x) is dict:
+        for k, v in x.items():
+            yield from _places(v, (*path, k))
+    elif type(x) is list:
+        for i, v in enumerate(x):
+            yield from _places(v, (*path, i))
+
+
+def _renamed(x, old, new):
+    """x with every string old replaced by new, where it is a value and,
+    when new is a string, where it is a key; a key old is dropped with its
+    value when new is not a string."""
+    if type(x) is dict:
+        if type(new) is not str:
+            return {k: _renamed(v, old, new) for k, v in x.items() if k != old}
+        return {(new if k == old else k): _renamed(v, old, new) for k, v in x.items()}
+    if type(x) is list:
+        return [_renamed(v, old, new) for v in x]
+    return new if x == old and type(x) is str else x
+
+
+# the keys of documents that name a field, not an id or a level
+FIELDS = {
+    "B", "Bt", "H", "Ht", "args", "arrow", "arrows", "base", "bd", "cat", "cod", "compose", "dom", "element",
+    "fam", "frame", "ft", "functor", "gen", "height", "hom", "id", "identity", "ifun", "kind", "length",
+    "level", "levels", "mor", "name", "obj", "objects", "one", "parent", "partial", "payload", "pb", "proj",
+    "root", "source_apex", "subst", "target_apex", "term", "terminal", "terms", "types", "value", "version",
+    "weak",
+}
+
+
+def _scalars_by_field(doc):
+    """The path of every scalar of doc, grouped by the field that holds it:
+    its path with every list index and every id or level key as "*", and
+    its type, which tells the places of a row apart."""
+    by_field = {}
+    for path, v in _places(doc):
+        if type(v) not in (dict, list):
+            field = tuple(step if step in FIELDS else "*" for step in path), type(v).__name__
+            by_field.setdefault(field, []).append(path)
+    return by_field
+
+
+@st.composite
+def reader_texts(draw):
+    """A document of ``reader_documents`` with edits the two parsers read
+    apart, or that test their agreement, written as text."""
+    doc, key = draw(reader_documents()), None
+    for edit in draw(st.lists(st.sampled_from(["value", "rename", "duplicate"]), max_size=2, unique=True)):
+        places = list(_places(doc))
+        if edit == "value":
+            by_field = _scalars_by_field(doc)
+            path = draw(st.sampled_from(by_field[draw(st.sampled_from(sorted(by_field)))]))
+            doc = _replaced(doc, path, draw(st.sampled_from(ODD_VALUES)))
+        elif edit == "rename":
+            old = draw(st.sampled_from(sorted({v for _, v in places if type(v) is str} | {"kind"})))
+            new = draw(st.sampled_from([old + suffix for suffix in ID_SUFFIXES] + BIG_INTS))
+            doc = _renamed(doc, old, new)
+        else:
+            path, d = draw(st.sampled_from([(path, v) for path, v in places if type(v) is dict and v]))
+            key = draw(st.sampled_from(sorted(d)))
+            value = draw(st.sampled_from([d[key], None, "zz", *BIG_INTS]))
+            extra = {DUP: value}
+            doc = _replaced(doc, path, {**extra, **d} if draw(st.booleans()) else {**d, **extra})
+    text = json.dumps(doc, indent=draw(st.sampled_from([None, 2])))
+    text = text.replace(json.dumps(E400), "1e400")
+    if key is not None:
+        text = text.replace(json.dumps(DUP), json.dumps(key))
+    if draw(st.booleans()):
+        text = text.replace("\n", "\r\n")
+    # a BOM, which both parsers reject, on about one text in eight
+    return draw(st.sampled_from(["", "", "", "", "", "", "", "\ufeff"])) + text
+
+
+@settings(max_examples=400, deadline=None, database=None, derandomize=True)
+@given(reader_texts())
+def test_reader_matches_json_on_examples_and_damaged_documents(text):
+    assert_read_as_by_json(text)
+
+
+@pytest.mark.parametrize("name", sorted(name for name in READER_DOCS if "-h2" not in name and "-h3" not in name))
+def test_reader_matches_json_with_a_big_int_in_every_field_and_for_every_id(name):
+    """Each of BIG_INTS at the first place of every field of a document,
+    and in place of every string of it wherever it is a value."""
+    doc = json.loads(READER_DOCS[name])
+    strings = sorted({v for _path, v in _places(doc) if type(v) is str})
+    for value in BIG_INTS:
+        for first, *_rest in _scalars_by_field(doc).values():
+            assert_read_as_by_json(json.dumps(_replaced(json.loads(READER_DOCS[name]), first, value)))
+        for old in strings:
+            assert_read_as_by_json(json.dumps(_renamed(doc, old, value)))
+
+
+def _edited(name, *path, value):
+    """READER_DOCS[name] with the value at path set, as text."""
+    doc = _replaced(json.loads(READER_DOCS[name]), path, value)
+    return json.dumps(doc).replace(json.dumps(E400), "1e400")
+
+
+# text, whether json parses it, and the error line (None where it loads)
+READER_CASES = {
+    "as-written": (READER_DOCS["nat-e-h2"], False, None),
+    "crlf": (READER_DOCS["finset-b-h2"].replace("\n", "\r\n"), False, None),
+    "duplicate-key": (READER_DOCS["nat-e-h2"].replace('{\n  "kind"', '{\n  "version": 2,\n  "kind"'), False, None),
+    "renamed-lone-surrogate": (
+        json.dumps(_renamed(json.loads(READER_DOCS["nat-e-h2"]), "1>=0", "1>=0\ud800")), True, None
+    ),
+    "big-int-one": (_edited("finset-ce-h2-c", "payload", "one", value=BIG), True, f"one is {BIG}, not a string"),
+    "nan-level": (_edited("nat-e-h2", "payload", "levels", "0", value=float("nan")), True,
+                  "level of object '0' is nan, not an integer"),
+    "1e400-length": (_edited("finset-ce-h2-c", "payload", "length", "0", value=E400), True,
+                     "length of object '0' is inf, not an integer"),
+    "bom": ("\ufeff" + READER_DOCS["nat-e-h2"], True,
+            "parse error at line 1, column 1: Unexpected UTF-8 BOM (decode using utf-8-sig)"),
+}
+
+
+@pytest.mark.parametrize("case", READER_CASES.values(), ids=READER_CASES.keys())
+def test_reader_falls_back_to_json_where_orjson_reads_apart(case):
+    text, by_json, message = case
+    outcome, ran = assert_read_as_by_json(text)
+    assert ran == by_json
+    assert (outcome == ("error", message)) if message else (outcome[0] != "error")
+
+
+def test_a_deep_value_no_loader_reads_loads_from_orjson():
+    """The one document that loads here and not by json alone: json raises
+    RecursionError on the unread value, orjson reads it."""
+    doc = json.loads(READER_DOCS["nat-e-h2"])
+    text = json.dumps({**doc, "note": [[[]]]}).replace("[[[]]]", "[" * 5000 + "]" * 5000)
+    with pytest.raises(RecursionError):
+        load_structure_reference(text)
+    outcome, by_json = _loaded_by_json(text)
+    assert not by_json
+    assert outcome == _outcome(load_structure_reference, READER_DOCS["nat-e-h2"])
