@@ -13,7 +13,6 @@ from .bsys import (
     build_finset_bsystem,
     check_preservation,
     slice_bframe,
-    slice_system,
     validate_bframe,
     validate_bframe_hom,
     validate_bsystem,

@@ -236,79 +236,75 @@ def bhom_eq(f: BFrameHom, g: BFrameHom) -> tuple[list[tuple], int, int]:
 # systems
 
 
-def slice_system(sys: BSystem, n: int, X: str) -> BSystem:
-    """The induced structure on B/X; tables are re-keyed ambient entries."""
-    frame = slice_bframe(sys.frame, n, X)
-    subst = {}
-    for m in range(1, frame.height + 1):
-        for x in frame.Bt[m]:
-            amb = sys.subst.get((n + m, x))
-            if amb is not None:
-                subst[(m, x)] = amb
-    weak = {}
-    for m in range(1, frame.height + 1):
-        for Y in frame.B[m]:
-            amb = sys.weak.get((n + m, Y))
-            if amb is not None:
-                weak[(m, Y)] = amb
-    gen = {}
-    for m in range(1, frame.height + 1):
-        for Y in frame.B[m]:
-            amb = sys.gen.get((n + m, Y))
-            if amb is not None:
-                gen[(m, Y)] = amb
-    return BSystem(frame=frame, subst=subst, weak=weak, gen=gen)
-
-
 def check_preservation(
-    h: BFrameHom, src: BSystem, tgt: BSystem, rep: Report, law: str | None = None
+    h: BFrameHom, src: BSystem, tgt: BSystem, at: tuple[int, int], rep: Report, law: str | None = None
 ) -> None:
     """Does ``h`` preserve substitution, weakening and generic elements?
 
-    The three are checked in that order, each under ``law``, or without
-    it under "preserve-sub", "preserve-weak" and "preserve-gen". The
-    commuting squares are compared elementwise on maximal common domains;
-    instances whose data is missing on either side count as skipped.
+    ``h`` maps the slice of ``src`` over an element of level n to the
+    slice of ``tgt`` over one of level m, ``at = (n, m)``; a system is its
+    own slice at level 0. A slice carries the ambient structure on the
+    elements over its base, so each element of ``h.source`` at slice level
+    k >= 1 is read in src at level k + n, and its image in tgt at level
+    k + m, only where the image lies in ``h.target``. The three are
+    checked in that order, each under ``law``, or without it under
+    "preserve-sub", "preserve-weak" and "preserve-gen"; witnesses name
+    slice levels. The commuting squares are compared elementwise on
+    maximal common domains; instances whose data is missing on either
+    side count as skipped.
     """
+    n, m = at
+    s, t = h.source, h.target
+
+    def image(table: dict, levels: tuple, k: int, y: str | None):
+        """tgt's entry in ``table`` for y at slice level k, if y lies there in h.target."""
+        return table.get((k + m, y)) if k < len(levels) and y in levels[k] else None
+
     name = law or "preserve-sub"
-    for (k, x), sx in sorted(src.subst.items()):
-        rep.tick(name)
-        ximg = h.Ht.get(k, {}).get(x)
-        bdx = src.frame.bd[k][x]
-        ftbdx = src.frame.ft[k][bdx]
-        if ximg is None or (k, ximg) not in tgt.subst:
-            rep.skip(name)
-            continue
-        if bdx not in h.H.get(k, {}) or ftbdx not in h.H.get(k - 1, {}):
-            rep.skip(name)
-            continue
-        lhs = compose_bhom(restrict_bhom(h, k - 1, ftbdx), sx)
-        rhs = compose_bhom(tgt.subst[(k, ximg)], restrict_bhom(h, k, bdx))
-        rep.record(name, bhom_eq(lhs, rhs), (k, x))
+    for k in range(1, s.height + 1):
+        for x in sorted(s.Bt[k]):
+            sx = src.subst.get((k + n, x))
+            if sx is None:
+                continue
+            rep.tick(name)
+            bdx = s.bd[k][x]
+            ftbdx = s.ft[k][bdx]
+            ty = image(tgt.subst, t.Bt, k, h.Ht.get(k, {}).get(x))
+            if ty is None or bdx not in h.H.get(k, {}) or ftbdx not in h.H.get(k - 1, {}):
+                rep.skip(name)
+                continue
+            lhs = compose_bhom(restrict_bhom(h, k - 1, ftbdx), sx)
+            rhs = compose_bhom(ty, restrict_bhom(h, k, bdx))
+            rep.record(name, bhom_eq(lhs, rhs), (k, x))
     name = law or "preserve-weak"
-    for (n, X), wx in sorted(src.weak.items()):
-        rep.tick(name)
-        ximg = h.H.get(n, {}).get(X)
-        ftx = src.frame.ft[n][X]
-        if ximg is None or (n, ximg) not in tgt.weak:
-            rep.skip(name)
-            continue
-        if ftx not in h.H.get(n - 1, {}):
-            rep.skip(name)
-            continue
-        lhs = compose_bhom(restrict_bhom(h, n, X), wx)
-        rhs = compose_bhom(tgt.weak[(n, ximg)], restrict_bhom(h, n - 1, ftx))
-        rep.record(name, bhom_eq(lhs, rhs), (n, X))
+    for k in range(1, s.height + 1):
+        for X in sorted(s.B[k]):
+            wx = src.weak.get((k + n, X))
+            if wx is None:
+                continue
+            rep.tick(name)
+            ftx = s.ft[k][X]
+            ty = image(tgt.weak, t.B, k, h.H.get(k, {}).get(X))
+            if ty is None or ftx not in h.H.get(k - 1, {}):
+                rep.skip(name)
+                continue
+            lhs = compose_bhom(restrict_bhom(h, k, X), wx)
+            rhs = compose_bhom(ty, restrict_bhom(h, k - 1, ftx))
+            rep.record(name, bhom_eq(lhs, rhs), (k, X))
     name = law or "preserve-gen"
-    for (n, X), d in sorted(src.gen.items()):
-        rep.tick(name)
-        ximg = h.H.get(n, {}).get(X)
-        dimg = h.Ht.get(n + 1, {}).get(d)
-        if ximg is None or dimg is None or (n, ximg) not in tgt.gen:
-            rep.skip(name)
-            continue
-        if tgt.gen[(n, ximg)] != dimg:
-            rep.fail(name, (n, X), f"H(delta) = {dimg!r}, delta(H) = {tgt.gen[(n, ximg)]!r}")
+    for k in range(1, s.height + 1):
+        for X in sorted(s.B[k]):
+            d = src.gen.get((k + n, X))
+            if d is None:
+                continue
+            rep.tick(name)
+            dx = image(tgt.gen, t.B, k, h.H.get(k, {}).get(X))
+            dimg = h.Ht.get(k + 1, {}).get(d)
+            if dx is None or dimg is None:
+                rep.skip(name)
+                continue
+            if dx != dimg:
+                rep.fail(name, (k, X), f"H(delta) = {dimg!r}, delta(H) = {dx!r}")
 
 
 def validate_bsystem(sys: BSystem) -> Report:
@@ -350,19 +346,13 @@ def validate_bsystem(sys: BSystem) -> Report:
         if b.bd[n + 1][d] != wx.H[1][X]:
             rep.fail("gen-boundary", (n, X), "bd(delta(X)) != W_X(X)")
 
-    # axiom 1: every S_x is a pre-B-homomorphism
+    # axiom 1: every S_x : B/bd(x) -> B/ft(bd(x)) is a pre-B-homomorphism
     for (k, x), sx in sorted(sys.subst.items()):
-        bdx = b.bd[k][x]
-        ftbdx = b.ft[k][bdx]
-        src = slice_system(sys, k, bdx)
-        tgt = slice_system(sys, k - 1, ftbdx)
-        check_preservation(sx, src, tgt, rep, law="axiom-1")
+        check_preservation(sx, sys, sys, (k, k - 1), rep, law="axiom-1")
 
-    # axiom 2: every W_X is a pre-B-homomorphism
+    # axiom 2: every W_X : B/ft(X) -> B/X is a pre-B-homomorphism
     for (n, X), wx in sorted(sys.weak.items()):
-        src = slice_system(sys, n - 1, b.ft[n][X])
-        tgt = slice_system(sys, n, X)
-        check_preservation(wx, src, tgt, rep, law="axiom-2")
+        check_preservation(wx, sys, sys, (n - 1, n), rep, law="axiom-2")
 
     # axiom 3: S_x . W_bd(x) = id
     for (k, x), sx in sorted(sys.subst.items()):
@@ -408,7 +398,7 @@ def validate_bsystem_hom(h: BFrameHom, src: BSystem, tgt: BSystem) -> Report:
     """A homomorphism of B-systems: frame naturality plus all preservations."""
     rep = Report()
     rep.merge(validate_bframe_hom(h))
-    check_preservation(h, src, tgt, rep)
+    check_preservation(h, src, tgt, (0, 0), rep)
     return rep
 
 

@@ -19,9 +19,9 @@ import gc
 import os
 import sys
 
-from .bsys import build_finset_bsystem, validate_bsystem
+from .bsys import build_finset_bsystem, validate_bframe, validate_bsystem
 from .cesys import build_finset_cesystem, validate_cesystem
-from .core import Stratification, stratify, validate_fincat, validate_units
+from .core import Stratification, stratify, validate_fincat, validate_tree, validate_units
 from .csys import validate_csystem
 from .esys import (
     ESystem,
@@ -141,8 +141,6 @@ def _validate(kind: str, obj, rooted: bool, stratified: bool) -> Report:
     if kind == "bsystem":
         return validate_bsystem(obj)
     if kind == "bframe":
-        from .bsys import validate_bframe
-
         return validate_bframe(obj)
     if kind == "esystem":
         return validate_esystem(obj)
@@ -151,8 +149,6 @@ def _validate(kind: str, obj, rooted: bool, stratified: bool) -> Report:
     if kind == "cesystem":
         return validate_cesystem(obj, rooted=rooted, stratified=stratified)
     if kind == "tree":
-        from .core import validate_tree
-
         return validate_tree(obj)
     if kind == "signature":
         rep = Report()
@@ -176,19 +172,28 @@ def _ensure_levels(e: ESystem) -> ESystem:
     return e
 
 
-def cmd_translate(args) -> int:
+def _guarded(args, action) -> int:
+    """Load ``args.file``, precheck an E-system and return ``action(kind, obj)``,
+    the exit code; where the action raises Truncated or a ValueError other
+    than LoadError, ``_translation_fell_off`` gives it."""
     kind, obj = load_structure(_read(args.file))
     pre = _precheck(kind, obj) if kind == "esystem" else None
     if pre is not None and not pre.ok:
         return _print_report(pre)
     try:
-        out = _translate(kind, obj, args.to)
+        return action(kind, obj)
     except LoadError:
         raise  # a ValueError that main reports as malformed input
     except (Truncated, ValueError) as exc:
         return _translation_fell_off(pre if pre is not None else _precheck(kind, obj), exc)
-    _write(args.output, save_structure(out))
-    return 0
+
+
+def cmd_translate(args) -> int:
+    def translate(kind: str, obj) -> int:
+        _write(args.output, save_structure(_translate(kind, obj, args.to)))
+        return 0
+
+    return _guarded(args, translate)
 
 
 def _precheck(kind: str, obj) -> Report:
@@ -249,14 +254,7 @@ def _translate(kind: str, obj, to: str):
 
 
 def cmd_roundtrip(args) -> int:
-    kind, obj = load_structure(_read(args.file))
-    pre = _precheck(kind, obj) if kind == "esystem" else None
-    if pre is not None and not pre.ok:
-        return _print_report(pre)
-    try:
-        return _roundtrip(kind, obj)
-    except (Truncated, ValueError) as exc:
-        return _translation_fell_off(pre if pre is not None else _precheck(kind, obj), exc)
+    return _guarded(args, _roundtrip)
 
 
 def _roundtrip(kind: str, obj) -> int:

@@ -249,7 +249,13 @@ def _level_maps(p: dict, srcs: tuple, tgts: tuple, at: str) -> dict[int, dict[st
     """The level maps of p, each entry at level m checked to go from srcs[m] into tgts[m]."""
     out = {}
     for n, m in p.items():
-        lvl, m = int(n), dict(m)
+        try:
+            lvl = int(n)
+        except ValueError:
+            lvl = None
+        if str(lvl) != n:
+            raise LoadError(f"{at} level is {n!r}, not an integer")
+        m = dict(m)
         src = srcs[lvl] if 0 <= lvl < len(srcs) else frozenset()
         tgt = tgts[lvl] if 0 <= lvl < len(tgts) else frozenset()
         if not (src.issuperset(m) and tgt.issuperset(m.values())):
@@ -300,7 +306,7 @@ def bsystem_load(p: dict) -> BSystem:
     for rec in p["gen"]:
         k, x, v = rec["level"], rec["element"], rec["value"]
         _int(k, "level of generic element {!r}", x)
-        if x not in frame.B[k] or k + 1 > frame.height or v not in frame.Bt[k + 1]:
+        if not (1 <= k < frame.height) or x not in frame.B[k] or v not in frame.Bt[k + 1]:
             raise LoadError(f"generic element at ({k}, {x!r}) dangling")
         sys.gen[(k, x)] = v
     return sys

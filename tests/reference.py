@@ -106,6 +106,12 @@ acts on and keys every expression where an entry of a lift uses it.
 before orjson read documents: ``json.loads``, then the loaders, with the
 version compared by ``!=``.
 
+``validate_bsystem_reference`` and ``validate_bsystem_hom_reference`` are
+``bsys.validate_bsystem`` and ``bsys.validate_bsystem_hom`` as they were
+while ``check_preservation_reference`` took the systems of both slices:
+axioms 1 and 2 build each slice's system twice per row with
+``slice_system_reference``, re-keying the ambient entries over its base.
+
 Tests compare the fast code against them, result for result.
 """
 
@@ -120,10 +126,13 @@ from bcsys.bsys import (
     BFrame,
     BFrameHom,
     BSystem,
+    bhom_eq,
     bhom_identity,
     compose_bhom,
     restrict_bhom,
     slice_bframe,
+    validate_bframe,
+    validate_bframe_hom,
 )
 from bcsys.cesys import CEHom, CESystem, fn_arrow, validate_ce_hom
 from bcsys.core import (
@@ -1793,3 +1802,175 @@ def load_structure_reference(text: str, expect_kind: str | None = None):
         raise
     except (KeyError, TypeError, IndexError, AttributeError, ValueError) as exc:
         raise LoadError(f"malformed {kind} payload: {type(exc).__name__}: {exc}") from None
+
+
+def slice_system_reference(sys: BSystem, n: int, X: str) -> BSystem:
+    """The induced structure on B/X; tables are re-keyed ambient entries."""
+    frame = slice_bframe(sys.frame, n, X)
+    subst = {}
+    for m in range(1, frame.height + 1):
+        for x in frame.Bt[m]:
+            amb = sys.subst.get((n + m, x))
+            if amb is not None:
+                subst[(m, x)] = amb
+    weak = {}
+    for m in range(1, frame.height + 1):
+        for Y in frame.B[m]:
+            amb = sys.weak.get((n + m, Y))
+            if amb is not None:
+                weak[(m, Y)] = amb
+    gen = {}
+    for m in range(1, frame.height + 1):
+        for Y in frame.B[m]:
+            amb = sys.gen.get((n + m, Y))
+            if amb is not None:
+                gen[(m, Y)] = amb
+    return BSystem(frame=frame, subst=subst, weak=weak, gen=gen)
+
+
+def check_preservation_reference(
+    h: BFrameHom, src: BSystem, tgt: BSystem, rep: Report, law: str | None = None
+) -> None:
+    """Does ``h : src -> tgt`` preserve substitution, weakening and generic
+    elements? Each under ``law``, or under "preserve-sub", "preserve-weak"
+    and "preserve-gen"."""
+    name = law or "preserve-sub"
+    for (k, x), sx in sorted(src.subst.items()):
+        rep.tick(name)
+        ximg = h.Ht.get(k, {}).get(x)
+        bdx = src.frame.bd[k][x]
+        ftbdx = src.frame.ft[k][bdx]
+        if ximg is None or (k, ximg) not in tgt.subst:
+            rep.skip(name)
+            continue
+        if bdx not in h.H.get(k, {}) or ftbdx not in h.H.get(k - 1, {}):
+            rep.skip(name)
+            continue
+        lhs = compose_bhom(restrict_bhom(h, k - 1, ftbdx), sx)
+        rhs = compose_bhom(tgt.subst[(k, ximg)], restrict_bhom(h, k, bdx))
+        rep.record(name, bhom_eq(lhs, rhs), (k, x))
+    name = law or "preserve-weak"
+    for (n, X), wx in sorted(src.weak.items()):
+        rep.tick(name)
+        ximg = h.H.get(n, {}).get(X)
+        ftx = src.frame.ft[n][X]
+        if ximg is None or (n, ximg) not in tgt.weak:
+            rep.skip(name)
+            continue
+        if ftx not in h.H.get(n - 1, {}):
+            rep.skip(name)
+            continue
+        lhs = compose_bhom(restrict_bhom(h, n, X), wx)
+        rhs = compose_bhom(tgt.weak[(n, ximg)], restrict_bhom(h, n - 1, ftx))
+        rep.record(name, bhom_eq(lhs, rhs), (n, X))
+    name = law or "preserve-gen"
+    for (n, X), d in sorted(src.gen.items()):
+        rep.tick(name)
+        ximg = h.H.get(n, {}).get(X)
+        dimg = h.Ht.get(n + 1, {}).get(d)
+        if ximg is None or dimg is None or (n, ximg) not in tgt.gen:
+            rep.skip(name)
+            continue
+        if tgt.gen[(n, ximg)] != dimg:
+            rep.fail(name, (n, X), f"H(delta) = {dimg!r}, delta(H) = {tgt.gen[(n, ximg)]!r}")
+
+
+def validate_bsystem_reference(sys: BSystem) -> Report:
+    """The five B-system axioms, each reported separately with witnesses."""
+    rep = Report()
+    rep.merge(validate_bframe(sys.frame), prefix="frame:")
+    b = sys.frame
+    for axiom in ("axiom-1", "axiom-2", "axiom-3", "axiom-4", "axiom-5"):
+        rep.law(axiom)
+
+    for k in range(1, b.height + 1):
+        for x in sorted(b.Bt[k]):
+            rep.tick("coverage-sub")
+            if (k, x) not in sys.subst:
+                rep.skip("coverage-sub")
+        for X in sorted(b.B[k]):
+            rep.tick("coverage-weak")
+            if (k, X) not in sys.weak:
+                rep.skip("coverage-weak")
+            rep.tick("coverage-gen")
+            if (k, X) not in sys.gen and k + 1 <= b.height:
+                rep.skip("coverage-gen")
+
+    for (k, x), sx in sorted(sys.subst.items()):
+        rep.merge(validate_bframe_hom(sx), prefix="subst-hom:")
+    for (n, X), wx in sorted(sys.weak.items()):
+        rep.merge(validate_bframe_hom(wx), prefix="weak-hom:")
+
+    # boundary of generic elements: bd(delta(X)) = W_X(X)
+    for (n, X), d in sorted(sys.gen.items()):
+        rep.tick("gen-boundary")
+        if n + 1 > b.height or d not in b.Bt[n + 1]:
+            rep.fail("gen-boundary", (n, X, d), "delta lands outside B~_{n+1}")
+            continue
+        wx = sys.weak.get((n, X))
+        if wx is None or X not in wx.H.get(1, {}):
+            rep.skip("gen-boundary")
+            continue
+        if b.bd[n + 1][d] != wx.H[1][X]:
+            rep.fail("gen-boundary", (n, X), "bd(delta(X)) != W_X(X)")
+
+    # axiom 1: every S_x is a pre-B-homomorphism
+    for (k, x), sx in sorted(sys.subst.items()):
+        bdx = b.bd[k][x]
+        ftbdx = b.ft[k][bdx]
+        src = slice_system_reference(sys, k, bdx)
+        tgt = slice_system_reference(sys, k - 1, ftbdx)
+        check_preservation_reference(sx, src, tgt, rep, law="axiom-1")
+
+    # axiom 2: every W_X is a pre-B-homomorphism
+    for (n, X), wx in sorted(sys.weak.items()):
+        src = slice_system_reference(sys, n - 1, b.ft[n][X])
+        tgt = slice_system_reference(sys, n, X)
+        check_preservation_reference(wx, src, tgt, rep, law="axiom-2")
+
+    # axiom 3: S_x . W_bd(x) = id
+    for (k, x), sx in sorted(sys.subst.items()):
+        rep.tick("axiom-3")
+        bdx = b.bd[k][x]
+        wx = sys.weak.get((k, bdx))
+        if wx is None:
+            rep.skip("axiom-3")
+            continue
+        composite = compose_bhom(sx, wx)
+        rep.record("axiom-3", bhom_eq(composite, bhom_identity(composite.source)), (k, x))
+
+    # axiom 4: S_x(delta(bd x)) = x
+    for (k, x), sx in sorted(sys.subst.items()):
+        rep.tick("axiom-4")
+        bdx = b.bd[k][x]
+        d = sys.gen.get((k, bdx))
+        if d is None:
+            rep.skip("axiom-4")
+            continue
+        img = sx.Ht.get(1, {}).get(d)
+        if img is None:
+            rep.skip("axiom-4")
+            continue
+        if img != x:
+            rep.fail("axiom-4", (k, x), f"S_x(delta) = {img!r}")
+
+    # axiom 5: S_delta(X) . (W_X / X) = id on B/X
+    for (n, X), d in sorted(sys.gen.items()):
+        rep.tick("axiom-5")
+        wx = sys.weak.get((n, X))
+        sd = sys.subst.get((n + 1, d))
+        if wx is None or sd is None or X not in wx.H.get(1, {}):
+            rep.skip("axiom-5")
+            continue
+        composite = compose_bhom(sd, restrict_bhom(wx, 1, X))
+        rep.record("axiom-5", bhom_eq(composite, bhom_identity(composite.source)), (n, X))
+
+    return rep
+
+
+def validate_bsystem_hom_reference(h: BFrameHom, src: BSystem, tgt: BSystem) -> Report:
+    """A homomorphism of B-systems: frame naturality plus all preservations."""
+    rep = Report()
+    rep.merge(validate_bframe_hom(h))
+    check_preservation_reference(h, src, tgt, rep)
+    return rep

@@ -11,7 +11,6 @@ from bcsys.bsys import (
     compose_bhom,
     restrict_bhom,
     slice_bframe,
-    slice_system,
     validate_bframe,
     validate_bframe_hom,
     validate_bsystem,
@@ -130,7 +129,7 @@ def test_spec_generic_element():
 def test_weakening_hom_preserves_substitution():
     sys = build_finset_bsystem(4)
     rep = Report()
-    check_preservation(sys.weak[(2, "2")], slice_system(sys, 1, "1"), slice_system(sys, 2, "2"), rep)
+    check_preservation(sys.weak[(2, "2")], sys, sys, (1, 2), rep)
     res = rep.laws["preserve-sub"]
     assert res.ok and res.checked > 0
 
@@ -138,7 +137,7 @@ def test_weakening_hom_preserves_substitution():
 def test_identity_hom_preserves_everything():
     sys = build_finset_bsystem(3)
     rep = Report()
-    check_preservation(bhom_identity(sys.frame), sys, sys, rep)
+    check_preservation(bhom_identity(sys.frame), sys, sys, (0, 0), rep)
     assert list(rep.laws) == ["preserve-sub", "preserve-weak", "preserve-gen"]
     assert rep.ok
 
@@ -150,7 +149,7 @@ def test_zeroed_generic_elements_break_gen_preservation():
         if n >= 2:  # delta_n for n >= 1 lives at key level n+1 >= 2
             mutated.gen[(n, X)] = "0"
     rep = Report()
-    check_preservation(bhom_identity(sys.frame), sys, mutated, rep)
+    check_preservation(bhom_identity(sys.frame), sys, mutated, (0, 0), rep)
     assert rep.laws["preserve-gen"].violations
 
 

@@ -1025,11 +1025,31 @@ def test_cli_reads_standard_input_bytes_as_a_file(tmp_path, capsys, monkeypatch)
 # B-system documents whose hom entries leave their slice frames do not load
 
 
+def _respell_top_level(spelling: str):
+    """Respell the top H level key of finset-b h3's first weakening hom."""
+
+    def damage(p):
+        H = p["weak"][0]["hom"]["H"]
+        H[spelling] = H.pop(max(H, key=int))
+
+    return damage
+
+
 BHOM_DAMAGES = {
     "value-outside-the-target-level": lambda p: p["weak"][0]["hom"]["H"]["1"].update({"1": "3"}),
     "key-outside-the-source-level": lambda p: p["subst"][0]["hom"]["Ht"]["1"].update({"2": "0"}),
     "term-value-not-an-element": lambda p: p["subst"][0]["hom"]["Ht"]["1"].update({"0": "zz"}),
     "level-above-the-slice": lambda p: p["subst"][0]["hom"]["H"].update({"5": {"3": "2"}}),
+    "level-key-with-a-sign-and-spaces": _respell_top_level(" +2 "),
+    "level-key-with-a-leading-zero": _respell_top_level("02"),
+}
+
+NOT_AN_INTEGER = "weakening entry at (1, '1'): H level is {!r}, not an integer"
+
+# what the one line says, where it does not say "dangling"
+BHOM_DAMAGE_LINES = {
+    "level-key-with-a-sign-and-spaces": NOT_AN_INTEGER.format(" +2 "),
+    "level-key-with-a-leading-zero": NOT_AN_INTEGER.format("02"),
 }
 
 
@@ -1038,10 +1058,10 @@ BHOM_DAMAGES = {
     [["check"], ["translate", "--to", "e"], ["translate", "--to", "c"], ["roundtrip"]],
     ids=["check", "translate-e", "translate-c", "roundtrip"],
 )
-@pytest.mark.parametrize("damage", BHOM_DAMAGES.values(), ids=BHOM_DAMAGES.keys())
+@pytest.mark.parametrize("damage", BHOM_DAMAGES)
 def test_cli_rejects_a_dangling_bhom_entry_at_load(tmp_path, capsys, damage, command):
     doc = json.loads(save_structure(build_finset_bsystem(3)))
-    damage(doc["payload"])
+    BHOM_DAMAGES[damage](doc["payload"])
     path = tmp_path / "b.json"
     path.write_text(json.dumps(doc))
     out = tmp_path / "out.json"
@@ -1050,8 +1070,38 @@ def test_cli_rejects_a_dangling_bhom_entry_at_load(tmp_path, capsys, damage, com
     assert code == 2
     assert printed.out == ""
     assert printed.err.startswith("error: ") and printed.err.count("\n") == 1
-    assert "dangling" in printed.err
+    assert BHOM_DAMAGE_LINES.get(damage, "dangling") in printed.err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("spelling", [" +2 ", "02", "1_0", "\uff12", "-0", "2.0", "two"])
+def test_a_hom_level_key_is_the_decimal_spelling_of_its_level(spelling):
+    """int() reads the first five as 2, 2, 10, 2 and 0 and rejects the
+    rest; the loader rejects all seven with the same line."""
+    doc = json.loads(save_structure(build_finset_bsystem(3)))
+    _respell_top_level(spelling)(doc["payload"])
+    with pytest.raises(LoadError) as exc:
+        load_structure(json.dumps(doc))
+    assert str(exc.value) == NOT_AN_INTEGER.format(spelling)
+
+
+LAM_APP = "type U; type El(tm); term lam(tm^1.tm); term app(tm,tm)"
+
+
+@pytest.mark.parametrize("command", [["check"], ["translate", "--to", "e"], ["roundtrip"]], ids=" ".join)
+def test_cli_rejects_a_generic_element_at_level_0(tmp_path, capsys, command):
+    """delta_X needs W_X, which exists from level 1 only: a gen row at
+    level 0 dangles, where check and roundtrip once counted it."""
+    doc = json.loads(save_structure(build_syntactic_bframe(parse_signature(LAM_APP), 2, 1)))
+    frame = doc["payload"]["frame"]
+    (root,) = frame["B"][0]
+    doc["payload"]["gen"].append({"level": 0, "element": root, "value": frame["Bt"][0][0]})
+    path, out = tmp_path / "b.json", tmp_path / "out.json"
+    path.write_text(json.dumps(doc))
+    output = ["-o", str(out)] if command[0] == "translate" else []
+    code, printed = _run(capsys, *command, str(path), *output)
+    assert code == 2 and not out.exists()
+    _one_line(printed, f"generic element at (0, {root!r}) dangling")
 
 
 # ---------------------------------------------------------------------------

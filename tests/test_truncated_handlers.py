@@ -19,8 +19,7 @@ SRC = Path(bcsys.__file__).parent
 
 EXPECTED = Counter(
     {
-        ("cli", "cmd_translate"): 1,
-        ("cli", "cmd_roundtrip"): 1,
+        ("cli", "_guarded"): 1,
     }
 )
 
