@@ -144,7 +144,11 @@ def _build_slice(b: BFrame, n: int, X: str) -> BFrame:
 
 
 def validate_bframe_hom(h: BFrameHom) -> Report:
-    """Naturality of the ft/bd squares on every level where both sides exist."""
+    """Naturality of the ft/bd squares on every level where both sides exist.
+
+    An image outside the target frame has no side there: its square is
+    skipped, and ``total`` fails it with its witness.
+    """
     rep = Report()
     top = h.common_height
     for n in range(1, top + 1):
@@ -152,19 +156,21 @@ def validate_bframe_hom(h: BFrameHom) -> Report:
             rep.tick("ft-natural")
             hx = h.H.get(n, {}).get(X)
             hft = h.H.get(n - 1, {}).get(h.source.ft[n][X])
-            if hx is None or hft is None:
+            tft = None if hx is None else h.target.ft[n].get(hx)
+            if tft is None or hft is None:
                 rep.skip("ft-natural")
                 continue
-            if h.target.ft[n][hx] != hft:
+            if tft != hft:
                 rep.fail("ft-natural", (n, X))
         for x in sorted(h.source.Bt[n]):
             rep.tick("bd-natural")
             hx = h.Ht.get(n, {}).get(x)
             hb = h.H.get(n, {}).get(h.source.bd[n][x])
-            if hx is None or hb is None:
+            tbd = None if hx is None else h.target.bd[n].get(hx)
+            if tbd is None or hb is None:
                 rep.skip("bd-natural")
                 continue
-            if h.target.bd[n][hx] != hb:
+            if tbd != hb:
                 rep.fail("bd-natural", (n, x))
     for n in range(0, top + 1):
         for X in sorted(h.source.B[n]):

@@ -1551,6 +1551,12 @@ def build_nat_esystem(height: int) -> ESystem:
     its inverse, so every table shares one string per term. A functor
     postcomposes through an index list: [0..n) + f + [n..) for S_f and
     [0..n) + [n+k..) for W_A.
+
+    Each term table is built once per (h, post[:b]) for h = a >= b: a
+    term of h is a function [a - b] -> [b], so the table reads only that
+    prefix of the index list, and the category is not changed during the
+    call. The first functor to use a table keeps it and every later one
+    gets a copy, so no two functors share a dict.
     """
     cat = nat_poset_cat(height)
     ar = [[nat_arrow(m, n) for n in range(m + 1)] for m in range(height + 1)]
@@ -1570,9 +1576,16 @@ def build_nat_esystem(height: int) -> ESystem:
     e = ESystem(tc=TermCat(cat=cat, terms=terms), levels={str(n): n for n in range(height + 1)})
     mors = [slice_mors(cat, str(m)) for m in range(height + 1)]
 
+    tables: dict[tuple, dict[str, str]] = {}
+
     def term_table(post: list[int], h: str) -> dict[str, str]:
+        key = (h, *post[: ends[h][1]])
+        table = tables.get(key)
+        if table is not None:
+            return table.copy()
         at = post.__getitem__
-        return {t: fmt[tuple(map(at, parsed[t]))] for t in terms[h]}
+        table = tables[key] = {t: fmt[tuple(map(at, parsed[t]))] for t in terms[h]}
+        return table
 
     for m in range(height + 1):
         for n in range(m + 1):

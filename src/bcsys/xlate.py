@@ -13,6 +13,7 @@ from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, replace
+from itertools import chain
 
 from .bsys import (
     BFrame,
@@ -111,6 +112,27 @@ class _Ids(dict):
         return made
 
 
+def _slice_shape(src: BFrame, n_src: int, paths: _Ids) -> list[list[tuple[str, list[tuple]]]]:
+    """The slice morphisms out of each element of a source slice frame.
+
+    Level m lists, for each y in ``src.B[m]``, the triples (d, z, key) of
+    the slice morphism from (y, m) to its d-th truncation z, with
+    ``key`` its (h, f1, g1), in the order ``_sfunctor_of_bhom`` enters them.
+    """
+    shape = []
+    for m in range(src.height + 1):
+        rows = []
+        for y in src.B[m]:
+            f1 = paths[n_src + m, y, m]
+            mors = []
+            for d in range(m + 1):
+                z = src.ft_iter(m, y, d) if d else y
+                mors.append((d, z, (paths[n_src + m, y, d], f1, paths[n_src + m - d, z, m - d])))
+            rows.append((y, mors))
+        shape.append(rows)
+    return shape
+
+
 def _sfunctor_of_bhom(
     hom: BFrameHom,
     n_src: int,
@@ -118,12 +140,14 @@ def _sfunctor_of_bhom(
     n_tgt: int,
     x_tgt: str,
     paths: _Ids,
+    shapes: dict[tuple[int, int], list],
 ) -> SliceFunctorT:
     """Lift a homomorphism of slice frames to a slice functor on the free category.
 
     Terms of an arrow (Y, d) are flat tuples whose entries all live one
     level above the codomain; the term action is componentwise. ``paths``
-    is b_to_e's table of path_id(n, y, d).
+    is b_to_e's table of path_id(n, y, d), and ``shapes`` its table of
+    ``_slice_shape`` keyed by (id of the source frame, n_src).
     """
     sf = SliceFunctorT(
         source_apex=obj_id(n_src, x_src), target_apex=obj_id(n_tgt, x_tgt)
@@ -135,21 +159,18 @@ def _sfunctor_of_bhom(
             continue
         for y, y1 in level_map.items():
             sf.obj_map[paths[n_src + m, y, m]] = paths[n_tgt + m, y1, m]
-    for m in range(src.height + 1):
+    shape = shapes.get((id(src), n_src))
+    if shape is None:
+        shape = shapes[id(src), n_src] = _slice_shape(src, n_src, paths)
+    for m, rows in enumerate(shape):
         level_map = hom.H.get(m, {})
-        for y in src.B[m]:
+        for y, mors in rows:
             if y not in level_map:
                 continue
             y1 = level_map[y]
-            f1 = paths[n_src + m, y, m]
-            for d in range(m + 1):
-                # slice morphism from (y, m) to its d-th truncation
-                z = src.ft_iter(m, y, d) if d else y
-                if z not in hom.H.get(m - d, {}):
-                    continue
-                h = paths[n_src + m, y, d]
-                g1 = paths[n_src + m - d, z, m - d]
-                sf.mor_map[(h, f1, g1)] = paths[n_tgt + m, y1, d]
+            for d, z, key in mors:
+                if z in hom.H.get(m - d, {}):
+                    sf.mor_map[key] = paths[n_tgt + m, y1, d]
     return sf
 
 
@@ -179,6 +200,16 @@ def b_to_e(bsys: BSystem) -> ESystem:
     used. A substitution or a weakening the B-system lacks raises
     ``Truncated`` naming it; a missing generic element only leaves out
     the identity terms built on it.
+
+    Each distinct term table is built once per call. Each distinct level
+    map of ``Ht`` is numbered once, by value, and a table is kept under
+    (arrow id, number of the level map it reads). That is complete: the
+    table of an arrow reads only the arrow's packed rows and that level
+    map, and neither changes during the call. The first functor to use a
+    table keeps it and every later one gets a copy, so no two functors
+    share a dict. Likewise the slice morphisms out of each source frame
+    are listed once per call (``_slice_shape``): they read only that
+    frame, which is not changed, and each functor fills its own maps.
     """
     frame = bsys.frame
     cat, strat = free_cat_of_tree(_tree_of_frame(frame))
@@ -231,16 +262,34 @@ def b_to_e(bsys: BSystem) -> ESystem:
     empty = pack_ids(())
     where = paths.where
 
+    # every hom used below, and so its source frame, lives until the call
+    # returns, so an id names one frame throughout
+    shapes: dict[tuple[int, int], list] = {}
+    numbers: dict[tuple[str, ...], int] = {}
+    tables: dict[tuple[str, int], dict[str, str]] = {}
+
     def fill_terms(sf: SliceFunctorT, hom: BFrameHom, n_src: int) -> None:
         # terms of an arrow (y, d) are flat tuples of elements one level
         # above its codomain; the functor acts componentwise
+        at: dict[int, int] = {}
         for key in list(sf.mor_map):
             m, y, d = where[key[0]]
             if d == 0:
                 sf.term_map[key] = {empty: empty}
                 continue
-            image = hom.Ht.get((m - d + 1) - n_src, {}).__getitem__
-            table = {}
+            level = (m - d + 1) - n_src
+            level_map = hom.Ht.get(level, {})
+            num = at.get(level)
+            if num is None:
+                # a level map's value: its entries sorted, in one flat tuple
+                items = tuple(chain.from_iterable(sorted(level_map.items())))
+                num = at[level] = numbers.setdefault(items, len(numbers))
+            table = tables.get((key[0], num))
+            if table is not None:
+                sf.term_map[key] = table.copy()
+                continue
+            image = level_map.__getitem__
+            table = tables[key[0], num] = {}
             for t, p in packed.get((m, y, d), ()):
                 try:
                     img = tuple(map(image, t))
@@ -256,14 +305,14 @@ def b_to_e(bsys: BSystem) -> ESystem:
         ftk = frame.ft_iter(n, X, k)
         for t, p in rows:
             hom = shoms[(n, X, t)]
-            sf = _sfunctor_of_bhom(hom, n, X, n - k, ftk, paths)
+            sf = _sfunctor_of_bhom(hom, n, X, n - k, ftk, paths, shapes)
             fill_terms(sf, hom, n)
             e.subst[(paths[n, X, k], p)] = sf
     # identity arrows: substitution by the empty tuple is the identity
     for n in range(frame.height + 1):
         for X in frame.B[n]:
             hom = shoms[(n, X, ())]
-            sf = _sfunctor_of_bhom(hom, n, X, n, X, paths)
+            sf = _sfunctor_of_bhom(hom, n, X, n, X, paths, shapes)
             fill_terms(sf, hom, n)
             e.subst[(paths[n, X, 0], empty)] = sf
 
@@ -275,7 +324,7 @@ def b_to_e(bsys: BSystem) -> ESystem:
                 if prev is not None:
                     whoms[(n, X, k)] = compose_bhom(_weak_of(bsys, n, X), prev)
     for (n, X, k), hom in whoms.items():
-        sf = _sfunctor_of_bhom(hom, n - k, frame.ft_iter(n, X, k), n, X, paths)
+        sf = _sfunctor_of_bhom(hom, n - k, frame.ft_iter(n, X, k), n, X, paths, shapes)
         fill_terms(sf, hom, n - k)
         e.weak[paths[n, X, k]] = sf
 
@@ -723,8 +772,9 @@ def _pulled_section(a: CESystem, F: str, pi2: str, s: str | None, ident: str | N
     return found[0] if len(found) == 1 else None
 
 
-def _pullback_sfunctor(a: CESystem, f: str) -> SliceFunctorT:
-    """The functor f* on family slices, with its action on sections."""
+def _pullback_sfunctor(a: CESystem, f: str, mors: list[tuple[str, str, str]]) -> SliceFunctorT:
+    """The functor f* on family slices, with its action on sections;
+    ``mors`` is slice_mors(a.fam, cod f)."""
     base, fam = a.base, a.fam
     gamma, delta = base.cod(f), base.dom(f)
     sf = SliceFunctorT(source_apex=gamma, target_apex=delta)
@@ -732,7 +782,7 @@ def _pullback_sfunctor(a: CESystem, f: str) -> SliceFunctorT:
         entry = a.pb.get((f, A))
         if entry is not None:
             sf.obj_map[A] = entry[0]
-    for (P, B1, B) in slice_mors(fam, gamma):
+    for (P, B1, B) in mors:
         # P underlies the slice morphism B1 -> B, i.e. B . P = B1
         entry = a.pb.get((f, B))
         if entry is None:
@@ -758,19 +808,34 @@ def _pullback_sfunctor(a: CESystem, f: str) -> SliceFunctorT:
 
 
 def ce_to_e(a: CESystem) -> ESystem:
-    """Terms are sections; substitution and weakening are pullback functors."""
+    """Terms are sections; substitution and weakening are pullback functors.
+
+    The family slice over each apex is enumerated once per call and
+    every pullback functor along an arrow into that apex reads the same
+    list. That is complete: slice_mors(a.fam, Γ) depends only on Γ, and
+    nothing here changes a.fam. Each functor's tables are its own.
+    """
     fam = replace(a.fam, terminal=a.root, partial=a.fam.partial or a.base.partial)
     terms = {A: frozenset(_section_terms(a, A)) for A in fam.arrows}
     strat = stratify(fam)
     levels = dict(strat.level) if isinstance(strat, Stratification) else None
     e = ESystem(tc=TermCat(cat=fam, terms=terms), levels=levels)
+    slices: dict[str, list[tuple[str, str, str]]] = {}
+
+    def pullback(f: str) -> SliceFunctorT:
+        gamma = a.base.cod(f)
+        mors = slices.get(gamma)
+        if mors is None:
+            mors = slices[gamma] = slice_mors(a.fam, gamma)
+        return _pullback_sfunctor(a, f, mors)
+
     for A in fam.arrows:
         ia = a.ifun.get(A)
         if ia is None:
             continue
-        e.weak[A] = _pullback_sfunctor(a, ia)
+        e.weak[A] = pullback(ia)
         for x in terms[A]:
-            e.subst[(A, x)] = _pullback_sfunctor(a, x)
+            e.subst[(A, x)] = pullback(x)
         # identity term: the diagonal section of the pulled-back family
         entry = a.pb.get((ia, A))
         ident = a.base.identity.get(fam.dom(A))

@@ -42,6 +42,11 @@ weighs each by the morphism it belongs to (``cell_owners``).
 to: one whole restriction W_{!Γ}/!Γ per arrow A into Γ, to read the
 position of A.
 
+``ce_to_e_reference`` (with ``pullback_sfunctor_reference``) is
+``xlate.ce_to_e`` as it was before it enumerated each family slice once
+per call: every pullback functor enumerates the slice over its apex
+afresh.
+
 The next three are ``xlate.b_to_e``, ``c_to_ce`` and ``ce_to_c`` as they
 were before ``b_to_e`` packed each term tuple once and the pullback
 loops walked ``arrows_into``: every term tuple and its image is packed
@@ -180,6 +185,8 @@ from bcsys.report import Report, Truncated
 from bcsys.serialize import _LOADERS, VERSION, LoadError
 from bcsys.syntax import BindingSignature, RawExpr, _tele_id, enumerate_raw, shift, subst
 from bcsys.xlate import (
+    _pulled_section,
+    _section_terms,
     _tree_of_frame,
     _unique_arrow,
     ce2e_of_cehom,
@@ -913,6 +920,63 @@ def unit_ehom_reference(e: ESystem) -> EHom:
         functor=FunctorData(cat, ehat.cat, object_map, arrow_map),
         term_map=term_map,
     )
+
+
+def pullback_sfunctor_reference(a: CESystem, f: str) -> SliceFunctorT:
+    """The functor f* on family slices, with its action on sections."""
+    base, fam = a.base, a.fam
+    gamma, delta = base.cod(f), base.dom(f)
+    sf = SliceFunctorT(source_apex=gamma, target_apex=delta)
+    for A in fam.arrows_into(gamma):
+        entry = a.pb.get((f, A))
+        if entry is not None:
+            sf.obj_map[A] = entry[0]
+    for (P, B1, B) in slice_mors(fam, gamma):
+        # P underlies the slice morphism B1 -> B, i.e. B . P = B1
+        entry = a.pb.get((f, B))
+        if entry is None:
+            continue
+        fB, g = entry
+        inner = a.pb.get((g, P))
+        if inner is None:
+            continue
+        gP, pi2g = inner
+        if sf.obj_map.get(B1) is None or sf.obj_map.get(B) is None:
+            continue
+        sf.mor_map[(P, B1, B)] = gP
+        # sections transport through the universal property
+        table = {}
+        # read only where I(gP) is defined, so that gP is a family arrow
+        ident = base.identity.get(fam.cod(gP)) if gP in a.ifun else None
+        for x in _section_terms(a, P):
+            w = _pulled_section(a, gP, pi2g, base.compose.get((x, g)), ident)
+            if w is not None:
+                table[x] = w
+        sf.term_map[(P, B1, B)] = table
+    return sf
+
+
+def ce_to_e_reference(a: CESystem) -> ESystem:
+    """Terms are sections; substitution and weakening are pullback functors."""
+    fam = replace(a.fam, terminal=a.root, partial=a.fam.partial or a.base.partial)
+    terms = {A: frozenset(_section_terms(a, A)) for A in fam.arrows}
+    strat = stratify(fam)
+    levels = dict(strat.level) if isinstance(strat, Stratification) else None
+    e = ESystem(tc=TermCat(cat=fam, terms=terms), levels=levels)
+    for A in fam.arrows:
+        ia = a.ifun.get(A)
+        if ia is None:
+            continue
+        e.weak[A] = pullback_sfunctor_reference(a, ia)
+        for x in terms[A]:
+            e.subst[(A, x)] = pullback_sfunctor_reference(a, x)
+        # identity term: the diagonal section of the pulled-back family
+        entry = a.pb.get((ia, A))
+        ident = a.base.identity.get(fam.dom(A))
+        one = None if entry is None else _pulled_section(a, entry[0], entry[1], ident, ident)
+        if one is not None:
+            e.proj[A] = one
+    return e
 
 
 def sfunctor_of_bhom_reference(

@@ -17,6 +17,7 @@ from bcsys.bsys import (
     validate_bsystem_hom,
 )
 from bcsys.report import Report
+from bcsys.syntax import build_syntactic_bframe, parse_signature
 
 
 def test_finset_bframe_valid():
@@ -105,6 +106,32 @@ def test_hom_with_misplaced_term_image_fails():
     )
     rep = validate_bframe_hom(swapped)
     assert rep.laws["bd-natural"].violations
+
+
+@pytest.mark.parametrize("table, square", [("H", "ft-natural"), ("Ht", "bd-natural")])
+def test_image_outside_the_target_frame_fails_total(table, square):
+    # a weakening hom W_X : B/ft(X) -> B/X sends one entry at slice level 1
+    # to an element of the ambient level n + 1 outside its target slice:
+    # its naturality square is skipped and total fails it with its witness
+    sys = build_syntactic_bframe(parse_signature("type U; type El(tm)"), 3, 2)
+    levels = "B" if table == "H" else "Bt"
+    n, wx, outside = next(
+        (n, w, out)
+        for (n, _X), w in sorted(sys.weak.items())
+        if getattr(w, table).get(1)
+        for out in [sorted(getattr(sys.frame, levels)[n + 1] - getattr(w.target, levels)[1])]
+        if out
+    )
+    x = min(getattr(wx, table)[1])
+    clean = validate_bframe_hom(wx)
+    getattr(wx, table)[1][x] = outside[0]
+    rep = validate_bframe_hom(wx)
+    assert rep.laws[square].checked == clean.laws[square].checked
+    assert rep.laws[square].skipped == clean.laws[square].skipped + 1
+    assert (1, x, outside[0]) in [v.witness for v in rep.laws["total"].violations]
+    if table == "Ht":
+        whole = validate_bsystem(sys)
+        assert [v.witness for v in whole.laws["weak-hom:total"].violations] == [(1, x, outside[0])]
 
 
 def test_spec_subst_table_values():

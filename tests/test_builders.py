@@ -9,6 +9,7 @@ structures that way, field by field and table by table.
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import itertools
 from collections import Counter
@@ -16,9 +17,11 @@ from collections import Counter
 import pytest
 
 from bcsys import cesys, esys
+from bcsys.bsys import build_finset_bsystem
 from bcsys.cesys import _finsets_op, build_finset_cesystem
 from bcsys.esys import build_group_structure, build_nat_esystem, s3_table
 from bcsys.syntax import build_syntactic_bframe, parse_signature
+from bcsys.xlate import b_to_e, ce_to_e
 
 from helpers import finsets_op_cat
 from reference import (
@@ -148,3 +151,47 @@ def test_group_structure_tables_are_not_shared():
         if terms != getattr(fresh, name)[k].term_map[m]
     ]
     assert changed == [("subst", key, mor)]
+
+
+def term_tables(e) -> list[tuple[str, object, tuple, dict]]:
+    """(table, key, morphism, term table) of every functor of e."""
+    return [
+        (name, k, m, terms)
+        for name in ("subst", "weak")
+        for k, sf in getattr(e, name).items()
+        for m, terms in sf.term_map.items()
+    ]
+
+
+PRODUCERS = {
+    "b_to_e": lambda: b_to_e(build_finset_bsystem(5)),
+    "nat-e": lambda: build_nat_esystem(5),
+    "ce_to_e": lambda: ce_to_e(build_finset_cesystem(3)),
+}
+
+
+@pytest.mark.parametrize("deep", [False, True], ids=["built", "deepcopy"])
+@pytest.mark.parametrize("kind", sorted(PRODUCERS))
+def test_term_tables_are_not_shared(kind, deep):
+    """Each functor holds its own term tables, also where a producer
+    built one table for several functors: writing into the first holder
+    of a table or into a later one changes no other functor, and so on a
+    deep copy, which keeps any sharing there is."""
+    fresh = term_tables(PRODUCERS[kind]())
+    tables = term_tables(PRODUCERS[kind]())
+    assert len({id(terms) for *_, terms in tables}) == len(tables)
+    holders: dict[tuple, list[int]] = {}
+    for i, (*_, terms) in enumerate(tables):
+        if terms:
+            holders.setdefault(tuple(terms.items()), []).append(i)
+    shared = [held for held in holders.values() if len(held) > 1]
+    assert shared or kind == "ce_to_e"
+    for i in shared[0] if shared else next(iter(holders.values())):
+        e = PRODUCERS[kind]()
+        if deep:
+            e = copy.deepcopy(e)
+        tables = term_tables(e)
+        terms = tables[i][3]
+        terms[next(iter(terms))] = "damaged"
+        changed = [j for j, (*_, terms) in enumerate(tables) if terms != fresh[j][3]]
+        assert changed == [i]

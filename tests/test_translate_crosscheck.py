@@ -11,8 +11,13 @@ or retargeted.
 
 ``xlate.b_to_e``, ``c_to_ce`` and ``ce_to_c`` are checked the same way
 against their earlier bodies in ``reference.py``: on the built examples,
-on B-systems with Ht entries dropped or retargeted, and on C- and
-CE-systems with ft, proj, pb or ifun rows dropped. So are
+on B-systems with Ht entries dropped or retargeted or H entries
+dropped, and on C- and
+CE-systems with ft, proj, pb or ifun rows dropped. ``ce_to_e``, which
+enumerates each family slice once per call, must give every table of
+its earlier body in the same insertion order: on finset-ce, on
+``e_to_ce`` of the examples and of the syntactic B-systems, and on
+CE-systems with one pb or ifun row dropped. So are
 ``counit_cehom`` and ``cehom_of_ehom``, which read a base arrow's term
 from the names of its hom set where their earlier bodies decoded the
 arrow id, on damaged E-systems and CE-systems at heights 0 to 5.
@@ -25,7 +30,8 @@ in grand round trips and on damaged E-systems.
 The last tests pin how ids are made and read: no module of bcsys
 defines or reads a decoder of joined or packed ids (an AST check), and,
 counting calls, ``c_to_ce`` and ``b_to_e`` make each path id once,
-``e_to_ce`` enumerates each slice and plans each restriction once, and
+``e_to_ce`` enumerates each slice and plans each restriction once,
+``ce_to_e`` enumerates each family slice once, and
 the round-trip witnesses make each translation they compare once.
 """
 
@@ -47,14 +53,17 @@ from bcsys import core, esys, xlate
 from bcsys.bsys import build_finset_bsystem
 from bcsys.cesys import build_finset_cesystem
 from bcsys.core import FinCat
-from bcsys.esys import build_nat_esystem, internal_hom_cat, vertical_compose
+from bcsys.esys import ESystem, build_nat_esystem, internal_hom_cat, vertical_compose
 from bcsys.report import Truncated
 from bcsys.serialize import save_structure
+from bcsys.syntax import build_syntactic_bframe, parse_signature
 from bcsys.xlate import b_to_e, c_to_ce, ce_to_c, ce_to_e, cehom_of_ehom, e_to_ce
 
 import helpers
 from helpers import counit_of, unit_of
+from test_builders import assert_same
 from test_csys_cesys import non_rooted_cesystem
+from test_syntax import SYNTACTIC_PINS
 
 from reference import (
     adjunction_witnesses_reference,
@@ -62,6 +71,7 @@ from reference import (
     c_to_ce_reference,
     casce_comp_reference,
     ce_to_c_reference,
+    ce_to_e_reference,
     cehom_of_ehom_reference,
     counit_cehom_reference,
     e2b_of_ehom_reference,
@@ -552,6 +562,24 @@ def test_b_to_e_matches_reference_with_each_ht_entry_damaged(height, value):
     assert changed
 
 
+@pytest.mark.parametrize("height", [3, 4, 5])
+def test_b_to_e_matches_reference_with_each_h_entry_dropped(height):
+    """A dropped H entry leaves out the objects and slice morphisms of
+    the functor that read it; the slice morphisms out of a source frame
+    are listed once per call, whatever H holds."""
+    base = build_finset_bsystem(height)
+    whole = assert_b_to_e_matches(base)
+    changed = 0
+    for table in ("subst", "weak"):
+        for key, hom in sorted(getattr(base, table).items()):
+            for level, m in sorted(hom.H.items()):
+                for x in sorted(m):
+                    b = copy.deepcopy(base)
+                    del getattr(b, table)[key].H[level][x]
+                    changed += assert_b_to_e_matches(b) != whole
+    assert changed
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.data())
 def test_b_to_e_matches_reference_with_ht_entries_damaged(data):
@@ -620,6 +648,54 @@ def test_c_translations_match_reference_with_rows_dropped(data):
     assert_c_to_ce_matches(without(c, dropped(c_rows(c))))
     a = CE_BASES[data.draw(st.sampled_from(sorted(CE_BASES)))]
     assert_c_translations_match(without(a, dropped(ce_rows(a))))
+
+
+# ---------------------------------------------------------------------------
+# ce_to_e against its earlier body
+
+
+def assert_ce_to_e_matches(a) -> object:
+    """ce_to_e(a) holds the tables of its earlier body, each with the
+    same entries in the same insertion order, or both raise alike."""
+    got = outcome(ce_to_e, lambda e: e, a)
+    want = outcome(ce_to_e_reference, lambda e: e, a)
+    if isinstance(got, ESystem):
+        assert_same(got, want)
+    else:
+        assert got == want
+    return got
+
+
+def syntactic_cesystem(text: str, height: int):
+    return e_to_ce(b_to_e(build_syntactic_bframe(parse_signature(text), height, 2)))
+
+
+@pytest.mark.parametrize("height", range(1, 5))
+def test_ce_to_e_matches_reference_on_finset_ce(height):
+    e = assert_ce_to_e_matches(build_finset_cesystem(height))
+    assert any(sf.term_map for sf in e.subst.values())
+
+
+@pytest.mark.parametrize("height", range(2, 7))
+@pytest.mark.parametrize("kind", ["nat-e", "finset-b"])
+def test_ce_to_e_matches_reference_through_e_to_ce(kind, height):
+    assert isinstance(assert_ce_to_e_matches(e_to_ce(built(kind, height))), ESystem)
+
+
+@pytest.mark.parametrize("text, height", list(SYNTACTIC_PINS))
+def test_ce_to_e_matches_reference_on_syntactic_systems(text, height):
+    assert isinstance(assert_ce_to_e_matches(syntactic_cesystem(text, height)), ESystem)
+
+
+@pytest.mark.parametrize("kind", sorted(CE_BASES))
+def test_ce_to_e_matches_reference_with_each_row_dropped(kind):
+    base = CE_BASES[kind]
+    whole = assert_ce_to_e_matches(base)
+    changed = 0
+    for row in ce_rows(base):
+        got = assert_ce_to_e_matches(without(base, [row]))
+        changed += not isinstance(got, ESystem) or esystem_tables(got) != esystem_tables(whole)
+    assert changed
 
 
 # ---------------------------------------------------------------------------
@@ -989,6 +1065,21 @@ def test_e_to_ce_enumerates_each_slice_once(monkeypatch, kind, height):
     assert len(apexes) == len(set(apexes))
     assert len(planned) == len(set(planned)) > 0
     assert not restricted
+
+
+def test_ce_to_e_enumerates_each_family_slice_once(monkeypatch):
+    """slice_mors once per apex of the pullback functors ce_to_e builds,
+    over the whole call."""
+    a = build_finset_cesystem(3)
+    slices, pulled = [], []
+    counting(monkeypatch, (xlate,), "slice_mors", slices)
+    counting(monkeypatch, (xlate,), "_pullback_sfunctor", pulled)
+    ce_to_e(a)
+    apexes = [apex for _c, apex in slices]
+    assert all(c is a.fam for c, _apex in slices)
+    assert len(apexes) == len(set(apexes))
+    assert set(apexes) == {a.base.cod(f) for _a, f, _mors in pulled}
+    assert len(pulled) > len(apexes)
 
 
 @pytest.mark.parametrize("height", [3, 5])
