@@ -115,23 +115,20 @@ def test_image_outside_the_target_frame_fails_total(table, square):
     # its naturality square is skipped and total fails it with its witness
     sys = build_syntactic_bframe(parse_signature("type U; type El(tm)"), 3, 2)
     levels = "B" if table == "H" else "Bt"
-    n, wx, outside = next(
-        (n, w, out)
-        for (n, _X), w in sorted(sys.weak.items())
-        if getattr(w, table).get(1)
-        for out in [sorted(getattr(sys.frame, levels)[n + 1] - getattr(w.target, levels)[1])]
-        if out
-    )
-    x = min(getattr(wx, table)[1])
+    for (n, _X), wx in sorted(sys.weak.items()):
+        outside = getattr(sys.frame, levels)[n + 1] - getattr(wx.target, levels)[1]
+        if getattr(wx, table).get(1) and outside:
+            break
+    x, y = min(getattr(wx, table)[1]), min(outside)
     clean = validate_bframe_hom(wx)
-    getattr(wx, table)[1][x] = outside[0]
+    getattr(wx, table)[1][x] = y
     rep = validate_bframe_hom(wx)
     assert rep.laws[square].checked == clean.laws[square].checked
     assert rep.laws[square].skipped == clean.laws[square].skipped + 1
-    assert (1, x, outside[0]) in [v.witness for v in rep.laws["total"].violations]
+    assert (1, x, y) in [v.witness for v in rep.laws["total"].violations]
     if table == "Ht":
         whole = validate_bsystem(sys)
-        assert [v.witness for v in whole.laws["weak-hom:total"].violations] == [(1, x, outside[0])]
+        assert [v.witness for v in whole.laws["weak-hom:total"].violations] == [(1, x, y)]
 
 
 def test_spec_subst_table_values():

@@ -666,10 +666,6 @@ def assert_ce_to_e_matches(a) -> object:
     return got
 
 
-def syntactic_cesystem(text: str, height: int):
-    return e_to_ce(b_to_e(build_syntactic_bframe(parse_signature(text), height, 2)))
-
-
 @pytest.mark.parametrize("height", range(1, 5))
 def test_ce_to_e_matches_reference_on_finset_ce(height):
     e = assert_ce_to_e_matches(build_finset_cesystem(height))
@@ -684,7 +680,8 @@ def test_ce_to_e_matches_reference_through_e_to_ce(kind, height):
 
 @pytest.mark.parametrize("text, height", list(SYNTACTIC_PINS))
 def test_ce_to_e_matches_reference_on_syntactic_systems(text, height):
-    assert isinstance(assert_ce_to_e_matches(syntactic_cesystem(text, height)), ESystem)
+    b = build_syntactic_bframe(parse_signature(text), height, 2)
+    assert isinstance(assert_ce_to_e_matches(e_to_ce(b_to_e(b))), ESystem)
 
 
 @pytest.mark.parametrize("kind", sorted(CE_BASES))
