@@ -228,6 +228,11 @@ def _entries_at(table: dict[str, str], keys: frozenset[str]) -> dict[str, str]:
     return {y: table[y] for y in keys if y in table}
 
 
+def _maps_into(h: BFrameHom, n: int, X: str) -> bool:
+    """Does h send X, at level n, into h.target, so that restrict_bhom(h, n, X) exists?"""
+    return n < len(h.target.B) and h.H.get(n, {}).get(X) in h.target.B[n]
+
+
 def bhom_eq(f: BFrameHom, g: BFrameHom) -> tuple[list[tuple], int, int]:
     """Elementwise comparison on the common defined domain.
 
@@ -252,7 +257,10 @@ def check_preservation(
     own slice at level 0. A slice carries the ambient structure on the
     elements over its base, so each element of ``h.source`` at slice level
     k >= 1 is read in src at level k + n, and its image in tgt at level
-    k + m, only where the image lies in ``h.target``. The three are
+    k + m, only where the image lies in ``h.target``. A square is also
+    skipped where a base it restricts ``h`` to (bd(x) and ft(bd(x)), or
+    ft(X)) has an image outside ``h.target``: that slice of the target
+    does not exist, and ``total`` fails the entry. The three are
     checked in that order, each under ``law``, or without it under
     "preserve-sub", "preserve-weak" and "preserve-gen"; witnesses name
     slice levels. The commuting squares are compared elementwise on
@@ -276,7 +284,7 @@ def check_preservation(
             bdx = s.bd[k][x]
             ftbdx = s.ft[k][bdx]
             ty = image(tgt.subst, t.Bt, k, h.Ht.get(k, {}).get(x))
-            if ty is None or bdx not in h.H.get(k, {}) or ftbdx not in h.H.get(k - 1, {}):
+            if ty is None or not _maps_into(h, k, bdx) or not _maps_into(h, k - 1, ftbdx):
                 rep.skip(name)
                 continue
             lhs = compose_bhom(restrict_bhom(h, k - 1, ftbdx), sx)
@@ -291,7 +299,7 @@ def check_preservation(
             rep.tick(name)
             ftx = s.ft[k][X]
             ty = image(tgt.weak, t.B, k, h.H.get(k, {}).get(X))
-            if ty is None or ftx not in h.H.get(k - 1, {}):
+            if ty is None or not _maps_into(h, k - 1, ftx):
                 rep.skip(name)
                 continue
             lhs = compose_bhom(restrict_bhom(h, k, X), wx)
@@ -391,7 +399,7 @@ def validate_bsystem(sys: BSystem) -> Report:
         rep.tick("axiom-5")
         wx = sys.weak.get((n, X))
         sd = sys.subst.get((n + 1, d))
-        if wx is None or sd is None or X not in wx.H.get(1, {}):
+        if wx is None or sd is None or not _maps_into(wx, 1, X):
             rep.skip("axiom-5")
             continue
         composite = compose_bhom(sd, restrict_bhom(wx, 1, X))

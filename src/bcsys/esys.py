@@ -572,6 +572,10 @@ class _Slices:
     until the call returns, and a result depends on the four forms only
     (see composites_equal). A comparison with a scoped side goes to
     ``diffs`` and is dropped with that side's H.
+
+    ``walks`` holds, for each number, the result of the one walk
+    _ehom_parts made over the (P, Q) of a functor with that flat form:
+    the substitution and weakening families share it (see _ehom_parts).
     """
 
     def __init__(self, e: ESystem) -> None:
@@ -600,6 +604,8 @@ class _Slices:
         # (skipped, checked) -> the one witness-free triple held for it
         self.clean: dict[tuple[int, int], tuple[list[tuple], int, int]] = {}
         self._families: dict[int, dict] = {}
+        # number -> _ehom_walk's result for a functor with that form
+        self.walks: dict[int, _Walk] = {}
 
     def mors(self, apex: str) -> list[SliceMor]:
         """slice_mors(e.cat, apex), once per call."""
@@ -697,11 +703,55 @@ class _Slices:
         return F[0], G[1], itemgetter(*idx)(G[2]) if len(idx) > 1 else (G[2][idx[0]],)
 
 
+# One walk of _ehom_walk: (ticks, skips, witnesses) for each of the
+# three conditions, and the skips the three share.
+_Walk = tuple[tuple[tuple[int, int, list[tuple[tuple, str]]], ...], int]
+
+
 def _ehom_parts(slices: _Slices, H: SliceFunctorT, rep: Report, laws: tuple[str, str, str]) -> None:
     """The pre-E-homomorphism conditions for a slice functor H, entered
-    under laws[0], laws[1] and laws[2], in one walk over its (P, Q):
-    H commutes with substitution on slices of its source, H commutes
-    with weakening, and H preserves identity terms.
+    under laws[0], laws[1] and laws[2]: H commutes with substitution on
+    slices of its source, H commutes with weakening, and H preserves
+    identity terms.
+
+    Each condition's checks, skips and witnesses are entered once, at
+    the end, in the order of ``laws``, so a law that two conditions
+    share (e-axiom-1 for S_x) gets all the witnesses of the earlier one
+    before those of the later one, as when each condition had a walk of
+    its own.
+
+    The walk (_ehom_walk) runs once per flat-form number of the call
+    (_Slices.number), kept in ``slices.walks``; a later functor with the
+    same number enters the kept result under its own ``laws``, so one
+    walk serves a substitution and a weakening of the same form. A
+    functor with no number is walked every time. Completeness: equal
+    numbers mean the same flat form, cells included, so the same source
+    and target apexes and identical obj_map, mor_map and term_map (see
+    composites_equal). The walk reads nothing of H but these: the slice
+    objects P and Q come from H's source apex, the restrictions H/P and
+    H/(P∘Q), the images H(Q) and the term images come from its maps,
+    and the rest from the system's own tables. Every witness is prefixed
+    with slice data (P, Q) or (P, Q, y) over that source apex, never
+    with the functor's own key (A, x) or A. So the counts, the witnesses
+    and their order are those of a walk of the later functor.
+    """
+    n = slices.number(H)
+    walk = slices.walks.get(n)
+    if walk is None:
+        walk = _ehom_walk(slices, H)
+        if n is not None:
+            slices.walks[n] = walk
+    parts, shared = walk
+    for law, (ticks, skips, bad) in zip(laws, parts):
+        if ticks or skips or shared:
+            rep.tick(law, ticks)
+            rep.skip(law, skips + shared)
+        for w, detail in bad:
+            rep.fail(law, w, detail)
+
+
+def _ehom_walk(slices: _Slices, H: SliceFunctorT) -> _Walk:
+    """_ehom_parts's three conditions for H, in one walk over its (P, Q).
 
     Completeness: each condition is checked at a slice object Q over
     dom(P), for P a slice object over H's source apex, once the
@@ -709,12 +759,9 @@ def _ehom_parts(slices: _Slices, H: SliceFunctorT, rep: Report, laws: tuple[str,
     Where one is missing, the three conditions share the skip: that P,
     or that (P, Q), counts one skip under each law, as a walk per
     condition counts it. Past that, each condition reads only its own
-    tables and counts its own checks, skips and witnesses. They are
-    entered once, at the end, in the order of ``laws``. Each condition's
-    witnesses are in walk order, so a law that two conditions share
-    (e-axiom-1 for S_x) gets all the witnesses of the earlier one before
-    those of the later one, as when each condition had a walk of its
-    own. Comparisons are looked up by the numbers of their sides first.
+    tables and counts its own checks, skips and witnesses, each
+    condition's witnesses in walk order. Comparisons are looked up by
+    the numbers of their sides first.
     """
     e = slices.e
     cat = e.cat
@@ -778,12 +825,7 @@ def _ehom_parts(slices: _Slices, H: SliceFunctorT, rep: Report, laws: tuple[str,
             elif act[oneQ] != onei:
                 proj_bad.append(((P, Q), f"H(1) = {act[oneQ]!r}, expected {onei!r}"))
     parts = (sub_ticks, sub_skips, sub_bad), (weak_ticks, weak_skips, weak_bad), (proj_ticks, proj_skips, proj_bad)
-    for law, (ticks, skips, bad) in zip(laws, parts):
-        if ticks or skips or shared:
-            rep.tick(law, ticks)
-            rep.skip(law, skips + shared)
-        for w, detail in bad:
-            rep.fail(law, w, detail)
+    return parts, shared
 
 
 # ---------------------------------------------------------------------------
@@ -825,13 +867,36 @@ def validate_esystem(e: ESystem) -> Report:
     Failures carry witnesses; instances that fall outside the truncation
     are skipped and counted. A missing terminal object is reported as
     absent structure, distinct from any failed equation.
+
+    Each per-functor walk runs once per flat-form number of the call
+    (_Slices.number) and is replayed for the later functors with that
+    number: validate_sfunctor per (number, law), into a scratch report
+    merged into the result; _ehom_parts per number (see there); the
+    stratification check per number, its failing objects tagged with
+    each functor's own key. Completeness: equal numbers mean the same
+    apexes and identical obj_map, mor_map and term_map, which is all
+    that these walks read of a functor, and validate_sfunctor's
+    witnesses name entries of those maps only. A functor with no number
+    is walked as it comes. Nothing is kept past the call.
     """
     rep = Report()
     rep.merge(validate_fincat(e.cat), prefix="cat:")
     cat = e.cat
     slices = _Slices(e)
+    subst, weak = slices.numbered(e.subst), slices.numbered(e.weak)
     for law in E_LAWS:
         rep.law(law)
+    # (number, law) -> validate_sfunctor's report on a functor of that form
+    sfunctor_parts: dict[tuple[int, str], Report] = {}
+
+    def sfunctor_laws(F: SliceFunctorT, n: int | None, law: str) -> None:
+        part = sfunctor_parts.get((n, law))
+        if part is None:
+            part = Report()
+            validate_sfunctor(e, F, part, law)
+            if n is not None:
+                sfunctor_parts[(n, law)] = part
+        rep.merge(part)
 
     for a in sorted(e.tc.terms):
         rep.tick("terms")
@@ -849,14 +914,15 @@ def validate_esystem(e: ESystem) -> Report:
     for A in arrows:
         for x in sorted(e.T(A)):
             rep.tick("coverage")
-            sx = e.subst.get((A, x))
-            if sx is None:
+            hit = subst.get((A, x))
+            if hit is None:
                 if cat.partial:
                     rep.skip("coverage")
                 else:
                     rep.fail("coverage", (A, x), "missing substitution functor")
                 continue
-            validate_sfunctor(e, sx, rep, "subst-functor")
+            sx, n = hit
+            sfunctor_laws(sx, n, "subst-functor")
             rep.tick("subst-functor")
             ids, idt = cat.identity.get(cat.dom(A)), cat.identity.get(cat.cod(A))
             if ids is None or idt is None:
@@ -865,14 +931,15 @@ def validate_esystem(e: ESystem) -> Report:
             if sx.obj_map.get(ids) != idt:
                 rep.fail("subst-functor", (A, x), "S_x(id) != id")
         rep.tick("coverage")
-        wa = e.weak.get(A)
-        if wa is None:
+        hit = weak.get(A)
+        if hit is None:
             if cat.partial:
                 rep.skip("coverage")
             else:
                 rep.fail("coverage", (A,), "missing weakening functor")
             continue
-        validate_sfunctor(e, wa, rep, "weak-functor")
+        wa, n = hit
+        sfunctor_laws(wa, n, "weak-functor")
         rep.tick("weak-functor")
         ids, idt = cat.identity.get(cat.cod(A)), cat.identity.get(cat.dom(A))
         if ids is None or idt is None:
@@ -962,11 +1029,14 @@ def validate_esystem(e: ESystem) -> Report:
         rep.record("e-axiom-5", diff, (A,))
 
     if e.levels is not None:
-        _check_stratified(e, rep)
+        _check_stratified(e, rep, subst, weak)
     return rep
 
 
-def _check_stratified(e: ESystem, rep: Report) -> None:
+def _check_stratified(e: ESystem, rep: Report, subst: dict, weak: dict) -> None:
+    """The stratification laws; ``subst`` and ``weak`` are the numbered
+    families (_Slices.numbered). A functor's levels are read once per
+    number, and its failing objects are entered under its own tag."""
     cat = e.cat
     lv = e.levels
     for x in sorted(cat.objects):
@@ -992,20 +1062,36 @@ def _check_stratified(e: ESystem, rep: Report) -> None:
         a = cat.arrows.get(q)
         return None if a is None else lv.get(a.dom)
 
-    def functor_level_ok(F: SliceFunctorT, tag: tuple) -> None:
-        off_s = lv.get(F.source_apex)
-        off_t = lv.get(F.target_apex)
-        for q, q1 in sorted(F.obj_map.items()):
-            rep.tick("stratified")
-            d, d1 = level(q), level(q1)
-            if d is None or d1 is None or off_s is None or off_t is None:
-                rep.skip("stratified")
-            elif d - off_s != d1 - off_t:
-                rep.fail("stratified", tag + (q,), "slice functor not stratified")
-    for (A, x), sx in sorted(e.subst.items()):
-        functor_level_ok(sx, ("S", A, x))
-    for A, wa in sorted(e.weak.items()):
-        functor_level_ok(wa, ("W", A))
+    # number -> (ticks, skips, failing objects): a walk reads only F's
+    # apexes and obj_map
+    walks: dict[int, tuple[int, int, list[str]]] = {}
+
+    def functor_level_ok(F: SliceFunctorT, n: int | None, tag: tuple) -> None:
+        walk = walks.get(n)
+        if walk is None:
+            off_s = lv.get(F.source_apex)
+            off_t = lv.get(F.target_apex)
+            skips = 0
+            bad = []
+            for q, q1 in sorted(F.obj_map.items()):
+                d, d1 = level(q), level(q1)
+                if d is None or d1 is None or off_s is None or off_t is None:
+                    skips += 1
+                elif d - off_s != d1 - off_t:
+                    bad.append(q)
+            walk = len(F.obj_map), skips, bad
+            if n is not None:
+                walks[n] = walk
+        ticks, skips, bad = walk
+        if ticks:
+            rep.tick("stratified", ticks)
+            rep.skip("stratified", skips)
+        for q in bad:
+            rep.fail("stratified", tag + (q,), "slice functor not stratified")
+    for (A, x), (sx, n) in sorted(subst.items()):
+        functor_level_ok(sx, n, ("S", A, x))
+    for A, (wa, n) in sorted(weak.items()):
+        functor_level_ok(wa, n, ("W", A))
 
 
 # ---------------------------------------------------------------------------

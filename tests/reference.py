@@ -33,6 +33,12 @@ identity check skips it (the endpoint check fails it), and a
 restriction at P whose image F(P) is no arrow raises Truncated, which
 counts as a skip, as ``restrict_sf`` returns None there.
 
+``validate_esystem_reference`` is ``esys.validate_esystem`` as it was
+before each per-functor walk ran once per flat-form number: every
+substitution and weakening gets its own ``validate_sfunctor``,
+``_ehom_walk`` and stratification walk, entered on the report as it is
+met.
+
 ``one_sided_reference`` is ``esys._one_sided`` as it was before it
 skipped the term slots of a morphism present on one side only: it walks
 every differing position of the two flat forms, slots included, and
@@ -154,14 +160,18 @@ from bcsys.core import (
     slice_mors,
     stratify,
     triangle_id,
+    validate_fincat,
 )
 from bcsys.csys import CSystem
 from bcsys.esys import (
+    E_LAWS,
     EHom,
     ESystem,
     SliceFunctorT,
     TermCat,
+    _ehom_walk,
     _ginv,
+    _Slices,
     _substitute_u,
     _substitute_x,
     compose_ehom,
@@ -170,6 +180,8 @@ from bcsys.esys import (
     fn_term,
     hom_terms_of,
     identity_ehom,
+    check_identity_terms,
+    composites_equal,
     ih_arrow,
     nat_arrow,
     nat_poset_cat,
@@ -180,6 +192,7 @@ from bcsys.esys import (
     term_action_at,
     term_extension,
     validate_ehom,
+    validate_sfunctor,
 )
 from bcsys.report import Report, Truncated
 from bcsys.serialize import _LOADERS, VERSION, LoadError
@@ -544,6 +557,190 @@ def ehom_part_reference(e: ESystem, H: SliceFunctorT, part: str, rep: Report, la
                     rep.skip(law)
                 elif act[oneQ] != onei:
                     rep.fail(law, (P, Q), f"H(1) = {act[oneQ]!r}, expected {onei!r}")
+
+
+def validate_esystem_reference(e: ESystem) -> Report:
+    """Check every law of an E-system, reporting each one separately."""
+    rep = Report()
+    rep.merge(validate_fincat(e.cat), prefix="cat:")
+    cat = e.cat
+    slices = _Slices(e)
+    for law in E_LAWS:
+        rep.law(law)
+
+    for a in sorted(e.tc.terms):
+        rep.tick("terms")
+        if a not in cat.arrows:
+            rep.fail("terms", (a,), "term set on a non-arrow")
+
+    if cat.terminal is None:
+        rep.miss("terminal", "no chosen terminal object")
+    else:
+        rep.tick("terminal")
+
+    arrows = sorted(cat.arrows)
+
+    for A in arrows:
+        for x in sorted(e.T(A)):
+            rep.tick("coverage")
+            sx = e.subst.get((A, x))
+            if sx is None:
+                if cat.partial:
+                    rep.skip("coverage")
+                else:
+                    rep.fail("coverage", (A, x), "missing substitution functor")
+                continue
+            validate_sfunctor(e, sx, rep, "subst-functor")
+            rep.tick("subst-functor")
+            ids, idt = cat.identity.get(cat.dom(A)), cat.identity.get(cat.cod(A))
+            if ids is None or idt is None:
+                rep.skip("subst-functor")
+                continue
+            if sx.obj_map.get(ids) != idt:
+                rep.fail("subst-functor", (A, x), "S_x(id) != id")
+        rep.tick("coverage")
+        wa = e.weak.get(A)
+        if wa is None:
+            if cat.partial:
+                rep.skip("coverage")
+            else:
+                rep.fail("coverage", (A,), "missing weakening functor")
+            continue
+        validate_sfunctor(e, wa, rep, "weak-functor")
+        rep.tick("weak-functor")
+        ids, idt = cat.identity.get(cat.cod(A)), cat.identity.get(cat.dom(A))
+        if ids is None or idt is None:
+            rep.skip("weak-functor")
+        elif wa.obj_map.get(ids) != idt:
+            rep.fail("weak-functor", (A,), "W_A does not preserve the slice terminal")
+        rep.tick("coverage")
+        if A not in e.proj:
+            if wa.obj_map.get(A) is not None and not cat.partial:
+                rep.fail("coverage", (A,), "missing identity term")
+            else:
+                rep.skip("coverage")
+    check_identity_terms(e, rep)
+
+    for X in sorted(cat.objects):
+        rep.tick("weak-functor")
+        wid = e.weak.get(cat.identity.get(X))
+        if wid is None:
+            rep.skip("weak-functor")
+            continue
+        diff = composites_equal(wid, None, slices.identity(X), None, slices)
+        rep.record("weak-functor", diff, (X,), "W_id != id")
+    for A in arrows:
+        for P in cat.arrows_into(cat.dom(A)):
+            rep.tick("weak-functor")
+            AP = cat.compose.get((A, P))
+            wa, wp = e.weak.get(A), e.weak.get(P)
+            wap = e.weak.get(AP) if AP is not None else None
+            if wa is None or wp is None or wap is None:
+                rep.skip("weak-functor")
+                continue
+            diff = composites_equal(wap, None, wp, wa, slices)
+            rep.record("weak-functor", diff, (A, P), "W_{A.P} != W_P . W_A")
+
+    def ehom_parts(H: SliceFunctorT, laws: tuple[str, str, str]) -> None:
+        parts, shared = _ehom_walk(slices, H)
+        for law, (ticks, skips, bad) in zip(laws, parts):
+            if ticks or skips or shared:
+                rep.tick(law, ticks)
+                rep.skip(law, skips + shared)
+            for w, detail in bad:
+                rep.fail(law, w, detail)
+
+    for (A, x), sx in sorted(e.subst.items()):
+        ehom_parts(sx, ("subst-system", "e-axiom-1", "e-axiom-1"))
+    for A, wa in sorted(e.weak.items()):
+        ehom_parts(wa, ("e-axiom-2", "weak-system", "proj-system"))
+
+    for (A, x), sx in sorted(e.subst.items()):
+        rep.tick("e-axiom-3")
+        wa = e.weak.get(A)
+        if wa is None:
+            rep.skip("e-axiom-3")
+            continue
+        diff = composites_equal(sx, wa, slices.identity(cat.cod(A)), None, slices)
+        rep.record("e-axiom-3", diff, (A, x))
+
+    for (A, x), sx in sorted(e.subst.items()):
+        rep.tick("e-axiom-4")
+        wa = e.weak.get(A)
+        one = e.proj.get(A)
+        u = wa.obj_map.get(A) if wa is not None else None
+        if one is None or u is None:
+            rep.skip("e-axiom-4")
+            continue
+        act = term_action_at(e, sx, u)
+        if act is None or one not in act:
+            rep.skip("e-axiom-4")
+            continue
+        if act[one] != x:
+            rep.fail("e-axiom-4", (A, x), f"S_x(1_A) = {act[one]!r}")
+
+    for A in arrows:
+        rep.tick("e-axiom-5")
+        wa = e.weak.get(A)
+        one = e.proj.get(A)
+        if wa is None or one is None:
+            rep.skip("e-axiom-5")
+            continue
+        u = wa.obj_map.get(A)
+        s1 = e.subst.get((u, one)) if u is not None else None
+        if s1 is None:
+            rep.skip("e-axiom-5")
+            continue
+        waa = slices.restrict(wa, A)
+        if waa is None:
+            rep.skip("e-axiom-5")
+            continue
+        diff = composites_equal(s1, waa, slices.identity(cat.dom(A)), None, slices)
+        rep.record("e-axiom-5", diff, (A,))
+
+    if e.levels is not None:
+        _check_stratified_reference(e, rep)
+    return rep
+
+
+def _check_stratified_reference(e: ESystem, rep: Report) -> None:
+    cat = e.cat
+    lv = e.levels
+    for x in sorted(cat.objects):
+        rep.tick("stratified")
+        if x not in lv:
+            rep.fail("stratified", (x,), "object has no level")
+    if cat.terminal is not None and lv.get(cat.terminal) != 0:
+        rep.fail("stratified", (cat.terminal,), "terminal not at level 0")
+    for a in sorted(cat.arrows):
+        rep.tick("stratified")
+        d, c = lv.get(cat.dom(a)), lv.get(cat.cod(a))
+        if d is None or c is None:
+            rep.skip("stratified")
+            continue
+        if d < c:
+            rep.fail("stratified", (a,), "arrow raises level")
+        if d == c and not cat.is_id(a):
+            rep.fail("stratified", (a,), "level-preserving non-identity arrow")
+
+    def level(q: str) -> int | None:
+        a = cat.arrows.get(q)
+        return None if a is None else lv.get(a.dom)
+
+    def functor_level_ok(F: SliceFunctorT, tag: tuple) -> None:
+        off_s = lv.get(F.source_apex)
+        off_t = lv.get(F.target_apex)
+        for q, q1 in sorted(F.obj_map.items()):
+            rep.tick("stratified")
+            d, d1 = level(q), level(q1)
+            if d is None or d1 is None or off_s is None or off_t is None:
+                rep.skip("stratified")
+            elif d - off_s != d1 - off_t:
+                rep.fail("stratified", tag + (q,), "slice functor not stratified")
+    for (A, x), sx in sorted(e.subst.items()):
+        functor_level_ok(sx, ("S", A, x))
+    for A, wa in sorted(e.weak.items()):
+        functor_level_ok(wa, ("W", A))
 
 
 def cell_owners(cells) -> list[int]:

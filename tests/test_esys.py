@@ -10,6 +10,7 @@ from hypothesis import given, settings
 
 from bcsys import esys
 from bcsys.bsys import build_finset_bsystem
+from bcsys.cesys import build_finset_cesystem
 from bcsys.core import (
     Arrow,
     FinCat,
@@ -45,7 +46,7 @@ from bcsys.esys import (
     vertical_compose,
 )
 from bcsys.report import Report, Truncated
-from bcsys.xlate import b_to_e
+from bcsys.xlate import b_to_e, ce_to_e
 
 from ehom_pins import PINS
 from helpers import parse_path_id, split_ids, unpack_ids, violations
@@ -58,6 +59,7 @@ from reference import (
     one_sided_reference,
     precompose,
     restrict_sf_reference,
+    validate_esystem_reference,
     validate_sfunctor_reference,
 )
 
@@ -1317,6 +1319,115 @@ def test_tallied_laws_match_reference_on_damaged_systems(tallies):
     # maps that fail their containment tests are walked entry by entry
     for detail in ("object map endpoints wrong", "term map key not a term", "term image outside target term set"):
         assert tallies[detail], detail
+
+
+# ---------------------------------------------------------------------------
+# one walk per flat-form number in validate_esystem
+
+_REFERENCE_SITES = {
+    "group-s3": lambda: build_group_structure(*s3_table()),
+    **{f"nat-e-h{h}": lambda h=h: build_nat_esystem(h) for h in range(7)},
+    **{f"b2e-finset-b-h{h}": lambda h=h: b_to_e(build_finset_bsystem(h)) for h in range(7)},
+    **{f"ce2e-finset-ce-h{h}": lambda h=h: ce_to_e(build_finset_cesystem(h)) for h in (1, 2, 3)},
+}
+
+
+def _same_as_reference(e):
+    got, want = validate_esystem(e), validate_esystem_reference(e)
+    assert list(got.laws.items()) == list(want.laws.items())
+    return got
+
+
+@pytest.mark.parametrize("make", list(_REFERENCE_SITES.values()), ids=list(_REFERENCE_SITES))
+def test_validate_esystem_matches_reference(make):
+    """Every law, its counts and its full violation list, in order."""
+    _same_as_reference(make())
+
+
+def test_validate_esystem_matches_reference_on_damaged_systems():
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(_damaged_systems())
+    def run(e):
+        _same_as_reference(e)
+
+    run()
+
+
+@pytest.fixture
+def walks(monkeypatch):
+    """The number of each functor _ehom_walk walks, with its result, and
+    each (number, law) validate_sfunctor runs on, in call order."""
+    seen = {"ehom": [], "sfunctor": []}
+    real_walk, real_sfunctor = esys._ehom_walk, esys.validate_sfunctor
+    numbering: dict[int, esys._Slices] = {}  # id(e) -> one _Slices for the test
+
+    def walk(slices, H):
+        out = real_walk(slices, H)
+        seen["ehom"].append((slices.number(H), out))
+        return out
+
+    def sfunctor(e, F, rep, law):
+        if id(e) not in numbering:
+            numbering[id(e)] = esys._Slices(e)
+        seen["sfunctor"].append((numbering[id(e)].number(F), law))
+        real_sfunctor(e, F, rep, law)
+
+    monkeypatch.setattr(esys, "_ehom_walk", walk)
+    monkeypatch.setattr(esys, "validate_sfunctor", sfunctor)
+    return seen
+
+
+def _forms(e):
+    """The number of each substitution and weakening of e, in one _Slices."""
+    slices = esys._Slices(e)
+    return {("S",) + key: slices.number(F) for key, F in e.subst.items()} | {
+        ("W", key): slices.number(F) for key, F in e.weak.items()
+    }
+
+
+@pytest.mark.parametrize("make, expected", [
+    (lambda: build_group_structure(*s3_table()), 6),
+    (lambda: build_nat_esystem(4), 22),
+], ids=["group-s3", "nat-e-h4"])
+def test_each_distinct_form_is_walked_once(walks, make, expected):
+    """group-s3's 36 substitutions and 6 weakenings have 6 forms; nat-e
+    h4's 32 functors have 22. A memo keyed by the functor object, or none,
+    walks every functor."""
+    e = make()
+    forms = _forms(e)
+    validate_esystem(e)
+    walked = [n for n, _out in walks["ehom"]]
+    assert len(walked) == len(set(walked)) == len(set(forms.values())) == expected < len(forms)
+    # one validate_sfunctor per (form, family's law); a number is local to
+    # its _Slices, so the counts, not the values, compare
+    keys = {(n, key[0]) for key, n in forms.items()}
+    assert len(walks["sfunctor"]) == len(set(walks["sfunctor"])) == len(keys)
+
+
+def test_a_damaged_functor_gets_its_own_walk_and_its_form_replays_witnesses(walks):
+    """One substitution of group-s3, in a form six other functors share,
+    with one term image changed to another term: it gets a form and a
+    walk of its own, and the six others still share one walk. The
+    substitution-system witnesses its damage causes are walked once per
+    form and entered for every functor of that form."""
+    e = build_group_structure(*s3_table())
+    key = sorted(e.subst)[7]
+    before = _forms(e)
+    group = [k for k, n in before.items() if n == before[("S",) + key] and k != ("S",) + key]
+    assert len(group) == 6
+    F = _copy_sf(e.subst[key])
+    m = sorted(F.term_map)[0]
+    t = sorted(F.term_map[m])[0]
+    F.term_map[m][t] = sorted(e.T(F.mor_map[m]) - {F.term_map[m][t]})[0]
+    damaged = dataclasses.replace(e, subst={**e.subst, key: F})
+    forms = _forms(damaged)
+    assert list(forms.values()).count(forms[("S",) + key]) == 1
+    assert len({forms[k] for k in group}) == 1
+    assert list(forms.values()).count(forms[group[0]]) == 6
+    rep = _same_as_reference(damaged)
+    assert len(walks["ehom"]) == len(set(forms.values())) == 7
+    walked_witnesses = sum(len(parts[0][2]) for _n, (parts, _shared) in walks["ehom"])
+    assert 0 < walked_witnesses < len(rep.laws["subst-system"].violations)
 
 
 def test_equal_tuples_over_different_cells_get_different_numbers():
