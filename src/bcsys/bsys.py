@@ -148,47 +148,75 @@ def validate_bframe_hom(h: BFrameHom) -> Report:
 
     An image outside the target frame has no side there: its square is
     skipped, and ``total`` fails it with its witness.
+
+    Each law is tested a level at a time on whole maps, and only a level
+    whose test fails is walked, in sorted order, for its skips and
+    witnesses. No table is keyed by None, so a missing image reads as
+    None on both paths, and an entry is skipped or fails exactly where
+    the whole test does not hold there:
+
+    - ft-natural on B_n: the gathered t.ft(H X) equal the gathered
+      H(s.ft X), both read with ``.get``, and none is None (X is skipped
+      iff a side is None, and fails iff the sides differ); bd-natural
+      likewise on B~_n, with Ht and bd;
+    - total: the target level contains every gathered image (an entry is
+      skipped iff its image is None, which no level contains, and fails
+      iff its image lies outside).
+
+    Checks, skips and witnesses are entered once per law, the laws in the
+    order the walk first meets them.
     """
-    rep = Report()
+    s, t, H, Ht = h.source, h.target, h.H, h.Ht
+    laws: dict[str, list] = {}  # law -> [checked, skipped, (witness, detail)s]
+
+    def natural(law: str, n: int, keys, img: dict, t_map: dict, s_map: dict, lower: dict) -> None:
+        """The squares t_map(img k) = lower(s_map k) for k in keys, at level n."""
+        if keys:
+            tally = laws.setdefault(law, [0, 0, []])
+            tally[0] += len(keys)
+            lhs = list(map(t_map.get, map(img.get, keys)))
+            if None in lhs or lhs != list(map(lower.get, map(s_map.__getitem__, keys))):
+                for k in sorted(keys):
+                    a, b = t_map.get(img.get(k)), lower.get(s_map[k])
+                    if a is None or b is None:
+                        tally[1] += 1
+                    elif a != b:
+                        tally[2].append(((n, k), ""))
+
+    def total(n: int, keys, img: dict, level: frozenset[str], detail: str) -> None:
+        if keys:
+            tally = laws.setdefault("total", [0, 0, []])
+            tally[0] += len(keys)
+            if not all(map(level.__contains__, map(img.get, keys))):
+                for k in sorted(keys):
+                    y = img.get(k)
+                    if y is None:
+                        tally[1] += 1
+                    elif y not in level:
+                        tally[2].append(((n, k, y), detail))
+
     top = h.common_height
     for n in range(1, top + 1):
-        for X in sorted(h.source.B[n]):
-            rep.tick("ft-natural")
-            hx = h.H.get(n, {}).get(X)
-            hft = h.H.get(n - 1, {}).get(h.source.ft[n][X])
-            tft = None if hx is None else h.target.ft[n].get(hx)
-            if tft is None or hft is None:
-                rep.skip("ft-natural")
-                continue
-            if tft != hft:
-                rep.fail("ft-natural", (n, X))
-        for x in sorted(h.source.Bt[n]):
-            rep.tick("bd-natural")
-            hx = h.Ht.get(n, {}).get(x)
-            hb = h.H.get(n, {}).get(h.source.bd[n][x])
-            tbd = None if hx is None else h.target.bd[n].get(hx)
-            if tbd is None or hb is None:
-                rep.skip("bd-natural")
-                continue
-            if tbd != hb:
-                rep.fail("bd-natural", (n, x))
+        natural("ft-natural", n, s.B[n], H.get(n, {}), t.ft[n], s.ft[n], H.get(n - 1, {}))
+        natural("bd-natural", n, s.Bt[n], Ht.get(n, {}), t.bd[n], s.bd[n], H.get(n, {}))
     for n in range(0, top + 1):
-        for X in sorted(h.source.B[n]):
-            rep.tick("total")
-            y = h.H.get(n, {}).get(X)
-            if y is None:
-                rep.skip("total")
-            elif y not in h.target.B[n]:
-                rep.fail("total", (n, X, y), "image outside target level")
+        total(n, s.B[n], H.get(n, {}), t.B[n], "image outside target level")
         if n >= 1:
-            for x in sorted(h.source.Bt[n]):
-                rep.tick("total")
-                y = h.Ht.get(n, {}).get(x)
-                if y is None:
-                    rep.skip("total")
-                elif y not in h.target.Bt[n]:
-                    rep.fail("total", (n, x, y), "term image outside target level")
+            total(n, s.Bt[n], Ht.get(n, {}), t.Bt[n], "term image outside target level")
+    rep = Report()
+    for law, tally in laws.items():
+        _enter(rep, law, *tally)
     return rep
+
+
+def _enter(rep: Report, law: str, checked: int, skipped: int, failures: list[tuple[tuple, str]]) -> None:
+    """Enter a walk's tally of ``law`` once: its checks, skips and (witness,
+    detail) failures, in the order met. A law with no instance is not entered."""
+    if checked:
+        rep.tick(law, checked)
+        rep.skip(law, skipped)
+        for witness, detail in failures:
+            rep.fail(law, witness, detail)
 
 
 def bhom_identity(b: BFrame) -> BFrameHom:
@@ -266,59 +294,80 @@ def check_preservation(
     slice levels. The commuting squares are compared elementwise on
     maximal common domains; instances whose data is missing on either
     side count as skipped.
+
+    Each restriction h/Y is made once per call and read by every square
+    over Y: it depends only on h and (k, Y), and no table changes while
+    the call runs. Nothing is kept after it, as tests damage B tables in
+    place. Each of the three is entered on ``rep`` once, after its walk,
+    with the counts and witnesses the walk tallied.
     """
     n, m = at
     s, t = h.source, h.target
+    restricted: dict[tuple[int, str], BFrameHom] = {}
+
+    def restrict(k: int, Y: str) -> BFrameHom:
+        r = restricted.get((k, Y))
+        if r is None:
+            r = restricted[k, Y] = restrict_bhom(h, k, Y)
+        return r
 
     def image(table: dict, levels: tuple, k: int, y: str | None):
         """tgt's entry in ``table`` for y at slice level k, if y lies there in h.target."""
         return table.get((k + m, y)) if k < len(levels) and y in levels[k] else None
 
     name = law or "preserve-sub"
+    checked = skipped = 0
+    failures: list[tuple[tuple, str]] = []
     for k in range(1, s.height + 1):
         for x in sorted(s.Bt[k]):
             sx = src.subst.get((k + n, x))
             if sx is None:
                 continue
-            rep.tick(name)
+            checked += 1
             bdx = s.bd[k][x]
             ftbdx = s.ft[k][bdx]
             ty = image(tgt.subst, t.Bt, k, h.Ht.get(k, {}).get(x))
             if ty is None or not _maps_into(h, k, bdx) or not _maps_into(h, k - 1, ftbdx):
-                rep.skip(name)
+                skipped += 1
                 continue
-            lhs = compose_bhom(restrict_bhom(h, k - 1, ftbdx), sx)
-            rhs = compose_bhom(ty, restrict_bhom(h, k, bdx))
-            rep.record(name, bhom_eq(lhs, rhs), (k, x))
+            diff, missing, _ = bhom_eq(compose_bhom(restrict(k - 1, ftbdx), sx), compose_bhom(ty, restrict(k, bdx)))
+            skipped += missing
+            failures += [((k, x) + w, "") for w in diff]
+    _enter(rep, name, checked, skipped, failures)
     name = law or "preserve-weak"
+    checked = skipped = 0
+    failures = []
     for k in range(1, s.height + 1):
         for X in sorted(s.B[k]):
             wx = src.weak.get((k + n, X))
             if wx is None:
                 continue
-            rep.tick(name)
+            checked += 1
             ftx = s.ft[k][X]
             ty = image(tgt.weak, t.B, k, h.H.get(k, {}).get(X))
             if ty is None or not _maps_into(h, k - 1, ftx):
-                rep.skip(name)
+                skipped += 1
                 continue
-            lhs = compose_bhom(restrict_bhom(h, k, X), wx)
-            rhs = compose_bhom(ty, restrict_bhom(h, k - 1, ftx))
-            rep.record(name, bhom_eq(lhs, rhs), (k, X))
+            diff, missing, _ = bhom_eq(compose_bhom(restrict(k, X), wx), compose_bhom(ty, restrict(k - 1, ftx)))
+            skipped += missing
+            failures += [((k, X) + w, "") for w in diff]
+    _enter(rep, name, checked, skipped, failures)
     name = law or "preserve-gen"
+    checked = skipped = 0
+    failures = []
     for k in range(1, s.height + 1):
         for X in sorted(s.B[k]):
             d = src.gen.get((k + n, X))
             if d is None:
                 continue
-            rep.tick(name)
+            checked += 1
             dx = image(tgt.gen, t.B, k, h.H.get(k, {}).get(X))
             dimg = h.Ht.get(k + 1, {}).get(d)
             if dx is None or dimg is None:
-                rep.skip(name)
-                continue
-            if dx != dimg:
-                rep.fail(name, (k, X), f"H(delta) = {dimg!r}, delta(H) = {dx!r}")
+                skipped += 1
+            elif dx != dimg:
+                failures.append(((k, X), f"H(delta) = {dimg!r}, delta(H) = {dx!r}"))
+    _enter(rep, name, checked, skipped, failures)
 
 
 def validate_bsystem(sys: BSystem) -> Report:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import attrgetter, itemgetter
 
 from .report import Report, Truncated
 
@@ -618,52 +618,95 @@ def slice_category(c: FinCat, apex: str, mors: list[tuple[str, str, str]]) -> Sl
 # functors
 
 
+_DOM, _COD = attrgetter("dom"), attrgetter("cod")
+_FIRST, _SECOND = itemgetter(0), itemgetter(1)
+
+
 def validate_functor(fd: FunctorData) -> Report:
-    """Check functor laws exhaustively."""
+    """Check functor laws exhaustively.
+
+    Each law is first tested on whole maps, in C-level passes over the
+    source's objects, arrows or composites, and walked entry by entry, in
+    sorted order, only when that test fails. No table is keyed by None,
+    so a missing entry reads as None on both paths. An entry fails or is
+    skipped exactly where the whole test does not hold there:
+
+    - object-map: x fails iff its image is None or no target object,
+      that is, iff the target's objects do not contain it;
+    - arrow-map: a fails iff its image is None or no target arrow, or the
+      image's dom or cod is not the mapped dom or cod of a; the whole test
+      asks that every image is a target arrow, then compares the gathered
+      endpoints;
+    - preserves-identity and preserves-compose: an entry is skipped iff a
+      side is None and fails iff the sides differ, so the walk is needed
+      iff the gathered sides differ or hold a None (equal lists hold it
+      at the same places, so one is searched).
+
+    Each law is ticked once with its number of instances, so it is
+    registered only when it has one, and its skips are entered once.
+    """
     rep = Report()
     src, tgt = fd.source, fd.target
-
-    for x in sorted(src.objects):
-        rep.tick("object-map")
-        y = fd.object_map.get(x)
-        if y is None:
-            rep.fail("object-map", (x,), "unmapped object")
-        elif y not in tgt.objects:
-            rep.fail("object-map", (x, y), "image not an object")
-
-    for a in sorted(src.arrows):
-        rep.tick("arrow-map")
-        b = fd.arrow_map.get(a)
-        if b is None:
-            rep.fail("arrow-map", (a,), "unmapped arrow")
-            continue
-        if b not in tgt.arrows:
-            rep.fail("arrow-map", (a, b), "image not an arrow")
-            continue
-        if tgt.dom(b) != fd.object_map.get(src.dom(a)) or tgt.cod(b) != fd.object_map.get(
-            src.cod(a)
-        ):
-            rep.fail("arrow-map", (a, b), "endpoints not preserved")
-
-    # a missing entry reads as None, and no table is keyed by None
     obj_map, arrow_map = fd.object_map, fd.arrow_map
-    for x in sorted(src.objects):
-        rep.tick("preserves-identity")
-        lhs = arrow_map.get(src.identity.get(x))
-        rhs = tgt.identity.get(obj_map.get(x))
-        if lhs is None or rhs is None:
-            rep.skip("preserves-identity")
-        elif lhs != rhs:
-            rep.fail("preserves-identity", (x,))
+    objects, arrows, compose = src.objects, src.arrows, src.compose
+    tgt_objects, tgt_arrows = tgt.objects, tgt.arrows
 
-    for (g, f), gf in sorted(src.compose.items()):
-        rep.tick("preserves-compose")
-        img = tgt.compose.get((arrow_map.get(g), arrow_map.get(f)))
-        fgf = arrow_map.get(gf)
-        if img is None or fgf is None:
-            rep.skip("preserves-compose")
-        elif img != fgf:
-            rep.fail("preserves-compose", (g, f), f"{img!r} != F({gf!r})")
+    if objects:
+        rep.tick("object-map", len(objects))
+        if not all(map(tgt_objects.__contains__, map(obj_map.get, objects))):
+            for x in sorted(objects):
+                y = obj_map.get(x)
+                if y is None:
+                    rep.fail("object-map", (x,), "unmapped object")
+                elif y not in tgt_objects:
+                    rep.fail("object-map", (x, y), "image not an object")
+
+    if arrows:
+        rep.tick("arrow-map", len(arrows))
+        images = list(map(arrow_map.get, arrows))
+        whole = all(map(tgt_arrows.__contains__, images)) and all(
+            list(map(end, map(tgt_arrows.__getitem__, images)))
+            == list(map(obj_map.get, map(end, arrows.values())))
+            for end in (_DOM, _COD)
+        )
+        if not whole:
+            for a in sorted(arrows):
+                b = arrow_map.get(a)
+                if b is None:
+                    rep.fail("arrow-map", (a,), "unmapped arrow")
+                elif b not in tgt_arrows:
+                    rep.fail("arrow-map", (a, b), "image not an arrow")
+                elif tgt.dom(b) != obj_map.get(src.dom(a)) or tgt.cod(b) != obj_map.get(src.cod(a)):
+                    rep.fail("arrow-map", (a, b), "endpoints not preserved")
+
+    if objects:
+        rep.tick("preserves-identity", len(objects))
+        lhs = list(map(arrow_map.get, map(src.identity.get, objects)))
+        if None in lhs or lhs != list(map(tgt.identity.get, map(obj_map.get, objects))):
+            skipped = 0
+            for x in sorted(objects):
+                lhs = arrow_map.get(src.identity.get(x))
+                rhs = tgt.identity.get(obj_map.get(x))
+                if lhs is None or rhs is None:
+                    skipped += 1
+                elif lhs != rhs:
+                    rep.fail("preserves-identity", (x,))
+            rep.skip("preserves-identity", skipped)
+
+    if compose:
+        rep.tick("preserves-compose", len(compose))
+        gs, fs = map(arrow_map.get, map(_FIRST, compose)), map(arrow_map.get, map(_SECOND, compose))
+        imgs = list(map(tgt.compose.get, zip(gs, fs)))
+        if None in imgs or imgs != list(map(arrow_map.get, compose.values())):
+            skipped = 0
+            for (g, f), gf in sorted(compose.items()):
+                img = tgt.compose.get((arrow_map.get(g), arrow_map.get(f)))
+                fgf = arrow_map.get(gf)
+                if img is None or fgf is None:
+                    skipped += 1
+                elif img != fgf:
+                    rep.fail("preserves-compose", (g, f), f"{img!r} != F({gf!r})")
+            rep.skip("preserves-compose", skipped)
 
     return rep
 

@@ -122,6 +122,16 @@ version compared by ``!=``.
 while ``check_preservation_reference`` took the systems of both slices:
 axioms 1 and 2 build each slice's system twice per row with
 ``slice_system_reference``, re-keying the ambient entries over its base.
+They check frame homs with ``validate_bframe_hom_reference``.
+
+``validate_functor_reference`` and ``validate_bframe_hom_reference`` are
+``core.validate_functor`` and ``bsys.validate_bframe_hom`` as they were
+before they tested each law on whole maps: every entry is looked up, and
+ticked and skipped on the report, as it is met in sorted order.
+``check_preservation_per_square_reference`` is ``bsys.check_preservation``
+as it was before it made each restriction once per call: every square
+restricts the hom afresh. ``validate_bsystem_hom_per_square_reference``
+puts the last two together as ``bsys.validate_bsystem_hom`` does.
 
 Tests compare the fast code against them, result for result.
 """
@@ -142,8 +152,8 @@ from bcsys.bsys import (
     compose_bhom,
     restrict_bhom,
     slice_bframe,
+    _maps_into,
     validate_bframe,
-    validate_bframe_hom,
 )
 from bcsys.cesys import CEHom, CESystem, fn_arrow, validate_ce_hom
 from bcsys.core import (
@@ -2158,9 +2168,9 @@ def validate_bsystem_reference(sys: BSystem) -> Report:
                 rep.skip("coverage-gen")
 
     for (k, x), sx in sorted(sys.subst.items()):
-        rep.merge(validate_bframe_hom(sx), prefix="subst-hom:")
+        rep.merge(validate_bframe_hom_reference(sx), prefix="subst-hom:")
     for (n, X), wx in sorted(sys.weak.items()):
-        rep.merge(validate_bframe_hom(wx), prefix="weak-hom:")
+        rep.merge(validate_bframe_hom_reference(wx), prefix="weak-hom:")
 
     # boundary of generic elements: bd(delta(X)) = W_X(X)
     for (n, X), d in sorted(sys.gen.items()):
@@ -2232,6 +2242,172 @@ def validate_bsystem_reference(sys: BSystem) -> Report:
 def validate_bsystem_hom_reference(h: BFrameHom, src: BSystem, tgt: BSystem) -> Report:
     """A homomorphism of B-systems: frame naturality plus all preservations."""
     rep = Report()
-    rep.merge(validate_bframe_hom(h))
+    rep.merge(validate_bframe_hom_reference(h))
     check_preservation_reference(h, src, tgt, rep)
+    return rep
+
+
+def validate_functor_reference(fd: FunctorData) -> Report:
+    """Check functor laws exhaustively, entry by entry."""
+    rep = Report()
+    src, tgt = fd.source, fd.target
+
+    for x in sorted(src.objects):
+        rep.tick("object-map")
+        y = fd.object_map.get(x)
+        if y is None:
+            rep.fail("object-map", (x,), "unmapped object")
+        elif y not in tgt.objects:
+            rep.fail("object-map", (x, y), "image not an object")
+
+    for a in sorted(src.arrows):
+        rep.tick("arrow-map")
+        b = fd.arrow_map.get(a)
+        if b is None:
+            rep.fail("arrow-map", (a,), "unmapped arrow")
+            continue
+        if b not in tgt.arrows:
+            rep.fail("arrow-map", (a, b), "image not an arrow")
+            continue
+        if tgt.dom(b) != fd.object_map.get(src.dom(a)) or tgt.cod(b) != fd.object_map.get(
+            src.cod(a)
+        ):
+            rep.fail("arrow-map", (a, b), "endpoints not preserved")
+
+    # a missing entry reads as None, and no table is keyed by None
+    obj_map, arrow_map = fd.object_map, fd.arrow_map
+    for x in sorted(src.objects):
+        rep.tick("preserves-identity")
+        lhs = arrow_map.get(src.identity.get(x))
+        rhs = tgt.identity.get(obj_map.get(x))
+        if lhs is None or rhs is None:
+            rep.skip("preserves-identity")
+        elif lhs != rhs:
+            rep.fail("preserves-identity", (x,))
+
+    for (g, f), gf in sorted(src.compose.items()):
+        rep.tick("preserves-compose")
+        img = tgt.compose.get((arrow_map.get(g), arrow_map.get(f)))
+        fgf = arrow_map.get(gf)
+        if img is None or fgf is None:
+            rep.skip("preserves-compose")
+        elif img != fgf:
+            rep.fail("preserves-compose", (g, f), f"{img!r} != F({gf!r})")
+
+    return rep
+
+
+def validate_bframe_hom_reference(h: BFrameHom) -> Report:
+    """Naturality of the ft/bd squares on every level where both sides exist.
+
+    An image outside the target frame has no side there: its square is
+    skipped, and ``total`` fails it with its witness.
+    """
+    rep = Report()
+    top = h.common_height
+    for n in range(1, top + 1):
+        for X in sorted(h.source.B[n]):
+            rep.tick("ft-natural")
+            hx = h.H.get(n, {}).get(X)
+            hft = h.H.get(n - 1, {}).get(h.source.ft[n][X])
+            tft = None if hx is None else h.target.ft[n].get(hx)
+            if tft is None or hft is None:
+                rep.skip("ft-natural")
+                continue
+            if tft != hft:
+                rep.fail("ft-natural", (n, X))
+        for x in sorted(h.source.Bt[n]):
+            rep.tick("bd-natural")
+            hx = h.Ht.get(n, {}).get(x)
+            hb = h.H.get(n, {}).get(h.source.bd[n][x])
+            tbd = None if hx is None else h.target.bd[n].get(hx)
+            if tbd is None or hb is None:
+                rep.skip("bd-natural")
+                continue
+            if tbd != hb:
+                rep.fail("bd-natural", (n, x))
+    for n in range(0, top + 1):
+        for X in sorted(h.source.B[n]):
+            rep.tick("total")
+            y = h.H.get(n, {}).get(X)
+            if y is None:
+                rep.skip("total")
+            elif y not in h.target.B[n]:
+                rep.fail("total", (n, X, y), "image outside target level")
+        if n >= 1:
+            for x in sorted(h.source.Bt[n]):
+                rep.tick("total")
+                y = h.Ht.get(n, {}).get(x)
+                if y is None:
+                    rep.skip("total")
+                elif y not in h.target.Bt[n]:
+                    rep.fail("total", (n, x, y), "term image outside target level")
+    return rep
+
+
+def check_preservation_per_square_reference(
+    h: BFrameHom, src: BSystem, tgt: BSystem, at: tuple[int, int], rep: Report, law: str | None = None
+) -> None:
+    """``bsys.check_preservation`` as it was before it made each restriction
+    once per call: every square restricts ``h`` afresh, and every instance
+    is ticked and skipped on ``rep`` as it is met."""
+    n, m = at
+    s, t = h.source, h.target
+
+    def image(table: dict, levels: tuple, k: int, y: str | None):
+        """tgt's entry in ``table`` for y at slice level k, if y lies there in h.target."""
+        return table.get((k + m, y)) if k < len(levels) and y in levels[k] else None
+
+    name = law or "preserve-sub"
+    for k in range(1, s.height + 1):
+        for x in sorted(s.Bt[k]):
+            sx = src.subst.get((k + n, x))
+            if sx is None:
+                continue
+            rep.tick(name)
+            bdx = s.bd[k][x]
+            ftbdx = s.ft[k][bdx]
+            ty = image(tgt.subst, t.Bt, k, h.Ht.get(k, {}).get(x))
+            if ty is None or not _maps_into(h, k, bdx) or not _maps_into(h, k - 1, ftbdx):
+                rep.skip(name)
+                continue
+            lhs = compose_bhom(restrict_bhom(h, k - 1, ftbdx), sx)
+            rhs = compose_bhom(ty, restrict_bhom(h, k, bdx))
+            rep.record(name, bhom_eq(lhs, rhs), (k, x))
+    name = law or "preserve-weak"
+    for k in range(1, s.height + 1):
+        for X in sorted(s.B[k]):
+            wx = src.weak.get((k + n, X))
+            if wx is None:
+                continue
+            rep.tick(name)
+            ftx = s.ft[k][X]
+            ty = image(tgt.weak, t.B, k, h.H.get(k, {}).get(X))
+            if ty is None or not _maps_into(h, k - 1, ftx):
+                rep.skip(name)
+                continue
+            lhs = compose_bhom(restrict_bhom(h, k, X), wx)
+            rhs = compose_bhom(ty, restrict_bhom(h, k - 1, ftx))
+            rep.record(name, bhom_eq(lhs, rhs), (k, X))
+    name = law or "preserve-gen"
+    for k in range(1, s.height + 1):
+        for X in sorted(s.B[k]):
+            d = src.gen.get((k + n, X))
+            if d is None:
+                continue
+            rep.tick(name)
+            dx = image(tgt.gen, t.B, k, h.H.get(k, {}).get(X))
+            dimg = h.Ht.get(k + 1, {}).get(d)
+            if dx is None or dimg is None:
+                rep.skip(name)
+                continue
+            if dx != dimg:
+                rep.fail(name, (k, X), f"H(delta) = {dimg!r}, delta(H) = {dx!r}")
+
+
+def validate_bsystem_hom_per_square_reference(h: BFrameHom, src: BSystem, tgt: BSystem) -> Report:
+    """``bsys.validate_bsystem_hom`` over the two bodies above."""
+    rep = Report()
+    rep.merge(validate_bframe_hom_reference(h))
+    check_preservation_per_square_reference(h, src, tgt, (0, 0), rep)
     return rep
