@@ -149,22 +149,9 @@ def validate_bframe_hom(h: BFrameHom) -> Report:
     An image outside the target frame has no side there: its square is
     skipped, and ``total`` fails it with its witness.
 
-    Each law is tested a level at a time on whole maps, and only a level
-    whose test fails is walked, in sorted order, for its skips and
-    witnesses. No table is keyed by None, so a missing image reads as
-    None on both paths, and an entry is skipped or fails exactly where
-    the whole test does not hold there:
-
-    - ft-natural on B_n: the gathered t.ft(H X) equal the gathered
-      H(s.ft X), both read with ``.get``, and none is None (X is skipped
-      iff a side is None, and fails iff the sides differ); bd-natural
-      likewise on B~_n, with Ht and bd;
-    - total: the target level contains every gathered image (an entry is
-      skipped iff its image is None, which no level contains, and fails
-      iff its image lies outside).
-
-    Checks, skips and witnesses are entered once per law, the laws in the
-    order the walk first meets them.
+    Each level is walked in sorted order, and each law's checks, skips
+    and witnesses are entered once, the laws in the order the walk first
+    meets them.
     """
     s, t, H, Ht = h.source, h.target, h.H, h.Ht
     laws: dict[str, list] = {}  # law -> [checked, skipped, (witness, detail)s]
@@ -174,26 +161,23 @@ def validate_bframe_hom(h: BFrameHom) -> Report:
         if keys:
             tally = laws.setdefault(law, [0, 0, []])
             tally[0] += len(keys)
-            lhs = list(map(t_map.get, map(img.get, keys)))
-            if None in lhs or lhs != list(map(lower.get, map(s_map.__getitem__, keys))):
-                for k in sorted(keys):
-                    a, b = t_map.get(img.get(k)), lower.get(s_map[k])
-                    if a is None or b is None:
-                        tally[1] += 1
-                    elif a != b:
-                        tally[2].append(((n, k), ""))
+            for k in sorted(keys):
+                a, b = t_map.get(img.get(k)), lower.get(s_map[k])
+                if a is None or b is None:
+                    tally[1] += 1
+                elif a != b:
+                    tally[2].append(((n, k), ""))
 
     def total(n: int, keys, img: dict, level: frozenset[str], detail: str) -> None:
         if keys:
             tally = laws.setdefault("total", [0, 0, []])
             tally[0] += len(keys)
-            if not all(map(level.__contains__, map(img.get, keys))):
-                for k in sorted(keys):
-                    y = img.get(k)
-                    if y is None:
-                        tally[1] += 1
-                    elif y not in level:
-                        tally[2].append(((n, k, y), detail))
+            for k in sorted(keys):
+                y = img.get(k)
+                if y is None:
+                    tally[1] += 1
+                elif y not in level:
+                    tally[2].append(((n, k, y), detail))
 
     top = h.common_height
     for n in range(1, top + 1):
@@ -205,18 +189,8 @@ def validate_bframe_hom(h: BFrameHom) -> Report:
             total(n, s.Bt[n], Ht.get(n, {}), t.Bt[n], "term image outside target level")
     rep = Report()
     for law, tally in laws.items():
-        _enter(rep, law, *tally)
+        rep.enter(law, *tally)
     return rep
-
-
-def _enter(rep: Report, law: str, checked: int, skipped: int, failures: list[tuple[tuple, str]]) -> None:
-    """Enter a walk's tally of ``law`` once: its checks, skips and (witness,
-    detail) failures, in the order met. A law with no instance is not entered."""
-    if checked:
-        rep.tick(law, checked)
-        rep.skip(law, skipped)
-        for witness, detail in failures:
-            rep.fail(law, witness, detail)
 
 
 def bhom_identity(b: BFrame) -> BFrameHom:
@@ -333,7 +307,7 @@ def check_preservation(
             diff, missing, _ = bhom_eq(compose_bhom(restrict(k - 1, ftbdx), sx), compose_bhom(ty, restrict(k, bdx)))
             skipped += missing
             failures += [((k, x) + w, "") for w in diff]
-    _enter(rep, name, checked, skipped, failures)
+    rep.enter(name, checked, skipped, failures)
     name = law or "preserve-weak"
     checked = skipped = 0
     failures = []
@@ -351,7 +325,7 @@ def check_preservation(
             diff, missing, _ = bhom_eq(compose_bhom(restrict(k, X), wx), compose_bhom(ty, restrict(k - 1, ftx)))
             skipped += missing
             failures += [((k, X) + w, "") for w in diff]
-    _enter(rep, name, checked, skipped, failures)
+    rep.enter(name, checked, skipped, failures)
     name = law or "preserve-gen"
     checked = skipped = 0
     failures = []
@@ -367,7 +341,7 @@ def check_preservation(
                 skipped += 1
             elif dx != dimg:
                 failures.append(((k, X), f"H(delta) = {dimg!r}, delta(H) = {dx!r}"))
-    _enter(rep, name, checked, skipped, failures)
+    rep.enter(name, checked, skipped, failures)
 
 
 def validate_bsystem(sys: BSystem) -> Report:

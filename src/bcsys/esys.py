@@ -475,9 +475,7 @@ def validate_sfunctor(e: ESystem, F: SliceFunctorT, rep: Report, law: str) -> No
                 rep.fail(law, (m, t), "term map key not a term")
             elif images is None or u not in images:
                 rep.fail(law, (m, t, u), "term image outside target term set")
-    if ticks or skips:
-        rep.tick(law, ticks)
-        rep.skip(law, skips)
+    rep.enter(law, ticks, skips, [])
 
 
 # ---------------------------------------------------------------------------
@@ -542,11 +540,11 @@ class _Slices:
 
     Holds slice_mors per apex, identity_sf per apex, the restriction
     plan of each slice object P, restrict_sf(H, P) per P for the functor
-    H restricted most recently, the cells of each slice, the sorted
-    terms of each arrow, and a value number for each distinct flat form
-    of a functor compared (see composites_equal), with the results of
-    the comparisons made. The slice morphisms, the plans, the
-    identities, the cells and the term lists read the category only.
+    H restricted most recently, the cells of each slice, and a value
+    number for each distinct flat form of a functor compared (see
+    composites_equal), with the results of the comparisons made. The
+    slice morphisms, the plans, the identities and the cells read the
+    category only.
     validate_esystem, internal_hom_cat and xlate.e_to_ce each make one
     and drop it when they return, so nothing outlives the call and a
     table changed between two calls is read afresh.
@@ -583,7 +581,6 @@ class _Slices:
         self._mors: dict[str, list[SliceMor]] = {}
         self._plans: dict[str, _Plan] = {}
         self._ids: dict[str, SliceFunctorT] = {}
-        self._terms: dict[str, list[str]] = {}
         self._restricted: SliceFunctorT | None = None
         self._restrictions: dict[str, SliceFunctorT | None] = {}
         self._cells: dict[str, _Cells] = {}
@@ -617,13 +614,6 @@ class _Slices:
         if apex not in self._ids:
             self._ids[apex] = identity_sf(self.e, apex, self.mors(apex))
         return self._ids[apex]
-
-    def terms(self, a: str) -> list[str]:
-        """sorted(e.T(a)), once per call."""
-        ts = self._terms.get(a)
-        if ts is None:
-            ts = self._terms[a] = sorted(self.e.T(a))
-        return ts
 
     def restrict(self, H: SliceFunctorT, P: str) -> SliceFunctorT | None:
         """H/P, or None where P is not in H.obj_map or H(P) is no arrow,
@@ -743,11 +733,7 @@ def _ehom_parts(slices: _Slices, H: SliceFunctorT, rep: Report, laws: tuple[str,
             slices.walks[n] = walk
     parts, shared = walk
     for law, (ticks, skips, bad) in zip(laws, parts):
-        if ticks or skips or shared:
-            rep.tick(law, ticks)
-            rep.skip(law, skips + shared)
-        for w, detail in bad:
-            rep.fail(law, w, detail)
+        rep.enter(law, ticks, skips + shared, bad)
 
 
 def _ehom_walk(slices: _Slices, H: SliceFunctorT) -> _Walk:
@@ -790,7 +776,7 @@ def _ehom_walk(slices: _Slices, H: SliceFunctorT) -> _Walk:
             nHPQ = slices.number(HPQ)
             # substitution
             images = H_terms.get(key, {})
-            for y in slices.terms(Q):
+            for y in sorted(e.T(Q)):
                 sub_ticks += 1
                 Sy = subst.get((Q, y))
                 Syi = subst.get((Qimg, images.get(y)))
@@ -871,13 +857,12 @@ def validate_esystem(e: ESystem) -> Report:
     Each per-functor walk runs once per flat-form number of the call
     (_Slices.number) and is replayed for the later functors with that
     number: validate_sfunctor per (number, law), into a scratch report
-    merged into the result; _ehom_parts per number (see there); the
-    stratification check per number, its failing objects tagged with
-    each functor's own key. Completeness: equal numbers mean the same
-    apexes and identical obj_map, mor_map and term_map, which is all
-    that these walks read of a functor, and validate_sfunctor's
-    witnesses name entries of those maps only. A functor with no number
-    is walked as it comes. Nothing is kept past the call.
+    merged into the result; _ehom_parts per number (see there).
+    Completeness: equal numbers mean the same apexes and identical
+    obj_map, mor_map and term_map, which is all that these walks read of
+    a functor, and validate_sfunctor's witnesses name entries of those
+    maps only. A functor with no number is walked as it comes. Nothing
+    is kept past the call.
     """
     rep = Report()
     rep.merge(validate_fincat(e.cat), prefix="cat:")
@@ -1029,14 +1014,11 @@ def validate_esystem(e: ESystem) -> Report:
         rep.record("e-axiom-5", diff, (A,))
 
     if e.levels is not None:
-        _check_stratified(e, rep, subst, weak)
+        _check_stratified(e, rep)
     return rep
 
 
-def _check_stratified(e: ESystem, rep: Report, subst: dict, weak: dict) -> None:
-    """The stratification laws; ``subst`` and ``weak`` are the numbered
-    families (_Slices.numbered). A functor's levels are read once per
-    number, and its failing objects are entered under its own tag."""
+def _check_stratified(e: ESystem, rep: Report) -> None:
     cat = e.cat
     lv = e.levels
     for x in sorted(cat.objects):
@@ -1062,36 +1044,22 @@ def _check_stratified(e: ESystem, rep: Report, subst: dict, weak: dict) -> None:
         a = cat.arrows.get(q)
         return None if a is None else lv.get(a.dom)
 
-    # number -> (ticks, skips, failing objects): a walk reads only F's
-    # apexes and obj_map
-    walks: dict[int, tuple[int, int, list[str]]] = {}
-
-    def functor_level_ok(F: SliceFunctorT, n: int | None, tag: tuple) -> None:
-        walk = walks.get(n)
-        if walk is None:
-            off_s = lv.get(F.source_apex)
-            off_t = lv.get(F.target_apex)
-            skips = 0
-            bad = []
-            for q, q1 in sorted(F.obj_map.items()):
-                d, d1 = level(q), level(q1)
-                if d is None or d1 is None or off_s is None or off_t is None:
-                    skips += 1
-                elif d - off_s != d1 - off_t:
-                    bad.append(q)
-            walk = len(F.obj_map), skips, bad
-            if n is not None:
-                walks[n] = walk
-        ticks, skips, bad = walk
-        if ticks:
-            rep.tick("stratified", ticks)
-            rep.skip("stratified", skips)
-        for q in bad:
-            rep.fail("stratified", tag + (q,), "slice functor not stratified")
-    for (A, x), (sx, n) in sorted(subst.items()):
-        functor_level_ok(sx, n, ("S", A, x))
-    for A, (wa, n) in sorted(weak.items()):
-        functor_level_ok(wa, n, ("W", A))
+    def functor_level_ok(F: SliceFunctorT, tag: tuple) -> None:
+        off_s = lv.get(F.source_apex)
+        off_t = lv.get(F.target_apex)
+        skips = 0
+        bad = []
+        for q, q1 in sorted(F.obj_map.items()):
+            d, d1 = level(q), level(q1)
+            if d is None or d1 is None or off_s is None or off_t is None:
+                skips += 1
+            elif d - off_s != d1 - off_t:
+                bad.append((tag + (q,), "slice functor not stratified"))
+        rep.enter("stratified", len(F.obj_map), skips, bad)
+    for (A, x), sx in sorted(e.subst.items()):
+        functor_level_ok(sx, ("S", A, x))
+    for A, wa in sorted(e.weak.items()):
+        functor_level_ok(wa, ("W", A))
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,15 @@ class Report:
     def fail(self, name: str, witness: tuple, detail: str = "") -> None:
         self.law(name).violations.append(Violation(name, witness, detail))
 
+    def enter(self, name: str, checked: int, skipped: int, failures: list[tuple[tuple, str]]) -> None:
+        """Enter a locally tallied law once: its checks and skips, where
+        either is nonzero, then each (witness, detail) failure in order."""
+        if checked or skipped:
+            self.tick(name, checked)
+            self.skip(name, skipped)
+        for witness, detail in failures:
+            self.fail(name, witness, detail)
+
     def record(
         self, name: str, diff: tuple[list[tuple], int, int], prefix: tuple = (), detail: str = ""
     ) -> None:

@@ -124,9 +124,10 @@ axioms 1 and 2 build each slice's system twice per row with
 ``slice_system_reference``, re-keying the ambient entries over its base.
 They check frame homs with ``validate_bframe_hom_reference``.
 
-``validate_functor_reference`` and ``validate_bframe_hom_reference`` are
-``core.validate_functor`` and ``bsys.validate_bframe_hom`` as they were
-before they tested each law on whole maps: every entry is looked up, and
+``validate_functor_reference`` is ``core.validate_functor`` as it was
+before it tested each law on whole maps, and
+``validate_bframe_hom_reference`` is ``bsys.validate_bframe_hom`` as it
+was before it tallied each law in locals: every entry is looked up, and
 ticked and skipped on the report, as it is met in sorted order.
 ``check_preservation_per_square_reference`` is ``bsys.check_preservation``
 as it was before it made each restriction once per call: every square

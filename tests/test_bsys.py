@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from bcsys.bsys import (
@@ -35,6 +37,64 @@ def test_bframe_with_fat_root_fails():
     )
     rep = validate_bframe(bad)
     assert rep.laws["root"].violations
+
+
+
+def _level(levels: tuple, k: int, table: dict) -> tuple:
+    """``levels`` with level k replaced by ``table``."""
+    return levels[:k] + (table,) + levels[k + 1:]
+
+
+def _frame_damage(**fields):
+    """validate_bframe of finset-b h3 with ``fields`` computed from it."""
+    def run():
+        b = build_finset_bframe(3)
+        return validate_bframe(dataclasses.replace(b, **{f: make(b) for f, make in fields.items()}))
+    return run
+
+
+def _gen_damage(key, delta):
+    """validate_bsystem of finset-b h3 with one generic element replaced."""
+    def run():
+        sys = build_finset_bsystem(3)
+        sys.gen[key] = delta
+        return validate_bsystem(sys)
+    return run
+
+
+FAIL_ROWS = {
+    "shape": (_frame_damage(B=lambda b: b.B[:-1]), "shape", [((3,), "level family arity mismatch")]),
+    "ft-undefined": (_frame_damage(ft=lambda b: _level(b.ft, 2, {})), "ft", [((2, "2"), "ft undefined")]),
+    "ft-outside": (
+        _frame_damage(ft=lambda b: _level(b.ft, 2, {"2": "9"})),
+        "ft",
+        [((2, "2", "9"), "ft lands outside B_{k-1}")],
+    ),
+    "bd-undefined": (_frame_damage(bd=lambda b: _level(b.bd, 3, {"1": "3"})), "bd", [((3, "0"), "bd undefined")]),
+    "bd-outside": (
+        _frame_damage(bd=lambda b: _level(b.bd, 3, {"0": "9", "1": "3"})),
+        "bd",
+        [((3, "0", "9"), "bd lands outside B_k")],
+    ),
+    "gen-not-a-term": (
+        _gen_damage((1, "1"), "7"),
+        "gen-boundary",
+        [((1, "1", "7"), "delta lands outside B~_{n+1}")],
+    ),
+    "gen-above-the-height": (
+        _gen_damage((3, "3"), "0"),
+        "gen-boundary",
+        [((3, "3", "0"), "delta lands outside B~_{n+1}")],
+    ),
+}
+
+
+@pytest.mark.parametrize("row", FAIL_ROWS)
+def test_one_damaged_entry_fails_its_law_with_its_witness(row):
+    run, law, want = FAIL_ROWS[row]
+    rep = run()
+    assert rep.failed_laws() == [law]
+    assert [(v.witness, v.detail) for v in rep.laws[law].violations] == want
 
 
 def test_slice_over_root_is_whole_frame():

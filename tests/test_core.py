@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -51,6 +53,22 @@ def test_composite_of_unknown_arrow_is_reported():
         (("1->0", "phantom"), "composite of unknown arrow"),
         (("ghost", "1->0"), "composite of unknown arrow"),
     ]
+
+
+
+ENDPOINT_ROWS = {
+    "dangling": (Arrow("x", "9", "0"), [(("x",), "dangling dom/cod")]),
+    "misnamed": (Arrow("y", "1", "0"), [(("x",), "arrow key and name disagree")]),
+}
+
+
+@pytest.mark.parametrize("row", ENDPOINT_ROWS)
+def test_one_damaged_arrow_fails_endpoints_with_its_witness(row):
+    arrow, want = ENDPOINT_ROWS[row]
+    cat = nat_geq_cat(1)
+    cat = dataclasses.replace(cat, arrows={**cat.arrows, "x": arrow})
+    rep = validate_fincat(cat)
+    assert [(v.witness, v.detail) for v in rep.laws["endpoints"].violations] == want
 
 
 def test_finsets_op_truncation_satisfies_category_laws():

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from bcsys.cesys import (
@@ -194,3 +196,143 @@ def test_non_rooted_instance():
     assert rep.laws["rooted"].violations
     plain = validate_cesystem(a)
     assert plain.ok, plain.format()
+
+
+# ---------------------------------------------------------------------------
+# one damaged entry per FAIL branch, with the law and witnesses it gives
+
+
+def _csystem_damage(damage):
+    """validate_csystem of finset-c h3 after ``damage(c)``."""
+    def run():
+        c = finset_csystem(3)
+        damage(c)
+        return validate_csystem(c)
+    return run
+
+
+def _cesystem_damage(damage, **flags):
+    """validate_cesystem of finset-ce h2 after ``damage(a)``."""
+    def run():
+        a = build_finset_cesystem(2)
+        damage(a)
+        return validate_cesystem(a, **flags)
+    return run
+
+
+def _put(table: str, key, value):
+    return lambda s: getattr(s, table).__setitem__(key, value)
+
+
+def _pulled_family(fA: str):
+    """Replace the pulled family of pb[(f1->0[], 1>=0)], keeping its projection."""
+    def damage(a):
+        key = ("f1->0[]", "1>=0")
+        a.pb[key] = (fA, a.pb[key][1])
+    return damage
+
+
+def _extra_arrow_into_the_unit(c):
+    c.cat = dataclasses.replace(c.cat, arrows={**c.cat.arrows, "extra": Arrow("extra", "1", "0")})
+
+
+def _extra_base_object(a):
+    a.base = dataclasses.replace(a.base, objects=a.base.objects | {"x"})
+
+
+def _ce_hom_square_damage():
+    """validate_ce_hom of the identity on finset-ce h2 with one base arrow retargeted."""
+    a = build_finset_cesystem(2)
+    base_map = identity_functor(a.base)
+    base_map.arrow_map["f2->1[0]"] = "f2->1[1]"
+    return validate_ce_hom(CEHom(source=a, target=a, fam_map=identity_functor(a.fam), base_map=base_map))
+
+
+FAIL_ROWS = {
+    "i-two-units": (
+        _csystem_damage(_put("length", "1", 0)),
+        "i",
+        [((("0", "1"),), "length 0 objects are not exactly the unit")],
+    ),
+    "i-no-length": (_csystem_damage(lambda c: c.length.pop("3")), "i", [(("3",), "object has no length")]),
+    "ii": (_csystem_damage(_put("ft", "2", "0")), "ii", [(("2", "0"), "father length wrong")]),
+    "iii": (_csystem_damage(_put("ft", "0", "1")), "iii", [(("0",), "ft(1) != 1")]),
+    "iv": (
+        _csystem_damage(_extra_arrow_into_the_unit),
+        "iv",
+        [(("1", ("extra", "f1->0[]")), "unit is not terminal")],
+    ),
+    "v-projection": (
+        _csystem_damage(_put("proj", "2", "f1->0[]")),
+        "v",
+        [(("2", "f1->0[]"), "projection endpoints wrong")],
+    ),
+    "v-dangling": (
+        _csystem_damage(_put("pb", ("f1->0[]", "1"), ("9", "f2->1[1]"))),
+        "v",
+        [(("f1->0[]", "1"), "pullback entry dangling")],
+    ),
+    "v-father": (
+        _csystem_damage(_put("pb", ("f1->0[]", "1"), ("1", "f2->1[1]"))),
+        "v",
+        [(("f1->0[]", "1", "1"), "ft(f*G) != dom(f)")],
+    ),
+    "v-length": (
+        _csystem_damage(_put("pb", ("f0->0[]", "1"), ("0", "f1->1[0]"))),
+        "v",
+        [(("f0->0[]", "1", "0"), "f*G has length 0")],
+    ),
+    "v-q": (
+        _csystem_damage(_put("pb", ("f1->0[]", "1"), ("2", "f2->2[0,1]"))),
+        "v",
+        [(("f1->0[]", "1", "f2->2[0,1]"), "q endpoints wrong")],
+    ),
+    "objects-shared": (
+        _cesystem_damage(_extra_base_object),
+        "objects-shared",
+        [((), "family and base objects differ")],
+    ),
+    "functor-I-not-an-arrow": (
+        _cesystem_damage(_put("ifun", "2>=1", "nope")),
+        "functor-I",
+        [(("2>=1", "nope"), "image not a base arrow")],
+    ),
+    "functor-I-endpoints": (
+        _cesystem_damage(_put("ifun", "2>=1", "f1->0[]")),
+        "functor-I",
+        [(("2>=1", "f1->0[]"), "I is not identity on objects")],
+    ),
+    "root": (_cesystem_damage(lambda a: setattr(a, "root", "9")), "root", [(("9",), "root not an object")]),
+    "pb-commute-family": (
+        _cesystem_damage(_put("pb", ("f1->0[]", "1>=1"), ("2>=1", "f2->1[1]"))),
+        "pb-commute",
+        [(("f1->0[]", "1>=1"), "family does not sit over cod(f)")],
+    ),
+    "pb-commute-pulled-family": (
+        _cesystem_damage(_pulled_family("2>=0")),
+        "pb-commute",
+        [(("f1->0[]", "1>=0", "2>=0"), "pulled family does not sit over dom(f)")],
+    ),
+    "pb-commute-projection": (
+        _cesystem_damage(_put("pb", ("f1->0[]", "1>=0"), ("2>=1", "f0->0[]"))),
+        "pb-commute",
+        [(("f1->0[]", "1>=0", "f0->0[]"), "second projection endpoints wrong")],
+    ),
+    "pb-a": (
+        _cesystem_damage(_put("pb", ("f1->1[0]", "1>=1"), ("1>=1", "f1->0[]"))),
+        "pb-a",
+        [(("f1->1[0]",), "pullback of identity family is ('1>=1', 'f1->0[]')")],
+    ),
+    "stratified": (
+        _cesystem_damage(_pulled_family("1>=1"), stratified=True),
+        "stratified",
+        [(("f1->0[]", "1>=0"), "L = 1, expected 2")],
+    ),
+    "ce-hom-square": (_ce_hom_square_damage, "square", [(("2>=1",), "square over I does not commute")]),
+}
+
+
+@pytest.mark.parametrize("row", FAIL_ROWS)
+def test_one_damaged_entry_fails_its_law_with_its_witness(row):
+    run, law, want = FAIL_ROWS[row]
+    assert [(v.witness, v.detail) for v in run().laws[law].violations] == want

@@ -1,8 +1,9 @@
 """The functor and B-frame hom validators against their entry-by-entry walks.
 
-``core.validate_functor`` and ``bsys.validate_bframe_hom`` test each law on
-whole maps and walk entries only where that test fails;
-``bsys.check_preservation`` makes each restriction once per call.
+``core.validate_functor`` tests each law on whole maps and walks entries
+only where that test fails; ``bsys.validate_bframe_hom`` walks each level
+and enters each law once; ``bsys.check_preservation`` makes each
+restriction once per call.
 ``reference.py`` keeps the bodies they replace. Each check here asserts
 the same report: the same law names in the same order, the same checked
 and skipped counts and the same violations in the same order.

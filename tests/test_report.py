@@ -94,3 +94,54 @@ def test_record_defaults_to_no_prefix_and_no_detail():
     res = rep.laws["law"]
     assert (res.checked, res.skipped) == (0, 3)
     assert [(v.witness, v.detail) for v in res.violations] == [(("a", 1), ""), (("b", 2), "")]
+
+
+def test_enter_does_not_register_a_law_with_no_instance():
+    rep = Report()
+    rep.enter("law", 0, 0, [])
+    assert rep.laws == {}
+
+
+def test_enter_registers_skips_with_nothing_checked():
+    rep = Report()
+    rep.enter("law", 0, 2, [])
+    assert _state(rep) == [("law", 0, 2, None, [])]
+    assert rep.format() == "PASS law (checked 0, skipped 2)"
+
+
+def test_enter_fails_each_witness_in_the_order_given():
+    rep = Report()
+    rep.enter("law", 3, 1, [(("b", 1), "late"), (("a", 0), "")])
+    assert _state(rep) == [("law", 3, 1, None, [("law", ("b", 1), "late"), ("law", ("a", 0), "")])]
+
+
+@given(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3), witness_lists), max_size=4))
+def test_enter_equals_tick_and_skip_where_either_is_nonzero_then_fail(tallies):
+    old, new = Report(), Report()
+    for checked, skipped, bad in tallies:
+        failures = [(w, "d") for w in bad]
+        if checked or skipped:
+            old.tick("law", checked)
+            old.skip("law", skipped)
+        for w, detail in failures:
+            old.fail("law", w, detail)
+        new.enter("law", checked, skipped, failures)
+    assert _state(new) == _state(old)
+
+
+def test_merge_carries_a_missing_reason_into_a_law_that_has_none():
+    mine, other = Report(), Report()
+    mine.tick("cat:terminal", 2)
+    other.miss("terminal", "no chosen terminal object")
+    mine.merge(other, prefix="cat:")
+    res = mine.laws["cat:terminal"]
+    assert (res.checked, res.missing) == (2, "no chosen terminal object")
+    assert mine.format() == "MISSING cat:terminal: no chosen terminal object"
+
+
+def test_merge_keeps_the_missing_reason_a_law_already_has():
+    mine, other = Report(), Report()
+    mine.miss("law", "first")
+    other.miss("law", "second")
+    mine.merge(other)
+    assert mine.laws["law"].missing == "first"

@@ -16,14 +16,14 @@ from hypothesis import given, settings
 import bcsys
 from bcsys import serialize
 from bcsys.bsys import build_finset_bsystem, validate_bsystem
-from bcsys.cesys import build_finset_cesystem
+from bcsys.cesys import CESystem, build_finset_cesystem
 from bcsys.cli import main
-from bcsys.esys import build_group_structure, build_nat_esystem, s3_table
+from bcsys.esys import build_group_structure, build_nat_esystem, s3_table, validate_esystem
 from bcsys.serialize import LoadError, dumps, load_structure, save_structure
 from bcsys.syntax import build_syntactic_bframe, parse_signature
 from bcsys.xlate import b_to_e, c_to_ce, ce_to_c, ce_to_e, compose_equivalence, e_to_b, e_to_ce
 
-from helpers import chain_tree
+from helpers import chain_tree, thin_cat
 from reference import load_structure_reference
 
 
@@ -751,6 +751,80 @@ def test_cli_prechecks_an_esystem_once_when_its_translation_fails(tmp_path, caps
     assert code == 2
     _one_line(printed, "e_to_ce needs a chosen terminal object")
     assert len(prechecked) == 1
+
+
+
+@pytest.mark.parametrize(
+    "obj, out",
+    [
+        (chain_tree(2), "PASS parent (checked 2)\nPASS root (checked 1)\n"),
+        (build_finset_bsystem(3).frame, "PASS bd (checked 3)\nPASS ft (checked 3)\nPASS root (checked 1)\n"),
+        (parse_signature("type U; type El(tm)"), "PASS signature (checked 1)\n"),
+    ],
+    ids=["tree", "bframe", "signature"],
+)
+def test_cli_check_validates_a_tree_a_bframe_and_a_signature(tmp_path, capsys, obj, out):
+    path = tmp_path / "doc.json"
+    path.write_text(save_structure(obj))
+    code, printed = _run(capsys, "check", str(path))
+    assert (code, printed.out, printed.err) == (0, out, "")
+
+
+def test_cli_translate_to_b_stratifies_an_esystem_without_levels(tmp_path, capsys):
+    """nat-e h2 with ``"levels": null`` writes the B-system of the
+    document that keeps its levels."""
+    doc = json.loads(save_structure(build_nat_esystem(2)))
+    written = []
+    for levels in (doc["payload"]["levels"], None):
+        doc["payload"]["levels"] = levels
+        path, out = tmp_path / "e.json", tmp_path / f"b{len(written)}.json"
+        path.write_text(json.dumps(doc))
+        code, printed = _run(capsys, "translate", "--to", "b", str(path), "-o", str(out))
+        assert (code, printed.out, printed.err) == (0, "", "")
+        written.append(out.read_text())
+    assert written[0] == written[1]
+
+
+def test_cli_translate_to_b_of_an_esystem_without_terminal_is_input_error(tmp_path, capsys):
+    path = tmp_path / "g.json"
+    path.write_text(save_structure(build_group_structure(*s3_table())))
+    code, printed = _run(capsys, "translate", "--to", "b", str(path), "-o", str(tmp_path / "b.json"))
+    assert code == 2
+    _one_line(printed, "stratify requires a chosen terminal object")
+
+
+def _meet_esystem():
+    """ce_to_e of the CE-system whose families and base are the poset
+    a <= b, a <= c under a top 1, with meets as the chosen pullbacks.
+    The poset has a terminal object but does not stratify: a has two
+    arrows to the level of b and c."""
+    objs = ["1", "a", "b", "c"]
+    le = {(x, x) for x in objs} | {("a", "b"), ("a", "c"), ("a", "1"), ("b", "1"), ("c", "1")}
+    cat = thin_cat(objs, le, terminal="1")
+
+    def meet(x, y):
+        return x if (x, y) in le else y if (y, x) in le else "a"
+
+    pb = {}
+    for f, ar in cat.arrows.items():
+        for A in cat.arrows_into(ar.cod):
+            m = meet(ar.dom, cat.dom(A))
+            pb[(f, A)] = (f"{m}->{ar.dom}", f"{m}->{cat.dom(A)}")
+    return ce_to_e(CESystem(fam=cat, base=cat, ifun={a: a for a in cat.arrows}, root="1", pb=pb))
+
+
+def test_cli_translate_to_b_of_a_lawful_esystem_that_does_not_stratify_is_input_error(tmp_path, capsys):
+    e = _meet_esystem()
+    assert e.levels is None and validate_esystem(e).ok
+    path = tmp_path / "e.json"
+    path.write_text(save_structure(e))
+    code, printed = _run(capsys, "translate", "--to", "b", str(path), "-o", str(tmp_path / "b.json"))
+    assert code == 2
+    _one_line(
+        printed,
+        "E-system is not stratified: StratFailure(condition='ii', witness=('a', 1, ('a->b', 'a->c')),"
+        " detail='arrows to that level not a singleton')",
+    )
 
 
 def test_cli_roundtrip_bsystem_without_weakening_is_input_error(tmp_path, capsys):
