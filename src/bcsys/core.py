@@ -10,9 +10,10 @@ Object and arrow ids are opaque strings; equality is id equality.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 from operator import attrgetter, itemgetter
+from types import MappingProxyType
 
 from .report import Report, Truncated
 
@@ -38,7 +39,7 @@ class Arrow:
     cod: str
 
 
-@dataclass
+@dataclass(frozen=True)
 class FinCat:
     """A finite strict category with a stored composition table.
 
@@ -46,17 +47,21 @@ class FinCat:
     g: Y -> Z. The table is expected to be total on composable pairs;
     validate_fincat reports where it is not.
 
-    ``hom``, ``arrows_into`` and ``arrows_from`` read an index of sorted
-    arrow names built once, from ``arrows`` only, when the category is
-    made; ``arrows`` is not to be changed afterwards. Nothing derived
-    from ``compose`` is cached, so a composition table corrupted in place
-    is seen by every later lookup and check.
+    A category never changes once made: its fields cannot be set, and
+    ``arrows``, ``identity`` and ``compose`` are read-only views of the
+    tables it is made from, which its maker hands over. So what is
+    derived from it is kept with it, outside ``repr`` and equality: the
+    index of sorted arrow names that ``hom``, ``arrows_into`` and
+    ``arrows_from`` read, built when the category is made, and the slice
+    morphisms of each apex, enumerated by slice_mors when first asked
+    for. A damaged copy is a new category (dataclasses.replace), with an
+    index and slices of its own; copy and deepcopy return the category.
     """
 
     objects: frozenset[str]
-    arrows: dict[str, Arrow]
-    identity: dict[str, str]
-    compose: dict[tuple[str, str], str]
+    arrows: Mapping[str, Arrow]
+    identity: Mapping[str, str]
+    compose: Mapping[tuple[str, str], str]
     terminal: str | None = None
     # Truncated presentations (e.g. internal-hom categories of a height-
     # truncated system) may lack some composites or identities; validators
@@ -64,14 +69,28 @@ class FinCat:
     partial: bool = False
 
     def __post_init__(self) -> None:
-        self._hom: dict[tuple[str, str], list[str]] = {}
-        self._into: dict[str, list[str]] = {}
-        self._from: dict[str, list[str]] = {}
+        # a frozen instance is set up through its __dict__
+        d = vars(self)
+        for name in ("arrows", "identity", "compose"):
+            if type(d[name]) is not MappingProxyType:
+                d[name] = MappingProxyType(d[name])
+        hom: dict[tuple[str, str], list[str]] = {}
+        into: dict[str, list[str]] = {}
+        out: dict[str, list[str]] = {}
         for a in sorted(self.arrows):
             ar = self.arrows[a]
-            self._hom.setdefault((ar.dom, ar.cod), []).append(a)
-            self._into.setdefault(ar.cod, []).append(a)
-            self._from.setdefault(ar.dom, []).append(a)
+            hom.setdefault((ar.dom, ar.cod), []).append(a)
+            into.setdefault(ar.cod, []).append(a)
+            out.setdefault(ar.dom, []).append(a)
+        # _slices: apex -> slice_mors(self, apex)
+        d.update(_hom=hom, _into=into, _from=out, _slices={})
+
+    def __copy__(self) -> FinCat:
+        return self
+
+    def __deepcopy__(self, memo: dict) -> FinCat:
+        memo[id(self)] = self
+        return self
 
     def dom(self, a: str) -> str:
         return self.arrows[a].dom
@@ -139,7 +158,10 @@ class StratFailure:
 
     condition: str  # "i", "ii" or "iii"
     witness: tuple
-    detail: str = ""
+    detail: str
+
+    def __str__(self) -> str:
+        return f"condition ({self.condition}) of a stratification fails at {self.witness!r}: {self.detail}"
 
 
 @dataclass(frozen=True)
@@ -573,30 +595,34 @@ def triangle_id(h: str, f: str, g: str) -> str:
     return join_ids(h, f, g)
 
 
-def slice_mors(c: FinCat, apex: str) -> list[tuple[str, str, str]]:
+def slice_mors(c: FinCat, apex: str) -> tuple[tuple[str, str, str], ...]:
     """The morphisms of the slice over ``apex``: triples (h, f, g) with g∘h = f.
 
     f and g range over the arrows into ``apex`` and h over
     hom(dom f, dom g). A triangle whose composite g∘h is missing from a
     truncated composition table is skipped, not raised as Truncated.
+    Each apex is enumerated once per category and kept in ``c._slices``,
+    so every caller gets the same tuple.
     """
-    objs = c.arrows_into(apex)
-    return [
-        (h, f, g)
-        for f in objs
-        for g in objs
-        for h in c.hom(c.dom(f), c.dom(g))
-        if c.compose.get((g, h)) == f
-    ]
+    mors = c._slices.get(apex)
+    if mors is None:
+        objs = c.arrows_into(apex)
+        mors = c._slices[apex] = tuple(
+            (h, f, g)
+            for f in objs
+            for g in objs
+            for h in c.hom(c.dom(f), c.dom(g))
+            if c.compose.get((g, h)) == f
+        )
+    return mors
 
 
-def slice_category(c: FinCat, apex: str, mors: list[tuple[str, str, str]]) -> SliceCat:
-    """Materialize the strict slice of ``c`` over ``apex`` as a FinCat;
-    ``mors`` is slice_mors(c, apex)."""
+def slice_category(c: FinCat, apex: str) -> SliceCat:
+    """Materialize the strict slice of ``c`` over ``apex`` as a FinCat."""
     if apex not in c.objects:
         raise ValueError(f"{apex!r} is not an object")
     objs = c.arrows_into(apex)
-    triangle = {triangle_id(*m): m for m in mors}
+    triangle = {triangle_id(*m): m for m in slice_mors(c, apex)}
     arrows = {tid: Arrow(tid, f, g) for tid, (_h, f, g) in triangle.items()}
     identity = {f: triangle_id(c.id_of(c.dom(f)), f, f) for f in objs}
     compose: dict[tuple[str, str], str] = {}

@@ -84,12 +84,12 @@ class EHom:
 # slice plumbing
 
 
-def identity_sf(e: ESystem, apex: str, mors: list[SliceMor]) -> SliceFunctorT:
-    """The identity on the slice over apex; ``mors`` is slice_mors(e.cat, apex)."""
+def identity_sf(e: ESystem, apex: str) -> SliceFunctorT:
+    """The identity on the slice over apex."""
     sf = SliceFunctorT(source_apex=apex, target_apex=apex)
     for f in e.cat.arrows_into(apex):
         sf.obj_map[f] = f
-    for m in mors:
+    for m in slice_mors(e.cat, apex):
         sf.mor_map[m] = m[0]
         sf.term_map[m] = {t: t for t in e.T(m[0])}
     return sf
@@ -123,8 +123,8 @@ def restrict_sf(e: ESystem, F: SliceFunctorT, P: str) -> SliceFunctorT | None:
 
     Uses the canonical identification of a slice of a slice with the slice
     at the domain; every entry is read off F's tables at morphisms over P.
-    None where P is not in F.obj_map or F(P) is no arrow. The term
-    tables of F/P are F's own tables, not copies: read them, never write.
+    None where P or F(P) is no arrow. The term tables of F/P are F's
+    own tables, not copies: read them, never write.
     """
     return _Slices(e).restrict(F, P)
 
@@ -132,14 +132,14 @@ def restrict_sf(e: ESystem, F: SliceFunctorT, P: str) -> SliceFunctorT | None:
 def _restricted_at(cat: FinCat, F: SliceFunctorT, P: str, Q: str) -> str | None:
     """(F/P)(Q), read as F.mor_map[(Q, P∘Q, P)] without restricting F.
 
-    Completeness: restrict_sf(e, F, P) is None exactly when P is not in
-    F.obj_map or F(P) is no arrow. Otherwise it sets obj_map[Q] only for
-    Q among the arrows into dom(P), where it copies F.mor_map[(Q, P∘Q,
-    P)] if P∘Q and that entry are defined. Those are the cases checked
-    here, so the same entries are found, and None is returned exactly
-    where the restriction or its entry at Q is missing.
+    Completeness: restrict_sf(e, F, P) is None exactly when P or F(P)
+    is no arrow. Otherwise it sets obj_map[Q] only for Q among the
+    arrows into dom(P), where it copies F.mor_map[(Q, P∘Q, P)] if P∘Q
+    and that entry are defined. Those are the cases checked here, so the
+    same entries are found, and None is returned exactly where the
+    restriction or its entry at Q is missing.
     """
-    if F.obj_map.get(P) not in cat.arrows:
+    if P not in cat.arrows or F.obj_map.get(P) not in cat.arrows:
         return None
     q = cat.arrows.get(Q)
     PQ = cat.compose.get((P, Q)) if q is not None and q.cod == cat.dom(P) else None
@@ -153,12 +153,8 @@ def _restricted_at(cat: FinCat, F: SliceFunctorT, P: str, Q: str) -> str | None:
 _Plan = tuple[str, list[tuple[str, SliceMor]], list[tuple[SliceMor, SliceMor]]]
 
 
-def _restriction_plan(slices: _Slices, P: str) -> _Plan:
-    """The plan of F/P for every F of ``slices``' category. A P that is
-    no arrow gets an empty plan."""
-    cat = slices.e.cat
-    if P not in cat.arrows:
-        return P, [], []
+def _restriction_plan(cat: FinCat, P: str) -> _Plan:
+    """The plan of F/P for every F on slices of ``cat``, for P an arrow."""
     compose = cat.compose
     dom = cat.dom(P)
     objs = []
@@ -167,7 +163,7 @@ def _restriction_plan(slices: _Slices, P: str) -> _Plan:
         if pq is not None:
             objs.append((q, (q, pq, P)))
     mors = []
-    for m in slices.mors(dom):
+    for m in slice_mors(cat, dom):
         pq1, pq2 = compose.get((P, m[1])), compose.get((P, m[2]))
         if pq1 is not None and pq2 is not None:
             mors.append((m, (m[0], pq1, pq2)))
@@ -175,7 +171,7 @@ def _restriction_plan(slices: _Slices, P: str) -> _Plan:
 
 
 def _restrict(cat: FinCat, plan: _Plan, F: SliceFunctorT) -> SliceFunctorT:
-    """F/P through its plan, for P in F.obj_map: the entries of F at the
+    """F/P through its plan, for P and F(P) arrows: the entries of F at the
     plan's keys that F defines. Each term table is F's table at the key,
     shared, not copied: nothing in bcsys writes into a restriction."""
     P, objs, mors = plan
@@ -492,8 +488,9 @@ class _Cells:
 
     __slots__ = ("obj", "mor", "slot", "absent", "k", "span")
 
-    def __init__(self, e: ESystem, apex: str, mors: list[SliceMor]) -> None:
+    def __init__(self, e: ESystem, apex: str) -> None:
         objs = e.cat.arrows_into(apex)
+        mors = slice_mors(e.cat, apex)
         self.obj = {x: i for i, x in enumerate(objs)}
         self.mor = {m: i for i, m in enumerate(mors, len(objs))}
         self.slot: dict[SliceMor, dict[str, int]] = {}
@@ -538,16 +535,16 @@ def _flatten(F: SliceFunctorT, src: _Cells, tgt: _Cells) -> tuple[int, ...] | No
 class _Slices:
     """Slice functors of one call, their flat forms and numbers.
 
-    Holds slice_mors per apex, identity_sf per apex, the restriction
-    plan of each slice object P, restrict_sf(H, P) per P for the functor
-    H restricted most recently, the cells of each slice, and a value
-    number for each distinct flat form of a functor compared (see
-    composites_equal), with the results of the comparisons made. The
-    slice morphisms, the plans, the identities and the cells read the
-    category only.
-    validate_esystem, internal_hom_cat and xlate.e_to_ce each make one
-    and drop it when they return, so nothing outlives the call and a
-    table changed between two calls is read afresh.
+    Holds identity_sf per apex, the restriction plan of each slice
+    object P, restrict_sf(H, P) per P for the functor H restricted most
+    recently, the cells of each slice, and a value number for each
+    distinct flat form of a functor compared (see composites_equal),
+    with the results of the comparisons made. The slice morphisms are
+    the category's own (slice_mors), and the plans read the category
+    only; the rest reads the system's term sets and functors, which may
+    change between two calls. validate_esystem, internal_hom_cat and
+    xlate.e_to_ce each make one and drop it when they return, so such a
+    change is read afresh.
 
     Restrictions are kept for one functor H at a time: validate_esystem
     checks all three conditions of a functor in one walk, and only axiom
@@ -578,7 +575,6 @@ class _Slices:
 
     def __init__(self, e: ESystem) -> None:
         self.e = e
-        self._mors: dict[str, list[SliceMor]] = {}
         self._plans: dict[str, _Plan] = {}
         self._ids: dict[str, SliceFunctorT] = {}
         self._restricted: SliceFunctorT | None = None
@@ -604,31 +600,26 @@ class _Slices:
         # number -> _ehom_walk's result for a functor with that form
         self.walks: dict[int, _Walk] = {}
 
-    def mors(self, apex: str) -> list[SliceMor]:
-        """slice_mors(e.cat, apex), once per call."""
-        if apex not in self._mors:
-            self._mors[apex] = slice_mors(self.e.cat, apex)
-        return self._mors[apex]
-
     def identity(self, apex: str) -> SliceFunctorT:
         if apex not in self._ids:
-            self._ids[apex] = identity_sf(self.e, apex, self.mors(apex))
+            self._ids[apex] = identity_sf(self.e, apex)
         return self._ids[apex]
 
     def restrict(self, H: SliceFunctorT, P: str) -> SliceFunctorT | None:
-        """H/P, or None where P is not in H.obj_map or H(P) is no arrow,
-        so that H/P has no target slice."""
+        """H/P, or None where P or H(P) is no arrow, so that H/P has no
+        source or no target slice."""
         if H is not self._restricted:
             self._drop_restrictions()
             self._restricted = H
         memo = self._restrictions
         if P not in memo:
-            if H.obj_map.get(P) not in self.e.cat.arrows:
+            cat = self.e.cat
+            if P not in cat.arrows or H.obj_map.get(P) not in cat.arrows:
                 memo[P] = None
             else:
                 if P not in self._plans:
-                    self._plans[P] = _restriction_plan(self, P)
-                memo[P] = _restrict(self.e.cat, self._plans[P], H)
+                    self._plans[P] = _restriction_plan(cat, P)
+                memo[P] = _restrict(cat, self._plans[P], H)
         return memo[P]
 
     def _drop_restrictions(self) -> None:
@@ -641,7 +632,7 @@ class _Slices:
 
     def _cells_of(self, apex: str) -> _Cells:
         if apex not in self._cells:
-            self._cells[apex] = _Cells(self.e, apex, self.mors(apex))
+            self._cells[apex] = _Cells(self.e, apex)
         return self._cells[apex]
 
     def number(self, F: SliceFunctorT) -> int | None:
@@ -1608,9 +1599,8 @@ def build_nat_esystem(height: int) -> ESystem:
 
     Each term table is built once per (h, post[:b]) for h = a >= b: a
     term of h is a function [a - b] -> [b], so the table reads only that
-    prefix of the index list, and the category is not changed during the
-    call. The first functor to use a table keeps it and every later one
-    gets a copy, so no two functors share a dict.
+    prefix of the index list. The first functor to use a table keeps it
+    and every later one gets a copy, so no two functors share a dict.
     """
     cat = nat_poset_cat(height)
     ar = [[nat_arrow(m, n) for n in range(m + 1)] for m in range(height + 1)]
@@ -1628,7 +1618,6 @@ def build_nat_esystem(height: int) -> ESystem:
             terms[ar[m][n]] = frozenset(fs)
     parsed = {t: v for v, t in fmt.items()}
     e = ESystem(tc=TermCat(cat=cat, terms=terms), levels={str(n): n for n in range(height + 1)})
-    mors = [slice_mors(cat, str(m)) for m in range(height + 1)]
 
     tables: dict[tuple, dict[str, str]] = {}
 
@@ -1650,7 +1639,7 @@ def build_nat_esystem(height: int) -> ESystem:
             wa = SliceFunctorT(source_apex=str(n), target_apex=str(m))
             for a in range(n, height + 1 - k):
                 wa.obj_map[ar[a][n]] = ar[a + k][m]
-            for key in mors[n]:
+            for key in slice_mors(cat, str(n)):
                 a, b = ends[key[0]]
                 if a + k > height:
                     continue
@@ -1660,7 +1649,7 @@ def build_nat_esystem(height: int) -> ESystem:
             # substitution S_f : slice over m -> slice over n, objects -k
             obj_map = {ar[a][m]: ar[a - k][n] for a in range(m, height + 1)}
             mor_map = {}
-            for key in mors[m]:
+            for key in slice_mors(cat, str(m)):
                 a, b = ends[key[0]]
                 mor_map[key] = ar[a - k][b - k]
             for t in terms[A]:
@@ -1671,7 +1660,7 @@ def build_nat_esystem(height: int) -> ESystem:
                     obj_map=dict(obj_map),
                     mor_map=dict(mor_map),
                 )
-                for key in mors[m]:
+                for key in mor_map:
                     sf.term_map[key] = term_table(post, key[0])
                 e.subst[(A, t)] = sf
             if m + k <= height:
@@ -1731,13 +1720,11 @@ def build_group_structure(
         inv = aut_inv(p)
         return {aid: aut_id(aut_compose(aut_compose(p, y), inv)) for aid, y in by_id.items()}
 
-    mors = slice_mors(cat, obj)
-
     def mk_sf(p: dict[str, str], table: dict[str, str]) -> SliceFunctorT:
         # acts on elements by p and on terms by ``table``, conjugation by
         # p; every slice morphism gets its own copy of the table
         sf = SliceFunctorT(source_apex=obj, target_apex=obj, obj_map={g: p[g] for g in elements})
-        for m in mors:
+        for m in slice_mors(cat, obj):
             sf.mor_map[m] = p[m[0]]
             sf.term_map[m] = dict(table)
         return sf

@@ -115,7 +115,7 @@ def fincat_payload(c: FinCat) -> dict:
             {"id": a.name, "dom": a.dom, "cod": a.cod}
             for _, a in sorted(c.arrows.items())
         ],
-        "identity": c.identity,
+        "identity": dict(c.identity),
         "compose": [[g, f, gf] for (g, f), gf in sorted(c.compose.items())],
         "terminal": c.terminal,
         "partial": c.partial,

@@ -772,9 +772,8 @@ def _pulled_section(a: CESystem, F: str, pi2: str, s: str | None, ident: str | N
     return found[0] if len(found) == 1 else None
 
 
-def _pullback_sfunctor(a: CESystem, f: str, mors: list[tuple[str, str, str]]) -> SliceFunctorT:
-    """The functor f* on family slices, with its action on sections;
-    ``mors`` is slice_mors(a.fam, cod f)."""
+def _pullback_sfunctor(a: CESystem, f: str) -> SliceFunctorT:
+    """The functor f* on family slices, with its action on sections."""
     base, fam = a.base, a.fam
     gamma, delta = base.cod(f), base.dom(f)
     sf = SliceFunctorT(source_apex=gamma, target_apex=delta)
@@ -782,7 +781,7 @@ def _pullback_sfunctor(a: CESystem, f: str, mors: list[tuple[str, str, str]]) ->
         entry = a.pb.get((f, A))
         if entry is not None:
             sf.obj_map[A] = entry[0]
-    for (P, B1, B) in mors:
+    for (P, B1, B) in slice_mors(fam, gamma):
         # P underlies the slice morphism B1 -> B, i.e. B . P = B1
         entry = a.pb.get((f, B))
         if entry is None:
@@ -808,34 +807,20 @@ def _pullback_sfunctor(a: CESystem, f: str, mors: list[tuple[str, str, str]]) ->
 
 
 def ce_to_e(a: CESystem) -> ESystem:
-    """Terms are sections; substitution and weakening are pullback functors.
-
-    The family slice over each apex is enumerated once per call and
-    every pullback functor along an arrow into that apex reads the same
-    list. That is complete: slice_mors(a.fam, Γ) depends only on Γ, and
-    nothing here changes a.fam. Each functor's tables are its own.
-    """
+    """Terms are sections; substitution and weakening are pullback
+    functors, each with tables of its own."""
     fam = replace(a.fam, terminal=a.root, partial=a.fam.partial or a.base.partial)
     terms = {A: frozenset(_section_terms(a, A)) for A in fam.arrows}
     strat = stratify(fam)
     levels = dict(strat.level) if isinstance(strat, Stratification) else None
     e = ESystem(tc=TermCat(cat=fam, terms=terms), levels=levels)
-    slices: dict[str, list[tuple[str, str, str]]] = {}
-
-    def pullback(f: str) -> SliceFunctorT:
-        gamma = a.base.cod(f)
-        mors = slices.get(gamma)
-        if mors is None:
-            mors = slices[gamma] = slice_mors(a.fam, gamma)
-        return _pullback_sfunctor(a, f, mors)
-
     for A in fam.arrows:
         ia = a.ifun.get(A)
         if ia is None:
             continue
-        e.weak[A] = pullback(ia)
+        e.weak[A] = _pullback_sfunctor(a, ia)
         for x in terms[A]:
-            e.subst[(A, x)] = pullback(x)
+            e.subst[(A, x)] = _pullback_sfunctor(a, x)
         # identity term: the diagonal section of the pulled-back family
         entry = a.pb.get((ia, A))
         ident = a.base.identity.get(fam.dom(A))
@@ -881,16 +866,15 @@ def e_to_ce(e: ESystem) -> CESystem:
     The base arrows are read as (A, B, x, name) from the names that
     esys._internal_hom returns, so no arrow id is decoded, and an
     internal-hom id is looked up there instead of made again. One
-    _Slices serves the call: the slice morphisms of each apex are
-    enumerated once, the restriction plan of each slice object is made
-    once, and W_A/B is restricted once per (A, B) here, as in the
-    internal-hom category.
+    _Slices serves the call: the restriction plan of each slice object
+    is made once, and W_A/B is restricted once per (A, B) here, as in
+    the internal-hom category.
     """
     root = e.cat.terminal
     if root is None:
         raise ValueError("e_to_ce needs a chosen terminal object")
     slices = _Slices(e)
-    sl = slice_category(e.cat, root, slices.mors(root))
+    sl = slice_category(e.cat, root)
     fam = sl.cat
     base, names = _internal_hom(e, root, slices)
     ifun: dict[str, str] = {}

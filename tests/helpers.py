@@ -14,6 +14,9 @@ sets via plain function composition).
 encode in an id, and the builders what they encode in a name, so only
 tests decode one.
 
+A built ``FinCat`` is never written into: ``with_compose`` makes a
+damaged copy of one through ``dataclasses.replace``.
+
 ``violations`` and ``total_skipped`` read a ``Report`` as a whole: its
 violations in law order, and the sum of its skips.
 
@@ -25,6 +28,7 @@ structure.
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 
 from bcsys.bsys import BSystem
@@ -123,6 +127,15 @@ def finsets_op_cat(height: int) -> FinCat:
         compose=compose,
         terminal="0",
     )
+
+
+def with_compose(c: FinCat, put=(), drop=(), **fields) -> FinCat:
+    """A copy of c whose composition table lacks the keys of ``drop`` and
+    has the entries of ``put``, with any other field given; c is left as
+    it is."""
+    compose = {k: v for k, v in c.compose.items() if k not in drop}
+    compose.update(put)
+    return dataclasses.replace(c, compose=compose, **fields)
 
 
 def chain_tree(height: int):

@@ -1015,7 +1015,7 @@ def e_to_ce_reference(e: ESystem) -> CESystem:
     root = e.cat.terminal
     if root is None:
         raise ValueError("e_to_ce needs a chosen terminal object")
-    sl = slice_category(e.cat, root, slice_mors(e.cat, root))
+    sl = slice_category(e.cat, root)
     fam = sl.cat
     base = internal_hom_cat_reference(e, root)
     ifun: dict[str, str] = {}

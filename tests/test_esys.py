@@ -49,7 +49,7 @@ from bcsys.report import Report, Truncated
 from bcsys.xlate import b_to_e, ce_to_e
 
 from ehom_pins import PINS
-from helpers import parse_path_id, split_ids, unpack_ids, violations
+from helpers import parse_path_id, split_ids, unpack_ids, violations, with_compose
 from reference import (
     _substitute_x_reference,
     cell_owners,
@@ -137,7 +137,7 @@ def test_sf_weak_composite_is_identity_elementwise():
     A = nat_arrow(3, 1)  # k = 2
     for x in e.T(A):
         comp = compose_sf(e.subst[(A, x)], e.weak[A])
-        bad, _, checked = sf_equal(comp, identity_sf(e, "1", slice_mors(e.cat, "1")))
+        bad, _, checked = sf_equal(comp, identity_sf(e, "1"))
         assert not bad and checked > 0
 
 
@@ -307,7 +307,7 @@ def test_precompose_identity_is_identity():
     A = nat_arrow(1, 0)
     one = e.proj[A]
     star = precompose(e, A, A, one)
-    bad, _, checked = sf_equal(star, identity_sf(e, "1", slice_mors(e.cat, "1")))
+    bad, _, checked = sf_equal(star, identity_sf(e, "1"))
     assert not bad and checked > 0
 
 
@@ -678,7 +678,7 @@ def _composite_pairs(draw, shapes=("random", "near", "single", "identity", "flat
         # sub-functors of one identity of _E: every side is representable
         # and its composites are gathered, so the flat comparison runs
         apex = draw(st.sampled_from(sorted(_E.cat.objects)))
-        ident = identity_sf(_E, apex, slice_mors(_E.cat, apex))
+        ident = identity_sf(_E, apex)
         side = st.one_of(st.just(ident), _thinned(ident))
         g1, f1, g2 = draw(side), draw(st.one_of(st.none(), side)), draw(side)
         f2 = draw(st.one_of(st.none(), side))
@@ -1677,18 +1677,42 @@ def test_restrictions_match_reference_on_damaged_systems(restrictions):
     assert restrictions["restricted"] > 0
 
 
-def test_restriction_plans_do_not_outlive_the_call():
-    """A plan reads the composition table; one changed between two
-    validations is read afresh."""
+def test_built_tables_are_read_only_and_a_damaged_copy_validates_afresh():
+    """Writing into a built table raises TypeError and setting a field
+    raises FrozenInstanceError. A damaged copy of a category that has
+    been validated, and so holds its slices, validates like a damaged
+    copy of a freshly built one."""
     e = build_nat_esystem(4)
     first = validate_esystem(e)
+    cat = e.cat
     key = (nat_arrow(1, 0), nat_arrow(2, 1))
-    del e.cat.compose[key]
-    again = validate_esystem(e)
-    fresh = build_nat_esystem(4)
-    del fresh.cat.compose[key]
+    for table in (cat.arrows, cat.identity, cat.compose):
+        with pytest.raises(TypeError):
+            table[key] = nat_arrow(2, 0)
+        with pytest.raises(TypeError):
+            del table[next(iter(table))]
+    for f in dataclasses.fields(cat):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(cat, f.name, getattr(cat, f.name))
+    assert validate_esystem(e).format() == first.format()
+
+    def damaged(e):
+        return dataclasses.replace(e, tc=dataclasses.replace(e.tc, cat=with_compose(e.cat, drop=[key])))
+
+    again = validate_esystem(damaged(e))
     assert again.format() != first.format()
-    assert again.format() == validate_esystem(fresh).format()
+    assert again.format() == validate_esystem(damaged(build_nat_esystem(4))).format()
+
+
+def test_restrict_sf_at_a_slice_object_that_is_no_arrow_is_none():
+    """A key of F.obj_map that is no arrow has no slice over it, also
+    where it maps to an arrow; _restricted_at agrees."""
+    e = build_nat_esystem(3)
+    W = e.weak[nat_arrow(1, 0)]
+    F = dataclasses.replace(W, obj_map={**W.obj_map, "ghost": W.obj_map[nat_arrow(1, 0)]})
+    assert restrict_sf(e, F, "ghost") is None
+    assert esys._restricted_at(e.cat, F, "ghost", nat_arrow(0, 0)) is None
+    assert restrict_sf(e, F, nat_arrow(1, 0)) == restrict_sf(e, W, nat_arrow(1, 0))
 
 
 # ---------------------------------------------------------------------------

@@ -11,9 +11,11 @@ the same violations in the same order.
 """
 
 import collections
+import copy
 import dataclasses
 import itertools
 import operator
+import unittest.mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -25,7 +27,7 @@ from bcsys.csys import check_pullback_composites, check_pullback_square
 from bcsys.report import Report
 from bcsys.syntax import build_syntactic_bframe, parse_signature
 
-from helpers import chain_tree, finsets_op_cat, thin_cat
+from helpers import chain_tree, finsets_op_cat, thin_cat, with_compose
 from reference import (
     check_pullback_composites_reference,
     check_pullback_square_reference,
@@ -159,6 +161,52 @@ def test_validate_fincat_matches_reference_on_damaged_categories(cat):
     assert_same_report(validate_fincat(cat), validate_fincat_reference(cat))
 
 
+def brute_slice(c: FinCat, apex: str) -> tuple:
+    """Every (h, f, g) with g∘h = f for f and g into ``apex``, in the
+    order of f, g and h sorted, read off the tables alone."""
+    names = sorted(c.arrows)
+    into = [a for a in names if c.arrows[a].cod == apex]
+    return tuple(
+        (h, f, g)
+        for f in into
+        for g in into
+        for h in names
+        if (c.arrows[h].dom, c.arrows[h].cod) == (c.arrows[f].dom, c.arrows[g].dom)
+        and c.compose.get((g, h)) == f
+    )
+
+
+def refuse(*args):
+    raise AssertionError("enumerated again")
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(st.one_of(random_tables(), damaged_categories()))
+def test_slice_mors_is_enumerated_once_per_category_and_apex(cat):
+    """The kept slice_mors of every apex, and of a name that is no
+    object, is the brute-force enumeration; a second call reads no
+    hom-set, and a copy with a changed composition table enumerates
+    afresh."""
+    apexes = [*sorted(cat.objects), "zz"]
+    kept = {apex: core.slice_mors(cat, apex) for apex in apexes}
+    assert kept == {apex: brute_slice(cat, apex) for apex in apexes}
+    with unittest.mock.patch.object(FinCat, "hom", refuse), unittest.mock.patch.object(FinCat, "arrows_into", refuse):
+        assert {apex: core.slice_mors(cat, apex) for apex in apexes} == kept
+    apex = next((apex for apex in apexes if kept[apex]), None)
+    if apex is not None:
+        h, _f, g = kept[apex][0]
+        changed = with_compose(cat, drop=[(g, h)])
+        assert core.slice_mors(changed, apex) == brute_slice(changed, apex) != kept[apex]
+    assert core.slice_mors(cat, "zz") == ()
+
+
+def test_deepcopy_of_an_esystem_shares_its_category():
+    e = esys.build_nat_esystem(3)
+    d = copy.deepcopy(e)
+    assert d.cat is e.cat and copy.copy(e.cat) is e.cat
+    assert d.tc is not e.tc and d.weak is not e.weak
+
+
 # ---------------------------------------------------------------------------
 # associativity a row at a time
 
@@ -217,12 +265,6 @@ def rows_visited(c: FinCat, rep: Report, counts) -> int:
     generator path proved the table associative."""
     proved = counts["generator path"] and not rep.laws["assoc"].violations
     return counts["generator rows"] + (0 if proved else rows_with_hg(c))
-
-
-def with_compose(c: FinCat, put=(), drop=(), **fields) -> FinCat:
-    compose = {k: v for k, v in c.compose.items() if k not in drop}
-    compose.update(put)
-    return dataclasses.replace(c, compose=compose, **fields)
 
 
 def single_damages():

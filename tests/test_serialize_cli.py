@@ -793,11 +793,11 @@ def test_cli_translate_to_b_of_an_esystem_without_terminal_is_input_error(tmp_pa
     _one_line(printed, "stratify requires a chosen terminal object")
 
 
-def _meet_esystem():
-    """ce_to_e of the CE-system whose families and base are the poset
-    a <= b, a <= c under a top 1, with meets as the chosen pullbacks.
-    The poset has a terminal object but does not stratify: a has two
-    arrows to the level of b and c."""
+def _meet_cesystem():
+    """The CE-system whose families and base are the poset a <= b,
+    a <= c under a top 1, with meets as the chosen pullbacks. The poset
+    has a terminal object but does not stratify: a has two arrows to the
+    level of b and c."""
     objs = ["1", "a", "b", "c"]
     le = {(x, x) for x in objs} | {("a", "b"), ("a", "c"), ("a", "1"), ("b", "1"), ("c", "1")}
     cat = thin_cat(objs, le, terminal="1")
@@ -810,7 +810,18 @@ def _meet_esystem():
         for A in cat.arrows_into(ar.cod):
             m = meet(ar.dom, cat.dom(A))
             pb[(f, A)] = (f"{m}->{ar.dom}", f"{m}->{cat.dom(A)}")
-    return ce_to_e(CESystem(fam=cat, base=cat, ifun={a: a for a in cat.arrows}, root="1", pb=pb))
+    return CESystem(fam=cat, base=cat, ifun={a: a for a in cat.arrows}, root="1", pb=pb)
+
+
+def _meet_esystem():
+    return ce_to_e(_meet_cesystem())
+
+
+# how stratify's failure on the meet poset reads
+_MEET_STRAT = (
+    "condition (ii) of a stratification fails at ('a', 1, ('a->b', 'a->c')):"
+    " arrows to that level not a singleton"
+)
 
 
 def test_cli_translate_to_b_of_a_lawful_esystem_that_does_not_stratify_is_input_error(tmp_path, capsys):
@@ -820,11 +831,15 @@ def test_cli_translate_to_b_of_a_lawful_esystem_that_does_not_stratify_is_input_
     path.write_text(save_structure(e))
     code, printed = _run(capsys, "translate", "--to", "b", str(path), "-o", str(tmp_path / "b.json"))
     assert code == 2
-    _one_line(
-        printed,
-        "E-system is not stratified: StratFailure(condition='ii', witness=('a', 1, ('a->b', 'a->c')),"
-        " detail='arrows to that level not a singleton')",
-    )
+    _one_line(printed, f"E-system is not stratified: {_MEET_STRAT}")
+
+
+def test_cli_translate_to_c_of_a_cesystem_that_does_not_stratify_is_input_error(tmp_path, capsys):
+    path = tmp_path / "ce.json"
+    path.write_text(save_structure(_meet_cesystem()))
+    code, printed = _run(capsys, "translate", "--to", "c", str(path), "-o", str(tmp_path / "c.json"))
+    assert code == 2
+    _one_line(printed, f"family category does not stratify: {_MEET_STRAT}")
 
 
 def test_cli_roundtrip_bsystem_without_weakening_is_input_error(tmp_path, capsys):

@@ -187,10 +187,11 @@ def damaged_system(choose, kind=None, base=None):
             A = choose(arrows)
             if A in e.weak:
                 e.weak[A].obj_map.pop(A, None)
-        elif damage == "compose-retarget":
-            e.cat.compose[choose(sorted(e.cat.compose))] = choose(arrows)
-        elif damage == "compose-stray":
-            e.cat.compose[(choose(arrows), choose(arrows))] = choose(arrows)
+        elif damage in ("compose-retarget", "compose-stray"):
+            # the composite is drawn before its key
+            value = choose(arrows)
+            key = choose(sorted(e.cat.compose)) if damage == "compose-retarget" else (choose(arrows), choose(arrows))
+            e.tc.cat = helpers.with_compose(e.cat, put={key: value})
         else:
             functors = [e.weak[k] for k in sorted(e.weak)] + [e.subst[k] for k in sorted(e.subst)]
             if not functors:
@@ -293,7 +294,7 @@ def test_vertical_compose_reads_only_arrows_into_dom_b():
     assert args in CALLS["nat-e"]
     wap = e.weak[e.cat.compose[(A, P)]]
     stray = "1>=1"  # an arrow into 1, not into dom(B) = 0
-    e.cat.compose[(B, stray)] = "1>=0"
+    e.tc.cat = helpers.with_compose(e.cat, put={(B, stray): "1>=0"})
     wap.mor_map[(stray, "1>=0", B)] = wap.mor_map[(Q, e.cat.compose[(B, Q)], B)]
     moved = (A, B, f, P, stray, F)
     assert outcome(vertical_compose_reference, str, e, *moved)[0] is Truncated
@@ -428,7 +429,7 @@ def test_unit_ehom_matches_reference_with_each_position_read_dropped(kind):
         key = (bg, A)
         drops = [
             lambda e: e.weak[bg].obj_map.pop(bg, None),
-            lambda e: e.cat.compose.pop(key, None),
+            lambda e: setattr(e.tc, "cat", helpers.with_compose(e.cat, drop=[key])),
             lambda e: e.weak[bg].mor_map.pop((A, e.cat.compose.get(key), bg), None),
         ]
         for drop in drops:
@@ -1049,34 +1050,58 @@ def test_c_to_ce_makes_each_path_id_once(monkeypatch, c):
 @pytest.mark.parametrize("height", [3, 6])
 @pytest.mark.parametrize("kind", ["nat-e", "finset-b"])
 def test_e_to_ce_enumerates_each_slice_once(monkeypatch, kind, height):
-    """slice_mors once per apex and one restriction plan per slice
+    """Each apex enumerated once and one restriction plan per slice
     object, over the whole call, and no restrict_sf."""
     e = built(kind, height)
     slices, plans, restricted = [], [], []
-    counting(monkeypatch, (core, esys, xlate), "slice_mors", slices)
+    enumerating(monkeypatch, slices)
     counting(monkeypatch, (esys,), "_restriction_plan", plans)
     counting(monkeypatch, (esys,), "restrict_sf", restricted)
     e_to_ce(e)
     apexes = [apex for _c, apex in slices]
-    planned = [P for _slices, P in plans]
+    planned = [P for _cat, P in plans]
     assert len(apexes) == len(set(apexes))
     assert len(planned) == len(set(planned)) > 0
     assert not restricted
 
 
+def enumerating(monkeypatch, calls):
+    """Append (category, apex) to ``calls`` for each slice_mors call that
+    enumerates, not one that finds the slice kept on its category."""
+    counting(monkeypatch, (core, esys, xlate), "slice_mors", calls, keep=lambda c, apex: apex not in c._slices)
+
+
 def test_ce_to_e_enumerates_each_family_slice_once(monkeypatch):
-    """slice_mors once per apex of the pullback functors ce_to_e builds,
-    over the whole call."""
+    """Each (category, apex) of the pullback functors ce_to_e builds is
+    enumerated once, over the whole call and a second call."""
     a = build_finset_cesystem(3)
     slices, pulled = [], []
-    counting(monkeypatch, (xlate,), "slice_mors", slices)
+    enumerating(monkeypatch, slices)
     counting(monkeypatch, (xlate,), "_pullback_sfunctor", pulled)
     ce_to_e(a)
     apexes = [apex for _c, apex in slices]
     assert all(c is a.fam for c, _apex in slices)
     assert len(apexes) == len(set(apexes))
-    assert set(apexes) == {a.base.cod(f) for _a, f, _mors in pulled}
+    assert set(apexes) == {a.base.cod(f) for _a, f in pulled}
     assert len(pulled) > len(apexes)
+    ce_to_e(a)
+    assert len(slices) == len(apexes)
+
+
+def test_each_category_enumerates_each_slice_once_in_its_life(monkeypatch):
+    """Across validate_esystem, e_to_ce, ce_to_e, a grand round trip and
+    their repeats, each (category, apex) is enumerated once: the list
+    holds the categories, so no id is reused."""
+    slices = []
+    enumerating(monkeypatch, slices)
+    e = built("nat-e", 4)
+    b = build_finset_bsystem(3)
+    for _ in range(2):
+        esys.validate_esystem(e)
+        esys.validate_esystem(ce_to_e(e_to_ce(e)))
+        xlate.grand_roundtrip_iso(b)
+    keys = [(id(c), apex) for c, apex in slices]
+    assert len(keys) == len(set(keys)) > 0
 
 
 @pytest.mark.parametrize("height", [3, 5])
