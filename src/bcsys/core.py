@@ -53,9 +53,10 @@ class FinCat:
     derived from it is kept with it, outside ``repr`` and equality: the
     index of sorted arrow names that ``hom``, ``arrows_into`` and
     ``arrows_from`` read, built when the category is made, and the slice
-    morphisms of each apex, enumerated by slice_mors when first asked
-    for. A damaged copy is a new category (dataclasses.replace), with an
-    index and slices of its own; copy and deepcopy return the category.
+    morphisms of each apex and the restriction plan of each arrow, made
+    by slice_mors and _restriction_plan when first asked for. A damaged
+    copy is a new category (dataclasses.replace), with an index, slices
+    and plans of its own; copy and deepcopy return the category.
     """
 
     objects: frozenset[str]
@@ -82,8 +83,9 @@ class FinCat:
             hom.setdefault((ar.dom, ar.cod), []).append(a)
             into.setdefault(ar.cod, []).append(a)
             out.setdefault(ar.dom, []).append(a)
-        # _slices: apex -> slice_mors(self, apex)
-        d.update(_hom=hom, _into=into, _from=out, _slices={})
+        # _slices: apex -> slice_mors(self, apex); _plans: P ->
+        # _restriction_plan(self, P)
+        d.update(_hom=hom, _into=into, _from=out, _slices={}, _plans={})
 
     def __copy__(self) -> FinCat:
         return self
@@ -154,9 +156,11 @@ class Stratification:
 
 @dataclass(frozen=True)
 class StratFailure:
-    """Which of the three stratification conditions broke, and where."""
+    """Which of the three stratification conditions broke, and where:
+    "ii" or "iii". Condition (i), the terminal alone at level 0, holds
+    by construction, as stratify grows the levels from the terminal."""
 
-    condition: str  # "i", "ii" or "iii"
+    condition: str  # "ii" or "iii"
     witness: tuple
     detail: str
 
@@ -460,9 +464,10 @@ def stratify(c: FinCat) -> Stratification | StratFailure:
 
     Levels are grown outward from the chosen terminal: an object is
     assigned level n+1 once all its non-identity out-arrows land on
-    assigned objects. The candidate assignment is then checked against
-    the three conditions characterising stratifications; the failure
-    value names the first violated condition with a minimal witness.
+    assigned objects, so the terminal alone is at level 0, as condition
+    (i) asks. The candidate assignment is then checked against the other
+    two conditions characterising stratifications; the failure value
+    names the first violated condition with a minimal witness.
     """
     if c.terminal is None:
         raise ValueError("stratify requires a chosen terminal object")
@@ -484,9 +489,6 @@ def stratify(c: FinCat) -> Stratification | StratFailure:
         for x, targets in ready:
             level[x] = 1 + max((level[t] for t in targets), default=0)
             pending.discard(x)
-
-    if level[c.terminal] != 0:
-        return StratFailure("i", (c.terminal,), "terminal not at level 0")
 
     by_level: dict[int, list[str]] = {}
     for x, n in level.items():
@@ -520,6 +522,13 @@ def individual_arrow(c: FinCat, s: Stratification, x: str) -> str:
     if len(cands) != 1:
         raise ValueError(f"no unique individual arrow out of {x!r}")
     return cands[0]
+
+
+def unique_arrow(c: FinCat, x: str, y: str) -> str | None:
+    """The one arrow x -> y, or None where hom(x, y) is not a singleton.
+    It reads the category's index, without the copy FinCat.hom makes."""
+    arrs = c._hom.get((x, y), ())
+    return arrs[0] if len(arrs) == 1 else None
 
 
 # ---------------------------------------------------------------------------
@@ -615,6 +624,35 @@ def slice_mors(c: FinCat, apex: str) -> tuple[tuple[str, str, str], ...]:
             if c.compose.get((g, h)) == f
         )
     return mors
+
+
+# Where F/P reads F, for one slice object P of one category: P, the pairs
+# (q, (q, P∘q, P)) for the slice objects q over dom(P) with P∘q defined,
+# and the pairs (m, (h, P∘q1, P∘q2)) for the slice morphisms m = (h, q1,
+# q2) over dom(P) with both composites defined, in slice_mors order.
+_Plan = tuple[str, list[tuple[str, tuple[str, str, str]]], list[tuple[tuple[str, str, str], tuple[str, str, str]]]]
+
+
+def _restriction_plan(c: FinCat, P: str) -> _Plan:
+    """The plan of F/P for every slice functor F on slices of ``c``, for
+    P an arrow (see esys.restrict_sf). Each P is planned once per
+    category and kept in ``c._plans``, as slice_mors keeps each apex."""
+    plan = c._plans.get(P)
+    if plan is None:
+        compose = c.compose
+        dom = c.dom(P)
+        objs = []
+        for q in c.arrows_into(dom):
+            pq = compose.get((P, q))
+            if pq is not None:
+                objs.append((q, (q, pq, P)))
+        mors = []
+        for m in slice_mors(c, dom):
+            pq1, pq2 = compose.get((P, m[1])), compose.get((P, m[2]))
+            if pq1 is not None and pq2 is not None:
+                mors.append((m, (m[0], pq1, pq2)))
+        plan = c._plans[P] = (P, objs, mors)
+    return plan
 
 
 def slice_category(c: FinCat, apex: str) -> SliceCat:

@@ -22,6 +22,8 @@ from .core import (
     Arrow,
     FinCat,
     FunctorData,
+    _Plan,
+    _restriction_plan,
     compose_functors,
     identity_functor,
     join_ids,
@@ -122,11 +124,15 @@ def restrict_sf(e: ESystem, F: SliceFunctorT, P: str) -> SliceFunctorT | None:
     """F/P: the functor induced between slices over dom(P) and dom(F(P)).
 
     Uses the canonical identification of a slice of a slice with the slice
-    at the domain; every entry is read off F's tables at morphisms over P.
+    at the domain; every entry is read off F's tables at morphisms over P,
+    at the keys of the category's plan for P (core._restriction_plan).
     None where P or F(P) is no arrow. The term tables of F/P are F's
     own tables, not copies: read them, never write.
     """
-    return _Slices(e).restrict(F, P)
+    cat = e.cat
+    if P not in cat.arrows or F.obj_map.get(P) not in cat.arrows:
+        return None
+    return _restrict(cat, _restriction_plan(cat, P), F)
 
 
 def _restricted_at(cat: FinCat, F: SliceFunctorT, P: str, Q: str) -> str | None:
@@ -144,30 +150,6 @@ def _restricted_at(cat: FinCat, F: SliceFunctorT, P: str, Q: str) -> str | None:
     q = cat.arrows.get(Q)
     PQ = cat.compose.get((P, Q)) if q is not None and q.cod == cat.dom(P) else None
     return None if PQ is None else F.mor_map.get((Q, PQ, P))
-
-
-# Where F/P reads F, for one slice object P of one category: P, the pairs
-# (q, (q, P∘q, P)) for the slice objects q over dom(P) with P∘q defined,
-# and the pairs (m, (h, P∘q1, P∘q2)) for the slice morphisms m = (h, q1,
-# q2) over dom(P) with both composites defined, in slice_mors order.
-_Plan = tuple[str, list[tuple[str, SliceMor]], list[tuple[SliceMor, SliceMor]]]
-
-
-def _restriction_plan(cat: FinCat, P: str) -> _Plan:
-    """The plan of F/P for every F on slices of ``cat``, for P an arrow."""
-    compose = cat.compose
-    dom = cat.dom(P)
-    objs = []
-    for q in cat.arrows_into(dom):
-        pq = compose.get((P, q))
-        if pq is not None:
-            objs.append((q, (q, pq, P)))
-    mors = []
-    for m in slice_mors(cat, dom):
-        pq1, pq2 = compose.get((P, m[1])), compose.get((P, m[2]))
-        if pq1 is not None and pq2 is not None:
-            mors.append((m, (m[0], pq1, pq2)))
-    return P, objs, mors
 
 
 def _restrict(cat: FinCat, plan: _Plan, F: SliceFunctorT) -> SliceFunctorT:
@@ -533,18 +515,17 @@ def _flatten(F: SliceFunctorT, src: _Cells, tgt: _Cells) -> tuple[int, ...] | No
 
 
 class _Slices:
-    """Slice functors of one call, their flat forms and numbers.
+    """Slice functors of one validate_esystem call, their flat forms and
+    numbers.
 
-    Holds identity_sf per apex, the restriction plan of each slice
-    object P, restrict_sf(H, P) per P for the functor H restricted most
-    recently, the cells of each slice, and a value number for each
-    distinct flat form of a functor compared (see composites_equal),
-    with the results of the comparisons made. The slice morphisms are
-    the category's own (slice_mors), and the plans read the category
-    only; the rest reads the system's term sets and functors, which may
-    change between two calls. validate_esystem, internal_hom_cat and
-    xlate.e_to_ce each make one and drop it when they return, so such a
-    change is read afresh.
+    Holds identity_sf per apex, restrict_sf(H, P) per P for the functor
+    H restricted most recently, the cells of each slice, and a value
+    number for each distinct flat form of a functor compared (see
+    composites_equal), with the results of the comparisons made. The
+    slice morphisms and restriction plans are the category's own
+    (slice_mors, core._restriction_plan); the rest reads the system's
+    term sets and functors, which may change between two calls, so it
+    is dropped when the call returns and such a change is read afresh.
 
     Restrictions are kept for one functor H at a time: validate_esystem
     checks all three conditions of a functor in one walk, and only axiom
@@ -575,7 +556,6 @@ class _Slices:
 
     def __init__(self, e: ESystem) -> None:
         self.e = e
-        self._plans: dict[str, _Plan] = {}
         self._ids: dict[str, SliceFunctorT] = {}
         self._restricted: SliceFunctorT | None = None
         self._restrictions: dict[str, SliceFunctorT | None] = {}
@@ -606,20 +586,14 @@ class _Slices:
         return self._ids[apex]
 
     def restrict(self, H: SliceFunctorT, P: str) -> SliceFunctorT | None:
-        """H/P, or None where P or H(P) is no arrow, so that H/P has no
-        source or no target slice."""
+        """restrict_sf(e, H, P), kept while H is the functor restricted
+        most recently."""
         if H is not self._restricted:
             self._drop_restrictions()
             self._restricted = H
         memo = self._restrictions
         if P not in memo:
-            cat = self.e.cat
-            if P not in cat.arrows or H.obj_map.get(P) not in cat.arrows:
-                memo[P] = None
-            else:
-                if P not in self._plans:
-                    self._plans[P] = _restriction_plan(cat, P)
-                memo[P] = _restrict(cat, self._plans[P], H)
+            memo[P] = restrict_sf(self.e, H, P)
         return memo[P]
 
     def _drop_restrictions(self) -> None:
@@ -1258,8 +1232,8 @@ def ih_arrow(A: str, B: str, t: str) -> str:
 
 
 # No code in bcsys calls internal_hom_cat; xlate.e_to_ce calls _internal_hom
-# with its own _Slices. It stays as the public entry point for one
-# internal-hom category, which the benchmark traces by name.
+# for its names. It stays as the public entry point for one internal-hom
+# category, which the benchmark traces by name.
 def internal_hom_cat(e: ESystem, gamma: str) -> FinCat:
     """The strict category of internal morphisms over ``gamma``.
 
@@ -1267,7 +1241,7 @@ def internal_hom_cat(e: ESystem, gamma: str) -> FinCat:
     is precomposition. On truncated systems some hom sets or composites
     fall outside the height; the result is marked partial.
     """
-    return _internal_hom(e, gamma, _Slices(e))[0]
+    return _internal_hom(e, gamma)[0]
 
 
 def _hom_names(e: ESystem, A: str, B: str) -> dict[str, str] | None:
@@ -1294,14 +1268,11 @@ def _ih_terms(e: ESystem, arrows: dict[str, Arrow]) -> dict[str, str]:
     return out
 
 
-def _internal_hom(
-    e: ESystem, gamma: str, slices: _Slices
-) -> tuple[FinCat, dict[tuple[str, str], dict[str, str]]]:
+def _internal_hom(e: ESystem, gamma: str) -> tuple[FinCat, dict[tuple[str, str], dict[str, str]]]:
     """internal_hom_cat(e, gamma) and its names: names[A, B] is
     _hom_names(e, A, B) for each represented hom set, in the order of the
     arrows. So a caller reads an arrow's term from the names and decodes
-    no id. ``slices`` is the caller's: the restrictions read its slice
-    morphisms and plans.
+    no id.
 
     The composite g∘f of f in hom(A, B) and g in hom(B, C) is f*(g), the
     action of f* = S_f ∘ (W_A/B) on the terms of
@@ -1355,7 +1326,7 @@ def _internal_hom(
                 partial = True
                 continue
             if reads is None:
-                reads = _precompose_reads(e, A, B, objs, names, slices)
+                reads = _precompose_reads(e, A, B, objs, names)
             for hom_bc, hom_ac, key1, t1 in reads:
                 h2 = sf.mor_map.get(key1) if key1 is not None else None
                 if h2 is None:
@@ -1385,7 +1356,6 @@ def _precompose_reads(
     B: str,
     objs: list[str],
     names: dict[tuple[str, str], dict[str, str]],
-    slices: _Slices,
 ) -> list[tuple[dict[str, str], dict[str, str], SliceMor | None, dict[str, str]]]:
     """What internal_hom_cat reads of W_A/B, for each C with hom(B, C)
     represented: the names of hom(B, C) and of hom(A, C) (empty if not
@@ -1394,7 +1364,7 @@ def _precompose_reads(
     where f*'s term table at u is undefined whatever f is.
     """
     cat = e.cat
-    wab = slices.restrict(e.weak[A], B)
+    wab = restrict_sf(e, e.weak[A], B)
     wb = e.weak.get(B)
     one = cat.identity.get(cat.dom(B))
     fb = wab.obj_map.get(one) if one is not None else None

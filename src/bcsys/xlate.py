@@ -46,6 +46,7 @@ from .core import (
     slice_mors,
     stratify,
     triangle_id,
+    unique_arrow,
 )
 from .csys import CSystem, validate_csystem
 from .esys import (
@@ -56,11 +57,11 @@ from .esys import (
     _ih_terms,
     _internal_hom,
     _restricted_at,
-    _Slices,
     compose_ehom,
     ehom_equal,
     identity_ehom,
     ih_arrow,
+    restrict_sf,
     term_action_at,
     term_extension,
     validate_ehom,
@@ -365,33 +366,13 @@ def b_to_e(bsys: BSystem) -> ESystem:
 # stratified E-systems -> B-systems
 
 
-def _unique_arrow(cat: FinCat, x: str, y: str) -> str | None:
-    arrs = cat.hom(x, y)
-    return arrs[0] if len(arrs) == 1 else None
-
-
-class _ElementReads:
-    """What _bhom_of_sfunctor reads besides the slice functor, once per
-    e_to_b call: the (X, t) of each frame element, recorded where e_to_b
-    packs it; ``ind``, the individual arrow of each object of positive
-    level, as e_to_b found it; and _unique_arrow of each pair of
-    objects."""
-
-    def __init__(self, cat: FinCat, ind: dict[str, str]) -> None:
-        self.cat = cat
-        self.ind = ind
-        self.parts: dict[str, tuple[str, str]] = {}
-        self._unique: dict[tuple[str, str], str | None] = {}
-
-    def unique(self, x: str, y: str) -> str | None:
-        if (x, y) not in self._unique:
-            self._unique[(x, y)] = _unique_arrow(self.cat, x, y)
-        return self._unique[(x, y)]
-
-
 def _bhom_of_sfunctor(e: ESystem, sf: SliceFunctorT, src: BFrame, tgt: BFrame,
-                      reads: _ElementReads) -> BFrameHom:
-    """Project a slice functor down to a homomorphism of the level frames."""
+                      parts: dict[str, tuple[str, str]], ind: dict[str, str]) -> BFrameHom:
+    """Project a slice functor down to a homomorphism of the level frames.
+
+    ``parts`` is the (X, t) of each frame element and ``ind`` the
+    individual arrow of each object of positive level, as e_to_b made
+    them."""
     cat = e.cat
     z, z1 = sf.source_apex, sf.target_apex
     H: dict[int, dict[str, str]] = {0: {z: z1}}
@@ -400,17 +381,17 @@ def _bhom_of_sfunctor(e: ESystem, sf: SliceFunctorT, src: BFrame, tgt: BFrame,
         hm: dict[str, str] = {}
         tm: dict[str, str] = {}
         for Y in src.B[m]:
-            u = reads.unique(Y, z)
+            u = unique_arrow(cat, Y, z)
             if u is None or u not in sf.obj_map:
                 continue
             hm[Y] = cat.dom(sf.obj_map[u])
         for el in src.Bt[m]:
-            Y, t = reads.parts[el]
-            u = reads.unique(Y, z)
+            Y, t = parts[el]
+            u = unique_arrow(cat, Y, z)
             if u is None:
                 continue
-            ybar = reads.ind[Y]
-            uft = reads.unique(cat.cod(ybar), z)
+            ybar = ind[Y]
+            uft = unique_arrow(cat, cat.cod(ybar), z)
             if uft is None:
                 continue
             key = (ybar, u, uft)
@@ -442,14 +423,14 @@ def e_to_b(e: ESystem) -> BSystem:
     Bt: list[frozenset[str]] = [frozenset()]
     bd: list[dict[str, str]] = [{}]
     ft: list[dict[str, str]] = [{}]
-    reads = _ElementReads(cat, ind)
+    parts: dict[str, tuple[str, str]] = {}
     for m in range(1, height + 1):
         elems = {}
         for X in B[m]:
             for t in e.T(ind[X]):
                 el = pack_ids((X, t))
                 elems[el] = X
-                reads.parts[el] = (X, t)
+                parts[el] = (X, t)
         Bt.append(frozenset(elems))
         bd.append(elems)
         ft.append({X: cat.cod(ind[X]) for X in B[m]})
@@ -457,20 +438,20 @@ def e_to_b(e: ESystem) -> BSystem:
     sys = BSystem(frame=frame)
     for m in range(1, height + 1):
         for el in frame.Bt[m]:
-            X, t = reads.parts[el]
+            X, t = parts[el]
             sf = e.subst.get((ind[X], t))
             if sf is None:
                 continue
             src = slice_bframe(frame, m, X)
             tgt = slice_bframe(frame, m - 1, cat.cod(ind[X]))
-            sys.subst[(m, el)] = _bhom_of_sfunctor(e, sf, src, tgt, reads)
+            sys.subst[(m, el)] = _bhom_of_sfunctor(e, sf, src, tgt, parts, ind)
         for X in frame.B[m]:
             wf = e.weak.get(ind[X])
             if wf is None:
                 continue
             src = slice_bframe(frame, m - 1, cat.cod(ind[X]))
             tgt = slice_bframe(frame, m, X)
-            sys.weak[(m, X)] = _bhom_of_sfunctor(e, wf, src, tgt, reads)
+            sys.weak[(m, X)] = _bhom_of_sfunctor(e, wf, src, tgt, parts, ind)
             one = e.proj.get(ind[X])
             wxx = wf.obj_map.get(ind[X])
             if one is not None and wxx is not None and m + 1 <= height:
@@ -865,18 +846,16 @@ def e_to_ce(e: ESystem) -> CESystem:
 
     The base arrows are read as (A, B, x, name) from the names that
     esys._internal_hom returns, so no arrow id is decoded, and an
-    internal-hom id is looked up there instead of made again. One
-    _Slices serves the call: the restriction plan of each slice object
-    is made once, and W_A/B is restricted once per (A, B) here, as in
-    the internal-hom category.
+    internal-hom id is looked up there instead of made again. W_A/B is
+    restricted once per (A, B) here, as in the internal-hom category,
+    through the category's plan for B (esys.restrict_sf).
     """
     root = e.cat.terminal
     if root is None:
         raise ValueError("e_to_ce needs a chosen terminal object")
-    slices = _Slices(e)
     sl = slice_category(e.cat, root)
     fam = sl.cat
-    base, names = _internal_hom(e, root, slices)
+    base, names = _internal_hom(e, root)
     ifun: dict[str, str] = {}
     for t, (h, f, g) in sl.triangle.items():
         # first projection: weaken the identity term of g by h
@@ -908,7 +887,7 @@ def e_to_ce(e: ESystem) -> CESystem:
             if sx is None:
                 continue
             if wab is None:
-                wab = slices.restrict(e.weak[A], B)
+                wab = restrict_sf(e, e.weak[A], B)
             for R, BR, tri in over.get(B, []):
                 # R is a family over B; pull it back along the internal x
                 xR = sx.obj_map.get(wab.obj_map.get(R))
@@ -943,7 +922,7 @@ def unit_ehom(e: ESystem, ehat: ESystem) -> EHom:
     """
     root = e.cat.terminal
     cat = e.cat
-    bang = {x: _unique_arrow(cat, x, root) for x in cat.objects}
+    bang = {x: unique_arrow(cat, x, root) for x in cat.objects}
     object_map = {x: bang[x] for x in cat.objects if bang[x] is not None}
     arrow_map = {}
     for h in cat.arrows:

@@ -171,6 +171,7 @@ from bcsys.core import (
     slice_mors,
     stratify,
     triangle_id,
+    unique_arrow,
     validate_fincat,
 )
 from bcsys.csys import CSystem
@@ -212,7 +213,6 @@ from bcsys.xlate import (
     _pulled_section,
     _section_terms,
     _tree_of_frame,
-    _unique_arrow,
     ce2e_of_cehom,
     ce_to_e,
     cehom_equal,
@@ -1566,7 +1566,7 @@ class _ElementReadsReference:
     """What bhom_of_sfunctor_reference reads besides the slice functor,
     once per e_to_b_reference call: the (X, t) of each frame element; for
     each object Y, ybar, the first arrow out of Y that goes one level
-    down; and _unique_arrow of each pair of objects."""
+    down; and unique_arrow of each pair of objects."""
 
     def __init__(self, cat: FinCat, lv: dict[str, int]) -> None:
         self.cat = cat
@@ -1584,7 +1584,7 @@ class _ElementReadsReference:
 
     def unique(self, x: str, y: str) -> str | None:
         if (x, y) not in self._unique:
-            self._unique[(x, y)] = _unique_arrow(self.cat, x, y)
+            self._unique[(x, y)] = unique_arrow(self.cat, x, y)
         return self._unique[(x, y)]
 
 

@@ -75,6 +75,36 @@ def test_one_damaged_arrow_fails_endpoints_with_its_witness(row):
     assert [(v.witness, v.detail) for v in rep.laws["endpoints"].violations] == want
 
 
+def _tree_damage(**fields):
+    """validate_tree of chain_tree(2), n0 <- n1 <- n2, with ``fields``
+    replaced."""
+    return lambda: validate_tree(dataclasses.replace(chain_tree(2), **fields))
+
+
+TREE_ROWS = {
+    "shape": (_tree_damage(height=3), "shape", [((3,), "level/parent arity mismatch")]),
+    "root": (
+        _tree_damage(levels=(frozenset({"n0", "m0"}), frozenset({"n1"}), frozenset({"n2"}))),
+        "root",
+        [((("m0", "n0"),), "T_0 is not a singleton")],
+    ),
+    "no-parent": (_tree_damage(parent=({"n1": "n0"}, {})), "parent", [((2, "n2"), "no parent")]),
+    "parent-not-below": (
+        _tree_damage(parent=({"n1": "n0"}, {"n2": "n2"})),
+        "parent",
+        [((2, "n2", "n2"), "parent not at level below")],
+    ),
+}
+
+
+@pytest.mark.parametrize("row", TREE_ROWS)
+def test_one_damaged_tree_entry_fails_its_law_with_its_witness(row):
+    run, law, want = TREE_ROWS[row]
+    rep = run()
+    assert rep.failed_laws() == [law]
+    assert [(v.witness, v.detail) for v in rep.laws[law].violations] == want
+
+
 def test_finsets_op_truncation_satisfies_category_laws():
     # composition by plain function composition; associativity checked
     # exhaustively over all triples by the validator

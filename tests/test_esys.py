@@ -1588,12 +1588,12 @@ def _reference_restriction(cat, F, P):
 
 @pytest.fixture
 def restrictions(monkeypatch):
-    """Compare every restriction made through esys, by restrict_sf or
-    within a validation, with restrict_sf_reference: the same tables, or
-    None where the reference raises Truncated. Returns the count of each
-    outcome."""
+    """Compare every restriction made through esys.restrict_sf, called
+    directly or within a validation, with restrict_sf_reference: the
+    same tables, or None where the reference raises Truncated. Returns
+    the count of each outcome."""
     seen = collections.Counter()
-    real, real_restrict = esys._restrict, esys._Slices.restrict
+    real, real_restrict = esys._restrict, esys.restrict_sf
 
     def checked(cat, plan, F):
         R = real(cat, plan, F)
@@ -1601,15 +1601,15 @@ def restrictions(monkeypatch):
         seen["restricted"] += 1
         return R
 
-    def checked_missing(slices, H, P):
-        R = real_restrict(slices, H, P)
+    def checked_missing(e, F, P):
+        R = real_restrict(e, F, P)
         if R is None:
-            assert _reference_restriction(slices.e.cat, H, P)[0] is Truncated
+            assert _reference_restriction(e.cat, F, P)[0] is Truncated
             seen["None"] += 1
         return R
 
     monkeypatch.setattr(esys, "_restrict", checked)
-    monkeypatch.setattr(esys._Slices, "restrict", checked_missing)
+    monkeypatch.setattr(esys, "restrict_sf", checked_missing)
     return seen
 
 
@@ -1633,7 +1633,7 @@ def test_standalone_restrictions_match_reference(restrictions):
     e = build_nat_esystem(3)
     for F in [*e.subst.values(), *e.weak.values()]:
         for P in [*e.cat.arrows, "zz"]:
-            restrict_sf(e, F, P)
+            esys.restrict_sf(e, F, P)
     assert restrictions["restricted"] > 0 and restrictions["None"] > 0
 
 

@@ -38,8 +38,6 @@ EXEMPT = {
     # the public entry point for one internal-hom category, which the
     # benchmark traces by name; e_to_ce calls _internal_hom directly
     ("esys", "internal_hom_cat"),
-    # the benchmark traces it by name
-    ("esys", "restrict_sf"),
     # bench/workloads.py reads a report's failed and missing laws
     ("report", "Report.failed_laws"),
     ("report", "Report.missing_laws"),

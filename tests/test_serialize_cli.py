@@ -21,10 +21,11 @@ from bcsys.cli import main
 from bcsys.esys import build_group_structure, build_nat_esystem, s3_table, validate_esystem
 from bcsys.serialize import LoadError, dumps, load_structure, save_structure
 from bcsys.syntax import build_syntactic_bframe, parse_signature
-from bcsys.xlate import b_to_e, c_to_ce, ce_to_c, ce_to_e, compose_equivalence, e_to_b, e_to_ce
+from bcsys.xlate import adjunction_witnesses, b_to_e, c_to_ce, ce_to_c, ce_to_e, compose_equivalence, e_to_b, e_to_ce
 
 from helpers import chain_tree, thin_cat
 from reference import load_structure_reference
+from test_csys_cesys import non_rooted_cesystem
 
 
 @pytest.mark.parametrize(
@@ -840,6 +841,51 @@ def test_cli_translate_to_c_of_a_cesystem_that_does_not_stratify_is_input_error(
     code, printed = _run(capsys, "translate", "--to", "c", str(path), "-o", str(tmp_path / "c.json"))
     assert code == 2
     _one_line(printed, f"family category does not stratify: {_MEET_STRAT}")
+
+
+@pytest.mark.parametrize("build", [_meet_cesystem, lambda: non_rooted_cesystem(2)], ids=["meet", "non-rooted"])
+def test_cli_roundtrip_of_a_cesystem_without_comp_fact_prints_the_adjunction(tmp_path, capsys, build):
+    """A CE-system that does not stratify (the meet poset) or is not
+    rooted (an extra endomap of the root) has no comp/fact iso: its round
+    trip prints the adjunction's witnesses and exits by their verdict.
+    The non-rooted counit misses the extra endomap."""
+    a = build()
+    rep = adjunction_witnesses(a)[2]
+    path = tmp_path / "ce.json"
+    path.write_text(save_structure(a))
+    code, printed = _run(capsys, "roundtrip", str(path))
+    assert (code, printed.out, printed.err) == (0 if rep.ok else 1, rep.format() + "\n", "")
+    assert rep.failed_laws() == ([] if build is _meet_cesystem else ["eps-invertible"])
+
+
+def test_cli_example_syntactic_needs_a_well_formed_signature(tmp_path, capsys):
+    out = tmp_path / "s.json"
+    code, printed = _run(capsys, "example", "syntactic", "-o", str(out))
+    assert (code, printed.out, printed.err) == (2, "", "syntactic example needs --sig FILE\n")
+    sig = tmp_path / "bad.sig"
+    sig.write_text("type U; type (")
+    code, printed = _run(capsys, "example", "syntactic", "--sig", str(sig), "-o", str(out))
+    assert (code, printed.out) == (2, "")
+    assert printed.err == "signature error: line 1, column 1: cannot parse declaration 'type ('\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [chain_tree(2), build_finset_bsystem(2).frame, parse_signature("type U; type El(tm)")],
+    ids=["tree", "bframe", "signature"],
+)
+def test_cli_roundtrip_and_translate_of_a_kind_outside_the_chain_are_input_errors(tmp_path, capsys, obj):
+    path = tmp_path / "x.json"
+    path.write_text(save_structure(obj))
+    kind = json.loads(path.read_text())["kind"]
+    code, printed = _run(capsys, "roundtrip", str(path))
+    assert code == 2
+    _one_line(printed, f"no round trip for kind {kind!r}")
+    out = tmp_path / "e.json"
+    code, printed = _run(capsys, "translate", "--to", "e", str(path), "-o", str(out))
+    assert code == 2 and not out.exists()
+    _one_line(printed, f"cannot translate kind {kind!r} to 'e'")
 
 
 def test_cli_roundtrip_bsystem_without_weakening_is_input_error(tmp_path, capsys):

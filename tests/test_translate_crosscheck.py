@@ -39,6 +39,7 @@ import ast
 import collections
 import contextlib
 import copy
+import dataclasses
 import inspect
 import random
 import sys
@@ -53,7 +54,7 @@ from bcsys import core, esys, xlate
 from bcsys.bsys import build_finset_bsystem
 from bcsys.cesys import build_finset_cesystem
 from bcsys.core import FinCat
-from bcsys.esys import ESystem, build_nat_esystem, internal_hom_cat, vertical_compose
+from bcsys.esys import ESystem, build_nat_esystem, internal_hom_cat, validate_esystem, vertical_compose
 from bcsys.report import Truncated
 from bcsys.serialize import save_structure
 from bcsys.syntax import build_syntactic_bframe, parse_signature
@@ -1051,24 +1052,58 @@ def test_c_to_ce_makes_each_path_id_once(monkeypatch, c):
 @pytest.mark.parametrize("kind", ["nat-e", "finset-b"])
 def test_e_to_ce_enumerates_each_slice_once(monkeypatch, kind, height):
     """Each apex enumerated once and one restriction plan per slice
-    object, over the whole call, and no restrict_sf."""
+    object, over the whole call, and every restriction made through
+    restrict_sf."""
     e = built(kind, height)
     slices, plans, restricted = [], [], []
     enumerating(monkeypatch, slices)
-    counting(monkeypatch, (esys,), "_restriction_plan", plans)
-    counting(monkeypatch, (esys,), "restrict_sf", restricted)
+    planning(monkeypatch, plans)
+    counting(monkeypatch, (esys, xlate), "restrict_sf", restricted)
     e_to_ce(e)
     apexes = [apex for _c, apex in slices]
     planned = [P for _cat, P in plans]
     assert len(apexes) == len(set(apexes))
     assert len(planned) == len(set(planned)) > 0
-    assert not restricted
+    assert {P for _e, _F, P in restricted} == set(planned)
+
+
+@pytest.mark.parametrize("kind", ["nat-e", "finset-b"])
+def test_each_slice_object_is_planned_once_per_category(monkeypatch, kind):
+    """Over validate_esystem, e_to_ce and a second validate_esystem of one
+    system, each slice object P of its category is planned once, and
+    both validate_esystem and e_to_ce restrict through restrict_sf, so
+    e_to_ce reads the plans the validation made. A copy of the category
+    made by dataclasses.replace plans afresh."""
+    e = built(kind, 4)
+    plans, restricted = [], []
+    planning(monkeypatch, plans)
+    counting(monkeypatch, (esys, xlate), "restrict_sf", restricted)
+    validate_esystem(e)
+    validated = len(restricted)
+    first = {P for _c, P in plans}
+    e_to_ce(e)
+    translated = {P for _e, _F, P in restricted[validated:]}
+    validate_esystem(e)
+    assert validated > 0 and translated and translated <= first
+    assert all(c is e.cat for c, _P in plans)
+    assert len(plans) == len(first) > 0
+    cat = dataclasses.replace(e.cat)
+    del plans[:]
+    validate_esystem(dataclasses.replace(e, tc=dataclasses.replace(e.tc, cat=cat)))
+    assert all(c is cat for c, _P in plans)
+    assert len(plans) == len({P for _c, P in plans}) and {P for _c, P in plans} == first
 
 
 def enumerating(monkeypatch, calls):
     """Append (category, apex) to ``calls`` for each slice_mors call that
     enumerates, not one that finds the slice kept on its category."""
     counting(monkeypatch, (core, esys, xlate), "slice_mors", calls, keep=lambda c, apex: apex not in c._slices)
+
+
+def planning(monkeypatch, calls):
+    """Append (category, P) to ``calls`` for each _restriction_plan call
+    that plans, not one that finds the plan kept on its category."""
+    counting(monkeypatch, (core, esys), "_restriction_plan", calls, keep=lambda c, P: P not in c._plans)
 
 
 def test_ce_to_e_enumerates_each_family_slice_once(monkeypatch):

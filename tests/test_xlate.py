@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from bcsys.bsys import (
@@ -10,7 +12,9 @@ from bcsys.bsys import (
     validate_bsystem_hom,
 )
 from bcsys.cesys import build_finset_cesystem, validate_ce_hom, validate_cesystem
+from bcsys import xlate
 from bcsys.core import (
+    Arrow,
     FunctorData,
     obj_id,
     pack_ids,
@@ -23,6 +27,7 @@ from bcsys.esys import (
     build_nat_esystem,
     check_pairing,
     fn_term,
+    identity_ehom,
     nat_arrow,
     validate_ehom,
     validate_esystem,
@@ -42,7 +47,7 @@ from bcsys.xlate import (
     invert_ehom,
 )
 
-from helpers import b_image, counit_of, parse_obj_id, parse_path_id, unit_of, unpack_ids
+from helpers import b_image, counit_of, parse_obj_id, parse_path_id, unit_of, unpack_ids, with_compose
 from reference import adjunction_witnesses_reference
 from test_csys_cesys import non_rooted_cesystem
 
@@ -385,3 +390,150 @@ def test_pairing_on_translated_bsystem():
     rep = check_pairing(e)
     assert rep.ok, rep.format()
     assert rep.laws["pairing-count"].checked > 0
+
+
+# ---------------------------------------------------------------------------
+# the round-trip verdicts, one damaged entry at a time
+
+
+def _identity_ehom_damage(change):
+    """The identity E-homomorphism of b_to_e(finset-b h3), whose arrow
+    3@3>1 has the terms (0) and (1), with change(object_map, arrow_map,
+    term_map) applied to copies of its tables."""
+    h = identity_ehom(b_to_e(build_finset_bsystem(3)))
+    om, am = dict(h.functor.object_map), dict(h.functor.arrow_map)
+    tm = {a: dict(m) for a, m in h.term_map.items()}
+    change(om, am, tm)
+    return EHom(h.source, h.target, FunctorData(h.functor.source, h.functor.target, om, am), tm)
+
+
+def _inverted(change):
+    """invert_ehom's report on the damaged identity; the damage leaves
+    no inverse."""
+    def run():
+        inv, rep = invert_ehom(_identity_ehom_damage(change))
+        assert inv is None
+        return rep
+    return run
+
+
+def _validated(change):
+    return lambda: validate_ehom(_identity_ehom_damage(change))
+
+
+def _put(table: int, key, value):
+    """Set ``key`` of one of the tables _identity_ehom_damage passes."""
+    return lambda *tables: tables[table].__setitem__(key, value)
+
+
+def _casce_damage(change):
+    """_casce_iso of finset-ce h2 against c_to_ce(ce_to_c(.)) whose family
+    arrows (the paths p|Γ|k) have change applied to a copy."""
+    def run():
+        a = build_finset_cesystem(2)
+        ahat = c_to_ce(ce_to_c(a))
+        arrows = dict(ahat.fam.arrows)
+        change(arrows)
+        ahat.fam = dataclasses.replace(ahat.fam, arrows=arrows)
+        return xlate._casce_iso(a, ahat).report
+    return run
+
+
+def _counit_not_injective():
+    """adjunction_witnesses of finset-ce h3 with one base composite
+    pi2∘x retargeted, so two sections x of one hom set evaluate to the
+    same base arrow under the counit."""
+    a = build_finset_cesystem(3)
+    a.base = with_compose(a.base, put={("f3->1[2]", "f2->3[0,1,1]"): a.base.compose[("f3->1[2]", "f2->3[0,1,0]")]})
+    return adjunction_witnesses(a)[2]
+
+
+ROUNDTRIP_FAIL_ROWS = {
+    "invertible-objects-not-injective": (
+        _inverted(_put(0, "3@3", "2@2")),
+        "invertible",
+        [((), "object map not injective")],
+    ),
+    "invertible-arrows-not-injective": (
+        _inverted(_put(1, "3@3>3", "3@3>2")),
+        "invertible",
+        [(("3@3>2",), "arrow map not injective")],
+    ),
+    "invertible-object-not-in-image": (
+        _inverted(lambda om, am, tm: om.pop("3@3")),
+        "invertible",
+        [(("3@3",), "object not in the image")],
+    ),
+    # the term table of the dropped arrow has no image to be inverted at
+    "invertible-arrow-not-in-image": (
+        _inverted(lambda om, am, tm: am.pop("3@3>1")),
+        "invertible",
+        [(("3@3>1",), "arrow not in the image")],
+    ),
+    "invertible-terms-not-injective": (
+        _inverted(lambda om, am, tm: tm["3@3>1"].__setitem__("(0)", "(1)")),
+        "invertible",
+        [(("3@3>1", "(1)"), "term map not injective")],
+    ),
+    "ehom-terminal": (_validated(_put(0, "0@0", "1@1")), "terminal", [(("0@0",), "terminal not preserved")]),
+    "ehom-term-map": (
+        _validated(lambda om, am, tm: tm["3@3>1"].__setitem__("(0)", "zz")),
+        "term-map",
+        [(("3@3>1", "(0)"), "term image outside target term set")],
+    ),
+    "casce-comp.fact": (
+        _casce_damage(lambda arrows: arrows.__setitem__("p|2|1", Arrow("p|2|1", "2", "0"))),
+        "iso:comp.fact",
+        [(("2>=1", "p|2|1", "2>=0"), "")],
+    ),
+    "casce-fact.comp": (
+        _casce_damage(lambda arrows: arrows.__setitem__("p|2|1", Arrow("p|2|1", "2", "0"))),
+        "iso:fact.comp",
+        [(("p|2|1", "2>=0", "p|2|2"), "")],
+    ),
+    "eps-not-injective": (
+        _counit_not_injective,
+        "eps-invertible",
+        [(("2", "1"), "not injective"), (("2", "1"), "not surjective, missing ['f2->1[1]']")],
+    ),
+}
+
+
+@pytest.mark.parametrize("row", ROUNDTRIP_FAIL_ROWS)
+def test_one_damaged_entry_fails_its_roundtrip_law_with_its_witness(row):
+    run, law, want = ROUNDTRIP_FAIL_ROWS[row]
+    rep = run()
+    assert law in rep.failed_laws()
+    assert [(v.witness, v.detail) for v in rep.laws[law].violations] == want
+
+
+def test_an_image_missing_from_an_inverse_is_a_skip():
+    """A term with no image, and a path of c_to_ce(ce_to_c(a)) that is
+    missing, each skip one instance and fail nothing."""
+    inv, rep = invert_ehom(_identity_ehom_damage(lambda om, am, tm: tm["3@3>1"].pop("(0)")))
+    assert inv is not None and rep.ok
+    assert rep.laws["invertible"].skipped == 1
+    law = _casce_damage(lambda arrows: arrows.pop("p|2|1"))().laws["iso:comp.fact"]
+    assert (law.checked, law.skipped, law.violations) == (6, 1, [])
+
+
+def test_grand_roundtrip_stops_where_the_unit_does_not_invert(monkeypatch):
+    """A unit whose object map misses the terminal has no inverse: the
+    grand round trip reports that, builds no witness and compares
+    nothing further."""
+    real = xlate.unit_ehom
+
+    def damaged(e, ehat):
+        eta = real(e, ehat)
+        del eta.functor.object_map[e.cat.terminal]
+        return eta
+
+    monkeypatch.setattr(xlate, "unit_ehom", damaged)
+    iso, stages = grand_roundtrip_iso(build_finset_bsystem(3))
+    assert (iso.forward, iso.backward, iso.verified) == (None, None, False)
+    assert iso.report.failed_laws() == ["eta:invertible"]
+    assert [(v.witness, v.detail) for v in iso.report.laws["eta:invertible"].violations] == [
+        (("0@0>0",), "object not in the image")
+    ]
+    assert not [law for law in iso.report.laws if not law.startswith(("casce:", "eta:"))]
+    assert all(rep.ok for rep in stages.values())
