@@ -30,8 +30,6 @@ from .core import (
     FinCat,
     FunctorData,
     RootedTree,
-    SliceCat,
-    Stratification,
     StratFailure,
     free_cat_of_tree,
     slice_category,
@@ -45,7 +43,6 @@ from .esys import (
     EHom,
     ESystem,
     SliceFunctorT,
-    TermCat,
     build_group_structure,
     build_nat_esystem,
     check_pairing,

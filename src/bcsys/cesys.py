@@ -16,7 +16,6 @@ from .core import (
     Arrow,
     FinCat,
     FunctorData,
-    Stratification,
     stratify,
     validate_fincat,
     validate_functor,
@@ -181,14 +180,14 @@ def validate_cesystem(a: CESystem, rooted: bool = False, stratified: bool = Fals
 
     if stratified:
         strat = stratify(fam) if fam.terminal is not None else None
-        if not isinstance(strat, Stratification):
+        if not isinstance(strat, dict):
             rep.miss("stratified", "family category does not stratify")
         else:
             rep.tick("stratified", len(a.pb))
             for (f, A), (fA, pi2) in sorted(a.pb.items()):
                 delta, gamma = base.dom(f), base.cod(f)
-                lhs = strat.of(fam.dom(fA))
-                rhs = strat.of(delta) + strat.of(fam.dom(A)) - strat.of(gamma)
+                lhs = strat[fam.dom(fA)]
+                rhs = strat[delta] + strat[fam.dom(A)] - strat[gamma]
                 if lhs != rhs:
                     rep.fail("stratified", (f, A), f"L = {lhs}, expected {rhs}")
     return rep

@@ -21,7 +21,7 @@ import sys
 
 from .bsys import build_finset_bsystem, validate_bframe, validate_bsystem
 from .cesys import build_finset_cesystem, validate_cesystem
-from .core import Stratification, stratify, validate_fincat, validate_tree, validate_units
+from .core import stratify, validate_fincat, validate_tree, validate_units
 from .csys import validate_csystem
 from .esys import (
     ESystem,
@@ -104,14 +104,11 @@ def _print_report(rep: Report) -> int:
 def cmd_example(args) -> int:
     height, cap = args.height, max_height()
     if height > cap:
-        print(f"height {height} exceeds {MAX_HEIGHT_ENV}={cap}", file=sys.stderr)
-        return 2
+        raise CommandError(f"height {height} exceeds {MAX_HEIGHT_ENV}={cap}")
     if height < 0:
-        print(f"height {height} is negative", file=sys.stderr)
-        return 2
+        raise CommandError(f"height {height} is negative")
     if args.bound < 1:
-        print(f"bound {args.bound} is below 1", file=sys.stderr)
-        return 2
+        raise CommandError(f"bound {args.bound} is below 1")
     if args.name == "finset-b":
         obj = build_finset_bsystem(height)
     elif args.name == "finset-ce":
@@ -122,13 +119,11 @@ def cmd_example(args) -> int:
         obj = build_group_structure(*s3_table())
     else:  # "syntactic", the last name argparse's choices admit
         if not args.sig:
-            print("syntactic example needs --sig FILE", file=sys.stderr)
-            return 2
+            raise CommandError("syntactic example needs --sig FILE")
         try:
             sig = parse_signature(_read(args.sig))
         except SignatureError as exc:
-            print(f"signature error: {exc}", file=sys.stderr)
-            return 2
+            raise CommandError(f"signature error: {exc}") from None
         obj = build_syntactic_bframe(sig, height, args.bound)
     _write(args.output, save_structure(obj))
     return 0
@@ -163,9 +158,9 @@ def cmd_check(args) -> int:
 def _ensure_levels(e: ESystem) -> ESystem:
     if e.levels is None:
         s = stratify(e.cat)
-        if not isinstance(s, Stratification):
+        if not isinstance(s, dict):
             raise LoadError(f"E-system is not stratified: {s}")
-        e.levels = dict(s.level)
+        e.levels = s
     return e
 
 
@@ -276,7 +271,7 @@ def _roundtrip(kind: str, obj) -> int:
     if kind == "cesystem":
         strat = stratify(obj.fam) if obj.fam.terminal is not None else None
         rooted = all(len(obj.base.hom(x, obj.root)) == 1 for x in obj.base.objects)
-        if rooted and isinstance(strat, Stratification):
+        if rooted and isinstance(strat, dict):
             iso = casce_iso(obj)
             print(iso.report.format())
             return 0 if iso.verified else 1

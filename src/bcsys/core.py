@@ -147,14 +147,6 @@ class RootedTree:
 
 
 @dataclass(frozen=True)
-class Stratification:
-    level: dict[str, int]
-
-    def of(self, obj: str) -> int:
-        return self.level[obj]
-
-
-@dataclass(frozen=True)
 class StratFailure:
     """Which of the three stratification conditions broke, and where:
     "ii" or "iii". Condition (i), the terminal alone at level 0, holds
@@ -166,21 +158,6 @@ class StratFailure:
 
     def __str__(self) -> str:
         return f"condition ({self.condition}) of a stratification fails at {self.witness!r}: {self.detail}"
-
-
-@dataclass(frozen=True)
-class SliceCat:
-    """The strict slice of ``base`` over ``apex``, materialized.
-
-    Objects of ``cat`` are the arrows of ``base`` into ``apex`` (same
-    ids). Arrows of ``cat`` are commuting triangles, with ids encoding
-    the triple (underlying arrow, source object, target object).
-    """
-
-    base: FinCat
-    apex: str
-    cat: FinCat
-    triangle: dict[str, tuple[str, str, str]]
 
 
 # ---------------------------------------------------------------------------
@@ -459,8 +436,9 @@ def validate_tree(t: RootedTree) -> Report:
 # stratification
 
 
-def stratify(c: FinCat) -> Stratification | StratFailure:
-    """Compute the unique stratification of ``c``, or explain why none exists.
+def stratify(c: FinCat) -> dict[str, int] | StratFailure:
+    """Compute the unique stratification of ``c``, the level of each
+    object, or explain why none exists.
 
     Levels are grown outward from the chosen terminal: an object is
     assigned level n+1 once all its non-identity out-arrows land on
@@ -510,15 +488,16 @@ def stratify(c: FinCat) -> Stratification | StratFailure:
         if level[c.dom(a)] < level[c.cod(a)]:
             return StratFailure("iii", (a,), "arrow raises level")
 
-    return Stratification(level=dict(level))
+    return level
 
 
-def individual_arrow(c: FinCat, s: Stratification, x: str) -> str:
-    """The unique individual arrow with domain ``x`` (level of x positive)."""
-    k = s.of(x)
+def individual_arrow(c: FinCat, levels: dict[str, int], x: str) -> str:
+    """The unique individual arrow with domain ``x`` (level of x positive),
+    for ``levels`` a stratification of ``c``."""
+    k = levels[x]
     if k == 0:
         raise ValueError(f"{x!r} is at level 0")
-    cands = [a for a in c.arrows_from(x) if s.of(c.cod(a)) == k - 1]
+    cands = [a for a in c.arrows_from(x) if levels[c.cod(a)] == k - 1]
     if len(cands) != 1:
         raise ValueError(f"no unique individual arrow out of {x!r}")
     return cands[0]
@@ -543,8 +522,9 @@ def path_id(n: int, node: str, k: int) -> str:
     return f"{esc(node)}@{n}>{k}"
 
 
-def free_cat_of_tree(t: RootedTree) -> tuple[FinCat, Stratification]:
-    """The category freely generated by the parent edges of ``t``.
+def free_cat_of_tree(t: RootedTree) -> tuple[FinCat, dict[str, int]]:
+    """The category freely generated by the parent edges of ``t``, and
+    its stratification: the level of each object.
 
     Objects are (level, node) pairs; the arrows out of a node are the
     edge paths (node, k) down to its k-th iterated parent, with k = 0
@@ -593,7 +573,7 @@ def free_cat_of_tree(t: RootedTree) -> tuple[FinCat, Stratification]:
         compose=compose,
         terminal=obj_id(0, root),
     )
-    return cat, Stratification(level=level)
+    return cat, level
 
 
 # ---------------------------------------------------------------------------
@@ -655,8 +635,13 @@ def _restriction_plan(c: FinCat, P: str) -> _Plan:
     return plan
 
 
-def slice_category(c: FinCat, apex: str) -> SliceCat:
-    """Materialize the strict slice of ``c`` over ``apex`` as a FinCat."""
+def slice_category(c: FinCat, apex: str) -> FinCat:
+    """Materialize the strict slice of ``c`` over ``apex`` as a FinCat.
+
+    Its objects are the arrows of ``c`` into ``apex`` (same ids). Its
+    arrows are the triangles m of slice_mors(c, apex), with id
+    triangle_id(*m).
+    """
     if apex not in c.objects:
         raise ValueError(f"{apex!r} is not an object")
     objs = c.arrows_into(apex)
@@ -668,14 +653,13 @@ def slice_category(c: FinCat, apex: str) -> SliceCat:
         for t2, (h2, f2, g2) in triangle.items():
             if f2 == g1:
                 compose[(t2, t1)] = triangle_id(c.comp(h2, h1), f1, g2)
-    cat = FinCat(
+    return FinCat(
         objects=frozenset(objs),
         arrows=arrows,
         identity=identity,
         compose=compose,
         terminal=c.id_of(apex),
     )
-    return SliceCat(base=c, apex=apex, cat=cat, triangle=triangle)
 
 
 # ---------------------------------------------------------------------------

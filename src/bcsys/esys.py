@@ -37,15 +37,6 @@ SliceMor = tuple[str, str, str]  # (underlying arrow, source object, target obje
 
 
 @dataclass
-class TermCat:
-    cat: FinCat
-    terms: dict[str, frozenset[str]] = field(default_factory=dict)
-
-    def T(self, a: str) -> frozenset[str]:
-        return self.terms.get(a, frozenset())
-
-
-@dataclass
 class SliceFunctorT:
     """A functor with term structure between two slices of the same category."""
 
@@ -58,18 +49,15 @@ class SliceFunctorT:
 
 @dataclass
 class ESystem:
-    tc: TermCat
+    cat: FinCat
+    terms: dict[str, frozenset[str]] = field(default_factory=dict)
     subst: dict[tuple[str, str], SliceFunctorT] = field(default_factory=dict)
     weak: dict[str, SliceFunctorT] = field(default_factory=dict)
     proj: dict[str, str] = field(default_factory=dict)
     levels: dict[str, int] | None = None
 
-    @property
-    def cat(self) -> FinCat:
-        return self.tc.cat
-
     def T(self, a: str) -> frozenset[str]:
-        return self.tc.T(a)
+        return self.terms.get(a, frozenset())
 
 
 @dataclass
@@ -848,7 +836,7 @@ def validate_esystem(e: ESystem) -> Report:
                 sfunctor_parts[(n, law)] = part
         rep.merge(part)
 
-    for a in sorted(e.tc.terms):
+    for a in sorted(e.terms):
         rep.tick("terms")
         if a not in cat.arrows:
             rep.fail("terms", (a,), "term set on a non-arrow")
@@ -1587,7 +1575,7 @@ def build_nat_esystem(height: int) -> ESystem:
                 fs.append(t)
             terms[ar[m][n]] = frozenset(fs)
     parsed = {t: v for v, t in fmt.items()}
-    e = ESystem(tc=TermCat(cat=cat, terms=terms), levels={str(n): n for n in range(height + 1)})
+    e = ESystem(cat=cat, terms=terms, levels={str(n): n for n in range(height + 1)})
 
     tables: dict[tuple, dict[str, str]] = {}
 
@@ -1677,7 +1665,7 @@ def build_group_structure(
 
     by_id = {aut_id(phi): phi for phi in auts}
     terms = {g: frozenset(by_id) for g in elements}
-    e = ESystem(tc=TermCat(cat=cat, terms=terms))
+    e = ESystem(cat=cat, terms=terms)
 
     def aut_compose(p1: dict[str, str], p2: dict[str, str]) -> dict[str, str]:
         return {g: p1[p2[g]] for g in p1}

@@ -31,7 +31,7 @@ from .bsys import BFrame, BFrameHom, BSystem, slice_bframe
 from .cesys import CESystem
 from .core import Arrow, FinCat, RootedTree
 from .csys import CSystem
-from .esys import ESystem, SliceFunctorT, TermCat
+from .esys import ESystem, SliceFunctorT
 from .syntax import BindingSignature, Former, FormerArg
 
 VERSION = 1
@@ -369,7 +369,7 @@ def _sfunctor_load(p: dict, objs: dict[str, str], ids: dict[str, str]) -> SliceF
 def esystem_payload(e: ESystem) -> dict:
     return {
         "cat": fincat_payload(e.cat),
-        "terms": {a: sorted(ts) for a, ts in sorted(e.tc.terms.items())},
+        "terms": {a: sorted(ts) for a, ts in sorted(e.terms.items())},
         "subst": [
             {"arrow": a, "term": t, "functor": _sfunctor_payload(sf)}
             for (a, t), sf in sorted(e.subst.items())
@@ -394,7 +394,7 @@ def esystem_load(p: dict) -> ESystem:
             raise LoadError(f"term set on dangling arrow {a!r}") from None
         _strs(ts, "term {!r} on arrow {!r}", a)
         terms[a] = frozenset(ts)
-    e = ESystem(tc=TermCat(cat=cat, terms=terms))
+    e = ESystem(cat=cat, terms=terms)
     for rec in p["subst"]:
         a, t = rec["arrow"], rec["term"]
         arrow = ids.get(a)

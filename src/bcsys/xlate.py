@@ -33,7 +33,6 @@ from .core import (
     FinCat,
     FunctorData,
     RootedTree,
-    Stratification,
     compose_functors,
     free_cat_of_tree,
     identity_functor,
@@ -53,7 +52,6 @@ from .esys import (
     EHom,
     ESystem,
     SliceFunctorT,
-    TermCat,
     _ih_terms,
     _internal_hom,
     _restricted_at,
@@ -213,7 +211,7 @@ def b_to_e(bsys: BSystem) -> ESystem:
     frame, which is not changed, and each functor fills its own maps.
     """
     frame = bsys.frame
-    cat, strat = free_cat_of_tree(_tree_of_frame(frame))
+    cat, levels = free_cat_of_tree(_tree_of_frame(frame))
 
     # inductive term tuples and their substitution homomorphisms
     t1: dict[tuple[int, str], list[str]] = {}
@@ -258,7 +256,7 @@ def b_to_e(bsys: BSystem) -> ESystem:
     terms: dict[str, frozenset[str]] = {}
     for (n, X, k), rows in packed.items():
         terms[paths[n, X, k]] = frozenset(p for _t, p in rows)
-    e = ESystem(tc=TermCat(cat=cat, terms=terms), levels=dict(strat.level))
+    e = ESystem(cat=cat, terms=terms, levels=levels)
     packs = {t: p for rows in packed.values() for t, p in rows}
     empty = pack_ids(())
     where = paths.where
@@ -415,11 +413,10 @@ def e_to_b(e: ESystem) -> BSystem:
     lv = e.levels
     height = max(lv.values(), default=0)
     B = [frozenset(x for x, n in lv.items() if n == m) for m in range(height + 1)]
-    strat = Stratification(level=dict(lv))
     ind: dict[str, str] = {}
     for m in range(1, height + 1):
         for X in B[m]:
-            ind[X] = individual_arrow(cat, strat, X)
+            ind[X] = individual_arrow(cat, lv, X)
     Bt: list[frozenset[str]] = [frozenset()]
     bd: list[dict[str, str]] = [{}]
     ft: list[dict[str, str]] = [{}]
@@ -504,7 +501,6 @@ def e2b_of_ehom(k: EHom, src_b: BSystem, tgt_b: BSystem) -> BFrameHom:
     for t in T(ind X), is named pack_ids((X, t)), as e_to_b names it."""
     e = k.source
     lv = e.levels
-    strat = Stratification(level=dict(lv))
     H: dict[int, dict[str, str]] = {}
     Ht: dict[int, dict[str, str]] = {}
     for x, y in k.functor.object_map.items():
@@ -516,7 +512,7 @@ def e2b_of_ehom(k: EHom, src_b: BSystem, tgt_b: BSystem) -> BFrameHom:
             ximg = k.functor.object_map.get(X)
             if ximg is None:
                 continue
-            xbar = individual_arrow(e.cat, strat, X)
+            xbar = individual_arrow(e.cat, lv, X)
             tmap = k.term_map.get(xbar, {})
             for t in e.T(xbar):
                 timg = tmap.get(t)
@@ -633,21 +629,20 @@ def ce_to_c(a: CESystem) -> CSystem:
     (f, X) is written once, so only the insertion order of ``pb``
     changes, which every reader sorts or compares as a dict.
     """
-    strat = stratify(a.fam)
-    if not isinstance(strat, Stratification):
-        raise ValueError(f"family category does not stratify: {strat}")
+    length = stratify(a.fam)
+    if not isinstance(length, dict):
+        raise ValueError(f"family category does not stratify: {length}")
     for x in sorted(a.base.objects):
         if len(a.base.hom(x, a.root)) != 1:
             raise ValueError("CE-system is not rooted")
     cat = replace(a.base, terminal=a.root)
-    length = dict(strat.level)
     ft = {a.root: a.root}
     proj: dict[str, str] = {}
     pb: dict[tuple[str, str], tuple[str, str]] = {}
     ind: dict[str, str] = {}
     for X in cat.objects:
         if length[X] > 0:
-            x = individual_arrow(a.fam, strat, X)
+            x = individual_arrow(a.fam, length, X)
             ind[X] = x
             ft[X] = a.fam.cod(x)
             p = a.ifun.get(x)
@@ -672,12 +667,12 @@ def casce_iso(a: CESystem) -> IsoWitness:
 
 def _casce_iso(a: CESystem, ahat: CESystem) -> IsoWitness:
     """comp/fact between ahat = c_to_ce(ce_to_c(a)) and a."""
-    strat = stratify(a.fam)
-    assert isinstance(strat, Stratification)
+    lv = stratify(a.fam)
+    assert isinstance(lv, dict)
     # comp: paths of individuals -> their composites in fam(a); the path
     # p|Γ|k of ahat runs from Γ down k levels, by ce_to_c's lengths, which
-    # are strat's levels
-    ind = {x: individual_arrow(a.fam, strat, x) for x in a.fam.objects if strat.of(x) > 0}
+    # are these levels
+    ind = {x: individual_arrow(a.fam, lv, x) for x in a.fam.objects if lv[x] > 0}
     comp_obj = {x: x for x in a.fam.objects}
     comp_ar: dict[str, str] = {}
     fact_ar: dict[str, str] = {}
@@ -685,13 +680,13 @@ def _casce_iso(a: CESystem, ahat: CESystem) -> IsoWitness:
         gamma = ahat.fam.dom(name)
         cur = a.fam.id_of(gamma)
         x = gamma
-        for _ in range(strat.of(gamma) - strat.of(ahat.fam.cod(name))):
+        for _ in range(lv[gamma] - lv[ahat.fam.cod(name)]):
             step = ind[x]
             cur = a.fam.comp(step, cur)
             x = a.fam.cod(step)
         comp_ar[name] = cur
     for name in a.fam.arrows:
-        drop = strat.of(a.fam.dom(name)) - strat.of(a.fam.cod(name))
+        drop = lv[a.fam.dom(name)] - lv[a.fam.cod(name)]
         fact_ar[name] = proj_path(a.fam.dom(name), drop)
     comp_hom = CEHom(
         source=ahat,
@@ -715,7 +710,7 @@ def _casce_iso(a: CESystem, ahat: CESystem) -> IsoWitness:
             if back is None:
                 rep.skip(f"iso:{name}")
             elif back != arr:
-                rep.fail(f"iso:{name}", (arr, img, back))
+                rep.fail(f"iso:{name}", (arr, img, back), f"{name} is no identity: {arr!r} comes back as {back!r}")
     return IsoWitness(forward=fact_hom, backward=comp_hom, report=rep)
 
 
@@ -792,9 +787,8 @@ def ce_to_e(a: CESystem) -> ESystem:
     functors, each with tables of its own."""
     fam = replace(a.fam, terminal=a.root, partial=a.fam.partial or a.base.partial)
     terms = {A: frozenset(_section_terms(a, A)) for A in fam.arrows}
-    strat = stratify(fam)
-    levels = dict(strat.level) if isinstance(strat, Stratification) else None
-    e = ESystem(tc=TermCat(cat=fam, terms=terms), levels=levels)
+    levels = stratify(fam)
+    e = ESystem(cat=fam, terms=terms, levels=levels if isinstance(levels, dict) else None)
     for A in fam.arrows:
         ia = a.ifun.get(A)
         if ia is None:
@@ -853,11 +847,14 @@ def e_to_ce(e: ESystem) -> CESystem:
     root = e.cat.terminal
     if root is None:
         raise ValueError("e_to_ce needs a chosen terminal object")
-    sl = slice_category(e.cat, root)
-    fam = sl.cat
+    fam = slice_category(e.cat, root)
     base, names = _internal_hom(e, root)
     ifun: dict[str, str] = {}
-    for t, (h, f, g) in sl.triangle.items():
+    # the triangle (h, f, g) is the family R = h over B = g, with B.R = f
+    over: dict[str, list[tuple[str, str, str]]] = {}  # B -> [(R, B.R, triangle)]
+    for h, f, g in slice_mors(e.cat, root):
+        t = triangle_id(h, f, g)
+        over.setdefault(g, []).append((h, f, t))
         # first projection: weaken the identity term of g by h
         wg = e.weak.get(g)
         wh = e.weak.get(h)
@@ -874,9 +871,6 @@ def e_to_ce(e: ESystem) -> CESystem:
         if name is not None:
             ifun[t] = name
     a = CESystem(fam=fam, base=base, ifun=ifun, root=fam.terminal)
-    over: dict[str, list[tuple[str, str, str]]] = {}  # families R over B, as (R, B.R, triangle)
-    for t, (R, BR, B) in sl.triangle.items():
-        over.setdefault(B, []).append((R, BR, t))
     # f*(R) = S_x((W_A/B)(R)), read from the two tables; W_A/B is
     # restricted once per (A, B), at its first x with S_x
     for (A, B), row in names.items():

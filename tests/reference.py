@@ -161,7 +161,6 @@ from bcsys.core import (
     Arrow,
     FinCat,
     FunctorData,
-    Stratification,
     free_cat_of_tree,
     individual_arrow,
     obj_id,
@@ -180,7 +179,6 @@ from bcsys.esys import (
     EHom,
     ESystem,
     SliceFunctorT,
-    TermCat,
     _ehom_walk,
     _ginv,
     _Slices,
@@ -579,7 +577,7 @@ def validate_esystem_reference(e: ESystem) -> Report:
     for law in E_LAWS:
         rep.law(law)
 
-    for a in sorted(e.tc.terms):
+    for a in sorted(e.terms):
         rep.tick("terms")
         if a not in cat.arrows:
             rep.fail("terms", (a,), "term set on a non-arrow")
@@ -1015,11 +1013,11 @@ def e_to_ce_reference(e: ESystem) -> CESystem:
     root = e.cat.terminal
     if root is None:
         raise ValueError("e_to_ce needs a chosen terminal object")
-    sl = slice_category(e.cat, root)
-    fam = sl.cat
+    fam = slice_category(e.cat, root)
     base = internal_hom_cat_reference(e, root)
     ifun: dict[str, str] = {}
-    for t, (h, f, g) in sl.triangle.items():
+    for h, f, g in slice_mors(e.cat, root):
+        t = triangle_id(h, f, g)
         # first projection: weaken the identity term of g by h
         wg = e.weak.get(g)
         wh = e.weak.get(h)
@@ -1037,7 +1035,7 @@ def e_to_ce_reference(e: ESystem) -> CESystem:
             ifun[t] = name
     a = CESystem(fam=fam, base=base, ifun=ifun, root=fam.terminal)
     over: dict[str, list[tuple[str, str]]] = {}  # families R over B, as (R, B.R)
-    for R, BR, B in sl.triangle.values():
+    for R, BR, B in slice_mors(e.cat, root):
         over.setdefault(B, []).append((R, BR))
     for name, arr in base.arrows.items():
         A, B = arr.dom, arr.cod
@@ -1168,9 +1166,8 @@ def ce_to_e_reference(a: CESystem) -> ESystem:
     """Terms are sections; substitution and weakening are pullback functors."""
     fam = replace(a.fam, terminal=a.root, partial=a.fam.partial or a.base.partial)
     terms = {A: frozenset(_section_terms(a, A)) for A in fam.arrows}
-    strat = stratify(fam)
-    levels = dict(strat.level) if isinstance(strat, Stratification) else None
-    e = ESystem(tc=TermCat(cat=fam, terms=terms), levels=levels)
+    levels = stratify(fam)
+    e = ESystem(cat=fam, terms=terms, levels=levels if isinstance(levels, dict) else None)
     for A in fam.arrows:
         ia = a.ifun.get(A)
         if ia is None:
@@ -1226,7 +1223,7 @@ def sfunctor_of_bhom_reference(
 def b_to_e_reference(bsys: BSystem) -> ESystem:
     """The stratified E-system on the free category of a B-system's frame."""
     frame = bsys.frame
-    cat, strat = free_cat_of_tree(_tree_of_frame(frame))
+    cat, levels = free_cat_of_tree(_tree_of_frame(frame))
 
     # inductive term tuples and their substitution homomorphisms
     t1: dict[tuple[int, str], list[str]] = {}
@@ -1267,7 +1264,7 @@ def b_to_e_reference(bsys: BSystem) -> ESystem:
     terms: dict[str, frozenset[str]] = {}
     for (n, X, k), tups in tsets.items():
         terms[path_id(n, X, k)] = frozenset(pack_ids(t) for t in tups)
-    e = ESystem(tc=TermCat(cat=cat, terms=terms), levels=dict(strat.level))
+    e = ESystem(cat=cat, terms=terms, levels=levels)
 
     def fill_terms(sf: SliceFunctorT, hom: BFrameHom, n_src: int) -> None:
         # terms of an arrow (y, d) are flat tuples of elements one level
@@ -1450,21 +1447,20 @@ def _ifun(a: CESystem, x: str) -> str:
 
 def ce_to_c_reference(a: CESystem) -> CSystem:
     """Read a C-system off a rooted stratified CE-system."""
-    strat = stratify(a.fam)
-    if not isinstance(strat, Stratification):
-        raise ValueError(f"family category does not stratify: {strat}")
+    length = stratify(a.fam)
+    if not isinstance(length, dict):
+        raise ValueError(f"family category does not stratify: {length}")
     for x in sorted(a.base.objects):
         if len(a.base.hom(x, a.root)) != 1:
             raise ValueError("CE-system is not rooted")
     cat = replace(a.base, terminal=a.root)
-    length = dict(strat.level)
     ft = {a.root: a.root}
     proj: dict[str, str] = {}
     pb: dict[tuple[str, str], tuple[str, str]] = {}
     ind: dict[str, str] = {}
     for X in cat.objects:
         if length[X] > 0:
-            x = individual_arrow(a.fam, strat, X)
+            x = individual_arrow(a.fam, length, X)
             ind[X] = x
             ft[X] = a.fam.cod(x)
             try:
@@ -1633,11 +1629,10 @@ def e_to_b_reference(e: ESystem) -> BSystem:
     lv = e.levels
     height = max(lv.values(), default=0)
     B = [frozenset(x for x, n in lv.items() if n == m) for m in range(height + 1)]
-    strat = Stratification(level=dict(lv))
     ind: dict[str, str] = {}
     for m in range(1, height + 1):
         for X in B[m]:
-            ind[X] = individual_arrow(cat, strat, X)
+            ind[X] = individual_arrow(cat, lv, X)
     Bt: list[frozenset[str]] = [frozenset()]
     bd: list[dict[str, str]] = [{}]
     ft: list[dict[str, str]] = [{}]
@@ -1680,7 +1675,6 @@ def e_to_b_reference(e: ESystem) -> BSystem:
 def e2b_of_ehom_reference(k: EHom, src_b: BSystem, tgt_b: BSystem) -> BFrameHom:
     """Transport a stratified E-homomorphism to the extracted B-systems."""
     lv = k.source.levels
-    strat = Stratification(level=dict(lv))
     H: dict[int, dict[str, str]] = {}
     Ht: dict[int, dict[str, str]] = {}
     for x, y in k.functor.object_map.items():
@@ -1689,7 +1683,7 @@ def e2b_of_ehom_reference(k: EHom, src_b: BSystem, tgt_b: BSystem) -> BFrameHom:
         Ht[m] = {}
         for el in src_b.frame.Bt[m]:
             X, t = unpack_ids(el)
-            xbar = individual_arrow(k.source.cat, strat, X)
+            xbar = individual_arrow(k.source.cat, lv, X)
             timg = k.term_map.get(xbar, {}).get(t)
             ximg = k.functor.object_map.get(X)
             if timg is None or ximg is None:
@@ -1702,8 +1696,8 @@ def casce_comp_reference(a: CESystem, ahat: CESystem) -> dict[str, str]:
     """The arrow map of comp: ahat -> a in _casce_iso(a, ahat), for ahat =
     c_to_ce(ce_to_c(a)): each path of individuals to its composite in
     fam(a)."""
-    strat = stratify(a.fam)
-    assert isinstance(strat, Stratification)
+    lv = stratify(a.fam)
+    assert isinstance(lv, dict)
     comp_ar: dict[str, str] = {}
     for name in ahat.fam.arrows:
         gamma = ahat.fam.dom(name)
@@ -1711,7 +1705,7 @@ def casce_comp_reference(a: CESystem, ahat: CESystem) -> dict[str, str]:
         cur = a.fam.id_of(gamma)
         x = gamma
         for _ in range(k):
-            step = individual_arrow(a.fam, strat, x)
+            step = individual_arrow(a.fam, lv, x)
             cur = a.fam.comp(step, cur)
             x = a.fam.cod(step)
         comp_ar[name] = cur
@@ -1782,7 +1776,7 @@ def build_nat_esystem_reference(height: int) -> ESystem:
             if k == 0:
                 fs = [fn_term(())]
             terms[nat_arrow(m, n)] = frozenset(fs)
-    e = ESystem(tc=TermCat(cat=cat, terms=terms), levels={str(n): n for n in range(height + 1)})
+    e = ESystem(cat=cat, terms=terms, levels={str(n): n for n in range(height + 1)})
 
     def subst_post(n: int, k: int, f: tuple[int, ...], h: tuple[int, ...]) -> tuple[int, ...]:
         # ([id_n, f] + id_j) . h  for h : [l] -> [n+k+j]
@@ -1873,7 +1867,7 @@ def build_group_structure_reference(
 
     by_id = {aut_id(phi): phi for phi in auts}
     terms = {g: frozenset(by_id) for g in elements}
-    e = ESystem(tc=TermCat(cat=cat, terms=terms))
+    e = ESystem(cat=cat, terms=terms)
 
     def aut_compose(p1: dict[str, str], p2: dict[str, str]) -> dict[str, str]:
         return {g: p1[p2[g]] for g in p1}

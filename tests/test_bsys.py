@@ -134,6 +134,12 @@ def test_slice_frame_is_made_once_and_kept():
     assert b == build_finset_bframe(3) and "_slices" not in repr(b)
 
 
+@pytest.mark.parametrize("n, X", [(1, "2"), (4, "4")], ids=["other-level", "above-the-height"])
+def test_slice_over_no_element_raises(n, X):
+    with pytest.raises(ValueError, match=f"^'{X}' is not an element of B_{n}$"):
+        slice_bframe(build_finset_bframe(3), n, X)
+
+
 def test_identity_hom_validates():
     b = build_finset_bframe(3)
     assert validate_bframe_hom(bhom_identity(b)).ok

@@ -126,7 +126,7 @@ def test_finset_cesystem_formats_each_name_once(monkeypatch):
 def test_nat_esystem_formats_each_term_once(monkeypatch):
     calls = counting(monkeypatch, esys, "fn_term")
     e = build_nat_esystem(6)
-    distinct = set().union(*e.tc.terms.values())
+    distinct = set().union(*e.terms.values())
     assert sum(calls.values()) == len(distinct) == len(calls)
     # and every table holds the one string of each term
     made = {id(t) for t in distinct}

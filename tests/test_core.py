@@ -10,7 +10,6 @@ from bcsys.core import (
     FinCat,
     FunctorData,
     RootedTree,
-    Stratification,
     StratFailure,
     free_cat_of_tree,
     identity_functor,
@@ -18,6 +17,7 @@ from bcsys.core import (
     slice_category,
     slice_mors,
     stratify,
+    triangle_id,
     validate_fincat,
     validate_functor,
     validate_tree,
@@ -117,8 +117,7 @@ def test_finsets_op_truncation_satisfies_category_laws():
 def test_stratify_chain():
     cat, _ = free_cat_of_tree(chain_tree(2))
     s = stratify(cat)
-    assert isinstance(s, Stratification)
-    assert s.level == {"n0@0": 0, "n1@1": 1, "n2@2": 2}
+    assert s == {"n0@0": 0, "n1@1": 1, "n2@2": 2}
 
 
 def test_stratify_chaotic_two_objects_fails():
@@ -132,9 +131,7 @@ def test_stratify_chaotic_two_objects_fails():
 
 def test_stratify_nat_geq():
     cat = nat_geq_cat(4)
-    s = stratify(cat)
-    assert isinstance(s, Stratification)
-    assert all(s.of(str(n)) == n for n in range(5))
+    assert stratify(cat) == {str(n): n for n in range(5)}
 
 
 def test_stratify_requires_terminal():
@@ -147,7 +144,7 @@ def test_free_cat_singleton_tree():
     cat, s = free_cat_of_tree(chain_tree(0))
     assert len(cat.objects) == 1
     assert cat.terminal in cat.objects
-    assert s.level == {"n0@0": 0}
+    assert s == {"n0@0": 0}
 
 
 def test_free_cat_linear_height3_counts():
@@ -175,16 +172,16 @@ def test_free_cat_branching():
 def test_slice_over_terminal_isomorphic_to_base():
     cat = nat_geq_cat(2)
     sl = slice_category(cat, "0")
-    assert validate_fincat(sl.cat).ok
+    assert validate_fincat(sl).ok
     # one slice object per object of the base (poset: unique arrow into 0)
-    assert len(sl.cat.objects) == len(cat.objects)
-    assert len([a for a in sl.cat.arrows]) == len(cat.arrows)
+    assert len(sl.objects) == len(cat.objects)
+    assert len([a for a in sl.arrows]) == len(cat.arrows)
 
 
 def test_slice_of_chain_over_middle():
     cat, _ = free_cat_of_tree(chain_tree(2))
     sl = slice_category(cat, "n1@1")
-    non_terminal = [o for o in sl.cat.objects if o != sl.cat.terminal]
+    non_terminal = [o for o in sl.objects if o != sl.terminal]
     assert len(non_terminal) == 1
 
 
@@ -193,19 +190,19 @@ def test_slice_skips_triangle_with_missing_composite():
     cat = with_compose(thin_cat("XYT", related, terminal="T"), drop=[("Y->T", "X->Y")])
     sl = slice_category(cat, "T")
     # the triangle over X->Y from X->T to Y->T needs the missing composite
-    assert sorted(h for h, _f, _g in sl.triangle.values()) == [
+    assert sorted(h for h, _f, _g in slice_mors(cat, "T")) == [
         "T->T", "X->T", "X->X", "Y->T", "Y->Y"
     ]
-    assert tuple(sl.triangle.values()) == slice_mors(cat, "T")
+    assert sorted(sl.arrows) == sorted(triangle_id(*m) for m in slice_mors(cat, "T"))
 
 
 def test_slice_nat_over_2():
     cat = nat_geq_cat(3)
     sl = slice_category(cat, "2")
-    assert sorted(sl.cat.objects) == ["2->2", "3->2"]
+    assert sorted(sl.objects) == ["2->2", "3->2"]
     # the induced stratification: the level of f is L(dom f) - L(apex)
     s = stratify(cat)
-    assert {f: s.of(cat.dom(f)) - s.of("2") for f in sl.cat.objects} == {"2->2": 0, "3->2": 1}
+    assert {f: s[cat.dom(f)] - s["2"] for f in sl.objects} == {"2->2": 0, "3->2": 1}
 
 
 def test_identity_functor_validates():
@@ -243,11 +240,10 @@ def rooted_trees(draw):
 def test_free_tree_categories_stratify_to_node_depth(tree):
     cat, built = free_cat_of_tree(tree)
     s = stratify(cat)
-    assert isinstance(s, Stratification)
-    assert s.level == built.level  # uniqueness: recomputed equals constructed
+    assert s == built  # uniqueness: recomputed equals constructed
     for n in range(tree.height + 1):
         for node in tree.levels[n]:
-            assert s.of(f"{node}@{n}") == n
+            assert s[f"{node}@{n}"] == n
 
 
 @settings(max_examples=25, deadline=None)
@@ -260,14 +256,24 @@ def test_individual_arrows_are_edges(tree):
             assert a.endswith(">1")
 
 
+def test_individual_arrow_needs_a_positive_level_and_one_arrow_a_level_down():
+    cat, levels = free_cat_of_tree(chain_tree(2))
+    with pytest.raises(ValueError, match="^'n0@0' is at level 0$"):
+        individual_arrow(cat, levels, "n0@0")
+    # at level 3, n2@2 has no arrow to level 2
+    with pytest.raises(ValueError, match="^no unique individual arrow out of 'n2@2'$"):
+        individual_arrow(cat, {**levels, "n2@2": 3}, "n2@2")
+
+
+def test_slice_category_over_no_object_raises():
+    with pytest.raises(ValueError, match="^'zz' is not an object$"):
+        slice_category(nat_geq_cat(2), "zz")
+
+
 def test_slice_over_terminal_canonical_iso():
     # the canonical comparison with the slice over the terminal object:
     # both composites are identities
-    from bcsys.core import (
-        compose_functors,
-        identity_functor,
-        triangle_id,
-    )
+    from bcsys.core import compose_functors, identity_functor
 
     cat = nat_geq_cat(2)
     sl = slice_category(cat, "0")
@@ -275,18 +281,18 @@ def test_slice_over_terminal_canonical_iso():
     arrow_map = {}
     for a, ar in cat.arrows.items():
         arrow_map[a] = triangle_id(a, into[ar.dom], into[ar.cod])
-    fwd = FunctorData(cat, sl.cat, dict(into), arrow_map)
+    fwd = FunctorData(cat, sl, dict(into), arrow_map)
     bwd = FunctorData(
-        sl.cat,
+        sl,
         cat,
-        {f: cat.dom(f) for f in sl.cat.objects},
-        {t: trio[0] for t, trio in sl.triangle.items()},
+        {f: cat.dom(f) for f in sl.objects},
+        {triangle_id(*m): m[0] for m in slice_mors(cat, "0")},
     )
     assert validate_functor(fwd).ok
     assert validate_functor(bwd).ok
     for comp, ident in (
         (compose_functors(bwd, fwd), identity_functor(cat)),
-        (compose_functors(fwd, bwd), identity_functor(sl.cat)),
+        (compose_functors(fwd, bwd), identity_functor(sl)),
     ):
         assert comp.object_map == ident.object_map and comp.arrow_map == ident.arrow_map
 
@@ -332,7 +338,7 @@ def _example_categories():
     yield "group-s3", build_group_structure(*s3_table()).cat
     yield "b2e-finset-b", b_to_e(build_finset_bsystem(3)).cat
     fo = finsets_op_cat(2)
-    yield "slice", slice_category(fo, "1").cat
+    yield "slice", slice_category(fo, "1")
     yield "internal-hom", internal_hom_cat(build_nat_esystem(3), "1")
     yield "ce-base", ce.base
     yield "ce-fam", ce.fam

@@ -32,7 +32,7 @@ from bcsys.cesys import (
 )
 from bcsys.core import identity_functor, validate_fincat, validate_functor, validate_units
 from bcsys.csys import validate_csystem
-from bcsys.esys import TermCat, build_nat_esystem, check_pairing, internal_hom_cat, validate_esystem
+from bcsys.esys import build_nat_esystem, check_pairing, internal_hom_cat, validate_esystem
 from bcsys.serialize import dumps, fincat_payload, save_structure
 from bcsys.xlate import b_to_e, c_to_ce, casce_iso, ce_to_c, ce_to_e, e_to_ce
 
@@ -87,7 +87,7 @@ def _e_cases():
         ("finset-b3", b_to_e(build_finset_bsystem(3))),
     ):
         for name, cat in _cat_damages(e.cat, "cat"):
-            yield f"{tag} {name}", replace(e, tc=TermCat(cat=cat, terms=e.tc.terms))
+            yield f"{tag} {name}", replace(e, cat=cat)
 
 
 def _functor_cases():

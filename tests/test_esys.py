@@ -23,7 +23,6 @@ from bcsys.esys import (
     EHom,
     ESystem,
     SliceFunctorT,
-    TermCat,
     build_group_structure,
     build_nat_esystem,
     check_pairing,
@@ -104,6 +103,83 @@ def test_substitution_object_entry_that_is_no_arrow_fails_its_endpoints(where):
         (v.witness, v.detail) for v in rep.laws["subst-functor"].violations
     ]
     assert "stratified" not in rep.failed_laws()
+
+
+def _esystem_damage(**fields):
+    """validate_esystem of nat-e h2, whose category is total, with
+    ``fields`` computed from it."""
+    def run():
+        e = build_nat_esystem(2)
+        assert not e.cat.partial
+        return validate_esystem(dataclasses.replace(e, **{f: make(e) for f, make in fields.items()}))
+    return run
+
+
+def _pairing_damage(key, t):
+    """check_pairing of nat-e h3 with the term t of S_[0] on 2>=1 sent to
+    "zz" at the slice morphism key."""
+    def run():
+        e = build_nat_esystem(3)
+        sx = _copy_sf(e.subst[("2>=1", "[0]")])
+        sx.term_map[key][t] = "zz"
+        return check_pairing(dataclasses.replace(e, subst={**e.subst, ("2>=1", "[0]"): sx}))
+    return run
+
+
+FAIL_ROWS = {
+    "terms-on-a-non-arrow": (
+        _esystem_damage(terms=lambda e: {**e.terms, "zz": frozenset({"[]"})}),
+        "terms",
+        [(("zz",), "term set on a non-arrow")],
+    ),
+    "coverage-substitution": (
+        _esystem_damage(subst=lambda e: {k: v for k, v in e.subst.items() if k != ("2>=1", "[0]")}),
+        "coverage",
+        [(("2>=1", "[0]"), "missing substitution functor")],
+    ),
+    "coverage-weakening": (
+        _esystem_damage(weak=lambda e: {k: v for k, v in e.weak.items() if k != "2>=1"}),
+        "coverage",
+        [(("2>=1",), "missing weakening functor")],
+    ),
+    "stratified-terminal": (
+        _esystem_damage(levels=lambda e: {**e.levels, "0": 1}),
+        "stratified",
+        [
+            (("0",), "terminal not at level 0"),
+            (("1>=0",), "level-preserving non-identity arrow"),
+            (("W", "1>=0", "1>=0"), "slice functor not stratified"),
+        ],
+    ),
+    "stratified-raise": (
+        _esystem_damage(levels=lambda e: {**e.levels, "1": 3}),
+        "stratified",
+        [(("2>=1",), "arrow raises level"), (("W", "1>=0", "1>=0"), "slice functor not stratified")],
+    ),
+    # the pairing of ([], [0]) over (1>=1, 2>=1) reads S_[0] at (3>=2, 3>=2, 2>=2)
+    "pairing-bijective": (
+        _pairing_damage(("3>=2", "3>=2", "2>=2"), "[1]"),
+        "pairing-bijective",
+        [(("1>=1", "2>=1"), "image = ['zz']")],
+    ),
+    # and is inverted through S_[0] at (2>=2, 2>=2, 2>=2)
+    "pairing-inverse": (
+        _pairing_damage(("2>=2", "2>=2", "2>=2"), "[]"),
+        "pairing-inverse",
+        [
+            (("1>=1", "2>=1", "[]", "[0]"), "got ('zz', '[0]')"),
+            (("2>=1", "2>=2", "[0]", "[]"), "got ('[0]', 'zz')"),
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("row", FAIL_ROWS)
+def test_one_damaged_entry_fails_its_law_with_its_witness(row):
+    run, law, want = FAIL_ROWS[row]
+    rep = run()
+    assert rep.failed_laws() == [law]
+    assert [(v.witness, v.detail) for v in rep.laws[law].violations] == want
 
 
 def test_nat_axioms_check_nonvacuously():
@@ -404,7 +480,7 @@ def test_ih_term_rejects_wrong_endpoints_and_foreign_terms():
     assert ih_term(e, ih_arrow(A, B, t), B, A) is None
     assert ih_term(e, ih_arrow(A, B, t), A, nat_arrow(2, 0)) is None
     assert ih_term(e, join_ids("other", A, B, t), A, B) is None
-    every_term = set().union(*e.tc.terms.values())
+    every_term = set().union(*e.terms.values())
     foreign = sorted(every_term - homs)[0]
     assert ih_term(e, ih_arrow(A, B, foreign), A, B) is None
 
@@ -934,7 +1010,7 @@ def _damage(draw, e, F):
     elif kind == "term-value" and tables:
         k = draw(st.sampled_from(tables))
         t = draw(st.sampled_from(sorted(F.term_map[k])))
-        F.term_map[k][t] = draw(st.sampled_from(sorted(set().union(*e.tc.terms.values()))))
+        F.term_map[k][t] = draw(st.sampled_from(sorted(set().union(*e.terms.values()))))
     elif kind == "term-key" and F.term_map:
         k = draw(st.sampled_from(sorted(F.term_map)))
         F.term_map[k]["not-a-term"] = draw(st.sampled_from(sorted(e.T(F.mor_map.get(k, k[0])) or {"x"})))
@@ -993,7 +1069,7 @@ def _two_slices(with_u: bool):
         arrows["u"] = Arrow("u", "a", "b")
         compose.update({("u", "1a"): "u", ("1b", "u"): "u"})
     cat = FinCat(frozenset({"a", "b"}), arrows, {"a": "1a", "b": "1b"}, compose)
-    return ESystem(tc=TermCat(cat=cat))
+    return ESystem(cat=cat)
 
 
 def test_composites_equal_reads_tuples_over_their_own_cells():
@@ -1581,7 +1657,7 @@ def _sf_tables(F) -> tuple:
 
 def _reference_restriction(cat, F, P):
     try:
-        return _sf_tables(restrict_sf_reference(ESystem(tc=TermCat(cat=cat)), F, P))
+        return _sf_tables(restrict_sf_reference(ESystem(cat=cat), F, P))
     except Truncated as exc:
         return Truncated, exc.what
 
@@ -1656,7 +1732,7 @@ def _damaged_system(draw, e):
             compose[key] = value
         cat = dataclasses.replace(cat, compose=compose)
     return ESystem(
-        tc=TermCat(cat=cat, terms=e.tc.terms), subst=subst, weak=weak, proj=e.proj, levels=e.levels
+        cat=cat, terms=e.terms, subst=subst, weak=weak, proj=e.proj, levels=e.levels
     )
 
 
@@ -1697,7 +1773,7 @@ def test_built_tables_are_read_only_and_a_damaged_copy_validates_afresh():
     assert validate_esystem(e).format() == first.format()
 
     def damaged(e):
-        return dataclasses.replace(e, tc=dataclasses.replace(e.tc, cat=with_compose(e.cat, drop=[key])))
+        return dataclasses.replace(e, cat=with_compose(e.cat, drop=[key]))
 
     again = validate_esystem(damaged(e))
     assert again.format() != first.format()
@@ -1789,8 +1865,7 @@ def test_substitute_x_matches_reference_with_one_entry_dropped(build):
         for key in sorted(getattr(cat, table)):
             entries = dict(getattr(cat, table))
             del entries[key]
-            tc = TermCat(cat=dataclasses.replace(cat, **{table: entries}), terms=e.tc.terms)
-            seen += _substitutions_match(dataclasses.replace(e, tc=tc))
+            seen += _substitutions_match(dataclasses.replace(e, cat=dataclasses.replace(cat, **{table: entries})))
     assert seen["found"] > 0 and seen["missing"] > 0
 
 
@@ -1817,7 +1892,7 @@ def test_substitute_x_matches_reference_on_forged_composites():
             c = dataclasses.replace(
                 cat, identity={**cat.identity, dP: bad}, compose={**cat.compose, (bad, pos): pos, (P, bad): P1}
             )
-            forged.append(dataclasses.replace(e, tc=TermCat(cat=c, terms=e.tc.terms)))
+            forged.append(dataclasses.replace(e, cat=c))
         if cat.cod(bad) != dP:
             c = dataclasses.replace(cat, compose={**cat.compose, (ident, bad): bad, (P, bad): Ppos})
             wap, sxf = _copy_sf(e.weak[AP]), _copy_sf(sx)
@@ -1826,7 +1901,7 @@ def test_substitute_x_matches_reference_on_forged_composites():
             sxf.term_map[(bad, Ppos, P1)] = sx.term_map[(pos, Ppos, P1)]
             forged.append(
                 dataclasses.replace(
-                    e, tc=TermCat(cat=c, terms=e.tc.terms), weak={**e.weak, AP: wap}, subst={**e.subst, (A, x): sxf}
+                    e, cat=c, weak={**e.weak, AP: wap}, subst={**e.subst, (A, x): sxf}
                 )
             )
     assert forged

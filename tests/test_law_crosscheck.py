@@ -204,7 +204,7 @@ def test_deepcopy_of_an_esystem_shares_its_category():
     e = esys.build_nat_esystem(3)
     d = copy.deepcopy(e)
     assert d.cat is e.cat and copy.copy(e.cat) is e.cat
-    assert d.tc is not e.tc and d.weak is not e.weak
+    assert d.terms is not e.terms and d.weak is not e.weak
 
 
 # ---------------------------------------------------------------------------

@@ -82,7 +82,7 @@ class StoredIds:
 
 def assert_esystem_ids_shared(e):
     ids = StoredIds(e.cat)
-    ids.arrow(*e.tc.terms, *e.weak, *e.proj, *(a for a, _t in e.subst))
+    ids.arrow(*e.terms, *e.weak, *e.proj, *(a for a, _t in e.subst))
     ids.obj(*e.levels)
     for sf in [*e.subst.values(), *e.weak.values()]:
         ids.obj(sf.source_apex, sf.target_apex)
@@ -384,8 +384,8 @@ def test_cli_pair(tmp_path, capsys):
 def test_cli_height_cap(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("BCSYS_MAX_HEIGHT", "2")
     code = main(["example", "finset-b", "--height", "5", "-o", str(tmp_path / "x.json")])
-    capsys.readouterr()
-    assert code == 2
+    printed = capsys.readouterr()
+    assert (code, printed.out, printed.err) == (2, "", "error: height 5 exceeds BCSYS_MAX_HEIGHT=2\n")
 
 
 @pytest.mark.parametrize("name", ["finset-b", "nat-e", "finset-ce", "group-s3"])
@@ -394,7 +394,7 @@ def test_cli_example_rejects_a_negative_height(tmp_path, capsys, name):
     code = main(["example", name, "--height", "-1", "-o", str(out)])
     printed = capsys.readouterr()
     assert code == 2 and not out.exists()
-    assert printed.out == "" and printed.err == "height -1 is negative\n"
+    assert printed.out == "" and printed.err == "error: height -1 is negative\n"
 
 
 @pytest.mark.parametrize("bound", ["0", "-1"])
@@ -406,7 +406,7 @@ def test_cli_example_rejects_a_bound_below_one(tmp_path, capsys, bound):
     code = main(argv + ["-o", str(out)])
     printed = capsys.readouterr()
     assert code == 2 and not out.exists()
-    assert printed.out == "" and printed.err == f"bound {bound} is below 1\n"
+    assert printed.out == "" and printed.err == f"error: bound {bound} is below 1\n"
 
 
 def test_cli_malformed_file(tmp_path, capsys):
@@ -861,12 +861,12 @@ def test_cli_roundtrip_of_a_cesystem_without_comp_fact_prints_the_adjunction(tmp
 def test_cli_example_syntactic_needs_a_well_formed_signature(tmp_path, capsys):
     out = tmp_path / "s.json"
     code, printed = _run(capsys, "example", "syntactic", "-o", str(out))
-    assert (code, printed.out, printed.err) == (2, "", "syntactic example needs --sig FILE\n")
+    assert (code, printed.out, printed.err) == (2, "", "error: syntactic example needs --sig FILE\n")
     sig = tmp_path / "bad.sig"
     sig.write_text("type U; type (")
     code, printed = _run(capsys, "example", "syntactic", "--sig", str(sig), "-o", str(out))
     assert (code, printed.out) == (2, "")
-    assert printed.err == "signature error: line 1, column 1: cannot parse declaration 'type ('\n"
+    assert printed.err == "error: signature error: line 1, column 1: cannot parse declaration 'type ('\n"
     assert not out.exists()
 
 
@@ -1094,6 +1094,29 @@ def test_cli_rejects_a_field_of_the_wrong_json_type(tmp_path, capsys, field, com
     kind, damage = field
     doc = json.loads(LOOSE_DOCS[kind])
     message = damage(doc["payload"])
+    path, out = tmp_path / "x.json", tmp_path / "out.json"
+    path.write_text(json.dumps(doc))
+    argv = [command, str(path)]
+    if command == "translate":
+        argv += ["--to", "e" if kind == "c" else "c", "-o", str(out)]
+    code, printed = _run(capsys, *argv)
+    assert code == 2 and not out.exists()
+    _one_line(printed, message)
+
+
+DANGLING_ENTRIES = {
+    "term-set": ("e", lambda p: p["terms"].update(zz=[]), "term set on dangling arrow 'zz'"),
+    "identity-term": ("e", lambda p: p["proj"].update(zz="[]"), "identity term at 'zz' dangling"),
+    "length": ("c", lambda p: p["length"].update(zz=1), "length entry 'zz' dangling"),
+}
+
+
+@pytest.mark.parametrize("command", ["check", "translate", "roundtrip"])
+@pytest.mark.parametrize("entry", DANGLING_ENTRIES.values(), ids=DANGLING_ENTRIES.keys())
+def test_cli_rejects_an_entry_keyed_by_no_id(tmp_path, capsys, entry, command):
+    kind, damage, message = entry
+    doc = json.loads(LOOSE_DOCS[kind])
+    damage(doc["payload"])
     path, out = tmp_path / "x.json", tmp_path / "out.json"
     path.write_text(json.dumps(doc))
     argv = [command, str(path)]

@@ -49,6 +49,21 @@ def test_parse_error_carries_position():
     assert exc.value.line == 2
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("type 1U", "line 1, column 1: bad former name '1U'"),
+        ("type U\n  term U", "line 2, column 3: duplicate former 'U'"),
+        ("type U\ntype El(tm, foo)", "line 2, column 1: bad argument 'foo'"),
+    ],
+    ids=["name", "duplicate", "argument"],
+)
+def test_parse_rejects_a_malformed_declaration(text, message):
+    with pytest.raises(SignatureError) as exc:
+        parse_signature(text)
+    assert str(exc.value) == message
+
+
 def test_empty_signature_is_valid():
     sig = parse_signature("  # nothing here\n")
     assert sig.type_formers == () and sig.term_formers == ()

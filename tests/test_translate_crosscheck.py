@@ -192,7 +192,7 @@ def damaged_system(choose, kind=None, base=None):
             # the composite is drawn before its key
             value = choose(arrows)
             key = choose(sorted(e.cat.compose)) if damage == "compose-retarget" else (choose(arrows), choose(arrows))
-            e.tc.cat = helpers.with_compose(e.cat, put={key: value})
+            e.cat = helpers.with_compose(e.cat, put={key: value})
         else:
             functors = [e.weak[k] for k in sorted(e.weak)] + [e.subst[k] for k in sorted(e.subst)]
             if not functors:
@@ -232,7 +232,7 @@ def vertical_case(choose):
     kind = choose(sorted(BASES))
     e = damaged_system(choose, kind)
     cat = e.cat
-    pools = (sorted(cat.arrows), sorted(set().union(*e.tc.terms.values())))
+    pools = (sorted(cat.arrows), sorted(set().union(*e.terms.values())))
     args = [
         choose(pools[i in (2, 5)]) if choose(range(8)) == 0 else value
         for i, value in enumerate(choose(CALLS[kind]))
@@ -295,7 +295,7 @@ def test_vertical_compose_reads_only_arrows_into_dom_b():
     assert args in CALLS["nat-e"]
     wap = e.weak[e.cat.compose[(A, P)]]
     stray = "1>=1"  # an arrow into 1, not into dom(B) = 0
-    e.tc.cat = helpers.with_compose(e.cat, put={(B, stray): "1>=0"})
+    e.cat = helpers.with_compose(e.cat, put={(B, stray): "1>=0"})
     wap.mor_map[(stray, "1>=0", B)] = wap.mor_map[(Q, e.cat.compose[(B, Q)], B)]
     moved = (A, B, f, P, stray, F)
     assert outcome(vertical_compose_reference, str, e, *moved)[0] is Truncated
@@ -430,7 +430,7 @@ def test_unit_ehom_matches_reference_with_each_position_read_dropped(kind):
         key = (bg, A)
         drops = [
             lambda e: e.weak[bg].obj_map.pop(bg, None),
-            lambda e: setattr(e.tc, "cat", helpers.with_compose(e.cat, drop=[key])),
+            lambda e: setattr(e, "cat", helpers.with_compose(e.cat, drop=[key])),
             lambda e: e.weak[bg].mor_map.pop((A, e.cat.compose.get(key), bg), None),
         ]
         for drop in drops:
@@ -473,7 +473,7 @@ def sfunctor_tables(sf) -> tuple:
 def esystem_tables(e) -> tuple:
     return (
         fincat_tables(e.cat),
-        e.tc.terms,
+        e.terms,
         {k: sfunctor_tables(sf) for k, sf in e.subst.items()},
         {k: sfunctor_tables(sf) for k, sf in e.weak.items()},
         e.proj,
@@ -1089,7 +1089,7 @@ def test_each_slice_object_is_planned_once_per_category(monkeypatch, kind):
     assert len(plans) == len(first) > 0
     cat = dataclasses.replace(e.cat)
     del plans[:]
-    validate_esystem(dataclasses.replace(e, tc=dataclasses.replace(e.tc, cat=cat)))
+    validate_esystem(dataclasses.replace(e, cat=cat))
     assert all(c is cat for c, _P in plans)
     assert len(plans) == len({P for _c, P in plans}) and {P for _c, P in plans} == first
 
